@@ -30,7 +30,7 @@ from .formula import (
     unsat_formula,
     verify_xmodel,
 )
-from .gen import random_formula
+from .gen import planted_formula, random_formula
 from .oracle import (
     CapExceeded,
     check_zero_two,
@@ -87,6 +87,7 @@ __all__ = [
     "nth_root",
     "parse_branch_spec",
     "parse_formula",
+    "planted_formula",
     "random_formula",
     "serialize_formula",
     "simplify_state",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .formula import (
     BOTTOM,
@@ -41,7 +42,7 @@ from .formula import (
     connected_components,
     max_bottom,
 )
-from .propagation import PropagationResult, assign, normalize, substitute_dual
+from .propagation import PropagationResult, Propagator, assign, substitute_dual
 
 
 @dataclass
@@ -144,18 +145,22 @@ class GeneralizedAssignment:
                 if child in parent:
                     raise ValueError(f"variable {child} linked from two sets")
                 parent[child] = var
+        # Variables whose walk already ended at an acceptable root; a walk
+        # that meets one stops there, so each link is followed once.
+        reaches_root: set[int] = set()
         for child in parent:
             if child in rooted:
                 raise ValueError(f"linked variable {child} also carries a value")
             seen = {child}
             cursor = child
-            while cursor in parent:
+            while cursor in parent and cursor not in reaches_root:
                 cursor = parent[cursor]
                 if cursor in seen:
                     raise ValueError(f"link cycle through variable {cursor}")
                 seen.add(cursor)
-            if require_rooted and cursor not in rooted:
+            if require_rooted and cursor not in reaches_root and cursor not in rooted:
                 raise ValueError(f"link tree root {cursor} has no value and is not free")
+            reaches_root |= seen
 
     def universe(self) -> set[int]:
         """All variables the state speaks for."""
@@ -307,58 +312,87 @@ def simplify_state(formula: Formula, state: GeneralizedAssignment):
 
 
 def _simplify(formula: Formula, state: GeneralizedAssignment):
-    """In-place simplification loop; returns (formula, unsat)."""
-    while True:
-        result = normalize(formula)
-        state.absorb(result)
-        if result.unsat:
-            return result.formula, True
-        formula = result.formula
+    """Simplify in place on one propagation engine; returns (formula, unsat).
 
-        degrees = _degree_map(formula)
-        merged = False
-        for index, clause in enumerate(formula.clauses):
-            singles = [lit for lit in clause if degrees[abs(lit)] == 1]
-            if len(singles) < 2:
-                continue
-            # The pool head must not already head a pool from another
-            # clause; a head that went singleton again nests as a member.
-            fresh = [lit for lit in singles if not state.is_grouped(abs(lit))]
-            if not fresh:
-                continue
-            rep = fresh[0]
-            victim = next(lit for lit in singles if lit != rep)
-            state.record_sing(rep, victim)
-            shrunk = tuple(l for l in clause if l != victim)
-            clauses = list(formula.clauses)
-            clauses[index] = shrunk
-            formula = Formula(formula.num_vars, tuple(clauses))
-            merged = True
-            break
-        if merged:
+    Each round propagates to a fixpoint, then pools in the first clause,
+    by position, that holds at least two singletons one of which heads no
+    pool yet; only when no clause can pool does it eliminate the first
+    binary clause by dual substitution. Both rewrites happen in place on
+    the engine, whose queue settles just the clauses they touch. Two
+    position heaps stand in for rescanning the formula: `to_pool` holds
+    every clause that may have become poolable (it shrank, was rewritten,
+    or one of its variables fell to degree one) and `binaries` every
+    clause that may have become binary. Popping the smallest position
+    that passes the check makes the same choice, in the same order, as a
+    scan of the whole formula would.
+    """
+    engine = Propagator(formula)
+    clauses, degree = engine.clauses, engine.degree
+    to_pool = list(range(len(clauses)))
+    binaries = [pos for pos, clause in enumerate(clauses) if len(clause) == 2]
+    while engine.propagate():
+        for pos in engine.changed:
+            heappush(to_pool, pos)
+            clause = clauses[pos]
+            if clause is not None and len(clause) == 2:
+                heappush(binaries, pos)
+        for var in engine.singles:
+            if degree[var] == 1:
+                heappush(to_pool, engine.position_of(var))
+        engine.changed.clear()
+        engine.singles.clear()
+
+        if _pool_first(engine, state, to_pool):
             continue
-
-        eliminated = False
-        for clause in formula.clauses:
-            if len(clause) != 2:
-                continue
-            first, second = clause
-            # Keep a non-singleton alive when there is one; the removed
-            # side hangs below the survivor either way.
-            if degrees[abs(second)] == 1 and degrees[abs(first)] > 1:
-                removed, survivor = second, first
-            else:
-                removed, survivor = first, second
-            result = substitute_dual(formula, removed, survivor)
-            state.record_dual(survivor, removed)
-            state.absorb(result)
-            if result.unsat:
-                return result.formula, True
-            formula = result.formula
-            eliminated = True
+        if not _eliminate_first_binary(engine, state, binaries):
             break
-        if not eliminated:
-            return formula, False
+    result = engine.result()
+    state.absorb(result)
+    return result.formula, result.unsat
+
+
+def _pool_first(engine: Propagator, state: GeneralizedAssignment, to_pool: list[int]) -> bool:
+    """Pool a singleton peer in the first poolable clause; False if none is."""
+    clauses, degree = engine.clauses, engine.degree
+    while to_pool:
+        pos = heappop(to_pool)
+        clause = clauses[pos]
+        if clause is None:
+            continue
+        singles = [lit for lit in clause if degree[abs(lit)] == 1]
+        if len(singles) < 2:
+            continue
+        # The pool head must not already head a pool from another
+        # clause; a head that went singleton again nests as a member.
+        fresh = [lit for lit in singles if not state.is_grouped(abs(lit))]
+        if not fresh:
+            continue
+        rep = fresh[0]
+        victim = next(lit for lit in singles if lit != rep)
+        state.record_sing(rep, victim)
+        engine.remove_literal(pos, victim)
+        return True
+    return False
+
+
+def _eliminate_first_binary(engine: Propagator, state: GeneralizedAssignment, binaries: list[int]) -> bool:
+    """Dual-substitute away the first binary clause; False if there is none."""
+    clauses, degree = engine.clauses, engine.degree
+    while binaries:
+        clause = clauses[heappop(binaries)]
+        if clause is None or len(clause) != 2:
+            continue
+        first, second = clause
+        # Keep a non-singleton alive when there is one; the removed
+        # side hangs below the survivor either way.
+        if degree[abs(second)] == 1 and degree[abs(first)] > 1:
+            removed, survivor = second, first
+        else:
+            removed, survivor = first, second
+        engine.substitute(removed, survivor)
+        state.record_dual(survivor, removed)
+        return True
+    return False
 
 
 def max_hamming_q(

@@ -18,7 +18,7 @@ import time
 from .branching import NodeCounter, max_hamming_q
 from .dimacs import ParseError, load_formula, serialize_formula
 from .formula import Assignment, Formula, hamming_distance, verify_xmodel
-from .gen import random_formula
+from .gen import planted_formula, random_formula
 from .oracle import CapExceeded, enumerate_xmodels, max_hamming_brute
 from .solver import find_xmodel
 from .subset_scan import ScanStats, max_hamming_p
@@ -40,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
 def _value_line(model: Assignment, variables) -> str:
     lits = [v if model[v] else -v for v in sorted(variables)]
     return "v " + " ".join(str(l) for l in lits + [0])
+
+
+def _planted_spec(text: str) -> tuple[int, int]:
+    try:
+        length, degree = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected K,D, got {text!r}") from None
+    return length, degree
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--vars", type=int, required=True)
-    p_gen.add_argument("--clauses", type=int, required=True)
-    p_gen.add_argument("--len", type=int, required=True, dest="length")
+    p_gen.add_argument("--clauses", type=int, default=None, help="uniform instances only")
+    p_gen.add_argument("--len", type=int, default=None, dest="length", help="uniform instances only")
+    p_gen.add_argument(
+        "--planted",
+        type=_planted_spec,
+        default=None,
+        metavar="K,D",
+        help="degree-regular instance with a hidden x-model: clauses of length K, each variable in D of them",
+    )
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("-o", "--output", default=None)
 
@@ -195,7 +210,14 @@ def _cmd_gen(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("XHAM_SEED", "0"))
-    formula = random_formula(args.vars, args.clauses, args.length, seed)
+    if args.planted is not None:
+        if args.clauses is not None or args.length is not None:
+            raise ValueError("--planted sets the clause count and length; drop --clauses and --len")
+        formula = planted_formula(args.vars, *args.planted, seed)
+    elif args.clauses is None or args.length is None:
+        raise ValueError("gen needs --clauses and --len, or --planted K,D")
+    else:
+        formula = random_formula(args.vars, args.clauses, args.length, seed)
     text = serialize_formula(formula)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

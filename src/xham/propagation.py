@@ -10,12 +10,24 @@ engine runs these rules to a fixpoint and reports either a simplified
 formula plus everything it forced, or the canonical unsatisfiable
 formula.
 
+One incremental engine, `Propagator`, does all of this work. It keeps
+the clauses by position (a clause only shrinks, is rewritten in place or
+drops out), an occurrence list and a degree count per variable, the
+forced map, and a work queue: a clause is settled again only when one of
+its variables is forced or rewritten, so a fixpoint costs time linear in
+the clauses it touches rather than a sweep over the whole formula per
+round. `normalize`, `assign` and `substitute_dual` are thin wrappers
+that run one step on a fresh engine; `branching` drives one engine
+through a whole sequence of pooling and dual-elimination steps.
+
 Every rule application strictly shrinks (forced variables grow, clauses
-or literal counts drop), so the fixpoint always terminates.
+or literal counts drop), so the fixpoint always terminates. The fixpoint
+does not depend on the order in which the queue settles clauses.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .formula import Assignment, Formula, unsat_formula
@@ -41,7 +53,9 @@ class PropagationResult:
 
 def normalize(formula: Formula) -> PropagationResult:
     """Run the simplification rules alone, with no trigger."""
-    return _propagate(formula, {}, ())
+    engine = Propagator(formula)
+    engine.propagate()
+    return engine.result()
 
 
 def assign(formula: Formula, var: int, value: bool) -> PropagationResult:
@@ -50,9 +64,12 @@ def assign(formula: Formula, var: int, value: bool) -> PropagationResult:
     The x-models of the result, extended by `forced`, are exactly the
     x-models of the input in which var has the given value.
     """
-    if var not in {abs(l) for c in formula.clauses for l in c}:
+    engine = Propagator(formula)
+    if var not in engine.degree:
         raise ValueError(f"variable {var} does not occur in the formula")
-    return _propagate(formula, {var: value}, ())
+    engine.force(var, value)
+    engine.propagate()
+    return engine.result()
 
 
 def substitute_dual(formula: Formula, a: int, b: int) -> PropagationResult:
@@ -63,18 +80,14 @@ def substitute_dual(formula: Formula, a: int, b: int) -> PropagationResult:
     as an equivalence: x-models of the result correspond one-to-one with
     x-models of the input in which a and b take opposite truth values.
     """
-    occurring = {abs(l) for c in formula.clauses for l in c}
     if abs(a) == abs(b):
         raise ValueError("dual substitution needs literals of distinct variables")
-    if abs(a) not in occurring or abs(b) not in occurring:
+    engine = Propagator(formula)
+    if abs(a) not in engine.degree or abs(b) not in engine.degree:
         raise ValueError("both literals must occur in the formula")
-    rewritten = []
-    for clause in formula.clauses:
-        rewritten.append(
-            tuple(-b if lit == a else (b if lit == -a else lit) for lit in clause)
-        )
-    target = Formula(formula.num_vars, tuple(rewritten))
-    return _propagate(target, {}, ((a, -b),), orig_vars=occurring)
+    engine.substitute(a, b)
+    engine.propagate()
+    return engine.result()
 
 
 def extend_model(result: PropagationResult, model: Assignment, freed_value: bool = True) -> Assignment:
@@ -94,76 +107,187 @@ def extend_model(result: PropagationResult, model: Assignment, freed_value: bool
     return full
 
 
-def _propagate(
-    formula: Formula,
-    trigger: Assignment,
-    equivalences: tuple[tuple[int, int], ...],
-    orig_vars: set[int] | None = None,
-) -> PropagationResult:
-    if orig_vars is None:
-        orig_vars = {abs(l) for c in formula.clauses for l in c}
-    forced: Assignment = dict(trigger)
-    conflict = False
+class Propagator:
+    """A formula under incremental exactly-one propagation.
 
-    def force(var: int, value: bool) -> None:
-        nonlocal conflict
-        old = forced.get(var)
+    clauses[pos] is the clause at its input position, or None once it
+    dropped out. occ maps a variable to the positions that may hold it;
+    entries of dropped or rewritten clauses go stale and a position may
+    repeat, so readers check the clause. degree counts the variable's
+    literal occurrences in live clauses.
+    Every clause starts in the queue, and `force`, `substitute` and
+    `remove_literal` queue exactly the clauses they touch.
+
+    `propagate` closes one step: it runs the queue to a fixpoint and
+    appends the variables that vanished during the step, sorted, to
+    `freed`. Two logs serve a caller that keeps rewriting between steps:
+    `changed` collects positions whose clause shrank or was rewritten,
+    `singles` variables whose degree fell to one. The caller drains them.
+    """
+
+    def __init__(self, formula: Formula):
+        self.num_vars = formula.num_vars
+        self.clauses: list[tuple[int, ...] | None] = list(formula.clauses)
+        occ: defaultdict[int, list[int]] = defaultdict(list)
+        for pos, clause in enumerate(self.clauses):
+            for lit in clause:
+                occ[abs(lit)].append(pos)
+        self.occ = occ
+        # One occ entry per literal so far, so list lengths are the degrees.
+        self.degree = {var: len(positions) for var, positions in occ.items()}
+        self.forced: Assignment = {}
+        self.equivalences: list[tuple[int, int]] = []
+        self.freed: list[int] = []
+        self.unsat = False
+        self.queue = deque(range(len(self.clauses)))
+        self.queued = bytearray(b"\x01") * len(self.clauses)
+        self.changed: list[int] = []
+        self.singles: list[int] = []
+        self._vanished: list[int] = []
+
+    def _enqueue(self, pos: int) -> None:
+        if not self.queued[pos] and self.clauses[pos] is not None:
+            self.queued[pos] = 1
+            self.queue.append(pos)
+
+    def force(self, var: int, value: bool) -> None:
+        """Fix a value and queue the clauses holding the variable."""
+        old = self.forced.get(var)
         if old is None:
-            forced[var] = value
+            self.forced[var] = value
+            for pos in self.occ.pop(var, ()):
+                self._enqueue(pos)
         elif old != value:
-            conflict = True
+            self.unsat = True
 
-    clauses: list[tuple[int, ...]] = list(formula.clauses)
-    changed = True
-    while changed and not conflict:
-        changed = False
-        size_before = len(forced)
-        kept: list[tuple[int, ...]] = []
-        for lits in clauses:
-            status, live = _settle_clause(lits, forced, force)
+    def substitute(self, a: int, b: int) -> None:
+        """Rewrite literal a as the complement of b in place; queue those clauses."""
+        source, target = abs(a), abs(b)
+        clauses = self.clauses
+        moved = self.occ[target]
+        for pos in self.occ.pop(source, ()):
+            clause = clauses[pos]
+            if clause is None:
+                continue
+            rewritten = tuple(-b if lit == a else (b if lit == -a else lit) for lit in clause)
+            if rewritten == clause:
+                continue  # a repeated entry, already rewritten
+            clauses[pos] = rewritten
+            moved.append(pos)
+            self.changed.append(pos)
+            self._enqueue(pos)
+        self.degree[target] += self.degree[source]
+        self.degree[source] = 0
+        self.equivalences.append((a, -b))
+
+    def remove_literal(self, pos: int, lit: int) -> None:
+        """Delete the one occurrence of a degree-one literal and queue its clause.
+
+        The variable leaves the formula without counting as freed: the
+        caller keeps track of it elsewhere.
+        """
+        self.clauses[pos] = tuple(l for l in self.clauses[pos] if l != lit)
+        self.degree[abs(lit)] = 0
+        self.occ.pop(abs(lit), None)
+        self.changed.append(pos)
+        self._enqueue(pos)
+
+    def position_of(self, var: int) -> int:
+        """Position of the one live clause holding a degree-one variable."""
+        for pos in self.occ[var]:
+            clause = self.clauses[pos]
+            if clause is not None and (var in clause or -var in clause):
+                self.occ[var] = [pos]
+                return pos
+        raise ValueError(f"variable {var} occurs in no live clause")
+
+    def propagate(self) -> bool:
+        """Settle queued clauses to a fixpoint; False when a conflict shows."""
+        clauses, queue, queued, forced = self.clauses, self.queue, self.queued, self.forced
+        settle, force = _settle_clause, self.force
+        while queue and not self.unsat:
+            pos = queue.popleft()
+            queued[pos] = 0
+            lits = clauses[pos]
+            if lits is None:
+                continue  # dropped after a force on its own variables queued it again
+            status, live = settle(lits, forced, force)
             if status == "unsat":
-                conflict = True
-                break
-            if status == "keep":
-                kept.append(live)
-                if len(live) != len(lits):
-                    changed = True
-            else:  # dropped: satisfied and removed
-                changed = True
-        clauses = kept
-        if len(forced) != size_before:
-            changed = True
+                self.unsat = True
+            elif status == "drop":
+                clauses[pos] = None
+                self._lose(lits, ())
+            elif len(live) != len(lits):
+                clauses[pos] = live
+                self._lose(lits, live)
+                self.changed.append(pos)
+        if self.unsat:
+            return False
+        if self._vanished:
+            degree = self.degree
+            self.freed.extend(sorted({v for v in self._vanished if not degree[v] and v not in forced}))
+            self._vanished = []
+        return True
 
-    if conflict:
+    def _lose(self, lits, live) -> None:
+        """Lower the degrees of the literals in lits but not in live (a subsequence)."""
+        degree = self.degree
+        kept, width = 0, len(live)
+        for lit in lits:
+            if kept < width and live[kept] == lit:
+                kept += 1
+                continue
+            var = abs(lit)
+            left = degree[var] - 1
+            degree[var] = left
+            if left == 0:
+                self._vanished.append(var)
+            elif left == 1:
+                self.singles.append(var)
+
+    def result(self) -> PropagationResult:
+        if self.unsat:
+            return PropagationResult(
+                unsat_formula(self.num_vars), self.forced, tuple(self.equivalences), (), True
+            )
+        formula = Formula(self.num_vars, tuple(c for c in self.clauses if c is not None))
         return PropagationResult(
-            unsat_formula(formula.num_vars), dict(forced), equivalences, (), True
+            formula, self.forced, tuple(self.equivalences), tuple(self.freed), False
         )
-
-    out = Formula(formula.num_vars, tuple(clauses))
-    remaining = {abs(l) for c in clauses for l in c}
-    sources = {abs(src) for src, _ in equivalences}
-    freed = tuple(
-        sorted(v for v in orig_vars if v not in forced and v not in sources and v not in remaining)
-    )
-    return PropagationResult(out, dict(forced), equivalences, freed, False)
 
 
 def _settle_clause(lits, forced, force):
     """Evaluate one clause against the forced map and emit consequences.
 
     Returns ("unsat"|"drop"|"keep", live_literals). Forces discovered
-    here land in the shared map; the caller loops until nothing moves.
+    here go through `force`, which queues the clauses they touch.
     """
     n_true = 0
-    live: list[int] = []
-    for lit in lits:
-        value = forced.get(abs(lit))
-        if value is None:
-            live.append(lit)
-        elif value == (lit > 0):
-            n_true += 1
-    if n_true >= 2:
-        return "unsat", ()
+    if forced.keys().isdisjoint(map(abs, lits)):
+        live = lits
+    else:
+        live = []
+        for lit in lits:
+            value = forced.get(abs(lit))
+            if value is None:
+                live.append(lit)
+            elif value == (lit > 0):
+                n_true += 1
+        if n_true >= 2:
+            return "unsat", ()
+
+    if len(set(map(abs, live))) == len(live):
+        # Distinct variables: no complementary pair, no repeated literal.
+        if n_true == 1:
+            for lit in live:
+                force(abs(lit), lit < 0)
+            return "drop", ()
+        if not live:
+            return "unsat", ()
+        if len(live) == 1:
+            force(abs(live[0]), live[0] > 0)
+            return "drop", ()
+        return "keep", lits if len(live) == len(lits) else tuple(live)
 
     pos: dict[int, int] = {}
     neg: dict[int, int] = {}
@@ -204,21 +328,10 @@ def _settle_clause(lits, forced, force):
         return "drop", ()
 
     # No true constant, no complementary pair. A literal occurring twice
-    # with one polarity must be false; force and re-evaluate next sweep.
-    dup = False
+    # with one polarity must be false; forcing it queues this clause again.
     for v in order:
         if pos.get(v, 0) >= 2:
             force(v, False)
-            dup = True
         elif neg.get(v, 0) >= 2:
             force(v, True)
-            dup = True
-    if dup:
-        return "keep", tuple(live)
-
-    if not live:
-        return "unsat", ()
-    if len(live) == 1:
-        force(abs(live[0]), live[0] > 0)
-        return "drop", ()
     return "keep", tuple(live)

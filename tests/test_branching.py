@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from xham import (
     BOTTOM,
     Formula,
@@ -53,6 +55,43 @@ class TestSimplifyState:
 
 def leaf_state(**kw):
     return GeneralizedAssignment(**kw)
+
+
+class TestValidate:
+    def test_pool_head_without_slot_polarity(self):
+        state = leaf_state(values={1: True}, sing={1: [(2, True)]})
+        with pytest.raises(ValueError, match="pool head 1 lacks a slot polarity"):
+            state.validate()
+
+    def test_variable_linked_from_two_sets(self):
+        state = leaf_state(values={1: True, 3: False}, dual={1: [(2, True, False)], 3: [(2, False, False)]})
+        with pytest.raises(ValueError, match="variable 2 linked from two sets"):
+            state.validate()
+
+    def test_linked_variable_with_a_value(self):
+        state = leaf_state(values={1: True, 2: False}, dual={1: [(2, True, False)]})
+        with pytest.raises(ValueError, match="linked variable 2 also carries a value"):
+            state.validate()
+
+    def test_link_cycle(self):
+        state = leaf_state(dual={1: [(2, True, False)], 2: [(3, True, False)], 3: [(1, True, False)]})
+        with pytest.raises(ValueError, match="link cycle through variable"):
+            state.validate()
+
+    def test_unrooted_tree_only_when_rooting_is_required(self):
+        state = leaf_state(dual={1: [(2, True, False)]})
+        state.validate()
+        with pytest.raises(ValueError, match="link tree root 1 has no value and is not free"):
+            state.validate(require_rooted=True)
+
+    def test_long_chain_is_rooted(self):
+        n = 5000
+        state = leaf_state(values={1: True}, dual={v: [(v + 1, True, False)] for v in range(1, n)})
+        state.validate(require_rooted=True)
+        state.dual[n] = [(1, True, False)]
+        del state.values[1]
+        with pytest.raises(ValueError, match="link cycle"):
+            state.validate()
 
 
 class TestFixCount:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from xham import parse_formula, serialize_formula
+from xham import parse_formula, planted_formula, serialize_formula
 from xham.cli import main
 
 from conftest import formula
@@ -141,6 +141,23 @@ class TestGen:
         _, from_env, _ = run(capsys, "gen", "--vars", "5", "--clauses", "3", "--len", "2")
         _, explicit, _ = run(capsys, "gen", "--vars", "5", "--clauses", "3", "--len", "2", "--seed", "42")
         assert from_env == explicit
+
+    def test_planted(self, capsys):
+        code, out, _ = run(capsys, "gen", "--vars", "12", "--planted", "3,2", "--seed", "4")
+        assert code == 0
+        assert parse_formula(out) == planted_formula(12, 3, 2, 4)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--vars", "12", "--planted", "3,x"),
+            ("--vars", "12", "--planted", "3,2", "--len", "3"),
+            ("--vars", "10", "--planted", "4,3"),  # 30 slots do not fill length-4 clauses
+            ("--vars", "12", "--clauses", "4"),
+        ],
+    )
+    def test_bad_shapes_exit_1(self, capsys, args):
+        assert main(["gen", *args]) == 1
 
 
 class TestBench:

@@ -1,0 +1,89 @@
+"""Golden search-tree sizes: any change to q's node or leaf count fails here.
+
+Each row is (family, num_vars, clause_length, seed, distance, nodes,
+leaves); a distance of None means unsatisfiable. Uniform rows have the
+criterion-8 shape (m = (n + 1) // 2); planted rows are degree-2
+instances from `planted_formula`. The counts were recorded with the
+whole-formula sweep propagation that the incremental engine replaced,
+and p gives the same distances.
+"""
+
+import pytest
+
+from xham import BOTTOM, NodeCounter, max_hamming_q, planted_formula, random_formula
+
+GOLDEN = [
+    ("uniform", 14, 4, 7000000, None, 1, 0),
+    ("uniform", 16, 4, 7000001, 3, 2, 1),
+    ("uniform", 18, 4, 7000002, None, 1, 0),
+    ("uniform", 20, 4, 7000003, None, 1, 0),
+    ("uniform", 14, 5, 7000004, None, 1, 0),
+    ("uniform", 16, 5, 7000005, None, 3, 2),
+    ("uniform", 18, 5, 7000006, None, 1, 0),
+    ("uniform", 20, 5, 7000007, None, 1, 0),
+    ("uniform", 14, 4, 7000008, None, 1, 0),
+    ("uniform", 16, 4, 7000009, None, 1, 0),
+    ("uniform", 18, 4, 7000010, 0, 3, 2),
+    ("uniform", 20, 4, 7000011, None, 1, 0),
+    ("uniform", 14, 5, 7000012, None, 1, 0),
+    ("uniform", 16, 5, 7000013, None, 1, 0),
+    ("uniform", 18, 5, 7000014, None, 1, 0),
+    ("uniform", 20, 5, 7000015, None, 1, 0),
+    ("uniform", 14, 4, 7000016, None, 1, 0),
+    ("uniform", 16, 4, 7000017, 0, 3, 2),
+    ("uniform", 18, 4, 7000018, None, 1, 0),
+    ("uniform", 20, 4, 7000019, None, 2, 1),
+    ("uniform", 14, 5, 7000020, None, 1, 0),
+    ("uniform", 16, 5, 7000021, None, 4, 3),
+    ("uniform", 18, 5, 7000022, None, 2, 1),
+    ("uniform", 20, 5, 7000023, None, 1, 0),
+    ("uniform", 14, 4, 7000024, 0, 2, 1),
+    ("uniform", 16, 4, 7000025, None, 1, 0),
+    ("uniform", 18, 4, 7000026, None, 2, 0),
+    ("uniform", 20, 4, 7000027, None, 1, 0),
+    ("uniform", 14, 5, 7000028, None, 1, 0),
+    ("uniform", 16, 5, 7000029, None, 1, 0),
+    ("uniform", 18, 5, 7000030, None, 1, 0),
+    ("uniform", 20, 5, 7000031, None, 1, 0),
+    ("uniform", 14, 4, 7000032, None, 1, 0),
+    ("uniform", 16, 4, 7000033, None, 1, 0),
+    ("uniform", 18, 4, 7000034, None, 1, 0),
+    ("uniform", 20, 4, 7000035, None, 1, 0),
+    ("uniform", 14, 5, 7000036, None, 1, 0),
+    ("uniform", 16, 5, 7000037, 0, 2, 1),
+    ("uniform", 18, 5, 7000038, None, 1, 0),
+    ("uniform", 20, 5, 7000039, None, 1, 0),
+    ("planted", 15, 3, 7100000, 2, 5, 4),
+    ("planted", 18, 3, 7100001, 12, 83, 82),
+    ("planted", 21, 3, 7100002, 10, 83, 82),
+    ("planted", 24, 3, 7100003, 13, 210, 209),
+    ("planted", 16, 4, 7100004, 8, 43, 42),
+    ("planted", 20, 4, 7100005, 10, 25, 22),
+    ("planted", 24, 4, 7100006, 12, 3942, 3939),
+    ("planted", 15, 3, 7100007, 9, 43, 42),
+    ("planted", 18, 3, 7100008, 12, 89, 82),
+    ("planted", 21, 3, 7100009, 12, 156, 154),
+    ("planted", 24, 3, 7100010, 9, 3, 2),
+    ("planted", 16, 4, 7100011, 7, 13, 12),
+    ("planted", 20, 4, 7100012, 9, 440, 439),
+    ("planted", 24, 4, 7100013, 6, 4, 3),
+    ("planted", 15, 3, 7100014, 10, 65, 64),
+    ("planted", 18, 3, 7100015, 10, 116, 115),
+    ("planted", 21, 3, 7100016, 8, 43, 42),
+    ("planted", 24, 3, 7100017, 15, 632, 631),
+    ("planted", 16, 4, 7100018, 5, 24, 23),
+    ("planted", 20, 4, 7100019, 6, 34, 33),
+]
+
+
+def build(family, n, length, seed):
+    if family == "uniform":
+        return random_formula(n, (n + 1) // 2, length, seed)
+    return planted_formula(n, length, 2, seed)
+
+
+@pytest.mark.parametrize("family,n,length,seed,distance,nodes,leaves", GOLDEN)
+def test_search_tree_size_is_pinned(family, n, length, seed, distance, nodes, leaves):
+    counter = NodeCounter()
+    got = max_hamming_q(build(family, n, length, seed), counter).distance
+    assert (None if got is BOTTOM else got, counter.nodes, counter.leaves) == (distance, nodes, leaves)

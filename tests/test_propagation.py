@@ -1,11 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xham import (
+    Formula,
+    GeneralizedAssignment,
     assign,
     enumerate_xmodels,
     extend_model,
     normalize,
+    propagation,
     random_formula,
+    simplify_state,
     substitute_dual,
 )
 
@@ -134,3 +142,69 @@ class TestModelPreservationSuite:
                     )
                 checked += 1
         assert checked == 120
+
+
+@st.composite
+def repeated_variable_formulas(draw):
+    """Small formulas whose clauses repeat variables in every way the rules know.
+
+    Groups are: a free-form clause (repeats by chance), a duplicate
+    literal, a complementary pair, two pairs in one clause, and a pair
+    next to a literal that a unit clause makes true.
+    """
+    n = draw(st.integers(2, 6))
+    lit = st.builds(lambda v, positive: v if positive else -v, st.integers(1, n), st.booleans())
+    rest = st.lists(lit, max_size=2)
+    group = st.one_of(
+        st.lists(lit, min_size=1, max_size=4).map(lambda c: [tuple(c)]),
+        st.builds(lambda a, r: [(a, a, *r)], lit, rest),
+        st.builds(lambda a, r: [(a, -a, *r)], lit, rest),
+        st.builds(lambda a, b: [(a, -a, b, -b)], lit, lit),
+        st.builds(lambda a, b: [(a, -a, b), (b,)], lit, lit),
+    )
+    groups = draw(st.lists(group, min_size=1, max_size=4))
+    return Formula(n, tuple(c for g in groups for c in g))
+
+
+@settings(max_examples=250, deadline=None)
+@given(repeated_variable_formulas(), st.data())
+def test_rules_preserve_models_when_clauses_repeat_variables(f, data):
+    assert_model_preservation(f, normalize(f))
+    for var in f.variables():
+        for value in (False, True):
+            assert_model_preservation(f, assign(f, var, value), keep=lambda m: m[var] == value)
+    variables = f.variables()
+    if len(variables) >= 2:
+        x, y = data.draw(st.lists(st.sampled_from(variables), min_size=2, max_size=2, unique=True))
+        a = x if data.draw(st.booleans()) else -x
+        b = y if data.draw(st.booleans()) else -y
+        assert_model_preservation(
+            f,
+            substitute_dual(f, a, b),
+            keep=lambda m: (m[abs(a)] == (a > 0)) != (m[abs(b)] == (b > 0)),
+        )
+
+
+def settled_clauses_on_chain(monkeypatch, n):
+    """Clause settlements while simplification eats a binary chain of n variables."""
+    real = propagation._settle_clause
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    monkeypatch.setattr(propagation, "_settle_clause", counting)
+    rng = random.Random(n)
+    chain = Formula(n, tuple((i, i + 1 if rng.random() < 0.5 else -(i + 1)) for i in range(1, n)))
+    out, state = simplify_state(chain, GeneralizedAssignment())
+    assert out.clauses == () and len(state.universe()) == n
+    return count
+
+
+def test_chain_simplification_settles_linearly_many_clauses(monkeypatch):
+    small = settled_clauses_on_chain(monkeypatch, 1000)
+    large = settled_clauses_on_chain(monkeypatch, 2000)
+    assert small >= 999
+    assert large <= 2.5 * small
