@@ -11,8 +11,6 @@ analysis of branching rules.
 from .branching import (
     GeneralizedAssignment,
     NodeCounter,
-    di_count,
-    fix_count,
     gen_h,
     max_hamming_q,
     simplify_state,
@@ -69,12 +67,10 @@ __all__ = [
     "check_zero_two",
     "connected_components",
     "count_allowed_subsets_brute",
-    "di_count",
     "enumerate_xmodels",
     "expand_state",
     "extend_model",
     "find_xmodel",
-    "fix_count",
     "flipped_union",
     "gen_h",
     "hamming_distance",

@@ -31,7 +31,6 @@ a pool forms bind the slot instead.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -42,7 +41,7 @@ from .formula import (
     connected_components,
     max_bottom,
 )
-from .propagation import PropagationResult, Propagator, assign, substitute_dual
+from .propagation import PropagationResult, Propagator, assign
 
 
 @dataclass
@@ -112,22 +111,15 @@ class GeneralizedAssignment:
         anchor = self.is_grouped(abs(survivor_lit))
         self.dual.setdefault(abs(survivor_lit), []).append((abs(removed_lit), flip, anchor))
 
-    def absorb(self, result: PropagationResult) -> set[int]:
-        """Fold a propagation result in; returns the new root variables."""
-        new_roots: set[int] = set()
+    def absorb(self, result: PropagationResult) -> None:
+        """Fold a propagation result in."""
         for var, value in result.forced.items():
-            old = self.values.get(var)
-            if old is None:
-                self.values[var] = value
-                new_roots.add(var)
-            elif old != value:
+            if self.values.setdefault(var, value) != value:
                 raise ValueError(f"variable {var} forced to both values")
         known_free = set(self.free)
         for var in result.freed:
             if var not in known_free and var not in self.values:
                 self.free.append(var)
-                new_roots.add(var)
-        return new_roots
 
     def validate(self, require_rooted: bool = False) -> None:
         """Check forest invariants; raise ValueError on ill-formed links."""
@@ -220,10 +212,7 @@ def gen_h(state: GeneralizedAssignment, roots=None) -> int:
     Roots are independent, so the total is the sum of per-tree maxima; a
     fixed root still contributes through satisfactor choices inside its
     pool and their ripples along dual chains, and a free root may read
-    its slot differently in the two models.
-
-    This maximizes over the same choice structure the per-role Fix/di
-    accounting walks (`fix_count`/`di_count`) but scores both models
+    its slot differently in the two models. Both models are scored
     jointly, which stays exact when a chain hangs off a pool participant
     whose concrete value disagrees with its slot.
     """
@@ -245,60 +234,6 @@ def gen_h(state: GeneralizedAssignment, roots=None) -> int:
     return total
 
 
-def fix_count(state: GeneralizedAssignment, var: int) -> int:
-    """Flips available in a subtree when this variable changes role.
-
-    Recursive role accounting: a pool maximizes over which participant
-    moves, a dual set flips together with its parent (values sum), a
-    bare variable counts itself.
-    """
-    state.validate()
-    return _fix(state, var, False, False)
-
-
-def _fix(state, var, skip_sing, skip_dual) -> int:
-    members = () if skip_sing else state.sing.get(var, ())
-    if members:
-        best = _fix(state, var, True, skip_dual)
-        for member, _ in members:
-            best = max(best, _fix(state, member, False, False))
-        return best
-    children = () if skip_dual else state.dual.get(var, ())
-    if children:
-        return _fix(state, var, skip_sing, True) + sum(
-            _fix(state, child, False, False) for child, _, _ in children
-        )
-    return 1
-
-
-def di_count(state: GeneralizedAssignment, var: int) -> int:
-    """Flips available below a variable whose own slot is pinned.
-
-    A pinned pool head whose slot supplies the satisfactor still yields
-    `fix_count` worth of movement (the role may change hands); otherwise
-    the linked variables inherit values and only their own subtrees
-    contribute.
-    """
-    state.validate()
-    return _di(state, var, state.values.get(var))
-
-
-def _di(state, var, value) -> int:
-    members = state.sing.get(var, ())
-    if members and value is not None and state.sat.get(var) == value:
-        return _fix(state, var, False, False)
-    total = 0
-    for child, flip, _ in state.dual.get(var, ()):
-        total += _di(state, child, None if value is None else value ^ flip)
-    for member, pol in members:
-        total += _di(state, member, not pol)
-    return total
-
-
-def _degree_map(formula: Formula) -> Counter:
-    return Counter(abs(lit) for clause in formula.clauses for lit in clause)
-
-
 def simplify_state(formula: Formula, state: GeneralizedAssignment):
     """Pool extra singletons and eliminate binary clauses, to a fixpoint.
 
@@ -307,13 +242,15 @@ def simplify_state(formula: Formula, state: GeneralizedAssignment):
     formula.
     """
     state = state.copy()
-    formula, _ = _simplify(formula, state)
+    formula, _ = _simplify(Propagator(formula), state)
     return formula, state
 
 
-def _simplify(formula: Formula, state: GeneralizedAssignment):
-    """Simplify in place on one propagation engine; returns (formula, unsat).
+def _simplify(engine: Propagator, state: GeneralizedAssignment):
+    """Simplify in place on a propagation engine; returns (formula, unsat).
 
+    The engine may already carry a q child's branch steps; the state
+    absorbs everything the engine forced or freed, the steps included.
     Each round propagates to a fixpoint, then pools in the first clause,
     by position, that holds at least two singletons one of which heads no
     pool yet; only when no clause can pool does it eliminate the first
@@ -326,10 +263,9 @@ def _simplify(formula: Formula, state: GeneralizedAssignment):
     that passes the check makes the same choice, in the same order, as a
     scan of the whole formula would.
     """
-    engine = Propagator(formula)
     clauses, degree = engine.clauses, engine.degree
     to_pool = list(range(len(clauses)))
-    binaries = [pos for pos, clause in enumerate(clauses) if len(clause) == 2]
+    binaries = [pos for pos, clause in enumerate(clauses) if clause is not None and len(clause) == 2]
     while engine.propagate():
         for pos in engine.changed:
             heappush(to_pool, pos)
@@ -407,20 +343,47 @@ def max_hamming_q(
     invoked whenever the formula runs empty, with the accumulated state
     and the branch decisions that led there — an observation point for
     verification.
+
+    The trail is a tuple of steps, and a child node receives its own
+    steps as its instructions: ("true", p, g) makes literal p true,
+    ("false", p, g) makes it false, and ("dual", p, lit, g, g2) rewrites
+    p as the complement of lit, so that the two flip together. g and g2
+    tell whether the variable of p, respectively lit, headed a pool when
+    the step was taken. A length-4 split contributes two steps: the
+    pivot's "false" step and a step on another literal of its clause.
     """
     if counter is None:
         counter = NodeCounter()
-    distance = _q(formula, GeneralizedAssignment(), frozenset(), counter, leaf_hook, ())
+    distance = _q(formula, GeneralizedAssignment(), (), counter, leaf_hook, ())
     return HammingResult(distance)
 
 
-def _q(formula, state, pending, counter, leaf_hook, trail):
-    counter.nodes += 1
+def _q(formula, state, steps, counter, leaf_hook, trail):
+    """Apply a child's steps on one engine, simplify there, and recurse.
+
+    A step that propagates to a conflict makes the child BOTTOM before
+    it counts as a node.
+    """
     before = state.root_vars()
-    formula, dead = _simplify(formula, state)
+    engine = Propagator(formula)
+    for step in steps:
+        if step[0] == "dual":
+            _, pivot, lit, _, _ = step
+            engine.substitute(pivot, lit)
+            # The pivot leaves the formula but stays linked below the
+            # literal's variable, so the leaf scoring pays for its subtree.
+            state.record_dual(lit, pivot)
+        else:
+            kind, pivot, _ = step
+            engine.force(abs(pivot), (pivot > 0) == (kind == "true"))
+        if not engine.propagate():
+            return BOTTOM
+    trail += steps
+    counter.nodes += 1
+    formula, dead = _simplify(engine, state)
     if dead:
         return BOTTOM
-    retired = pending | (state.root_vars() - before)
+    retired = state.root_vars() - before
 
     base = 0
     if retired:
@@ -436,7 +399,7 @@ def _q(formula, state, pending, counter, leaf_hook, trail):
     if len(components) > 1:
         total = base
         for component in components:
-            sub = _q(component, state, frozenset(), counter, leaf_hook, trail)
+            sub = _q(component, state, (), counter, leaf_hook, trail)
             if sub is BOTTOM:
                 return BOTTOM
             total += sub
@@ -444,106 +407,51 @@ def _q(formula, state, pending, counter, leaf_hook, trail):
 
     clause = max(formula.clauses, key=len)
     assert len(clause) >= 3, "units and binaries are gone after simplification"
-    degrees = _degree_map(formula)
-    pivot = _pick_pivot(clause, degrees)
-    others = [lit for lit in clause if lit != pivot]
+    return base + _branch(formula, state, engine.degree, clause, (), counter, leaf_hook, trail)
 
-    def branch(result, link=None, step=()):
-        if result.unsat:
-            return BOTTOM
-        child = state.copy()
-        if link is not None:
-            child.record_dual(*link)
-        new_pending = frozenset(child.absorb(result))
-        return _q(result.formula, child, new_pending, counter, leaf_hook, trail + step)
 
-    pivot_grouped = state.is_grouped(abs(pivot))
-    ans_true = branch(
-        assign(formula, abs(pivot), pivot > 0), step=(("true", pivot, pivot_grouped),)
-    )
-    ans_false = _false_branch(formula, state, clause, pivot, degrees, counter, leaf_hook, trail)
+def _branch(formula, state, degree, clause, prefix, counter, leaf_hook, trail):
+    """Branch on a clause's pivot; each child applies `prefix` plus its own step.
+
+    The pivot is true in both models, false in both, or flips together
+    with exactly one other literal of the clause (a clause can never
+    straddle a model pair on just one variable). The flip children run
+    only when neither the true nor the false child is BOTTOM.
+
+    For a length-4 clause, setting the pivot false leaves a ternary
+    clause worth branching immediately (it balances the recurrence). The
+    split is only taken when propagation leaves that ternary clause
+    intact; any cascade falls back to the plain false child, which is
+    always sound.
+    """
+    pivot = _pick_pivot(clause, degree)
+    grouped = state.is_grouped(abs(pivot))
+    rest = tuple(lit for lit in clause if lit != pivot)
+
+    def child(*step):
+        return _q(formula, state.copy(), prefix + (step,), counter, leaf_hook, trail)
+
+    ans_true = child("true", pivot, grouped)
+    # An unsatisfiable probe holds only the empty clause, so it never splits.
+    if len(clause) == 4 and rest in assign(formula, abs(pivot), pivot < 0).formula.clauses:
+        steps = prefix + (("false", pivot, grouped),)
+        ans_false = _branch(formula, state, degree, rest, steps, counter, leaf_hook, trail)
+    else:
+        ans_false = child("false", pivot, grouped)
     if ans_true is BOTTOM or ans_false is BOTTOM:
-        return base + max_bottom(ans_true, ans_false)
-
-    answers = [ans_true, ans_false]
-    for lit in others:
-        # The pivot flips together with exactly this literal; it leaves
-        # the formula but stays linked below the literal's variable, so
-        # the leaf scoring pays for its subtree.
-        result = substitute_dual(formula, pivot, lit)
-        step = ("dual", pivot, lit, pivot_grouped, state.is_grouped(abs(lit)))
-        answers.append(branch(result, link=(lit, pivot), step=(step,)))
-    return base + max_bottom(*answers)
+        return max_bottom(ans_true, ans_false)
+    flips = [child("dual", pivot, lit, grouped, state.is_grouped(abs(lit))) for lit in rest]
+    return max_bottom(ans_true, ans_false, *flips)
 
 
-def _pick_pivot(clause, degrees):
+def _pick_pivot(clause, degree):
     """Lowest-indexed non-singleton literal, or lowest-indexed literal.
 
     Pooling normally leaves at most one singleton per clause, but a
     pool head may return to degree one, in which case any literal is a
     sound (if less balanced) pivot.
     """
-    non_singletons = [lit for lit in clause if degrees[abs(lit)] > 1]
+    non_singletons = [lit for lit in clause if degree[abs(lit)] > 1]
     if non_singletons:
         return min(non_singletons, key=abs)
     return min(clause, key=abs)
-
-
-def _false_branch(formula, state, clause, pivot, degrees, counter, leaf_hook, trail):
-    """ans_false: plain recursion, except length-4 clauses split further.
-
-    For a length-4 clause, setting the pivot false leaves a ternary
-    clause worth branching immediately (it balances the recurrence). The
-    split is only taken when propagation left that ternary clause
-    intact; any cascade falls back to the plain branch, which is always
-    sound.
-    """
-    result = assign(formula, abs(pivot), pivot < 0)
-
-    def child_call(res, base_state, base_pending, link, step):
-        if res.unsat:
-            return BOTTOM
-        child = base_state.copy()
-        if link is not None:
-            child.record_dual(*link)
-        new_pending = frozenset(base_pending | child.absorb(res))
-        return _q(res.formula, child, new_pending, counter, leaf_hook, trail + step)
-
-    pivot_grouped = state.is_grouped(abs(pivot))
-
-    def plain():
-        return child_call(result, state, frozenset(), None, (("false", pivot, pivot_grouped),))
-
-    if len(clause) != 4 or result.unsat:
-        return plain()
-    shrunk = tuple(l for l in clause if l != pivot)
-    if shrunk not in result.formula.clauses:
-        return plain()
-
-    second = _pick_pivot(shrunk, degrees)
-    rest = [lit for lit in shrunk if lit != second]
-
-    inner = result.formula
-    inner_state = state.copy()
-    inner_pending = frozenset(inner_state.absorb(result))
-    prefix = (("false", pivot, pivot_grouped),)
-    second_grouped = state.is_grouped(abs(second))
-
-    def sub(res, link, step):
-        return child_call(res, inner_state, inner_pending, link, prefix + (step,))
-
-    ans1 = sub(assign(inner, abs(second), second > 0), None, ("true", second, second_grouped))
-    ans2 = sub(assign(inner, abs(second), second < 0), None, ("false", second, second_grouped))
-    if ans1 is BOTTOM or ans2 is BOTTOM:
-        return max_bottom(ans1, ans2)
-    ans3 = sub(
-        substitute_dual(inner, second, rest[0]),
-        (rest[0], second),
-        ("dual", second, rest[0], second_grouped, state.is_grouped(abs(rest[0]))),
-    )
-    ans4 = sub(
-        substitute_dual(inner, second, rest[1]),
-        (rest[1], second),
-        ("dual", second, rest[1], second_grouped, state.is_grouped(abs(rest[1]))),
-    )
-    return max_bottom(ans1, ans2, ans3, ans4)

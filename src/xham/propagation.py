@@ -17,8 +17,10 @@ forced map, and a work queue: a clause is settled again only when one of
 its variables is forced or rewritten, so a fixpoint costs time linear in
 the clauses it touches rather than a sweep over the whole formula per
 round. `normalize`, `assign` and `substitute_dual` are thin wrappers
-that run one step on a fresh engine; `branching` drives one engine
-through a whole sequence of pooling and dual-elimination steps.
+that run one step on a fresh engine. `branching` builds one engine per
+q node: the node applies its branch steps on it (`force`, `substitute`)
+and then drives the same engine through a whole sequence of pooling and
+dual-elimination steps.
 
 Every rule application strictly shrinks (forced variables grow, clauses
 or literal counts drop), so the fixpoint always terminates. The fixpoint

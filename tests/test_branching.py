@@ -8,13 +8,12 @@ from xham import (
     Formula,
     GeneralizedAssignment,
     NodeCounter,
-    di_count,
     enumerate_xmodels,
     expand_state,
-    fix_count,
     gen_h,
     max_hamming_brute,
     max_hamming_q,
+    planted_formula,
     random_formula,
     simplify_state,
 )
@@ -94,36 +93,6 @@ class TestValidate:
             state.validate()
 
 
-class TestFixCount:
-    def test_leaf(self):
-        state = leaf_state(values={1: True})
-        assert fix_count(state, 1) == 1
-
-    def test_dual_pair_flips_together(self):
-        state = leaf_state(values={1: True}, dual={1: [(2, True, False)]})
-        assert fix_count(state, 1) == 2
-
-    def test_pool_maximizes_over_members(self):
-        state = leaf_state(
-            values={1: True}, sing={1: [(2, True), (3, True)]}, sat={1: True}
-        )
-        assert fix_count(state, 1) == 1
-
-
-class TestDiCount:
-    def test_leaf_is_zero(self):
-        state = leaf_state(values={1: True})
-        assert di_count(state, 1) == 0
-
-    def test_satisfactor_pool_counts_fix(self):
-        state = leaf_state(values={1: True}, sing={1: [(2, True)]}, sat={1: True})
-        assert di_count(state, 1) == fix_count(state, 1) == 1
-
-    def test_non_satisfactor_dual_bottoms_out(self):
-        state = leaf_state(values={1: True}, dual={1: [(2, True, False)]})
-        assert di_count(state, 1) == 0
-
-
 class TestGenH:
     def test_satisfactor_pool(self):
         state = leaf_state(
@@ -187,6 +156,20 @@ class TestMaxHammingQ:
         max_hamming_q(tiny, a)
         max_hamming_q(tiny, b)
         assert (a.nodes, a.leaves) == (b.nodes, b.leaves)
+
+    def test_length_four_clause_splits_on_its_false_side(self):
+        """The pivot's false step is followed, in the same node, by a step on its clause's rest."""
+        f = planted_formula(8, 4, 2, 0)
+        trails = []
+        max_hamming_q(f, leaf_hook=lambda s, t: trails.append(t))
+        splits = [
+            t[:2]
+            for t in trails
+            if len(t) >= 2
+            and t[0][0] == "false"
+            and any(t[0][1] in clause and t[1][1] in clause for clause in f.clauses)
+        ]
+        assert (("false", -1, False), ("true", 3, False)) in splits
 
     def test_agrees_with_oracle_on_random_suite(self):
         for length in (2, 3, 4, 5, 6):

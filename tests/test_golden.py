@@ -2,15 +2,21 @@
 
 Each row is (family, num_vars, clause_length, seed, distance, nodes,
 leaves); a distance of None means unsatisfiable. Uniform rows have the
-criterion-8 shape (m = (n + 1) // 2); planted rows are degree-2
-instances from `planted_formula`. The counts were recorded with the
-whole-formula sweep propagation that the incremental engine replaced,
-and p gives the same distances.
+criterion-8 shape (m = (n + 1) // 2); "planted" rows are degree-2 and
+"planted3" rows degree-3 instances from `planted_formula`; "chain" rows
+are binary or ternary chains whose clauses share their end variables.
+The first 60 rows were recorded with the whole-formula sweep propagation
+that the incremental engine replaced, the rest with the incremental
+engine before q children applied their own branch steps. p gives the
+same distances, and the chain rows match an exact dynamic program over
+the chain.
 """
+
+import random
 
 import pytest
 
-from xham import BOTTOM, NodeCounter, max_hamming_q, planted_formula, random_formula
+from xham import BOTTOM, Formula, NodeCounter, max_hamming_q, planted_formula, random_formula
 
 GOLDEN = [
     ("uniform", 14, 4, 7000000, None, 1, 0),
@@ -73,13 +79,44 @@ GOLDEN = [
     ("planted", 24, 3, 7100017, 15, 632, 631),
     ("planted", 16, 4, 7100018, 5, 24, 23),
     ("planted", 20, 4, 7100019, 6, 34, 33),
+    # Length 5 and degree 3 branch five ways and pool grouped variables;
+    # chains reduce to dual links alone.
+    ("planted", 15, 5, 7200000, 6, 78, 77),
+    ("planted", 20, 5, 7200001, 2, 9, 8),
+    ("planted", 15, 5, 7200002, 5, 14, 13),
+    ("planted", 20, 5, 7200003, 4, 32, 31),
+    ("planted", 15, 5, 7200004, 5, 19, 16),
+    ("planted", 20, 5, 7200005, 6, 69, 68),
+    ("planted", 15, 5, 7200006, 4, 13, 12),
+    ("planted", 20, 5, 7200007, 7, 399, 398),
+    ("planted", 15, 5, 7200008, 6, 89, 88),
+    ("planted", 20, 5, 7200009, 7, 258, 257),
+    ("planted3", 12, 3, 7200010, 0, 2, 1),
+    ("planted3", 15, 3, 7200011, 8, 10, 9),
+    ("planted3", 18, 3, 7200037, 4, 3, 2),
+    ("planted3", 16, 4, 7200014, 0, 3, 2),
+    ("planted3", 20, 4, 7200015, 0, 2, 1),
+    ("planted3", 24, 4, 7200029, 4, 11, 10),
+    ("chain", 50, 2, 7200016, 50, 1, 1),
+    ("chain", 300, 2, 7200017, 300, 1, 1),
+    ("chain", 51, 3, 7200018, 35, 1, 1),
+    ("chain", 301, 3, 7200019, 200, 1, 1),
 ]
+
+
+def chain(n, length, seed):
+    """(1 .. length), (length .. 2 length - 1), ... with random polarities."""
+    rng = random.Random(seed)
+    clauses = [range(start, start + length) for start in range(1, n, length - 1)]
+    return Formula(n, tuple(tuple(v if rng.random() < 0.5 else -v for v in c) for c in clauses))
 
 
 def build(family, n, length, seed):
     if family == "uniform":
         return random_formula(n, (n + 1) // 2, length, seed)
-    return planted_formula(n, length, 2, seed)
+    if family == "chain":
+        return chain(n, length, seed)
+    return planted_formula(n, length, 3 if family == "planted3" else 2, seed)
 
 
 @pytest.mark.parametrize("family,n,length,seed,distance,nodes,leaves", GOLDEN)
