@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -25,6 +26,37 @@ def mixed_instances(length: int, count: int, seed_base: int, n_low: int = 4, n_h
         m = clause_count(n, length)
         seed = seed_base + i
         out.append(random_formula(n, m, length, seed))
+    return out
+
+
+def repeated_variable_corpus(count: int, seed_base: int) -> list[Formula]:
+    """Deterministic small formulas (n <= 8) in which some clause repeats a variable.
+
+    Each instance holds a few clauses of distinct variables plus one
+    clause with a repeat, taking turns between a duplicate literal, a
+    complementary pair and a duplicate pair; every third instance also
+    gets a unit clause.
+    """
+    out = []
+    for i in range(count):
+        rng = random.Random(seed_base + i)
+        n = rng.randint(3, 8)
+
+        def signed(v):
+            return v if rng.random() < 0.5 else -v
+
+        clauses = [
+            tuple(signed(v) for v in rng.sample(range(1, n + 1), rng.randint(2, min(4, n))))
+            for _ in range(rng.randint(1, max(1, n // 2)))
+        ]
+        a = signed(rng.randint(1, n))
+        rest = [signed(v) for v in rng.sample(range(1, n + 1), rng.randint(0, 2))]
+        repeat = [(a, a), (a, -a), (a, a, a)][i % 3]
+        spot = rng.randint(0, len(clauses))
+        clauses.insert(spot, tuple(rng.sample(repeat + tuple(rest), len(repeat) + len(rest))))
+        if i % 3 == 2:
+            clauses.append((signed(rng.randint(1, n)),))
+        out.append(Formula(n, tuple(clauses)))
     return out
 
 

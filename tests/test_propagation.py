@@ -17,7 +17,12 @@ from xham import (
     substitute_dual,
 )
 
-from conftest import assert_model_preservation, clause_count, formula
+from conftest import (
+    assert_model_preservation,
+    clause_count,
+    formula,
+    repeated_variable_corpus,
+)
 
 
 class TestNormalize:
@@ -183,6 +188,13 @@ def test_rules_preserve_models_when_clauses_repeat_variables(f, data):
             substitute_dual(f, a, b),
             keep=lambda m: (m[abs(a)] == (a > 0)) != (m[abs(b)] == (b > 0)),
         )
+
+
+def test_fixpoint_clauses_hold_distinct_variables():
+    """The subset scan relies on this: it tests subsets by bitmask alone."""
+    for f in repeated_variable_corpus(300, 9100):
+        for clause in normalize(f).formula.clauses:
+            assert len({abs(lit) for lit in clause}) == len(clause)
 
 
 def settled_clauses_on_chain(monkeypatch, n):

@@ -1,4 +1,6 @@
-from xham import enumerate_xmodels, find_xmodel, random_formula, verify_xmodel
+import sys
+
+from xham import Formula, enumerate_xmodels, find_xmodel, random_formula, verify_xmodel
 
 from conftest import clause_count, formula
 
@@ -41,3 +43,17 @@ def test_soundness_and_completeness_random_suite():
                 assert verify_xmodel(f, model)
             instances += 1
     assert instances == 1000
+
+
+def test_deep_search_has_no_recursion_limit():
+    """(1 2 3), (3 4 5), ... over 801 variables: each branch leaves the next
+    clause binary, so the search goes about 200 levels deep."""
+    chain = Formula(801, tuple((v, v + 1, v + 2) for v in range(1, 801, 2)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        model = find_xmodel(chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert model is not None
+    assert set(model) == set(chain.variables()) and verify_xmodel(chain, model)

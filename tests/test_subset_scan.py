@@ -12,11 +12,14 @@ from xham import (
     hamming_distance,
     max_hamming_brute,
     max_hamming_p,
+    max_hamming_q,
     random_formula,
     verify_xmodel,
 )
 
-from conftest import clause_count, formula
+from conftest import clause_count, formula, repeated_variable_corpus
+
+REPEATED = repeated_variable_corpus(300, 9100)
 
 
 class TestAllowedSubsetCheck:
@@ -109,3 +112,29 @@ def test_solver_calls_bounded_by_allowed_subsets():
         stats = ScanStats()
         max_hamming_p(f, stats)
         assert 0 < stats.solver_calls <= count_allowed_subsets_brute(f)
+
+
+def test_agrees_with_oracle_when_clauses_repeat_variables():
+    """p scans the propagated formula; freed variables come back as one flip each."""
+    for f in REPEATED:
+        want = max_hamming_brute(f).distance
+        got = max_hamming_p(f)
+        assert got.distance == want
+        assert max_hamming_q(f).distance == want
+        if want is BOTTOM:
+            continue
+        a, b = got.witnesses
+        assert a.keys() == b.keys() == set(f.variables())
+        assert verify_xmodel(f, a) and verify_xmodel(f, b)
+        assert hamming_distance(a, b) == want
+
+
+def test_oracle_count_matches_check_when_clauses_repeat_variables():
+    for f in REPEATED:
+        variables = f.variables()
+        allowed = sum(
+            allowed_subset_check(f, combo)
+            for size in range(len(variables) + 1)
+            for combo in itertools.combinations(variables, size)
+        )
+        assert count_allowed_subsets_brute(f) == allowed
