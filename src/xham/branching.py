@@ -345,12 +345,11 @@ def max_hamming_q(
     verification.
 
     The trail is a tuple of steps, and a child node receives its own
-    steps as its instructions: ("true", p, g) makes literal p true,
-    ("false", p, g) makes it false, and ("dual", p, lit, g, g2) rewrites
-    p as the complement of lit, so that the two flip together. g and g2
-    tell whether the variable of p, respectively lit, headed a pool when
-    the step was taken. A length-4 split contributes two steps: the
-    pivot's "false" step and a step on another literal of its clause.
+    steps as its instructions: ("true", p) makes literal p true,
+    ("false", p) makes it false, and ("dual", p, lit) rewrites p as the
+    complement of lit, so that the two flip together. A length-4 split
+    contributes two steps: the pivot's "false" step and a step on
+    another literal of its clause.
     """
     if counter is None:
         counter = NodeCounter()
@@ -368,13 +367,13 @@ def _q(formula, state, steps, counter, leaf_hook, trail):
     engine = Propagator(formula)
     for step in steps:
         if step[0] == "dual":
-            _, pivot, lit, _, _ = step
+            _, pivot, lit = step
             engine.substitute(pivot, lit)
             # The pivot leaves the formula but stays linked below the
             # literal's variable, so the leaf scoring pays for its subtree.
             state.record_dual(lit, pivot)
         else:
-            kind, pivot, _ = step
+            kind, pivot = step
             engine.force(abs(pivot), (pivot > 0) == (kind == "true"))
         if not engine.propagate():
             return BOTTOM
@@ -425,22 +424,21 @@ def _branch(formula, state, degree, clause, prefix, counter, leaf_hook, trail):
     always sound.
     """
     pivot = _pick_pivot(clause, degree)
-    grouped = state.is_grouped(abs(pivot))
     rest = tuple(lit for lit in clause if lit != pivot)
 
     def child(*step):
         return _q(formula, state.copy(), prefix + (step,), counter, leaf_hook, trail)
 
-    ans_true = child("true", pivot, grouped)
+    ans_true = child("true", pivot)
     # An unsatisfiable probe holds only the empty clause, so it never splits.
     if len(clause) == 4 and rest in assign(formula, abs(pivot), pivot < 0).formula.clauses:
-        steps = prefix + (("false", pivot, grouped),)
+        steps = prefix + (("false", pivot),)
         ans_false = _branch(formula, state, degree, rest, steps, counter, leaf_hook, trail)
     else:
-        ans_false = child("false", pivot, grouped)
+        ans_false = child("false", pivot)
     if ans_true is BOTTOM or ans_false is BOTTOM:
         return max_bottom(ans_true, ans_false)
-    flips = [child("dual", pivot, lit, grouped, state.is_grouped(abs(lit))) for lit in rest]
+    flips = [child("dual", pivot, lit) for lit in rest]
     return max_bottom(ans_true, ans_false, *flips)
 
 

@@ -116,17 +116,10 @@ class Formula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def is_empty(self) -> bool:
-        return not self.clauses
-
 
 def unsat_formula(num_vars: int = 0) -> Formula:
     """The canonical unsatisfiable formula: a single empty clause."""
     return Formula(num_vars, ((),))
-
-
-def literal_true(lit: int, assignment: Assignment) -> bool:
-    return assignment[abs(lit)] == (lit > 0)
 
 
 def verify_xmodel(formula: Formula, assignment: Assignment) -> bool:

@@ -3,8 +3,10 @@
 Branches on which literal of a longest clause is the satisfactor: making
 one literal true forces every sibling false under exactly-one semantics,
 so each clause yields as many branches as literals. Propagation does the
-rest. Worst-case bounds are not a goal here; this is the inner solver for
-the subset-scan algorithm and a fast satisfiability filter.
+rest. The search is one loop over an explicit stack, so deep instances
+need no recursion. Worst-case bounds are not a goal here; this is the
+inner solver for the subset-scan algorithm and a fast satisfiability
+filter.
 """
 
 from __future__ import annotations
@@ -18,26 +20,26 @@ def find_xmodel(formula: Formula) -> Assignment | None:
 
     Deterministic: ties between longest clauses break on clause order,
     branch literals are tried in clause order, and variables left
-    unconstrained by propagation are filled positively.
+    unconstrained by propagation are filled positively. The search path
+    lives on an explicit stack, one propagation result per level, so
+    its depth has no limit.
     """
     result = normalize(formula)
     if result.unsat:
         return None
-    model = _search(result.formula)
-    if model is None:
-        return None
-    return extend_model(result, model)
-
-
-def _search(formula: Formula) -> Assignment | None:
-    if not formula.clauses:
-        return {}
-    clause = max(formula.clauses, key=len)
-    for lit in clause:
-        result = assign(formula, abs(lit), lit > 0)
-        if result.unsat:
-            continue
-        sub = _search(result.formula)
-        if sub is not None:
-            return extend_model(result, sub)
+    path = [(result, iter(max(result.formula.clauses, key=len, default=())))]
+    while path:
+        result, branches = path[-1]
+        if not result.formula.clauses:
+            model: Assignment = {}
+            for result, _ in reversed(path):
+                model = extend_model(result, model)
+            return model
+        for lit in branches:
+            child = assign(result.formula, abs(lit), lit > 0)
+            if not child.unsat:
+                path.append((child, iter(max(child.formula.clauses, key=len, default=()))))
+                break
+        else:
+            path.pop()
     return None

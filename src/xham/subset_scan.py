@@ -7,6 +7,10 @@ the formula stays x-satisfiable after adding flipped copies of the
 clauses X touches: a model of that union yields the second model by
 flipping X. The scan runs subset sizes from n down and stops at the
 first hit, calling the solver only for allowed subsets.
+
+The scan runs on the propagated formula: forced variables never differ,
+freed ones always can, and the remaining clauses hold distinct
+variables, so a subset is tested with one bitmask per clause.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .formula import BOTTOM, Assignment, Formula, HammingResult
+from .propagation import PropagationResult, extend_model, normalize
 from .solver import find_xmodel
 
 
@@ -56,46 +61,44 @@ def flipped_union(formula: Formula, subset) -> Formula:
 def max_hamming_p(formula: Formula, stats: ScanStats | None = None) -> HammingResult:
     """Exact max Hamming distance with witnesses, via the subset scan.
 
-    A satisfiability pre-check handles the unsatisfiable case without
-    touching the subset loop (the empty subset is the k=0 iteration, so
-    it is not revisited at the end).
+    Each variable that propagation freed adds one flip: the first
+    witness sets it True, the second False. A satisfiability pre-check
+    handles the unsatisfiable case without touching the subset loop (the
+    empty subset is the k=0 iteration, so it is not revisited at the end).
     """
     if stats is None:
         stats = ScanStats()
+    result = normalize(formula)
+    reduced = result.formula
     stats.solver_calls += 1
-    base_model = find_xmodel(formula)
+    base_model = find_xmodel(reduced)
     if base_model is None:
         return HammingResult(BOTTOM)
 
-    variables = formula.variables()
-    n = len(variables)
+    variables = reduced.variables()
     position = {v: i for i, v in enumerate(variables)}
-    duplicate_free = all(len({abs(l) for l in c}) == len(c) for c in formula.clauses)
-    masks = None
-    if duplicate_free:
-        masks = [sum(1 << position[abs(l)] for l in clause) for clause in formula.clauses]
+    masks = [sum(1 << position[abs(l)] for l in clause) for clause in reduced.clauses]
+    freed = len(result.freed)
 
-    for size in range(n, 0, -1):
+    for size in range(len(variables), 0, -1):
         for combo in itertools.combinations(variables, size):
             stats.subsets_checked += 1
-            if masks is not None:
-                bitset = 0
-                for v in combo:
-                    bitset |= 1 << position[v]
-                ok = True
-                for mask in masks:
-                    if (bitset & mask).bit_count() not in (0, 2):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            elif not allowed_subset_check(formula, combo):
-                continue
-            stats.solver_calls += 1
-            model = find_xmodel(flipped_union(formula, combo))
-            if model is None:
-                continue
-            witness = {v: model[v] for v in variables}
-            flipped = {v: (not witness[v] if v in combo else witness[v]) for v in variables}
-            return HammingResult(size, (witness, flipped))
-    return HammingResult(0, (dict(base_model), dict(base_model)))
+            bitset = 0
+            for v in combo:
+                bitset |= 1 << position[v]
+            for mask in masks:
+                if (bitset & mask).bit_count() not in (0, 2):
+                    break
+            else:
+                stats.solver_calls += 1
+                model = find_xmodel(flipped_union(reduced, combo))
+                if model is not None:
+                    return HammingResult(size + freed, _witness_pair(result, model, combo))
+    return HammingResult(freed, _witness_pair(result, base_model, ()))
+
+
+def _witness_pair(result: PropagationResult, model: Assignment, subset):
+    """A model of the reduced formula and its flip on subset, both extended
+    over the input's variables with freed variables True, respectively False."""
+    flipped = {v: value != (v in subset) for v, value in model.items()}
+    return extend_model(result, model), extend_model(result, flipped, freed_value=False)

@@ -34,8 +34,8 @@ def repeated_variable_corpus(count: int, seed_base: int) -> list[Formula]:
 
     Each instance holds a few clauses of distinct variables plus one
     clause with a repeat, taking turns between a duplicate literal, a
-    complementary pair and a duplicate pair; every third instance also
-    gets a unit clause.
+    complementary pair and a literal written three times; every third
+    instance also gets a unit clause.
     """
     out = []
     for i in range(count):

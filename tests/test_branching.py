@@ -169,7 +169,7 @@ class TestMaxHammingQ:
             and t[0][0] == "false"
             and any(t[0][1] in clause and t[1][1] in clause for clause in f.clauses)
         ]
-        assert (("false", -1, False), ("true", 3, False)) in splits
+        assert (("false", -1), ("true", 3)) in splits
 
     def test_agrees_with_oracle_on_random_suite(self):
         for length in (2, 3, 4, 5, 6):
