@@ -32,8 +32,8 @@ def find_xmodel(formula: Formula) -> Assignment | None:
         result, branches = path[-1]
         if not result.formula.clauses:
             model: Assignment = {}
-            for result, _ in reversed(path):
-                model = extend_model(result, model)
+            for level, _ in reversed(path):
+                model = extend_model(level, model)
             return model
         for lit in branches:
             child = assign(result.formula, abs(lit), lit > 0)
