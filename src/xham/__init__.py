@@ -10,7 +10,6 @@ analysis of branching rules.
 
 from .branching import (
     GeneralizedAssignment,
-    NodeCounter,
     gen_h,
     max_hamming_q,
     simplify_state,
@@ -22,6 +21,7 @@ from .formula import (
     Clause,
     Formula,
     HammingResult,
+    SearchStats,
     connected_components,
     hamming_distance,
     max_bottom,
@@ -31,7 +31,6 @@ from .formula import (
 from .gen import planted_formula, random_formula
 from .oracle import (
     CapExceeded,
-    check_zero_two,
     count_allowed_subsets_brute,
     enumerate_xmodels,
     expand_state,
@@ -45,7 +44,7 @@ from .propagation import (
     substitute_dual,
 )
 from .solver import find_xmodel
-from .subset_scan import ScanStats, allowed_subset_check, flipped_union, max_hamming_p
+from .subset_scan import allowed_subset_check, max_hamming_p
 from .tau import nth_root, parse_branch_spec, tau_root
 
 __version__ = "0.1.0"
@@ -58,20 +57,17 @@ __all__ = [
     "Formula",
     "GeneralizedAssignment",
     "HammingResult",
-    "NodeCounter",
     "ParseError",
     "PropagationResult",
-    "ScanStats",
+    "SearchStats",
     "allowed_subset_check",
     "assign",
-    "check_zero_two",
     "connected_components",
     "count_allowed_subsets_brute",
     "enumerate_xmodels",
     "expand_state",
     "extend_model",
     "find_xmodel",
-    "flipped_union",
     "gen_h",
     "hamming_distance",
     "load_formula",

@@ -38,18 +38,11 @@ from .formula import (
     BOTTOM,
     Formula,
     HammingResult,
+    SearchStats,
     connected_components,
     max_bottom,
 )
 from .propagation import PropagationResult, Propagator, assign
-
-
-@dataclass
-class NodeCounter:
-    """Recursion-tree instrumentation: leaves never exceeds nodes."""
-
-    nodes: int = 0
-    leaves: int = 0
 
 
 @dataclass
@@ -333,7 +326,7 @@ def _eliminate_first_binary(engine: Propagator, state: GeneralizedAssignment, bi
 
 def max_hamming_q(
     formula: Formula,
-    counter: NodeCounter | None = None,
+    counter: SearchStats | None = None,
     leaf_hook=None,
 ) -> HammingResult:
     """Exact max Hamming distance over x-models, by branching.
@@ -352,7 +345,7 @@ def max_hamming_q(
     another literal of its clause.
     """
     if counter is None:
-        counter = NodeCounter()
+        counter = SearchStats()
     distance = _q(formula, GeneralizedAssignment(), (), counter, leaf_hook, ())
     return HammingResult(distance)
 

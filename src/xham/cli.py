@@ -15,13 +15,13 @@ import os
 import sys
 import time
 
-from .branching import NodeCounter, max_hamming_q
+from .branching import max_hamming_q
 from .dimacs import ParseError, load_formula, serialize_formula
-from .formula import Assignment, Formula, hamming_distance, verify_xmodel
+from .formula import Assignment, Formula, SearchStats, hamming_distance, verify_xmodel
 from .gen import planted_formula, random_formula
 from .oracle import CapExceeded, enumerate_xmodels, max_hamming_brute
 from .solver import find_xmodel
-from .subset_scan import ScanStats, max_hamming_p
+from .subset_scan import max_hamming_p
 from .tau import parse_branch_spec, tau_root
 
 EXIT_ANSWER = 10
@@ -144,9 +144,9 @@ def _cmd_solve(args) -> int:
     return EXIT_ANSWER
 
 
-def _run_maxham(formula: Formula, algo: str, counter: NodeCounter, stats: ScanStats):
+def _run_maxham(formula: Formula, algo: str, stats: SearchStats):
     if algo == "q":
-        return max_hamming_q(formula, counter)
+        return max_hamming_q(formula, stats)
     if algo == "p":
         return max_hamming_p(formula, stats)
     return max_hamming_brute(formula)
@@ -157,9 +157,8 @@ def _cmd_maxham(args) -> int:
         print("xham: error: --witness needs --algo p or brute", file=sys.stderr)
         return EXIT_ERROR
     formula = load_formula(args.file)
-    counter = NodeCounter()
-    stats = ScanStats()
-    result = _run_maxham(formula, args.algo, counter, stats)
+    stats = SearchStats()
+    result = _run_maxham(formula, args.algo, stats)
     if result.unsat:
         print("s UNSATISFIABLE")
         return EXIT_UNSAT
@@ -183,7 +182,7 @@ def _cmd_maxham(args) -> int:
         print(_value_line(witnesses[1], variables))
     if args.stats:
         if args.algo == "q":
-            print(f"c stats nodes={counter.nodes} leaves={counter.leaves}")
+            print(f"c stats nodes={stats.nodes} leaves={stats.leaves}")
         elif args.algo == "p":
             print(f"c stats solver_calls={stats.solver_calls} subsets={stats.subsets_checked}")
     return EXIT_ANSWER
@@ -234,13 +233,12 @@ def _cmd_bench(args) -> int:
     for run in range(args.runs):
         seed = args.seed + run
         formula = random_formula(args.vars, args.clauses, args.length, seed)
-        counter = NodeCounter()
-        stats = ScanStats()
+        stats = SearchStats()
         start = time.perf_counter()
-        result = _run_maxham(formula, args.algo, counter, stats)
+        result = _run_maxham(formula, args.algo, stats)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         outcome = "unsat" if result.unsat else str(result.distance)
-        nodes, leaves = counter.nodes, counter.leaves
+        nodes, leaves = stats.nodes, stats.leaves
         if args.algo == "p":
             nodes, leaves = stats.solver_calls, 0
         writer.writerow(

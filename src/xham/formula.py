@@ -80,6 +80,18 @@ class HammingResult:
         return self.distance is BOTTOM
 
 
+@dataclass
+class SearchStats:
+    """How much work a search did. q counts nodes and leaves (leaves never
+    exceeds nodes); p counts subsets checked and solver calls (within the
+    number of allowed subsets)."""
+
+    nodes: int = 0
+    leaves: int = 0
+    subsets_checked: int = 0
+    solver_calls: int = 0
+
+
 @dataclass(frozen=True)
 class Formula:
     """An XSAT instance: clause order and duplicate clauses are kept."""

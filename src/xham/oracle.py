@@ -2,14 +2,12 @@
 
 Everything here trades time for certainty: model enumeration over all
 2^n assignments, max Hamming by pairwise comparison, subset counting by
-full scan, and expansion of generalized assignments into the concrete
-models they stand for. Caps refuse oversized inputs instead of running
-for hours.
+one scan over all 2^n subsets, and expansion of generalized assignments
+into the concrete models they stand for. Caps refuse oversized inputs
+instead of running for hours.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -84,45 +82,39 @@ def max_hamming_brute(formula: Formula, cap: int = DEFAULT_ENUM_CAP) -> HammingR
     return HammingResult(best, (dict(models[pair[0]]), dict(models[pair[1]])))
 
 
-def check_zero_two(formula: Formula, model_a: Assignment, model_b: Assignment) -> bool:
-    """Every clause holds 0 or 2 literals of variables where the models differ."""
-    differing = {v for v in model_a if model_a[v] != model_b.get(v, model_a[v])}
-    differing |= {v for v in model_b if model_b[v] != model_a.get(v, model_b[v])}
-    for clause in formula.clauses:
-        count = sum(1 for lit in clause if abs(lit) in differing)
-        if count not in (0, 2):
-            return False
-    return True
-
-
 def count_allowed_subsets_brute(formula: Formula, cap: int = DEFAULT_SUBSET_CAP) -> int:
     """Number of variable subsets touching every clause 0 or 2 times.
 
     Counts every S ⊆ Var(formula), the empty set included, such that each
-    clause contains 0 or 2 literals of variables in S.
+    clause contains 0 or 2 literals of variables in S; a variable written
+    twice in a clause counts twice. Each clause gets a table of the parts
+    of its variable mask that pass, so one mask lookup per clause tests a
+    subset.
     """
     variables = formula.variables()
     n = len(variables)
     if n > cap:
         raise CapExceeded(f"{n} variables exceed subset cap {cap}")
     position = {v: i for i, v in enumerate(variables)}
-    duplicate_free = all(len({abs(l) for l in c}) == len(c) for c in formula.clauses)
-    if duplicate_free:
-        masks = [sum(1 << position[abs(l)] for l in clause) for clause in formula.clauses]
-        count = 0
-        for subset in range(1 << n):
-            for mask in masks:
-                if (subset & mask).bit_count() not in (0, 2):
-                    break
-            else:
-                count += 1
-        return count
-    # Clauses may mention a variable twice; count occurrences literally.
-    clause_vars = [[abs(l) for l in clause] for clause in formula.clauses]
+    tables = []
+    for clause in formula.clauses:
+        bits = [1 << position[abs(l)] for l in clause]
+        mask = sum(set(bits))
+        allowed = set()
+        part = mask
+        while True:
+            if sum(1 for bit in bits if part & bit) in (0, 2):
+                allowed.add(part)
+            if not part:
+                break
+            part = (part - 1) & mask
+        tables.append((mask, allowed))
     count = 0
-    for picks in itertools.product((False, True), repeat=n):
-        chosen = {variables[i] for i in range(n) if picks[i]}
-        if all(sum(v in chosen for v in vs) in (0, 2) for vs in clause_vars):
+    for subset in range(1 << n):
+        for mask, allowed in tables:
+            if (subset & mask) not in allowed:
+                break
+        else:
             count += 1
     return count
 

@@ -10,26 +10,20 @@ first hit, calling the solver only for allowed subsets.
 
 The scan runs on the propagated formula: forced variables never differ,
 freed ones always can, and the remaining clauses hold distinct
-variables, so a subset is tested with one bitmask per clause.
+variables, so a subset is tested with one bitmask per clause, and the
+same masks pick the clauses whose flipped copies the solver sees.
+`allowed_subset_check` states the test on sets instead; it takes any
+formula, counts a repeated variable once per occurrence, and is the
+reference the tests hold the scan and the oracle's count against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .formula import BOTTOM, Assignment, Formula, HammingResult
+from .formula import BOTTOM, Assignment, Formula, HammingResult, SearchStats
 from .propagation import PropagationResult, extend_model, normalize
 from .solver import find_xmodel
-
-
-@dataclass
-class ScanStats:
-    """How much work the scan did; solver_calls stays within the number
-    of allowed subsets."""
-
-    subsets_checked: int = 0
-    solver_calls: int = 0
 
 
 def allowed_subset_check(formula: Formula, subset) -> bool:
@@ -42,23 +36,7 @@ def allowed_subset_check(formula: Formula, subset) -> bool:
     return True
 
 
-def flipped_union(formula: Formula, subset) -> Formula:
-    """The formula plus flipped copies of every clause the subset touches.
-
-    Clauses untouched by the subset are not duplicated. Requires the
-    subset to pass `allowed_subset_check`.
-    """
-    if not allowed_subset_check(formula, subset):
-        raise ValueError("subset leaves a clause with an odd touch count")
-    chosen = set(subset)
-    copies = []
-    for clause in formula.clauses:
-        if any(abs(lit) in chosen for lit in clause):
-            copies.append(tuple(-lit if abs(lit) in chosen else lit for lit in clause))
-    return Formula(formula.num_vars, formula.clauses + tuple(copies))
-
-
-def max_hamming_p(formula: Formula, stats: ScanStats | None = None) -> HammingResult:
+def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> HammingResult:
     """Exact max Hamming distance with witnesses, via the subset scan.
 
     Each variable that propagation freed adds one flip: the first
@@ -67,7 +45,7 @@ def max_hamming_p(formula: Formula, stats: ScanStats | None = None) -> HammingRe
     empty subset is the k=0 iteration, so it is not revisited at the end).
     """
     if stats is None:
-        stats = ScanStats()
+        stats = SearchStats()
     result = normalize(formula)
     reduced = result.formula
     stats.solver_calls += 1
@@ -91,7 +69,12 @@ def max_hamming_p(formula: Formula, stats: ScanStats | None = None) -> HammingRe
                     break
             else:
                 stats.solver_calls += 1
-                model = find_xmodel(flipped_union(reduced, combo))
+                copies = tuple(
+                    tuple(-lit if (bitset >> position[abs(lit)]) & 1 else lit for lit in clause)
+                    for clause, mask in zip(reduced.clauses, masks)
+                    if bitset & mask
+                )
+                model = find_xmodel(Formula(reduced.num_vars, reduced.clauses + copies))
                 if model is not None:
                     return HammingResult(size + freed, _witness_pair(result, model, combo))
     return HammingResult(freed, _witness_pair(result, base_model, ()))

@@ -7,7 +7,7 @@ from xham import (
     BOTTOM,
     Formula,
     GeneralizedAssignment,
-    NodeCounter,
+    SearchStats,
     enumerate_xmodels,
     expand_state,
     gen_h,
@@ -146,13 +146,13 @@ class TestMaxHammingQ:
         assert max_hamming_q(tiny).witnesses is None
 
     def test_counter_tracks_nodes_and_leaves(self, tiny):
-        counter = NodeCounter()
+        counter = SearchStats()
         max_hamming_q(tiny, counter)
         assert counter.nodes >= 1
         assert 0 <= counter.leaves <= counter.nodes
 
     def test_deterministic_node_count(self, tiny):
-        a, b = NodeCounter(), NodeCounter()
+        a, b = SearchStats(), SearchStats()
         max_hamming_q(tiny, a)
         max_hamming_q(tiny, b)
         assert (a.nodes, a.leaves) == (b.nodes, b.leaves)

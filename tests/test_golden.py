@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from xham import BOTTOM, Formula, NodeCounter, max_hamming_q, planted_formula, random_formula
+from xham import BOTTOM, Formula, SearchStats, max_hamming_q, planted_formula, random_formula
 
 GOLDEN = [
     ("uniform", 14, 4, 7000000, None, 1, 0),
@@ -121,6 +121,6 @@ def build(family, n, length, seed):
 
 @pytest.mark.parametrize("family,n,length,seed,distance,nodes,leaves", GOLDEN)
 def test_search_tree_size_is_pinned(family, n, length, seed, distance, nodes, leaves):
-    counter = NodeCounter()
+    counter = SearchStats()
     got = max_hamming_q(build(family, n, length, seed), counter).distance
     assert (None if got is BOTTOM else got, counter.nodes, counter.leaves) == (distance, nodes, leaves)

@@ -1,22 +1,18 @@
-import itertools
-
 import pytest
 
 from xham import (
     BOTTOM,
     CapExceeded,
     GeneralizedAssignment,
-    check_zero_two,
     count_allowed_subsets_brute,
     enumerate_xmodels,
     expand_state,
     hamming_distance,
     max_hamming_brute,
-    random_formula,
     verify_xmodel,
 )
 
-from conftest import clause_count, formula
+from conftest import formula
 
 
 class TestEnumerate:
@@ -81,33 +77,6 @@ class TestMaxHammingBrute:
         ]
         first = pairs[0]
         assert result.witnesses == (models[first[0]], models[first[1]])
-
-
-class TestCheckZeroTwo:
-    def test_valid_pair(self, tiny):
-        m1 = {1: True, 2: False, 3: False, 4: False}
-        m2 = {1: False, 2: False, 3: True, 4: True}
-        assert check_zero_two(tiny, m1, m2)
-
-    def test_equal_models(self, tiny):
-        m = {1: True, 2: False, 3: False, 4: False}
-        assert check_zero_two(tiny, m, m)
-
-    def test_single_difference_fails(self):
-        f = formula((1, 2, 3))
-        m1 = {1: True, 2: False, 3: False}
-        m2 = {1: False, 2: False, 3: False}
-        assert not check_zero_two(f, m1, m2)
-
-    def test_every_model_pair_satisfies_it(self):
-        """Model pairs never straddle a clause on one or three variables."""
-        for length in (2, 3, 4):
-            for i in range(60):
-                n = 4 + (i % 7)
-                f = random_formula(n, clause_count(n, length), length, seed=880 + 7 * i + length)
-                models = enumerate_xmodels(f)
-                for a, b in itertools.combinations(models, 2):
-                    assert check_zero_two(f, a, b)
 
 
 class TestCountAllowedSubsets:

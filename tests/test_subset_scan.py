@@ -4,11 +4,11 @@ import pytest
 
 from xham import (
     BOTTOM,
-    ScanStats,
+    SearchStats,
     allowed_subset_check,
     count_allowed_subsets_brute,
     enumerate_xmodels,
-    flipped_union,
+    find_xmodel,
     hamming_distance,
     max_hamming_brute,
     max_hamming_p,
@@ -16,10 +16,17 @@ from xham import (
     random_formula,
     verify_xmodel,
 )
+from xham import subset_scan
 
 from conftest import clause_count, formula, repeated_variable_corpus
 
 REPEATED = repeated_variable_corpus(300, 9100)
+# Distinct-variable clauses that share variables with each other.
+OVERLAPPING = [
+    random_formula(n, clause_count(n, length), length, seed=9700 + 13 * n + length)
+    for length in (2, 3, 4, 5)
+    for n in range(max(5, length + 2), 13)
+]
 
 
 class TestAllowedSubsetCheck:
@@ -35,23 +42,43 @@ class TestAllowedSubsetCheck:
     def test_empty_subset(self, tiny):
         assert allowed_subset_check(tiny, set())
 
+    def test_every_model_pair_satisfies_it(self):
+        """Model pairs never straddle a clause on one or three variables."""
+        for length in (2, 3, 4):
+            for i in range(60):
+                n = 4 + (i % 7)
+                f = random_formula(n, clause_count(n, length), length, seed=880 + 7 * i + length)
+                models = enumerate_xmodels(f)
+                for a, b in itertools.combinations(models, 2):
+                    assert allowed_subset_check(f, {v for v in a if a[v] != b[v]})
+
 
 class TestFlippedUnion:
-    def test_flips_touched_clause(self):
-        f = flipped_union(formula((1, 2, 3)), {1, 2})
-        assert f.clauses == ((1, 2, 3), (-1, -2, 3))
+    """What p hands the solver: first the reduced formula, then for each
+    allowed subset that formula plus, in clause order, a flipped copy of
+    every clause the subset touches."""
 
-    def test_empty_subset_is_identity(self):
-        f = formula((1, 2, 3))
-        assert flipped_union(f, set()) == f
+    @staticmethod
+    def solver_inputs(monkeypatch, f):
+        seen = []
 
-    def test_untouched_clause_not_duplicated(self):
-        f = flipped_union(formula((1, 2), (3, 4)), {3, 4})
-        assert f.clauses == ((1, 2), (3, 4), (-3, -4))
+        def spy(g):
+            seen.append(g.clauses)
+            return find_xmodel(g)
 
-    def test_precondition_enforced(self):
-        with pytest.raises(ValueError):
-            flipped_union(formula((1, 2, 3)), {1})
+        monkeypatch.setattr(subset_scan, "find_xmodel", spy)
+        max_hamming_p(f)
+        return seen
+
+    def test_flips_touched_clause(self, monkeypatch):
+        assert self.solver_inputs(monkeypatch, formula((1, 2, 3))) == [
+            ((1, 2, 3),),
+            ((1, 2, 3), (-1, -2, 3)),
+        ]
+
+    def test_untouched_clause_not_duplicated(self, monkeypatch):
+        f = formula((1, 2, 3), (3, 4), (-4, -5, 6))
+        assert self.solver_inputs(monkeypatch, f)[1] == f.clauses + ((-1, -2, 3), (-4, 5, -6))
 
 
 class TestMaxHammingP:
@@ -109,7 +136,7 @@ def test_solver_calls_bounded_by_allowed_subsets():
     for i in range(25):
         n = 5 + (i % 4)
         f = random_formula(n, clause_count(n, 3), 3, seed=7300 + i)
-        stats = ScanStats()
+        stats = SearchStats()
         max_hamming_p(f, stats)
         assert 0 < stats.solver_calls <= count_allowed_subsets_brute(f)
 
@@ -130,7 +157,9 @@ def test_agrees_with_oracle_when_clauses_repeat_variables():
 
 
 def test_oracle_count_matches_check_when_clauses_repeat_variables():
-    for f in REPEATED:
+    """Also on overlapping clauses of distinct variables, where the disjoint
+    clauses of criterion 4 leave the count untested."""
+    for f in REPEATED + OVERLAPPING:
         variables = f.variables()
         allowed = sum(
             allowed_subset_check(f, combo)
@@ -138,3 +167,62 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
             for combo in itertools.combinations(variables, size)
         )
         assert count_allowed_subsets_brute(f) == allowed
+
+
+# (family, num_vars, clause_length, seed, distance, solver_calls,
+# subsets_checked); a distance of None means unsatisfiable. Uniform rows
+# have the criterion-8 shape (m = (n + 1) // 2); a "repeated" row's seed
+# is its index in REPEATED. Recorded while p still handed its allowed
+# subsets to the set-based flipped union.
+SCAN_WORK = [
+    ("uniform", 10, 3, 8103100, None, 1, 0),
+    ("uniform", 10, 3, 8103101, 6, 4, 83),
+    ("uniform", 11, 3, 8103110, 5, 6, 214),
+    ("uniform", 11, 3, 8103111, 5, 3, 74),
+    ("uniform", 12, 3, 8103120, 2, 15, 969),
+    ("uniform", 12, 3, 8103121, 6, 5, 207),
+    ("uniform", 13, 3, 8103130, 0, 8, 1023),
+    ("uniform", 13, 3, 8103131, 8, 9, 1422),
+    ("uniform", 14, 3, 8103140, 8, 12, 1406),
+    ("uniform", 14, 3, 8103141, 9, 5, 598),
+    ("uniform", 10, 4, 8104100, 5, 16, 604),
+    ("uniform", 10, 4, 8104101, 0, 22, 1023),
+    ("uniform", 11, 4, 8104110, 0, 10, 1023),
+    ("uniform", 11, 4, 8104111, None, 1, 0),
+    ("uniform", 12, 4, 8104120, None, 1, 0),
+    ("uniform", 12, 4, 8104121, None, 1, 0),
+    ("uniform", 13, 4, 8104130, 0, 36, 8191),
+    ("uniform", 13, 4, 8104131, 7, 7, 3677),
+    ("uniform", 14, 4, 8104140, None, 1, 0),
+    ("uniform", 14, 4, 8104141, None, 1, 0),
+    ("repeated", 8, None, 1, 3, 2, 1),
+    ("repeated", 7, None, 4, 2, 2, 2),
+    ("repeated", 7, None, 6, 3, 2, 1),
+    ("repeated", 7, None, 10, 3, 2, 1),
+]
+
+
+def scan_formula(family, n, length, seed):
+    return REPEATED[seed] if family == "repeated" else random_formula(n, (n + 1) // 2, length, seed)
+
+
+@pytest.mark.parametrize("family,n,length,seed,distance,solver_calls,subsets", SCAN_WORK)
+def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, subsets):
+    stats = SearchStats()
+    got = max_hamming_p(scan_formula(family, n, length, seed), stats).distance
+    assert (None if got is BOTTOM else got, stats.solver_calls, stats.subsets_checked) == (
+        distance,
+        solver_calls,
+        subsets,
+    )
+
+
+def test_scan_never_calls_the_set_based_check(monkeypatch):
+    """p's bitmask filter is its only zero-or-two test."""
+
+    def refuse(*args):
+        raise AssertionError("max_hamming_p called allowed_subset_check")
+
+    monkeypatch.setattr(subset_scan, "allowed_subset_check", refuse)
+    for row in SCAN_WORK:
+        max_hamming_p(scan_formula(*row[:4]))
