@@ -1,20 +1,43 @@
-"""Max Hamming distance by scanning variable subsets.
+"""Max Hamming distance by scanning the allowed variable subsets.
 
 Two x-models differing exactly on a set X leave every clause with 0 or 2
 literals over X (one flipped literal alone would break exactly-one). So
-only such "allowed" subsets can separate a model pair, and X works iff
-the formula stays x-satisfiable after adding flipped copies of the
-clauses X touches: a model of that union yields the second model by
-flipping X. The scan runs subset sizes from n down and stops at the
-first hit, calling the solver only for allowed subsets.
+only such "allowed" subsets can separate a model pair. The scan lists
+them largest first and stops at the first X the solver accepts.
 
 The scan runs on the propagated formula: forced variables never differ,
 freed ones always can, and the remaining clauses hold distinct
-variables, so a subset is tested with one bitmask per clause, and the
-same masks pick the clauses whose flipped copies the solver sees.
-`allowed_subset_check` states the test on sets instead; it takes any
-formula, counts a repeated variable once per occurrence, and is the
-reference the tests hold the scan and the oracle's count against.
+variables, so each clause is one bitmask over the formula's variables.
+
+Generation. `allowed_bitsets` branches over the clauses in order on an
+explicit stack whose depth is the number of clauses. A clause with no
+chosen variable chooses none or one pair of its undecided variables, a
+clause with one chooses exactly one more, a clause with two chooses none,
+and a clause with three or more ends the branch; after a clause, all its
+variables are decided. Every state on the stack is thus an allowed subset
+of the clauses processed so far, so criterion 4's bound on allowed
+subsets bounds each level of the search, and the result list, held in
+memory before it is sorted, is the allowed count less the empty set. The list is sorted
+by size, largest first, then by the ascending tuple of set positions: the
+order in which a loop over `itertools.combinations` from size n down
+would meet these subsets, so the solver sees the same subsets in the same
+order. Every allowed X already meets the degree budget Σ_{v∈X} deg(v) ≤ 2m
+(each clause holds 0 or 2 of its occurrences), so starting at that bound
+would skip nothing that generation does not skip already.
+
+The solver's question. Let a clause C touched by X hold literals l₁, l₂
+over X and the rest R. A model of C that stays a model of C with X
+flipped is one where every literal in R is false: if some r ∈ R were
+true, C would need l₁ and l₂ false, and the flipped C would need them
+true; with R false, C makes exactly one of l₁, l₂ true, and flipping
+swaps them. So X separates two x-models iff the formula stays
+x-satisfiable after adding the unit clause (¬l) for every literal l of a
+touched clause whose variable is outside X, and flipping X in a model of
+that formula gives the second model.
+
+`allowed_subset_check` states the zero-or-two test on sets instead; it
+takes any formula, counts a repeated variable once per occurrence, and is
+the reference the tests hold the scan and the oracle's count against.
 """
 
 from __future__ import annotations
@@ -36,13 +59,57 @@ def allowed_subset_check(formula: Formula, subset) -> bool:
     return True
 
 
+def allowed_bitsets(masks) -> list[int]:
+    """Every nonempty bitset meeting each mask in 0 or 2 bits, in scan order.
+
+    Scan order is size descending, then the ascending tuple of set bit
+    positions. The search keeps its pending choices on an explicit stack,
+    one entry per (clause index, chosen bits, decided bits).
+    """
+    found = []
+    stack = [(0, 0, 0)]
+    while stack:
+        index, chosen, decided = stack.pop()
+        if index == len(masks):
+            if chosen:
+                found.append(chosen)
+            continue
+        mask = masks[index]
+        count = (chosen & mask).bit_count()
+        if count > 2:
+            continue
+        bits = _bits(mask & ~decided)
+        decided |= mask
+        if count == 0:
+            options = [0, *(a | b for a, b in itertools.combinations(bits, 2))]
+        elif count == 1:
+            options = bits
+        else:
+            options = [0]
+        stack.extend((index + 1, chosen | option, decided) for option in options)
+    # Single bits, lowest first, compare as the positions they stand for.
+    found.sort(key=lambda bitset: (-bitset.bit_count(), _bits(bitset)))
+    return found
+
+
+def _bits(bitset: int) -> list[int]:
+    """The single-bit parts of bitset, lowest first."""
+    bits = []
+    while bitset:
+        bits.append(bitset & -bitset)
+        bitset &= bitset - 1
+    return bits
+
+
 def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> HammingResult:
     """Exact max Hamming distance with witnesses, via the subset scan.
 
-    Each variable that propagation freed adds one flip: the first
-    witness sets it True, the second False. A satisfiability pre-check
-    handles the unsatisfiable case without touching the subset loop (the
-    empty subset is the k=0 iteration, so it is not revisited at the end).
+    A satisfiability check on the propagated formula comes first; only
+    when it passes are the nonempty allowed subsets generated (see the
+    module docstring for their order and for the unit clauses the solver
+    gets with each). The first one the solver accepts is the answer, and
+    with none the base model stands alone. Each variable that propagation
+    freed adds one flip: the first witness sets it True, the second False.
     """
     if stats is None:
         stats = SearchStats()
@@ -58,25 +125,21 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     masks = [sum(1 << position[abs(l)] for l in clause) for clause in reduced.clauses]
     freed = len(result.freed)
 
-    for size in range(len(variables), 0, -1):
-        for combo in itertools.combinations(variables, size):
-            stats.subsets_checked += 1
-            bitset = 0
-            for v in combo:
-                bitset |= 1 << position[v]
-            for mask in masks:
-                if (bitset & mask).bit_count() not in (0, 2):
-                    break
-            else:
-                stats.solver_calls += 1
-                copies = tuple(
-                    tuple(-lit if (bitset >> position[abs(lit)]) & 1 else lit for lit in clause)
-                    for clause, mask in zip(reduced.clauses, masks)
-                    if bitset & mask
-                )
-                model = find_xmodel(Formula(reduced.num_vars, reduced.clauses + copies))
-                if model is not None:
-                    return HammingResult(size + freed, _witness_pair(result, model, combo))
+    subsets = allowed_bitsets(masks)
+    stats.subsets_checked += len(subsets)
+    for bitset in subsets:
+        stats.solver_calls += 1
+        units = tuple(
+            (-lit,)
+            for clause, mask in zip(reduced.clauses, masks)
+            if bitset & mask
+            for lit in clause
+            if not (bitset >> position[abs(lit)]) & 1
+        )
+        model = find_xmodel(Formula(reduced.num_vars, reduced.clauses + units))
+        if model is not None:
+            subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
+            return HammingResult(len(subset) + freed, _witness_pair(result, model, subset))
     return HammingResult(freed, _witness_pair(result, base_model, ()))
 
 

@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import pytest
 
 from xham import (
     BOTTOM,
+    Formula,
     SearchStats,
     allowed_subset_check,
     count_allowed_subsets_brute,
@@ -13,6 +15,7 @@ from xham import (
     max_hamming_brute,
     max_hamming_p,
     max_hamming_q,
+    normalize,
     random_formula,
     verify_xmodel,
 )
@@ -55,8 +58,10 @@ class TestAllowedSubsetCheck:
 
 class TestFlippedUnion:
     """What p hands the solver: first the reduced formula, then for each
-    allowed subset that formula plus, in clause order, a flipped copy of
-    every clause the subset touches."""
+    allowed subset that formula plus, in clause order, a unit clause
+    making false every literal of a touched clause whose variable is
+    outside the subset; the same question as the formula plus flipped
+    copies of the touched clauses."""
 
     @staticmethod
     def solver_inputs(monkeypatch, f):
@@ -73,12 +78,73 @@ class TestFlippedUnion:
     def test_flips_touched_clause(self, monkeypatch):
         assert self.solver_inputs(monkeypatch, formula((1, 2, 3))) == [
             ((1, 2, 3),),
-            ((1, 2, 3), (-1, -2, 3)),
+            ((1, 2, 3), (-3,)),
         ]
 
     def test_untouched_clause_not_duplicated(self, monkeypatch):
         f = formula((1, 2, 3), (3, 4), (-4, -5, 6))
-        assert self.solver_inputs(monkeypatch, f)[1] == f.clauses + ((-1, -2, 3), (-4, 5, -6))
+        assert self.solver_inputs(monkeypatch, f)[1] == f.clauses + ((-3,), (4,))
+
+    def test_unit_form_matches_flipped_copies(self):
+        """For every allowed subset X of the reduced formula, the formula
+        plus flipped copies of the clauses X touches is x-satisfiable iff
+        the formula plus the unit clauses is, and flipping X in a model of
+        the unit form gives a model of the formula."""
+        outcomes = []
+        for f in REPEATED + OVERLAPPING:
+            result = normalize(f)
+            if result.unsat:
+                continue
+            reduced = result.formula
+            variables = reduced.variables()
+            for size in range(1, len(variables) + 1):
+                for combo in itertools.combinations(variables, size):
+                    if not allowed_subset_check(reduced, combo):
+                        continue
+                    touched = [c for c in reduced.clauses if any(abs(l) in combo for l in c)]
+                    copies = tuple(tuple(-l if abs(l) in combo else l for l in c) for c in touched)
+                    units = tuple((-l,) for c in touched for l in c if abs(l) not in combo)
+                    union = find_xmodel(Formula(reduced.num_vars, reduced.clauses + copies))
+                    model = find_xmodel(Formula(reduced.num_vars, reduced.clauses + units))
+                    assert (union is None) == (model is None)
+                    if model is not None:
+                        flipped = {v: value != (v in combo) for v, value in model.items()}
+                        assert verify_xmodel(reduced, flipped)
+                    outcomes.append(model is not None)
+        assert (len(outcomes), sum(outcomes)) == (500, 211)  # both answers occur
+
+
+class TestAllowedBitsets:
+    @staticmethod
+    def masks(reduced):
+        position = {v: i for i, v in enumerate(reduced.variables())}
+        return [sum(1 << position[abs(l)] for l in clause) for clause in reduced.clauses]
+
+    def test_lists_the_allowed_subsets_in_scan_order(self):
+        """The nonempty subsets passing the set-based check, in the order a
+        loop over combinations from the largest size down meets them."""
+        for f in REPEATED + OVERLAPPING:
+            reduced = normalize(f).formula
+            variables = reduced.variables()
+            want = [
+                sum(1 << variables.index(v) for v in combo)
+                for size in range(len(variables), 0, -1)
+                for combo in itertools.combinations(variables, size)
+                if allowed_subset_check(reduced, combo)
+            ]
+            assert subset_scan.allowed_bitsets(self.masks(reduced)) == want
+
+    def test_long_binary_chain_has_no_recursion_limit(self):
+        """Each clause of (1 2), (2 3), … forces its second variable to
+        follow its first, so all 3,001 variables flip together or not at all."""
+        masks = [0b11 << i for i in range(3000)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            got = subset_scan.allowed_bitsets(masks)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == [(1 << 3001) - 1]
 
 
 class TestMaxHammingP:
@@ -170,35 +236,39 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
 
 
 # (family, num_vars, clause_length, seed, distance, solver_calls,
-# subsets_checked); a distance of None means unsatisfiable. Uniform rows
-# have the criterion-8 shape (m = (n + 1) // 2); a "repeated" row's seed
-# is its index in REPEATED. Recorded while p still handed its allowed
-# subsets to the set-based flipped union.
+# filtered, subsets_checked); a distance of None means unsatisfiable.
+# Uniform rows have the criterion-8 shape (m = (n + 1) // 2); a "repeated"
+# row's seed is its index in REPEATED. `filtered` is what the scan
+# checked when it still tested every subset from size n down with a
+# bitmask filter and stopped at the answer; `subsets_checked` counts the
+# nonempty allowed subsets it now generates. The repeated row with seed 4
+# rises from 2 to 3: generation lists all allowed subsets, while the
+# filter stopped once it reached the answer's size.
 SCAN_WORK = [
-    ("uniform", 10, 3, 8103100, None, 1, 0),
-    ("uniform", 10, 3, 8103101, 6, 4, 83),
-    ("uniform", 11, 3, 8103110, 5, 6, 214),
-    ("uniform", 11, 3, 8103111, 5, 3, 74),
-    ("uniform", 12, 3, 8103120, 2, 15, 969),
-    ("uniform", 12, 3, 8103121, 6, 5, 207),
-    ("uniform", 13, 3, 8103130, 0, 8, 1023),
-    ("uniform", 13, 3, 8103131, 8, 9, 1422),
-    ("uniform", 14, 3, 8103140, 8, 12, 1406),
-    ("uniform", 14, 3, 8103141, 9, 5, 598),
-    ("uniform", 10, 4, 8104100, 5, 16, 604),
-    ("uniform", 10, 4, 8104101, 0, 22, 1023),
-    ("uniform", 11, 4, 8104110, 0, 10, 1023),
-    ("uniform", 11, 4, 8104111, None, 1, 0),
-    ("uniform", 12, 4, 8104120, None, 1, 0),
-    ("uniform", 12, 4, 8104121, None, 1, 0),
-    ("uniform", 13, 4, 8104130, 0, 36, 8191),
-    ("uniform", 13, 4, 8104131, 7, 7, 3677),
-    ("uniform", 14, 4, 8104140, None, 1, 0),
-    ("uniform", 14, 4, 8104141, None, 1, 0),
-    ("repeated", 8, None, 1, 3, 2, 1),
-    ("repeated", 7, None, 4, 2, 2, 2),
-    ("repeated", 7, None, 6, 3, 2, 1),
-    ("repeated", 7, None, 10, 3, 2, 1),
+    ("uniform", 10, 3, 8103100, None, 1, 0, 0),
+    ("uniform", 10, 3, 8103101, 6, 4, 83, 15),
+    ("uniform", 11, 3, 8103110, 5, 6, 214, 7),
+    ("uniform", 11, 3, 8103111, 5, 3, 74, 3),
+    ("uniform", 12, 3, 8103120, 2, 15, 969, 15),
+    ("uniform", 12, 3, 8103121, 6, 5, 207, 15),
+    ("uniform", 13, 3, 8103130, 0, 8, 1023, 7),
+    ("uniform", 13, 3, 8103131, 8, 9, 1422, 63),
+    ("uniform", 14, 3, 8103140, 8, 12, 1406, 63),
+    ("uniform", 14, 3, 8103141, 9, 5, 598, 63),
+    ("uniform", 10, 4, 8104100, 5, 16, 604, 20),
+    ("uniform", 10, 4, 8104101, 0, 22, 1023, 21),
+    ("uniform", 11, 4, 8104110, 0, 10, 1023, 9),
+    ("uniform", 11, 4, 8104111, None, 1, 0, 0),
+    ("uniform", 12, 4, 8104120, None, 1, 0, 0),
+    ("uniform", 12, 4, 8104121, None, 1, 0, 0),
+    ("uniform", 13, 4, 8104130, 0, 36, 8191, 35),
+    ("uniform", 13, 4, 8104131, 7, 7, 3677, 33),
+    ("uniform", 14, 4, 8104140, None, 1, 0, 0),
+    ("uniform", 14, 4, 8104141, None, 1, 0, 0),
+    ("repeated", 8, None, 1, 3, 2, 1, 1),
+    ("repeated", 7, None, 4, 2, 2, 2, 3),
+    ("repeated", 7, None, 6, 3, 2, 1, 1),
+    ("repeated", 7, None, 10, 3, 2, 1, 1),
 ]
 
 
@@ -206,15 +276,34 @@ def scan_formula(family, n, length, seed):
     return REPEATED[seed] if family == "repeated" else random_formula(n, (n + 1) // 2, length, seed)
 
 
-@pytest.mark.parametrize("family,n,length,seed,distance,solver_calls,subsets", SCAN_WORK)
-def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, subsets):
+# The ids leave out the last column, so each row keeps the name it had
+# when `filtered` was the scan's own count.
+@pytest.mark.parametrize(
+    "family,n,length,seed,distance,solver_calls,filtered,subsets",
+    SCAN_WORK,
+    ids=["-".join(map(str, row[:7])) for row in SCAN_WORK],
+)
+def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, filtered, subsets):
+    f = scan_formula(family, n, length, seed)
     stats = SearchStats()
-    got = max_hamming_p(scan_formula(family, n, length, seed), stats).distance
+    got = max_hamming_p(f, stats).distance
     assert (None if got is BOTTOM else got, stats.solver_calls, stats.subsets_checked) == (
         distance,
         solver_calls,
         subsets,
     )
+    if distance is not None:
+        assert subsets == count_allowed_subsets_brute(normalize(f).formula) - 1
+
+
+def test_scan_generates_where_filtering_would_not_finish():
+    """On n=24 the filter checked 2,093,332 subsets to make 504 solver
+    calls; on n=40 it would face 2^40."""
+    stats = SearchStats()
+    assert max_hamming_p(random_formula(24, 12, 3, 903), stats).distance == 4
+    assert (stats.solver_calls, stats.subsets_checked) == (504, 511)
+    f = random_formula(40, 20, 3, 901)
+    assert max_hamming_p(f).distance == max_hamming_q(f).distance == 9
 
 
 def test_scan_never_calls_the_set_based_check(monkeypatch):
