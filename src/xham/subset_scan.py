@@ -9,21 +9,27 @@ The scan runs on the propagated formula: forced variables never differ,
 freed ones always can, and the remaining clauses hold distinct
 variables, so each clause is one bitmask over the formula's variables.
 
-Generation. `allowed_bitsets` branches over the clauses in order on an
-explicit stack whose depth is the number of clauses. A clause with no
-chosen variable chooses none or one pair of its undecided variables, a
-clause with one chooses exactly one more, a clause with two chooses none,
-and a clause with three or more ends the branch; after a clause, all its
-variables are decided. Every state on the stack is thus an allowed subset
-of the clauses processed so far, so criterion 4's bound on allowed
-subsets bounds each level of the search, and the result list, held in
-memory before it is sorted, is the allowed count less the empty set. The list is sorted
-by size, largest first, then by the ascending tuple of set positions: the
-order in which a loop over `itertools.combinations` from size n down
-would meet these subsets, so the solver sees the same subsets in the same
-order. Every allowed X already meets the degree budget Σ_{v∈X} deg(v) ≤ 2m
-(each clause holds 0 or 2 of its occurrences), so starting at that bound
-would skip nothing that generation does not skip already.
+Generation. `allowed_classes` branches over the clauses in order. A
+clause with no chosen variable chooses none or one pair of its undecided
+variables, a clause with one chooses exactly one more, a clause with two
+chooses none, and a clause with three or more ends the branch; after a
+clause, all its variables are decided. So every search state is an
+allowed subset of the clauses processed so far. A state's bound is n
+less the decided variables it left out, the largest size it can still
+reach. States wait on one explicit stack per bound, and the stacks are
+emptied from bound n down, so each state is expanded once and the
+allowed subsets come out one size at a time, largest first. Each size is
+sorted by the ascending tuple of set positions: the order in which a
+loop over `itertools.combinations` from size n down would meet these
+subsets, so the solver sees the same subsets in the same order. The scan
+stops after the first size with a hit. A state is fixed by the clauses
+it has passed and the decided variables it left out, so before the
+first hit at size k the search expands at most m + 1 states per subset
+of size k or more, about what the old loop tested, and holds no more
+than their children: an answer near n costs little. Every allowed X
+already meets the degree budget Σ_{v∈X} deg(v) ≤ 2m (each clause holds
+0 or 2 of its occurrences), so starting at that bound would skip nothing
+that generation does not skip already.
 
 The solver's question. Let a clause C touched by X hold literals l₁, l₂
 over X and the rest R. A model of C that stays a model of C with X
@@ -59,37 +65,49 @@ def allowed_subset_check(formula: Formula, subset) -> bool:
     return True
 
 
-def allowed_bitsets(masks) -> list[int]:
-    """Every nonempty bitset meeting each mask in 0 or 2 bits, in scan order.
+def allowed_classes(masks):
+    """The nonempty bitsets meeting each mask in 0 or 2 bits, one list per
+    size, largest size first; each list in ascending order of the tuple of
+    set bit positions. Empty sizes are skipped.
 
-    Scan order is size descending, then the ascending tuple of set bit
-    positions. The search keeps its pending choices on an explicit stack,
-    one entry per (clause index, chosen bits, decided bits).
+    A state (index, chosen) has decided every bit of the first index masks
+    and waits on the stack of its bound; a child's bound is never above
+    its parent's, so once stack k is empty every allowed set of size k has
+    reached it as a finished state.
     """
-    found = []
-    stack = [(0, 0, 0)]
-    while stack:
-        index, chosen, decided = stack.pop()
-        if index == len(masks):
-            if chosen:
+    decided = [0]
+    for mask in masks:
+        decided.append(decided[-1] | mask)
+    width = decided[-1].bit_count()
+    pending = [[] for _ in range(width + 1)]
+    pending[width].append((0, 0))
+    for size in range(width, 0, -1):
+        stack = pending[size]
+        found = []
+        while stack:
+            index, chosen = stack.pop()
+            if index == len(masks):
                 found.append(chosen)
-            continue
-        mask = masks[index]
-        count = (chosen & mask).bit_count()
-        if count > 2:
-            continue
-        bits = _bits(mask & ~decided)
-        decided |= mask
-        if count == 0:
-            options = [0, *(a | b for a, b in itertools.combinations(bits, 2))]
-        elif count == 1:
-            options = bits
-        else:
-            options = [0]
-        stack.extend((index + 1, chosen | option, decided) for option in options)
-    # Single bits, lowest first, compare as the positions they stand for.
-    found.sort(key=lambda bitset: (-bitset.bit_count(), _bits(bitset)))
-    return found
+                continue
+            mask = masks[index]
+            count = (chosen & mask).bit_count()
+            bits = _bits(mask & ~decided[index])
+            if count == 0:
+                options = [0, *(a | b for a, b in itertools.combinations(bits, 2))]
+            elif count == 1:
+                options = bits
+            elif count == 2:
+                options = [0]
+            else:
+                continue
+            all_out = size - len(bits)  # the bound if no new bit is chosen
+            for option in options:
+                pending[all_out + option.bit_count()].append((index + 1, chosen | option))
+        if found:
+            # Reversed, the lowest set position is the highest bit: among
+            # sets of one size, larger reversals have smaller position tuples.
+            found.sort(key=lambda bitset: int(f"{bitset:0{width}b}"[::-1], 2), reverse=True)
+            yield found
 
 
 def _bits(bitset: int) -> list[int]:
@@ -105,11 +123,12 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     """Exact max Hamming distance with witnesses, via the subset scan.
 
     A satisfiability check on the propagated formula comes first; only
-    when it passes are the nonempty allowed subsets generated (see the
-    module docstring for their order and for the unit clauses the solver
-    gets with each). The first one the solver accepts is the answer, and
-    with none the base model stands alone. Each variable that propagation
-    freed adds one flip: the first witness sets it True, the second False.
+    when it passes are the nonempty allowed subsets generated, one size
+    at a time from the largest (see the module docstring for their order
+    and for the unit clauses the solver gets with each). The first one
+    the solver accepts is the answer, and with none the base model stands
+    alone. Each variable that propagation freed adds one flip: the first
+    witness sets it True, the second False.
     """
     if stats is None:
         stats = SearchStats()
@@ -125,21 +144,21 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     masks = [sum(1 << position[abs(l)] for l in clause) for clause in reduced.clauses]
     freed = len(result.freed)
 
-    subsets = allowed_bitsets(masks)
-    stats.subsets_checked += len(subsets)
-    for bitset in subsets:
-        stats.solver_calls += 1
-        units = tuple(
-            (-lit,)
-            for clause, mask in zip(reduced.clauses, masks)
-            if bitset & mask
-            for lit in clause
-            if not (bitset >> position[abs(lit)]) & 1
-        )
-        model = find_xmodel(Formula(reduced.num_vars, reduced.clauses + units))
-        if model is not None:
-            subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
-            return HammingResult(len(subset) + freed, _witness_pair(result, model, subset))
+    for subsets in allowed_classes(masks):
+        stats.subsets_checked += len(subsets)
+        for bitset in subsets:
+            stats.solver_calls += 1
+            units = tuple(
+                (-lit,)
+                for clause, mask in zip(reduced.clauses, masks)
+                if bitset & mask
+                for lit in clause
+                if not (bitset >> position[abs(lit)]) & 1
+            )
+            model = find_xmodel(Formula(reduced.num_vars, reduced.clauses + units))
+            if model is not None:
+                subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
+                return HammingResult(len(subset) + freed, _witness_pair(result, model, subset))
     return HammingResult(freed, _witness_pair(result, base_model, ()))
 
 

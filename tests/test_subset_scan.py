@@ -114,15 +114,16 @@ class TestFlippedUnion:
         assert (len(outcomes), sum(outcomes)) == (500, 211)  # both answers occur
 
 
-class TestAllowedBitsets:
+class TestAllowedClasses:
     @staticmethod
     def masks(reduced):
         position = {v: i for i, v in enumerate(reduced.variables())}
         return [sum(1 << position[abs(l)] for l in clause) for clause in reduced.clauses]
 
     def test_lists_the_allowed_subsets_in_scan_order(self):
-        """The nonempty subsets passing the set-based check, in the order a
-        loop over combinations from the largest size down meets them."""
+        """The nonempty subsets passing the set-based check, one list per
+        size, in the order a loop over combinations from the largest size
+        down meets them."""
         for f in REPEATED + OVERLAPPING:
             reduced = normalize(f).formula
             variables = reduced.variables()
@@ -132,7 +133,11 @@ class TestAllowedBitsets:
                 for combo in itertools.combinations(variables, size)
                 if allowed_subset_check(reduced, combo)
             ]
-            assert subset_scan.allowed_bitsets(self.masks(reduced)) == want
+            classes = list(subset_scan.allowed_classes(self.masks(reduced)))
+            assert [bitset for found in classes for bitset in found] == want
+            assert [{bitset.bit_count() for bitset in found} for found in classes] == [
+                {size} for size in sorted({bitset.bit_count() for bitset in want}, reverse=True)
+            ]
 
     def test_long_binary_chain_has_no_recursion_limit(self):
         """Each clause of (1 2), (2 3), … forces its second variable to
@@ -141,10 +146,10 @@ class TestAllowedBitsets:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            got = subset_scan.allowed_bitsets(masks)
+            got = list(subset_scan.allowed_classes(masks))
         finally:
             sys.setrecursionlimit(limit)
-        assert got == [(1 << 3001) - 1]
+        assert got == [[(1 << 3001) - 1]]
 
 
 class TestMaxHammingP:
@@ -238,31 +243,27 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
 # (family, num_vars, clause_length, seed, distance, solver_calls,
 # filtered, subsets_checked); a distance of None means unsatisfiable.
 # Uniform rows have the criterion-8 shape (m = (n + 1) // 2); a "repeated"
-# row's seed is its index in REPEATED. `filtered` is what the scan
-# checked when it still tested every subset from size n down with a
-# bitmask filter and stopped at the answer; `subsets_checked` counts the
-# nonempty allowed subsets it now generates. The repeated row with seed 4
-# rises from 2 to 3: generation lists all allowed subsets, while the
-# filter stopped once it reached the answer's size.
+# row's seed is its index in REPEATED. `filtered` is the count of the
+# old filtering scan, kept only because the test names carry it.
 SCAN_WORK = [
     ("uniform", 10, 3, 8103100, None, 1, 0, 0),
-    ("uniform", 10, 3, 8103101, 6, 4, 83, 15),
-    ("uniform", 11, 3, 8103110, 5, 6, 214, 7),
-    ("uniform", 11, 3, 8103111, 5, 3, 74, 3),
+    ("uniform", 10, 3, 8103101, 6, 4, 83, 6),
+    ("uniform", 11, 3, 8103110, 5, 6, 214, 6),
+    ("uniform", 11, 3, 8103111, 5, 3, 74, 2),
     ("uniform", 12, 3, 8103120, 2, 15, 969, 15),
-    ("uniform", 12, 3, 8103121, 6, 5, 207, 15),
+    ("uniform", 12, 3, 8103121, 6, 5, 207, 7),
     ("uniform", 13, 3, 8103130, 0, 8, 1023, 7),
-    ("uniform", 13, 3, 8103131, 8, 9, 1422, 63),
-    ("uniform", 14, 3, 8103140, 8, 12, 1406, 63),
-    ("uniform", 14, 3, 8103141, 9, 5, 598, 63),
-    ("uniform", 10, 4, 8104100, 5, 16, 604, 20),
+    ("uniform", 13, 3, 8103131, 8, 9, 1422, 16),
+    ("uniform", 14, 3, 8103140, 8, 12, 1406, 23),
+    ("uniform", 14, 3, 8103141, 9, 5, 598, 9),
+    ("uniform", 10, 4, 8104100, 5, 16, 604, 16),
     ("uniform", 10, 4, 8104101, 0, 22, 1023, 21),
     ("uniform", 11, 4, 8104110, 0, 10, 1023, 9),
     ("uniform", 11, 4, 8104111, None, 1, 0, 0),
     ("uniform", 12, 4, 8104120, None, 1, 0, 0),
     ("uniform", 12, 4, 8104121, None, 1, 0, 0),
     ("uniform", 13, 4, 8104130, 0, 36, 8191, 35),
-    ("uniform", 13, 4, 8104131, 7, 7, 3677, 33),
+    ("uniform", 13, 4, 8104131, 7, 7, 3677, 7),
     ("uniform", 14, 4, 8104140, None, 1, 0, 0),
     ("uniform", 14, 4, 8104141, None, 1, 0, 0),
     ("repeated", 8, None, 1, 3, 2, 1, 1),
@@ -276,8 +277,6 @@ def scan_formula(family, n, length, seed):
     return REPEATED[seed] if family == "repeated" else random_formula(n, (n + 1) // 2, length, seed)
 
 
-# The ids leave out the last column, so each row keeps the name it had
-# when `filtered` was the scan's own count.
 @pytest.mark.parametrize(
     "family,n,length,seed,distance,solver_calls,filtered,subsets",
     SCAN_WORK,
@@ -293,7 +292,14 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, fi
         subsets,
     )
     if distance is not None:
-        assert subsets == count_allowed_subsets_brute(normalize(f).formula) - 1
+        # Every nonempty allowed subset at least as large as the answer's.
+        result = normalize(f)
+        variables = result.formula.variables()
+        assert subsets == sum(
+            allowed_subset_check(result.formula, combo)
+            for size in range(max(distance - len(result.freed), 1), len(variables) + 1)
+            for combo in itertools.combinations(variables, size)
+        )
 
 
 def test_scan_generates_where_filtering_would_not_finish():
@@ -301,9 +307,18 @@ def test_scan_generates_where_filtering_would_not_finish():
     calls; on n=40 it would face 2^40."""
     stats = SearchStats()
     assert max_hamming_p(random_formula(24, 12, 3, 903), stats).distance == 4
-    assert (stats.solver_calls, stats.subsets_checked) == (504, 511)
+    assert (stats.solver_calls, stats.subsets_checked) == (504, 505)
     f = random_formula(40, 20, 3, 901)
     assert max_hamming_p(f).distance == max_hamming_q(f).distance == 9
+
+
+def test_scan_stops_at_the_first_size_with_a_hit():
+    """20 disjoint binary clauses have 2^20 - 1 nonempty allowed subsets;
+    the first, all 40 variables, answers, and no smaller one is listed."""
+    stats = SearchStats()
+    f = Formula.from_clauses([(2 * i + 1, 2 * i + 2) for i in range(20)])
+    assert max_hamming_p(f, stats).distance == 40
+    assert (stats.solver_calls, stats.subsets_checked) == (2, 1)
 
 
 def test_scan_never_calls_the_set_based_check(monkeypatch):
