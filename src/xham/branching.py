@@ -13,7 +13,9 @@ pool into one representative slot, and binary clauses turn into recorded
 equivalences. Removed variables survive in per-variable link sets — a
 generalized assignment — and leaves are scored by `gen_h`, the exact
 maximum pairwise Hamming distance over every concrete assignment the
-leaf state represents.
+leaf state represents. Links are final once a variable leaves the
+formula, so each linked variable's subtree is scored once, when its link
+is recorded, from its children's scores; `gen_h` reads those scores.
 
 A subtlety drives the state layout: once a variable represents a pooled
 clause slot, its formula occurrences stop meaning "this variable is
@@ -59,10 +61,14 @@ class GeneralizedAssignment:
       (child, flip, slot_anchor) triples: the child was rewritten away
       against this variable and mirrors it (inverted when flip is set),
       following the slot value when slot_anchor is set and the concrete
-      value otherwise.
+      value otherwise. score maps a linked variable to its subtree's
+      table: entry 2*a + b is the largest Hamming distance within it when
+      the variable's slot reads a in the first model and b in the second.
 
     Every removed variable sits in exactly one sing or dual set and the
     links form a forest rooted at valued, free, or still-live variables.
+    Links are final once a variable leaves the formula, so `record_sing`
+    and `record_dual` score the variable they remove from its children's.
     """
 
     values: dict[int, bool] = field(default_factory=dict)
@@ -70,21 +76,15 @@ class GeneralizedAssignment:
     sing: dict[int, list[tuple[int, bool]]] = field(default_factory=dict)
     dual: dict[int, list[tuple[int, bool, bool]]] = field(default_factory=dict)
     sat: dict[int, bool] = field(default_factory=dict)
+    score: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
 
     def copy(self) -> "GeneralizedAssignment":
-        return GeneralizedAssignment(
-            dict(self.values),
-            list(self.free),
-            {v: list(ms) for v, ms in self.sing.items()},
-            {v: list(cs) for v, cs in self.dual.items()},
-            dict(self.sat),
-        )
+        sing = {v: list(ms) for v, ms in self.sing.items()}
+        dual = {v: list(cs) for v, cs in self.dual.items()}
+        return GeneralizedAssignment(dict(self.values), list(self.free), sing, dual, dict(self.sat), dict(self.score))
 
     def root_vars(self) -> set[int]:
         return set(self.values) | set(self.free)
-
-    def is_grouped(self, var: int) -> bool:
-        return var in self.sat
 
     def record_sing(self, rep_lit: int, victim_lit: int) -> None:
         """Pool a singleton peer into a representative's clause slot.
@@ -98,11 +98,17 @@ class GeneralizedAssignment:
         if self.sat.setdefault(rep, pol) != pol:
             raise ValueError(f"variable {rep} already pools a different clause slot")
         self.sing.setdefault(rep, []).append((victim, victim_lit > 0))
+        self._score_removed(victim)
 
     def record_dual(self, survivor_lit: int, removed_lit: int) -> None:
         flip = (removed_lit > 0) == (survivor_lit > 0)
-        anchor = self.is_grouped(abs(survivor_lit))
+        anchor = abs(survivor_lit) in self.sat
         self.dual.setdefault(abs(survivor_lit), []).append((abs(removed_lit), flip, anchor))
+        self._score_removed(abs(removed_lit))
+
+    def _score_removed(self, var: int) -> None:
+        """Fill the score table of a variable that just left the formula."""
+        self.score[var] = tuple(_reading(self, var, a, b) for a in (False, True) for b in (False, True))
 
     def absorb(self, result: PropagationResult) -> None:
         """Fold a propagation result in."""
@@ -117,19 +123,16 @@ class GeneralizedAssignment:
     def validate(self, require_rooted: bool = False) -> None:
         """Check forest invariants; raise ValueError on ill-formed links."""
         parent: dict[int, int] = {}
-        rooted = set(self.values) | set(self.free)
+        rooted = self.root_vars()
         for var, members in self.sing.items():
             if members and var not in self.sat:
                 raise ValueError(f"pool head {var} lacks a slot polarity")
-            for member, _ in members:
-                if member in parent:
-                    raise ValueError(f"variable {member} linked from two sets")
-                parent[member] = var
-        for var, children in self.dual.items():
-            for child, _, _ in children:
-                if child in parent:
-                    raise ValueError(f"variable {child} linked from two sets")
-                parent[child] = var
+        links = [(m, var) for var, members in self.sing.items() for m, _ in members]
+        links += [(c, var) for var, children in self.dual.items() for c, _, _ in children]
+        for child, var in links:
+            if child in parent:
+                raise ValueError(f"variable {child} linked from two sets")
+            parent[child] = var
         # Variables whose walk already ended at an acceptable root; a walk
         # that meets one stops there, so each link is followed once.
         reaches_root: set[int] = set()
@@ -149,53 +152,51 @@ class GeneralizedAssignment:
 
     def universe(self) -> set[int]:
         """All variables the state speaks for."""
-        out = set(self.values) | set(self.free)
-        for var, members in self.sing.items():
-            out.add(var)
-            out.update(m for m, _ in members)
-        for var, children in self.dual.items():
-            out.add(var)
-            out.update(c for c, _, _ in children)
+        out = self.root_vars() | set(self.sing) | set(self.dual)
+        out.update(m for members in self.sing.values() for m, _ in members)
+        out.update(c for children in self.dual.values() for c, _, _ in children)
         return out
 
 
 def slot_options(state: GeneralizedAssignment, var: int, slot: bool):
     """Concrete readings of a variable's slot value.
 
-    Yields (concrete_value, member_slots) pairs. For a plain variable the
-    slot is the value. For a pool head whose slot is active, any one
-    participant's literal may be the satisfactor; peers hand their own
-    subtrees the slot values induced by that choice.
+    Yields (concrete_value, child_slots) pairs, where child_slots maps
+    each child linked below the variable to the slot value it reads. For
+    a plain variable the slot is the value. For a pool head whose slot is
+    active, any one participant's literal may be the satisfactor; peers
+    read the slot values induced by that choice. A dual child mirrors the
+    slot or the concrete value, as its link says.
     """
     members = state.sing.get(var, ())
     own_pol = state.sat.get(var)
-    if members and slot == own_pol:
-        for chosen in (var, *(m for m, _ in members)):
-            value = own_pol if chosen == var else not own_pol
-            yield value, {m: (pol if m == chosen else not pol) for m, pol in members}
-    else:
-        yield slot, {m: not pol for m, pol in members}
+    active = bool(members) and slot == own_pol
+    for chosen in (var, *(m for m, _ in members)) if active else (None,):
+        value = own_pol == (chosen == var) if active else slot
+        child_slots = {m: pol == (m == chosen) for m, pol in members}
+        for child, flip, anchor in state.dual.get(var, ()):
+            child_slots[child] = (slot if anchor else value) ^ flip
+        yield value, child_slots
 
 
-def _tree_maxdist(state, var, slot_a, slot_b, memo) -> int:
-    """Max Hamming distance over this subtree between two slot readings."""
-    key = (var, slot_a, slot_b)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+def _reading(state: GeneralizedAssignment, var: int, slot_a: bool, slot_b: bool) -> int:
+    """Largest distance in var's subtree when its slot reads slot_a, then slot_b.
+
+    Children count through their score tables, so this looks one level down.
+    """
+    if var not in state.sing and var not in state.dual:
+        return int(slot_a != slot_b)
+    options_b = list(slot_options(state, var, slot_b))
     best = -1
-    for value_a, members_a in slot_options(state, var, slot_a):
-        for value_b, members_b in slot_options(state, var, slot_b):
-            dist = int(value_a != value_b)
-            for child, flip, anchor in state.dual.get(var, ()):
-                basis_a = slot_a if anchor else value_a
-                basis_b = slot_b if anchor else value_b
-                dist += _tree_maxdist(state, child, basis_a ^ flip, basis_b ^ flip, memo)
-            for member, _ in state.sing.get(var, ()):
-                dist += _tree_maxdist(state, member, members_a[member], members_b[member], memo)
-            if dist > best:
-                best = dist
-    memo[key] = best
+    try:
+        for value_a, slots_a in slot_options(state, var, slot_a):
+            for value_b, slots_b in options_b:
+                dist = int(value_a != value_b)
+                for child, a in slots_a.items():
+                    dist += state.score[child][2 * a + slots_b[child]]
+                best = max(best, dist)
+    except KeyError as missing:
+        raise ValueError(f"linked variable {missing.args[0]} has no score table") from None
     return best
 
 
@@ -208,22 +209,22 @@ def gen_h(state: GeneralizedAssignment, roots=None) -> int:
     its slot differently in the two models. Both models are scored
     jointly, which stays exact when a chain hangs off a pool participant
     whose concrete value disagrees with its slot.
+
+    Links are final once a variable leaves the formula, so every child
+    has its score table and a root takes one step: a valued root reads
+    (value, value), a free root the best of its four readings. A link not
+    recorded through `record_sing`/`record_dual` raises ValueError.
     """
     state.validate()
     if roots is None:
         roots = sorted(state.root_vars())
-    memo: dict = {}
     total = 0
     for var in roots:
         value = state.values.get(var)
         if value is not None:
-            total += _tree_maxdist(state, var, value, value, memo)
+            total += _reading(state, var, value, value)
         else:  # free root: the two models may read the slot either way
-            total += max(
-                _tree_maxdist(state, var, sa, sb, memo)
-                for sa in (False, True)
-                for sb in (False, True)
-            )
+            total += max(_reading(state, var, a, b) for a in (False, True) for b in (False, True))
     return total
 
 
@@ -293,7 +294,7 @@ def _pool_first(engine: Propagator, state: GeneralizedAssignment, to_pool: list[
             continue
         # The pool head must not already head a pool from another
         # clause; a head that went singleton again nests as a member.
-        fresh = [lit for lit in singles if not state.is_grouped(abs(lit))]
+        fresh = [lit for lit in singles if abs(lit) not in state.sat]
         if not fresh:
             continue
         rep = fresh[0]

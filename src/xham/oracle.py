@@ -145,13 +145,10 @@ def expand_state(state: GeneralizedAssignment) -> list[Assignment]:
 
 def _expand_tree(state, var, slot) -> list[Assignment]:
     out: list[Assignment] = []
-    for value, member_slots in slot_options(state, var, slot):
+    for value, child_slots in slot_options(state, var, slot):
         parts: list[list[Assignment]] = [[{var: value}]]
-        for child, flip, anchor in state.dual.get(var, ()):
-            basis = slot if anchor else value
-            parts.append(_expand_tree(state, child, basis ^ flip))
-        for member, member_slot in member_slots.items():
-            parts.append(_expand_tree(state, member, member_slot))
+        for child, child_slot in child_slots.items():
+            parts.append(_expand_tree(state, child, child_slot))
         combined: list[Assignment] = [{}]
         for candidates in parts:
             combined = [{**base, **extra} for base in combined for extra in candidates]

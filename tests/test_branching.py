@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -95,18 +96,29 @@ class TestValidate:
 
 class TestGenH:
     def test_satisfactor_pool(self):
-        state = leaf_state(
-            values={1: True}, sing={1: [(2, True), (3, True)]}, sat={1: True}
-        )
-        assert gen_h(state) == 2
+        # A free head scores 2 only when both models read its slot active.
+        for root in ({"values": {1: True}}, {"free": [1]}):
+            state = leaf_state(**root)
+            state.record_sing(1, 2)
+            state.record_sing(1, 3)
+            assert (state.sing, state.sat) == ({1: [(2, True), (3, True)]}, {1: True})
+            assert gen_h(state) == 2
 
     def test_all_fixed_no_links(self):
         state = leaf_state(values={1: True, 2: False})
         assert gen_h(state) == 0
 
     def test_free_root_with_dual_chain(self):
-        state = leaf_state(free=[2], dual={2: [(1, True, False)]})
+        state = leaf_state(free=[2])
+        state.record_dual(2, 1)
+        assert state.dual == {2: [(1, True, False)]}
         assert gen_h(state) == 2
+
+    def test_hand_built_links_have_no_score(self):
+        """gen_h scores links recorded through record_sing/record_dual only."""
+        state = leaf_state(free=[2], dual={2: [(1, True, False)]})
+        with pytest.raises(ValueError, match="linked variable 1 has no score"):
+            gen_h(state)
 
     def test_matches_brute_maximum_over_expansions(self):
         """Binding contract: gen_h equals the pairwise max over expand_state."""
@@ -170,6 +182,19 @@ class TestMaxHammingQ:
             and any(t[0][1] in clause and t[1][1] in clause for clause in f.clauses)
         ]
         assert (("false", -1), ("true", 3)) in splits
+
+    def test_long_chains_hit_no_recursion_limit(self):
+        """Binary chains (i, i+1) flip every variable; the ternary chains
+        (1 2 3), (3 4 5), ... answer what an exact pass over the chain gives."""
+        binary = {n: Formula(n, tuple((v, v + 1) for v in range(1, n))) for n in (1100, 1500, 3000)}
+        ternary = {n: Formula(n, tuple((v, v + 1, v + 2) for v in range(1, n, 2))) for n in (3001, 4001)}
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            got = {n: max_hamming_q(f).distance for n, f in {**binary, **ternary}.items()}
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == {1100: 1100, 1500: 1500, 3000: 3000, 3001: 2251, 4001: 3001}
 
     def test_agrees_with_oracle_on_random_suite(self):
         for length in (2, 3, 4, 5, 6):
