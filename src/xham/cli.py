@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -50,6 +51,7 @@ def _planted_spec(text: str) -> tuple[int, int]:
     return length, degree
 
 
+@functools.cache  # built on the first call to main, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="xham", description="Max Hamming distance between XSAT models")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -229,3 +229,12 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 10
     assert proc.stdout.splitlines()[0] == "s MAXHAM 2"
+
+
+def test_repeated_calls_match_fresh_processes(capsys, instance, tiny):
+    """main builds its parser once per process; a usage error, then maxham,
+    then solve, each called in turn here, must answer as a fresh process does."""
+    path = instance(tiny)
+    for argv in (["maxham", "--algo", "x", path], ["maxham", "--algo", "p", "--witness", path], ["solve", path]):
+        fresh = subprocess.run([sys.executable, "-m", "xham", *argv], capture_output=True, text=True)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
