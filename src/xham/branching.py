@@ -215,7 +215,6 @@ def gen_h(state: GeneralizedAssignment, roots=None) -> int:
     (value, value), a free root the best of its four readings. A link not
     recorded through `record_sing`/`record_dual` raises ValueError.
     """
-    state.validate()
     if roots is None:
         roots = sorted(state.root_vars())
     total = 0

@@ -125,6 +125,11 @@ class Propagator:
     `freed`. Two logs serve a caller that keeps rewriting between steps:
     `changed` collects positions whose clause shrank or was rewritten,
     `singles` variables whose degree fell to one. The caller drains them.
+
+    `mark` and `undo_to` take the engine back to an earlier fixpoint (see
+    the module docstring). They cover `force` and `propagate`; `substitute`
+    and `remove_literal` are not undone, so they run only on an engine
+    that has taken no mark.
     """
 
     def __init__(self, formula: Formula):
@@ -146,6 +151,10 @@ class Propagator:
         self.changed: list[int] = []
         self.singles: list[int] = []
         self._vanished: list[int] = []
+        # The trail, opened by the first mark: (pos, replaced clause) per
+        # clause write and (var, its occurrence list or None) per force.
+        self._writes: list[tuple[int, tuple[int, ...]]] | None = None
+        self._forces: list[tuple[int, list[int] | None]] | None = None
 
     def _enqueue(self, pos: int) -> None:
         if not self.queued[pos] and self.clauses[pos] is not None:
@@ -157,13 +166,17 @@ class Propagator:
         old = self.forced.get(var)
         if old is None:
             self.forced[var] = value
-            for pos in self.occ.pop(var, ()):
+            positions = self.occ.pop(var, None)
+            if self._forces is not None:
+                self._forces.append((var, positions))
+            for pos in positions or ():
                 self._enqueue(pos)
         elif old != value:
             self.unsat = True
 
     def substitute(self, a: int, b: int) -> None:
         """Rewrite literal a as the complement of b in place; queue those clauses."""
+        assert self._writes is None, "substitute cannot be undone"
         source, target = abs(a), abs(b)
         clauses = self.clauses
         moved = self.occ[target]
@@ -188,6 +201,7 @@ class Propagator:
         The variable leaves the formula without counting as freed: the
         caller keeps track of it elsewhere.
         """
+        assert self._writes is None, "remove_literal cannot be undone"
         self.clauses[pos] = tuple(l for l in self.clauses[pos] if l != lit)
         self.degree[abs(lit)] = 0
         self.occ.pop(abs(lit), None)
@@ -206,7 +220,7 @@ class Propagator:
     def propagate(self) -> bool:
         """Settle queued clauses to a fixpoint; False when a conflict shows."""
         clauses, queue, queued, forced = self.clauses, self.queue, self.queued, self.forced
-        settle, force = _settle_clause, self.force
+        settle, force, writes = _settle_clause, self.force, self._writes
         while queue and not self.unsat:
             pos = queue.popleft()
             queued[pos] = 0
@@ -216,13 +230,17 @@ class Propagator:
             status, live = settle(lits, forced, force)
             if status == "unsat":
                 self.unsat = True
-            elif status == "drop":
-                clauses[pos] = None
-                self._lose(lits, ())
-            elif len(live) != len(lits):
-                clauses[pos] = live
-                self._lose(lits, live)
+                continue
+            if status == "drop":
+                live = None
+            elif len(live) == len(lits):
+                continue
+            else:
                 self.changed.append(pos)
+            if writes is not None:
+                writes.append((pos, lits))
+            clauses[pos] = live
+            self._lose(lits, live or ())
         if self.unsat:
             return False
         if self._vanished:
@@ -230,6 +248,49 @@ class Propagator:
             self.freed.extend(sorted({v for v in self._vanished if not degree[v] and v not in forced}))
             self._vanished = []
         return True
+
+    def mark(self):
+        """A fixpoint to come back to with `undo_to`; the queue must be empty.
+
+        The first mark opens the trail, which then stays open.
+        """
+        if self.queue:
+            raise ValueError("a mark needs a fixpoint: propagate first")
+        if self._writes is None:
+            self._writes, self._forces = [], []
+        return len(self._writes), len(self._forces), len(self.freed), self.unsat
+
+    def undo_to(self, mark) -> None:
+        """Return to the fixpoint at which `mark` was taken.
+
+        Restores the live clauses, degrees, forced values, the occurrence
+        lists that forces took, `freed` and `unsat`; empties the queue and
+        the `changed` and `singles` logs. Marks taken after this one are
+        void.
+        """
+        writes_at, forces_at, freed_at, unsat = mark
+        clauses, degree, writes = self.clauses, self.degree, self._writes
+        while len(writes) > writes_at:
+            pos, lits = writes.pop()
+            for lit in clauses[pos] or ():
+                degree[abs(lit)] -= 1
+            for lit in lits:
+                degree[abs(lit)] += 1
+            clauses[pos] = lits
+        forced, occ, forces = self.forced, self.occ, self._forces
+        while len(forces) > forces_at:
+            var, positions = forces.pop()
+            del forced[var]
+            if positions is not None:
+                occ[var] = positions
+        del self.freed[freed_at:]
+        self.unsat = unsat
+        for pos in self.queue:
+            self.queued[pos] = 0
+        self.queue.clear()
+        self.changed.clear()
+        self.singles.clear()
+        self._vanished.clear()
 
     def _lose(self, lits, live) -> None:
         """Lower the degrees of the literals in lits but not in live (a subsequence)."""

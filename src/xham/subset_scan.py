@@ -37,9 +37,12 @@ flipped is one where every literal in R is false: if some r ∈ R were
 true, C would need l₁ and l₂ false, and the flipped C would need them
 true; with R false, C makes exactly one of l₁, l₂ true, and flipping
 swaps them. So X separates two x-models iff the formula stays
-x-satisfiable after adding the unit clause (¬l) for every literal l of a
-touched clause whose variable is outside X, and flipping X in a model of
-that formula gives the second model.
+x-satisfiable with every literal of a touched clause whose variable is
+outside X made false, and flipping X in such a model gives the second
+model. p puts these questions to one propagation engine on the
+propagated formula: the solver assumes the complements of those
+literals, searches, and undoes all of it before the next subset (see
+`solver.solve`), so no formula is built per subset.
 
 `allowed_subset_check` states the zero-or-two test on sets instead; it
 takes any formula, counts a repeated variable once per occurrence, and is
@@ -51,8 +54,8 @@ from __future__ import annotations
 import itertools
 
 from .formula import BOTTOM, Assignment, Formula, HammingResult, SearchStats
-from .propagation import PropagationResult, extend_model, normalize
-from .solver import find_xmodel
+from .propagation import PropagationResult, Propagator, extend_model, normalize
+from .solver import solve
 
 
 def allowed_subset_check(formula: Formula, subset) -> bool:
@@ -125,7 +128,7 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     A satisfiability check on the propagated formula comes first; only
     when it passes are the nonempty allowed subsets generated, one size
     at a time from the largest (see the module docstring for their order
-    and for the unit clauses the solver gets with each). The first one
+    and for the literals the solver assumes with each). The first one
     the solver accepts is the answer, and with none the base model stands
     alone. Each variable that propagation freed adds one flip: the first
     witness sets it True, the second False.
@@ -135,7 +138,8 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     result = normalize(formula)
     reduced = result.formula
     stats.solver_calls += 1
-    base_model = find_xmodel(reduced)
+    engine = Propagator(reduced)  # a fixpoint already: propagate changes nothing
+    base_model = solve(engine) if engine.propagate() else None
     if base_model is None:
         return HammingResult(BOTTOM)
 
@@ -148,14 +152,14 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
         stats.subsets_checked += len(subsets)
         for bitset in subsets:
             stats.solver_calls += 1
-            units = tuple(
-                (-lit,)
+            assumptions = tuple(
+                -lit
                 for clause, mask in zip(reduced.clauses, masks)
                 if bitset & mask
                 for lit in clause
                 if not (bitset >> position[abs(lit)]) & 1
             )
-            model = find_xmodel(Formula(reduced.num_vars, reduced.clauses + units))
+            model = solve(engine, assumptions)
             if model is not None:
                 subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
                 return HammingResult(len(subset) + freed, _witness_pair(result, model, subset))

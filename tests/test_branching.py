@@ -19,7 +19,7 @@ from xham import (
     simplify_state,
 )
 
-from conftest import clause_count, formula
+from conftest import clause_count, formula, repeated_variable_corpus
 
 
 class TestSimplifyState:
@@ -248,8 +248,11 @@ class TestInvariants:
             assert max_hamming_q(f).distance == max_hamming_q(g).distance
 
     def test_leaf_states_are_well_formed(self):
-        for i in range(20):
-            f = random_formula(8, clause_count(8, 4), 4, seed=1500 + i)
+        """gen_h does not validate; the leaves of every family are checked here."""
+        instances = [random_formula(8, clause_count(8, 4), 4, seed=1500 + i) for i in range(20)]
+        instances += [planted_formula(n, length, 2, seed) for length, n in ((3, 15), (4, 14)) for seed in range(10)]
+        instances += repeated_variable_corpus(60, 9400)
+        for f in instances:
             leaves = []
             max_hamming_q(f, leaf_hook=lambda s, t: leaves.append(s.copy()))
             for state in leaves:

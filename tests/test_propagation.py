@@ -16,6 +16,7 @@ from xham import (
     simplify_state,
     substitute_dual,
 )
+from xham.propagation import Propagator
 
 from conftest import (
     assert_model_preservation,
@@ -220,3 +221,69 @@ def test_chain_simplification_settles_linearly_many_clauses(monkeypatch):
     large = settled_clauses_on_chain(monkeypatch, 2000)
     assert small >= 999
     assert large <= 2.5 * small
+
+
+def engine_state(engine):
+    """Everything `undo_to` restores, copied."""
+    occ = {var: list(positions) for var, positions in engine.occ.items()}
+    return list(engine.clauses), dict(engine.degree), dict(engine.forced), occ, list(engine.freed), engine.unsat
+
+
+trail_formulas = st.one_of(
+    repeated_variable_formulas(),
+    st.sampled_from(repeated_variable_corpus(100, 9100)),
+    st.builds(
+        lambda n, length, seed: random_formula(n, clause_count(n, length), length, seed),
+        st.integers(4, 10),
+        st.integers(2, 4),
+        st.integers(0, 10**6),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trail_formulas, st.data())
+def test_undo_restores_the_state_at_the_mark(f, data):
+    """Nested marks, forces, propagates and undos: each undo gives back the
+    state at its mark, and the restored engine then answers an `assign`
+    exactly as a fresh engine does."""
+    engine = Propagator(f)
+    if not engine.propagate():
+        return
+    variables = f.variables()
+    marks = [(engine.mark(), engine_state(engine))]
+    for _ in range(data.draw(st.integers(1, 16))):
+        action = data.draw(st.sampled_from(("mark", "step", "undo")))
+        if action == "mark" and not engine.unsat:
+            marks.append((engine.mark(), engine_state(engine)))
+        elif action == "step" and not engine.unsat:
+            engine.force(data.draw(st.sampled_from(variables)), data.draw(st.booleans()))
+            engine.propagate()
+        elif action == "undo":
+            depth = data.draw(st.integers(0, len(marks) - 1))
+            mark, state = marks[depth]
+            del marks[depth + 1 :]
+            engine.undo_to(mark)
+            assert engine_state(engine) == state
+            assert not engine.queue and not any(engine.queued)
+            assert not engine.changed and not engine.singles
+    engine.undo_to(marks[0][0])
+    assert engine_state(engine) == marks[0][1]
+
+    live = sorted(var for var, count in engine.degree.items() if count)
+    if not live:
+        return
+    var, value = data.draw(st.sampled_from(live)), data.draw(st.booleans())
+    engine.force(var, value)
+    engine.propagate()
+    got, want = engine.result(), assign(f, var, value)
+    assert (got.unsat, got.formula) == (want.unsat, want.formula)
+    if not want.unsat:
+        assert got.forced == want.forced and got.equivalences == want.equivalences
+        assert sorted(got.freed) == sorted(want.freed)
+
+
+def test_mark_needs_a_fixpoint():
+    engine = Propagator(formula((1, 2, 3)))
+    with pytest.raises(ValueError, match="fixpoint"):
+        engine.mark()

@@ -1,8 +1,18 @@
 import sys
 
-from xham import Formula, enumerate_xmodels, find_xmodel, random_formula, verify_xmodel
+from xham import (
+    Formula,
+    assign,
+    enumerate_xmodels,
+    extend_model,
+    find_xmodel,
+    normalize,
+    propagation,
+    random_formula,
+    verify_xmodel,
+)
 
-from conftest import clause_count, formula
+from conftest import clause_count, formula, repeated_variable_corpus
 
 
 def test_unit():
@@ -57,3 +67,67 @@ def test_deep_search_has_no_recursion_limit():
         sys.setrecursionlimit(limit)
     assert model is not None
     assert set(model) == set(chain.variables()) and verify_xmodel(chain, model)
+
+
+def settled_clauses_solving_chain(monkeypatch, n):
+    """Clause settlements while find_xmodel solves the ternary chain (1 2 3), (3 4 5), ..."""
+    real = propagation._settle_clause
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    monkeypatch.setattr(propagation, "_settle_clause", counting)
+    chain = Formula(n, tuple((v, v + 1, v + 2) for v in range(1, n, 2)))
+    assert verify_xmodel(chain, find_xmodel(chain))
+    return count
+
+
+def test_chain_search_settles_linearly_many_clauses(monkeypatch):
+    """Each level settles only the clauses its force touches; a fresh
+    engine per level settled every remaining clause again."""
+    small = settled_clauses_solving_chain(monkeypatch, 1001)
+    large = settled_clauses_solving_chain(monkeypatch, 2001)
+    assert small >= 500
+    assert large <= 2.5 * small
+
+
+def reference_find_xmodel(formula):
+    """The search with a fresh engine per level: `assign` on each level's
+    formula, the model extended back up the path."""
+    result = normalize(formula)
+    if result.unsat:
+        return None
+    path = [(result, iter(max(result.formula.clauses, key=len, default=())))]
+    while path:
+        result, branches = path[-1]
+        if not result.formula.clauses:
+            model = {}
+            for level, _ in reversed(path):
+                model = extend_model(level, model)
+            return model
+        for lit in branches:
+            child = assign(result.formula, abs(lit), lit > 0)
+            if not child.unsat:
+                path.append((child, iter(max(child.formula.clauses, key=len, default=()))))
+                break
+        else:
+            path.pop()
+    return None
+
+
+def test_same_models_as_a_fresh_engine_per_level():
+    instances = [
+        random_formula(n, clause_count(n, length) + extra, length, seed=61000 + i)
+        for i in range(5000)
+        for n, length, extra in [(6 + i % 9, 2 + i % 4, i % 3 - 1)]
+    ]
+    instances += repeated_variable_corpus(300, 62000)
+    found = 0
+    for f in instances:
+        model = find_xmodel(f)
+        assert model == reference_find_xmodel(f)
+        found += model is not None
+    assert 0 < found < len(instances)

@@ -20,6 +20,7 @@ from xham import (
     verify_xmodel,
 )
 from xham import subset_scan
+from xham.solver import solve
 
 from conftest import clause_count, formula, repeated_variable_corpus
 
@@ -57,33 +58,34 @@ class TestAllowedSubsetCheck:
 
 
 class TestFlippedUnion:
-    """What p hands the solver: first the reduced formula, then for each
-    allowed subset that formula plus, in clause order, a unit clause
-    making false every literal of a touched clause whose variable is
-    outside the subset; the same question as the formula plus flipped
-    copies of the touched clauses."""
+    """What p asks the solver: first whether the reduced formula has a
+    model, then for each allowed subset whether it has one with, in clause
+    order, every literal of a touched clause whose variable is outside the
+    subset false; the same question as the formula plus flipped copies of
+    the touched clauses. The spy reads the engine's live clauses and the
+    literals assumed true."""
 
     @staticmethod
     def solver_inputs(monkeypatch, f):
         seen = []
 
-        def spy(g):
-            seen.append(g.clauses)
-            return find_xmodel(g)
+        def spy(engine, assumptions=()):
+            seen.append((tuple(filter(None, engine.clauses)), tuple(assumptions)))
+            return solve(engine, assumptions)
 
-        monkeypatch.setattr(subset_scan, "find_xmodel", spy)
+        monkeypatch.setattr(subset_scan, "solve", spy)
         max_hamming_p(f)
         return seen
 
     def test_flips_touched_clause(self, monkeypatch):
         assert self.solver_inputs(monkeypatch, formula((1, 2, 3))) == [
-            ((1, 2, 3),),
-            ((1, 2, 3), (-3,)),
+            (((1, 2, 3),), ()),
+            (((1, 2, 3),), (-3,)),
         ]
 
     def test_untouched_clause_not_duplicated(self, monkeypatch):
         f = formula((1, 2, 3), (3, 4), (-4, -5, 6))
-        assert self.solver_inputs(monkeypatch, f)[1] == f.clauses + ((-3,), (4,))
+        assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-3, 4))
 
     def test_unit_form_matches_flipped_copies(self):
         """For every allowed subset X of the reduced formula, the formula
