@@ -17,6 +17,19 @@ leaf state represents. Links are final once a variable leaves the
 formula, so each linked variable's subtree is scored once, when its link
 is recorded, from its children's scores; `gen_h` reads those scores.
 
+The search is a branch and bound on the paper's zero-or-two lemma:
+between two x-models every clause holds 0 or 2 flipping literals, so the
+variables that flip have degrees summing to at most twice the clauses.
+`_bound` turns that budget into a fractional knapsack over a simplified
+formula's live variables (weight: the degree; value: the best flip
+reading less the best stay reading, every stay added on top), one
+knapsack per connected component. The best answer found so far travels
+down as an integer threshold `need`: a call returns the exact value of
+its subtree when that exceeds `need`, and otherwise BOTTOM (only when the
+subtree has no x-model) or some int <= need. A node whose `base` plus
+bound cannot exceed `need` is cut off; no bound is computed before
+`need` reaches `base`, so a search with no answer yet pays nothing.
+
 A subtlety drives the state layout: once a variable represents a pooled
 clause slot, its formula occurrences stop meaning "this variable is
 true" and start meaning "the pool supplies this clause's satisfactor",
@@ -329,13 +342,14 @@ def max_hamming_q(
     counter: SearchStats | None = None,
     leaf_hook=None,
 ) -> HammingResult:
-    """Exact max Hamming distance over x-models, by branching.
+    """Exact max Hamming distance over x-models, by branch and bound.
 
     Returns the distance only (no witnesses). `counter` collects
     recursion-tree statistics. `leaf_hook(state, trail)`, if given, is
-    invoked whenever the formula runs empty, with the accumulated state
-    and the branch decisions that led there — an observation point for
-    verification.
+    invoked whenever the formula of a visited node runs empty, with the
+    accumulated state and the branch decisions that led there — an
+    observation point for verification. Subtrees the bound prunes are
+    not visited, so the hook sees only the leaves the search reaches.
 
     The trail is a tuple of steps, and a child node receives its own
     steps as its instructions: ("true", p) makes literal p true,
@@ -343,18 +357,28 @@ def max_hamming_q(
     complement of lit, so that the two flip together. A length-4 split
     contributes two steps: the pivot's "false" step and a step on
     another literal of its clause.
+
+    The search is a branch and bound. The best answer found so far goes
+    down the tree as a threshold `need`, -1 at the root; each call
+    returns its subtree's exact value when that exceeds `need`, and
+    otherwise BOTTOM (only when the subtree has no x-model) or some
+    int <= need. A node is cut off when its `base` plus `_bound`, the
+    zero-or-two degree budget as a fractional knapsack over its live
+    variables, cannot exceed `need`. The answer stays exact; `counter`
+    counts the nodes and leaves of the tree actually visited.
     """
     if counter is None:
         counter = SearchStats()
-    distance = _q(formula, GeneralizedAssignment(), (), counter, leaf_hook, ())
+    distance = _q(formula, GeneralizedAssignment(), (), counter, leaf_hook, (), -1)
     return HammingResult(distance)
 
 
-def _q(formula, state, steps, counter, leaf_hook, trail):
+def _q(formula, state, steps, counter, leaf_hook, trail, need):
     """Apply a child's steps on one engine, simplify there, and recurse.
 
     A step that propagates to a conflict makes the child BOTTOM before
-    it counts as a node.
+    it counts as a node. `need` and the value returned follow the
+    contract in the module docstring.
     """
     before = state.root_vars()
     engine = Propagator(formula)
@@ -388,27 +412,71 @@ def _q(formula, state, steps, counter, leaf_hook, trail):
         return base
 
     components = connected_components(formula)
+    bounds = None
+    if need >= base:
+        bounds = [_bound(component, state, engine.degree) for component in components]
+        if base + sum(bounds) <= need:
+            return need
     if len(components) > 1:
+        # Component i must beat what is left of `need` once the exact
+        # values before it and the bounds after it are counted.
         total = base
-        for component in components:
-            sub = _q(component, state, (), counter, leaf_hook, trail)
+        for i, component in enumerate(components):
+            sub_need = -1 if bounds is None else need - total - sum(bounds[i + 1 :])
+            sub = _q(component, state, (), counter, leaf_hook, trail, sub_need)
             if sub is BOTTOM:
                 return BOTTOM
+            if sub <= sub_need:
+                return need
             total += sub
         return total
 
     clause = max(formula.clauses, key=len)
     assert len(clause) >= 3, "units and binaries are gone after simplification"
-    return base + _branch(formula, state, engine.degree, clause, (), counter, leaf_hook, trail)
+    return base + _branch(formula, state, engine.degree, clause, (), counter, leaf_hook, trail, need - base)
 
 
-def _branch(formula, state, degree, clause, prefix, counter, leaf_hook, trail):
+def _bound(formula, state, degree) -> int:
+    """Upper bound on the distance a simplified, connected formula can add.
+
+    By the zero-or-two lemma the variables that flip between two x-models
+    fill 0 or 2 literals of every clause, so their degrees sum to at most
+    twice the live clauses. A live variable adds its best stay reading
+    (its slot the same in both models) or, if it flips, its best flip
+    reading; the bound adds every stay and a fractional knapsack of the
+    flip gains, weighted by degree, in that capacity.
+    """
+    total = 0
+    gains = []
+    for var in formula.variables():
+        if var in state.sing or var in state.dual:
+            stay = max(_reading(state, var, False, False), _reading(state, var, True, True))
+            flip = max(_reading(state, var, False, True), _reading(state, var, True, False))
+        else:
+            stay, flip = 0, 1
+        total += stay
+        if flip > stay:
+            gains.append((flip - stay, degree[var]))
+    # Ratios of ints below 2**26 order exactly as floats, ties included.
+    gains.sort(key=lambda gain: gain[0] / gain[1], reverse=True)
+    room = 2 * len(formula.clauses)
+    for value, weight in gains:
+        if weight > room:
+            return total + value * room // weight
+        total += value
+        room -= weight
+    return total
+
+
+def _branch(formula, state, degree, clause, prefix, counter, leaf_hook, trail, need):
     """Branch on a clause's pivot; each child applies `prefix` plus its own step.
 
     The pivot is true in both models, false in both, or flips together
     with exactly one other literal of the clause (a clause can never
     straddle a model pair on just one variable). The flip children run
-    only when neither the true nor the false child is BOTTOM.
+    only when neither the true nor the false child is BOTTOM. `need` is
+    as for `_q`; each child after the first must beat the best of `need`
+    and its earlier siblings.
 
     For a length-4 clause, setting the pivot false leaves a ternary
     clause worth branching immediately (it balances the recurrence). The
@@ -419,20 +487,23 @@ def _branch(formula, state, degree, clause, prefix, counter, leaf_hook, trail):
     pivot = _pick_pivot(clause, degree)
     rest = tuple(lit for lit in clause if lit != pivot)
 
-    def child(*step):
-        return _q(formula, state.copy(), prefix + (step,), counter, leaf_hook, trail)
+    def child(need, *step):
+        return _q(formula, state.copy(), prefix + (step,), counter, leaf_hook, trail, need)
 
-    ans_true = child("true", pivot)
+    ans_true = child(need, "true", pivot)
+    need = max_bottom(need, ans_true)
     # An unsatisfiable probe holds only the empty clause, so it never splits.
     if len(clause) == 4 and rest in assign(formula, abs(pivot), pivot < 0).formula.clauses:
         steps = prefix + (("false", pivot),)
-        ans_false = _branch(formula, state, degree, rest, steps, counter, leaf_hook, trail)
+        ans_false = _branch(formula, state, degree, rest, steps, counter, leaf_hook, trail, need)
     else:
-        ans_false = child("false", pivot)
+        ans_false = child(need, "false", pivot)
     if ans_true is BOTTOM or ans_false is BOTTOM:
         return max_bottom(ans_true, ans_false)
-    flips = [child("dual", pivot, lit) for lit in rest]
-    return max_bottom(ans_true, ans_false, *flips)
+    best = max(ans_true, ans_false)
+    for lit in rest:
+        best = max_bottom(best, child(max(need, best), "dual", pivot, lit))
+    return best
 
 
 def _pick_pivot(clause, degree):

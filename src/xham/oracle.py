@@ -9,8 +9,6 @@ instead of running for hours.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .branching import GeneralizedAssignment, slot_options
 from .formula import BOTTOM, Assignment, Formula, HammingResult
 
@@ -37,6 +35,8 @@ def enumerate_xmodels(formula: Formula, cap: int = DEFAULT_ENUM_CAP) -> list[Ass
         return []
     if n == 0:
         return [{}]
+
+    import numpy as np  # imported here so that importing xham does not load numpy
 
     position = {v: i for i, v in enumerate(variables)}
     shifts = np.array([n - 1 - position[v] for v in variables], dtype=np.uint32)
@@ -70,6 +70,8 @@ def max_hamming_brute(formula: Formula, cap: int = DEFAULT_ENUM_CAP) -> HammingR
     if len(models) == 1:
         only = models[0]
         return HammingResult(0, (dict(only), dict(only)))
+    import numpy as np
+
     matrix = np.array([[m[v] for v in variables] for m in models], dtype=bool)
     best = -1
     pair = (0, 0)

@@ -49,29 +49,56 @@ def solve(engine: Propagator, assumptions=()) -> Assignment | None:
 
 def _search(engine: Propagator) -> Assignment | None:
     """Depth-first search from the engine's fixpoint, leaving the engine at
-    the model it finds, or at its start when there is none."""
+    the model it finds, or at its start when there is none.
+
+    Clauses only shrink or drop on the way down, so a level's scan for its
+    first longest clause starts at its parent's first live position and
+    stops at the first clause as long as its parent's longest; on a chain
+    each level so reads a few clauses, not the whole list.
+    """
     clauses = engine.clauses
-    path = []  # (mark, untried branch literals) per level above this one
+    path = []  # (mark, untried branch literals, scan start, longest width) per level above this one
     branches = None
+    start, width = 0, None
     while True:
         if branches is None:  # a new level: done, or branch on the first longest clause
-            longest = max(filter(None, clauses), key=len, default=None)
+            start, longest = _first_longest(clauses, start, width)
             if longest is None:
                 model = dict(engine.forced)
                 for var in engine.freed:
                     model.setdefault(var, True)
                 return model
-            branches = iter(longest)
+            branches, width = iter(longest), len(longest)
         for lit in branches:
             mark = engine.mark()
             engine.force(abs(lit), lit > 0)
             if engine.propagate():
-                path.append((mark, branches))
+                path.append((mark, branches, start, width))
                 branches = None
                 break
             engine.undo_to(mark)
         else:
             if not path:
                 return None
-            mark, branches = path.pop()
+            mark, branches, start, width = path.pop()
             engine.undo_to(mark)
+
+
+def _first_longest(clauses, start, width):
+    """(first live position at or after start, first longest live clause there).
+
+    No live clause may lie before start or be longer than width (None: no
+    limit). With no live clause, returns (start, None).
+    """
+    first, longest, size = None, None, 0
+    for pos in range(start, len(clauses)):
+        clause = clauses[pos]
+        if not clause:
+            continue
+        if first is None:
+            first = pos
+        if len(clause) > size:
+            longest, size = clause, len(clause)
+            if size == width:
+                break
+    return (start if first is None else first), longest

@@ -60,6 +60,13 @@ def repeated_variable_corpus(count: int, seed_base: int) -> list[Formula]:
     return out
 
 
+def chain(n, length, seed):
+    """(1 .. length), (length .. 2 length - 1), ... with random polarities."""
+    rng = random.Random(seed)
+    clauses = [range(start, start + length) for start in range(1, n, length - 1)]
+    return Formula(n, tuple(tuple(v if rng.random() < 0.5 else -v for v in c) for c in clauses))
+
+
 def formula(*clauses, n=None) -> Formula:
     return Formula.from_clauses(clauses, num_vars=n)
 

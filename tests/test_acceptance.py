@@ -25,13 +25,14 @@ from xham import (
     max_hamming_q,
     normalize,
     nth_root,
+    planted_formula,
     random_formula,
     substitute_dual,
     tau_root,
     verify_xmodel,
 )
 
-from conftest import assert_model_preservation, clause_count
+from conftest import assert_model_preservation, chain, clause_count
 
 LENGTH_CLASSES = (2, 3, 4, 5, 6)
 INSTANCES_PER_CLASS = 1000
@@ -65,6 +66,34 @@ def test_criterion_1_oracle_triple_agreement(agreement_suite):
             checked += 1
     assert checked == len(LENGTH_CLASSES) * INSTANCES_PER_CLASS
     print(f"criterion 1 PASS: p/q/brute agree on {checked} instances")
+
+
+# (length, degree, num_vars) of the planted shapes in the corpus below.
+PLANTED_SHAPES = [
+    (3, 2, 9), (3, 2, 12), (3, 2, 15), (4, 2, 8), (4, 2, 10), (4, 2, 12), (4, 2, 14), (4, 2, 16),
+    (5, 2, 10), (5, 2, 15), (6, 2, 12), (3, 3, 9), (3, 3, 12), (3, 3, 15), (4, 3, 8), (4, 3, 12),
+    (4, 3, 16), (5, 3, 10), (5, 3, 15),
+]
+# n = 18 costs brute about ten times what n = 15 does, so these take fewer seeds.
+PLANTED_SHAPES_18 = [(3, 2, 18), (4, 2, 18), (6, 2, 18), (3, 3, 18)]
+
+
+def test_agreement_on_planted_instances_and_chains():
+    """p, q and brute agree on the families that reach pooling, dual links on
+    grouped variables and the length-4 split, which uniform instances rarely do."""
+    instances = [
+        planted_formula(n, length, degree, seed=700_000 + seed)
+        for shapes, seeds in ((PLANTED_SHAPES, 40), (PLANTED_SHAPES_18, 15))
+        for length, degree, n in shapes
+        for seed in range(seeds)
+    ]
+    instances += [chain(n, 2, 710_000 + 100 * n + seed) for n in range(2, 19) for seed in range(6)]
+    instances += [chain(n, 3, 720_000 + 100 * n + seed) for n in range(3, 18, 2) for seed in range(6)]
+    for f in instances:
+        brute = max_hamming_brute(f).distance
+        assert max_hamming_p(f).distance == brute, f
+        assert max_hamming_q(f).distance == brute, f
+    print(f"corpus PASS: p/q/brute agree on {len(instances)} planted instances and chains")
 
 
 # Constants quoted for the branching analysis, four decimals each. The

@@ -9,6 +9,7 @@ from xham import (
     Formula,
     GeneralizedAssignment,
     SearchStats,
+    branching,
     enumerate_xmodels,
     expand_state,
     gen_h,
@@ -20,6 +21,7 @@ from xham import (
 )
 
 from conftest import clause_count, formula, repeated_variable_corpus
+from test_golden import GOLDEN, build
 
 
 class TestSimplifyState:
@@ -206,6 +208,52 @@ class TestMaxHammingQ:
                 assert (got is BOTTOM) == (want is BOTTOM)
                 if want is not BOTTOM:
                     assert got == want
+
+
+class TestBound:
+    @staticmethod
+    def root_bound(f):
+        """The root's base plus the bound of its simplified formula, or None when it is unsatisfiable."""
+        simplified, state = simplify_state(f, GeneralizedAssignment())
+        if simplified.clauses == ((),):
+            return None
+        degree = branching.Propagator(simplified).degree
+        components = branching.connected_components(simplified)
+        return gen_h(state) + sum(branching._bound(c, state, degree) for c in components)
+
+    def test_root_bound_is_never_below_the_answer(self):
+        shapes = [(15, 3, 2), (18, 3, 2), (16, 4, 2), (20, 4, 2), (15, 5, 2), (20, 5, 2), (16, 4, 3), (20, 4, 3)]
+        instances = [planted_formula(n, length, degree, seed) for n, length, degree in shapes for seed in range(25)]
+        instances += [
+            random_formula(n, (n + 1) // 2, length, 5600 + i) for length in (4, 5) for n in (14, 18) for i in range(40)
+        ]
+        tight = satisfiable = 0
+        for f in instances:
+            answer = max_hamming_q(f).distance
+            bound = self.root_bound(f)
+            if answer is BOTTOM:
+                continue
+            assert bound is not None and bound >= answer, f
+            satisfiable += 1
+            tight += bound == answer
+        assert satisfiable > 200 and tight > 0
+
+    def test_pruning_cuts_golden_planted_rows_without_changing_answers(self, monkeypatch):
+        rows = [row for row in GOLDEN if row[0] == "planted"]
+
+        def search():
+            out = []
+            for family, n, length, seed, *_ in rows:
+                counter = SearchStats()
+                out.append((max_hamming_q(build(family, n, length, seed), counter).distance, counter.nodes))
+            return out
+
+        pruned = search()
+        monkeypatch.setattr(branching, "_bound", lambda formula, state, degree: 10**9)
+        plain = search()
+        assert [d for d, _ in pruned] == [d for d, _ in plain]
+        assert [b for _, b in plain] == [row[7] for row in rows]
+        assert any(a < b for (_, a), (_, b) in zip(pruned, plain))
 
 
 def shift_formula(f: Formula, offset: int) -> Formula:

@@ -238,3 +238,14 @@ def test_repeated_calls_match_fresh_processes(capsys, instance, tiny):
     for argv in (["maxham", "--algo", "x", path], ["maxham", "--algo", "p", "--witness", path], ["solve", path]):
         fresh = subprocess.run([sys.executable, "-m", "xham", *argv], capture_output=True, text=True)
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    """Only the brute oracle uses numpy, and it imports it when called."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, xham.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

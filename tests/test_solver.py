@@ -2,13 +2,17 @@ import sys
 
 from xham import (
     Formula,
+    SearchStats,
     assign,
     enumerate_xmodels,
     extend_model,
     find_xmodel,
+    max_hamming_p,
     normalize,
+    planted_formula,
     propagation,
     random_formula,
+    solver,
     verify_xmodel,
 )
 
@@ -131,3 +135,34 @@ def test_same_models_as_a_fresh_engine_per_level():
         assert model == reference_find_xmodel(f)
         found += model is not None
     assert 0 < found < len(instances)
+
+
+def full_scan_first_longest(clauses, start, width):
+    """The pick as a scan of the whole clause list, dead positions included."""
+    return 0, max(filter(None, clauses), key=len, default=None)
+
+
+def test_longest_pick_matches_a_full_scan(monkeypatch):
+    """Each level's scan starts where its parent's live clauses start and
+    stops at a clause as long as its parent's longest; models, p's solver
+    calls and p's answers are those a scan of the whole list gives."""
+    instances = [
+        random_formula(n, clause_count(n, length) + extra, length, seed=63000 + i)
+        for i in range(600)
+        for n, length, extra in [(6 + i % 13, 2 + i % 4, i % 3 - 1)]
+    ]
+    instances += [planted_formula(n, length, 2, seed) for n, length in ((21, 3), (20, 4)) for seed in range(20)]
+    instances += repeated_variable_corpus(100, 64000)
+    chain = Formula(16001, tuple((v, v + 1, v + 2) for v in range(1, 16001, 2)))
+
+    def answers():
+        out = [find_xmodel(f) for f in instances + [chain]]
+        for f in instances[:200]:
+            stats = SearchStats()
+            out.append((max_hamming_p(f, stats), stats.solver_calls))
+        return out
+
+    linear = answers()
+    monkeypatch.setattr(solver, "_first_longest", full_scan_first_longest)
+    assert linear == answers()
+    assert verify_xmodel(chain, linear[len(instances)])
