@@ -13,9 +13,11 @@ pool into one representative slot, and binary clauses turn into recorded
 equivalences. Removed variables survive in per-variable link sets — a
 generalized assignment — and leaves are scored by `gen_h`, the exact
 maximum pairwise Hamming distance over every concrete assignment the
-leaf state represents. Links are final once a variable leaves the
-formula, so each linked variable's subtree is scored once, when its link
-is recorded, from its children's scores; `gen_h` reads those scores.
+leaf state represents. Every linked variable keeps a score table of
+its subtree, built from its children's tables one level down. A removed
+variable's links are final, so its table is built once, when it leaves
+the formula; a live or root variable's table is built on its first read
+and dropped when it gains a link. `gen_h` and `_bound` read tables.
 
 The search is a branch and bound on the paper's zero-or-two lemma:
 between two x-models every clause holds 0 or 2 flipping literals, so the
@@ -74,14 +76,15 @@ class GeneralizedAssignment:
       (child, flip, slot_anchor) triples: the child was rewritten away
       against this variable and mirrors it (inverted when flip is set),
       following the slot value when slot_anchor is set and the concrete
-      value otherwise. score maps a linked variable to its subtree's
-      table: entry 2*a + b is the largest Hamming distance within it when
-      the variable's slot reads a in the first model and b in the second.
+      value otherwise. score caches a linked variable's subtree table
+      (see `table`).
 
     Every removed variable sits in exactly one sing or dual set and the
     links form a forest rooted at valued, free, or still-live variables.
     Links are final once a variable leaves the formula, so `record_sing`
-    and `record_dual` score the variable they remove from its children's.
+    and `record_dual` fill the table of the variable they remove, from
+    its children's, and drop the cached table of the variable that gains
+    the link; that one is built again on its next read.
     """
 
     values: dict[int, bool] = field(default_factory=dict)
@@ -111,17 +114,33 @@ class GeneralizedAssignment:
         if self.sat.setdefault(rep, pol) != pol:
             raise ValueError(f"variable {rep} already pools a different clause slot")
         self.sing.setdefault(rep, []).append((victim, victim_lit > 0))
-        self._score_removed(victim)
+        self._link(rep, victim)
 
     def record_dual(self, survivor_lit: int, removed_lit: int) -> None:
+        survivor, removed = abs(survivor_lit), abs(removed_lit)
         flip = (removed_lit > 0) == (survivor_lit > 0)
-        anchor = abs(survivor_lit) in self.sat
-        self.dual.setdefault(abs(survivor_lit), []).append((abs(removed_lit), flip, anchor))
-        self._score_removed(abs(removed_lit))
+        self.dual.setdefault(survivor, []).append((removed, flip, survivor in self.sat))
+        self._link(survivor, removed)
 
-    def _score_removed(self, var: int) -> None:
-        """Fill the score table of a variable that just left the formula."""
-        self.score[var] = tuple(_reading(self, var, a, b) for a in (False, True) for b in (False, True))
+    def _link(self, parent: int, child: int) -> None:
+        """The child left the formula below parent: fix its table, drop parent's."""
+        self.score.pop(parent, None)
+        self.score[child] = self.table(child)
+
+    def table(self, var: int) -> tuple[int, int, int, int]:
+        """Score table of var's subtree, built on the first read after its last link.
+
+        Entry 2*a + b is the largest Hamming distance within the subtree
+        when var's slot reads a in the first model and b in the second.
+        A variable without links reads (0, 1, 1, 0) and is cached only
+        once it leaves the formula.
+        """
+        table = self.score.get(var)
+        if table is None:
+            table = _table(self, var)
+            if var in self.sing or var in self.dual:
+                self.score[var] = table
+        return table
 
     def absorb(self, result: PropagationResult) -> None:
         """Fold a propagation result in."""
@@ -192,25 +211,71 @@ def slot_options(state: GeneralizedAssignment, var: int, slot: bool):
         yield value, child_slots
 
 
-def _reading(state: GeneralizedAssignment, var: int, slot_a: bool, slot_b: bool) -> int:
-    """Largest distance in var's subtree when its slot reads slot_a, then slot_b.
+_UNLINKED = (0, 1, 1, 0)
 
-    Children count through their score tables, so this looks one level down.
+
+def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
+    """Build var's score table from its children's, one level down.
+
+    Entry 2*a + b is the best, over the `slot_options` of slot a and of
+    slot b, of whether the two concrete values differ plus each child's
+    table entry for the slots it reads. A dual child reads a pair of
+    slots or a pair of concrete values, reversed when its link flips, so
+    the dual children sum into two four-entry tables. A pool member reads
+    its own polarity where it is the chosen satisfactor and the opposite
+    elsewhere, so its entry is its unchosen one plus a gain when one
+    model or both choose it; only the choices vary with the slots.
     """
-    if var not in state.sing and var not in state.dual:
-        return int(slot_a != slot_b)
-    options_b = list(slot_options(state, var, slot_b))
-    best = -1
+    members = state.sing.get(var, ())
+    duals = state.dual.get(var, ())
+    if not members and not duals:
+        return _UNLINKED
+    score = state.score
+    by_slot = [0, 0, 0, 0]
+    by_value = [0, 0, 0, 0]
+    unchosen = 0
+    # Gains of choosing member i in the first model, the second or both;
+    # index 0 chooses no member.
+    first, second, both = [0], [0], [0]
     try:
-        for value_a, slots_a in slot_options(state, var, slot_a):
-            for value_b, slots_b in options_b:
-                dist = int(value_a != value_b)
-                for child, a in slots_a.items():
-                    dist += state.score[child][2 * a + slots_b[child]]
-                best = max(best, dist)
+        for child, flip, anchor in duals:
+            t = score[child]
+            acc = by_slot if anchor else by_value
+            if flip:
+                t = t[::-1]
+            acc[0] += t[0]
+            acc[1] += t[1]
+            acc[2] += t[2]
+            acc[3] += t[3]
+        for member, pol in members:
+            t = score[member]
+            on, off = int(pol), int(not pol)
+            idle = t[3 * off]
+            unchosen += idle
+            first.append(t[2 * on + off] - idle)
+            second.append(t[2 * off + on] - idle)
+            both.append(t[3 * on] - idle)
     except KeyError as missing:
         raise ValueError(f"linked variable {missing.args[0]} has no score table") from None
-    return best
+    if not members:  # the slot is the concrete value
+        return tuple(by_slot[i] + by_value[i] + _UNLINKED[i] for i in range(4))
+
+    # (concrete value, chosen member) per slot reading: an active slot's
+    # satisfactor is var itself or one of its members.
+    own = int(state.sat[var])
+    chosen = [(1 - own, i) for i in range(1, len(first))]
+    out = []
+    for a in (0, 1):
+        picks_a = [(a, 0)] + (chosen if a == own else [])
+        for b in (0, 1):
+            picks_b = [(b, 0)] + (chosen if b == own else [])
+            best = max(
+                (value_a != value_b) + by_value[2 * value_a + value_b] + (both[i] if i == j else first[i] + second[j])
+                for value_a, i in picks_a
+                for value_b, j in picks_b
+            )
+            out.append(best + by_slot[2 * a + b] + unchosen)
+    return tuple(out)
 
 
 def gen_h(state: GeneralizedAssignment, roots=None) -> int:
@@ -224,19 +289,18 @@ def gen_h(state: GeneralizedAssignment, roots=None) -> int:
     whose concrete value disagrees with its slot.
 
     Links are final once a variable leaves the formula, so every child
-    has its score table and a root takes one step: a valued root reads
-    (value, value), a free root the best of its four readings. A link not
-    recorded through `record_sing`/`record_dual` raises ValueError.
+    has its score table and a root reads its own table (`table`): a
+    valued root the entry (value, value), a free root its largest. A link
+    not recorded through `record_sing`/`record_dual` raises ValueError.
     """
     if roots is None:
         roots = sorted(state.root_vars())
     total = 0
     for var in roots:
+        table = state.table(var)
         value = state.values.get(var)
-        if value is not None:
-            total += _reading(state, var, value, value)
-        else:  # free root: the two models may read the slot either way
-            total += max(_reading(state, var, a, b) for a in (False, True) for b in (False, True))
+        # A free root may read its slot either way in the two models.
+        total += max(table) if value is None else table[3 * value]
     return total
 
 
@@ -262,16 +326,19 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment):
     pool yet; only when no clause can pool does it eliminate the first
     binary clause by dual substitution. Both rewrites happen in place on
     the engine, whose queue settles just the clauses they touch. Two
-    position heaps stand in for rescanning the formula: `to_pool` holds
-    every clause that may have become poolable (it shrank, was rewritten,
-    or one of its variables fell to degree one) and `binaries` every
-    clause that may have become binary. Popping the smallest position
-    that passes the check makes the same choice, in the same order, as a
-    scan of the whole formula would.
+    position heaps stand in for rescanning the formula, both fed from the
+    engine's `changed` and `singles` logs: `to_pool` holds every clause
+    that may have become poolable (it shrank, was rewritten, or one of
+    its variables fell to degree one) and `binaries` every clause that
+    may have become binary. An engine on raw input logs every position;
+    a settled one, on a simplified formula where no clause can pool and
+    none is binary, logs only what the steps it carries touched. Popping
+    the smallest position that passes the check makes the same choice,
+    in the same order, as a scan of the whole formula would.
     """
     clauses, degree = engine.clauses, engine.degree
-    to_pool = list(range(len(clauses)))
-    binaries = [pos for pos, clause in enumerate(clauses) if clause is not None and len(clause) == 2]
+    to_pool: list[int] = []
+    binaries: list[int] = []
     while engine.propagate():
         for pos in engine.changed:
             heappush(to_pool, pos)
@@ -369,19 +436,21 @@ def max_hamming_q(
     """
     if counter is None:
         counter = SearchStats()
-    distance = _q(formula, GeneralizedAssignment(), (), counter, leaf_hook, (), -1)
+    distance = _q(formula, GeneralizedAssignment(), (), counter, leaf_hook, (), -1, settled=False)
     return HammingResult(distance)
 
 
-def _q(formula, state, steps, counter, leaf_hook, trail, need):
+def _q(formula, state, steps, counter, leaf_hook, trail, need, settled=True):
     """Apply a child's steps on one engine, simplify there, and recurse.
 
     A step that propagates to a conflict makes the child BOTTOM before
     it counts as a node. `need` and the value returned follow the
-    contract in the module docstring.
+    contract in the module docstring. Every formula below the root is a
+    simplified one, so its engine starts `settled` and the node pays only
+    for the clauses its steps touch; the root's raw input is settled whole.
     """
     before = state.root_vars()
-    engine = Propagator(formula)
+    engine = Propagator(formula, settled)
     for step in steps:
         if step[0] == "dual":
             _, pivot, lit = step
@@ -449,11 +518,8 @@ def _bound(formula, state, degree) -> int:
     total = 0
     gains = []
     for var in formula.variables():
-        if var in state.sing or var in state.dual:
-            stay = max(_reading(state, var, False, False), _reading(state, var, True, True))
-            flip = max(_reading(state, var, False, True), _reading(state, var, True, False))
-        else:
-            stay, flip = 0, 1
+        table = state.table(var)
+        stay, flip = max(table[0], table[3]), max(table[1], table[2])
         total += stay
         if flip > stay:
             gains.append((flip - stay, degree[var]))

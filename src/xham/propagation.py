@@ -20,7 +20,11 @@ round. `normalize`, `assign` and `substitute_dual` are thin wrappers
 that run one step on a fresh engine. `branching` builds one engine per
 q node: the node applies its branch steps on it (`force`, `substitute`)
 and then drives the same engine through a whole sequence of pooling and
-dual-elimination steps.
+dual-elimination steps. Below the root a node's formula is already at a
+fixpoint, so its engine is built `settled`, with an empty queue: a step
+settles only the clauses it touches, not every clause of the parent
+again. The formula a result carries is built from clauses the engine took
+from a valid formula, so it is not validated again.
 
 Every rule application strictly shrinks (forced variables grow, clauses
 or literal counts drop), so the fixpoint always terminates. The fixpoint
@@ -117,14 +121,19 @@ class Propagator:
     entries of dropped or rewritten clauses go stale and a position may
     repeat, so readers check the clause. degree counts the variable's
     literal occurrences in live clauses.
-    Every clause starts in the queue, and `force`, `substitute` and
-    `remove_literal` queue exactly the clauses they touch.
+    `force`, `substitute` and `remove_literal` queue exactly the clauses
+    they touch. An engine built on raw input starts with every clause in
+    the queue; one built `settled`, on a formula already at a fixpoint
+    (a q node's simplified formula or a component of it), starts with an
+    empty queue, so a step settles only the clauses it touches.
 
     `propagate` closes one step: it runs the queue to a fixpoint and
     appends the variables that vanished during the step, sorted, to
     `freed`. Two logs serve a caller that keeps rewriting between steps:
-    `changed` collects positions whose clause shrank or was rewritten,
-    `singles` variables whose degree fell to one. The caller drains them.
+    `changed` collects positions whose clause the caller has not yet seen
+    settled (every position of an engine built on raw input, then each
+    one whose clause shrank or was rewritten), `singles` variables whose
+    degree fell to one. The caller drains them.
 
     `mark` and `undo_to` take the engine back to an earlier fixpoint (see
     the module docstring). They cover `force` and `propagate`; `substitute`
@@ -132,7 +141,7 @@ class Propagator:
     that has taken no mark.
     """
 
-    def __init__(self, formula: Formula):
+    def __init__(self, formula: Formula, settled: bool = False):
         self.num_vars = formula.num_vars
         self.clauses: list[tuple[int, ...] | None] = list(formula.clauses)
         occ: defaultdict[int, list[int]] = defaultdict(list)
@@ -146,9 +155,10 @@ class Propagator:
         self.equivalences: list[tuple[int, int]] = []
         self.freed: list[int] = []
         self.unsat = False
-        self.queue = deque(range(len(self.clauses)))
-        self.queued = bytearray(b"\x01") * len(self.clauses)
-        self.changed: list[int] = []
+        unseen = [] if settled else list(range(len(self.clauses)))
+        self.queue = deque(unseen)
+        self.queued = bytearray(b"\x00" if settled else b"\x01") * len(self.clauses)
+        self.changed: list[int] = list(unseen)
         self.singles: list[int] = []
         self._vanished: list[int] = []
         # The trail, opened by the first mark: (pos, replaced clause) per
@@ -313,7 +323,7 @@ class Propagator:
             return PropagationResult(
                 unsat_formula(self.num_vars), self.forced, tuple(self.equivalences), (), True
             )
-        formula = Formula(self.num_vars, tuple(c for c in self.clauses if c is not None))
+        formula = Formula.trusted(self.num_vars, tuple(c for c in self.clauses if c is not None))
         return PropagationResult(
             formula, self.forced, tuple(self.equivalences), tuple(self.freed), False
         )

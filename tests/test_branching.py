@@ -19,8 +19,9 @@ from xham import (
     random_formula,
     simplify_state,
 )
+from xham.branching import slot_options
 
-from conftest import clause_count, formula, repeated_variable_corpus
+from conftest import chain, clause_count, formula, repeated_variable_corpus
 from test_golden import GOLDEN, build
 
 
@@ -144,6 +145,69 @@ class TestGenH:
                     assert gen_h(state) == best
                     seen += 1
         assert seen > 50
+
+
+def reference_table(state, var):
+    """var's score table read down its whole subtree through `slot_options`."""
+    memo = {}
+
+    def reading(var, a, b):
+        if (var, a, b) not in memo:
+            best = -1
+            for value_a, slots_a in slot_options(state, var, a):
+                for value_b, slots_b in slot_options(state, var, b):
+                    children = sum(reading(child, slot, slots_b[child]) for child, slot in slots_a.items())
+                    best = max(best, int(value_a != value_b) + children)
+            memo[var, a, b] = best
+        return memo[var, a, b]
+
+    return tuple(reading(var, a, b) for a in (False, True) for b in (False, True))
+
+
+class TestScoreTables:
+    def test_cached_tables_match_a_full_reading_at_every_leaf(self):
+        """Tables built at link time or on a read, and dropped when their
+        variable gains a link, equal the whole subtree read from scratch."""
+        instances = [
+            random_formula(n, (n + 1) // 2, k, 6100 + 100 * seed + 7 * n + k)
+            for k in (3, 4, 5)
+            for n in range(10, 21, 2)
+            for seed in range(4)
+        ]
+        shapes = ((15, 3), (21, 3), (16, 4), (20, 4))
+        instances += [planted_formula(n, k, 2, seed) for n, k in shapes for seed in range(6)]
+        instances += [chain(n, k, seed) for n, k in ((21, 2), (21, 3), (22, 4)) for seed in range(4)]
+        checked = {"pool": 0, "dual": 0, "plain": 0}
+
+        def check(state, trail):
+            for var, table in state.score.items():
+                assert table == reference_table(state, var), var
+                kind = "pool" if state.sing.get(var) else "dual" if state.dual.get(var) else "plain"
+                checked[kind] += 1
+
+        for f in instances:
+            max_hamming_q(f, leaf_hook=check)
+        assert checked["pool"] > 200 and checked["dual"] > 2000
+
+    def test_star_center_is_scored_once_not_per_link(self, monkeypatch):
+        """The clauses (1, i) link 4,000 leaves below variable 1. Building
+        its table at every link would read its children quadratically often;
+        built on its next read, each child is read a constant number of times."""
+        leaves = 4000
+        rng = random.Random(3)
+        star = Formula(leaves + 1, tuple((1, i if rng.random() < 0.5 else -i) for i in range(2, leaves + 2)))
+        real = branching._table
+        calls = reads = 0
+
+        def counting(state, var):
+            nonlocal calls, reads
+            calls += 1
+            reads += len(state.sing.get(var, ())) + len(state.dual.get(var, ()))
+            return real(state, var)
+
+        monkeypatch.setattr(branching, "_table", counting)
+        assert max_hamming_q(star).distance == leaves + 1
+        assert calls <= 2 * leaves + 2 and reads <= 2 * leaves
 
 
 class TestMaxHammingQ:

@@ -8,9 +8,12 @@ from xham import (
     Formula,
     GeneralizedAssignment,
     assign,
+    branching,
     enumerate_xmodels,
     extend_model,
+    max_hamming_q,
     normalize,
+    planted_formula,
     propagation,
     random_formula,
     simplify_state,
@@ -20,6 +23,7 @@ from xham.propagation import Propagator
 
 from conftest import (
     assert_model_preservation,
+    chain,
     clause_count,
     formula,
     repeated_variable_corpus,
@@ -287,3 +291,71 @@ def test_mark_needs_a_fixpoint():
     engine = Propagator(formula((1, 2, 3)))
     with pytest.raises(ValueError, match="fixpoint"):
         engine.mark()
+
+
+def q_fixpoints(monkeypatch, instances):
+    """(simplified formula, state) of every q node that branches."""
+    seen = []
+    real = branching._branch
+
+    def recording(formula, state, degree, clause, prefix, *rest):
+        if not prefix:
+            seen.append((formula, state.copy()))
+        return real(formula, state, degree, clause, prefix, *rest)
+
+    monkeypatch.setattr(branching, "_branch", recording)
+    for f in instances:
+        max_hamming_q(f)
+    monkeypatch.undo()
+    return seen
+
+
+def step_outcome(f, state, step, settled):
+    """One q child's step and simplification on an engine built settled or not."""
+    engine, state = Propagator(f, settled), state.copy()
+    if step[0] == "dual":
+        engine.substitute(step[1], step[2])
+        state.record_dual(step[2], step[1])
+    else:
+        engine.force(abs(step[1]), (step[1] > 0) == (step[0] == "true"))
+    if not engine.propagate():
+        return "unsat"
+    simplified, unsat = branching._simplify(engine, state)
+    return simplified, unsat, engine.forced, engine.freed, state
+
+
+def test_settled_engine_matches_a_full_queue_on_q_fixpoints(monkeypatch):
+    """A q node's simplified formula is at a fixpoint where nothing pools and
+    no clause is binary, so an engine that queues only what a step touches
+    simplifies every true, false and dual step exactly as one that settles
+    every clause again, and settles fewer clauses doing it."""
+    instances = [planted_formula(n, 3, 2, seed) for n in (15, 18, 21) for seed in range(4)]
+    instances += [planted_formula(n, 4, 2, seed) for n in (16, 20) for seed in range(4)]
+    instances += [random_formula(n, clause_count(n, k), k, 8800 + n) for k in (3, 4, 5) for n in range(10, 16)]
+    instances += [chain(n, k, seed) for k, n in ((3, 21), (4, 22), (5, 25)) for seed in range(3)]
+    fixpoints = q_fixpoints(monkeypatch, instances)
+    assert len(fixpoints) > 150
+
+    real = propagation._settle_clause
+    settles = {True: 0, False: 0}
+    settled = True
+
+    def counting(*args):
+        settles[settled] += 1
+        return real(*args)
+
+    monkeypatch.setattr(propagation, "_settle_clause", counting)
+    steps = 0
+    for f, state in fixpoints:
+        clause = max(f.clauses, key=len)
+        for pivot in clause:
+            kinds = [("true", pivot), ("false", pivot)] + [("dual", pivot, lit) for lit in clause if lit != pivot]
+            for step in kinds:
+                settled = True
+                got = step_outcome(f, state, step, True)
+                settled = False
+                want = step_outcome(f, state, step, False)
+                assert got == want, (f, step)
+                steps += 1
+    assert steps > 2000
+    assert settles[True] < settles[False]
