@@ -22,7 +22,6 @@ from .formula import (
     Formula,
     HammingResult,
     SearchStats,
-    connected_components,
     hamming_distance,
     max_bottom,
     unsat_formula,
@@ -39,6 +38,7 @@ from .oracle import (
 from .propagation import (
     PropagationResult,
     assign,
+    connected_components,
     extend_model,
     normalize,
     substitute_dual,

@@ -50,16 +50,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import islice
 
-from .formula import (
-    BOTTOM,
-    Formula,
-    HammingResult,
-    SearchStats,
-    connected_components,
-    max_bottom,
-)
-from .propagation import PropagationResult, Propagator, assign
+from .formula import BOTTOM, Formula, HammingResult, SearchStats, max_bottom
+from .propagation import Propagator, components
+from .propagation import assign  # noqa: F401  q calls it no more; xbench's tracer test restores it here
 
 
 @dataclass
@@ -142,13 +137,13 @@ class GeneralizedAssignment:
                 self.score[var] = table
         return table
 
-    def absorb(self, result: PropagationResult) -> None:
-        """Fold a propagation result in."""
-        for var, value in result.forced.items():
+    def absorb(self, forced, freed) -> None:
+        """Fold in (variable, value) pairs an engine forced and variables it freed."""
+        for var, value in forced:
             if self.values.setdefault(var, value) != value:
                 raise ValueError(f"variable {var} forced to both values")
         known_free = set(self.free)
-        for var in result.freed:
+        for var in freed:
             if var not in known_free and var not in self.values:
                 self.free.append(var)
 
@@ -312,29 +307,30 @@ def simplify_state(formula: Formula, state: GeneralizedAssignment):
     formula.
     """
     state = state.copy()
-    formula, _ = _simplify(Propagator(formula), state)
-    return formula, state
+    engine = Propagator(formula)
+    if _simplify(engine, state):
+        state.absorb(engine.forced.items(), engine.freed)
+    return engine.result().formula, state
 
 
-def _simplify(engine: Propagator, state: GeneralizedAssignment):
-    """Simplify in place on a propagation engine; returns (formula, unsat).
+def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
+    """Simplify in place on a propagation engine; False when a conflict shows.
 
-    The engine may already carry a q child's branch steps; the state
-    absorbs everything the engine forced or freed, the steps included.
-    Each round propagates to a fixpoint, then pools in the first clause,
-    by position, that holds at least two singletons one of which heads no
-    pool yet; only when no clause can pool does it eliminate the first
-    binary clause by dual substitution. Both rewrites happen in place on
-    the engine, whose queue settles just the clauses they touch. Two
+    The engine may carry a q child's branch steps. The state records the
+    pools and dual links; the caller folds in what the engine forced and
+    freed. Each round propagates to a fixpoint, then pools in the first
+    clause, by position, that holds at least two singletons one of which
+    heads no pool yet; only when no clause can pool does it eliminate the
+    first binary clause by dual substitution, in place on the engine. Two
     position heaps stand in for rescanning the formula, both fed from the
     engine's `changed` and `singles` logs: `to_pool` holds every clause
     that may have become poolable (it shrank, was rewritten, or one of
     its variables fell to degree one) and `binaries` every clause that
-    may have become binary. An engine on raw input logs every position;
-    a settled one, on a simplified formula where no clause can pool and
-    none is binary, logs only what the steps it carries touched. Popping
-    the smallest position that passes the check makes the same choice,
-    in the same order, as a scan of the whole formula would.
+    may have become binary. A new engine logs every position; below q's
+    root the logs hold only what the node's steps touched since its mark,
+    at a fixpoint where nothing pools and no clause is binary. Popping the
+    smallest position that passes the check makes the same choice, in the
+    same order, as a scan of the whole formula would.
     """
     clauses, degree = engine.clauses, engine.degree
     to_pool: list[int] = []
@@ -354,10 +350,8 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment):
         if _pool_first(engine, state, to_pool):
             continue
         if not _eliminate_first_binary(engine, state, binaries):
-            break
-    result = engine.result()
-    state.absorb(result)
-    return result.formula, result.unsat
+            return True
+    return False
 
 
 def _pool_first(engine: Propagator, state: GeneralizedAssignment, to_pool: list[int]) -> bool:
@@ -436,21 +430,22 @@ def max_hamming_q(
     """
     if counter is None:
         counter = SearchStats()
-    distance = _q(formula, GeneralizedAssignment(), (), counter, leaf_hook, (), -1, settled=False)
+    engine = Propagator(formula)
+    distance = _q(engine, range(len(formula.clauses)), GeneralizedAssignment(), (), counter, leaf_hook, (), -1)
     return HammingResult(distance)
 
 
-def _q(formula, state, steps, counter, leaf_hook, trail, need, settled=True):
-    """Apply a child's steps on one engine, simplify there, and recurse.
+def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
+    """Apply a child's steps on the search's engine, simplify there, and recurse.
 
-    A step that propagates to a conflict makes the child BOTTOM before
-    it counts as a node. `need` and the value returned follow the
-    contract in the module docstring. Every formula below the root is a
-    simplified one, so its engine starts `settled` and the node pays only
-    for the clauses its steps touch; the root's raw input is settled whole.
+    The node's formula is the clauses at `positions`. Below the root the
+    caller marks the engine at the parent's fixpoint and undoes to it
+    afterwards. A step that propagates to a conflict makes the child
+    BOTTOM before it counts as a node. `need` and the value returned
+    follow the contract in the module docstring.
     """
     before = state.root_vars()
-    engine = Propagator(formula, settled)
+    forced_at, freed_at = len(engine.forced), len(engine.freed)
     for step in steps:
         if step[0] == "dual":
             _, pivot, lit = step
@@ -465,9 +460,10 @@ def _q(formula, state, steps, counter, leaf_hook, trail, need, settled=True):
             return BOTTOM
     trail += steps
     counter.nodes += 1
-    formula, dead = _simplify(engine, state)
-    if dead:
+    if not _simplify(engine, state):
         return BOTTOM
+    # The forced map keeps the order of its forces, as undo removes the latest.
+    state.absorb(islice(engine.forced.items(), forced_at, None), engine.freed[freed_at:])
     retired = state.root_vars() - before
 
     base = 0
@@ -475,24 +471,26 @@ def _q(formula, state, steps, counter, leaf_hook, trail, need, settled=True):
         counter.leaves += 1
         base = gen_h(state, roots=sorted(retired))
 
-    if not formula.clauses:
+    clauses = engine.clauses
+    live = [pos for pos in positions if clauses[pos] is not None]
+    if not live:
         if leaf_hook is not None:
             leaf_hook(state, trail)
         return base
 
-    components = connected_components(formula)
+    parts = components(engine, live)
     bounds = None
     if need >= base:
-        bounds = [_bound(component, state, engine.degree) for component in components]
+        bounds = [_bound(engine, part, state) for part in parts]
         if base + sum(bounds) <= need:
             return need
-    if len(components) > 1:
+    if len(parts) > 1:
         # Component i must beat what is left of `need` once the exact
         # values before it and the bounds after it are counted.
         total = base
-        for i, component in enumerate(components):
+        for i, part in enumerate(parts):
             sub_need = -1 if bounds is None else need - total - sum(bounds[i + 1 :])
-            sub = _q(component, state, (), counter, leaf_hook, trail, sub_need)
+            sub = _q(engine, part, state, (), counter, leaf_hook, trail, sub_need)
             if sub is BOTTOM:
                 return BOTTOM
             if sub <= sub_need:
@@ -500,24 +498,25 @@ def _q(formula, state, steps, counter, leaf_hook, trail, need, settled=True):
             total += sub
         return total
 
-    clause = max(formula.clauses, key=len)
+    clause = max((clauses[pos] for pos in live), key=len)
     assert len(clause) >= 3, "units and binaries are gone after simplification"
-    return base + _branch(formula, state, engine.degree, clause, (), counter, leaf_hook, trail, need - base)
+    return base + _branch(engine, live, state, clause, (), counter, leaf_hook, trail, need - base)
 
 
-def _bound(formula, state, degree) -> int:
+def _bound(engine, positions, state) -> int:
     """Upper bound on the distance a simplified, connected formula can add.
 
     By the zero-or-two lemma the variables that flip between two x-models
     fill 0 or 2 literals of every clause, so their degrees sum to at most
-    twice the live clauses. A live variable adds its best stay reading
-    (its slot the same in both models) or, if it flips, its best flip
-    reading; the bound adds every stay and a fractional knapsack of the
-    flip gains, weighted by degree, in that capacity.
+    twice the live clauses (those at `positions`). A live variable adds its
+    best stay reading (its slot the same in both models) or, if it flips,
+    its best flip reading; the bound adds every stay and a fractional
+    knapsack of the flip gains, weighted by degree, in that capacity.
     """
+    clauses, degree = engine.clauses, engine.degree
     total = 0
     gains = []
-    for var in formula.variables():
+    for var in sorted({abs(lit) for pos in positions for lit in clauses[pos]}):
         table = state.table(var)
         stay, flip = max(table[0], table[3]), max(table[1], table[2])
         total += stay
@@ -525,7 +524,7 @@ def _bound(formula, state, degree) -> int:
             gains.append((flip - stay, degree[var]))
     # Ratios of ints below 2**26 order exactly as floats, ties included.
     gains.sort(key=lambda gain: gain[0] / gain[1], reverse=True)
-    room = 2 * len(formula.clauses)
+    room = 2 * len(positions)
     for value, weight in gains:
         if weight > room:
             return total + value * room // weight
@@ -534,34 +533,43 @@ def _bound(formula, state, degree) -> int:
     return total
 
 
-def _branch(formula, state, degree, clause, prefix, counter, leaf_hook, trail, need):
+def _branch(engine, positions, state, clause, prefix, counter, leaf_hook, trail, need):
     """Branch on a clause's pivot; each child applies `prefix` plus its own step.
 
     The pivot is true in both models, false in both, or flips together
     with exactly one other literal of the clause (a clause can never
-    straddle a model pair on just one variable). The flip children run
-    only when neither the true nor the false child is BOTTOM. `need` is
-    as for `_q`; each child after the first must beat the best of `need`
-    and its earlier siblings.
+    straddle a model pair on just one variable). Each child is a mark, its
+    `_q` and an undo. The flip children run only when neither the true nor
+    the false child is BOTTOM. `need` is as for `_q`; each child after the
+    first must beat the best of `need` and its earlier siblings.
 
     For a length-4 clause, setting the pivot false leaves a ternary
     clause worth branching immediately (it balances the recurrence). The
     split is only taken when propagation leaves that ternary clause
-    intact; any cascade falls back to the plain false child, which is
-    always sound.
+    intact (a probe: mark, force, propagate, undo); any cascade falls back
+    to the plain false child, which is always sound. The split's children
+    re-apply the false step, as an undo clears the logs `_simplify` reads.
     """
-    pivot = _pick_pivot(clause, degree)
+    pivot = _pick_pivot(clause, engine.degree)
     rest = tuple(lit for lit in clause if lit != pivot)
 
     def child(need, *step):
-        return _q(formula, state.copy(), prefix + (step,), counter, leaf_hook, trail, need)
+        mark = engine.mark()
+        answer = _q(engine, positions, state.copy(), prefix + (step,), counter, leaf_hook, trail, need)
+        engine.undo_to(mark)
+        return answer
 
     ans_true = child(need, "true", pivot)
     need = max_bottom(need, ans_true)
-    # An unsatisfiable probe holds only the empty clause, so it never splits.
-    if len(clause) == 4 and rest in assign(formula, abs(pivot), pivot < 0).formula.clauses:
+    split = False
+    if len(clause) == 4:
+        mark = engine.mark()
+        engine.force(abs(pivot), pivot < 0)
+        split = engine.propagate() and rest in (engine.clauses[pos] for pos in positions)
+        engine.undo_to(mark)
+    if split:
         steps = prefix + (("false", pivot),)
-        ans_false = _branch(formula, state, degree, rest, steps, counter, leaf_hook, trail, need)
+        ans_false = _branch(engine, positions, state, rest, steps, counter, leaf_hook, trail, need)
     else:
         ans_false = child(need, "false", pivot)
     if ans_true is BOTTOM or ans_false is BOTTOM:

@@ -12,7 +12,6 @@ clause; `unsat_formula` builds it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 Clause = tuple[int, ...]
@@ -171,50 +170,3 @@ def hamming_distance(a: Assignment, b: Assignment) -> int:
     if a.keys() != b.keys():
         raise ValueError("assignments cover different variables")
     return sum(1 for v in a if a[v] != b[v])
-
-
-def connected_components(formula: Formula) -> list[Formula]:
-    """Split clauses by connected component of the formula graph.
-
-    Variables are vertices; co-occurrence in a clause is an edge.
-    Components are ordered by their first clause; each keeps the parent
-    num_vars. Empty clauses form singleton components.
-    """
-    if not formula.clauses:
-        return []
-    # Union-find over variables, indexed by first clause touching them.
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for clause in formula.clauses:
-        vs = [abs(l) for l in clause]
-        for v in vs:
-            parent.setdefault(v, v)
-        for v, w in itertools.pairwise(vs):
-            union(v, w)
-
-    groups: dict[object, list[Clause]] = {}
-    order: list[object] = []
-    empties = 0
-    for clause in formula.clauses:
-        if clause:
-            key: object = find(abs(clause[0]))
-        else:
-            # Each empty clause is its own (unsatisfiable) component.
-            key = ("empty", empties)
-            empties += 1
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(clause)
-    return [Formula.trusted(formula.num_vars, tuple(groups[k])) for k in order]

@@ -17,14 +17,11 @@ forced map, and a work queue: a clause is settled again only when one of
 its variables is forced or rewritten, so a fixpoint costs time linear in
 the clauses it touches rather than a sweep over the whole formula per
 round. `normalize`, `assign` and `substitute_dual` are thin wrappers
-that run one step on a fresh engine. `branching` builds one engine per
-q node: the node applies its branch steps on it (`force`, `substitute`)
-and then drives the same engine through a whole sequence of pooling and
-dual-elimination steps. Below the root a node's formula is already at a
-fixpoint, so its engine is built `settled`, with an empty queue: a step
-settles only the clauses it touches, not every clause of the parent
-again. The formula a result carries is built from clauses the engine took
-from a valid formula, so it is not validated again.
+that run one step on a fresh engine. The solver, p and q each search one
+engine: a level or a q child takes a `mark`, applies its steps, and goes
+back with `undo_to`. The trail logs every clause write with the clause
+it replaced, every force and every occurrence list a rewrite replaced,
+so backing up costs what the steps wrote.
 
 Every rule application strictly shrinks (forced variables grow, clauses
 or literal counts drop), so the fixpoint always terminates. The fixpoint
@@ -113,35 +110,61 @@ def extend_model(result: PropagationResult, model: Assignment, freed_value: bool
     return full
 
 
+def components(engine: "Propagator", positions) -> list[list[int]]:
+    """Split sorted live clause positions into connected components.
+
+    Clauses that share a variable connect; the walk follows the engine's
+    occurrence lists. Components come in the order of their first
+    position, each sorted; an empty clause is a component of its own.
+    """
+    clauses, occ = engine.clauses, engine.occ
+    todo, parts = set(positions), []
+    for start in positions:
+        if start not in todo:
+            continue
+        todo.remove(start)
+        part = [start]
+        for pos in part:  # a breadth-first walk: the loop reaches what it appends
+            for lit in clauses[pos]:
+                for other in occ.get(abs(lit), ()):
+                    if other in todo:
+                        todo.remove(other)
+                        part.append(other)
+        parts.append(sorted(part))
+    return parts
+
+
+def connected_components(formula: Formula) -> list[Formula]:
+    """The formula's `components`, each a formula in clause order with its num_vars."""
+    clauses = formula.clauses
+    parts = components(Propagator(formula), range(len(clauses)))
+    return [Formula.trusted(formula.num_vars, tuple(clauses[pos] for pos in part)) for part in parts]
+
+
 class Propagator:
     """A formula under incremental exactly-one propagation.
 
     clauses[pos] is the clause at its input position, or None once it
-    dropped out. occ maps a variable to the positions that may hold it;
-    entries of dropped or rewritten clauses go stale and a position may
-    repeat, so readers check the clause. degree counts the variable's
-    literal occurrences in live clauses.
+    dropped out. occ maps a live variable to the positions of the live
+    clauses holding it, plus stale entries of dropped ones; a position may
+    repeat. degree counts the variable's literal occurrences in live
+    clauses.
     `force`, `substitute` and `remove_literal` queue exactly the clauses
-    they touch. An engine built on raw input starts with every clause in
-    the queue; one built `settled`, on a formula already at a fixpoint
-    (a q node's simplified formula or a component of it), starts with an
-    empty queue, so a step settles only the clauses it touches.
+    they touch; a new engine starts with every clause in the queue.
 
     `propagate` closes one step: it runs the queue to a fixpoint and
     appends the variables that vanished during the step, sorted, to
     `freed`. Two logs serve a caller that keeps rewriting between steps:
     `changed` collects positions whose clause the caller has not yet seen
-    settled (every position of an engine built on raw input, then each
-    one whose clause shrank or was rewritten), `singles` variables whose
-    degree fell to one. The caller drains them.
+    settled (every position of a new engine, then each one whose clause
+    shrank or was rewritten), `singles` variables whose degree fell to
+    one. The caller drains them.
 
-    `mark` and `undo_to` take the engine back to an earlier fixpoint (see
-    the module docstring). They cover `force` and `propagate`; `substitute`
-    and `remove_literal` are not undone, so they run only on an engine
-    that has taken no mark.
+    `mark` and `undo_to` take the engine back to an earlier fixpoint, over
+    every step above (see the module docstring).
     """
 
-    def __init__(self, formula: Formula, settled: bool = False):
+    def __init__(self, formula: Formula):
         self.num_vars = formula.num_vars
         self.clauses: list[tuple[int, ...] | None] = list(formula.clauses)
         occ: defaultdict[int, list[int]] = defaultdict(list)
@@ -155,16 +178,17 @@ class Propagator:
         self.equivalences: list[tuple[int, int]] = []
         self.freed: list[int] = []
         self.unsat = False
-        unseen = [] if settled else list(range(len(self.clauses)))
-        self.queue = deque(unseen)
-        self.queued = bytearray(b"\x00" if settled else b"\x01") * len(self.clauses)
-        self.changed: list[int] = list(unseen)
+        self.queue = deque(range(len(self.clauses)))
+        self.queued = bytearray(b"\x01") * len(self.clauses)
+        self.changed: list[int] = list(range(len(self.clauses)))
         self.singles: list[int] = []
         self._vanished: list[int] = []
         # The trail, opened by the first mark: (pos, replaced clause) per
-        # clause write and (var, its occurrence list or None) per force.
+        # clause write, (var, its occurrence list or None) per force, and
+        # (var, replaced occurrence list) per list a rewrite replaced.
         self._writes: list[tuple[int, tuple[int, ...]]] | None = None
         self._forces: list[tuple[int, list[int] | None]] | None = None
+        self._occs: list[tuple[int, list[int]]] | None = None
 
     def _enqueue(self, pos: int) -> None:
         if not self.queued[pos] and self.clauses[pos] is not None:
@@ -186,17 +210,21 @@ class Propagator:
 
     def substitute(self, a: int, b: int) -> None:
         """Rewrite literal a as the complement of b in place; queue those clauses."""
-        assert self._writes is None, "substitute cannot be undone"
         source, target = abs(a), abs(b)
-        clauses = self.clauses
-        moved = self.occ[target]
-        for pos in self.occ.pop(source, ()):
+        clauses, occ, writes = self.clauses, self.occ, self._writes
+        taken, moved = occ.pop(source), occ[target]
+        if writes is not None:
+            self._occs += ((source, taken), (target, moved))
+            moved = occ[target] = list(moved)
+        for pos in taken:
             clause = clauses[pos]
             if clause is None:
                 continue
             rewritten = tuple(-b if lit == a else (b if lit == -a else lit) for lit in clause)
             if rewritten == clause:
                 continue  # a repeated entry, already rewritten
+            if writes is not None:
+                writes.append((pos, clause))
             clauses[pos] = rewritten
             moved.append(pos)
             self.changed.append(pos)
@@ -211,10 +239,12 @@ class Propagator:
         The variable leaves the formula without counting as freed: the
         caller keeps track of it elsewhere.
         """
-        assert self._writes is None, "remove_literal cannot be undone"
-        self.clauses[pos] = tuple(l for l in self.clauses[pos] if l != lit)
+        clause, positions = self.clauses[pos], self.occ.pop(abs(lit))
+        if self._writes is not None:
+            self._writes.append((pos, clause))
+            self._occs.append((abs(lit), positions))
+        self.clauses[pos] = tuple(l for l in clause if l != lit)
         self.degree[abs(lit)] = 0
-        self.occ.pop(abs(lit), None)
         self.changed.append(pos)
         self._enqueue(pos)
 
@@ -223,7 +253,6 @@ class Propagator:
         for pos in self.occ[var]:
             clause = self.clauses[pos]
             if clause is not None and (var in clause or -var in clause):
-                self.occ[var] = [pos]
                 return pos
         raise ValueError(f"variable {var} occurs in no live clause")
 
@@ -267,18 +296,19 @@ class Propagator:
         if self.queue:
             raise ValueError("a mark needs a fixpoint: propagate first")
         if self._writes is None:
-            self._writes, self._forces = [], []
-        return len(self._writes), len(self._forces), len(self.freed), self.unsat
+            self._writes, self._forces, self._occs = [], [], []
+        writes, forces, occs = self._writes, self._forces, self._occs
+        return len(writes), len(forces), len(occs), len(self.freed), len(self.equivalences), self.unsat
 
     def undo_to(self, mark) -> None:
         """Return to the fixpoint at which `mark` was taken.
 
         Restores the live clauses, degrees, forced values, the occurrence
-        lists that forces took, `freed` and `unsat`; empties the queue and
-        the `changed` and `singles` logs. Marks taken after this one are
-        void.
+        lists that forces took and rewrites replaced, `freed`,
+        `equivalences` and `unsat`; empties the queue and the `changed`
+        and `singles` logs. Marks taken after this one are void.
         """
-        writes_at, forces_at, freed_at, unsat = mark
+        writes_at, forces_at, occs_at, freed_at, equivalences_at, unsat = mark
         clauses, degree, writes = self.clauses, self.degree, self._writes
         while len(writes) > writes_at:
             pos, lits = writes.pop()
@@ -287,13 +317,19 @@ class Propagator:
             for lit in lits:
                 degree[abs(lit)] += 1
             clauses[pos] = lits
-        forced, occ, forces = self.forced, self.occ, self._forces
+        forced, occ, forces, occs = self.forced, self.occ, self._forces, self._occs
         while len(forces) > forces_at:
             var, positions = forces.pop()
             del forced[var]
             if positions is not None:
                 occ[var] = positions
+        # A variable is rewritten only while live, so its rewrites came
+        # before any force of it: undo the forces first.
+        while len(occs) > occs_at:
+            var, positions = occs.pop()
+            occ[var] = positions
         del self.freed[freed_at:]
+        del self.equivalences[equivalences_at:]
         self.unsat = unsat
         for pos in self.queue:
             self.queued[pos] = 0

@@ -9,6 +9,8 @@ total, tau(2,2) < tau(1,3).
 from __future__ import annotations
 
 _BISECTION_STEPS = 80
+#: Most branches a spec may expand to; larger ones are rejected unexpanded.
+MAX_BRANCHES = 10_000
 
 
 def tau_root(decrements) -> float:
@@ -55,6 +57,8 @@ def parse_branch_spec(text: str) -> tuple[int, ...]:
             raise ValueError(f"malformed branch token {token!r}") from None
         if r < 1 or k < 1:
             raise ValueError(f"branch token {token!r} must use positive integers")
+        if len(decrements) + k > MAX_BRANCHES:
+            raise ValueError(f"branch spec has more than {MAX_BRANCHES} branches")
         decrements.extend([r] * k)
     return tuple(decrements)
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import sys
@@ -20,6 +21,7 @@ from xham import (
     simplify_state,
 )
 from xham.branching import slot_options
+from xham.propagation import Propagator, components
 
 from conftest import chain, clause_count, formula, repeated_variable_corpus
 from test_golden import GOLDEN, build
@@ -249,6 +251,47 @@ class TestMaxHammingQ:
         ]
         assert (("false", -1), ("true", 3)) in splits
 
+    def test_one_engine_per_search_and_no_formula_below_the_root(self, monkeypatch):
+        """Every child is a mark, its steps, simplification and an undo on the
+        root's engine: one `Propagator` per call, and no `Formula` built."""
+        shapes = ((21, 3, 2), (20, 4, 2), (24, 4, 2))
+        instances = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(4)]
+        instances += [random_formula(n, clause_count(n, k), k, 7300 + n) for k in (3, 4, 5) for n in (12, 16)]
+        built = {"engines": 0, "formulas": 0}
+        engine_init, formula_init, trusted = Propagator.__init__, Formula.__post_init__, Formula.trusted
+
+        def counting_engine(self, f):
+            built["engines"] += 1
+            engine_init(self, f)
+
+        def counting_formula(self):
+            built["formulas"] += 1
+            formula_init(self)
+
+        def counting_trusted(num_vars, clauses):
+            built["formulas"] += 1
+            return trusted(num_vars, clauses)
+
+        monkeypatch.setattr(Propagator, "__init__", counting_engine)
+        monkeypatch.setattr(Formula, "__post_init__", counting_formula)
+        monkeypatch.setattr(Formula, "trusted", counting_trusted)
+        nodes = 0
+        for f in instances:
+            built.update(engines=0, formulas=0)
+            counter = SearchStats()
+            max_hamming_q(f, counter)
+            assert built == {"engines": 1, "formulas": 0}, f
+            nodes += counter.nodes
+        assert nodes > 500
+
+    def test_structure_left_by_the_one_engine_search(self):
+        from xham import formula as formula_module
+
+        assert list(inspect.signature(Propagator).parameters) == ["formula"]
+        assert "union" not in inspect.getsource(formula_module).lower()
+        for method in (Propagator.substitute, Propagator.remove_literal):
+            assert "cannot be undone" not in inspect.getsource(method)
+
     def test_long_chains_hit_no_recursion_limit(self):
         """Binary chains (i, i+1) flip every variable; the ternary chains
         (1 2 3), (3 4 5), ... answer what an exact pass over the chain gives."""
@@ -278,12 +321,12 @@ class TestBound:
     @staticmethod
     def root_bound(f):
         """The root's base plus the bound of its simplified formula, or None when it is unsatisfiable."""
-        simplified, state = simplify_state(f, GeneralizedAssignment())
-        if simplified.clauses == ((),):
+        engine, state = Propagator(f), GeneralizedAssignment()
+        if not branching._simplify(engine, state):
             return None
-        degree = branching.Propagator(simplified).degree
-        components = branching.connected_components(simplified)
-        return gen_h(state) + sum(branching._bound(c, state, degree) for c in components)
+        state.absorb(engine.forced.items(), engine.freed)
+        live = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
+        return gen_h(state) + sum(branching._bound(engine, part, state) for part in components(engine, live))
 
     def test_root_bound_is_never_below_the_answer(self):
         shapes = [(15, 3, 2), (18, 3, 2), (16, 4, 2), (20, 4, 2), (15, 5, 2), (20, 5, 2), (16, 4, 3), (20, 4, 3)]
@@ -313,7 +356,7 @@ class TestBound:
             return out
 
         pruned = search()
-        monkeypatch.setattr(branching, "_bound", lambda formula, state, degree: 10**9)
+        monkeypatch.setattr(branching, "_bound", lambda engine, positions, state: 10**9)
         plain = search()
         assert [d for d, _ in pruned] == [d for d, _ in plain]
         assert [b for _, b in plain] == [row[7] for row in rows]

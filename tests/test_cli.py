@@ -118,6 +118,11 @@ class TestTau:
         assert code == 1
         assert err
 
+    def test_oversized_spec_exits_1_without_expanding(self, capsys):
+        code, out, err = run(capsys, "tau", "2^1000000000")
+        assert code == 1
+        assert "branches" in err and not out
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):

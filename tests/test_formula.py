@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +12,13 @@ from xham import (
     connected_components,
     hamming_distance,
     max_bottom,
+    planted_formula,
+    random_formula,
     unsat_formula,
     verify_xmodel,
 )
 
-from conftest import formula
+from conftest import formula, repeated_variable_corpus
 
 
 class TestBottom:
@@ -150,3 +155,57 @@ class TestConnectedComponents:
             for j in range(i + 1, len(seen)):
                 assert not (seen[i] & seen[j])
         assert set().union(*seen) == set(f.variables())
+
+
+def reference_components(f: Formula) -> list[tuple]:
+    """Clauses per connected component by union-find over variables.
+
+    Components are ordered by their first clause and keep clause order;
+    each empty clause is a component of its own.
+    """
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for clause in f.clauses:
+        vs = [abs(lit) for lit in clause]
+        for v in vs:
+            parent.setdefault(v, v)
+        for v, w in itertools.pairwise(vs):
+            rv, rw = find(v), find(w)
+            if rv != rw:
+                parent[rw] = rv
+    groups: dict[object, list] = {}
+    for i, clause in enumerate(f.clauses):
+        key = find(abs(clause[0])) if clause else ("empty", i)
+        groups.setdefault(key, []).append(clause)
+    return [tuple(clauses) for clauses in groups.values()]
+
+
+def with_empty_clauses(f: Formula, seed: int) -> Formula:
+    rng = random.Random(seed)
+    clauses = list(f.clauses)
+    for _ in range(rng.randint(1, 3)):
+        clauses.insert(rng.randint(0, len(clauses)), ())
+    return Formula(f.num_vars, tuple(clauses))
+
+
+def test_components_match_a_union_find_reference():
+    """The occurrence-list walk gives the union-find's components, in the
+    same order and with the same clause order, on uniform, planted,
+    repeated-variable and empty-clause formulas."""
+    uniform = [random_formula(n, m, k, 4700 + 31 * n + m) for k in (2, 3, 4) for n in range(6, 26, 3) for m in (2, n // 3, n // 2)]
+    planted = [planted_formula(n, k, d, seed) for n, k, d in ((12, 3, 2), (16, 4, 2), (20, 4, 3)) for seed in range(8)]
+    repeated = repeated_variable_corpus(150, 4800)
+    empties = [with_empty_clauses(f, 4900 + i) for i, f in enumerate(uniform[::2] + repeated[:40])]
+    splits = 0
+    for f in uniform + planted + repeated + empties:
+        parts = connected_components(f)
+        assert [part.clauses for part in parts] == reference_components(f), f
+        assert all(part.num_vars == f.num_vars for part in parts)
+        splits += len(parts) > 1
+    assert splits > 100

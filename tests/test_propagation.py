@@ -230,7 +230,10 @@ def test_chain_simplification_settles_linearly_many_clauses(monkeypatch):
 def engine_state(engine):
     """Everything `undo_to` restores, copied."""
     occ = {var: list(positions) for var, positions in engine.occ.items()}
-    return list(engine.clauses), dict(engine.degree), dict(engine.forced), occ, list(engine.freed), engine.unsat
+    return (
+        list(engine.clauses), dict(engine.degree), dict(engine.forced), occ,
+        list(engine.freed), list(engine.equivalences), engine.unsat,
+    )
 
 
 trail_formulas = st.one_of(
@@ -245,10 +248,23 @@ trail_formulas = st.one_of(
 )
 
 
+def draw_substitute(engine, data):
+    """Rewrite a pivot against another literal of a live clause, then propagate."""
+    clauses = [clause for clause in engine.clauses if clause and len(clause) >= 2]
+    if not clauses:
+        return
+    clause = data.draw(st.sampled_from(clauses))
+    pivot = data.draw(st.sampled_from(clause))
+    lit = data.draw(st.sampled_from([lit for lit in clause if abs(lit) != abs(pivot)]))
+    engine.substitute(pivot, lit)
+    engine.propagate()
+
+
 @settings(max_examples=300, deadline=None)
 @given(trail_formulas, st.data())
 def test_undo_restores_the_state_at_the_mark(f, data):
-    """Nested marks, forces, propagates and undos: each undo gives back the
+    """Nested marks, steps (forces, substitutions and `_simplify` passes,
+    which pool with `remove_literal`) and undos: each undo gives back the
     state at its mark, and the restored engine then answers an `assign`
     exactly as a fresh engine does."""
     engine = Propagator(f)
@@ -257,13 +273,8 @@ def test_undo_restores_the_state_at_the_mark(f, data):
     variables = f.variables()
     marks = [(engine.mark(), engine_state(engine))]
     for _ in range(data.draw(st.integers(1, 16))):
-        action = data.draw(st.sampled_from(("mark", "step", "undo")))
-        if action == "mark" and not engine.unsat:
-            marks.append((engine.mark(), engine_state(engine)))
-        elif action == "step" and not engine.unsat:
-            engine.force(data.draw(st.sampled_from(variables)), data.draw(st.booleans()))
-            engine.propagate()
-        elif action == "undo":
+        action = data.draw(st.sampled_from(("mark", "force", "substitute", "simplify", "undo")))
+        if action == "undo":
             depth = data.draw(st.integers(0, len(marks) - 1))
             mark, state = marks[depth]
             del marks[depth + 1 :]
@@ -271,6 +282,17 @@ def test_undo_restores_the_state_at_the_mark(f, data):
             assert engine_state(engine) == state
             assert not engine.queue and not any(engine.queued)
             assert not engine.changed and not engine.singles
+        elif engine.unsat:
+            continue
+        elif action == "mark":
+            marks.append((engine.mark(), engine_state(engine)))
+        elif action == "force":
+            engine.force(data.draw(st.sampled_from(variables)), data.draw(st.booleans()))
+            engine.propagate()
+        elif action == "substitute":
+            draw_substitute(engine, data)
+        else:
+            branching._simplify(engine, GeneralizedAssignment())
     engine.undo_to(marks[0][0])
     assert engine_state(engine) == marks[0][1]
 
@@ -293,69 +315,75 @@ def test_mark_needs_a_fixpoint():
         engine.mark()
 
 
-def q_fixpoints(monkeypatch, instances):
-    """(simplified formula, state) of every q node that branches."""
-    seen = []
-    real = branching._branch
-
-    def recording(formula, state, degree, clause, prefix, *rest):
-        if not prefix:
-            seen.append((formula, state.copy()))
-        return real(formula, state, degree, clause, prefix, *rest)
-
-    monkeypatch.setattr(branching, "_branch", recording)
-    for f in instances:
-        max_hamming_q(f)
-    monkeypatch.undo()
-    return seen
-
-
-def step_outcome(f, state, step, settled):
-    """One q child's step and simplification on an engine built settled or not."""
-    engine, state = Propagator(f, settled), state.copy()
+def step_outcome(engine, positions, state, step):
+    """One q child's step and simplification on an engine: the live clauses
+    at positions, what the step forced and freed, and the child's state."""
+    state, forced, freed_at = state.copy(), set(engine.forced), len(engine.freed)
     if step[0] == "dual":
         engine.substitute(step[1], step[2])
         state.record_dual(step[2], step[1])
     else:
         engine.force(abs(step[1]), (step[1] > 0) == (step[0] == "true"))
-    if not engine.propagate():
+    if not (engine.propagate() and branching._simplify(engine, state)):
         return "unsat"
-    simplified, unsat = branching._simplify(engine, state)
-    return simplified, unsat, engine.forced, engine.freed, state
+    forced = {var: value for var, value in engine.forced.items() if var not in forced}
+    freed = engine.freed[freed_at:]
+    state.absorb(forced.items(), freed)
+    return [engine.clauses[pos] for pos in positions if engine.clauses[pos] is not None], forced, freed, state
 
 
-def test_settled_engine_matches_a_full_queue_on_q_fixpoints(monkeypatch):
-    """A q node's simplified formula is at a fixpoint where nothing pools and
-    no clause is binary, so an engine that queues only what a step touches
-    simplifies every true, false and dual step exactly as one that settles
-    every clause again, and settles fewer clauses doing it."""
+def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
+    """At every q node that branches, each true, false and dual step on a
+    pivot of its longest clause, applied under a mark on the search's one
+    engine, simplifies exactly as on a fresh engine built from the node's
+    formula, settles fewer clauses doing it, and `undo_to` gives the node
+    back."""
     instances = [planted_formula(n, 3, 2, seed) for n in (15, 18, 21) for seed in range(4)]
     instances += [planted_formula(n, 4, 2, seed) for n in (16, 20) for seed in range(4)]
     instances += [random_formula(n, clause_count(n, k), k, 8800 + n) for k in (3, 4, 5) for n in range(10, 16)]
     instances += [chain(n, k, seed) for k, n in ((3, 21), (4, 22), (5, 25)) for seed in range(3)]
-    fixpoints = q_fixpoints(monkeypatch, instances)
-    assert len(fixpoints) > 150
 
     real = propagation._settle_clause
-    settles = {True: 0, False: 0}
-    settled = True
+    settles = {"shared": 0, "fresh": 0, None: 0}
+    engine_kind = None  # the search's own settles count under None
 
     def counting(*args):
-        settles[settled] += 1
+        settles[engine_kind] += 1
         return real(*args)
 
-    monkeypatch.setattr(propagation, "_settle_clause", counting)
-    steps = 0
-    for f, state in fixpoints:
+    nodes = steps = 0
+
+    def check_node(engine, positions, state):
+        nonlocal engine_kind, nodes, steps
+        nodes += 1
+        node = engine_state(engine)
+        f = Formula(engine.num_vars, tuple(engine.clauses[pos] for pos in positions))
         clause = max(f.clauses, key=len)
         for pivot in clause:
             kinds = [("true", pivot), ("false", pivot)] + [("dual", pivot, lit) for lit in clause if lit != pivot]
             for step in kinds:
-                settled = True
-                got = step_outcome(f, state, step, True)
-                settled = False
-                want = step_outcome(f, state, step, False)
+                engine_kind = "shared"
+                mark = engine.mark()
+                got = step_outcome(engine, positions, state, step)
+                engine.undo_to(mark)
+                assert engine_state(engine) == node
+                engine_kind = "fresh"
+                fresh = Propagator(f)
+                want = step_outcome(fresh, range(len(f.clauses)), state, step)
                 assert got == want, (f, step)
                 steps += 1
-    assert steps > 2000
-    assert settles[True] < settles[False]
+        engine_kind = None
+
+    branch = branching._branch
+
+    def recording(engine, positions, state, clause, prefix, *rest):
+        if not prefix:
+            check_node(engine, positions, state)
+        return branch(engine, positions, state, clause, prefix, *rest)
+
+    monkeypatch.setattr(branching, "_branch", recording)
+    monkeypatch.setattr(propagation, "_settle_clause", counting)
+    for f in instances:
+        max_hamming_q(f)
+    assert nodes > 150 and steps > 2000
+    assert settles["shared"] < settles["fresh"]

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xham import nth_root, parse_branch_spec, tau_root
+from xham.tau import MAX_BRANCHES
 
 # Branching constants the analysis relies on, to four decimals. The
 # quoted 1.7888 belongs to (6, 5, 4^4, 3^3); the eight-branch variant
@@ -94,6 +95,12 @@ class TestParseBranchSpec:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             parse_branch_spec("   ")
+
+    def test_branch_count_is_capped_before_expanding(self):
+        assert len(parse_branch_spec(f"2^{MAX_BRANCHES - 1} 3")) == MAX_BRANCHES
+        for spec in (f"2^{MAX_BRANCHES} 3", "2^1000000000", f"1 2^{10**18}"):
+            with pytest.raises(ValueError, match="branches"):
+                parse_branch_spec(spec)
 
 
 class TestNthRoot:
