@@ -444,7 +444,6 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
     BOTTOM before it counts as a node. `need` and the value returned
     follow the contract in the module docstring.
     """
-    before = state.root_vars()
     forced_at, freed_at = len(engine.forced), len(engine.freed)
     for step in steps:
         if step[0] == "dual":
@@ -463,8 +462,9 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
     if not _simplify(engine, state):
         return BOTTOM
     # The forced map keeps the order of its forces, as undo removes the latest.
-    state.absorb(islice(engine.forced.items(), forced_at, None), engine.freed[freed_at:])
-    retired = state.root_vars() - before
+    forced, freed = dict(islice(engine.forced.items(), forced_at, None)), engine.freed[freed_at:]
+    state.absorb(forced.items(), freed)
+    retired = forced.keys() | freed  # the node's new roots
 
     base = 0
     if retired:

@@ -255,7 +255,9 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _parse_witness_file(path) -> list[Assignment]:
+def _parse_witness_file(path, num_vars: int) -> list[Assignment]:
+    """One assignment per value line; a literal outside 1..num_vars, or a
+    variable named with both signs, raises ValueError."""
     assignments: list[Assignment] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -266,14 +268,19 @@ def _parse_witness_file(path) -> list[Assignment]:
                 tokens = tokens[1:]
             elif tokens[0] in ("c", "s"):
                 continue
-            lits = [int(t) for t in tokens]
-            assignments.append({abs(l): l > 0 for l in lits if l != 0})
+            assignment: Assignment = {}
+            for lit in map(int, tokens):
+                if abs(lit) > num_vars:
+                    raise ValueError(f"witness literal {lit} out of range for {num_vars} variables")
+                if lit and assignment.setdefault(abs(lit), lit > 0) != (lit > 0):
+                    raise ValueError(f"witness names variable {abs(lit)} with both signs")
+            assignments.append(assignment)
     return assignments
 
 
 def _cmd_verify(args) -> int:
     formula = load_formula(args.file)
-    assignments = _parse_witness_file(args.witnesses)
+    assignments = _parse_witness_file(args.witnesses, formula.num_vars)
     if len(assignments) != 2:
         print(f"xham: error: expected 2 witness lines, found {len(assignments)}", file=sys.stderr)
         return EXIT_ERROR

@@ -119,19 +119,6 @@ class Formula:
             num_vars = max((abs(l) for c in clauses for l in c), default=0)
         return cls(num_vars, clauses)
 
-    @classmethod
-    def trusted(cls, num_vars: int, clauses: tuple[Clause, ...]) -> "Formula":
-        """A formula of clauses taken from an already validated one, unchecked.
-
-        For internal code that only drops, shrinks or rewrites the clauses
-        of a valid formula among its own variables; `clauses` must already
-        be a tuple of tuples.
-        """
-        formula = object.__new__(cls)
-        object.__setattr__(formula, "num_vars", num_vars)
-        object.__setattr__(formula, "clauses", clauses)
-        return formula
-
     def variables(self) -> list[int]:
         """Sorted variables actually occurring in clauses (Var(F))."""
         return sorted({abs(lit) for clause in self.clauses for lit in clause})

@@ -19,9 +19,11 @@ the clauses it touches rather than a sweep over the whole formula per
 round. `normalize`, `assign` and `substitute_dual` are thin wrappers
 that run one step on a fresh engine. The solver, p and q each search one
 engine: a level or a q child takes a `mark`, applies its steps, and goes
-back with `undo_to`. The trail logs every clause write with the clause
-it replaced, every force and every occurrence list a rewrite replaced,
-so backing up costs what the steps wrote.
+back with `undo_to`. The trail keeps two logs in the order of the steps:
+every clause write with the clause it replaced, and every occurrence
+list that a force popped or a rewrite replaced. The forced map keeps its
+own order, so it needs no log. Backing up pops both logs and the end of
+the forced map, latest first, and costs what the steps wrote.
 
 Every rule application strictly shrinks (forced variables grow, clauses
 or literal counts drop), so the fixpoint always terminates. The fixpoint
@@ -138,7 +140,7 @@ def connected_components(formula: Formula) -> list[Formula]:
     """The formula's `components`, each a formula in clause order with its num_vars."""
     clauses = formula.clauses
     parts = components(Propagator(formula), range(len(clauses)))
-    return [Formula.trusted(formula.num_vars, tuple(clauses[pos] for pos in part)) for part in parts]
+    return [Formula(formula.num_vars, tuple(clauses[pos] for pos in part)) for part in parts]
 
 
 class Propagator:
@@ -184,10 +186,9 @@ class Propagator:
         self.singles: list[int] = []
         self._vanished: list[int] = []
         # The trail, opened by the first mark: (pos, replaced clause) per
-        # clause write, (var, its occurrence list or None) per force, and
-        # (var, replaced occurrence list) per list a rewrite replaced.
+        # clause write and (var, occurrence list) per list a force popped
+        # or a rewrite replaced.
         self._writes: list[tuple[int, tuple[int, ...]]] | None = None
-        self._forces: list[tuple[int, list[int] | None]] | None = None
         self._occs: list[tuple[int, list[int]]] | None = None
 
     def _enqueue(self, pos: int) -> None:
@@ -201,8 +202,8 @@ class Propagator:
         if old is None:
             self.forced[var] = value
             positions = self.occ.pop(var, None)
-            if self._forces is not None:
-                self._forces.append((var, positions))
+            if positions is not None and self._occs is not None:
+                self._occs.append((var, positions))
             for pos in positions or ():
                 self._enqueue(pos)
         elif old != value:
@@ -291,24 +292,29 @@ class Propagator:
     def mark(self):
         """A fixpoint to come back to with `undo_to`; the queue must be empty.
 
-        The first mark opens the trail, which then stays open.
+        A mark holds the lengths of the two logs, of the forced map, of
+        `freed` and of `equivalences`, and `unsat`. The first mark opens
+        the trail, which then stays open.
         """
         if self.queue:
             raise ValueError("a mark needs a fixpoint: propagate first")
         if self._writes is None:
-            self._writes, self._forces, self._occs = [], [], []
-        writes, forces, occs = self._writes, self._forces, self._occs
-        return len(writes), len(forces), len(occs), len(self.freed), len(self.equivalences), self.unsat
+            self._writes, self._occs = [], []
+        lengths = self._writes, self._occs, self.forced, self.freed, self.equivalences
+        return (*map(len, lengths), self.unsat)
 
     def undo_to(self, mark) -> None:
         """Return to the fixpoint at which `mark` was taken.
 
-        Restores the live clauses, degrees, forced values, the occurrence
-        lists that forces took and rewrites replaced, `freed`,
-        `equivalences` and `unsat`; empties the queue and the `changed`
-        and `singles` logs. Marks taken after this one are void.
+        Restores the live clauses and degrees from the write log, the
+        occurrence lists that forces popped and rewrites replaced from the
+        list log, latest first, and drops the forces since the mark from
+        the end of the forced map, which keeps them in force order. Also
+        restores `freed`, `equivalences` and `unsat`; empties the queue and
+        the `changed` and `singles` logs. Marks taken after this one are
+        void.
         """
-        writes_at, forces_at, occs_at, freed_at, equivalences_at, unsat = mark
+        writes_at, occs_at, forced_at, freed_at, equivalences_at, unsat = mark
         clauses, degree, writes = self.clauses, self.degree, self._writes
         while len(writes) > writes_at:
             pos, lits = writes.pop()
@@ -317,17 +323,12 @@ class Propagator:
             for lit in lits:
                 degree[abs(lit)] += 1
             clauses[pos] = lits
-        forced, occ, forces, occs = self.forced, self.occ, self._forces, self._occs
-        while len(forces) > forces_at:
-            var, positions = forces.pop()
-            del forced[var]
-            if positions is not None:
-                occ[var] = positions
-        # A variable is rewritten only while live, so its rewrites came
-        # before any force of it: undo the forces first.
+        occ, occs, forced = self.occ, self._occs, self.forced
         while len(occs) > occs_at:
             var, positions = occs.pop()
             occ[var] = positions
+        while len(forced) > forced_at:
+            forced.popitem()
         del self.freed[freed_at:]
         del self.equivalences[equivalences_at:]
         self.unsat = unsat
@@ -359,7 +360,7 @@ class Propagator:
             return PropagationResult(
                 unsat_formula(self.num_vars), self.forced, tuple(self.equivalences), (), True
             )
-        formula = Formula.trusted(self.num_vars, tuple(c for c in self.clauses if c is not None))
+        formula = Formula(self.num_vars, tuple(c for c in self.clauses if c is not None))
         return PropagationResult(
             formula, self.forced, tuple(self.equivalences), tuple(self.freed), False
         )

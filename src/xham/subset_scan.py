@@ -5,9 +5,10 @@ literals over X (one flipped literal alone would break exactly-one). So
 only such "allowed" subsets can separate a model pair. The scan lists
 them largest first and stops at the first X the solver accepts.
 
-The scan runs on the propagated formula: forced variables never differ,
-freed ones always can, and the remaining clauses hold distinct
-variables, so each clause is one bitmask over the formula's variables.
+The scan runs on the propagated formula, read straight off the one
+engine that propagated the input: forced variables never differ, freed
+ones always can, and the live clauses hold distinct variables, so each
+clause is one bitmask over the live variables.
 
 Generation. `allowed_classes` branches over the clauses in order. A
 clause with no chosen variable chooses none or one pair of its undecided
@@ -39,10 +40,10 @@ true; with R false, C makes exactly one of l₁, l₂ true, and flipping
 swaps them. So X separates two x-models iff the formula stays
 x-satisfiable with every literal of a touched clause whose variable is
 outside X made false, and flipping X in such a model gives the second
-model. p puts these questions to one propagation engine on the
-propagated formula: the solver assumes the complements of those
-literals, searches, and undoes all of it before the next subset (see
-`solver.solve`), so no formula is built per subset.
+model. p puts these questions to the engine it propagated: the solver
+assumes the complements of those literals, searches, and undoes all of
+it before the next subset (see `solver.solve`). No formula is built, at
+the root or per subset, and the witnesses are the solver's models.
 
 `allowed_subset_check` states the zero-or-two test on sets instead; it
 takes any formula, counts a repeated variable once per occurrence, and is
@@ -54,7 +55,7 @@ from __future__ import annotations
 import itertools
 
 from .formula import BOTTOM, Assignment, Formula, HammingResult, SearchStats
-from .propagation import PropagationResult, Propagator, extend_model, normalize
+from .propagation import Propagator
 from .solver import solve
 
 
@@ -125,28 +126,30 @@ def _bits(bitset: int) -> list[int]:
 def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> HammingResult:
     """Exact max Hamming distance with witnesses, via the subset scan.
 
-    A satisfiability check on the propagated formula comes first; only
-    when it passes are the nonempty allowed subsets generated, one size
-    at a time from the largest (see the module docstring for their order
-    and for the literals the solver assumes with each). The first one
-    the solver accepts is the answer, and with none the base model stands
-    alone. Each variable that propagation freed adds one flip: the first
-    witness sets it True, the second False.
+    One engine on the input does all the work: it propagates, the solver
+    checks on it that the propagated formula has a model, and only then
+    are the nonempty allowed subsets of its live clauses generated, one
+    size at a time from the largest (see the module docstring for their
+    order and for the literals the solver assumes with each). The first
+    one the solver accepts on the same engine is the answer, and with
+    none the base model stands alone. That model is the first witness:
+    the solver sets every forced variable, and every freed one True.
+    Each variable that propagation freed adds one flip, so the second
+    witness, the first flipped on the subset, sets them False.
     """
     if stats is None:
         stats = SearchStats()
-    result = normalize(formula)
-    reduced = result.formula
+    engine = Propagator(formula)
     stats.solver_calls += 1
-    engine = Propagator(reduced)  # a fixpoint already: propagate changes nothing
     base_model = solve(engine) if engine.propagate() else None
     if base_model is None:
         return HammingResult(BOTTOM)
 
-    variables = reduced.variables()
+    clauses = [clause for clause in engine.clauses if clause is not None]
+    variables = sorted(var for var, count in engine.degree.items() if count)
     position = {v: i for i, v in enumerate(variables)}
-    masks = [sum(1 << position[abs(l)] for l in clause) for clause in reduced.clauses]
-    freed = len(result.freed)
+    masks = [sum(1 << position[abs(l)] for l in clause) for clause in clauses]
+    freed = tuple(engine.freed)
 
     for subsets in allowed_classes(masks):
         stats.subsets_checked += len(subsets)
@@ -154,7 +157,7 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
             stats.solver_calls += 1
             assumptions = tuple(
                 -lit
-                for clause, mask in zip(reduced.clauses, masks)
+                for clause, mask in zip(clauses, masks)
                 if bitset & mask
                 for lit in clause
                 if not (bitset >> position[abs(lit)]) & 1
@@ -162,12 +165,13 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
             model = solve(engine, assumptions)
             if model is not None:
                 subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
-                return HammingResult(len(subset) + freed, _witness_pair(result, model, subset))
-    return HammingResult(freed, _witness_pair(result, base_model, ()))
+                return HammingResult(len(subset) + len(freed), _witness_pair(model, subset, freed))
+    return HammingResult(len(freed), _witness_pair(base_model, (), freed))
 
 
-def _witness_pair(result: PropagationResult, model: Assignment, subset):
-    """A model of the reduced formula and its flip on subset, both extended
-    over the input's variables with freed variables True, respectively False."""
+def _witness_pair(model: Assignment, subset, freed):
+    """The solver's model and its flip on subset, in which the variables
+    that propagation freed read False."""
     flipped = {v: value != (v in subset) for v, value in model.items()}
-    return extend_model(result, model), extend_model(result, flipped, freed_value=False)
+    flipped.update(dict.fromkeys(freed, False))
+    return model, flipped

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from xham import Formula, enumerate_xmodels, extend_model, random_formula
+from xham.propagation import Propagator
 
 
 def clause_count(n: int, length: int) -> int:
@@ -65,6 +66,27 @@ def chain(n, length, seed):
     rng = random.Random(seed)
     clauses = [range(start, start + length) for start in range(1, n, length - 1)]
     return Formula(n, tuple(tuple(v if rng.random() < 0.5 else -v for v in c) for c in clauses))
+
+
+def count_builds(monkeypatch) -> dict[str, int]:
+    """Count `Propagator` and `Formula` builds into the returned dict.
+
+    Every `Formula` passes `__post_init__`, so the count covers them all.
+    """
+    built = {"engines": 0, "formulas": 0}
+    engine_init, formula_init = Propagator.__init__, Formula.__post_init__
+
+    def counting_engine(self, f):
+        built["engines"] += 1
+        engine_init(self, f)
+
+    def counting_formula(self):
+        built["formulas"] += 1
+        formula_init(self)
+
+    monkeypatch.setattr(Propagator, "__init__", counting_engine)
+    monkeypatch.setattr(Formula, "__post_init__", counting_formula)
+    return built
 
 
 def formula(*clauses, n=None) -> Formula:

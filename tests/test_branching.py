@@ -19,11 +19,12 @@ from xham import (
     planted_formula,
     random_formula,
     simplify_state,
+    subset_scan,
 )
 from xham.branching import slot_options
 from xham.propagation import Propagator, components
 
-from conftest import chain, clause_count, formula, repeated_variable_corpus
+from conftest import chain, clause_count, count_builds, formula, repeated_variable_corpus
 from test_golden import GOLDEN, build
 
 
@@ -257,24 +258,7 @@ class TestMaxHammingQ:
         shapes = ((21, 3, 2), (20, 4, 2), (24, 4, 2))
         instances = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(4)]
         instances += [random_formula(n, clause_count(n, k), k, 7300 + n) for k in (3, 4, 5) for n in (12, 16)]
-        built = {"engines": 0, "formulas": 0}
-        engine_init, formula_init, trusted = Propagator.__init__, Formula.__post_init__, Formula.trusted
-
-        def counting_engine(self, f):
-            built["engines"] += 1
-            engine_init(self, f)
-
-        def counting_formula(self):
-            built["formulas"] += 1
-            formula_init(self)
-
-        def counting_trusted(num_vars, clauses):
-            built["formulas"] += 1
-            return trusted(num_vars, clauses)
-
-        monkeypatch.setattr(Propagator, "__init__", counting_engine)
-        monkeypatch.setattr(Formula, "__post_init__", counting_formula)
-        monkeypatch.setattr(Formula, "trusted", counting_trusted)
+        built = count_builds(monkeypatch)
         nodes = 0
         for f in instances:
             built.update(engines=0, formulas=0)
@@ -291,6 +275,11 @@ class TestMaxHammingQ:
         assert "union" not in inspect.getsource(formula_module).lower()
         for method in (Propagator.substitute, Propagator.remove_literal):
             assert "cannot be undone" not in inspect.getsource(method)
+        # Two trail logs: forces log their occurrence lists with the rewrites'.
+        assert not hasattr(Propagator(formula((1, 2, 3))), "_forces")
+        assert not hasattr(Formula, "trusted")
+        scan_names = vars(subset_scan)
+        assert "normalize" not in scan_names and "extend_model" not in scan_names
 
     def test_long_chains_hit_no_recursion_limit(self):
         """Binary chains (i, i+1) flip every variable; the ternary chains

@@ -203,6 +203,25 @@ class TestVerify:
         assert code == 1
         assert "x-model" in err
 
+    def test_rejects_literal_out_of_range(self, capsys, instance, tmp_path):
+        """Two models at distance 2, padded with a variable the instance lacks."""
+        path = instance(parse_formula("p xsat 4 2\n1 2 3 0\n1 2 4 0\n"))
+        witness_path = tmp_path / "w.txt"
+        witness_path.write_text("v 1 -2 -3 -4 99 0\nv -1 2 -3 -4 -99 0\n")
+        code, out, err = run(capsys, "verify", path, str(witness_path))
+        assert code == 1
+        assert "VERIFIED" not in out
+        assert "99 out of range" in err
+
+    def test_rejects_variable_with_both_signs(self, capsys, instance, tmp_path):
+        path = instance(parse_formula("p xsat 4 2\n1 2 3 0\n1 2 4 0\n"))
+        witness_path = tmp_path / "w.txt"
+        witness_path.write_text("v 1 -2 -3 -4 0\nv -1 2 -3 4 -4 0\n")
+        code, out, err = run(capsys, "verify", path, str(witness_path))
+        assert code == 1
+        assert "VERIFIED" not in out
+        assert "variable 4 with both signs" in err
+
     def test_arity_mismatch(self, capsys, instance, tmp_path):
         path = instance(formula((1, 2, 3)))
         witness_path = tmp_path / "w.txt"

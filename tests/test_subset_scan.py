@@ -16,13 +16,14 @@ from xham import (
     max_hamming_p,
     max_hamming_q,
     normalize,
+    planted_formula,
     random_formula,
     verify_xmodel,
 )
 from xham import subset_scan
 from xham.solver import solve
 
-from conftest import clause_count, formula, repeated_variable_corpus
+from conftest import clause_count, count_builds, formula, repeated_variable_corpus
 
 REPEATED = repeated_variable_corpus(300, 9100)
 # Distinct-variable clauses that share variables with each other.
@@ -175,6 +176,23 @@ class TestMaxHammingP:
         result = max_hamming_p(formula((1,)))
         assert result.distance == 0
         assert result.witnesses == ({1: True}, {1: True})
+
+
+def test_one_engine_and_no_formula_per_scan(monkeypatch):
+    """p propagates, checks and scans on one `Propagator` built on its
+    input, and its witnesses come from the solver's models: no `Formula`."""
+    instances = [random_formula(n, (n + 1) // 2, k, 8100 + n) for k in (3, 4) for n in (10, 12, 14)]
+    instances += [planted_formula(n, k, 2, seed) for n, k in ((12, 3), (12, 4)) for seed in range(3)]
+    instances += REPEATED[:40]
+    built = count_builds(monkeypatch)
+    calls = 0
+    for f in instances:
+        built.update(engines=0, formulas=0)
+        stats = SearchStats()
+        max_hamming_p(f, stats)
+        assert built == {"engines": 1, "formulas": 0}, f
+        calls += stats.solver_calls
+    assert calls > 100
 
 
 def test_agrees_with_oracle_on_random_suite():
