@@ -12,7 +12,6 @@ from .branching import (
     GeneralizedAssignment,
     gen_h,
     max_hamming_q,
-    simplify_state,
 )
 from .dimacs import ParseError, load_formula, parse_formula, serialize_formula
 from .formula import (
@@ -82,7 +81,6 @@ __all__ = [
     "planted_formula",
     "random_formula",
     "serialize_formula",
-    "simplify_state",
     "substitute_dual",
     "tau_root",
     "unsat_formula",

@@ -299,20 +299,6 @@ def gen_h(state: GeneralizedAssignment, roots=None) -> int:
     return total
 
 
-def simplify_state(formula: Formula, state: GeneralizedAssignment):
-    """Pool extra singletons and eliminate binary clauses, to a fixpoint.
-
-    Returns the simplified formula and an updated copy of the state. An
-    unsatisfiable outcome surfaces as the canonical single-empty-clause
-    formula.
-    """
-    state = state.copy()
-    engine = Propagator(formula)
-    if _simplify(engine, state):
-        state.absorb(engine.forced.items(), engine.freed)
-    return engine.result().formula, state
-
-
 def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     """Simplify in place on a propagation engine; False when a conflict shows.
 
@@ -436,13 +422,20 @@ def max_hamming_q(
 
 
 def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
-    """Apply a child's steps on the search's engine, simplify there, and recurse.
+    """Apply a child's steps on the search's engine, simplify there, and branch.
 
     The node's formula is the clauses at `positions`. Below the root the
     caller marks the engine at the parent's fixpoint and undoes to it
-    afterwards. A step that propagates to a conflict makes the child
-    BOTTOM before it counts as a node. `need` and the value returned
-    follow the contract in the module docstring.
+    afterwards, and every call below the root carries steps. A step that
+    propagates to a conflict makes the child BOTTOM before it counts as a
+    node. `need` and the value returned follow the contract in the module
+    docstring.
+
+    The live clauses split into connected components, and one loop
+    branches on each part's first longest clause in turn. When the node
+    has a bound, each part's bound is computed once, here, and a part is
+    cut off when its bound cannot beat what is left of `need`. The parts
+    of a split count one node each, as if each were a child of its own.
     """
     forced_at, freed_at = len(engine.forced), len(engine.freed)
     for step in steps:
@@ -484,23 +477,24 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
         bounds = [_bound(engine, part, state) for part in parts]
         if base + sum(bounds) <= need:
             return need
-    if len(parts) > 1:
-        # Component i must beat what is left of `need` once the exact
-        # values before it and the bounds after it are counted.
-        total = base
-        for i, part in enumerate(parts):
-            sub_need = -1 if bounds is None else need - total - sum(bounds[i + 1 :])
-            sub = _q(engine, part, state, (), counter, leaf_hook, trail, sub_need)
-            if sub is BOTTOM:
-                return BOTTOM
-            if sub <= sub_need:
-                return need
-            total += sub
-        return total
-
-    clause = max((clauses[pos] for pos in live), key=len)
-    assert len(clause) >= 3, "units and binaries are gone after simplification"
-    return base + _branch(engine, live, state, clause, (), counter, leaf_hook, trail, need - base)
+    total = base
+    for i, part in enumerate(parts):
+        if len(parts) > 1:
+            counter.nodes += 1
+        # Part i must beat what is left of `need` once the exact values
+        # before it and the bounds after it are counted.
+        sub_need = -1 if bounds is None else need - total - sum(bounds[i + 1 :])
+        if bounds and bounds[i] <= sub_need:
+            return need
+        clause = max((clauses[pos] for pos in part), key=len)
+        assert len(clause) >= 3, "units and binaries are gone after simplification"
+        sub = _branch(engine, part, state, clause, (), counter, leaf_hook, trail, sub_need)
+        if sub is BOTTOM:
+            return BOTTOM
+        if sub <= sub_need:
+            return need
+        total += sub
+    return total
 
 
 def _bound(engine, positions, state) -> int:

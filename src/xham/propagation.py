@@ -19,11 +19,14 @@ the clauses it touches rather than a sweep over the whole formula per
 round. `normalize`, `assign` and `substitute_dual` are thin wrappers
 that run one step on a fresh engine. The solver, p and q each search one
 engine: a level or a q child takes a `mark`, applies its steps, and goes
-back with `undo_to`. The trail keeps two logs in the order of the steps:
-every clause write with the clause it replaced, and every occurrence
-list that a force popped or a rewrite replaced. The forced map keeps its
-own order, so it needs no log. Backing up pops both logs and the end of
-the forced map, latest first, and costs what the steps wrote.
+back with `undo_to`. Every engine keeps its trail from construction, two
+logs in the order of the steps: every clause write with the clause it
+replaced, and the length every occurrence list had before a rewrite
+appended to it. Occurrence lists only grow: a force or a removed literal
+leaves the list in place, stale, as dropped clauses' positions already
+are. The forced map keeps its own order, so it needs no log. Backing up
+pops both logs, latest first, cutting each grown list back to its old
+length, and the end of the forced map, and costs what the steps wrote.
 
 Every rule application strictly shrinks (forced variables grow, clauses
 or literal counts drop), so the fixpoint always terminates. The fixpoint
@@ -33,7 +36,7 @@ does not depend on the order in which the queue settles clauses.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .formula import Assignment, Formula, unsat_formula
 
@@ -44,9 +47,10 @@ class PropagationResult:
 
     forced holds every assignment fixed during propagation, including the
     trigger. equivalences are (source, target) literal pairs with equal
-    truth value, recorded by dual substitution; sources no longer occur
-    in the formula. freed lists variables that vanished from the formula
-    without being forced or rewritten (both values extend any model).
+    truth value: `substitute_dual` gives its one pair, the other calls
+    none; sources no longer occur in the formula. freed lists variables
+    that vanished from the formula without being forced or rewritten
+    (both values extend any model).
     """
 
     formula: Formula
@@ -92,20 +96,20 @@ def substitute_dual(formula: Formula, a: int, b: int) -> PropagationResult:
         raise ValueError("both literals must occur in the formula")
     engine.substitute(a, b)
     engine.propagate()
-    return engine.result()
+    return replace(engine.result(), equivalences=((a, -b),))
 
 
-def extend_model(result: PropagationResult, model: Assignment, freed_value: bool = True) -> Assignment:
+def extend_model(result: PropagationResult, model: Assignment) -> Assignment:
     """Extend a model of result.formula back over the input's variables.
 
-    Freed variables default to `freed_value` unless the model already
-    chose them; equivalences resolve latest-first so chained rewrites see
-    their targets.
+    Freed variables default to True unless the model already chose them;
+    equivalences resolve latest-first so chained rewrites see their
+    targets.
     """
     full = dict(model)
     full.update(result.forced)
     for var in result.freed:
-        full.setdefault(var, freed_value)
+        full.setdefault(var, True)
     for src, tgt in reversed(result.equivalences):
         truth = full[abs(tgt)] == (tgt > 0)
         full[abs(src)] = truth if src > 0 else not truth
@@ -147,9 +151,10 @@ class Propagator:
     """A formula under incremental exactly-one propagation.
 
     clauses[pos] is the clause at its input position, or None once it
-    dropped out. occ maps a live variable to the positions of the live
-    clauses holding it, plus stale entries of dropped ones; a position may
-    repeat. degree counts the variable's literal occurrences in live
+    dropped out. occ maps a variable to the positions of the live clauses
+    holding it, plus stale entries: clauses that dropped or no longer hold
+    it, and every entry of a variable that left the formula. A position
+    may repeat. degree counts the variable's literal occurrences in live
     clauses.
     `force`, `substitute` and `remove_literal` queue exactly the clauses
     they touch; a new engine starts with every clause in the queue.
@@ -162,8 +167,9 @@ class Propagator:
     shrank or was rewritten), `singles` variables whose degree fell to
     one. The caller drains them.
 
-    `mark` and `undo_to` take the engine back to an earlier fixpoint, over
-    every step above (see the module docstring).
+    The trail runs from construction on: `mark` and `undo_to` take the
+    engine back to an earlier fixpoint, over every step above (see the
+    module docstring).
     """
 
     def __init__(self, formula: Formula):
@@ -177,7 +183,6 @@ class Propagator:
         # One occ entry per literal so far, so list lengths are the degrees.
         self.degree = {var: len(positions) for var, positions in occ.items()}
         self.forced: Assignment = {}
-        self.equivalences: list[tuple[int, int]] = []
         self.freed: list[int] = []
         self.unsat = False
         self.queue = deque(range(len(self.clauses)))
@@ -185,11 +190,10 @@ class Propagator:
         self.changed: list[int] = list(range(len(self.clauses)))
         self.singles: list[int] = []
         self._vanished: list[int] = []
-        # The trail, opened by the first mark: (pos, replaced clause) per
-        # clause write and (var, occurrence list) per list a force popped
-        # or a rewrite replaced.
-        self._writes: list[tuple[int, tuple[int, ...]]] | None = None
-        self._occs: list[tuple[int, list[int]]] | None = None
+        # The trail: (pos, replaced clause) per clause write and
+        # (var, old length) per occurrence list a rewrite appended to.
+        self._writes: list[tuple[int, tuple[int, ...]]] = []
+        self._occs: list[tuple[int, int]] = []
 
     def _enqueue(self, pos: int) -> None:
         if not self.queued[pos] and self.clauses[pos] is not None:
@@ -201,10 +205,7 @@ class Propagator:
         old = self.forced.get(var)
         if old is None:
             self.forced[var] = value
-            positions = self.occ.pop(var, None)
-            if positions is not None and self._occs is not None:
-                self._occs.append((var, positions))
-            for pos in positions or ():
+            for pos in self.occ.get(var, ()):
                 self._enqueue(pos)
         elif old != value:
             self.unsat = True
@@ -213,26 +214,22 @@ class Propagator:
         """Rewrite literal a as the complement of b in place; queue those clauses."""
         source, target = abs(a), abs(b)
         clauses, occ, writes = self.clauses, self.occ, self._writes
-        taken, moved = occ.pop(source), occ[target]
-        if writes is not None:
-            self._occs += ((source, taken), (target, moved))
-            moved = occ[target] = list(moved)
-        for pos in taken:
+        moved = occ[target]
+        self._occs.append((target, len(moved)))
+        for pos in occ[source]:
             clause = clauses[pos]
             if clause is None:
                 continue
             rewritten = tuple(-b if lit == a else (b if lit == -a else lit) for lit in clause)
             if rewritten == clause:
                 continue  # a repeated entry, already rewritten
-            if writes is not None:
-                writes.append((pos, clause))
+            writes.append((pos, clause))
             clauses[pos] = rewritten
             moved.append(pos)
             self.changed.append(pos)
             self._enqueue(pos)
         self.degree[target] += self.degree[source]
         self.degree[source] = 0
-        self.equivalences.append((a, -b))
 
     def remove_literal(self, pos: int, lit: int) -> None:
         """Delete the one occurrence of a degree-one literal and queue its clause.
@@ -240,10 +237,8 @@ class Propagator:
         The variable leaves the formula without counting as freed: the
         caller keeps track of it elsewhere.
         """
-        clause, positions = self.clauses[pos], self.occ.pop(abs(lit))
-        if self._writes is not None:
-            self._writes.append((pos, clause))
-            self._occs.append((abs(lit), positions))
+        clause = self.clauses[pos]
+        self._writes.append((pos, clause))
         self.clauses[pos] = tuple(l for l in clause if l != lit)
         self.degree[abs(lit)] = 0
         self.changed.append(pos)
@@ -277,8 +272,7 @@ class Propagator:
                 continue
             else:
                 self.changed.append(pos)
-            if writes is not None:
-                writes.append((pos, lits))
+            writes.append((pos, lits))
             clauses[pos] = live
             self._lose(lits, live or ())
         if self.unsat:
@@ -292,29 +286,25 @@ class Propagator:
     def mark(self):
         """A fixpoint to come back to with `undo_to`; the queue must be empty.
 
-        A mark holds the lengths of the two logs, of the forced map, of
-        `freed` and of `equivalences`, and `unsat`. The first mark opens
-        the trail, which then stays open.
+        A mark holds the lengths of the two trail logs, of the forced map
+        and of `freed`, and `unsat`.
         """
         if self.queue:
             raise ValueError("a mark needs a fixpoint: propagate first")
-        if self._writes is None:
-            self._writes, self._occs = [], []
-        lengths = self._writes, self._occs, self.forced, self.freed, self.equivalences
-        return (*map(len, lengths), self.unsat)
+        return len(self._writes), len(self._occs), len(self.forced), len(self.freed), self.unsat
 
     def undo_to(self, mark) -> None:
         """Return to the fixpoint at which `mark` was taken.
 
-        Restores the live clauses and degrees from the write log, the
-        occurrence lists that forces popped and rewrites replaced from the
-        list log, latest first, and drops the forces since the mark from
+        Restores the live clauses and degrees from the write log, latest
+        first; cuts every occurrence list that grew back to its length at
+        the mark (lists are never popped or replaced, so each is the same
+        object as at the mark); and drops the forces since the mark from
         the end of the forced map, which keeps them in force order. Also
-        restores `freed`, `equivalences` and `unsat`; empties the queue and
-        the `changed` and `singles` logs. Marks taken after this one are
-        void.
+        restores `freed` and `unsat`; empties the queue and the `changed`
+        and `singles` logs. Marks taken after this one are void.
         """
-        writes_at, occs_at, forced_at, freed_at, equivalences_at, unsat = mark
+        writes_at, occs_at, forced_at, freed_at, unsat = mark
         clauses, degree, writes = self.clauses, self.degree, self._writes
         while len(writes) > writes_at:
             pos, lits = writes.pop()
@@ -325,12 +315,11 @@ class Propagator:
             clauses[pos] = lits
         occ, occs, forced = self.occ, self._occs, self.forced
         while len(occs) > occs_at:
-            var, positions = occs.pop()
-            occ[var] = positions
+            var, length = occs.pop()
+            del occ[var][length:]
         while len(forced) > forced_at:
             forced.popitem()
         del self.freed[freed_at:]
-        del self.equivalences[equivalences_at:]
         self.unsat = unsat
         for pos in self.queue:
             self.queued[pos] = 0
@@ -357,13 +346,9 @@ class Propagator:
 
     def result(self) -> PropagationResult:
         if self.unsat:
-            return PropagationResult(
-                unsat_formula(self.num_vars), self.forced, tuple(self.equivalences), (), True
-            )
+            return PropagationResult(unsat_formula(self.num_vars), self.forced, (), (), True)
         formula = Formula(self.num_vars, tuple(c for c in self.clauses if c is not None))
-        return PropagationResult(
-            formula, self.forced, tuple(self.equivalences), tuple(self.freed), False
-        )
+        return PropagationResult(formula, self.forced, (), tuple(self.freed), False)
 
 
 def _settle_clause(lits, forced, force):

@@ -1,3 +1,4 @@
+import collections
 import inspect
 import itertools
 import random
@@ -18,7 +19,6 @@ from xham import (
     max_hamming_q,
     planted_formula,
     random_formula,
-    simplify_state,
     subset_scan,
 )
 from xham.branching import slot_options
@@ -29,9 +29,13 @@ from test_golden import GOLDEN, build
 
 
 class TestSimplifyState:
+    """`_simplify` on an engine over the whole input, as q runs it at the root."""
+
     def test_all_singleton_clause_pools_and_forces(self):
-        out, state = simplify_state(formula((1, 2, 3)), GeneralizedAssignment())
-        assert out.clauses == ()
+        engine, state = Propagator(formula((1, 2, 3))), GeneralizedAssignment()
+        assert branching._simplify(engine, state)
+        state.absorb(engine.forced.items(), engine.freed)
+        assert all(clause is None for clause in engine.clauses)
         # peers pool under one slot (nested), the surviving unit is forced
         # true with its satisfactor polarity recorded
         [(root, value)] = state.values.items()
@@ -46,17 +50,21 @@ class TestSimplifyState:
         assert got == want
 
     def test_binary_clause_records_dual_link(self):
-        out, state = simplify_state(formula((1, 2), (2, 3, 4)), GeneralizedAssignment())
+        state = GeneralizedAssignment()
+        assert branching._simplify(Propagator(formula((1, 2), (2, 3, 4))), state)
         assert (1, True, False) in state.dual[2]
 
     def test_fixpoint_when_nothing_applies(self, tiny):
-        out, state = simplify_state(tiny, GeneralizedAssignment())
-        assert out == tiny
+        engine, state = Propagator(tiny), GeneralizedAssignment()
+        assert branching._simplify(engine, state)
+        assert tuple(clause for clause in engine.clauses if clause is not None) == tiny.clauses
+        assert not engine.forced and not engine.freed
         assert state == GeneralizedAssignment()
 
     def test_unsat_surfaces_as_empty_clause(self):
-        out, _ = simplify_state(formula((1,), (-1,)), GeneralizedAssignment())
-        assert out.clauses == ((),)
+        engine = Propagator(formula((1,), (-1,)))
+        assert not branching._simplify(engine, GeneralizedAssignment())
+        assert engine.result().formula.clauses == ((),)
 
 
 def leaf_state(**kw):
@@ -268,6 +276,48 @@ class TestMaxHammingQ:
             nodes += counter.nodes
         assert nodes > 500
 
+    def test_a_split_branches_its_parts_in_its_own_node(self, monkeypatch):
+        """No `_q` call below the root comes without steps, and each
+        component's bound is taken at most once per node; a node is named
+        by its trail, which no other node shares."""
+        shapes = ((21, 3, 2), (24, 3, 2), (20, 4, 2), (24, 4, 2))
+        instances = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(5)]
+        instances += [random_formula(n, (n + 1) // 2, k, 7700 + n) for k in (3, 4, 5) for n in (24, 32, 40)]
+        real_q, real_bound, real_components = branching._q, branching._bound, branching.components
+        path, seen, bounds, split_parts = [], set(), collections.Counter(), set()
+
+        def q(engine, positions, state, steps, counter, leaf_hook, trail, need):
+            assert steps or not path, f"a call below the root without steps, at {trail}"
+            assert trail + steps not in seen
+            seen.add(trail + steps)
+            path.append(trail + steps)
+            try:
+                return real_q(engine, positions, state, steps, counter, leaf_hook, trail, need)
+            finally:
+                path.pop()
+
+        def bound(engine, positions, state):
+            bounds[path[-1], tuple(positions)] += 1
+            return real_bound(engine, positions, state)
+
+        def components(engine, positions):
+            parts = real_components(engine, positions)
+            if len(parts) > 1:
+                split_parts.update((path[-1], tuple(part)) for part in parts)
+            return parts
+
+        monkeypatch.setattr(branching, "_q", q)
+        monkeypatch.setattr(branching, "_bound", bound)
+        monkeypatch.setattr(branching, "components", components)
+        bounded_parts = 0
+        for f in instances:
+            for log in (seen, bounds, split_parts):
+                log.clear()
+            max_hamming_q(f)
+            assert max(bounds.values(), default=1) == 1, f
+            bounded_parts += len(bounds.keys() & split_parts)
+        assert bounded_parts > 0
+
     def test_structure_left_by_the_one_engine_search(self):
         from xham import formula as formula_module
 
@@ -275,11 +325,26 @@ class TestMaxHammingQ:
         assert "union" not in inspect.getsource(formula_module).lower()
         for method in (Propagator.substitute, Propagator.remove_literal):
             assert "cannot be undone" not in inspect.getsource(method)
-        # Two trail logs: forces log their occurrence lists with the rewrites'.
-        assert not hasattr(Propagator(formula((1, 2, 3))), "_forces")
         assert not hasattr(Formula, "trusted")
         scan_names = vars(subset_scan)
         assert "normalize" not in scan_names and "extend_model" not in scan_names
+        assert not hasattr(branching, "simplify_state")
+
+        # One trail from construction, of two logs: clause writes, and the
+        # lengths of the occurrence lists that rewrites grew.
+        engine = Propagator(formula((1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1)))
+        assert not hasattr(engine, "equivalences") and not hasattr(engine, "_forces")
+        assert engine.propagate()
+        lists = {var: (positions, list(positions)) for var, positions in engine.occ.items()}
+        mark = engine.mark()
+        engine.substitute(1, 3)
+        engine.force(5, True)
+        engine.propagate()
+        assert engine._occs and all(type(var) is int and type(length) is int for var, length in engine._occs)
+        assert engine._writes and all(type(lits) is tuple for _, lits in engine._writes)
+        engine.undo_to(mark)
+        assert {var: (positions, list(positions)) for var, positions in engine.occ.items()} == lists
+        assert all(engine.occ[var] is positions for var, (positions, _) in lists.items())
 
     def test_long_chains_hit_no_recursion_limit(self):
         """Binary chains (i, i+1) flip every variable; the ternary chains

@@ -16,7 +16,6 @@ from xham import (
     planted_formula,
     propagation,
     random_formula,
-    simplify_state,
     substitute_dual,
 )
 from xham.propagation import Propagator
@@ -215,8 +214,10 @@ def settled_clauses_on_chain(monkeypatch, n):
     monkeypatch.setattr(propagation, "_settle_clause", counting)
     rng = random.Random(n)
     chain = Formula(n, tuple((i, i + 1 if rng.random() < 0.5 else -(i + 1)) for i in range(1, n)))
-    out, state = simplify_state(chain, GeneralizedAssignment())
-    assert out.clauses == () and len(state.universe()) == n
+    engine, state = Propagator(chain), GeneralizedAssignment()
+    assert branching._simplify(engine, state)
+    state.absorb(engine.forced.items(), engine.freed)
+    assert all(clause is None for clause in engine.clauses) and len(state.universe()) == n
     return count
 
 
@@ -232,7 +233,7 @@ def engine_state(engine):
     occ = {var: list(positions) for var, positions in engine.occ.items()}
     return (
         list(engine.clauses), dict(engine.degree), dict(engine.forced), occ,
-        list(engine.freed), list(engine.equivalences), engine.unsat,
+        list(engine.freed), engine.unsat,
     )
 
 
@@ -305,7 +306,7 @@ def test_undo_restores_the_state_at_the_mark(f, data):
     got, want = engine.result(), assign(f, var, value)
     assert (got.unsat, got.formula) == (want.unsat, want.formula)
     if not want.unsat:
-        assert got.forced == want.forced and got.equivalences == want.equivalences
+        assert got.forced == want.forced
         assert sorted(got.freed) == sorted(want.freed)
 
 
