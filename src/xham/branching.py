@@ -1,12 +1,18 @@
 """Max Hamming distance by DPLL-style branching over satisfactor roles.
 
 Under any two x-models a variable either keeps one value or flips. The
-recursion branches a longest clause three ways: its chosen literal is
-true in both models, false in both, or flips together with exactly one
-other literal of the clause (a clause can never straddle a model pair on
-just one variable, so flips come in pairs per clause). The third kind
-rewrites one literal as the other's complement, which removes a variable
-from the formula but keeps it linked in the state.
+recursion branches a longest clause three ways, which partition the
+model pairs: its chosen literal, the pivot, is true in both models, false
+in both, or flips together with exactly one other literal of the clause
+(a clause can never straddle a model pair on just one variable, so flips
+come in pairs per clause). The third kind rewrites the pivot as the other
+literal's complement, which removes it from the formula but keeps it
+linked in the state, and marks it as a pivot that must flip: its score
+table reads NEG, below any distance, where its two slots agree, so the
+pairs in which it stays, which the first two kinds hold, score nothing.
+The table of every variable above it carries that constraint up, and a
+live variable that it forces to flip is branched on first, with its flip
+children alone.
 
 Simplification keeps the search small: extra singletons sharing a clause
 pool into one representative slot, and binary clauses turn into recorded
@@ -25,12 +31,15 @@ variables that flip have degrees summing to at most twice the clauses.
 `_bound` turns that budget into a fractional knapsack over a simplified
 formula's live variables (weight: the degree; value: the best flip
 reading less the best stay reading, every stay added on top), one
-knapsack per connected component. The best answer found so far travels
+knapsack per connected component; a variable that must flip takes its
+degree out of the budget first. The best answer found so far travels
 down as an integer threshold `need`: a call returns the exact value of
 its subtree when that exceeds `need`, and otherwise BOTTOM (only when the
-subtree has no x-model) or some int <= need. A node whose `base` plus
-bound cannot exceed `need` is cut off; no bound is computed before
-`need` reaches `base`, so a search with no answer yet pays nothing.
+subtree has no x-model) or some int <= need. A subtree whose x-models
+hold no pair in which every must-flip pivot flips has a value near NEG,
+below any `need`. A node whose `base` plus bound cannot exceed `need` is
+cut off; no bound is computed before `need` reaches `base`, so a search
+with no answer yet pays nothing.
 
 A subtlety drives the state layout: once a variable represents a pooled
 clause slot, its formula occurrences stop meaning "this variable is
@@ -71,8 +80,11 @@ class GeneralizedAssignment:
       (child, flip, slot_anchor) triples: the child was rewritten away
       against this variable and mirrors it (inverted when flip is set),
       following the slot value when slot_anchor is set and the concrete
-      value otherwise. score caches a linked variable's subtree table
-      (see `table`).
+      value otherwise. flips holds the pivots of flip steps: a pivot
+      removed by ("dual", p, lit) must read different slots in the two
+      models, since the true and false children hold the pairs in which
+      it stays, so its table's stay entries read NEG. score caches a
+      linked variable's subtree table (see `table`).
 
     Every removed variable sits in exactly one sing or dual set and the
     links form a forest rooted at valued, free, or still-live variables.
@@ -88,11 +100,14 @@ class GeneralizedAssignment:
     dual: dict[int, list[tuple[int, bool, bool]]] = field(default_factory=dict)
     sat: dict[int, bool] = field(default_factory=dict)
     score: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
+    flips: set[int] = field(default_factory=set)
 
     def copy(self) -> "GeneralizedAssignment":
         sing = {v: list(ms) for v, ms in self.sing.items()}
         dual = {v: list(cs) for v, cs in self.dual.items()}
-        return GeneralizedAssignment(dict(self.values), list(self.free), sing, dual, dict(self.sat), dict(self.score))
+        return GeneralizedAssignment(
+            dict(self.values), list(self.free), sing, dual, dict(self.sat), dict(self.score), set(self.flips)
+        )
 
     def root_vars(self) -> set[int]:
         return set(self.values) | set(self.free)
@@ -118,9 +133,13 @@ class GeneralizedAssignment:
         self._link(survivor, removed)
 
     def _link(self, parent: int, child: int) -> None:
-        """The child left the formula below parent: fix its table, drop parent's."""
+        """The child left the formula below parent: fix its table, drop parent's.
+
+        A pivot in `flips` reads NEG where its two slots agree.
+        """
         self.score.pop(parent, None)
-        self.score[child] = self.table(child)
+        table = self.table(child)
+        self.score[child] = (NEG, table[1], table[2], NEG) if child in self.flips else table
 
     def table(self, var: int) -> tuple[int, int, int, int]:
         """Score table of var's subtree, built on the first read after its last link.
@@ -207,6 +226,10 @@ def slot_options(state: GeneralizedAssignment, var: int, slot: bool):
 
 
 _UNLINKED = (0, 1, 1, 0)
+#: Stay entry of a pivot that must flip. A reading that includes it stays
+#: negative, below any distance and any threshold `need`, for formulas of
+#: fewer than 2**28 variables.
+NEG = -(1 << 30)
 
 
 def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
@@ -287,6 +310,10 @@ def gen_h(state: GeneralizedAssignment, roots=None) -> int:
     has its score table and a root reads its own table (`table`): a
     valued root the entry (value, value), a free root its largest. A link
     not recorded through `record_sing`/`record_dual` raises ValueError.
+
+    The tables honour `flips`: the result is the maximum over the pairs
+    in which every variable there reads different slots, and negative
+    when no such pair exists.
     """
     if roots is None:
         roots = sorted(state.root_vars())
@@ -401,7 +428,8 @@ def max_hamming_q(
     The trail is a tuple of steps, and a child node receives its own
     steps as its instructions: ("true", p) makes literal p true,
     ("false", p) makes it false, and ("dual", p, lit) rewrites p as the
-    complement of lit, so that the two flip together. A length-4 split
+    complement of lit, so that the two flip together, and requires p to
+    flip (`GeneralizedAssignment.flips`). A length-4 split
     contributes two steps: the pivot's "false" step and a step on
     another literal of its clause.
 
@@ -443,7 +471,9 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
             _, pivot, lit = step
             engine.substitute(pivot, lit)
             # The pivot leaves the formula but stays linked below the
-            # literal's variable, so the leaf scoring pays for its subtree.
+            # literal's variable, so the leaf scoring pays for its subtree;
+            # it must flip, so its table is fixed with NEG stay entries.
+            state.flips.add(abs(pivot))
             state.record_dual(lit, pivot)
         else:
             kind, pivot = step
@@ -486,9 +516,9 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
         sub_need = -1 if bounds is None else need - total - sum(bounds[i + 1 :])
         if bounds and bounds[i] <= sub_need:
             return need
-        clause = max((clauses[pos] for pos in part), key=len)
+        clause, must_flip = _pick_branch(engine, part, state)
         assert len(clause) >= 3, "units and binaries are gone after simplification"
-        sub = _branch(engine, part, state, clause, (), counter, leaf_hook, trail, sub_need)
+        sub = _branch(engine, part, state, clause, (), counter, leaf_hook, trail, sub_need, must_flip)
         if sub is BOTTOM:
             return BOTTOM
         if sub <= sub_need:
@@ -506,19 +536,30 @@ def _bound(engine, positions, state) -> int:
     best stay reading (its slot the same in both models) or, if it flips,
     its best flip reading; the bound adds every stay and a fractional
     knapsack of the flip gains, weighted by degree, in that capacity.
+
+    A variable whose stay readings are both negative must flip: it adds
+    its flip reading and takes its degree from the capacity before the
+    knapsack. When those take more than the capacity, no pair of models
+    honours every flip and the bound is NEG.
     """
     clauses, degree = engine.clauses, engine.degree
     total = 0
+    room = 2 * len(positions)
     gains = []
     for var in sorted({abs(lit) for pos in positions for lit in clauses[pos]}):
         table = state.table(var)
         stay, flip = max(table[0], table[3]), max(table[1], table[2])
+        if stay < 0:
+            total += flip
+            room -= degree[var]
+            continue
         total += stay
         if flip > stay:
             gains.append((flip - stay, degree[var]))
+    if room < 0:
+        return NEG
     # Ratios of ints below 2**26 order exactly as floats, ties included.
     gains.sort(key=lambda gain: gain[0] / gain[1], reverse=True)
-    room = 2 * len(positions)
     for value, weight in gains:
         if weight > room:
             return total + value * room // weight
@@ -527,15 +568,25 @@ def _bound(engine, positions, state) -> int:
     return total
 
 
-def _branch(engine, positions, state, clause, prefix, counter, leaf_hook, trail, need):
+def _branch(engine, positions, state, clause, prefix, counter, leaf_hook, trail, need, must_flip=None):
     """Branch on a clause's pivot; each child applies `prefix` plus its own step.
 
-    The pivot is true in both models, false in both, or flips together
-    with exactly one other literal of the clause (a clause can never
-    straddle a model pair on just one variable). Each child is a mark, its
-    `_q` and an undo. The flip children run only when neither the true nor
-    the false child is BOTTOM. `need` is as for `_q`; each child after the
-    first must beat the best of `need` and its earlier siblings.
+    The children partition the node's model pairs: the pivot is true in
+    both models, false in both, or flips together with exactly one other
+    literal of the clause (a clause can never straddle a model pair on
+    just one variable). A flip child ("dual", pivot, lit) keeps only the
+    pairs in which the pivot flips: the step puts the pivot in `flips`.
+    Each child is a mark, its `_q` and an undo. The flip children run only
+    when neither the true nor the false child is BOTTOM. `need` is as for
+    `_q`; each child after the first must beat the best of `need` and its
+    earlier siblings.
+
+    `must_flip`, when given, is a literal of the clause whose variable
+    must flip. It is the pivot and gets its flip children only, and
+    BOTTOM stays exact: in every x-model of the node either the pivot is
+    true and its partner false, or the pivot is false and exactly one
+    other literal, its partner, is true. Otherwise the pivot is
+    `_pick_pivot`'s.
 
     For a length-4 clause, setting the pivot false leaves a ternary
     clause worth branching immediately (it balances the recurrence). The
@@ -544,7 +595,7 @@ def _branch(engine, positions, state, clause, prefix, counter, leaf_hook, trail,
     to the plain false child, which is always sound. The split's children
     re-apply the false step, as an undo clears the logs `_simplify` reads.
     """
-    pivot = _pick_pivot(clause, engine.degree)
+    pivot = _pick_pivot(clause, engine.degree) if must_flip is None else must_flip
     rest = tuple(lit for lit in clause if lit != pivot)
 
     def child(need, *step):
@@ -553,6 +604,13 @@ def _branch(engine, positions, state, clause, prefix, counter, leaf_hook, trail,
         engine.undo_to(mark)
         return answer
 
+    def flip_children(best, need):
+        for lit in rest:
+            best = max_bottom(best, child(max_bottom(need, best), "dual", pivot, lit))
+        return best
+
+    if must_flip is not None:
+        return flip_children(BOTTOM, need)
     ans_true = child(need, "true", pivot)
     need = max_bottom(need, ans_true)
     split = False
@@ -568,10 +626,31 @@ def _branch(engine, positions, state, clause, prefix, counter, leaf_hook, trail,
         ans_false = child(need, "false", pivot)
     if ans_true is BOTTOM or ans_false is BOTTOM:
         return max_bottom(ans_true, ans_false)
-    best = max(ans_true, ans_false)
-    for lit in rest:
-        best = max_bottom(best, child(max(need, best), "dual", pivot, lit))
-    return best
+    return flip_children(max(ans_true, ans_false), need)
+
+
+def _pick_branch(engine, positions, state):
+    """The clause a connected part branches on, and its literal that must flip.
+
+    A live variable whose two stay readings are negative has a flip pivot
+    below it that ties it to a flip too. The part then branches on the
+    longest clause, the first by position among equals, that holds such a
+    variable, and names its literal (the lowest-indexed, if several).
+    Otherwise it branches on the first longest clause and names none.
+    Only the part's live variables are read, as `_bound` reads them, and
+    none at all while no flip step lies on the path.
+    """
+    clauses = engine.clauses
+    if state.flips:
+        must = set()
+        for var in {abs(lit) for pos in positions for lit in clauses[pos]}:
+            table = state.table(var)
+            if table[0] < 0 and table[3] < 0:
+                must.add(var)
+        if must:
+            clause = max((clauses[pos] for pos in positions if any(abs(lit) in must for lit in clauses[pos])), key=len)
+            return clause, min((lit for lit in clause if abs(lit) in must), key=abs)
+    return max((clauses[pos] for pos in positions), key=len), None
 
 
 def _pick_pivot(clause, degree):

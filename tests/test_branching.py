@@ -135,40 +135,67 @@ class TestGenH:
             gen_h(state)
 
     def test_matches_brute_maximum_over_expansions(self):
-        """Binding contract: gen_h equals the pairwise max over expand_state."""
+        """Binding contract: gen_h equals the pairwise max over expand_state,
+        taken over the pairs in which every `flips` variable reads different
+        slots, and is negative when no such pair exists."""
         rng = random.Random(77)
-        seen = 0
+        instances = []
         for length in (2, 3, 4, 5):
             for i in range(30):
                 n = max(4, length) + rng.randrange(6)
-                f = random_formula(n, clause_count(n, length), length, seed=9900 + 97 * i + length)
-                leaves = []
-                max_hamming_q(f, leaf_hook=lambda s, t: leaves.append(s.copy()))
-                for state in leaves[:4]:
-                    try:
-                        expansions = expand_state(state)
-                    except ValueError:
-                        continue
-                    keys = sorted(state.universe())
-                    best = 0
-                    for a, b in itertools.combinations(expansions, 2):
-                        best = max(best, sum(1 for v in keys if a[v] != b[v]))
+                instances.append(random_formula(n, clause_count(n, length), length, seed=9900 + 97 * i + length))
+        # Planted instances reach flip children far more often.
+        instances += [planted_formula(n, k, 2, seed) for n, k in ((9, 3), (12, 3), (8, 4), (12, 4)) for seed in range(6)]
+        seen = {"plain": 0, "flips": 0, "none": 0}
+        for f in instances:
+            leaves = []
+            max_hamming_q(f, leaf_hook=lambda s, t: leaves.append(s.copy()))
+            for state in leaves[:4]:
+                try:
+                    expansions = expand_state(state)
+                except ValueError:
+                    continue
+                keys = sorted(state.universe())
+                best = None if state.flips else 0
+                for a, b in itertools.combinations(expansions, 2):
+                    if all(slot_reading(state, a, v) != slot_reading(state, b, v) for v in state.flips):
+                        distance = sum(1 for v in keys if a[v] != b[v])
+                        best = distance if best is None else max(best, distance)
+                if best is None:
+                    assert gen_h(state) < 0
+                else:
                     assert gen_h(state) == best
-                    seen += 1
-        assert seen > 50
+                seen["none" if best is None else "flips" if state.flips else "plain"] += 1
+        assert seen["plain"] > 50 and seen["flips"] > 20 and seen["none"] > 20, seen
+
+
+def slot_reading(state, model, var):
+    """The slot var reads in a concrete model: a pool head's slot is active
+    when its own literal or any member's slot literal holds."""
+    members = state.sing.get(var)
+    if not members:
+        return model[var]
+    own = state.sat[var]
+    return own if model[var] == own or any(slot_reading(state, model, m) == pol for m, pol in members) else not own
 
 
 def reference_table(state, var):
-    """var's score table read down its whole subtree through `slot_options`."""
+    """var's score table read down its whole subtree through `slot_options`.
+
+    Only readings in which every `flips` variable reads different slots
+    count; an entry with no such reading is None.
+    """
     memo = {}
 
     def reading(var, a, b):
         if (var, a, b) not in memo:
-            best = -1
-            for value_a, slots_a in slot_options(state, var, a):
-                for value_b, slots_b in slot_options(state, var, b):
-                    children = sum(reading(child, slot, slots_b[child]) for child, slot in slots_a.items())
-                    best = max(best, int(value_a != value_b) + children)
+            best = None
+            if not (var in state.flips and a == b):
+                for value_a, slots_a in slot_options(state, var, a):
+                    for value_b, slots_b in slot_options(state, var, b):
+                        children = [reading(child, slot, slots_b[child]) for child, slot in slots_a.items()]
+                        if None not in children:
+                            best = max(-1 if best is None else best, int(value_a != value_b) + sum(children))
             memo[var, a, b] = best
         return memo[var, a, b]
 
@@ -185,20 +212,22 @@ class TestScoreTables:
             for n in range(10, 21, 2)
             for seed in range(4)
         ]
-        shapes = ((15, 3), (21, 3), (16, 4), (20, 4))
+        shapes = ((15, 3), (21, 3), (24, 3), (16, 4), (20, 4), (24, 4))
         instances += [planted_formula(n, k, 2, seed) for n, k in shapes for seed in range(6)]
         instances += [chain(n, k, seed) for n, k in ((21, 2), (21, 3), (22, 4)) for seed in range(4)]
-        checked = {"pool": 0, "dual": 0, "plain": 0}
+        checked = {"pool": 0, "dual": 0, "plain": 0, "no pair": 0}
 
         def check(state, trail):
             for var, table in state.score.items():
-                assert table == reference_table(state, var), var
+                reference = reference_table(state, var)
+                assert all(want is None and got < 0 or got == want for got, want in zip(table, reference)), var
                 kind = "pool" if state.sing.get(var) else "dual" if state.dual.get(var) else "plain"
                 checked[kind] += 1
+                checked["no pair"] += None in reference
 
         for f in instances:
             max_hamming_q(f, leaf_hook=check)
-        assert checked["pool"] > 200 and checked["dual"] > 2000
+        assert checked["pool"] > 200 and checked["dual"] > 2000 and checked["no pair"] > 1000, checked
 
     def test_star_center_is_scored_once_not_per_link(self, monkeypatch):
         """The clauses (1, i) link 4,000 leaves below variable 1. Building
@@ -283,6 +312,9 @@ class TestMaxHammingQ:
         shapes = ((21, 3, 2), (24, 3, 2), (20, 4, 2), (24, 4, 2))
         instances = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(5)]
         instances += [random_formula(n, (n + 1) // 2, k, 7700 + n) for k in (3, 4, 5) for n in (24, 32, 40)]
+        # Seeds 7 and 8 still split bounded parts now that flip children
+        # keep only pairs in which the pivot flips.
+        instances += [planted_formula(24, 3, 2, seed) for seed in range(5, 10)]
         real_q, real_bound, real_components = branching._q, branching._bound, branching.components
         path, seen, bounds, split_parts = [], set(), collections.Counter(), set()
 
@@ -317,6 +349,49 @@ class TestMaxHammingQ:
             assert max(bounds.values(), default=1) == 1, f
             bounded_parts += len(bounds.keys() & split_parts)
         assert bounded_parts > 0
+
+    def test_a_must_flip_pivot_gets_its_flip_children_alone(self, monkeypatch):
+        """A pivot that must flip makes no true or false child, only the k - 1
+        flip children of its length-k clause, and each of those removes at
+        least k - 1 variables: the pivot, and the k - 2 literals that its
+        complementary pair forces false."""
+        shapes = ((21, 3), (24, 3), (20, 4), (24, 4))
+        instances = [planted_formula(n, k, 2, seed) for n, k in shapes for seed in range(5)]
+        real_q, real_branch = branching._q, branching._branch
+        open_branches = []  # [must_flip, clause length, children] per `_branch` in progress
+        removals = collections.Counter()
+
+        def live_vars(engine, positions):
+            return {abs(lit) for pos in positions if engine.clauses[pos] is not None for lit in engine.clauses[pos]}
+
+        def branch(engine, positions, state, clause, *rest):
+            must_flip = rest[-1] if len(rest) == 6 else None
+            open_branches.append([must_flip, len(clause), 0])
+            try:
+                return real_branch(engine, positions, state, clause, *rest)
+            finally:
+                must_flip, length, children = open_branches.pop()
+                assert must_flip is None or children == length - 1
+
+        def q(engine, positions, state, steps, *rest):
+            if not open_branches or open_branches[-1][0] is None:
+                return real_q(engine, positions, state, steps, *rest)
+            must_flip, length, _ = open_branches[-1]
+            open_branches[-1][2] += 1
+            assert steps[-1][:2] == ("dual", must_flip), steps
+            before = live_vars(engine, positions)
+            answer = real_q(engine, positions, state, steps, *rest)
+            if answer is not BOTTOM:
+                removed = len(before - live_vars(engine, positions))
+                assert removed >= length - 1, (steps, removed)
+                removals[length] += 1
+            return answer
+
+        monkeypatch.setattr(branching, "_q", q)
+        monkeypatch.setattr(branching, "_branch", branch)
+        for f in instances:
+            max_hamming_q(f)
+        assert removals[3] > 100 and removals[4] > 100, removals
 
     def test_structure_left_by_the_one_engine_search(self):
         from xham import formula as formula_module

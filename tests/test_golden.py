@@ -1,112 +1,118 @@
 """Golden search-tree sizes: any change to q's node or leaf count fails here.
 
 Each row is (family, num_vars, clause_length, seed, distance, nodes,
-leaves, nodes_before, leaves_before); a distance of None means
-unsatisfiable. nodes and leaves are q's figures with its branch and
-bound; nodes_before and leaves_before are those of the plain search that
-visited every subtree, which the bound may only lower. Test ids name a
-row by its distance and its figures before the bound, so they stay put
-when the figures are recorded again. Uniform rows have the
-criterion-8 shape (m = (n + 1) // 2); "planted" rows are degree-2 and
-"planted3" rows degree-3 instances from `planted_formula`; "chain" rows
+leaves, plain_nodes, plain_leaves, nodes_before, leaves_before); a
+distance of None means unsatisfiable. nodes and leaves are q's figures
+with its branch and bound; plain_nodes and plain_leaves are those of the
+same search with the bound switched off, which visits every subtree and
+which the bound may only lower. nodes_before and leaves_before are the
+plain figures of the search before the bound and before the flip
+children kept only pairs in which the pivot flips. Test ids name a row
+by its distance and those figures, so they stay put when the figures are
+recorded again. Uniform rows have the criterion-8 shape
+(m = (n + 1) // 2); "planted" rows are degree-2 and "planted3" rows
+degree-3 instances from `planted_formula`; "chain" rows
 are binary or ternary chains whose clauses share their end variables.
 The first 60 rows were recorded with the whole-formula sweep propagation
 that the incremental engine replaced, the rest with the incremental
 engine before q children applied their own branch steps. p gives the
 same distances, and the chain rows match an exact dynamic program over
 the chain. The bound pruned 22 planted rows and kept every other row's
-figures; the 80 rows' nodes went from 7,123 to 1,410.
+figures; the 80 rows' nodes went from 7,123 to 1,410. Flip children that
+keep only pairs in which the pivot flips moved the figures of 25 rows and
+the plain figures of one more: nodes went from 1,410 to 971, and the
+plain search's from 7,123 to 1,890.
 """
 
 import pytest
 
-from xham import BOTTOM, SearchStats, max_hamming_q, planted_formula, random_formula
+from xham import BOTTOM, SearchStats, branching, max_hamming_q, planted_formula, random_formula
 
 from conftest import chain
 
 GOLDEN = [
-    ("uniform", 14, 4, 7000000, None, 1, 0, 1, 0),
-    ("uniform", 16, 4, 7000001, 3, 2, 1, 2, 1),
-    ("uniform", 18, 4, 7000002, None, 1, 0, 1, 0),
-    ("uniform", 20, 4, 7000003, None, 1, 0, 1, 0),
-    ("uniform", 14, 5, 7000004, None, 1, 0, 1, 0),
-    ("uniform", 16, 5, 7000005, None, 3, 2, 3, 2),
-    ("uniform", 18, 5, 7000006, None, 1, 0, 1, 0),
-    ("uniform", 20, 5, 7000007, None, 1, 0, 1, 0),
-    ("uniform", 14, 4, 7000008, None, 1, 0, 1, 0),
-    ("uniform", 16, 4, 7000009, None, 1, 0, 1, 0),
-    ("uniform", 18, 4, 7000010, 0, 3, 2, 3, 2),
-    ("uniform", 20, 4, 7000011, None, 1, 0, 1, 0),
-    ("uniform", 14, 5, 7000012, None, 1, 0, 1, 0),
-    ("uniform", 16, 5, 7000013, None, 1, 0, 1, 0),
-    ("uniform", 18, 5, 7000014, None, 1, 0, 1, 0),
-    ("uniform", 20, 5, 7000015, None, 1, 0, 1, 0),
-    ("uniform", 14, 4, 7000016, None, 1, 0, 1, 0),
-    ("uniform", 16, 4, 7000017, 0, 3, 2, 3, 2),
-    ("uniform", 18, 4, 7000018, None, 1, 0, 1, 0),
-    ("uniform", 20, 4, 7000019, None, 2, 1, 2, 1),
-    ("uniform", 14, 5, 7000020, None, 1, 0, 1, 0),
-    ("uniform", 16, 5, 7000021, None, 4, 3, 4, 3),
-    ("uniform", 18, 5, 7000022, None, 2, 1, 2, 1),
-    ("uniform", 20, 5, 7000023, None, 1, 0, 1, 0),
-    ("uniform", 14, 4, 7000024, 0, 2, 1, 2, 1),
-    ("uniform", 16, 4, 7000025, None, 1, 0, 1, 0),
-    ("uniform", 18, 4, 7000026, None, 2, 0, 2, 0),
-    ("uniform", 20, 4, 7000027, None, 1, 0, 1, 0),
-    ("uniform", 14, 5, 7000028, None, 1, 0, 1, 0),
-    ("uniform", 16, 5, 7000029, None, 1, 0, 1, 0),
-    ("uniform", 18, 5, 7000030, None, 1, 0, 1, 0),
-    ("uniform", 20, 5, 7000031, None, 1, 0, 1, 0),
-    ("uniform", 14, 4, 7000032, None, 1, 0, 1, 0),
-    ("uniform", 16, 4, 7000033, None, 1, 0, 1, 0),
-    ("uniform", 18, 4, 7000034, None, 1, 0, 1, 0),
-    ("uniform", 20, 4, 7000035, None, 1, 0, 1, 0),
-    ("uniform", 14, 5, 7000036, None, 1, 0, 1, 0),
-    ("uniform", 16, 5, 7000037, 0, 2, 1, 2, 1),
-    ("uniform", 18, 5, 7000038, None, 1, 0, 1, 0),
-    ("uniform", 20, 5, 7000039, None, 1, 0, 1, 0),
-    ("planted", 15, 3, 7100000, 2, 5, 4, 5, 4),
-    ("planted", 18, 3, 7100001, 12, 22, 21, 83, 82),
-    ("planted", 21, 3, 7100002, 10, 63, 62, 83, 82),
-    ("planted", 24, 3, 7100003, 13, 78, 77, 210, 209),
-    ("planted", 16, 4, 7100004, 8, 27, 26, 43, 42),
-    ("planted", 20, 4, 7100005, 10, 24, 21, 25, 22),
-    ("planted", 24, 4, 7100006, 12, 163, 162, 3942, 3939),
-    ("planted", 15, 3, 7100007, 9, 27, 26, 43, 42),
-    ("planted", 18, 3, 7100008, 12, 43, 38, 89, 82),
-    ("planted", 21, 3, 7100009, 12, 84, 82, 156, 154),
-    ("planted", 24, 3, 7100010, 9, 3, 2, 3, 2),
-    ("planted", 16, 4, 7100011, 7, 13, 12, 13, 12),
-    ("planted", 20, 4, 7100012, 9, 70, 69, 440, 439),
-    ("planted", 24, 4, 7100013, 6, 4, 3, 4, 3),
-    ("planted", 15, 3, 7100014, 10, 35, 34, 65, 64),
-    ("planted", 18, 3, 7100015, 10, 64, 63, 116, 115),
-    ("planted", 21, 3, 7100016, 8, 30, 29, 43, 42),
-    ("planted", 24, 3, 7100017, 15, 145, 144, 632, 631),
-    ("planted", 16, 4, 7100018, 5, 23, 22, 24, 23),
-    ("planted", 20, 4, 7100019, 6, 30, 29, 34, 33),
+    ("uniform", 14, 4, 7000000, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 4, 7000001, 3, 2, 1, 2, 1, 2, 1),
+    ("uniform", 18, 4, 7000002, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 20, 4, 7000003, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 14, 5, 7000004, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 5, 7000005, None, 3, 2, 3, 2, 3, 2),
+    ("uniform", 18, 5, 7000006, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 20, 5, 7000007, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 14, 4, 7000008, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 4, 7000009, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 18, 4, 7000010, 0, 3, 2, 3, 2, 3, 2),
+    ("uniform", 20, 4, 7000011, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 14, 5, 7000012, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 5, 7000013, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 18, 5, 7000014, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 20, 5, 7000015, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 14, 4, 7000016, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 4, 7000017, 0, 3, 2, 3, 2, 3, 2),
+    ("uniform", 18, 4, 7000018, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 20, 4, 7000019, None, 2, 1, 2, 1, 2, 1),
+    ("uniform", 14, 5, 7000020, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 5, 7000021, None, 4, 3, 4, 3, 4, 3),
+    ("uniform", 18, 5, 7000022, None, 2, 1, 2, 1, 2, 1),
+    ("uniform", 20, 5, 7000023, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 14, 4, 7000024, 0, 2, 1, 2, 1, 2, 1),
+    ("uniform", 16, 4, 7000025, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 18, 4, 7000026, None, 2, 0, 2, 0, 2, 0),
+    ("uniform", 20, 4, 7000027, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 14, 5, 7000028, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 5, 7000029, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 18, 5, 7000030, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 20, 5, 7000031, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 14, 4, 7000032, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 4, 7000033, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 18, 4, 7000034, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 20, 4, 7000035, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 14, 5, 7000036, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 16, 5, 7000037, 0, 2, 1, 2, 1, 2, 1),
+    ("uniform", 18, 5, 7000038, None, 1, 0, 1, 0, 1, 0),
+    ("uniform", 20, 5, 7000039, None, 1, 0, 1, 0, 1, 0),
+    ("planted", 15, 3, 7100000, 2, 5, 4, 5, 4, 5, 4),
+    ("planted", 18, 3, 7100001, 12, 19, 18, 43, 42, 83, 82),
+    ("planted", 21, 3, 7100002, 10, 40, 39, 44, 43, 83, 82),
+    ("planted", 24, 3, 7100003, 13, 36, 35, 50, 49, 210, 209),
+    ("planted", 16, 4, 7100004, 8, 18, 17, 26, 25, 43, 42),
+    ("planted", 20, 4, 7100005, 10, 14, 12, 16, 14, 25, 22),
+    ("planted", 24, 4, 7100006, 12, 97, 96, 553, 552, 3942, 3939),
+    ("planted", 15, 3, 7100007, 9, 16, 15, 20, 19, 43, 42),
+    ("planted", 18, 3, 7100008, 12, 31, 29, 46, 43, 89, 82),
+    ("planted", 21, 3, 7100009, 12, 54, 53, 78, 77, 156, 154),
+    ("planted", 24, 3, 7100010, 9, 3, 2, 3, 2, 3, 2),
+    ("planted", 16, 4, 7100011, 7, 13, 12, 13, 12, 13, 12),
+    ("planted", 20, 4, 7100012, 9, 39, 38, 106, 105, 440, 439),
+    ("planted", 24, 4, 7100013, 6, 4, 3, 4, 3, 4, 3),
+    ("planted", 15, 3, 7100014, 10, 33, 32, 43, 42, 65, 64),
+    ("planted", 18, 3, 7100015, 10, 30, 29, 42, 41, 116, 115),
+    ("planted", 21, 3, 7100016, 8, 31, 30, 31, 30, 43, 42),
+    ("planted", 24, 3, 7100017, 15, 72, 71, 156, 155, 632, 631),
+    ("planted", 16, 4, 7100018, 5, 28, 27, 28, 27, 24, 23),
+    ("planted", 20, 4, 7100019, 6, 19, 18, 23, 22, 34, 33),
     # Length 5 and degree 3 branch five ways and pool grouped variables;
     # chains reduce to dual links alone.
-    ("planted", 15, 5, 7200000, 6, 26, 25, 78, 77),
-    ("planted", 20, 5, 7200001, 2, 9, 8, 9, 8),
-    ("planted", 15, 5, 7200002, 5, 14, 13, 14, 13),
-    ("planted", 20, 5, 7200003, 4, 16, 15, 32, 31),
-    ("planted", 15, 5, 7200004, 5, 19, 16, 19, 16),
-    ("planted", 20, 5, 7200005, 6, 54, 53, 69, 68),
-    ("planted", 15, 5, 7200006, 4, 13, 12, 13, 12),
-    ("planted", 20, 5, 7200007, 7, 68, 67, 399, 398),
-    ("planted", 15, 5, 7200008, 6, 33, 32, 89, 88),
-    ("planted", 20, 5, 7200009, 7, 115, 114, 258, 257),
-    ("planted3", 12, 3, 7200010, 0, 2, 1, 2, 1),
-    ("planted3", 15, 3, 7200011, 8, 10, 9, 10, 9),
-    ("planted3", 18, 3, 7200037, 4, 3, 2, 3, 2),
-    ("planted3", 16, 4, 7200014, 0, 3, 2, 3, 2),
-    ("planted3", 20, 4, 7200015, 0, 2, 1, 2, 1),
-    ("planted3", 24, 4, 7200029, 4, 11, 10, 11, 10),
-    ("chain", 50, 2, 7200016, 50, 1, 1, 1, 1),
-    ("chain", 300, 2, 7200017, 300, 1, 1, 1, 1),
-    ("chain", 51, 3, 7200018, 35, 1, 1, 1, 1),
-    ("chain", 301, 3, 7200019, 200, 1, 1, 1, 1),
+    ("planted", 15, 5, 7200000, 6, 25, 24, 61, 60, 78, 77),
+    ("planted", 20, 5, 7200001, 2, 9, 8, 9, 8, 9, 8),
+    ("planted", 15, 5, 7200002, 5, 15, 14, 15, 14, 14, 13),
+    ("planted", 20, 5, 7200003, 4, 16, 15, 20, 19, 32, 31),
+    ("planted", 15, 5, 7200004, 5, 19, 16, 19, 16, 19, 16),
+    ("planted", 20, 5, 7200005, 6, 64, 63, 72, 71, 69, 68),
+    ("planted", 15, 5, 7200006, 4, 12, 11, 12, 11, 13, 12),
+    ("planted", 20, 5, 7200007, 7, 48, 47, 153, 152, 399, 398),
+    ("planted", 15, 5, 7200008, 6, 29, 28, 50, 49, 89, 88),
+    ("planted", 20, 5, 7200009, 7, 47, 46, 64, 63, 258, 257),
+    ("planted3", 12, 3, 7200010, 0, 2, 1, 2, 1, 2, 1),
+    ("planted3", 15, 3, 7200011, 8, 7, 6, 7, 6, 10, 9),
+    ("planted3", 18, 3, 7200037, 4, 3, 2, 3, 2, 3, 2),
+    ("planted3", 16, 4, 7200014, 0, 3, 2, 3, 2, 3, 2),
+    ("planted3", 20, 4, 7200015, 0, 2, 1, 2, 1, 2, 1),
+    ("planted3", 24, 4, 7200029, 4, 9, 8, 9, 8, 11, 10),
+    ("chain", 50, 2, 7200016, 50, 1, 1, 1, 1, 1, 1),
+    ("chain", 300, 2, 7200017, 300, 1, 1, 1, 1, 1, 1),
+    ("chain", 51, 3, 7200018, 35, 1, 1, 1, 1, 1, 1),
+    ("chain", 301, 3, 7200019, 200, 1, 1, 1, 1, 1, 1),
 ]
 
 
@@ -119,16 +125,23 @@ def build(family, n, length, seed):
 
 
 def row_id(row):
-    family, n, length, seed, distance, _, _, nodes_before, leaves_before = row
+    family, n, length, seed, distance, *_, nodes_before, leaves_before = row
     return "-".join(map(str, (family, n, length, seed, distance, nodes_before, leaves_before)))
 
 
-@pytest.mark.parametrize("row", GOLDEN, ids=row_id)
-def test_search_tree_size_is_pinned(row):
-    family, n, length, seed, distance, nodes, leaves, _, _ = row
+def search(f):
     counter = SearchStats()
-    got = max_hamming_q(build(family, n, length, seed), counter).distance
-    assert (None if got is BOTTOM else got, counter.nodes, counter.leaves) == (distance, nodes, leaves)
+    got = max_hamming_q(f, counter).distance
+    return None if got is BOTTOM else got, counter.nodes, counter.leaves
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=row_id)
+def test_search_tree_size_is_pinned(row, monkeypatch):
+    family, n, length, seed, distance, nodes, leaves, plain_nodes, plain_leaves, _, _ = row
+    f = build(family, n, length, seed)
+    assert search(f) == (distance, nodes, leaves)
+    monkeypatch.setattr(branching, "_bound", lambda engine, positions, state: 10**9)
+    assert search(f) == (distance, plain_nodes, plain_leaves)
 
 
 def test_bound_never_adds_nodes_or_leaves():
