@@ -23,7 +23,9 @@ leaf state represents. Every linked variable keeps a score table of
 its subtree, built from its children's tables one level down. A removed
 variable's links are final, so its table is built once, when it leaves
 the formula; a live or root variable's table is built on its first read
-and dropped when it gains a link. `gen_h` and `_bound` read tables.
+and dropped when it gains a link. `gen_h`, `_bound` and `_evaluate` read
+tables through `table`; a live variable that never had a link reads
+(0, 1, 1, 0) without a build.
 
 The search is a branch and bound on the paper's zero-or-two lemma:
 between two x-models every clause holds 0 or 2 flipping literals, so the
@@ -40,6 +42,16 @@ hold no pair in which every must-flip pivot flips has a value near NEG,
 below any `need`. A node whose `base` plus bound cannot exceed `need` is
 cut off; no bound is computed before `need` reaches `base`, so a search
 with no answer yet pays nothing.
+
+A connected part of at most `SMALL_PART_VARS` live variables is not
+branched at all: `_evaluate` lists its x-models over the live variables'
+slot values and returns the best pair's sum of table entries. That is
+what branching the part down to empty formulas finds, since the tables
+of the live variables already score everything linked below them. A
+node values its small parts first, so their exact values, not bounds,
+count in `base` before it bounds and branches the rest.
+`SMALL_PART_CAP` bounds the states of one listing, and a part past it is
+branched as any other.
 
 A subtlety drives the state layout: once a variable represents a pooled
 clause slot, its formula occurrences stop meaning "this variable is
@@ -146,14 +158,18 @@ class GeneralizedAssignment:
 
         Entry 2*a + b is the largest Hamming distance within the subtree
         when var's slot reads a in the first model and b in the second.
-        A variable without links reads (0, 1, 1, 0) and is cached only
-        once it leaves the formula.
+        The cache answers first. It holds the table of every variable
+        that left the formula, a flip pivot's among them, and of every
+        linked variable read since its last link. Any other variable
+        reads (0, 1, 1, 0) when it has no links, and a linked one, whose
+        table `_link` dropped, is built here. Every table is symmetric:
+        entry 2*b + a equals entry 2*a + b.
         """
         table = self.score.get(var)
         if table is None:
-            table = _table(self, var)
-            if var in self.sing or var in self.dual:
-                self.score[var] = table
+            if var not in self.sing and var not in self.dual:
+                return _UNLINKED
+            table = self.score[var] = _table(self, var)
         return table
 
     def absorb(self, forced, freed) -> None:
@@ -161,10 +177,11 @@ class GeneralizedAssignment:
         for var, value in forced:
             if self.values.setdefault(var, value) != value:
                 raise ValueError(f"variable {var} forced to both values")
-        known_free = set(self.free)
-        for var in freed:
-            if var not in known_free and var not in self.values:
-                self.free.append(var)
+        if freed:
+            known_free = set(self.free)
+            for var in freed:
+                if var not in known_free and var not in self.values:
+                    self.free.append(var)
 
     def validate(self, require_rooted: bool = False) -> None:
         """Check forest invariants; raise ValueError on ill-formed links."""
@@ -423,7 +440,9 @@ def max_hamming_q(
     invoked whenever the formula of a visited node runs empty, with the
     accumulated state and the branch decisions that led there — an
     observation point for verification. Subtrees the bound prunes are
-    not visited, so the hook sees only the leaves the search reaches.
+    not visited, so the hook sees only the leaves the search reaches; a
+    connected part valued from its x-models (`_evaluate`) is not
+    branched, so the hook sees nothing inside it.
 
     The trail is a tuple of steps, and a child node receives its own
     steps as its instructions: ("true", p) makes literal p true,
@@ -439,8 +458,10 @@ def max_hamming_q(
     otherwise BOTTOM (only when the subtree has no x-model) or some
     int <= need. A node is cut off when its `base` plus `_bound`, the
     zero-or-two degree budget as a fractional knapsack over its live
-    variables, cannot exceed `need`. The answer stays exact; `counter`
-    counts the nodes and leaves of the tree actually visited.
+    variables, cannot exceed `need`. A connected part of at most
+    `SMALL_PART_VARS` live variables is valued from its x-models instead
+    of branched. The answer stays exact; `counter` counts the nodes and
+    leaves of the tree actually visited (see `SearchStats`).
     """
     if counter is None:
         counter = SearchStats()
@@ -459,11 +480,14 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
     node. `need` and the value returned follow the contract in the module
     docstring.
 
-    The live clauses split into connected components, and one loop
-    branches on each part's first longest clause in turn. When the node
-    has a bound, each part's bound is computed once, here, and a part is
-    cut off when its bound cannot beat what is left of `need`. The parts
-    of a split count one node each, as if each were a child of its own.
+    The live clauses split into connected components. Each part small
+    enough for `_evaluate` adds its exact value to `base` first, and a
+    part with no x-model makes the node BOTTOM. One loop then branches on
+    each other part's first longest clause in turn. When the node has a
+    bound, each such part's bound is computed once, here, and a part is
+    cut off when its bound cannot beat what is left of `need`. The
+    branched parts of a split count one node each, as if each were a
+    child of its own; a valued part counts none.
     """
     forced_at, freed_at = len(engine.forced), len(engine.freed)
     for step in steps:
@@ -492,7 +516,7 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
     base = 0
     if retired:
         counter.leaves += 1
-        base = gen_h(state, roots=sorted(retired))
+        base = gen_h(state, roots=retired)
 
     clauses = engine.clauses
     live = [pos for pos in positions if clauses[pos] is not None]
@@ -502,14 +526,24 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
         return base
 
     parts = components(engine, live)
+    split = len(parts) > 1
+    to_branch = []
+    for part in parts:
+        value = _evaluate(engine, part, state)
+        if value is None:
+            to_branch.append(part)
+        elif value is BOTTOM:
+            return BOTTOM
+        else:
+            base += value
     bounds = None
-    if need >= base:
-        bounds = [_bound(engine, part, state) for part in parts]
+    if to_branch and need >= base:
+        bounds = [_bound(engine, part, state) for part in to_branch]
         if base + sum(bounds) <= need:
             return need
     total = base
-    for i, part in enumerate(parts):
-        if len(parts) > 1:
+    for i, part in enumerate(to_branch):
+        if split:
             counter.nodes += 1
         # Part i must beat what is left of `need` once the exact values
         # before it and the bounds after it are counted.
@@ -525,6 +559,123 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
             return need
         total += sub
     return total
+
+
+def _evaluate(engine, positions, state):
+    """The exact value of a small connected part, from its x-models; None past the limits.
+
+    A part of at most `SMALL_PART_VARS` live variables is valued without
+    branching. A depth-first search lists its x-models over the live
+    variables' slot values as bitmasks: each clause in turn picks its
+    satisfactor, its other literals go false, and a pick that contradicts
+    an earlier clause's is dropped. The value is the best pair of those
+    models, A = B included, of the sum over the variables of their table
+    entries 2*a + b, the same tables `gen_h` and `_bound` read, so flip
+    pivots, pools and dual links count with no rule of their own; a part
+    where no pair honours every flip reads negative. A part without an
+    x-model is BOTTOM. The search gives up, returning None, once it has
+    visited `SMALL_PART_CAP` states (its models among them), so a part
+    scores at most that many squared pairs.
+
+    A table entry splits as t00 + d*(a + b) + c*a*b, with d = t01 - t00
+    and c = t11 - 2*t01 + t00 (tables are symmetric), so a pair scores
+    t00 summed, plus each model's own d-sum, plus the c-sum over the
+    variables both models set. Variables are grouped by d and by c, and
+    a group sums with one popcount.
+    """
+    clauses = engine.clauses
+    limit = SMALL_PART_VARS
+    # Per clause, its variables' bits and, per satisfactor, the variables
+    # the pick sets true: those of the negative literals, which are false,
+    # with the chosen literal's variable flipped. Clauses at a fixpoint
+    # hold distinct variables, so no pick contradicts itself.
+    bits = {}
+    options = []
+    for pos in positions:
+        span = negative = 0
+        lit_bits = []
+        for lit in clauses[pos]:
+            var = abs(lit)
+            bit = bits.get(var)
+            if bit is None:
+                bit = bits[var] = 1 << len(bits)
+            lit_bits.append(bit)
+            span |= bit
+            if lit < 0:
+                negative |= bit
+        if len(bits) > limit:
+            return None
+        options.append((span, [negative ^ bit for bit in lit_bits]))
+    # Each next clause is the one with the fewest variables no earlier
+    # clause set, so picks clash as early as they can.
+    order, fixed = [], 0
+    while options:
+        first, fewest = 0, limit + 1
+        for i, (span, _) in enumerate(options):
+            new = (span & ~fixed).bit_count()
+            if new < fewest:
+                first, fewest = i, new
+        order.append(options.pop(first))
+        fixed |= order[-1][0]
+    options = order
+
+    models = []
+    budget = SMALL_PART_CAP
+    depth = len(options)
+    stack = [(0, 0, 0)]
+    while stack:
+        i, fixed, ones = stack.pop()
+        budget -= 1
+        if budget < 0:
+            return None
+        if i == depth:
+            models.append(ones)
+            continue
+        span, picks = options[i]
+        seen = span & fixed
+        for pick in picks:
+            if not (pick ^ ones) & seen:
+                stack.append((i + 1, fixed | span, ones | pick))
+    if not models:
+        return BOTTOM
+
+    base = 0
+    single, joint = {}, {}
+    for var, bit in bits.items():
+        t = state.table(var)
+        base += t[0]
+        d, c = t[1] - t[0], t[3] - 2 * t[1] + t[0]
+        if d:
+            single[d] = single.get(d, 0) | bit
+        if c:
+            joint[c] = joint.get(c, 0) | bit
+    single, joint = single.items(), list(joint.items())
+    own = sorted(
+        ((sum(d * (m & mask).bit_count() for d, mask in single), m) for m in models),
+        reverse=True,
+    )
+    # c*a*b is at most the positive c-sum over both models' variables.
+    lift = sum(c * mask.bit_count() for c, mask in joint if c > 0)
+    best = None
+    for i, (own_a, a) in enumerate(own):
+        if best is not None and 2 * own_a + lift <= best:
+            break
+        for own_b, b in own[i:]:
+            if best is not None and own_a + own_b + lift <= best:
+                break
+            both = a & b
+            pair = own_a + own_b + sum(c * (both & mask).bit_count() for c, mask in joint)
+            if best is None or pair > best:
+                best = pair
+    return base + best
+
+
+#: A connected part with at most this many live variables is valued from
+#: its x-models by `_evaluate` instead of branched.
+SMALL_PART_VARS = 24
+#: The most search states, x-models included, `_evaluate` visits in one
+#: part before it leaves the part to branching.
+SMALL_PART_CAP = 512
 
 
 def _bound(engine, positions, state) -> int:
@@ -637,16 +788,19 @@ def _pick_branch(engine, positions, state):
     longest clause, the first by position among equals, that holds such a
     variable, and names its literal (the lowest-indexed, if several).
     Otherwise it branches on the first longest clause and names none.
-    Only the part's live variables are read, as `_bound` reads them, and
-    none at all while no flip step lies on the path.
+    Only the part's linked live variables are read, since no other can
+    have a flip pivot below it, and none at all while no flip step lies
+    on the path.
     """
     clauses = engine.clauses
     if state.flips:
+        sing, dual = state.sing, state.dual
         must = set()
         for var in {abs(lit) for pos in positions for lit in clauses[pos]}:
-            table = state.table(var)
-            if table[0] < 0 and table[3] < 0:
-                must.add(var)
+            if var in sing or var in dual:
+                table = state.table(var)
+                if table[0] < 0 and table[3] < 0:
+                    must.add(var)
         if must:
             clause = max((clauses[pos] for pos in positions if any(abs(lit) in must for lit in clauses[pos])), key=len)
             return clause, min((lit for lit in clause if abs(lit) in must), key=abs)

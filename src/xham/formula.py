@@ -81,9 +81,15 @@ class HammingResult:
 
 @dataclass
 class SearchStats:
-    """How much work a search did. q counts nodes and leaves (leaves never
-    exceeds nodes); p counts subsets checked and solver calls (within the
-    number of allowed subsets)."""
+    """How much work a search did.
+
+    q counts nodes and leaves, and leaves never exceeds nodes. A node is
+    a search call whose branch steps propagate without a conflict, plus
+    one per branched part of a node that splits into connected parts. A
+    leaf is a node whose simplification retired variables, which `gen_h`
+    then scores. A connected part that q values from its x-models instead
+    of branching adds neither. p counts subsets checked and solver calls
+    (within the number of allowed subsets)."""
 
     nodes: int = 0
     leaves: int = 0

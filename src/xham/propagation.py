@@ -19,14 +19,16 @@ the clauses it touches rather than a sweep over the whole formula per
 round. `normalize`, `assign` and `substitute_dual` are thin wrappers
 that run one step on a fresh engine. The solver, p and q each search one
 engine: a level or a q child takes a `mark`, applies its steps, and goes
-back with `undo_to`. Every engine keeps its trail from construction, two
-logs in the order of the steps: every clause write with the clause it
-replaced, and the length every occurrence list had before a rewrite
-appended to it. Occurrence lists only grow: a force or a removed literal
-leaves the list in place, stale, as dropped clauses' positions already
-are. The forced map keeps its own order, so it needs no log. Backing up
-pops both logs, latest first, cutting each grown list back to its old
-length, and the end of the forced map, and costs what the steps wrote.
+back with `undo_to`. Every engine keeps its trail from its first mark, so
+the root's own propagation and simplification, which nothing undoes, log
+nothing. The trail is two logs in the order of the steps: every clause
+write with the clause it replaced, and the length every occurrence list
+had before a rewrite appended to it. Occurrence lists only grow: a force
+or a removed literal leaves the list in place, stale, as dropped
+clauses' positions already are. The forced map keeps its own order, so
+it needs no log. Backing up pops both logs, latest first, cutting each
+grown list back to its old length, and the end of the forced map, and
+costs what the steps wrote.
 
 Every rule application strictly shrinks (forced variables grow, clauses
 or literal counts drop), so the fixpoint always terminates. The fixpoint
@@ -147,6 +149,10 @@ def connected_components(formula: Formula) -> list[Formula]:
     return [Formula(formula.num_vars, tuple(clauses[pos] for pos in part)) for part in parts]
 
 
+#: The trail logs of an engine before its first mark: a sink that keeps nothing.
+_UNLOGGED = deque(maxlen=0)
+
+
 class Propagator:
     """A formula under incremental exactly-one propagation.
 
@@ -167,9 +173,9 @@ class Propagator:
     shrank or was rewritten), `singles` variables whose degree fell to
     one. The caller drains them.
 
-    The trail runs from construction on: `mark` and `undo_to` take the
-    engine back to an earlier fixpoint, over every step above (see the
-    module docstring).
+    The trail runs from the first mark on: `mark` and `undo_to` take the
+    engine back to an earlier fixpoint, over every step since that mark
+    (see the module docstring).
     """
 
     def __init__(self, formula: Formula):
@@ -192,8 +198,9 @@ class Propagator:
         self._vanished: list[int] = []
         # The trail: (pos, replaced clause) per clause write and
         # (var, old length) per occurrence list a rewrite appended to.
-        self._writes: list[tuple[int, tuple[int, ...]]] = []
-        self._occs: list[tuple[int, int]] = []
+        # Nothing undoes past the first mark, so the logs start there.
+        self._writes: list[tuple[int, tuple[int, ...]]] | deque = _UNLOGGED
+        self._occs: list[tuple[int, int]] | deque = _UNLOGGED
 
     def _enqueue(self, pos: int) -> None:
         if not self.queued[pos] and self.clauses[pos] is not None:
@@ -287,10 +294,13 @@ class Propagator:
         """A fixpoint to come back to with `undo_to`; the queue must be empty.
 
         A mark holds the lengths of the two trail logs, of the forced map
-        and of `freed`, and `unsat`.
+        and of `freed`, and `unsat`. The first mark starts the logs: the
+        writes before it are kept nowhere, and no undo goes back past it.
         """
         if self.queue:
             raise ValueError("a mark needs a fixpoint: propagate first")
+        if self._writes is _UNLOGGED:
+            self._writes, self._occs = [], []
         return len(self._writes), len(self._occs), len(self.forced), len(self.freed), self.unsat
 
     def undo_to(self, mark) -> None:

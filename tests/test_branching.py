@@ -3,6 +3,7 @@ import inspect
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -134,10 +135,12 @@ class TestGenH:
         with pytest.raises(ValueError, match="linked variable 1 has no score"):
             gen_h(state)
 
-    def test_matches_brute_maximum_over_expansions(self):
+    def test_matches_brute_maximum_over_expansions(self, monkeypatch):
         """Binding contract: gen_h equals the pairwise max over expand_state,
         taken over the pairs in which every `flips` variable reads different
-        slots, and is negative when no such pair exists."""
+        slots, and is negative when no such pair exists. The leaves come
+        from branching alone: parts valued from their x-models have none."""
+        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)
         rng = random.Random(77)
         instances = []
         for length in (2, 3, 4, 5):
@@ -203,9 +206,11 @@ def reference_table(state, var):
 
 
 class TestScoreTables:
-    def test_cached_tables_match_a_full_reading_at_every_leaf(self):
+    def test_cached_tables_match_a_full_reading_at_every_leaf(self, monkeypatch):
         """Tables built at link time or on a read, and dropped when their
-        variable gains a link, equal the whole subtree read from scratch."""
+        variable gains a link, equal the whole subtree read from scratch.
+        The leaves come from branching alone."""
+        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)
         instances = [
             random_formula(n, (n + 1) // 2, k, 6100 + 100 * seed + 7 * n + k)
             for k in (3, 4, 5)
@@ -275,8 +280,9 @@ class TestMaxHammingQ:
         max_hamming_q(tiny, b)
         assert (a.nodes, a.leaves) == (b.nodes, b.leaves)
 
-    def test_length_four_clause_splits_on_its_false_side(self):
+    def test_length_four_clause_splits_on_its_false_side(self, monkeypatch):
         """The pivot's false step is followed, in the same node, by a step on its clause's rest."""
+        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
         f = planted_formula(8, 4, 2, 0)
         trails = []
         max_hamming_q(f, leaf_hook=lambda s, t: trails.append(t))
@@ -292,6 +298,7 @@ class TestMaxHammingQ:
     def test_one_engine_per_search_and_no_formula_below_the_root(self, monkeypatch):
         """Every child is a mark, its steps, simplification and an undo on the
         root's engine: one `Propagator` per call, and no `Formula` built."""
+        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
         shapes = ((21, 3, 2), (20, 4, 2), (24, 4, 2))
         instances = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(4)]
         instances += [random_formula(n, clause_count(n, k), k, 7300 + n) for k in (3, 4, 5) for n in (12, 16)]
@@ -309,6 +316,7 @@ class TestMaxHammingQ:
         """No `_q` call below the root comes without steps, and each
         component's bound is taken at most once per node; a node is named
         by its trail, which no other node shares."""
+        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
         shapes = ((21, 3, 2), (24, 3, 2), (20, 4, 2), (24, 4, 2))
         instances = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(5)]
         instances += [random_formula(n, (n + 1) // 2, k, 7700 + n) for k in (3, 4, 5) for n in (24, 32, 40)]
@@ -355,6 +363,7 @@ class TestMaxHammingQ:
         flip children of its length-k clause, and each of those removes at
         least k - 1 variables: the pivot, and the k - 2 literals that its
         complementary pair forces false."""
+        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
         shapes = ((21, 3), (24, 3), (20, 4), (24, 4))
         instances = [planted_formula(n, k, 2, seed) for n, k in shapes for seed in range(5)]
         real_q, real_branch = branching._q, branching._branch
@@ -405,7 +414,7 @@ class TestMaxHammingQ:
         assert "normalize" not in scan_names and "extend_model" not in scan_names
         assert not hasattr(branching, "simplify_state")
 
-        # One trail from construction, of two logs: clause writes, and the
+        # One trail from the first mark, of two logs: clause writes, and the
         # lengths of the occurrence lists that rewrites grew.
         engine = Propagator(formula((1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1)))
         assert not hasattr(engine, "equivalences") and not hasattr(engine, "_forces")
@@ -420,6 +429,21 @@ class TestMaxHammingQ:
         engine.undo_to(mark)
         assert {var: (positions, list(positions)) for var, positions in engine.occ.items()} == lists
         assert all(engine.occ[var] is positions for var, (positions, _) in lists.items())
+
+    def test_root_writes_stay_off_the_trail_on_a_long_chain(self):
+        """The root's simplification of a 5,000-variable binary chain makes
+        some 5,000 rewrites that nothing undoes, and the trail does not
+        keep them. Kept, they took q's peak allocation here from 2.75 MB to
+        4.05 MB (Python 3.11), and from 10.6 to 16.3 MB on 20,000 variables."""
+        n = 5000
+        f = Formula(n, tuple((v, v + 1) for v in range(1, n)))
+        tracemalloc.start()
+        try:
+            assert max_hamming_q(f).distance == n
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.4 * 10**6, peak
 
     def test_long_chains_hit_no_recursion_limit(self):
         """Binary chains (i, i+1) flip every variable; the ternary chains
@@ -475,6 +499,7 @@ class TestBound:
         assert satisfiable > 200 and tight > 0
 
     def test_pruning_cuts_golden_planted_rows_without_changing_answers(self, monkeypatch):
+        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
         rows = [row for row in GOLDEN if row[0] == "planted"]
 
         def search():
@@ -490,6 +515,98 @@ class TestBound:
         assert [d for d, _ in pruned] == [d for d, _ in plain]
         assert [b for _, b in plain] == [row[7] for row in rows]
         assert any(a < b for (_, a), (_, b) in zip(pruned, plain))
+
+
+class TestSmallParts:
+    """A connected part of at most `SMALL_PART_VARS` live variables is valued
+    from its x-models by `_evaluate` instead of branched."""
+
+    @staticmethod
+    def instances():
+        shapes = ((15, 3, 2), (21, 3, 2), (16, 4, 2), (24, 4, 2), (15, 5, 2), (20, 5, 2), (16, 4, 3), (20, 4, 3))
+        out = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(8)]
+        uniform = [(n, k, 7900 + 10 * n + k + i) for k in (3, 4, 5) for n in (16, 24, 32) for i in range(0, 20, 5)]
+        out += [random_formula(n, (n + 1) // 2, k, seed) for n, k, seed in uniform]
+        return out
+
+    def test_a_valued_part_matches_branching_on_the_same_engine(self, monkeypatch):
+        """At every part the evaluator takes, its value equals `_branch`'s on
+        the same engine and state, with the evaluator and the bound off
+        below: BOTTOM for a part with no x-model, negative for both where no
+        pair honours every flip, and the same value otherwise. Under lower
+        limits the search branches above small parts, so parts under flip
+        steps, with must-flip variables, are valued too."""
+        real = branching._evaluate
+        seen = collections.Counter()
+
+        def evaluate(engine, positions, state):
+            value = real(engine, positions, state)
+            if value is None:
+                return None
+            with monkeypatch.context() as plain:
+                plain.setattr(branching, "SMALL_PART_VARS", 0)
+                plain.setattr(branching, "_bound", lambda engine, positions, state: 10**9)
+                clause, must_flip = branching._pick_branch(engine, positions, state)
+                want = branching._branch(engine, positions, state, clause, (), SearchStats(), None, (), -1, must_flip)
+            if value is BOTTOM:
+                assert want is BOTTOM
+                seen["no x-model"] += 1
+            elif value < 0:
+                assert want is not BOTTOM and want < 0
+                seen["no pair"] += 1
+            else:
+                assert want == value
+                seen["valued"] += 1
+            seen["must flip"] += must_flip is not None
+            return value
+
+        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        for small in (8, 16, branching.SMALL_PART_VARS):
+            monkeypatch.setattr(branching, "SMALL_PART_VARS", small)
+            for f in self.instances():
+                max_hamming_q(f)
+        assert seen["valued"] > 400 and seen["must flip"] > 150, seen
+        assert seen["no x-model"] > 25 and seen["no pair"] > 35, seen
+
+    def test_a_pair_of_equal_models_can_win(self):
+        """Two models that agree on every live variable still differ below a
+        pool head, whose members may pick different satisfactors, so the
+        pair A = B counts. Here it beats every pair of distinct models."""
+        state = GeneralizedAssignment()
+        state.record_dual(5, 7)
+        state.record_dual(6, 8)
+        state.record_sing(1, 5)
+        state.record_sing(1, 6)
+        engine = Propagator(Formula(8, ((1, 2, 3),)))
+        assert engine.propagate()
+        table = state.table(1)
+        assert table[3] > table[1] + 1
+        want = branching._branch(engine, [0], state, (1, 2, 3), (), SearchStats(), None, (), -1)
+        assert branching._evaluate(engine, [0], state) == want == table[3]
+
+    def test_a_part_past_the_cap_is_branched_to_the_same_answer(self, monkeypatch):
+        instances = self.instances()
+        want = [max_hamming_q(f).distance for f in instances]
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", 4)
+        real = branching._evaluate
+        gave_up = 0
+
+        def evaluate(engine, positions, state):
+            nonlocal gave_up
+            value = real(engine, positions, state)
+            small = len({abs(lit) for pos in positions for lit in engine.clauses[pos]}) <= branching.SMALL_PART_VARS
+            gave_up += value is None and small
+            return value
+
+        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        assert [max_hamming_q(f).distance for f in instances] == want
+        assert gave_up > 20
+
+    def test_leaves_never_exceed_nodes(self):
+        for f in self.instances():
+            counter = SearchStats()
+            max_hamming_q(f, counter)
+            assert 0 <= counter.leaves <= counter.nodes and counter.nodes >= 1
 
 
 def shift_formula(f: Formula, offset: int) -> Formula:

@@ -3,9 +3,10 @@
 Each row is (family, num_vars, clause_length, seed, distance, nodes,
 leaves, plain_nodes, plain_leaves, nodes_before, leaves_before); a
 distance of None means unsatisfiable. nodes and leaves are q's figures
-with its branch and bound; plain_nodes and plain_leaves are those of the
-same search with the bound switched off, which visits every subtree and
-which the bound may only lower. nodes_before and leaves_before are the
+with its branch and bound and its valuation of small parts from their
+x-models; plain_nodes and plain_leaves are those of the plain branching
+search, with the bound and that valuation switched off, which visits
+every subtree and which either may only lower. nodes_before and leaves_before are the
 plain figures of the search before the bound and before the flip
 children kept only pairs in which the pivot flips. Test ids name a row
 by its distance and those figures, so they stay put when the figures are
@@ -21,7 +22,10 @@ the chain. The bound pruned 22 planted rows and kept every other row's
 figures; the 80 rows' nodes went from 7,123 to 1,410. Flip children that
 keep only pairs in which the pivot flips moved the figures of 25 rows and
 the plain figures of one more: nodes went from 1,410 to 971, and the
-plain search's from 7,123 to 1,890.
+plain search's from 7,123 to 1,890. Valuing every connected part of at
+most `SMALL_PART_VARS` live variables from its x-models moved the figures
+of 46 rows and no plain figure: nodes went from 971 to 80, one per row,
+and leaves from 890 to 4.
 """
 
 import pytest
@@ -32,32 +36,32 @@ from conftest import chain
 
 GOLDEN = [
     ("uniform", 14, 4, 7000000, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 16, 4, 7000001, 3, 2, 1, 2, 1, 2, 1),
+    ("uniform", 16, 4, 7000001, 3, 1, 0, 2, 1, 2, 1),
     ("uniform", 18, 4, 7000002, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 20, 4, 7000003, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 14, 5, 7000004, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 16, 5, 7000005, None, 3, 2, 3, 2, 3, 2),
+    ("uniform", 16, 5, 7000005, None, 1, 0, 3, 2, 3, 2),
     ("uniform", 18, 5, 7000006, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 20, 5, 7000007, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 14, 4, 7000008, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 16, 4, 7000009, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 18, 4, 7000010, 0, 3, 2, 3, 2, 3, 2),
+    ("uniform", 18, 4, 7000010, 0, 1, 0, 3, 2, 3, 2),
     ("uniform", 20, 4, 7000011, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 14, 5, 7000012, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 16, 5, 7000013, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 18, 5, 7000014, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 20, 5, 7000015, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 14, 4, 7000016, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 16, 4, 7000017, 0, 3, 2, 3, 2, 3, 2),
+    ("uniform", 16, 4, 7000017, 0, 1, 0, 3, 2, 3, 2),
     ("uniform", 18, 4, 7000018, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 20, 4, 7000019, None, 2, 1, 2, 1, 2, 1),
+    ("uniform", 20, 4, 7000019, None, 1, 0, 2, 1, 2, 1),
     ("uniform", 14, 5, 7000020, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 16, 5, 7000021, None, 4, 3, 4, 3, 4, 3),
-    ("uniform", 18, 5, 7000022, None, 2, 1, 2, 1, 2, 1),
+    ("uniform", 16, 5, 7000021, None, 1, 0, 4, 3, 4, 3),
+    ("uniform", 18, 5, 7000022, None, 1, 0, 2, 1, 2, 1),
     ("uniform", 20, 5, 7000023, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 14, 4, 7000024, 0, 2, 1, 2, 1, 2, 1),
+    ("uniform", 14, 4, 7000024, 0, 1, 0, 2, 1, 2, 1),
     ("uniform", 16, 4, 7000025, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 18, 4, 7000026, None, 2, 0, 2, 0, 2, 0),
+    ("uniform", 18, 4, 7000026, None, 1, 0, 2, 0, 2, 0),
     ("uniform", 20, 4, 7000027, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 14, 5, 7000028, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 16, 5, 7000029, None, 1, 0, 1, 0, 1, 0),
@@ -68,47 +72,47 @@ GOLDEN = [
     ("uniform", 18, 4, 7000034, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 20, 4, 7000035, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 14, 5, 7000036, None, 1, 0, 1, 0, 1, 0),
-    ("uniform", 16, 5, 7000037, 0, 2, 1, 2, 1, 2, 1),
+    ("uniform", 16, 5, 7000037, 0, 1, 0, 2, 1, 2, 1),
     ("uniform", 18, 5, 7000038, None, 1, 0, 1, 0, 1, 0),
     ("uniform", 20, 5, 7000039, None, 1, 0, 1, 0, 1, 0),
-    ("planted", 15, 3, 7100000, 2, 5, 4, 5, 4, 5, 4),
-    ("planted", 18, 3, 7100001, 12, 19, 18, 43, 42, 83, 82),
-    ("planted", 21, 3, 7100002, 10, 40, 39, 44, 43, 83, 82),
-    ("planted", 24, 3, 7100003, 13, 36, 35, 50, 49, 210, 209),
-    ("planted", 16, 4, 7100004, 8, 18, 17, 26, 25, 43, 42),
-    ("planted", 20, 4, 7100005, 10, 14, 12, 16, 14, 25, 22),
-    ("planted", 24, 4, 7100006, 12, 97, 96, 553, 552, 3942, 3939),
-    ("planted", 15, 3, 7100007, 9, 16, 15, 20, 19, 43, 42),
-    ("planted", 18, 3, 7100008, 12, 31, 29, 46, 43, 89, 82),
-    ("planted", 21, 3, 7100009, 12, 54, 53, 78, 77, 156, 154),
-    ("planted", 24, 3, 7100010, 9, 3, 2, 3, 2, 3, 2),
-    ("planted", 16, 4, 7100011, 7, 13, 12, 13, 12, 13, 12),
-    ("planted", 20, 4, 7100012, 9, 39, 38, 106, 105, 440, 439),
-    ("planted", 24, 4, 7100013, 6, 4, 3, 4, 3, 4, 3),
-    ("planted", 15, 3, 7100014, 10, 33, 32, 43, 42, 65, 64),
-    ("planted", 18, 3, 7100015, 10, 30, 29, 42, 41, 116, 115),
-    ("planted", 21, 3, 7100016, 8, 31, 30, 31, 30, 43, 42),
-    ("planted", 24, 3, 7100017, 15, 72, 71, 156, 155, 632, 631),
-    ("planted", 16, 4, 7100018, 5, 28, 27, 28, 27, 24, 23),
-    ("planted", 20, 4, 7100019, 6, 19, 18, 23, 22, 34, 33),
+    ("planted", 15, 3, 7100000, 2, 1, 0, 5, 4, 5, 4),
+    ("planted", 18, 3, 7100001, 12, 1, 0, 43, 42, 83, 82),
+    ("planted", 21, 3, 7100002, 10, 1, 0, 44, 43, 83, 82),
+    ("planted", 24, 3, 7100003, 13, 1, 0, 50, 49, 210, 209),
+    ("planted", 16, 4, 7100004, 8, 1, 0, 26, 25, 43, 42),
+    ("planted", 20, 4, 7100005, 10, 1, 0, 16, 14, 25, 22),
+    ("planted", 24, 4, 7100006, 12, 1, 0, 553, 552, 3942, 3939),
+    ("planted", 15, 3, 7100007, 9, 1, 0, 20, 19, 43, 42),
+    ("planted", 18, 3, 7100008, 12, 1, 0, 46, 43, 89, 82),
+    ("planted", 21, 3, 7100009, 12, 1, 0, 78, 77, 156, 154),
+    ("planted", 24, 3, 7100010, 9, 1, 0, 3, 2, 3, 2),
+    ("planted", 16, 4, 7100011, 7, 1, 0, 13, 12, 13, 12),
+    ("planted", 20, 4, 7100012, 9, 1, 0, 106, 105, 440, 439),
+    ("planted", 24, 4, 7100013, 6, 1, 0, 4, 3, 4, 3),
+    ("planted", 15, 3, 7100014, 10, 1, 0, 43, 42, 65, 64),
+    ("planted", 18, 3, 7100015, 10, 1, 0, 42, 41, 116, 115),
+    ("planted", 21, 3, 7100016, 8, 1, 0, 31, 30, 43, 42),
+    ("planted", 24, 3, 7100017, 15, 1, 0, 156, 155, 632, 631),
+    ("planted", 16, 4, 7100018, 5, 1, 0, 28, 27, 24, 23),
+    ("planted", 20, 4, 7100019, 6, 1, 0, 23, 22, 34, 33),
     # Length 5 and degree 3 branch five ways and pool grouped variables;
     # chains reduce to dual links alone.
-    ("planted", 15, 5, 7200000, 6, 25, 24, 61, 60, 78, 77),
-    ("planted", 20, 5, 7200001, 2, 9, 8, 9, 8, 9, 8),
-    ("planted", 15, 5, 7200002, 5, 15, 14, 15, 14, 14, 13),
-    ("planted", 20, 5, 7200003, 4, 16, 15, 20, 19, 32, 31),
-    ("planted", 15, 5, 7200004, 5, 19, 16, 19, 16, 19, 16),
-    ("planted", 20, 5, 7200005, 6, 64, 63, 72, 71, 69, 68),
-    ("planted", 15, 5, 7200006, 4, 12, 11, 12, 11, 13, 12),
-    ("planted", 20, 5, 7200007, 7, 48, 47, 153, 152, 399, 398),
-    ("planted", 15, 5, 7200008, 6, 29, 28, 50, 49, 89, 88),
-    ("planted", 20, 5, 7200009, 7, 47, 46, 64, 63, 258, 257),
-    ("planted3", 12, 3, 7200010, 0, 2, 1, 2, 1, 2, 1),
-    ("planted3", 15, 3, 7200011, 8, 7, 6, 7, 6, 10, 9),
-    ("planted3", 18, 3, 7200037, 4, 3, 2, 3, 2, 3, 2),
-    ("planted3", 16, 4, 7200014, 0, 3, 2, 3, 2, 3, 2),
-    ("planted3", 20, 4, 7200015, 0, 2, 1, 2, 1, 2, 1),
-    ("planted3", 24, 4, 7200029, 4, 9, 8, 9, 8, 11, 10),
+    ("planted", 15, 5, 7200000, 6, 1, 0, 61, 60, 78, 77),
+    ("planted", 20, 5, 7200001, 2, 1, 0, 9, 8, 9, 8),
+    ("planted", 15, 5, 7200002, 5, 1, 0, 15, 14, 14, 13),
+    ("planted", 20, 5, 7200003, 4, 1, 0, 20, 19, 32, 31),
+    ("planted", 15, 5, 7200004, 5, 1, 0, 19, 16, 19, 16),
+    ("planted", 20, 5, 7200005, 6, 1, 0, 72, 71, 69, 68),
+    ("planted", 15, 5, 7200006, 4, 1, 0, 12, 11, 13, 12),
+    ("planted", 20, 5, 7200007, 7, 1, 0, 153, 152, 399, 398),
+    ("planted", 15, 5, 7200008, 6, 1, 0, 50, 49, 89, 88),
+    ("planted", 20, 5, 7200009, 7, 1, 0, 64, 63, 258, 257),
+    ("planted3", 12, 3, 7200010, 0, 1, 0, 2, 1, 2, 1),
+    ("planted3", 15, 3, 7200011, 8, 1, 0, 7, 6, 10, 9),
+    ("planted3", 18, 3, 7200037, 4, 1, 0, 3, 2, 3, 2),
+    ("planted3", 16, 4, 7200014, 0, 1, 0, 3, 2, 3, 2),
+    ("planted3", 20, 4, 7200015, 0, 1, 0, 2, 1, 2, 1),
+    ("planted3", 24, 4, 7200029, 4, 1, 0, 9, 8, 11, 10),
     ("chain", 50, 2, 7200016, 50, 1, 1, 1, 1, 1, 1),
     ("chain", 300, 2, 7200017, 300, 1, 1, 1, 1, 1, 1),
     ("chain", 51, 3, 7200018, 35, 1, 1, 1, 1, 1, 1),
@@ -141,6 +145,7 @@ def test_search_tree_size_is_pinned(row, monkeypatch):
     f = build(family, n, length, seed)
     assert search(f) == (distance, nodes, leaves)
     monkeypatch.setattr(branching, "_bound", lambda engine, positions, state: 10**9)
+    monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)
     assert search(f) == (distance, plain_nodes, plain_leaves)
 
 

@@ -316,6 +316,27 @@ def test_mark_needs_a_fixpoint():
         engine.mark()
 
 
+def test_the_trail_starts_at_the_first_mark():
+    """Nothing undoes past an engine's first mark, so the writes before it,
+    the root's propagation and simplification, are not logged; the steps
+    after it are, and an undo to the mark gives that fixpoint back."""
+    core = planted_formula(15, 3, 2, 0)
+    # The binary clause makes the root's simplification rewrite clauses.
+    engine = Propagator(Formula(16, core.clauses + ((1, 16),)))
+    assert engine.propagate() and branching._simplify(engine, GeneralizedAssignment())
+    assert engine.clauses[-1] is None
+    assert len(engine._writes) == len(engine._occs) == 0
+    node = engine_state(engine)
+    mark = engine.mark()
+    assert mark[:2] == (0, 0)
+    var = min(var for var, count in engine.degree.items() if count)
+    engine.force(var, True)
+    engine.propagate()
+    assert engine._writes
+    engine.undo_to(mark)
+    assert engine_state(engine) == node
+
+
 def step_outcome(engine, positions, state, step):
     """One q child's step and simplification on an engine: the live clauses
     at positions, what the step forced and freed, and the child's state."""
@@ -338,7 +359,8 @@ def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
     pivot of its longest clause, applied under a mark on the search's one
     engine, simplifies exactly as on a fresh engine built from the node's
     formula, settles fewer clauses doing it, and `undo_to` gives the node
-    back."""
+    back. The nodes are those of the branching path alone."""
+    monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)
     instances = [planted_formula(n, 3, 2, seed) for n in (15, 18, 21) for seed in range(4)]
     instances += [planted_formula(n, 4, 2, seed) for n in (16, 20) for seed in range(4)]
     instances += [random_formula(n, clause_count(n, k), k, 8800 + n) for k in (3, 4, 5) for n in range(10, 16)]
