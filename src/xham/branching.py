@@ -607,7 +607,8 @@ def _evaluate(engine, positions, state):
             return None
         options.append((span, [negative ^ bit for bit in lit_bits]))
     # Each next clause is the one with the fewest variables no earlier
-    # clause set, so picks clash as early as they can.
+    # clause set, so picks clash as early as they can and fewer parts run
+    # past `SMALL_PART_CAP`.
     order, fixed = [], 0
     while options:
         first, fewest = 0, limit + 1
@@ -649,25 +650,13 @@ def _evaluate(engine, positions, state):
             single[d] = single.get(d, 0) | bit
         if c:
             joint[c] = joint.get(c, 0) | bit
-    single, joint = single.items(), list(joint.items())
-    own = sorted(
-        ((sum(d * (m & mask).bit_count() for d, mask in single), m) for m in models),
-        reverse=True,
+    joint = joint.items()
+    own = [(sum(d * (m & mask).bit_count() for d, mask in single.items()), m) for m in models]
+    return base + max(
+        own_a + own_b + sum(c * (a & b & mask).bit_count() for c, mask in joint)
+        for i, (own_a, a) in enumerate(own)
+        for own_b, b in own[i:]
     )
-    # c*a*b is at most the positive c-sum over both models' variables.
-    lift = sum(c * mask.bit_count() for c, mask in joint if c > 0)
-    best = None
-    for i, (own_a, a) in enumerate(own):
-        if best is not None and 2 * own_a + lift <= best:
-            break
-        for own_b, b in own[i:]:
-            if best is not None and own_a + own_b + lift <= best:
-                break
-            both = a & b
-            pair = own_a + own_b + sum(c * (both & mask).bit_count() for c, mask in joint)
-            if best is None or pair > best:
-                best = pair
-    return base + best
 
 
 #: A connected part with at most this many live variables is valued from

@@ -17,6 +17,7 @@ from xham import (
     SearchStats,
     allowed_subset_check,
     assign,
+    branching,
     count_allowed_subsets_brute,
     enumerate_xmodels,
     hamming_distance,
@@ -38,9 +39,18 @@ LENGTH_CLASSES = (2, 3, 4, 5, 6)
 INSTANCES_PER_CLASS = 1000
 
 
+def branched_q(f):
+    """q with its evaluator off, so every part is branched down to empty
+    formulas: the paper's search, checked against the oracles on its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(branching, "SMALL_PART_VARS", 0)
+        return max_hamming_q(f)
+
+
 @pytest.fixture(scope="module")
 def agreement_suite():
-    """Seeded instances per clause-length class, with all three answers."""
+    """Seeded instances per clause-length class, with all three answers and
+    q's answer with its evaluator off."""
     suite = {}
     for length in LENGTH_CLASSES:
         records = []
@@ -50,7 +60,7 @@ def agreement_suite():
             m = clause_count(n, length)
             f = random_formula(n, m, length, seed=100_000 * length + i)
             records.append(
-                (f, max_hamming_brute(f), max_hamming_p(f), max_hamming_q(f))
+                (f, max_hamming_brute(f), max_hamming_p(f), max_hamming_q(f), branched_q(f))
             )
         suite[length] = records
     return suite
@@ -59,13 +69,13 @@ def agreement_suite():
 def test_criterion_1_oracle_triple_agreement(agreement_suite):
     checked = 0
     for length, records in agreement_suite.items():
-        for f, brute, scan, branch in records:
-            assert scan.unsat == brute.unsat == branch.unsat, (length, f)
+        for f, brute, scan, branch, branched in records:
+            assert scan.unsat == brute.unsat == branch.unsat == branched.unsat, (length, f)
             if not brute.unsat:
-                assert scan.distance == brute.distance == branch.distance, (length, f)
+                assert scan.distance == brute.distance == branch.distance == branched.distance, (length, f)
             checked += 1
     assert checked == len(LENGTH_CLASSES) * INSTANCES_PER_CLASS
-    print(f"criterion 1 PASS: p/q/brute agree on {checked} instances")
+    print(f"criterion 1 PASS: p/q/brute agree on {checked} instances, q also with its evaluator off")
 
 
 # (length, degree, num_vars) of the planted shapes in the corpus below.
@@ -80,7 +90,8 @@ PLANTED_SHAPES_18 = [(3, 2, 18), (4, 2, 18), (6, 2, 18), (3, 3, 18)]
 
 def test_agreement_on_planted_instances_and_chains():
     """p, q and brute agree on the families that reach pooling, dual links on
-    grouped variables and the length-4 split, which uniform instances rarely do."""
+    grouped variables and the length-4 split, which uniform instances rarely do;
+    q runs with its evaluator on and off."""
     instances = [
         planted_formula(n, length, degree, seed=700_000 + seed)
         for shapes, seeds in ((PLANTED_SHAPES, 40), (PLANTED_SHAPES_18, 15))
@@ -93,6 +104,7 @@ def test_agreement_on_planted_instances_and_chains():
         brute = max_hamming_brute(f).distance
         assert max_hamming_p(f).distance == brute, f
         assert max_hamming_q(f).distance == brute, f
+        assert branched_q(f).distance == brute, f
     print(f"corpus PASS: p/q/brute agree on {len(instances)} planted instances and chains")
 
 
@@ -179,7 +191,7 @@ def test_criterion_4_allowed_subset_counts_match_closed_form():
 def test_criterion_5_witnesses_verify_at_reported_distance(agreement_suite):
     checked = 0
     for records in agreement_suite.values():
-        for f, brute, scan, _ in records:
+        for f, brute, scan, *_ in records:
             for result in (brute, scan):
                 if result.unsat:
                     assert result.witnesses is None

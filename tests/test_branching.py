@@ -315,16 +315,23 @@ class TestMaxHammingQ:
     def test_a_split_branches_its_parts_in_its_own_node(self, monkeypatch):
         """No `_q` call below the root comes without steps, and each
         component's bound is taken at most once per node; a node is named
-        by its trail, which no other node shares."""
-        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
+        by its trail, which no other node shares. Runs with the evaluator
+        off and at its limit; at the limit, parts small enough to value are
+        not branched, so the joined instances give split parts too large
+        for it, next to small ones, and a valued part is never bounded."""
         shapes = ((21, 3, 2), (24, 3, 2), (20, 4, 2), (24, 4, 2))
         instances = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(5)]
         instances += [random_formula(n, (n + 1) // 2, k, 7700 + n) for k in (3, 4, 5) for n in (24, 32, 40)]
         # Seeds 7 and 8 still split bounded parts now that flip children
         # keep only pairs in which the pivot flips.
         instances += [planted_formula(24, 3, 2, seed) for seed in range(5, 10)]
-        real_q, real_bound, real_components = branching._q, branching._bound, branching.components
-        path, seen, bounds, split_parts = [], set(), collections.Counter(), set()
+        instances += [
+            joined(planted_formula(n, 3, 2, seed), planted_formula(other, 3, 2, seed + 10))
+            for n, other in ((27, 27), (30, 30), (30, 15))
+            for seed in range(4)
+        ]
+        real_q, real_bound, real_components, real_evaluate = branching._q, branching._bound, branching.components, branching._evaluate
+        path, seen, bounds, split_parts, valued = [], set(), collections.Counter(), set(), set()
 
         def q(engine, positions, state, steps, counter, leaf_hook, trail, need):
             assert steps or not path, f"a call below the root without steps, at {trail}"
@@ -346,17 +353,30 @@ class TestMaxHammingQ:
                 split_parts.update((path[-1], tuple(part)) for part in parts)
             return parts
 
+        def evaluate(engine, positions, state):
+            value = real_evaluate(engine, positions, state)
+            if value is not None:
+                valued.add((path[-1], tuple(positions)))
+            return value
+
         monkeypatch.setattr(branching, "_q", q)
         monkeypatch.setattr(branching, "_bound", bound)
         monkeypatch.setattr(branching, "components", components)
-        bounded_parts = 0
-        for f in instances:
-            for log in (seen, bounds, split_parts):
-                log.clear()
-            max_hamming_q(f)
-            assert max(bounds.values(), default=1) == 1, f
-            bounded_parts += len(bounds.keys() & split_parts)
-        assert bounded_parts > 0
+        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        for small in (0, branching.SMALL_PART_VARS):
+            monkeypatch.setattr(branching, "SMALL_PART_VARS", small)
+            bounded_parts = mixed = 0
+            for f in instances:
+                for log in (seen, bounds, split_parts, valued):
+                    log.clear()
+                max_hamming_q(f)
+                assert max(bounds.values(), default=1) == 1, f
+                assert not valued & bounds.keys(), f
+                bounded = bounds.keys() & split_parts
+                bounded_parts += len(bounded)
+                mixed += len({node for node, _ in bounded} & {node for node, _ in valued & split_parts})
+            assert bounded_parts > 0, small
+            assert mixed > 0 or not small, small
 
     def test_a_must_flip_pivot_gets_its_flip_children_alone(self, monkeypatch):
         """A pivot that must flip makes no true or false child, only the k - 1
@@ -614,6 +634,15 @@ def shift_formula(f: Formula, offset: int) -> Formula:
         tuple(lit + offset if lit > 0 else lit - offset for lit in c) for c in f.clauses
     )
     return Formula(f.num_vars + offset, clauses)
+
+
+def joined(a: Formula, b: Formula) -> Formula:
+    """`a` and `b` side by side behind a first clause (1, x, y), whose new
+    variable 1 joins a variable x of `a` to a variable y of `b`. q branches
+    on x first, and its false child splits `a` from `b`."""
+    a = shift_formula(a, 1)
+    b = shift_formula(b, a.num_vars)
+    return Formula(b.num_vars, ((1, 2, a.num_vars + 1),) + a.clauses + b.clauses)
 
 
 class TestInvariants:
