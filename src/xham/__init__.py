@@ -22,8 +22,6 @@ from .formula import (
     HammingResult,
     SearchStats,
     hamming_distance,
-    max_bottom,
-    unsat_formula,
     verify_xmodel,
 )
 from .gen import planted_formula, random_formula
@@ -34,14 +32,7 @@ from .oracle import (
     expand_state,
     max_hamming_brute,
 )
-from .propagation import (
-    PropagationResult,
-    assign,
-    connected_components,
-    extend_model,
-    normalize,
-    substitute_dual,
-)
+from .propagation import assign, connected_components
 from .solver import find_xmodel
 from .subset_scan import allowed_subset_check, max_hamming_p
 from .tau import nth_root, parse_branch_spec, tau_root
@@ -57,7 +48,6 @@ __all__ = [
     "GeneralizedAssignment",
     "HammingResult",
     "ParseError",
-    "PropagationResult",
     "SearchStats",
     "allowed_subset_check",
     "assign",
@@ -65,24 +55,19 @@ __all__ = [
     "count_allowed_subsets_brute",
     "enumerate_xmodels",
     "expand_state",
-    "extend_model",
     "find_xmodel",
     "gen_h",
     "hamming_distance",
     "load_formula",
-    "max_bottom",
     "max_hamming_brute",
     "max_hamming_p",
     "max_hamming_q",
-    "normalize",
     "nth_root",
     "parse_branch_spec",
     "parse_formula",
     "planted_formula",
     "random_formula",
     "serialize_formula",
-    "substitute_dual",
     "tau_root",
-    "unsat_formula",
     "verify_xmodel",
 ]

@@ -73,9 +73,9 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import islice
 
-from .formula import BOTTOM, Formula, HammingResult, SearchStats, max_bottom
+from .formula import BOTTOM, Formula, HammingResult, SearchStats
 from .propagation import Propagator, components
-from .propagation import assign  # noqa: F401  q calls it no more; xbench's tracer test restores it here
+from .propagation import assign  # noqa: F401  q never calls it; xbench's tracer wraps it here
 
 
 @dataclass
@@ -746,13 +746,13 @@ def _branch(engine, positions, state, clause, prefix, counter, leaf_hook, trail,
 
     def flip_children(best, need):
         for lit in rest:
-            best = max_bottom(best, child(max_bottom(need, best), "dual", pivot, lit))
+            best = max(best, child(max(need, best), "dual", pivot, lit))
         return best
 
     if must_flip is not None:
         return flip_children(BOTTOM, need)
     ans_true = child(need, "true", pivot)
-    need = max_bottom(need, ans_true)
+    need = max(need, ans_true)
     split = False
     if len(clause) == 4:
         mark = engine.mark()
@@ -765,7 +765,7 @@ def _branch(engine, positions, state, clause, prefix, counter, leaf_hook, trail,
     else:
         ans_false = child(need, "false", pivot)
     if ans_true is BOTTOM or ans_false is BOTTOM:
-        return max_bottom(ans_true, ans_false)
+        return max(ans_true, ans_false)
     return flip_children(max(ans_true, ans_false), need)
 
 

@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import io
-import os
 import sys
 import time
 
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K,D",
         help="degree-regular instance with a hidden x-model: clauses of length K, each variable in D of them",
     )
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", default=None)
 
     p_bench = sub.add_parser("bench", help="run seeded instances, emit CSV")
@@ -208,17 +207,14 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("XHAM_SEED", "0"))
     if args.planted is not None:
         if args.clauses is not None or args.length is not None:
             raise ValueError("--planted sets the clause count and length; drop --clauses and --len")
-        formula = planted_formula(args.vars, *args.planted, seed)
+        formula = planted_formula(args.vars, *args.planted, args.seed)
     elif args.clauses is None or args.length is None:
         raise ValueError("gen needs --clauses and --len, or --planted K,D")
     else:
-        formula = random_formula(args.vars, args.clauses, args.length, seed)
+        formula = random_formula(args.vars, args.clauses, args.length, args.seed)
     text = serialize_formula(formula)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -4,10 +4,8 @@ Variables are dense positive integers 1..num_vars. A literal is a signed
 variable index: k > 0 is the positive literal of variable k, -k its
 negation. A clause is a tuple of literals, a formula an ordered multiset
 of clauses. An assignment is an x-model when every clause contains
-exactly one true literal.
-
-The canonical unsatisfiable formula is the one holding a single empty
-clause; `unsat_formula` builds it.
+exactly one true literal. A formula holding an empty clause has no
+x-model.
 """
 
 from __future__ import annotations
@@ -44,21 +42,9 @@ class _Bottom:
         return other is self
 
 
-#: Answer for unsatisfiable instances. BOTTOM < 0 and BOTTOM + 1 is BOTTOM.
+#: Answer for unsatisfiable instances. BOTTOM < 0 and BOTTOM + 1 is BOTTOM;
+#: the builtin max passes it over unless every argument is BOTTOM.
 BOTTOM = _Bottom()
-
-
-def max_bottom(*values):
-    """Maximum that ignores BOTTOM unless every argument is BOTTOM."""
-    if not values:
-        raise ValueError("max_bottom needs at least one value")
-    best = BOTTOM
-    for v in values:
-        if v is BOTTOM:
-            continue
-        if best is BOTTOM or v > best:
-            best = v
-    return best
 
 
 @dataclass(frozen=True)
@@ -132,11 +118,6 @@ class Formula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-
-def unsat_formula(num_vars: int = 0) -> Formula:
-    """The canonical unsatisfiable formula: a single empty clause."""
-    return Formula(num_vars, ((),))
 
 
 def verify_xmodel(formula: Formula, assignment: Assignment) -> bool:

@@ -6,9 +6,8 @@ sibling in its clause false; a false literal is deleted; a clause holding
 a complementary pair is satisfied by that pair, so its other literals are
 false; a literal occurring twice must be false (two true copies would
 oversatisfy); deletions create units which force further values. The
-engine runs these rules to a fixpoint and reports either a simplified
-formula plus everything it forced, or the canonical unsatisfiable
-formula.
+engine runs these rules to a fixpoint: the live clauses that are left,
+everything it forced and the variables it freed, or a conflict.
 
 One incremental engine, `Propagator`, does all of this work. It keeps
 the clauses by position (a clause only shrinks, is rewritten in place or
@@ -16,12 +15,10 @@ drops out), an occurrence list and a degree count per variable, the
 forced map, and a work queue: a clause is settled again only when one of
 its variables is forced or rewritten, so a fixpoint costs time linear in
 the clauses it touches rather than a sweep over the whole formula per
-round. `normalize`, `assign` and `substitute_dual` are thin wrappers
-that run one step on a fresh engine. The solver, p and q each search one
-engine: a level or a q child takes a `mark`, applies its steps, and goes
-back with `undo_to`. Every engine keeps its trail from its first mark, so
-the root's own propagation and simplification, which nothing undoes, log
-nothing. The trail is two logs in the order of the steps: every clause
+round. The solver, p and q each search one engine: a level or a q
+child takes a `mark`, applies its steps, and goes back with `undo_to`.
+Every engine keeps its trail from its first mark, so the root's own
+propagation and simplification, which nothing undoes, log nothing. The trail is two logs in the order of the steps: every clause
 write with the clause it replaced, and the length every occurrence list
 had before a rewrite appended to it. Occurrence lists only grow: a force
 or a removed literal leaves the list in place, stale, as dropped
@@ -38,84 +35,23 @@ does not depend on the order in which the queue settles clauses.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
 
-from .formula import Assignment, Formula, unsat_formula
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    """Outcome of one propagation call.
-
-    forced holds every assignment fixed during propagation, including the
-    trigger. equivalences are (source, target) literal pairs with equal
-    truth value: `substitute_dual` gives its one pair, the other calls
-    none; sources no longer occur in the formula. freed lists variables
-    that vanished from the formula without being forced or rewritten
-    (both values extend any model).
-    """
-
-    formula: Formula
-    forced: Assignment
-    equivalences: tuple[tuple[int, int], ...]
-    freed: tuple[int, ...]
-    unsat: bool
+from .formula import Assignment, Formula
 
 
-def normalize(formula: Formula) -> PropagationResult:
-    """Run the simplification rules alone, with no trigger."""
-    engine = Propagator(formula)
-    engine.propagate()
-    return engine.result()
+def assign(formula: Formula, var: int, value: bool) -> "Propagator":
+    """A fresh engine on formula with var forced to value and propagated.
 
-
-def assign(formula: Formula, var: int, value: bool) -> PropagationResult:
-    """Substitute a value for a variable and propagate.
-
-    The x-models of the result, extended by `forced`, are exactly the
-    x-models of the input in which var has the given value.
+    The solver, p and q force on their own engines and never call this.
+    It stays because `branching` re-exports it for xbench, whose tracer
+    wraps `branching.assign` and whose tests restore it.
     """
     engine = Propagator(formula)
     if var not in engine.degree:
         raise ValueError(f"variable {var} does not occur in the formula")
     engine.force(var, value)
     engine.propagate()
-    return engine.result()
-
-
-def substitute_dual(formula: Formula, a: int, b: int) -> PropagationResult:
-    """Rewrite literal `a` as the complement of literal `b`, then propagate.
-
-    Every occurrence of a becomes the complement of b and every
-    occurrence of a's complement becomes b. The pair (a, -b) is recorded
-    as an equivalence: x-models of the result correspond one-to-one with
-    x-models of the input in which a and b take opposite truth values.
-    """
-    if abs(a) == abs(b):
-        raise ValueError("dual substitution needs literals of distinct variables")
-    engine = Propagator(formula)
-    if abs(a) not in engine.degree or abs(b) not in engine.degree:
-        raise ValueError("both literals must occur in the formula")
-    engine.substitute(a, b)
-    engine.propagate()
-    return replace(engine.result(), equivalences=((a, -b),))
-
-
-def extend_model(result: PropagationResult, model: Assignment) -> Assignment:
-    """Extend a model of result.formula back over the input's variables.
-
-    Freed variables default to True unless the model already chose them;
-    equivalences resolve latest-first so chained rewrites see their
-    targets.
-    """
-    full = dict(model)
-    full.update(result.forced)
-    for var in result.freed:
-        full.setdefault(var, True)
-    for src, tgt in reversed(result.equivalences):
-        truth = full[abs(tgt)] == (tgt > 0)
-        full[abs(src)] = truth if src > 0 else not truth
-    return full
+    return engine
 
 
 def components(engine: "Propagator", positions) -> list[list[int]]:
@@ -179,7 +115,6 @@ class Propagator:
     """
 
     def __init__(self, formula: Formula):
-        self.num_vars = formula.num_vars
         self.clauses: list[tuple[int, ...] | None] = list(formula.clauses)
         occ: defaultdict[int, list[int]] = defaultdict(list)
         for pos, clause in enumerate(self.clauses):
@@ -353,12 +288,6 @@ class Propagator:
                 self._vanished.append(var)
             elif left == 1:
                 self.singles.append(var)
-
-    def result(self) -> PropagationResult:
-        if self.unsat:
-            return PropagationResult(unsat_formula(self.num_vars), self.forced, (), (), True)
-        formula = Formula(self.num_vars, tuple(c for c in self.clauses if c is not None))
-        return PropagationResult(formula, self.forced, (), tuple(self.freed), False)
 
 
 def _settle_clause(lits, forced, force):

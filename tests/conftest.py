@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from xham import Formula, enumerate_xmodels, extend_model, random_formula
+from xham import Formula, enumerate_xmodels, random_formula
 from xham.propagation import Propagator
 
 
@@ -99,22 +99,77 @@ def tiny():
     return formula((1, 2, 3), (1, 2, 4))
 
 
-def expanded_models(result, input_vars):
-    """All assignments over input_vars represented by a propagation result."""
+def propagated(f: Formula, force=None, substitute=None) -> Propagator:
+    """A fresh engine on f after at most one step and its propagation.
+
+    force is a (var, value) pair. substitute is an (a, b) pair that
+    rewrites literal a as the complement of literal b, q's dual step.
+    """
+    engine = Propagator(f)
+    if force is not None:
+        engine.force(*force)
+    if substitute is not None:
+        engine.substitute(*substitute)
+    engine.propagate()
+    return engine
+
+
+def live_clauses(engine) -> tuple:
+    """The engine's live clauses in position order."""
+    return tuple(clause for clause in engine.clauses if clause is not None)
+
+
+def extend_model(engine, model, substitute=None):
+    """Extend a model of the engine's live clauses over the variables it removed.
+
+    Forced variables take their forced values, and freed ones True unless
+    the model already chose them. After a substitution (a, b), literal a
+    takes the complement of b's truth value.
+    """
+    full = dict(model)
+    full.update(engine.forced)
+    for var in engine.freed:
+        full.setdefault(var, True)
+    if substitute is not None:
+        a, b = substitute
+        a_true = full[abs(b)] != (b > 0)
+        full[abs(a)] = a_true == (a > 0)
+    return full
+
+
+def expanded_models(f, engine, substitute=None):
+    """All assignments over Var(f) that a propagated engine on f represents."""
+    if engine.unsat:
+        return []
     out = []
-    for model in enumerate_xmodels(result.formula):
-        for picks in itertools.product((False, True), repeat=len(result.freed)):
+    for model in enumerate_xmodels(Formula(f.num_vars, live_clauses(engine))):
+        for picks in itertools.product((False, True), repeat=len(engine.freed)):
             chosen = dict(model)
-            chosen.update(zip(result.freed, picks))
-            full = extend_model(result, chosen)
-            out.append({v: full[v] for v in input_vars})
+            chosen.update(zip(engine.freed, picks))
+            full = extend_model(engine, chosen, substitute)
+            out.append({v: full[v] for v in f.variables()})
     return out
 
 
-def assert_model_preservation(f, result, keep=lambda m: True):
-    """Model sets agree between input (filtered) and the extended output."""
-    want = [{v: m[v] for v in f.variables()} for m in enumerate_xmodels(f) if keep(m)]
-    got = expanded_models(result, f.variables())
+def assert_model_preservation(f, force=None, substitute=None):
+    """One step on a fresh engine keeps exactly the x-models of f it allows.
+
+    With no step that is every x-model; a force (var, value) allows those
+    in which var takes value, a substitution (a, b) those in which
+    literals a and b take opposite truth values. The propagated engine
+    must represent each allowed model once and no other.
+    """
+
+    def allowed(m):
+        if force is not None:
+            return m[force[0]] == force[1]
+        if substitute is not None:
+            a, b = substitute
+            return (m[abs(a)] == (a > 0)) != (m[abs(b)] == (b > 0))
+        return True
+
+    want = [{v: m[v] for v in f.variables()} for m in enumerate_xmodels(f) if allowed(m)]
+    got = expanded_models(f, propagated(f, force, substitute), substitute)
     as_set = lambda ms: {tuple(sorted(m.items())) for m in ms}
     assert as_set(got) == as_set(want)
     assert len(got) == len(want)  # no double-represented model

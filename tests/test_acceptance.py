@@ -16,7 +16,6 @@ from xham import (
     GeneralizedAssignment,
     SearchStats,
     allowed_subset_check,
-    assign,
     branching,
     count_allowed_subsets_brute,
     enumerate_xmodels,
@@ -24,11 +23,9 @@ from xham import (
     max_hamming_brute,
     max_hamming_p,
     max_hamming_q,
-    normalize,
     nth_root,
     planted_formula,
     random_formula,
-    substitute_dual,
     tau_root,
     verify_xmodel,
 )
@@ -210,22 +207,16 @@ def test_criterion_6_propagation_preserves_model_sets():
         n = max(4, length) + (i % 7)  # n <= 10
         f = random_formula(n, clause_count(n, length), length, seed=300_000 + i)
         variables = f.variables()
-        assert_model_preservation(f, normalize(f))
+        assert_model_preservation(f)
         operations += 1
         for var in variables:
             for value in (False, True):
-                assert_model_preservation(
-                    f, assign(f, var, value), keep=lambda m: m[var] == value
-                )
+                assert_model_preservation(f, force=(var, value))
                 operations += 1
         for a, b in [(variables[0], -variables[1]), (-variables[1], variables[-1])]:
             if abs(a) == abs(b):
                 continue
-            assert_model_preservation(
-                f,
-                substitute_dual(f, a, b),
-                keep=lambda m: (m[abs(a)] == (a > 0)) != (m[abs(b)] == (b > 0)),
-            )
+            assert_model_preservation(f, substitute=(a, b))
             operations += 1
     print(f"criterion 6 PASS: model sets preserved across {operations} propagation calls")
 

@@ -65,7 +65,7 @@ class TestSimplifyState:
     def test_unsat_surfaces_as_empty_clause(self):
         engine = Propagator(formula((1,), (-1,)))
         assert not branching._simplify(engine, GeneralizedAssignment())
-        assert engine.result().formula.clauses == ((),)
+        assert engine.unsat
 
 
 def leaf_state(**kw):
@@ -433,6 +433,7 @@ class TestMaxHammingQ:
         scan_names = vars(subset_scan)
         assert "normalize" not in scan_names and "extend_model" not in scan_names
         assert not hasattr(branching, "simplify_state")
+        assert not hasattr(Propagator, "result")  # the engine is propagation's one interface
 
         # One trail from the first mark, of two logs: clause writes, and the
         # lengths of the occurrence lists that rewrites grew.

@@ -141,11 +141,10 @@ class TestGen:
         assert code == 0
         parse_formula(out_path.read_text())
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("XHAM_SEED", "42")
-        _, from_env, _ = run(capsys, "gen", "--vars", "5", "--clauses", "3", "--len", "2")
-        _, explicit, _ = run(capsys, "gen", "--vars", "5", "--clauses", "3", "--len", "2", "--seed", "42")
-        assert from_env == explicit
+    def test_seed_defaults_to_zero(self, capsys):
+        _, default, _ = run(capsys, "gen", "--vars", "5", "--clauses", "3", "--len", "2")
+        _, explicit, _ = run(capsys, "gen", "--vars", "5", "--clauses", "3", "--len", "2", "--seed", "0")
+        assert default == explicit
 
     def test_planted(self, capsys):
         code, out, _ = run(capsys, "gen", "--vars", "12", "--planted", "3,2", "--seed", "4")

@@ -11,10 +11,8 @@ from xham import (
     HammingResult,
     connected_components,
     hamming_distance,
-    max_bottom,
     planted_formula,
     random_formula,
-    unsat_formula,
     verify_xmodel,
 )
 
@@ -33,18 +31,15 @@ class TestBottom:
         assert 1 + BOTTOM is BOTTOM
         assert BOTTOM + 0 is BOTTOM
 
-    def test_max_bottom_ignores_bottom(self):
-        assert max_bottom(BOTTOM, 3) == 3
-        assert max_bottom(3, BOTTOM) == 3
-        assert max_bottom(BOTTOM, 0) == 0
+    def test_max_ignores_bottom(self):
+        assert max(BOTTOM, 3) == 3
+        assert max(3, BOTTOM) == 3
+        assert max(BOTTOM, 0) == 0
+        assert max(BOTTOM, 2, BOTTOM, 5, BOTTOM) == 5
 
-    def test_max_bottom_all_bottom(self):
-        assert max_bottom(BOTTOM) is BOTTOM
-        assert max_bottom(BOTTOM, BOTTOM) is BOTTOM
-
-    def test_max_bottom_needs_arguments(self):
-        with pytest.raises(ValueError):
-            max_bottom()
+    def test_max_of_all_bottom_is_bottom(self):
+        assert max([BOTTOM]) is BOTTOM
+        assert max(BOTTOM, BOTTOM) is BOTTOM
 
 
 class TestHammingResult:
@@ -77,9 +72,6 @@ class TestFormula:
     def test_duplicate_clauses_kept(self):
         f = formula((1, 2), (1, 2))
         assert f.num_clauses == 2
-
-    def test_unsat_formula_is_single_empty_clause(self):
-        assert unsat_formula(3).clauses == ((),)
 
 
 class TestVerifyXmodel:

@@ -10,13 +10,10 @@ from xham import (
     assign,
     branching,
     enumerate_xmodels,
-    extend_model,
     max_hamming_q,
-    normalize,
     planted_formula,
     propagation,
     random_formula,
-    substitute_dual,
 )
 from xham.propagation import Propagator
 
@@ -24,108 +21,112 @@ from conftest import (
     assert_model_preservation,
     chain,
     clause_count,
+    extend_model,
     formula,
+    live_clauses,
+    propagated,
     repeated_variable_corpus,
 )
 
 
 class TestNormalize:
+    """Propagation with no step: the rules alone on a fresh engine."""
+
     def test_complementary_pair_satisfies_clause(self):
         # (a or not-a or b): the pair is the satisfactor, b false, a free
-        result = normalize(formula((1, -1, 2)))
-        assert not result.unsat
-        assert result.formula.clauses == ()
-        assert result.forced == {2: False}
-        assert result.freed == (1,)
+        engine = propagated(formula((1, -1, 2)))
+        assert not engine.unsat
+        assert live_clauses(engine) == ()
+        assert engine.forced == {2: False}
+        assert engine.freed == [1]
 
     def test_duplicate_literal_forced_false(self):
-        result = normalize(formula((1, 1, 2)))
-        assert result.forced == {1: False, 2: True}
-        assert result.formula.clauses == ()
+        engine = propagated(formula((1, 1, 2)))
+        assert engine.forced == {1: False, 2: True}
+        assert live_clauses(engine) == ()
 
     def test_empty_clause_unsat(self):
-        result = normalize(formula((), n=0))
-        assert result.unsat
-        assert result.formula.clauses == ((),)
+        assert propagated(formula((), n=0)).unsat
 
     def test_unit_shrinks_sibling_clause(self):
-        result = normalize(formula((1,), (-1, 2, 3)))
-        assert not result.unsat
-        assert result.forced == {1: True}
-        assert result.formula.clauses == ((2, 3),)
+        engine = propagated(formula((1,), (-1, 2, 3)))
+        assert not engine.unsat
+        assert engine.forced == {1: True}
+        assert live_clauses(engine) == ((2, 3),)
 
     def test_two_true_literals_unsat(self):
-        result = normalize(formula((1,), (-2,), (1, -2, 3)))
-        assert result.unsat
+        assert propagated(formula((1,), (-2,), (1, -2, 3))).unsat
 
     def test_idempotent(self):
-        result = normalize(formula((1, -1, 2), (3, 4, 4)))
-        again = normalize(result.formula)
-        assert again.formula == result.formula
+        engine = propagated(formula((1, -1, 2), (3, 4, 4), (4, 5, 6)))
+        assert live_clauses(engine) == ((5, 6),)
+        again = propagated(Formula(6, live_clauses(engine)))
+        assert live_clauses(again) == live_clauses(engine)
         assert not again.forced and not again.freed
 
 
 class TestAssign:
+    """A force, then propagation, on a fresh engine."""
+
     def test_true_literal_forces_siblings_false(self):
-        result = assign(formula((1, 2, 3)), 1, True)
-        assert result.formula.clauses == ()
-        assert result.forced == {1: True, 2: False, 3: False}
+        engine = propagated(formula((1, 2, 3)), force=(1, True))
+        assert live_clauses(engine) == ()
+        assert engine.forced == {1: True, 2: False, 3: False}
 
     def test_chain_through_shrunk_unit(self):
-        result = assign(formula((1, 2), (-1, 3)), 1, True)
-        assert result.forced == {1: True, 2: False, 3: True}
-        assert result.formula.clauses == ()
+        engine = propagated(formula((1, 2), (-1, 3)), force=(1, True))
+        assert engine.forced == {1: True, 2: False, 3: True}
+        assert live_clauses(engine) == ()
 
     def test_worked_chain(self):
         # x=(a b c), y=(b f g h), z=(-c d e): a true falsifies b and c,
         # y loses b, z is satisfied by -c so d and e go false
         f = formula((1, 2, 3), (2, 4, 5, 6), (-3, 7, 8))
-        result = assign(f, 1, True)
-        assert result.forced == {1: True, 2: False, 3: False, 7: False, 8: False}
-        assert result.formula.clauses == ((4, 5, 6),)
+        engine = propagated(f, force=(1, True))
+        assert engine.forced == {1: True, 2: False, 3: False, 7: False, 8: False}
+        assert live_clauses(engine) == ((4, 5, 6),)
 
     def test_requires_occurrence(self):
         with pytest.raises(ValueError):
             assign(formula((1, 2)), 3, True)
 
-    def test_preserves_models(self):
+    def test_assign_returns_the_propagated_engine(self):
         f = formula((1, 2, 3), (2, 4, 5, 6), (-3, 7, 8))
-        result = assign(f, 1, True)
-        assert_model_preservation(f, result, keep=lambda m: m[1] is True)
+        engine, want = assign(f, 1, True), propagated(f, force=(1, True))
+        assert isinstance(engine, Propagator) and not engine.queue
+        assert (engine.clauses, engine.forced, engine.freed) == (want.clauses, want.forced, want.freed)
+        assert assign(formula((1,), (2, 3)), 1, False).unsat
+
+    def test_preserves_models(self):
+        assert_model_preservation(formula((1, 2, 3), (2, 4, 5, 6), (-3, 7, 8)), force=(1, True))
 
 
 class TestSubstituteDual:
+    """A rewrite of one literal as another's complement, then propagation."""
+
     def test_pair_clause_vanishes(self):
-        result = substitute_dual(formula((1, 2)), 1, 2)
-        assert result.formula.clauses == ()
-        assert result.equivalences == ((1, -2),)
-        assert result.freed == (2,)
+        engine = propagated(formula((1, 2)), substitute=(1, 2))
+        assert live_clauses(engine) == ()
+        assert engine.freed == [2]
 
     def test_mechanical_rewrite(self):
-        result = substitute_dual(formula((1, 2), (1, 3, 4)), 1, 2)
-        assert result.formula.clauses == ((-2, 3, 4),)
-        assert result.equivalences == ((1, -2),)
+        engine = propagated(formula((1, 2), (1, 3, 4)), substitute=(1, 2))
+        assert live_clauses(engine) == ((-2, 3, 4),)
+        assert engine.degree[1] == 0
 
     def test_rewrite_with_cascade(self):
         # (a b), (-a b c): the unique x-model is a=T, b=F, c=T
         f = formula((1, 2), (-1, 2, 3))
         models = enumerate_xmodels(f)
         assert models == [{1: True, 2: False, 3: True}]
-        result = substitute_dual(f, 1, 2)
-        assert not result.unsat
-        assert result.forced == {2: False, 3: True}
-        assert result.formula.clauses == ()
-        full = extend_model(result, {})
-        assert full == {1: True, 2: False, 3: True}
-
-    def test_same_variable_rejected(self):
-        with pytest.raises(ValueError):
-            substitute_dual(formula((1, 2)), 1, -1)
+        engine = propagated(f, substitute=(1, 2))
+        assert not engine.unsat
+        assert engine.forced == {2: False, 3: True}
+        assert live_clauses(engine) == ()
+        assert extend_model(engine, {}, substitute=(1, 2)) == {1: True, 2: False, 3: True}
 
     def test_preserves_opposite_value_models(self):
-        f = formula((1, 2, 3), (1, 2, 4))
-        result = substitute_dual(f, 1, 2)
-        assert_model_preservation(f, result, keep=lambda m: m[1] != m[2])
+        assert_model_preservation(formula((1, 2, 3), (1, 2, 4)), substitute=(1, 2))
 
 
 class TestModelPreservationSuite:
@@ -136,19 +137,12 @@ class TestModelPreservationSuite:
                 n = 4 + (i % 5)
                 f = random_formula(n, clause_count(n, length), length, seed=900 + 13 * i + length)
                 variables = f.variables()
-                assert_model_preservation(f, normalize(f))
+                assert_model_preservation(f)
                 for var in variables[:3]:
                     for value in (False, True):
-                        assert_model_preservation(
-                            f, assign(f, var, value), keep=lambda m: m[var] == value
-                        )
+                        assert_model_preservation(f, force=(var, value))
                 if len(variables) >= 2:
-                    a, b = variables[0], -variables[1]
-                    assert_model_preservation(
-                        f,
-                        substitute_dual(f, a, b),
-                        keep=lambda m: (m[abs(a)] == (a > 0)) != (m[abs(b)] == (b > 0)),
-                    )
+                    assert_model_preservation(f, substitute=(variables[0], -variables[1]))
                 checked += 1
         assert checked == 120
 
@@ -178,26 +172,23 @@ def repeated_variable_formulas(draw):
 @settings(max_examples=250, deadline=None)
 @given(repeated_variable_formulas(), st.data())
 def test_rules_preserve_models_when_clauses_repeat_variables(f, data):
-    assert_model_preservation(f, normalize(f))
+    assert_model_preservation(f)
     for var in f.variables():
         for value in (False, True):
-            assert_model_preservation(f, assign(f, var, value), keep=lambda m: m[var] == value)
+            assert_model_preservation(f, force=(var, value))
     variables = f.variables()
     if len(variables) >= 2:
         x, y = data.draw(st.lists(st.sampled_from(variables), min_size=2, max_size=2, unique=True))
         a = x if data.draw(st.booleans()) else -x
         b = y if data.draw(st.booleans()) else -y
-        assert_model_preservation(
-            f,
-            substitute_dual(f, a, b),
-            keep=lambda m: (m[abs(a)] == (a > 0)) != (m[abs(b)] == (b > 0)),
-        )
+        assert_model_preservation(f, substitute=(a, b))
 
 
 def test_fixpoint_clauses_hold_distinct_variables():
     """The subset scan relies on this: it tests subsets by bitmask alone."""
     for f in repeated_variable_corpus(300, 9100):
-        for clause in normalize(f).formula.clauses:
+        engine = propagated(f)
+        for clause in () if engine.unsat else live_clauses(engine):
             assert len({abs(lit) for lit in clause}) == len(clause)
 
 
@@ -266,7 +257,7 @@ def draw_substitute(engine, data):
 def test_undo_restores_the_state_at_the_mark(f, data):
     """Nested marks, steps (forces, substitutions and `_simplify` passes,
     which pool with `remove_literal`) and undos: each undo gives back the
-    state at its mark, and the restored engine then answers an `assign`
+    state at its mark, and the restored engine then answers a force
     exactly as a fresh engine does."""
     engine = Propagator(f)
     if not engine.propagate():
@@ -303,11 +294,12 @@ def test_undo_restores_the_state_at_the_mark(f, data):
     var, value = data.draw(st.sampled_from(live)), data.draw(st.booleans())
     engine.force(var, value)
     engine.propagate()
-    got, want = engine.result(), assign(f, var, value)
-    assert (got.unsat, got.formula) == (want.unsat, want.formula)
+    want = propagated(f, force=(var, value))
+    assert engine.unsat == want.unsat
     if not want.unsat:
-        assert got.forced == want.forced
-        assert sorted(got.freed) == sorted(want.freed)
+        assert live_clauses(engine) == live_clauses(want)
+        assert engine.forced == want.forced
+        assert sorted(engine.freed) == sorted(want.freed)
 
 
 def test_mark_needs_a_fixpoint():
@@ -380,7 +372,7 @@ def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
         nonlocal engine_kind, nodes, steps
         nodes += 1
         node = engine_state(engine)
-        f = Formula(engine.num_vars, tuple(engine.clauses[pos] for pos in positions))
+        f = Formula.from_clauses(engine.clauses[pos] for pos in positions)
         clause = max(f.clauses, key=len)
         for pivot in clause:
             kinds = [("true", pivot), ("false", pivot)] + [("dual", pivot, lit) for lit in clause if lit != pivot]

@@ -3,12 +3,9 @@ import sys
 from xham import (
     Formula,
     SearchStats,
-    assign,
     enumerate_xmodels,
-    extend_model,
     find_xmodel,
     max_hamming_p,
-    normalize,
     planted_formula,
     propagation,
     random_formula,
@@ -16,7 +13,14 @@ from xham import (
     verify_xmodel,
 )
 
-from conftest import clause_count, formula, repeated_variable_corpus
+from conftest import (
+    clause_count,
+    extend_model,
+    formula,
+    live_clauses,
+    propagated,
+    repeated_variable_corpus,
+)
 
 
 def test_unit():
@@ -99,23 +103,25 @@ def test_chain_search_settles_linearly_many_clauses(monkeypatch):
 
 
 def reference_find_xmodel(formula):
-    """The search with a fresh engine per level: `assign` on each level's
-    formula, the model extended back up the path."""
-    result = normalize(formula)
-    if result.unsat:
+    """The search with a fresh engine per level: each branch forces its
+    literal on a new engine built from its level's live clauses, and the
+    model is extended back up the path."""
+    root = propagated(formula)
+    if root.unsat:
         return None
-    path = [(result, iter(max(result.formula.clauses, key=len, default=())))]
+    path = [(root, iter(max(live_clauses(root), key=len, default=())))]
     while path:
-        result, branches = path[-1]
-        if not result.formula.clauses:
+        engine, branches = path[-1]
+        clauses = live_clauses(engine)
+        if not clauses:
             model = {}
             for level, _ in reversed(path):
                 model = extend_model(level, model)
             return model
         for lit in branches:
-            child = assign(result.formula, abs(lit), lit > 0)
+            child = propagated(Formula(formula.num_vars, clauses), force=(abs(lit), lit > 0))
             if not child.unsat:
-                path.append((child, iter(max(child.formula.clauses, key=len, default=()))))
+                path.append((child, iter(max(live_clauses(child), key=len, default=()))))
                 break
         else:
             path.pop()

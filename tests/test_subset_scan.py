@@ -15,7 +15,6 @@ from xham import (
     max_hamming_brute,
     max_hamming_p,
     max_hamming_q,
-    normalize,
     planted_formula,
     random_formula,
     verify_xmodel,
@@ -23,7 +22,7 @@ from xham import (
 from xham import subset_scan
 from xham.solver import solve
 
-from conftest import clause_count, count_builds, formula, repeated_variable_corpus
+from conftest import clause_count, count_builds, formula, live_clauses, propagated, repeated_variable_corpus
 
 REPEATED = repeated_variable_corpus(300, 9100)
 # Distinct-variable clauses that share variables with each other.
@@ -95,10 +94,10 @@ class TestFlippedUnion:
         the unit form gives a model of the formula."""
         outcomes = []
         for f in REPEATED + OVERLAPPING:
-            result = normalize(f)
-            if result.unsat:
+            engine = propagated(f)
+            if engine.unsat:
                 continue
-            reduced = result.formula
+            reduced = Formula(f.num_vars, live_clauses(engine))
             variables = reduced.variables()
             for size in range(1, len(variables) + 1):
                 for combo in itertools.combinations(variables, size):
@@ -128,7 +127,10 @@ class TestAllowedClasses:
         size, in the order a loop over combinations from the largest size
         down meets them."""
         for f in REPEATED + OVERLAPPING:
-            reduced = normalize(f).formula
+            engine = propagated(f)
+            if engine.unsat:
+                continue  # p lists no subsets of a formula without an x-model
+            reduced = Formula(f.num_vars, live_clauses(engine))
             variables = reduced.variables()
             want = [
                 sum(1 << variables.index(v) for v in combo)
@@ -313,11 +315,12 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, fi
     )
     if distance is not None:
         # Every nonempty allowed subset at least as large as the answer's.
-        result = normalize(f)
-        variables = result.formula.variables()
+        engine = propagated(f)
+        live = Formula(f.num_vars, live_clauses(engine))
+        variables = sorted(var for var, count in engine.degree.items() if count)
         assert subsets == sum(
-            allowed_subset_check(result.formula, combo)
-            for size in range(max(distance - len(result.freed), 1), len(variables) + 1)
+            allowed_subset_check(live, combo)
+            for size in range(max(distance - len(engine.freed), 1), len(variables) + 1)
             for combo in itertools.combinations(variables, size)
         )
 
