@@ -43,15 +43,14 @@ below any `need`. A node whose `base` plus bound cannot exceed `need` is
 cut off; no bound is computed before `need` reaches `base`, so a search
 with no answer yet pays nothing.
 
-A connected part of at most `SMALL_PART_VARS` live variables is not
-branched at all: `_evaluate` lists its x-models over the live variables'
-slot values and returns the best pair's sum of table entries. That is
-what branching the part down to empty formulas finds, since the tables
-of the live variables already score everything linked below them. A
-node values its small parts first, so their exact values, not bounds,
-count in `base` before it bounds and branches the rest.
-`SMALL_PART_CAP` bounds the states of one listing, and a part past it is
-branched as any other.
+A connected part is first handed to `_evaluate`, which lists its
+x-models over the live variables' slot values and returns the best
+pair's sum of table entries. That is what branching the part down to
+empty formulas finds, since the tables of the live variables already
+score everything linked below them. `SMALL_PART_CAP` bounds the states
+of one listing, and only a part whose listing runs past it is branched.
+A node values its parts first, so their exact values, not bounds, count
+in `base` before it bounds and branches the rest.
 
 A subtlety drives the state layout: once a variable represents a pooled
 clause slot, its formula occurrences stop meaning "this variable is
@@ -70,7 +69,7 @@ a pool forms bind the slot instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import islice
 
 from .formula import BOTTOM, Formula, HammingResult, SearchStats
@@ -458,10 +457,11 @@ def max_hamming_q(
     otherwise BOTTOM (only when the subtree has no x-model) or some
     int <= need. A node is cut off when its `base` plus `_bound`, the
     zero-or-two degree budget as a fractional knapsack over its live
-    variables, cannot exceed `need`. A connected part of at most
-    `SMALL_PART_VARS` live variables is valued from its x-models instead
-    of branched. The answer stays exact; `counter` counts the nodes and
-    leaves of the tree actually visited (see `SearchStats`).
+    variables, cannot exceed `need`. A connected part whose x-model
+    listing finishes within `SMALL_PART_CAP` states is valued from its
+    x-models instead of branched. The answer stays exact; `counter`
+    counts the nodes and leaves of the tree actually visited (see
+    `SearchStats`).
     """
     if counter is None:
         counter = SearchStats()
@@ -480,14 +480,14 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
     node. `need` and the value returned follow the contract in the module
     docstring.
 
-    The live clauses split into connected components. Each part small
-    enough for `_evaluate` adds its exact value to `base` first, and a
-    part with no x-model makes the node BOTTOM. One loop then branches on
-    each other part's first longest clause in turn. When the node has a
-    bound, each such part's bound is computed once, here, and a part is
-    cut off when its bound cannot beat what is left of `need`. The
-    branched parts of a split count one node each, as if each were a
-    child of its own; a valued part counts none.
+    The live clauses split into connected components. Each part that
+    `_evaluate` values within its cap adds its exact value to `base`
+    first, and a part with no x-model makes the node BOTTOM. One loop
+    then branches on each other part's first longest clause in turn.
+    When the node has a bound, each such part's bound is computed once,
+    here, and a part is cut off when its bound cannot beat what is left
+    of `need`. The branched parts of a split count one node each, as if
+    each were a child of its own; a valued part counts none.
     """
     forced_at, freed_at = len(engine.forced), len(engine.freed)
     for step in steps:
@@ -562,10 +562,9 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
 
 
 def _evaluate(engine, positions, state):
-    """The exact value of a small connected part, from its x-models; None past the limits.
+    """The exact value of a connected part, from its x-models; None past the cap.
 
-    A part of at most `SMALL_PART_VARS` live variables is valued without
-    branching. A depth-first search lists its x-models over the live
+    A depth-first search lists the part's x-models over the live
     variables' slot values as bitmasks: each clause in turn picks its
     satisfactor, its other literals go false, and a pick that contradicts
     an earlier clause's is dropped. The value is the best pair of those
@@ -575,7 +574,9 @@ def _evaluate(engine, positions, state):
     where no pair honours every flip reads negative. A part without an
     x-model is BOTTOM. The search gives up, returning None, once it has
     visited `SMALL_PART_CAP` states (its models among them), so a part
-    scores at most that many squared pairs.
+    scores at most that many squared pairs. A model of d clauses takes
+    d + 1 states to reach, so a part of at least `SMALL_PART_CAP` clauses
+    returns None before any set-up.
 
     A table entry splits as t00 + d*(a + b) + c*a*b, with d = t01 - t00
     and c = t11 - 2*t01 + t00 (tables are symmetric), so a pair scores
@@ -583,15 +584,18 @@ def _evaluate(engine, positions, state):
     variables both models set. Variables are grouped by d and by c, and
     a group sums with one popcount.
     """
+    if len(positions) >= SMALL_PART_CAP:
+        return None
     clauses = engine.clauses
-    limit = SMALL_PART_VARS
     # Per clause, its variables' bits and, per satisfactor, the variables
     # the pick sets true: those of the negative literals, which are false,
     # with the chosen literal's variable flipped. Clauses at a fixpoint
-    # hold distinct variables, so no pick contradicts itself.
+    # hold distinct variables, so no pick contradicts itself. `occ[k]`
+    # lists the clauses, by index, that hold bit k.
     bits = {}
+    occ = []
     options = []
-    for pos in positions:
+    for i, pos in enumerate(positions):
         span = negative = 0
         lit_bits = []
         for lit in clauses[pos]:
@@ -599,26 +603,17 @@ def _evaluate(engine, positions, state):
             bit = bits.get(var)
             if bit is None:
                 bit = bits[var] = 1 << len(bits)
+                occ.append([])
+            occ[bit.bit_length() - 1].append(i)
             lit_bits.append(bit)
             span |= bit
             if lit < 0:
                 negative |= bit
-        if len(bits) > limit:
-            return None
         options.append((span, [negative ^ bit for bit in lit_bits]))
     # Each next clause is the one with the fewest variables no earlier
     # clause set, so picks clash as early as they can and fewer parts run
     # past `SMALL_PART_CAP`.
-    order, fixed = [], 0
-    while options:
-        first, fewest = 0, limit + 1
-        for i, (span, _) in enumerate(options):
-            new = (span & ~fixed).bit_count()
-            if new < fewest:
-                first, fewest = i, new
-        order.append(options.pop(first))
-        fixed |= order[-1][0]
-    options = order
+    options = [options[i] for i in _fewest_new_first([span for span, _ in options], occ)]
 
     models = []
     budget = SMALL_PART_CAP
@@ -659,11 +654,41 @@ def _evaluate(engine, positions, state):
     )
 
 
-#: A connected part with at most this many live variables is valued from
-#: its x-models by `_evaluate` instead of branched.
-SMALL_PART_VARS = 24
+def _fewest_new_first(spans, occ):
+    """Clause indices in `_evaluate`'s order: each next clause has the fewest
+    variables that no earlier one holds, the first by index among equals.
+
+    spans[i] holds clause i's variable bits and occ[k] the clauses, by
+    index, that hold bit k. A heap of (new count, index) makes the choice
+    in time linear in the literals, times a log: a count only falls, each
+    fall pushes a new entry, and an entry whose count is stale is skipped
+    when it surfaces.
+    """
+    new = [span.bit_count() for span in spans]
+    heap = list(zip(new, range(len(spans))))
+    heapify(heap)
+    order, fixed = [], 0
+    while heap:
+        count, i = heappop(heap)
+        if count != new[i]:
+            continue
+        new[i] = -1
+        order.append(i)
+        fresh = spans[i] & ~fixed
+        fixed |= spans[i]
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            for j in occ[bit.bit_length() - 1]:
+                if new[j] > 0:
+                    new[j] -= 1
+                    heappush(heap, (new[j], j))
+    return order
+
+
 #: The most search states, x-models included, `_evaluate` visits in one
-#: part before it leaves the part to branching.
+#: connected part before it leaves the part to branching; 0 turns the
+#: evaluator off.
 SMALL_PART_CAP = 512
 
 

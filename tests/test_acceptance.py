@@ -40,7 +40,7 @@ def branched_q(f):
     """q with its evaluator off, so every part is branched down to empty
     formulas: the paper's search, checked against the oracles on its own."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(branching, "SMALL_PART_VARS", 0)
+        patch.setattr(branching, "SMALL_PART_CAP", 0)
         return max_hamming_q(f)
 
 

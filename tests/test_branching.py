@@ -140,7 +140,7 @@ class TestGenH:
         taken over the pairs in which every `flips` variable reads different
         slots, and is negative when no such pair exists. The leaves come
         from branching alone: parts valued from their x-models have none."""
-        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
         rng = random.Random(77)
         instances = []
         for length in (2, 3, 4, 5):
@@ -210,7 +210,7 @@ class TestScoreTables:
         """Tables built at link time or on a read, and dropped when their
         variable gains a link, equal the whole subtree read from scratch.
         The leaves come from branching alone."""
-        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
         instances = [
             random_formula(n, (n + 1) // 2, k, 6100 + 100 * seed + 7 * n + k)
             for k in (3, 4, 5)
@@ -282,7 +282,7 @@ class TestMaxHammingQ:
 
     def test_length_four_clause_splits_on_its_false_side(self, monkeypatch):
         """The pivot's false step is followed, in the same node, by a step on its clause's rest."""
-        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)  # the branching path alone
         f = planted_formula(8, 4, 2, 0)
         trails = []
         max_hamming_q(f, leaf_hook=lambda s, t: trails.append(t))
@@ -298,7 +298,7 @@ class TestMaxHammingQ:
     def test_one_engine_per_search_and_no_formula_below_the_root(self, monkeypatch):
         """Every child is a mark, its steps, simplification and an undo on the
         root's engine: one `Propagator` per call, and no `Formula` built."""
-        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)  # the branching path alone
         shapes = ((21, 3, 2), (20, 4, 2), (24, 4, 2))
         instances = [planted_formula(n, k, d, seed) for n, k, d in shapes for seed in range(4)]
         instances += [random_formula(n, clause_count(n, k), k, 7300 + n) for k in (3, 4, 5) for n in (12, 16)]
@@ -316,7 +316,7 @@ class TestMaxHammingQ:
         """No `_q` call below the root comes without steps, and each
         component's bound is taken at most once per node; a node is named
         by its trail, which no other node shares. Runs with the evaluator
-        off and at its limit; at the limit, parts small enough to value are
+        off and at its cap; at the cap, parts whose x-models it lists are
         not branched, so the joined instances give split parts too large
         for it, next to small ones, and a valued part is never bounded."""
         shapes = ((21, 3, 2), (24, 3, 2), (20, 4, 2), (24, 4, 2))
@@ -325,10 +325,12 @@ class TestMaxHammingQ:
         # Seeds 7 and 8 still split bounded parts now that flip children
         # keep only pairs in which the pivot flips.
         instances += [planted_formula(24, 3, 2, seed) for seed in range(5, 10)]
+        # Planted (4,2) halves at n 36 and 44 split into parts past the
+        # evaluator's cap, which the search bounds.
         instances += [
-            joined(planted_formula(n, 3, 2, seed), planted_formula(other, 3, 2, seed + 10))
-            for n, other in ((27, 27), (30, 30), (30, 15))
-            for seed in range(4)
+            joined(planted_formula(n, 4, 2, seed), planted_formula(n, 4, 2, seed + 10))
+            for n in (36, 44)
+            for seed in range(2)
         ]
         real_q, real_bound, real_components, real_evaluate = branching._q, branching._bound, branching.components, branching._evaluate
         path, seen, bounds, split_parts, valued = [], set(), collections.Counter(), set(), set()
@@ -363,8 +365,8 @@ class TestMaxHammingQ:
         monkeypatch.setattr(branching, "_bound", bound)
         monkeypatch.setattr(branching, "components", components)
         monkeypatch.setattr(branching, "_evaluate", evaluate)
-        for small in (0, branching.SMALL_PART_VARS):
-            monkeypatch.setattr(branching, "SMALL_PART_VARS", small)
+        for cap in (0, branching.SMALL_PART_CAP):
+            monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
             bounded_parts = mixed = 0
             for f in instances:
                 for log in (seen, bounds, split_parts, valued):
@@ -375,15 +377,15 @@ class TestMaxHammingQ:
                 bounded = bounds.keys() & split_parts
                 bounded_parts += len(bounded)
                 mixed += len({node for node, _ in bounded} & {node for node, _ in valued & split_parts})
-            assert bounded_parts > 0, small
-            assert mixed > 0 or not small, small
+            assert bounded_parts > 0, cap
+            assert mixed > 0 or not cap, cap
 
     def test_a_must_flip_pivot_gets_its_flip_children_alone(self, monkeypatch):
         """A pivot that must flip makes no true or false child, only the k - 1
         flip children of its length-k clause, and each of those removes at
         least k - 1 variables: the pivot, and the k - 2 literals that its
         complementary pair forces false."""
-        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)  # the branching path alone
         shapes = ((21, 3), (24, 3), (20, 4), (24, 4))
         instances = [planted_formula(n, k, 2, seed) for n, k in shapes for seed in range(5)]
         real_q, real_branch = branching._q, branching._branch
@@ -520,7 +522,7 @@ class TestBound:
         assert satisfiable > 200 and tight > 0
 
     def test_pruning_cuts_golden_planted_rows_without_changing_answers(self, monkeypatch):
-        monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)  # the branching path alone
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)  # the branching path alone
         rows = [row for row in GOLDEN if row[0] == "planted"]
 
         def search():
@@ -538,9 +540,26 @@ class TestBound:
         assert any(a < b for (_, a), (_, b) in zip(pruned, plain))
 
 
+def quadratic_order(spans):
+    """The evaluator's clause order by a scan of every clause left at each
+    pick: the fewest variables no earlier clause holds, the first among
+    equals. The reference for `_fewest_new_first`."""
+    order, fixed, left = [], 0, list(range(len(spans)))
+    while left:
+        first, fewest = 0, None
+        for k, i in enumerate(left):
+            new = (spans[i] & ~fixed).bit_count()
+            if fewest is None or new < fewest:
+                first, fewest = k, new
+        order.append(left.pop(first))
+        fixed |= spans[order[-1]]
+    return order
+
+
 class TestSmallParts:
-    """A connected part of at most `SMALL_PART_VARS` live variables is valued
-    from its x-models by `_evaluate` instead of branched."""
+    """A connected part whose x-model listing finishes within
+    `SMALL_PART_CAP` states is valued from its x-models by `_evaluate`
+    instead of branched."""
 
     @staticmethod
     def instances():
@@ -555,7 +574,7 @@ class TestSmallParts:
         the same engine and state, with the evaluator and the bound off
         below: BOTTOM for a part with no x-model, negative for both where no
         pair honours every flip, and the same value otherwise. Under lower
-        limits the search branches above small parts, so parts under flip
+        caps the search branches above small parts, so parts under flip
         steps, with must-flip variables, are valued too."""
         real = branching._evaluate
         seen = collections.Counter()
@@ -565,7 +584,7 @@ class TestSmallParts:
             if value is None:
                 return None
             with monkeypatch.context() as plain:
-                plain.setattr(branching, "SMALL_PART_VARS", 0)
+                plain.setattr(branching, "SMALL_PART_CAP", 0)
                 plain.setattr(branching, "_bound", lambda engine, positions, state: 10**9)
                 clause, must_flip = branching._pick_branch(engine, positions, state)
                 want = branching._branch(engine, positions, state, clause, (), SearchStats(), None, (), -1, must_flip)
@@ -582,8 +601,8 @@ class TestSmallParts:
             return value
 
         monkeypatch.setattr(branching, "_evaluate", evaluate)
-        for small in (8, 16, branching.SMALL_PART_VARS):
-            monkeypatch.setattr(branching, "SMALL_PART_VARS", small)
+        for cap in (16, 64, branching.SMALL_PART_CAP):
+            monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
             for f in self.instances():
                 max_hamming_q(f)
         assert seen["valued"] > 400 and seen["must flip"] > 150, seen
@@ -615,13 +634,66 @@ class TestSmallParts:
         def evaluate(engine, positions, state):
             nonlocal gave_up
             value = real(engine, positions, state)
-            small = len({abs(lit) for pos in positions for lit in engine.clauses[pos]}) <= branching.SMALL_PART_VARS
-            gave_up += value is None and small
+            gave_up += value is None
             return value
 
         monkeypatch.setattr(branching, "_evaluate", evaluate)
         assert [max_hamming_q(f).distance for f in instances] == want
         assert gave_up > 20
+
+    def test_the_heap_order_is_the_quadratic_scan_order(self, monkeypatch):
+        """The clause order `_evaluate` takes from its heap equals a scan of
+        every clause left at each pick, on every part q sets up under three
+        caps, and on the 200 clauses of a planted instance."""
+        instances = self.instances()
+        shapes = ((36, 3), (45, 3), (36, 4), (44, 4))
+        instances += [planted_formula(n, k, 2, seed) for n, k in shapes for seed in range(2)]
+        real = branching._fewest_new_first
+        sizes = []
+
+        def ordered(spans, occ):
+            order = real(spans, occ)
+            assert order == quadratic_order(spans), spans
+            sizes.append(len(spans))
+            return order
+
+        monkeypatch.setattr(branching, "_fewest_new_first", ordered)
+        for cap in (16, 64, branching.SMALL_PART_CAP):
+            monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
+            for f in instances:
+                max_hamming_q(f)
+        engine = Propagator(planted_formula(300, 3, 2, 0))
+        assert engine.propagate()
+        branching._evaluate(engine, range(len(engine.clauses)), GeneralizedAssignment())
+        assert len(sizes) > 1000 and max(sizes) == 200, (len(sizes), max(sizes))
+
+    def test_a_part_of_cap_clauses_is_given_up_before_any_set_up(self, monkeypatch):
+        """A model of d clauses takes d + 1 states to reach, so a part of at
+        least `SMALL_PART_CAP` clauses returns None before it orders a clause
+        or reads a table. One clause under the cap the set-up runs."""
+        engine, state = Propagator(planted_formula(1500, 3, 2, 0)), GeneralizedAssignment()
+        assert branching._simplify(engine, state)
+        live = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
+        part = max(components(engine, live), key=len)
+        assert len(part) >= branching.SMALL_PART_CAP
+        calls = collections.Counter()
+        real_order, real_table = branching._fewest_new_first, state.table
+
+        def ordered(spans, occ):
+            calls["order"] += 1
+            return real_order(spans, occ)
+
+        def table(var):
+            calls["table"] += 1
+            return real_table(var)
+
+        monkeypatch.setattr(branching, "_fewest_new_first", ordered)
+        monkeypatch.setattr(state, "table", table)
+        assert branching._evaluate(engine, part, state) is None
+        assert calls == {}
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", len(part) + 1)
+        branching._evaluate(engine, part, state)
+        assert calls["order"] == 1
 
     def test_leaves_never_exceed_nodes(self):
         for f in self.instances():

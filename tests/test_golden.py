@@ -22,10 +22,12 @@ the chain. The bound pruned 22 planted rows and kept every other row's
 figures; the 80 rows' nodes went from 7,123 to 1,410. Flip children that
 keep only pairs in which the pivot flips moved the figures of 25 rows and
 the plain figures of one more: nodes went from 1,410 to 971, and the
-plain search's from 7,123 to 1,890. Valuing every connected part of at
-most `SMALL_PART_VARS` live variables from its x-models moved the figures
-of 46 rows and no plain figure: nodes went from 971 to 80, one per row,
-and leaves from 890 to 4.
+plain search's from 7,123 to 1,890. Valuing connected parts from their
+x-models (of at most 24 live variables at first) moved the figures of 46
+rows and no plain figure: nodes went from 971 to 80, one per row, and
+leaves from 890 to 4. Bounding that valuation by its `SMALL_PART_CAP`
+search states alone moved no figure. The plain search switches it off
+with `SMALL_PART_CAP = 0`.
 """
 
 import pytest
@@ -145,7 +147,7 @@ def test_search_tree_size_is_pinned(row, monkeypatch):
     f = build(family, n, length, seed)
     assert search(f) == (distance, nodes, leaves)
     monkeypatch.setattr(branching, "_bound", lambda engine, positions, state: 10**9)
-    monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)
+    monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
     assert search(f) == (distance, plain_nodes, plain_leaves)
 
 

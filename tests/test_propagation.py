@@ -352,7 +352,7 @@ def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
     engine, simplifies exactly as on a fresh engine built from the node's
     formula, settles fewer clauses doing it, and `undo_to` gives the node
     back. The nodes are those of the branching path alone."""
-    monkeypatch.setattr(branching, "SMALL_PART_VARS", 0)
+    monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
     instances = [planted_formula(n, 3, 2, seed) for n in (15, 18, 21) for seed in range(4)]
     instances += [planted_formula(n, 4, 2, seed) for n in (16, 20) for seed in range(4)]
     instances += [random_formula(n, clause_count(n, k), k, 8800 + n) for k in (3, 4, 5) for n in range(10, 16)]
