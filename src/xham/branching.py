@@ -69,7 +69,7 @@ a pool forms bind the slot instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import islice
 
 from .formula import BOTTOM, Formula, HammingResult, SearchStats
@@ -576,7 +576,8 @@ def _evaluate(engine, positions, state):
     visited `SMALL_PART_CAP` states (its models among them), so a part
     scores at most that many squared pairs. A model of d clauses takes
     d + 1 states to reach, so a part of at least `SMALL_PART_CAP` clauses
-    returns None before any set-up.
+    cannot reach a model within the cap and returns None before any
+    set-up; such a part with no x-model is refuted by branching instead.
 
     A table entry splits as t00 + d*(a + b) + c*a*b, with d = t01 - t00
     and c = t11 - 2*t01 + t00 (tables are symmetric), so a pair scores
@@ -590,12 +591,10 @@ def _evaluate(engine, positions, state):
     # Per clause, its variables' bits and, per satisfactor, the variables
     # the pick sets true: those of the negative literals, which are false,
     # with the chosen literal's variable flipped. Clauses at a fixpoint
-    # hold distinct variables, so no pick contradicts itself. `occ[k]`
-    # lists the clauses, by index, that hold bit k.
+    # hold distinct variables, so no pick contradicts itself.
     bits = {}
-    occ = []
     options = []
-    for i, pos in enumerate(positions):
+    for pos in positions:
         span = negative = 0
         lit_bits = []
         for lit in clauses[pos]:
@@ -603,8 +602,6 @@ def _evaluate(engine, positions, state):
             bit = bits.get(var)
             if bit is None:
                 bit = bits[var] = 1 << len(bits)
-                occ.append([])
-            occ[bit.bit_length() - 1].append(i)
             lit_bits.append(bit)
             span |= bit
             if lit < 0:
@@ -613,7 +610,16 @@ def _evaluate(engine, positions, state):
     # Each next clause is the one with the fewest variables no earlier
     # clause set, so picks clash as early as they can and fewer parts run
     # past `SMALL_PART_CAP`.
-    options = [options[i] for i in _fewest_new_first([span for span, _ in options], occ)]
+    order, fixed = [], 0
+    while options:
+        first, fewest = 0, len(bits) + 1
+        for i, (span, _) in enumerate(options):
+            new = (span & ~fixed).bit_count()
+            if new < fewest:
+                first, fewest = i, new
+        order.append(options.pop(first))
+        fixed |= order[-1][0]
+    options = order
 
     models = []
     budget = SMALL_PART_CAP
@@ -652,38 +658,6 @@ def _evaluate(engine, positions, state):
         for i, (own_a, a) in enumerate(own)
         for own_b, b in own[i:]
     )
-
-
-def _fewest_new_first(spans, occ):
-    """Clause indices in `_evaluate`'s order: each next clause has the fewest
-    variables that no earlier one holds, the first by index among equals.
-
-    spans[i] holds clause i's variable bits and occ[k] the clauses, by
-    index, that hold bit k. A heap of (new count, index) makes the choice
-    in time linear in the literals, times a log: a count only falls, each
-    fall pushes a new entry, and an entry whose count is stale is skipped
-    when it surfaces.
-    """
-    new = [span.bit_count() for span in spans]
-    heap = list(zip(new, range(len(spans))))
-    heapify(heap)
-    order, fixed = [], 0
-    while heap:
-        count, i = heappop(heap)
-        if count != new[i]:
-            continue
-        new[i] = -1
-        order.append(i)
-        fresh = spans[i] & ~fixed
-        fixed |= spans[i]
-        while fresh:
-            bit = fresh & -fresh
-            fresh ^= bit
-            for j in occ[bit.bit_length() - 1]:
-                if new[j] > 0:
-                    new[j] -= 1
-                    heappush(heap, (new[j], j))
-    return order
 
 
 #: The most search states, x-models included, `_evaluate` visits in one

@@ -325,13 +325,10 @@ class TestMaxHammingQ:
         # Seeds 7 and 8 still split bounded parts now that flip children
         # keep only pairs in which the pivot flips.
         instances += [planted_formula(24, 3, 2, seed) for seed in range(5, 10)]
-        # Planted (4,2) halves at n 36 and 44 split into parts past the
-        # evaluator's cap, which the search bounds.
-        instances += [
-            joined(planted_formula(n, 4, 2, seed), planted_formula(n, 4, 2, seed + 10))
-            for n in (36, 44)
-            for seed in range(2)
-        ]
+        # Planted (4,2) halves at n=36 split into parts past the evaluator's
+        # cap, which the search bounds, next to parts it values: 6 such
+        # bounded parts, in 6 nodes, at the default cap.
+        instances.append(joined(planted_formula(36, 4, 2, 1), planted_formula(36, 4, 2, 11)))
         real_q, real_bound, real_components, real_evaluate = branching._q, branching._bound, branching.components, branching._evaluate
         path, seen, bounds, split_parts, valued = [], set(), collections.Counter(), set(), set()
 
@@ -540,22 +537,6 @@ class TestBound:
         assert any(a < b for (_, a), (_, b) in zip(pruned, plain))
 
 
-def quadratic_order(spans):
-    """The evaluator's clause order by a scan of every clause left at each
-    pick: the fewest variables no earlier clause holds, the first among
-    equals. The reference for `_fewest_new_first`."""
-    order, fixed, left = [], 0, list(range(len(spans)))
-    while left:
-        first, fewest = 0, None
-        for k, i in enumerate(left):
-            new = (spans[i] & ~fixed).bit_count()
-            if fewest is None or new < fewest:
-                first, fewest = k, new
-        order.append(left.pop(first))
-        fixed |= spans[order[-1]]
-    return order
-
-
 class TestSmallParts:
     """A connected part whose x-model listing finishes within
     `SMALL_PART_CAP` states is valued from its x-models by `_evaluate`
@@ -641,59 +622,35 @@ class TestSmallParts:
         assert [max_hamming_q(f).distance for f in instances] == want
         assert gave_up > 20
 
-    def test_the_heap_order_is_the_quadratic_scan_order(self, monkeypatch):
-        """The clause order `_evaluate` takes from its heap equals a scan of
-        every clause left at each pick, on every part q sets up under three
-        caps, and on the 200 clauses of a planted instance."""
-        instances = self.instances()
-        shapes = ((36, 3), (45, 3), (36, 4), (44, 4))
-        instances += [planted_formula(n, k, 2, seed) for n, k in shapes for seed in range(2)]
-        real = branching._fewest_new_first
-        sizes = []
-
-        def ordered(spans, occ):
-            order = real(spans, occ)
-            assert order == quadratic_order(spans), spans
-            sizes.append(len(spans))
-            return order
-
-        monkeypatch.setattr(branching, "_fewest_new_first", ordered)
-        for cap in (16, 64, branching.SMALL_PART_CAP):
-            monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
-            for f in instances:
-                max_hamming_q(f)
-        engine = Propagator(planted_formula(300, 3, 2, 0))
-        assert engine.propagate()
-        branching._evaluate(engine, range(len(engine.clauses)), GeneralizedAssignment())
-        assert len(sizes) > 1000 and max(sizes) == 200, (len(sizes), max(sizes))
-
     def test_a_part_of_cap_clauses_is_given_up_before_any_set_up(self, monkeypatch):
         """A model of d clauses takes d + 1 states to reach, so a part of at
-        least `SMALL_PART_CAP` clauses returns None before it orders a clause
-        or reads a table. One clause under the cap the set-up runs."""
+        least `SMALL_PART_CAP` clauses returns None before it reads a clause
+        or a table. One clause under the cap the set-up runs."""
         engine, state = Propagator(planted_formula(1500, 3, 2, 0)), GeneralizedAssignment()
         assert branching._simplify(engine, state)
         live = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
         part = max(components(engine, live), key=len)
         assert len(part) >= branching.SMALL_PART_CAP
         calls = collections.Counter()
-        real_order, real_table = branching._fewest_new_first, state.table
 
-        def ordered(spans, occ):
-            calls["order"] += 1
-            return real_order(spans, occ)
+        class Clauses(list):
+            def __getitem__(self, pos):
+                calls["clause"] += 1
+                return super().__getitem__(pos)
+
+        real_table = state.table
 
         def table(var):
             calls["table"] += 1
             return real_table(var)
 
-        monkeypatch.setattr(branching, "_fewest_new_first", ordered)
+        monkeypatch.setattr(engine, "clauses", Clauses(engine.clauses))
         monkeypatch.setattr(state, "table", table)
         assert branching._evaluate(engine, part, state) is None
         assert calls == {}
         monkeypatch.setattr(branching, "SMALL_PART_CAP", len(part) + 1)
         branching._evaluate(engine, part, state)
-        assert calls["order"] == 1
+        assert calls["clause"] == len(part)
 
     def test_leaves_never_exceed_nodes(self):
         for f in self.instances():
