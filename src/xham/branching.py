@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 
 from .formula import BOTTOM, Formula, HammingResult, SearchStats
 from .propagation import Propagator, components
@@ -564,26 +564,36 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
 def _evaluate(engine, positions, state):
     """The exact value of a connected part, from its x-models; None past the cap.
 
-    A depth-first search lists the part's x-models over the live
-    variables' slot values as bitmasks: each clause in turn picks its
+    The part's x-models are listed over the live variables' slot values
+    as bitmasks, one clause depth at a time: each clause in turn picks its
     satisfactor, its other literals go false, and a pick that contradicts
-    an earlier clause's is dropped. The value is the best pair of those
-    models, A = B included, of the sum over the variables of their table
-    entries 2*a + b, the same tables `gen_h` and `_bound` read, so flip
-    pivots, pools and dual links count with no rule of their own; a part
-    where no pair honours every flip reads negative. A part without an
-    x-model is BOTTOM. The search gives up, returning None, once it has
-    visited `SMALL_PART_CAP` states (its models among them), so a part
-    scores at most that many squared pairs. A model of d clauses takes
-    d + 1 states to reach, so a part of at least `SMALL_PART_CAP` clauses
-    cannot reach a model within the cap and returns None before any
-    set-up; such a part with no x-model is refuted by branching instead.
+    an earlier clause's is dropped. The clause order depends on the
+    clauses alone, so every state at one depth has set the same
+    variables, and a state agrees with a pick exactly when they match on
+    the clause's variables set earlier. The picks are keyed by those
+    bits once per depth, and each state finds its agreeing picks with one
+    lookup. The states of a depth are the nodes of that depth in the
+    tree of picks, so their running count is the number of states a
+    depth-first search of that tree visits, and the listing gives up,
+    returning None, once the count passes `SMALL_PART_CAP` (models
+    included). A model of d clauses takes d + 1 states to reach, so a
+    part of at least `SMALL_PART_CAP` clauses cannot reach a model within
+    the cap and returns None before any set-up; such a part with no
+    x-model is refuted by branching instead. A part without an x-model is
+    BOTTOM.
 
-    A table entry splits as t00 + d*(a + b) + c*a*b, with d = t01 - t00
-    and c = t11 - 2*t01 + t00 (tables are symmetric), so a pair scores
-    t00 summed, plus each model's own d-sum, plus the c-sum over the
-    variables both models set. Variables are grouped by d and by c, and
-    a group sums with one popcount.
+    The value is the best pair of those models, A = B included, of the
+    sum over the variables of their table entries 2*a + b, the same
+    tables `gen_h` and `_bound` read, so flip pivots, pools and dual
+    links count with no rule of their own; a part where no pair honours
+    every flip reads negative. A table entry splits as
+    t00 + d*(a + b) + c*a*b, with d = t01 - t00 and
+    c = t11 - 2*t01 + t00 (tables are symmetric), so a pair scores t00
+    summed, plus each model's own d-sum, plus the c-sum over the
+    variables both models set. Variables are grouped by table, then by d
+    and by c, and a group sums with one popcount per model or pair. The
+    pairs are scored in bulk, one list per group; there are at most
+    `SMALL_PART_CAP` models, so at most about cap**2 / 2 pairs.
     """
     if len(positions) >= SMALL_PART_CAP:
         return None
@@ -610,54 +620,43 @@ def _evaluate(engine, positions, state):
     # Each next clause is the one with the fewest variables no earlier
     # clause set, so picks clash as early as they can and fewer parts run
     # past `SMALL_PART_CAP`.
-    order, fixed = [], 0
+    models, states, fixed = [0], 1, 0
     while options:
-        first, fewest = 0, len(bits) + 1
-        for i, (span, _) in enumerate(options):
-            new = (span & ~fixed).bit_count()
-            if new < fewest:
-                first, fewest = i, new
-        order.append(options.pop(first))
-        fixed |= order[-1][0]
-    options = order
-
-    models = []
-    budget = SMALL_PART_CAP
-    depth = len(options)
-    stack = [(0, 0, 0)]
-    while stack:
-        i, fixed, ones = stack.pop()
-        budget -= 1
-        if budget < 0:
-            return None
-        if i == depth:
-            models.append(ones)
-            continue
-        span, picks = options[i]
+        new = [(span & ~fixed).bit_count() for span, _ in options]
+        span, picks = options.pop(new.index(min(new)))
         seen = span & fixed
+        agreeing = {}
         for pick in picks:
-            if not (pick ^ ones) & seen:
-                stack.append((i + 1, fixed | span, ones | pick))
-    if not models:
-        return BOTTOM
+            agreeing.setdefault(pick & seen, []).append(pick)
+        models = [ones | pick for ones in models for pick in agreeing.get(ones & seen, ())]
+        states += len(models)
+        if states > SMALL_PART_CAP:
+            return None
+        if not models:
+            return BOTTOM
+        fixed |= span
 
-    base = 0
-    single, joint = {}, {}
+    by_table = {}
     for var, bit in bits.items():
         t = state.table(var)
-        base += t[0]
+        by_table[t] = by_table.get(t, 0) | bit
+    base = 0
+    single, joint = {}, {}
+    for t, mask in by_table.items():
+        base += t[0] * mask.bit_count()
         d, c = t[1] - t[0], t[3] - 2 * t[1] + t[0]
         if d:
-            single[d] = single.get(d, 0) | bit
+            single[d] = single.get(d, 0) | mask
         if c:
-            joint[c] = joint.get(c, 0) | bit
-    joint = joint.items()
-    own = [(sum(d * (m & mask).bit_count() for d, mask in single.items()), m) for m in models]
-    return base + max(
-        own_a + own_b + sum(c * (a & b & mask).bit_count() for c, mask in joint)
-        for i, (own_a, a) in enumerate(own)
-        for own_b, b in own[i:]
-    )
+            joint[c] = joint.get(c, 0) | mask
+    own = [0] * len(models)
+    for d, mask in single.items():
+        own = [o + d * (m & mask).bit_count() for o, m in zip(own, models)]
+    scores = [a + b for a, b in combinations_with_replacement(own, 2)]
+    both = [a & b for a, b in combinations_with_replacement(models, 2)]
+    for c, mask in joint.items():
+        scores = [s + c * (ab & mask).bit_count() for s, ab in zip(scores, both)]
+    return base + max(scores)
 
 
 #: The most search states, x-models included, `_evaluate` visits in one

@@ -589,6 +589,91 @@ class TestSmallParts:
         assert seen["valued"] > 400 and seen["must flip"] > 150, seen
         assert seen["no x-model"] > 25 and seen["no pair"] > 35, seen
 
+    @staticmethod
+    def depth_first_states(engine, positions, limit):
+        """The states a depth-first search of the part's picks visits, its
+        models included, or None past `limit`. This is the listing
+        `_evaluate` used before it went one clause depth at a time, with the
+        same fewest-new-variables clause order, and the reference for the
+        count its cap applies to."""
+        bits, options = {}, []
+        for pos in positions:
+            span = negative = 0
+            lit_bits = []
+            for lit in engine.clauses[pos]:
+                bit = bits.setdefault(abs(lit), 1 << len(bits))
+                lit_bits.append(bit)
+                span |= bit
+                if lit < 0:
+                    negative |= bit
+            options.append((span, [negative ^ bit for bit in lit_bits]))
+        order, fixed = [], 0
+        while options:
+            first, fewest = 0, len(bits) + 1
+            for i, (span, _) in enumerate(options):
+                new = (span & ~fixed).bit_count()
+                if new < fewest:
+                    first, fewest = i, new
+            order.append(options.pop(first))
+            fixed |= order[-1][0]
+        states = 0
+        stack = [(0, 0, 0)]
+        while stack:
+            i, fixed, ones = stack.pop()
+            states += 1
+            if states > limit:
+                return None
+            if i == len(order):
+                continue
+            span, picks = order[i]
+            seen = span & fixed
+            for pick in picks:
+                if not (pick ^ ones) & seen:
+                    stack.append((i + 1, fixed | span, ones | pick))
+        return states
+
+    def test_the_cap_bounds_the_states_of_a_depth_first_search(self, monkeypatch):
+        """At every part the search hands the evaluator, under caps that make
+        it branch above parts with pools, dual links and must-flip pivots,
+        `_evaluate` values the part with `SMALL_PART_CAP` equal to the
+        depth-first search's state count and gives it up one state below:
+        the per-depth listing gives up on exactly the parts that search
+        gave up on, so node counts cannot move. A part of at least
+        `SMALL_PART_CAP` clauses is given up at any count."""
+        real, limit = branching._evaluate, branching.SMALL_PART_CAP
+        seen = collections.Counter()
+
+        def evaluate(engine, positions, state):
+            value = real(engine, positions, state)
+            count = self.depth_first_states(engine, positions, limit)
+            if count is None:
+                assert value is None
+                return value
+            with monkeypatch.context() as capped:
+                capped.setattr(branching, "SMALL_PART_CAP", limit)
+                full = real(engine, positions, state)
+                for cap in (count - 1, count):
+                    capped.setattr(branching, "SMALL_PART_CAP", cap)
+                    got = real(engine, positions, state)
+                    if len(positions) >= cap or count > cap:
+                        assert got is None
+                    else:
+                        assert got is not None and got == full
+                        seen["valued at its count"] += 1
+            live = {abs(lit) for pos in positions for lit in engine.clauses[pos]}
+            seen["pool"] += any(var in state.sing for var in live)
+            seen["dual link"] += any(var in state.dual for var in live)
+            seen["must flip"] += branching._pick_branch(engine, positions, state)[1] is not None
+            return value
+
+        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        for cap in (16, 64, branching.SMALL_PART_CAP):
+            monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
+            for f in self.instances():
+                max_hamming_q(f)
+        assert seen["valued at its count"] > 1000, seen
+        assert seen["pool"] > 20 and seen["dual link"] > 400 and seen["must flip"] > 300, seen
+
     def test_a_pair_of_equal_models_can_win(self):
         """Two models that agree on every live variable still differ below a
         pool head, whose members may pick different satisfactors, so the

@@ -121,6 +121,21 @@ GOLDEN = [
     ("chain", 301, 3, 7200019, 200, 1, 1, 1, 1, 1, 1),
 ]
 
+# Planted degree-2 instances past the pools' sizes, where many parts run
+# past `SMALL_PART_CAP` and are branched: (length, num_vars, seed, distance,
+# nodes, leaves). The golden rows now take one node each, so they no
+# longer reach the evaluator's give-up boundary; these rows do. Recorded
+# with the depth-first listing the per-depth one replaced, which gave up
+# on 153 of its 416 calls here.
+GIVE_UP = [
+    (3, 36, 0, 22, 5, 4), (3, 36, 1, 20, 3, 2), (3, 36, 2, 18, 7, 6), (3, 36, 3, 23, 9, 8),
+    (3, 42, 0, 22, 11, 10), (3, 42, 1, 20, 7, 6), (3, 42, 2, 25, 21, 20), (3, 42, 3, 24, 15, 14),
+    (3, 48, 0, 29, 57, 56), (3, 48, 1, 16, 7, 6), (3, 48, 2, 27, 18, 17), (3, 48, 3, 28, 20, 19),
+    (4, 36, 0, 12, 2, 1), (4, 36, 1, 13, 1, 0), (4, 36, 2, 8, 1, 0), (4, 36, 3, 15, 1, 0),
+    (4, 42, 0, 12, 6, 5), (4, 42, 1, 20, 68, 67), (4, 42, 2, 12, 8, 7), (4, 42, 3, 21, 36, 35),
+    (4, 48, 0, 21, 32, 31), (4, 48, 1, 7, 6, 5), (4, 48, 2, 13, 24, 23), (4, 48, 3, 22, 59, 58),
+]
+
 
 def build(family, n, length, seed):
     if family == "uniform":
@@ -154,3 +169,17 @@ def test_search_tree_size_is_pinned(row, monkeypatch):
 def test_bound_never_adds_nodes_or_leaves():
     grew = [row for row in GOLDEN if row[5] > row[7] or row[6] > row[8]]
     assert grew == []
+
+
+def test_search_tree_size_is_pinned_where_the_evaluator_gives_up(monkeypatch):
+    real, calls = branching._evaluate, []
+
+    def evaluate(engine, positions, state):
+        value = real(engine, positions, state)
+        calls.append(value is None)
+        return value
+
+    monkeypatch.setattr(branching, "_evaluate", evaluate)
+    got = [(k, n, seed, *search(planted_formula(n, k, 2, seed))) for k, n, seed, *_ in GIVE_UP]
+    assert got == GIVE_UP
+    assert (len(calls), sum(calls)) == (416, 153)
