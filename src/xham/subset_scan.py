@@ -15,7 +15,11 @@ clause with no chosen variable chooses none or one pair of its undecided
 variables, a clause with one chooses exactly one more, a clause with two
 chooses none, and a clause with three or more ends the branch; after a
 clause, all its variables are decided. So every search state is an
-allowed subset of the clauses processed so far. A state's bound is n
+allowed subset of the clauses processed so far. Which variables a
+clause leaves undecided (its fresh ones), and their pairs, depend on
+the clause's index alone, so they are worked out once per call, before
+the search; a state with one chosen variable at a clause with no fresh
+one cannot choose a second and is dropped. A state's bound is n
 less the decided variables it left out, the largest size it can still
 reach. States wait on one explicit stack per bound, and the stacks are
 emptied from bound n down, so each state is expanded once and the
@@ -41,9 +45,12 @@ swaps them. So X separates two x-models iff the formula stays
 x-satisfiable with every literal of a touched clause whose variable is
 outside X made false, and flipping X in such a model gives the second
 model. p puts these questions to the engine it propagated: the solver
-assumes the complements of those literals, searches, and undoes all of
-it before the next subset (see `solver.solve`). No formula is built, at
-the root or per subset, and the witnesses are the solver's models.
+assumes the complements of those literals, in clause order, searches,
+and undoes all of it before the next subset (see `solver.solve`). Each
+live clause's complements are listed once per call, each with its
+variable's bit, and a subset's assumptions are read off these lists. No
+formula is built, at the root or per subset, and the witnesses are the
+solver's models.
 
 `allowed_subset_check` states the zero-or-two test on sets instead; it
 takes any formula, counts a repeated variable once per occurrence, and is
@@ -78,11 +85,21 @@ def allowed_classes(masks):
     and waits on the stack of its bound; a child's bound is never above
     its parent's, so once stack k is empty every allowed set of size k has
     reached it as a finished state.
+
+    One pass over the masks first builds, per index, the mask, its fresh
+    bits (those no earlier mask holds), their pairs and their count. A
+    state meeting the mask in no bit goes on with none or one pair of
+    them, in one bit with one of them (none there: the state is dead and
+    pushes nothing), in two bits with none, and in more ends its branch.
     """
-    decided = [0]
+    table = []  # per clause index: (mask, fresh bits, their pairs, fresh count)
+    decided = 0
     for mask in masks:
-        decided.append(decided[-1] | mask)
-    width = decided[-1].bit_count()
+        bits = _bits(mask & ~decided)
+        table.append((mask, bits, [a | b for a, b in itertools.combinations(bits, 2)], len(bits)))
+        decided |= mask
+    width = decided.bit_count()
+    end = len(masks)
     pending = [[] for _ in range(width + 1)]
     pending[width].append((0, 0))
     for size in range(width, 0, -1):
@@ -90,23 +107,22 @@ def allowed_classes(masks):
         found = []
         while stack:
             index, chosen = stack.pop()
-            if index == len(masks):
+            if index == end:
                 found.append(chosen)
                 continue
-            mask = masks[index]
+            mask, bits, pairs, fresh = table[index]
             count = (chosen & mask).bit_count()
-            bits = _bits(mask & ~decided[index])
+            all_out = size - fresh  # the bound if no fresh bit is chosen
+            index += 1
             if count == 0:
-                options = [0, *(a | b for a, b in itertools.combinations(bits, 2))]
+                pending[all_out].append((index, chosen))
+                if pairs:  # with none, all_out + 2 may lie past the top bound
+                    pending[all_out + 2].extend([(index, chosen | pair) for pair in pairs])
             elif count == 1:
-                options = bits
+                if bits:  # with no fresh bit the clause keeps one chosen bit: dead
+                    pending[all_out + 1].extend([(index, chosen | bit) for bit in bits])
             elif count == 2:
-                options = [0]
-            else:
-                continue
-            all_out = size - len(bits)  # the bound if no new bit is chosen
-            for option in options:
-                pending[all_out + option.bit_count()].append((index + 1, chosen | option))
+                pending[all_out].append((index, chosen))
         if found:
             # Reversed, the lowest set position is the highest bit: among
             # sets of one size, larger reversals have smaller position tuples.
@@ -136,6 +152,9 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     the solver sets every forced variable, and every freed one True.
     Each variable that propagation freed adds one flip, so the second
     witness, the first flipped on the subset, sets them False.
+
+    Each live clause's mask and its literals' (complement, bit) pairs are
+    built once per call; every subset's assumptions are read from them.
     """
     if stats is None:
         stats = SearchStats()
@@ -145,10 +164,14 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     if base_model is None:
         return HammingResult(BOTTOM)
 
-    clauses = [clause for clause in engine.clauses if clause is not None]
     variables = sorted(var for var, count in engine.degree.items() if count)
     position = {v: i for i, v in enumerate(variables)}
-    masks = [sum(1 << position[abs(l)] for l in clause) for clause in clauses]
+    # Per live clause: its mask and the (complement, bit) of each literal.
+    clauses = [
+        [(-lit, 1 << position[abs(lit)]) for lit in clause] for clause in engine.clauses if clause is not None
+    ]
+    masks = [sum(bit for _, bit in clause) for clause in clauses]
+    live = list(zip(masks, clauses))
     freed = tuple(engine.freed)
 
     for subsets in allowed_classes(masks):
@@ -156,11 +179,11 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
         for bitset in subsets:
             stats.solver_calls += 1
             assumptions = tuple(
-                -lit
-                for clause, mask in zip(clauses, masks)
+                complement
+                for mask, clause in live
                 if bitset & mask
-                for lit in clause
-                if not (bitset >> position[abs(lit)]) & 1
+                for complement, bit in clause
+                if not bitset & bit
             )
             model = solve(engine, assumptions)
             if model is not None:

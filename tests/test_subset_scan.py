@@ -1,4 +1,7 @@
+import functools
 import itertools
+import operator
+import random
 import sys
 
 import pytest
@@ -31,6 +34,29 @@ OVERLAPPING = [
     for length in (2, 3, 4, 5)
     for n in range(max(5, length + 2), 13)
 ]
+
+
+def random_masks(rng):
+    """1 to 8 clause masks over at most 9 bits, renumbered so that the bits
+    in use are 0, 1, …: random sets, one-bit sets, repeats of an earlier
+    mask and sets of bits that earlier masks hold already."""
+    width = rng.randint(1, 9)
+    masks = []
+    for _ in range(rng.randint(1, 8)):
+        seen = [i for i in range(width) if any((mask >> i) & 1 for mask in masks)]
+        kind = rng.randrange(4)
+        if kind == 1 and masks:
+            masks.append(rng.choice(masks))
+            continue
+        if kind == 2 and seen:
+            bits = rng.sample(seen, rng.randint(1, min(4, len(seen))))
+        elif kind == 3:
+            bits = [rng.randrange(width)]
+        else:
+            bits = rng.sample(range(width), rng.randint(1, min(5, width)))
+        masks.append(sum(1 << i for i in bits))
+    used = [i for i in range(width) if any((mask >> i) & 1 for mask in masks)]
+    return [sum(1 << new for new, old in enumerate(used) if (mask >> old) & 1) for mask in masks]
 
 
 class TestAllowedSubsetCheck:
@@ -86,6 +112,39 @@ class TestFlippedUnion:
     def test_untouched_clause_not_duplicated(self, monkeypatch):
         f = formula((1, 2, 3), (3, 4), (-4, -5, 6))
         assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-3, 4))
+
+    def test_assumptions_are_the_outside_literals_of_touched_clauses(self, monkeypatch):
+        """Every question p asks after the base one assumes, in clause
+        order, the complement of each literal of a touched clause whose
+        variable lies outside the subset; the subsets are the ones
+        `allowed_classes` lists, in its order."""
+        listed = []
+        allowed_classes = subset_scan.allowed_classes
+
+        def spy_classes(masks):
+            for found in allowed_classes(masks):
+                listed.extend(found)
+                yield found
+
+        monkeypatch.setattr(subset_scan, "allowed_classes", spy_classes)
+        scan_shaped = [random_formula(n, (n + 1) // 2, 3, 9900 + 10 * n + i) for n in range(18, 23) for i in range(3)]
+        asked = 0
+        for f in REPEATED + OVERLAPPING + scan_shaped:
+            listed.clear()
+            seen = self.solver_inputs(monkeypatch, f)
+            if not seen:
+                continue  # propagation refuted f
+            assert seen[0][1] == ()
+            live = seen[0][0]
+            variables = sorted({abs(lit) for clause in live for lit in clause})
+            assert len(seen) - 1 <= len(listed)
+            for (clauses, assumptions), bitset in zip(seen[1:], listed):
+                subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
+                touched = [clause for clause in live if any(abs(lit) in subset for lit in clause)]
+                assert clauses == live
+                assert assumptions == tuple(-lit for clause in touched for lit in clause if abs(lit) not in subset)
+                asked += 1
+        assert asked > 800
 
     def test_unit_form_matches_flipped_copies(self):
         """For every allowed subset X of the reduced formula, the formula
@@ -143,6 +202,25 @@ class TestAllowedClasses:
             assert [{bitset.bit_count() for bitset in found} for found in classes] == [
                 {size} for size in sorted({bitset.bit_count() for bitset in want}, reverse=True)
             ]
+
+    def test_matches_a_brute_force_reference_on_random_masks(self):
+        """Seeded mask lists of width at most 9, with duplicate masks,
+        one-bit masks and masks whose bits all appeared earlier: the lists
+        equal every nonempty bitset meeting each mask in 0 or 2 bits, by
+        size from the largest, each in ascending order of its position
+        tuple. A one-bit mask behind a mask that shares its bit leaves a
+        state with one chosen bit and no fresh one, which is dead."""
+        assert list(subset_scan.allowed_classes([0b11, 0b01])) == []
+        for seed in range(3000):
+            masks = random_masks(random.Random(seed))
+            width = functools.reduce(operator.or_, masks).bit_length()
+            want = []
+            for size in range(width, 0, -1):
+                subsets = (sum(1 << i for i in combo) for combo in itertools.combinations(range(width), size))
+                found = [s for s in subsets if all((s & mask).bit_count() in (0, 2) for mask in masks)]
+                if found:
+                    want.append(found)
+            assert list(subset_scan.allowed_classes(masks)) == want, masks
 
     def test_long_binary_chain_has_no_recursion_limit(self):
         """Each clause of (1 2), (2 3), … forces its second variable to
