@@ -4,6 +4,12 @@ Output follows SAT-solver conventions: `s` status lines, `v` value lines
 of signed literals terminated by 0, exit code 10 when an answer/model was
 found, 20 for unsatisfiable, 0 for non-decision subcommands, 1 for usage
 or input errors.
+
+A call parses its arguments with one parser level: `parse_args` hands the
+arguments after a known subcommand straight to that subcommand's parser.
+The top-level parser answers everything else (no arguments, `-h`, an
+unknown command) and reports arguments the subcommand leaves over, so
+every message and exit code is the one the two-level parse gives.
 """
 
 from __future__ import annotations
@@ -31,7 +37,11 @@ EXIT_ERROR = 1
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the CLI contract wants 1."""
+    """argparse exits with 2 on usage errors; the CLI contract wants 1.
+
+    `build_parser` sets `commands` on the top-level parser: each
+    subcommand's name mapped to its own parser.
+    """
 
     def error(self, message):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
@@ -105,33 +115,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("file")
     p_verify.add_argument("witnesses")
 
+    parser.commands = {
+        "solve": p_solve,
+        "maxham": p_max,
+        "models": p_models,
+        "tau": p_tau,
+        "gen": p_gen,
+        "bench": p_bench,
+        "verify": p_verify,
+    }
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """What `build_parser().parse_args(argv)` returns or raises, parsed with
+    one parser level when `argv` starts with a known subcommand."""
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        return _HANDLERS[args.command](args)
     except (ParseError, CapExceeded, OSError, ValueError) as exc:
         print(f"xham: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-def _dispatch(args) -> int:
-    handlers = {
-        "solve": _cmd_solve,
-        "maxham": _cmd_maxham,
-        "models": _cmd_models,
-        "tau": _cmd_tau,
-        "gen": _cmd_gen,
-        "bench": _cmd_bench,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args)
 
 
 def _cmd_solve(args) -> int:
@@ -294,6 +314,17 @@ def _cmd_verify(args) -> int:
         return EXIT_ERROR
     print(f"s VERIFIED {hamming_distance(first, second)}")
     return EXIT_ANSWER
+
+
+_HANDLERS = {
+    "solve": _cmd_solve,
+    "maxham": _cmd_maxham,
+    "models": _cmd_models,
+    "tau": _cmd_tau,
+    "gen": _cmd_gen,
+    "bench": _cmd_bench,
+    "verify": _cmd_verify,
+}
 
 
 if __name__ == "__main__":

@@ -58,11 +58,13 @@ def components(engine: "Propagator", positions) -> list[list[int]]:
     """Split sorted live clause positions into connected components.
 
     Clauses that share a variable connect; the walk follows the engine's
-    occurrence lists. Components come in the order of their first
-    position, each sorted; an empty clause is a component of its own.
+    occurrence lists and reads each variable's list once: that one read
+    puts every clause holding the variable into its component. Components
+    come in the order of their first position, each sorted; an empty
+    clause is a component of its own.
     """
     clauses, occ = engine.clauses, engine.occ
-    todo, parts = set(positions), []
+    todo, walked, parts = set(positions), set(), []
     for start in positions:
         if start not in todo:
             continue
@@ -70,7 +72,11 @@ def components(engine: "Propagator", positions) -> list[list[int]]:
         part = [start]
         for pos in part:  # a breadth-first walk: the loop reaches what it appends
             for lit in clauses[pos]:
-                for other in occ.get(abs(lit), ()):
+                var = abs(lit)
+                if var in walked:
+                    continue
+                walked.add(var)
+                for other in occ.get(var, ()):
                     if other in todo:
                         todo.remove(other)
                         part.append(other)

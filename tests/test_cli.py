@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from xham import parse_formula, planted_formula, serialize_formula
-from xham.cli import main
+from xham.cli import build_parser, main, parse_args
 
 from conftest import formula
 
@@ -240,6 +240,124 @@ class TestUsageErrors:
         bad = tmp_path / "bad.xsat"
         bad.write_text("p xsat 2 1\n1 9 0\n")
         assert main(["solve", str(bad)]) == 1
+
+
+ARGVS = [
+    ["solve", "f"],
+    ["maxham", "f"],
+    ["maxham", "--algo", "p", "--witness", "--stats", "--count-free", "f"],
+    ["maxham", "--stats", "f", "--algo", "brute"],
+    ["models", "f"],
+    ["tau", "7^2", "3^6"],
+    ["tau", "1 1,", "2 2"],
+    ["gen", "--vars", "6", "--clauses", "4", "--len", "3", "--seed", "9", "-o", "out"],
+    ["gen", "--vars", "12", "--planted", "3,2"],
+    ["bench", "--algo", "p", "--runs", "2", "--vars", "5", "--clauses", "3", "--len", "2"],
+    ["verify", "f", "w"],
+    # help at both levels
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "maxham"],
+    ["maxham", "-h"],
+    ["gen", "--help"],
+    ["maxham", "f", "-h"],
+    ["maxham", "--he"],
+    # usage errors
+    [],
+    ["nosuch"],
+    ["nosuch", "f"],
+    ["--bogus"],
+    ["maxham", "--bogus", "f"],
+    ["solve", "-x", "f"],
+    ["maxham", "f", "extra"],
+    ["solve", "f", "g", "h"],
+    ["verify", "f"],
+    ["maxham"],
+    ["bench", "--runs", "2"],
+    ["maxham", "--algo=x", "f"],
+    ["maxham", "--algo=p", "f"],
+    ["maxham", "--alg", "q", "--wit", "f"],
+    ["maxham", "--algo"],
+    ["gen", "--vars", "x"],
+    ["gen", "--vars", "12", "--planted", "3,x"],
+    ["tau"],
+    ["tau", "-1"],
+    ["maxham", "--", "f"],
+    ["maxham", "-1"],
+    ["--", "maxham", "f"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """The Namespace `parse` returns, or its exit code; then what it printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_parse_args_matches_the_two_level_parse(capsys, argv):
+    expected = parse_outcome(build_parser().parse_args, list(argv), capsys)
+    assert parse_outcome(parse_args, list(argv), capsys) == expected
+
+
+@pytest.mark.parametrize("argv", [["tau", "7^2", "3^6"], ["maxham", "f", "extra"], ["-h"]], ids=" ".join)
+def test_parse_args_reads_sys_argv_when_given_none(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["xham", *argv])
+    expected = parse_outcome(build_parser().parse_args, None, capsys)
+    assert parse_outcome(parse_args, None, capsys) == expected
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["xham", "tau", "7^2", "3^6"])
+    assert main(None) == 0
+    assert capsys.readouterr().out == "1.834765\n"
+
+
+def test_extra_arguments_raise_the_top_level_error(capsys):
+    assert run(capsys, "maxham", "f", "extra", "--more") == (
+        1, "", "xham: error: unrecognized arguments: extra --more\n"
+    )
+
+
+class TestReadPath:
+    """Bytes that are not an instance end in one error line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"p xsat 1 1\n\xff 0\n", "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+            (b"p xsat 1 1\n1\x00 0\n", "line 2: expected integer literal, got '1\\x00'"),
+            (b"\xef\xbb\xbfp xsat 1 1\n1 0\n", "line 1: malformed header, expected 'p xsat <vars> <clauses>'"),
+            (b"", "line 1: missing 'p xsat <vars> <clauses>' header"),
+        ],
+        ids=["non-utf-8", "nul", "bom", "empty"],
+    )
+    def test_bad_bytes_exit_1(self, capsys, tmp_path, data, message):
+        path = tmp_path / "bad.xsat"
+        path.write_bytes(data)
+        assert run(capsys, "maxham", str(path)) == (1, "", f"xham: error: {message}\n")
+
+    def test_directory_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("xham: error: ") and err.count("\n") == 1
+
+    def test_crlf_instance_answers(self, capsys, tmp_path):
+        path = tmp_path / "crlf.xsat"
+        path.write_bytes(b"c made on Windows\r\np xsat 3 1\r\n1 2 3 0\r\n")
+        assert run(capsys, "maxham", str(path)) == (10, "s MAXHAM 2\n", "")
+
+    def test_parse_error_names_its_line_through_crlf(self, capsys, tmp_path):
+        path = tmp_path / "crlf.xsat"
+        path.write_bytes(b"p xsat 3 1\r\n\r\n1 2 9 0\r\n")
+        assert run(capsys, "solve", str(path)) == (
+            1, "", "xham: error: line 3: variable 9 exceeds declared count 3\n"
+        )
 
 
 def test_module_entry_point(tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,3 +74,158 @@ class TestSerialize:
 )
 def test_round_trip(f):
     assert parse_formula(serialize_formula(f)) == f
+
+
+def reference_parse(text: str) -> Formula:
+    """The token-by-token parser `parse_formula` replaced: each token keeps
+    its line, and each one is converted and checked on its own."""
+    tokens: list[tuple[str, int]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        for tok in stripped.split():
+            tokens.append((tok, lineno))
+
+    if not tokens:
+        raise ParseError("line 1: missing 'p xsat <vars> <clauses>' header")
+    if len(tokens) < 4 or tokens[0][0] != "p" or tokens[1][0] != "xsat":
+        raise ParseError(f"line {tokens[0][1]}: malformed header, expected 'p xsat <vars> <clauses>'")
+    try:
+        num_vars = int(tokens[2][0])
+        num_clauses = int(tokens[3][0])
+        if num_vars < 0 or num_clauses < 0:
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"line {tokens[2][1]}: header counts must be non-negative integers") from None
+
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
+    last_line = tokens[3][1]
+    for tok, lineno in tokens[4:]:
+        last_line = lineno
+        try:
+            lit = int(tok)
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected integer literal, got {tok!r}") from None
+        if lit == 0:
+            clauses.append(tuple(current))
+            current = []
+            continue
+        if abs(lit) > num_vars:
+            raise ParseError(f"line {lineno}: variable {abs(lit)} exceeds declared count {num_vars}")
+        current.append(lit)
+    if current:
+        raise ParseError(f"line {last_line}: clause missing terminating 0")
+    if len(clauses) != num_clauses:
+        raise ParseError(f"line {last_line}: header declares {num_clauses} clauses, found {len(clauses)}")
+    return Formula(num_vars, tuple(clauses))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+COMMENTS = ["c", "c a comment", "  c indented", "\tcnf 1 0", "c p xsat 9 9"]
+BLANKS = ["", "   ", "\t"]
+
+
+def spoil(tokens: list[str], rng: random.Random) -> None:
+    """Spoil the tokens [p, xsat, n, m, clause tokens...] of an instance
+    with n >= 1 in one of six ways."""
+    anywhere = rng.randrange(4, len(tokens) + 1)
+    kind = rng.randrange(6)
+    if kind == 0:
+        tokens.insert(anywhere, rng.choice(["x", "1.5", "--1", "abc"]))
+    elif kind == 1:
+        tokens.insert(anywhere, rng.choice(["", "-"]) + str(int(tokens[2]) + 1))
+    elif kind == 2:
+        tokens.append(rng.choice(["1", "-1", "+1"]))  # a clause without its 0
+    elif kind == 3:
+        tokens[3] = str(int(tokens[3]) + rng.choice([-1, 1]))
+    elif kind == 4:
+        tokens[rng.choice([2, 3])] = rng.choice(["-1", "two", ""])
+    else:
+        tokens[rng.choice([0, 1])] = rng.choice(["P", "cnf", "q"])
+
+
+def random_text(rng: random.Random) -> str:
+    """An instance laid out at random: clauses spanning and sharing lines,
+    clause tokens on the header line, the header itself split over lines,
+    comments, blank lines, tabs, LF or CRLF, and positive literals spelt
+    `+k`. About a third are spoiled."""
+    n = rng.randint(1, 6)
+    clauses = [
+        [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))]
+        for _ in range(rng.randint(0, 5))
+    ]
+    tokens = ["p", "xsat", str(n), str(len(clauses))]
+    for clause in clauses:
+        tokens += [f"+{lit}" if lit > 0 and rng.random() < 0.2 else str(lit) for lit in clause] + ["0"]
+    if rng.random() < 0.35:
+        spoil(tokens, rng)
+    lines, line = [], []
+    for tok in tokens:
+        line.append(tok)
+        if rng.random() < 0.35:
+            lines.append(line)
+            line = []
+    lines.append(line)
+    out = []
+    for line in lines:
+        while rng.random() < 0.25:
+            out.append(rng.choice(COMMENTS + BLANKS))
+        out.append(rng.choice(["", " ", "\t"]) + rng.choice([" ", "  ", "\t"]).join(line))
+    newline = rng.choice(["\n", "\r\n"])
+    return newline.join(out) + rng.choice(["", newline])
+
+
+def test_random_layouts_match_the_reference():
+    rng = random.Random(20)
+    texts = [random_text(rng) for _ in range(3000)]
+    errors = 0
+    for text in texts:
+        expected = outcome(reference_parse, text)
+        assert outcome(parse_formula, text) == expected, text
+        errors += isinstance(expected, str)
+    # Both the accepting and the rejecting side are well covered.
+    assert 600 < errors < 2000
+
+
+MALFORMED = [
+    "p xsat 2 1\n1 x 0\n",
+    "p xsat 2 1\n1 abc 0\n",
+    "p xsat 2 1\n1 2 c 0\n",
+    "p xsat 2 2\n1 3 0\nfoo 0\n",
+    "p xsat 2 2\n1 0\nfoo 3 0\n",
+    "p xsat 2 1\n1 -3 0\n",
+    "p xsat 2 1\n1 2\n",
+    "p xsat 2 1\n1 2 0\nc trailing\n-1",
+    "p xsat 2 2\n1 2 0\n",
+    "p xsat 2 1\n1 0\n2 0\n",
+    "p xsat 2 1\n",
+    "p cnf 2 1\n1 2 0\n",
+    "p xsat 2\n",
+    "xsat p 2 1\n1 2 0\n",
+    "p xsat -1 0\n",
+    "p xsat 2 -1\n",
+    "p xsat two 1\n1 0\n",
+    "p xsat 2 1.0\n1 0\n",
+    "",
+    "\n\n  \n",
+    "c only a comment\n",
+    "c one\n  c two\n",
+    "c\np\nxsat\n\n2\n1 1 2\n",
+    "\ufeffp xsat 1 1\n1 0\n",
+    "p xsat 1 1\n1\x00 0\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_text_gives_the_reference_error(text):
+    expected = outcome(reference_parse, text)
+    assert isinstance(expected, str)
+    assert outcome(parse_formula, text) == expected
