@@ -27,14 +27,13 @@ from .formula import (
 from .gen import planted_formula, random_formula
 from .oracle import (
     CapExceeded,
-    count_allowed_subsets_brute,
     enumerate_xmodels,
     expand_state,
     max_hamming_brute,
 )
 from .propagation import assign, connected_components
 from .solver import find_xmodel
-from .subset_scan import allowed_subset_check, max_hamming_p
+from .subset_scan import max_hamming_p
 from .tau import nth_root, parse_branch_spec, tau_root
 
 __version__ = "0.1.0"
@@ -49,10 +48,8 @@ __all__ = [
     "HammingResult",
     "ParseError",
     "SearchStats",
-    "allowed_subset_check",
     "assign",
     "connected_components",
-    "count_allowed_subsets_brute",
     "enumerate_xmodels",
     "expand_state",
     "find_xmodel",

@@ -74,8 +74,10 @@ class SearchStats:
     one per branched part of a node that splits into connected parts. A
     leaf is a node whose simplification retired variables, which `gen_h`
     then scores. A connected part that q values from its x-models instead
-    of branching adds neither. p counts subsets checked and solver calls
-    (within the number of allowed subsets)."""
+    of branching adds neither. p counts subsets checked, summed over the
+    connected components it scans, and solver calls: the base check plus
+    one per subset that passes its contradiction check (within the
+    number of allowed subsets)."""
 
     nodes: int = 0
     leaves: int = 0

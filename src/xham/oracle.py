@@ -1,10 +1,9 @@
 """Exhaustive ground-truth engines.
 
 Everything here trades time for certainty: model enumeration over all
-2^n assignments, max Hamming by pairwise comparison, subset counting by
-one scan over all 2^n subsets, and expansion of generalized assignments
-into the concrete models they stand for. Caps refuse oversized inputs
-instead of running for hours.
+2^n assignments, max Hamming by pairwise comparison, and expansion of
+generalized assignments into the concrete models they stand for. Caps
+refuse oversized inputs instead of running for hours.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from .branching import GeneralizedAssignment, slot_options
 from .formula import BOTTOM, Assignment, Formula, HammingResult
 
 DEFAULT_ENUM_CAP = 24
-DEFAULT_SUBSET_CAP = 20
 _CHUNK = 1 << 16
 
 
@@ -82,43 +80,6 @@ def max_hamming_brute(formula: Formula, cap: int = DEFAULT_ENUM_CAP) -> HammingR
             best = int(dist[j])
             pair = (i, i + 1 + j)
     return HammingResult(best, (dict(models[pair[0]]), dict(models[pair[1]])))
-
-
-def count_allowed_subsets_brute(formula: Formula, cap: int = DEFAULT_SUBSET_CAP) -> int:
-    """Number of variable subsets touching every clause 0 or 2 times.
-
-    Counts every S ⊆ Var(formula), the empty set included, such that each
-    clause contains 0 or 2 literals of variables in S; a variable written
-    twice in a clause counts twice. Each clause gets a table of the parts
-    of its variable mask that pass, so one mask lookup per clause tests a
-    subset.
-    """
-    variables = formula.variables()
-    n = len(variables)
-    if n > cap:
-        raise CapExceeded(f"{n} variables exceed subset cap {cap}")
-    position = {v: i for i, v in enumerate(variables)}
-    tables = []
-    for clause in formula.clauses:
-        bits = [1 << position[abs(l)] for l in clause]
-        mask = sum(set(bits))
-        allowed = set()
-        part = mask
-        while True:
-            if sum(1 for bit in bits if part & bit) in (0, 2):
-                allowed.add(part)
-            if not part:
-                break
-            part = (part - 1) & mask
-        tables.append((mask, allowed))
-    count = 0
-    for subset in range(1 << n):
-        for mask, allowed in tables:
-            if (subset & mask) not in allowed:
-                break
-        else:
-            count += 1
-    return count
 
 
 def expand_state(state: GeneralizedAssignment) -> list[Assignment]:

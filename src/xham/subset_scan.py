@@ -10,6 +10,18 @@ engine that propagated the input: forced variables never differ, freed
 ones always can, and the live clauses hold distinct variables, so each
 clause is one bitmask over the live variables.
 
+Components. Clauses that share no variable, even through others, flip
+independently: the best distance is the sum of each connected
+component's best subset size, plus one per freed variable. So after the
+base check the live clauses are split with `propagation.components`,
+and each component is scanned on its own, over its own variables, in
+the order of its first clause. Each component keeps its own variable
+order, masks and subset listing; the solver runs on the one engine
+throughout, and a subset's assumptions name only its component's
+literals. A formula with one component asks the same questions in the
+same order as a scan of the whole formula, and k disjoint clauses cost
+k small listings, not the product of their sizes.
+
 Generation. `allowed_classes` branches over the clauses in order. A
 clause with no chosen variable chooses none or one pair of its undecided
 variables, a clause with one chooses exactly one more, a clause with two
@@ -52,28 +64,23 @@ variable's bit, and a subset's assumptions are read off these lists. No
 formula is built, at the root or per subset, and the witnesses are the
 solver's models.
 
-`allowed_subset_check` states the zero-or-two test on sets instead; it
-takes any formula, counts a repeated variable once per occurrence, and is
-the reference the tests hold the scan and the oracle's count against.
+The contradiction check. Most of these questions contradict themselves:
+a variable outside X that is positive in one touched clause and negative
+in another is assumed both ways, and the solver's first force fails.
+Each clause also keeps the bits of its positive literals and those of
+its negative ones; OR-ing them over the clauses X touches gives P and N,
+and X is dropped without a solver call when P & N & ~X is nonzero. The
+check spots nothing else, so it changes no verdict: only the calls that
+would have failed at their first assumption are saved.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .formula import BOTTOM, Assignment, Formula, HammingResult, SearchStats
-from .propagation import Propagator
+from .formula import BOTTOM, Formula, HammingResult, SearchStats
+from .propagation import Propagator, components
 from .solver import solve
-
-
-def allowed_subset_check(formula: Formula, subset) -> bool:
-    """True iff every clause has 0 or 2 literals of variables in subset."""
-    chosen = set(subset)
-    for clause in formula.clauses:
-        count = sum(1 for lit in clause if abs(lit) in chosen)
-        if count not in (0, 2):
-            return False
-    return True
 
 
 def allowed_classes(masks):
@@ -144,17 +151,24 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
 
     One engine on the input does all the work: it propagates, the solver
     checks on it that the propagated formula has a model, and only then
-    are the nonempty allowed subsets of its live clauses generated, one
-    size at a time from the largest (see the module docstring for their
-    order and for the literals the solver assumes with each). The first
-    one the solver accepts on the same engine is the answer, and with
-    none the base model stands alone. That model is the first witness:
-    the solver sets every forced variable, and every freed one True.
-    Each variable that propagation freed adds one flip, so the second
-    witness, the first flipped on the subset, sets them False.
+    are the live clauses split into connected components and each
+    component's nonempty allowed subsets generated, one size at a time
+    from the largest (see the module docstring for their order, for the
+    literals the solver assumes with each and for the contradiction
+    check that drops a subset without a call). In each component the
+    first subset the solver accepts on the same engine is its answer;
+    with none, the component adds nothing. The distance is the sum of
+    the answers' sizes plus one per variable that propagation freed.
 
-    Each live clause's mask and its literals' (complement, bit) pairs are
-    built once per call; every subset's assumptions are read from them.
+    The first witness is the base model, the solver's model before any
+    subset, with each answered component's variables taken from the
+    solver's model for its answer; the solver sets every forced variable,
+    and every freed one True. The second witness is the first flipped on
+    every answer, with the freed variables False.
+
+    `stats.subsets_checked` sums the subsets listed in every component;
+    `stats.solver_calls` counts the base check plus one call per subset
+    that passes the contradiction check.
     """
     if stats is None:
         stats = SearchStats()
@@ -164,37 +178,58 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     if base_model is None:
         return HammingResult(BOTTOM)
 
-    variables = sorted(var for var, count in engine.degree.items() if count)
-    position = {v: i for i, v in enumerate(variables)}
-    # Per live clause: its mask and the (complement, bit) of each literal.
-    clauses = [
-        [(-lit, 1 << position[abs(lit)]) for lit in clause] for clause in engine.clauses if clause is not None
-    ]
-    masks = [sum(bit for _, bit in clause) for clause in clauses]
-    live = list(zip(masks, clauses))
-    freed = tuple(engine.freed)
+    clauses = engine.clauses
+    first, flips = base_model, set()
+    for part in components(engine, [pos for pos, clause in enumerate(clauses) if clause is not None]):
+        answer = _scan_component(engine, [clauses[pos] for pos in part], stats)
+        if answer is not None:
+            values, subset = answer
+            first.update(values)
+            flips.update(subset)
+    freed = engine.freed
+    second = {v: value != (v in flips) for v, value in first.items()}
+    second.update(dict.fromkeys(freed, False))
+    return HammingResult(len(flips) + len(freed), (first, second))
 
-    for subsets in allowed_classes(masks):
+
+def _scan_component(engine: Propagator, live, stats: SearchStats):
+    """For the first allowed subset of one component's live clauses that
+    the solver accepts: the solver's model on the component's variables,
+    and the subset's variables. None when the solver accepts none.
+
+    One pass builds each clause's row: its mask, the bits of its positive
+    and of its negative literals, and the (complement, bit) of each
+    literal. A subset's one pass over the rows ORs the sign bits of the
+    clauses it touches and keeps their literals; a contradiction drops
+    the subset, and otherwise its assumptions are read off those literals.
+    """
+    variables = sorted({abs(lit) for clause in live for lit in clause})
+    position = {v: i for i, v in enumerate(variables)}
+    rows = []
+    for clause in live:
+        literals = [(-lit, 1 << position[abs(lit)]) for lit in clause]
+        positive = sum(bit for complement, bit in literals if complement < 0)
+        negative = sum(bit for complement, bit in literals if complement > 0)
+        rows.append((positive | negative, positive, negative, literals))
+
+    for subsets in allowed_classes([row[0] for row in rows]):
         stats.subsets_checked += len(subsets)
         for bitset in subsets:
+            positive = negative = 0
+            touched = []
+            for mask, pos_bits, neg_bits, literals in rows:
+                if bitset & mask:
+                    positive |= pos_bits
+                    negative |= neg_bits
+                    touched.append(literals)
+            if positive & negative & ~bitset:
+                continue  # some variable outside the subset would be assumed both ways
             stats.solver_calls += 1
             assumptions = tuple(
-                complement
-                for mask, clause in live
-                if bitset & mask
-                for complement, bit in clause
-                if not bitset & bit
+                complement for literals in touched for complement, bit in literals if not bitset & bit
             )
             model = solve(engine, assumptions)
             if model is not None:
-                subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
-                return HammingResult(len(subset) + len(freed), _witness_pair(model, subset, freed))
-    return HammingResult(len(freed), _witness_pair(base_model, (), freed))
-
-
-def _witness_pair(model: Assignment, subset, freed):
-    """The solver's model and its flip on subset, in which the variables
-    that propagation freed read False."""
-    flipped = {v: value != (v in subset) for v, value in model.items()}
-    flipped.update(dict.fromkeys(freed, False))
-    return model, flipped
+                values = {v: model[v] for v in variables}
+                return values, [v for i, v in enumerate(variables) if (bitset >> i) & 1]
+    return None

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from xham import Formula, enumerate_xmodels, random_formula
+from xham import CapExceeded, Formula, enumerate_xmodels, random_formula
 from xham.propagation import Propagator
 
 
@@ -66,6 +66,58 @@ def chain(n, length, seed):
     rng = random.Random(seed)
     clauses = [range(start, start + length) for start in range(1, n, length - 1)]
     return Formula(n, tuple(tuple(v if rng.random() < 0.5 else -v for v in c) for c in clauses))
+
+
+def allowed_subset_check(formula: Formula, subset) -> bool:
+    """True iff every clause has 0 or 2 literals of variables in subset.
+
+    The zero-or-two test on sets, for any formula: a variable written
+    twice in a clause counts twice. It is the reference that p's bitmask
+    listing and `count_allowed_subsets_brute` are held against.
+    """
+    chosen = set(subset)
+    for clause in formula.clauses:
+        count = sum(1 for lit in clause if abs(lit) in chosen)
+        if count not in (0, 2):
+            return False
+    return True
+
+
+def count_allowed_subsets_brute(formula: Formula, cap: int = 20) -> int:
+    """Number of variable subsets touching every clause 0 or 2 times.
+
+    Counts every S ⊆ Var(formula), the empty set included, such that each
+    clause contains 0 or 2 literals of variables in S; a variable written
+    twice in a clause counts twice. Each clause gets a table of the parts
+    of its variable mask that pass, so one mask lookup per clause tests a
+    subset. Past cap variables it raises `CapExceeded`.
+    """
+    variables = formula.variables()
+    n = len(variables)
+    if n > cap:
+        raise CapExceeded(f"{n} variables exceed subset cap {cap}")
+    position = {v: i for i, v in enumerate(variables)}
+    tables = []
+    for clause in formula.clauses:
+        bits = [1 << position[abs(l)] for l in clause]
+        mask = sum(set(bits))
+        allowed = set()
+        part = mask
+        while True:
+            if sum(1 for bit in bits if part & bit) in (0, 2):
+                allowed.add(part)
+            if not part:
+                break
+            part = (part - 1) & mask
+        tables.append((mask, allowed))
+    count = 0
+    for subset in range(1 << n):
+        for mask, allowed in tables:
+            if (subset & mask) not in allowed:
+                break
+        else:
+            count += 1
+    return count
 
 
 def count_builds(monkeypatch) -> dict[str, int]:

@@ -15,9 +15,7 @@ from xham import (
     Formula,
     GeneralizedAssignment,
     SearchStats,
-    allowed_subset_check,
     branching,
-    count_allowed_subsets_brute,
     enumerate_xmodels,
     hamming_distance,
     max_hamming_brute,
@@ -30,7 +28,7 @@ from xham import (
     verify_xmodel,
 )
 
-from conftest import assert_model_preservation, chain, clause_count
+from conftest import allowed_subset_check, assert_model_preservation, chain, clause_count, count_allowed_subsets_brute
 
 LENGTH_CLASSES = (2, 3, 4, 5, 6)
 INSTANCES_PER_CLASS = 1000

@@ -4,7 +4,6 @@ from xham import (
     BOTTOM,
     CapExceeded,
     GeneralizedAssignment,
-    count_allowed_subsets_brute,
     enumerate_xmodels,
     expand_state,
     hamming_distance,
@@ -12,7 +11,7 @@ from xham import (
     verify_xmodel,
 )
 
-from conftest import formula
+from conftest import count_allowed_subsets_brute, formula
 
 
 class TestEnumerate:

@@ -6,12 +6,11 @@ import sys
 
 import pytest
 
+import xham
 from xham import (
     BOTTOM,
     Formula,
     SearchStats,
-    allowed_subset_check,
-    count_allowed_subsets_brute,
     enumerate_xmodels,
     find_xmodel,
     hamming_distance,
@@ -23,9 +22,19 @@ from xham import (
     verify_xmodel,
 )
 from xham import subset_scan
+from xham.propagation import components
 from xham.solver import solve
 
-from conftest import clause_count, count_builds, formula, live_clauses, propagated, repeated_variable_corpus
+from conftest import (
+    allowed_subset_check,
+    clause_count,
+    count_allowed_subsets_brute,
+    count_builds,
+    formula,
+    live_clauses,
+    propagated,
+    repeated_variable_corpus,
+)
 
 REPEATED = repeated_variable_corpus(300, 9100)
 # Distinct-variable clauses that share variables with each other.
@@ -113,38 +122,102 @@ class TestFlippedUnion:
         f = formula((1, 2, 3), (3, 4), (-4, -5, 6))
         assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-3, 4))
 
+    @staticmethod
+    def scan_walk(monkeypatch, f):
+        """p's questions on f, read against what `allowed_classes` listed.
+
+        Returns None when f has no x-model. Otherwise returns the
+        base question's assumptions and one row per listed subset, per
+        component in p's order, up to the subset the solver accepts:
+        (component's live clauses, component's variables, bitset, the
+        outside literals' complements, whether p asked the solver). A
+        subset counts as asked when p's next question, on the whole live
+        formula, assumes exactly those complements; every question must
+        be matched so.
+        """
+        listed = []  # per `allowed_classes` call, the bitsets it listed
+        calls = []  # per solver call: (live clauses, assumptions, accepted)
+        allowed_classes = subset_scan.allowed_classes
+
+        def spy_classes(masks):
+            listed.append([])
+            for found in allowed_classes(masks):
+                listed[-1].extend(found)
+                yield found
+
+        def spy_solve(engine, assumptions=()):
+            model = solve(engine, assumptions)
+            calls.append((tuple(filter(None, engine.clauses)), tuple(assumptions), model is not None))
+            return model
+
+        monkeypatch.setattr(subset_scan, "allowed_classes", spy_classes)
+        monkeypatch.setattr(subset_scan, "solve", spy_solve)
+        if max_hamming_p(f).distance is BOTTOM:
+            assert len(calls) <= 1 and listed == []
+            return None
+        engine = propagated(f)
+        everything = live_clauses(engine)
+        parts = components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None])
+        assert len(parts) == len(listed)
+        questions = iter(calls[1:])
+        question = next(questions, None)
+        rows = []
+        for part, bitsets in zip(parts, listed):
+            live = [engine.clauses[pos] for pos in part]
+            variables = sorted({abs(lit) for clause in live for lit in clause})
+            for bitset in bitsets:
+                subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
+                touched = [clause for clause in live if any(abs(lit) in subset for lit in clause)]
+                assumptions = tuple(-lit for clause in touched for lit in clause if abs(lit) not in subset)
+                asked = question is not None and question[1] == assumptions
+                rows.append((live, variables, bitset, assumptions, asked))
+                if asked:
+                    assert question[0] == everything
+                    accepted, question = question[2], next(questions, None)
+                    if accepted:
+                        break
+        assert question is None, "a question matched no listed subset"
+        return calls[0][1], rows
+
     def test_assumptions_are_the_outside_literals_of_touched_clauses(self, monkeypatch):
         """Every question p asks after the base one assumes, in clause
         order, the complement of each literal of a touched clause whose
         variable lies outside the subset; the subsets are the ones
-        `allowed_classes` lists, in its order."""
-        listed = []
-        allowed_classes = subset_scan.allowed_classes
-
-        def spy_classes(masks):
-            for found in allowed_classes(masks):
-                listed.extend(found)
-                yield found
-
-        monkeypatch.setattr(subset_scan, "allowed_classes", spy_classes)
+        `allowed_classes` lists for each component, in its order, less
+        those the contradiction check drops."""
         scan_shaped = [random_formula(n, (n + 1) // 2, 3, 9900 + 10 * n + i) for n in range(18, 23) for i in range(3)]
         asked = 0
         for f in REPEATED + OVERLAPPING + scan_shaped:
-            listed.clear()
-            seen = self.solver_inputs(monkeypatch, f)
-            if not seen:
-                continue  # propagation refuted f
-            assert seen[0][1] == ()
-            live = seen[0][0]
-            variables = sorted({abs(lit) for clause in live for lit in clause})
-            assert len(seen) - 1 <= len(listed)
-            for (clauses, assumptions), bitset in zip(seen[1:], listed):
-                subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
-                touched = [clause for clause in live if any(abs(lit) in subset for lit in clause)]
-                assert clauses == live
-                assert assumptions == tuple(-lit for clause in touched for lit in clause if abs(lit) not in subset)
-                asked += 1
-        assert asked > 800
+            walk = self.scan_walk(monkeypatch, f)
+            if walk is None:
+                continue  # f has no x-model
+            base, rows = walk
+            assert base == ()
+            asked += sum(row[-1] for row in rows)
+        assert asked == 202
+
+    def test_contradiction_check_is_exact(self, monkeypatch):
+        """A listed subset gets no solver call exactly when the sign bits
+        of the clauses it touches give P & N & ~X nonzero, and the solver
+        refutes every such subset; the others are asked in listing order."""
+        skipped = 0
+        for f in OVERLAPPING + REPEATED:
+            walk = self.scan_walk(monkeypatch, f)
+            if walk is None:
+                continue
+            engine = propagated(f)
+            for live, variables, bitset, assumptions, asked in walk[1]:
+                position = {v: i for i, v in enumerate(variables)}
+                positive = negative = 0
+                for clause in live:
+                    if any((bitset >> position[abs(lit)]) & 1 for lit in clause):
+                        positive |= sum(1 << position[lit] for lit in clause if lit > 0)
+                        negative |= sum(1 << position[-lit] for lit in clause if lit < 0)
+                assert asked == (not positive & negative & ~bitset)
+                if not asked:
+                    assert solve(engine, assumptions) is None
+                    skipped += 1
+        assert skipped == 92
 
     def test_unit_form_matches_flipped_copies(self):
         """For every allowed subset X of the reduced formula, the formula
@@ -272,7 +345,7 @@ def test_one_engine_and_no_formula_per_scan(monkeypatch):
         max_hamming_p(f, stats)
         assert built == {"engines": 1, "formulas": 0}, f
         calls += stats.solver_calls
-    assert calls > 100
+    assert calls == 95
 
 
 def test_agrees_with_oracle_on_random_suite():
@@ -341,35 +414,36 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
 
 
 # (family, num_vars, clause_length, seed, distance, solver_calls,
-# filtered, subsets_checked); a distance of None means unsatisfiable.
-# Uniform rows have the criterion-8 shape (m = (n + 1) // 2); a "repeated"
-# row's seed is its index in REPEATED. `filtered` is the count of the
-# old filtering scan, kept only because the test names carry it.
+# subsets_checked); a distance of None means unsatisfiable. Uniform rows
+# have the criterion-8 shape (m = (n + 1) // 2); a "repeated" row's seed
+# is its index in REPEATED. Every row's live clauses form one component.
+# solver_calls counts the base check and the subsets that pass the
+# contradiction check.
 SCAN_WORK = [
-    ("uniform", 10, 3, 8103100, None, 1, 0, 0),
-    ("uniform", 10, 3, 8103101, 6, 4, 83, 6),
-    ("uniform", 11, 3, 8103110, 5, 6, 214, 6),
-    ("uniform", 11, 3, 8103111, 5, 3, 74, 2),
-    ("uniform", 12, 3, 8103120, 2, 15, 969, 15),
-    ("uniform", 12, 3, 8103121, 6, 5, 207, 7),
-    ("uniform", 13, 3, 8103130, 0, 8, 1023, 7),
-    ("uniform", 13, 3, 8103131, 8, 9, 1422, 16),
-    ("uniform", 14, 3, 8103140, 8, 12, 1406, 23),
-    ("uniform", 14, 3, 8103141, 9, 5, 598, 9),
-    ("uniform", 10, 4, 8104100, 5, 16, 604, 16),
-    ("uniform", 10, 4, 8104101, 0, 22, 1023, 21),
-    ("uniform", 11, 4, 8104110, 0, 10, 1023, 9),
-    ("uniform", 11, 4, 8104111, None, 1, 0, 0),
-    ("uniform", 12, 4, 8104120, None, 1, 0, 0),
-    ("uniform", 12, 4, 8104121, None, 1, 0, 0),
-    ("uniform", 13, 4, 8104130, 0, 36, 8191, 35),
-    ("uniform", 13, 4, 8104131, 7, 7, 3677, 7),
-    ("uniform", 14, 4, 8104140, None, 1, 0, 0),
-    ("uniform", 14, 4, 8104141, None, 1, 0, 0),
-    ("repeated", 8, None, 1, 3, 2, 1, 1),
-    ("repeated", 7, None, 4, 2, 2, 2, 3),
-    ("repeated", 7, None, 6, 3, 2, 1, 1),
-    ("repeated", 7, None, 10, 3, 2, 1, 1),
+    ("uniform", 10, 3, 8103100, None, 1, 0),
+    ("uniform", 10, 3, 8103101, 6, 2, 6),
+    ("uniform", 11, 3, 8103110, 5, 3, 6),
+    ("uniform", 11, 3, 8103111, 5, 2, 2),
+    ("uniform", 12, 3, 8103120, 2, 6, 15),
+    ("uniform", 12, 3, 8103121, 6, 3, 7),
+    ("uniform", 13, 3, 8103130, 0, 2, 7),
+    ("uniform", 13, 3, 8103131, 8, 2, 16),
+    ("uniform", 14, 3, 8103140, 8, 2, 23),
+    ("uniform", 14, 3, 8103141, 9, 3, 9),
+    ("uniform", 10, 4, 8104100, 5, 2, 16),
+    ("uniform", 10, 4, 8104101, 0, 6, 21),
+    ("uniform", 11, 4, 8104110, 0, 4, 9),
+    ("uniform", 11, 4, 8104111, None, 1, 0),
+    ("uniform", 12, 4, 8104120, None, 1, 0),
+    ("uniform", 12, 4, 8104121, None, 1, 0),
+    ("uniform", 13, 4, 8104130, 0, 4, 35),
+    ("uniform", 13, 4, 8104131, 7, 2, 7),
+    ("uniform", 14, 4, 8104140, None, 1, 0),
+    ("uniform", 14, 4, 8104141, None, 1, 0),
+    ("repeated", 8, None, 1, 3, 2, 1),
+    ("repeated", 7, None, 4, 2, 2, 3),
+    ("repeated", 7, None, 6, 3, 2, 1),
+    ("repeated", 7, None, 10, 3, 2, 1),
 ]
 
 
@@ -378,11 +452,11 @@ def scan_formula(family, n, length, seed):
 
 
 @pytest.mark.parametrize(
-    "family,n,length,seed,distance,solver_calls,filtered,subsets",
+    "family,n,length,seed,distance,solver_calls,subsets",
     SCAN_WORK,
-    ids=["-".join(map(str, row[:7])) for row in SCAN_WORK],
+    ids=["-".join(map(str, row)) for row in SCAN_WORK],
 )
-def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, filtered, subsets):
+def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, subsets):
     f = scan_formula(family, n, length, seed)
     stats = SearchStats()
     got = max_hamming_p(f, stats).distance
@@ -392,8 +466,11 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, fi
         subsets,
     )
     if distance is not None:
-        # Every nonempty allowed subset at least as large as the answer's.
+        # Every nonempty allowed subset at least as large as the answer's,
+        # over the one component.
         engine = propagated(f)
+        positions = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
+        assert len(components(engine, positions)) == 1
         live = Formula(f.num_vars, live_clauses(engine))
         variables = sorted(var for var, count in engine.degree.items() if count)
         assert subsets == sum(
@@ -405,29 +482,42 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, fi
 
 def test_scan_generates_where_filtering_would_not_finish():
     """On n=24 the filter checked 2,093,332 subsets to make 504 solver
-    calls; on n=40 it would face 2^40."""
+    calls; the scan per component lists 130 subsets, and 28 of them pass
+    the contradiction check. On n=40 the filter would face 2^40."""
     stats = SearchStats()
     assert max_hamming_p(random_formula(24, 12, 3, 903), stats).distance == 4
-    assert (stats.solver_calls, stats.subsets_checked) == (504, 505)
+    assert (stats.solver_calls, stats.subsets_checked) == (29, 130)
     f = random_formula(40, 20, 3, 901)
     assert max_hamming_p(f).distance == max_hamming_q(f).distance == 9
 
 
 def test_scan_stops_at_the_first_size_with_a_hit():
     """20 disjoint binary clauses have 2^20 - 1 nonempty allowed subsets;
-    the first, all 40 variables, answers, and no smaller one is listed."""
+    each clause is a component whose first subset, both its variables,
+    answers, so one subset is listed and asked per component."""
     stats = SearchStats()
     f = Formula.from_clauses([(2 * i + 1, 2 * i + 2) for i in range(20)])
     assert max_hamming_p(f, stats).distance == 40
-    assert (stats.solver_calls, stats.subsets_checked) == (2, 1)
+    assert (stats.solver_calls, stats.subsets_checked) == (21, 20)
 
 
-def test_scan_never_calls_the_set_based_check(monkeypatch):
-    """p's bitmask filter is its only zero-or-two test."""
+def test_disjoint_length_four_clauses_scan_per_component():
+    """12 disjoint length-4 clauses: a whole-formula scan would list the
+    6^12 subsets of the top size class before its first call; per
+    component each clause lists its 6 pairs and the first one answers."""
+    stats = SearchStats()
+    f = Formula.from_clauses([tuple(range(4 * i + 1, 4 * i + 5)) for i in range(12)])
+    result = max_hamming_p(f, stats)
+    assert result.distance == 24
+    assert (stats.subsets_checked, stats.solver_calls) == (72, 13)
+    a, b = result.witnesses
+    assert verify_xmodel(f, a) and verify_xmodel(f, b)
+    assert hamming_distance(a, b) == 24
 
-    def refuse(*args):
-        raise AssertionError("max_hamming_p called allowed_subset_check")
 
-    monkeypatch.setattr(subset_scan, "allowed_subset_check", refuse)
-    for row in SCAN_WORK:
-        max_hamming_p(scan_formula(*row[:4]))
+def test_scan_never_calls_the_set_based_check():
+    """p's bitmask listing is its only zero-or-two test: the set-based
+    check lives with the tests, and the package does not hold it."""
+    assert not hasattr(subset_scan, "allowed_subset_check")
+    assert not hasattr(xham, "allowed_subset_check")
+    assert not hasattr(xham, "count_allowed_subsets_brute")
