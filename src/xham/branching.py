@@ -259,6 +259,18 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
     its own polarity where it is the chosen satisfactor and the opposite
     elsewhere, so its entry is its unchosen one plus a gain when one
     model or both choose it; only the choices vary with the slots.
+
+    Tables are symmetric (see `table`), so a member gains as much chosen
+    in the first model as in the second, and the best choice has a closed
+    form. Let o be the slot's own polarity, x = 1 - o and
+    d(va, vb) = (va != vb) + by_value[2*va + vb]; let G be the best gain
+    of a member chosen in one model, P the best sum of two different
+    members' gains and B the best gain of a member chosen in both. A slot
+    reading x chooses no member and has value x; a slot reading o has
+    value o when var itself is the satisfactor and x when a member is.
+    So entry xx reads d(x, x), each mixed entry max(d(o, x), d(x, x) + G)
+    and entry oo max(d(o, o), d(o, x) + G, d(x, x) + max(P, B)), each
+    plus its by_slot term and every member's unchosen entry.
     """
     members = state.sing.get(var, ())
     duals = state.dual.get(var, ())
@@ -268,9 +280,8 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
     by_slot = [0, 0, 0, 0]
     by_value = [0, 0, 0, 0]
     unchosen = 0
-    # Gains of choosing member i in the first model, the second or both;
-    # index 0 chooses no member.
-    first, second, both = [0], [0], [0]
+    # Per member, the gain of choosing it in one model and in both.
+    gains, both = [], []
     try:
         for child, flip, anchor in duals:
             t = score[child]
@@ -283,33 +294,39 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
             acc[3] += t[3]
         for member, pol in members:
             t = score[member]
-            on, off = int(pol), int(not pol)
-            idle = t[3 * off]
+            if not pol:  # read the member's table from its own literal's side
+                t = t[::-1]
+            idle = t[0]
             unchosen += idle
-            first.append(t[2 * on + off] - idle)
-            second.append(t[2 * off + on] - idle)
-            both.append(t[3 * on] - idle)
+            gains.append(t[1] - idle)
+            both.append(t[3] - idle)
     except KeyError as missing:
         raise ValueError(f"linked variable {missing.args[0]} has no score table") from None
     if not members:  # the slot is the concrete value
-        return tuple(by_slot[i] + by_value[i] + _UNLINKED[i] for i in range(4))
+        return (
+            by_slot[0] + by_value[0],
+            by_slot[1] + by_value[1] + 1,
+            by_slot[2] + by_value[2] + 1,
+            by_slot[3] + by_value[3],
+        )
 
-    # (concrete value, chosen member) per slot reading: an active slot's
-    # satisfactor is var itself or one of its members.
-    own = int(state.sat[var])
-    chosen = [(1 - own, i) for i in range(1, len(first))]
-    out = []
-    for a in (0, 1):
-        picks_a = [(a, 0)] + (chosen if a == own else [])
-        for b in (0, 1):
-            picks_b = [(b, 0)] + (chosen if b == own else [])
-            best = max(
-                (value_a != value_b) + by_value[2 * value_a + value_b] + (both[i] if i == j else first[i] + second[j])
-                for value_a, i in picks_a
-                for value_b, j in picks_b
-            )
-            out.append(best + by_slot[2 * a + b] + unchosen)
-    return tuple(out)
+    o = int(state.sat[var])
+    x = 1 - o
+    gain, chosen = gains[0], both[0]
+    if len(gains) > 1:
+        gain, chosen = max(gains), max(both)
+        gains.remove(gain)
+        chosen = max(chosen, gain + max(gains))
+    stay, mixed = by_value[3 * x], by_value[1] + 1  # d(x, x) and d(o, x)
+    active = max(by_value[3 * o], mixed + gain, stay + chosen)
+    mixed = max(mixed, stay + gain)
+    low, high = (stay, active) if o else (active, stay)
+    return (
+        by_slot[0] + unchosen + low,
+        by_slot[1] + unchosen + mixed,
+        by_slot[2] + unchosen + mixed,
+        by_slot[3] + unchosen + high,
+    )
 
 
 def gen_h(state: GeneralizedAssignment, roots=None) -> int:
@@ -349,17 +366,20 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     pools and dual links; the caller folds in what the engine forced and
     freed. Each round propagates to a fixpoint, then pools in the first
     clause, by position, that holds at least two singletons one of which
-    heads no pool yet; only when no clause can pool does it eliminate the
-    first binary clause by dual substitution, in place on the engine. Two
-    position heaps stand in for rescanning the formula, both fed from the
-    engine's `changed` and `singles` logs: `to_pool` holds every clause
-    that may have become poolable (it shrank, was rewritten, or one of
-    its variables fell to degree one) and `binaries` every clause that
-    may have become binary. A new engine logs every position; below q's
-    root the logs hold only what the node's steps touched since its mark,
-    at a fixpoint where nothing pools and no clause is binary. Popping the
-    smallest position that passes the check makes the same choice, in the
-    same order, as a scan of the whole formula would.
+    heads no pool yet; only when no clause can pool does it eliminate
+    the first binary clause by dual substitution, in place on the
+    engine; the substitution drops that clause itself, with every other
+    clause it turns into a complementary pair, such as a copy, so an
+    elimination queues only the clauses it rewrites and keeps. Two
+    position heaps stand in for rescanning the formula, both fed from
+    the engine's `changed` and `singles` logs: `to_pool` holds every
+    clause that may have become poolable (it shrank, was rewritten, or
+    one of its variables fell to degree one) and `binaries` every clause
+    that may have become binary. A new engine logs every position; below
+    q's root the logs hold only what the node's steps touched since its
+    mark, at a fixpoint where nothing pools and no clause is binary.
+    Popping the smallest position that passes the check makes the same
+    choice, in the same order, as a scan of the whole formula would.
     """
     clauses, degree = engine.clauses, engine.degree
     to_pool: list[int] = []

@@ -11,21 +11,23 @@ everything it forced and the variables it freed, or a conflict.
 
 One incremental engine, `Propagator`, does all of this work. It keeps
 the clauses by position (a clause only shrinks, is rewritten in place or
-drops out), an occurrence list and a degree count per variable, the
-forced map, and a work queue: a clause is settled again only when one of
-its variables is forced or rewritten, so a fixpoint costs time linear in
-the clauses it touches rather than a sweep over the whole formula per
-round. The solver, p and q each search one engine: a level or a q
-child takes a `mark`, applies its steps, and goes back with `undo_to`.
-Every engine keeps its trail from its first mark, so the root's own
-propagation and simplification, which nothing undoes, log nothing. The trail is two logs in the order of the steps: every clause
-write with the clause it replaced, and the length every occurrence list
-had before a rewrite appended to it. Occurrence lists only grow: a force
-or a removed literal leaves the list in place, stale, as dropped
-clauses' positions already are. The forced map keeps its own order, so
-it needs no log. Backing up pops both logs, latest first, cutting each
-grown list back to its old length, and the end of the forced map, and
-costs what the steps wrote.
+drops out; a rewrite that leaves a complementary pair of two literals
+drops that clause itself, rather than queue it for a settle), an
+occurrence list and a degree count per variable, the forced map, and a
+work queue: a clause is settled again only when one of its variables is
+forced or rewritten, so a fixpoint costs time linear in the clauses it
+touches rather than a sweep over the whole formula per round. The
+solver, p and q each search one engine: a level or a q child takes a
+`mark`, applies its steps, and goes back with `undo_to`. Every engine
+keeps its trail from its first mark, so the root's own propagation and
+simplification, which nothing undoes, log nothing. The trail is two logs
+in the order of the steps: every clause write with the clause it
+replaced, and the length every occurrence list had before a rewrite
+appended to it. Occurrence lists only grow: a force or a removed literal
+leaves the list in place, stale, as dropped clauses' positions already
+are. The forced map keeps its own order, so it needs no log. Backing up
+pops both logs, latest first, cutting each grown list back to its old
+length, and the end of the forced map, and costs what the steps wrote.
 
 Every rule application strictly shrinks (forced variables grow, clauses
 or literal counts drop), so the fixpoint always terminates. The fixpoint
@@ -105,7 +107,8 @@ class Propagator:
     may repeat. degree counts the variable's literal occurrences in live
     clauses.
     `force`, `substitute` and `remove_literal` queue exactly the clauses
-    they touch; a new engine starts with every clause in the queue.
+    they touch and leave live; a new engine starts with every clause in
+    the queue.
 
     `propagate` closes one step: it runs the queue to a fixpoint and
     appends the variables that vanished during the step, sorted, to
@@ -159,25 +162,35 @@ class Propagator:
             self.unsat = True
 
     def substitute(self, a: int, b: int) -> None:
-        """Rewrite literal a as the complement of b in place; queue those clauses."""
+        """Rewrite literal a as the complement of b in place; queue those clauses.
+
+        A clause the rewrite turns into a complementary pair of b, such as
+        (a b) or (-a -b) in either order, is satisfied by the pair and drops
+        out here, every copy of it, with the degree, `singles` and freed
+        bookkeeping a settle would do; it is not queued.
+        """
         source, target = abs(a), abs(b)
-        clauses, occ, writes = self.clauses, self.occ, self._writes
+        clauses, occ, writes, degree = self.clauses, self.occ, self._writes, self.degree
         moved = occ[target]
         self._occs.append((target, len(moved)))
+        degree[target] += degree[source]
+        degree[source] = 0
         for pos in occ[source]:
             clause = clauses[pos]
             if clause is None:
                 continue
-            rewritten = tuple(-b if lit == a else (b if lit == -a else lit) for lit in clause)
+            rewritten = tuple([-b if lit == a else (b if lit == -a else lit) for lit in clause])
             if rewritten == clause:
                 continue  # a repeated entry, already rewritten
             writes.append((pos, clause))
+            if len(rewritten) == 2 and rewritten[0] == -rewritten[1]:
+                clauses[pos] = None
+                self._lose(rewritten, ())
+                continue
             clauses[pos] = rewritten
             moved.append(pos)
             self.changed.append(pos)
             self._enqueue(pos)
-        self.degree[target] += self.degree[source]
-        self.degree[source] = 0
 
     def remove_literal(self, pos: int, lit: int) -> None:
         """Delete the one occurrence of a degree-one literal and queue its clause.

@@ -131,9 +131,11 @@ def allowed_classes(masks):
             elif count == 2:
                 pending[all_out].append((index, chosen))
         if found:
-            # Reversed, the lowest set position is the highest bit: among
-            # sets of one size, larger reversals have smaller position tuples.
-            found.sort(key=lambda bitset: int(f"{bitset:0{width}b}"[::-1], 2), reverse=True)
+            # Read lowest bit first, a set's binary string puts its lowest
+            # position first: among sets of one size, none of these strings
+            # is a prefix of another, and larger strings have smaller
+            # position tuples.
+            found.sort(key=lambda bitset: bin(bitset)[:1:-1], reverse=True)
             yield found
 
 

@@ -205,7 +205,66 @@ def reference_table(state, var):
     return tuple(reading(var, a, b) for a in (False, True) for b in (False, True))
 
 
+def one_variable_state(rng):
+    """A state in which variable 1 heads 1-4 pool members and 0-3 dual
+    children, linked in a random order through `record_sing` and
+    `record_dual`: a dual link recorded before 1's first pool membership
+    follows its concrete value, a later one its slot. Every child is a
+    flip pivot (its stay entries NEG) or not, and heads up to two links of
+    its own, so the tables it hands up vary."""
+    state, names, own = GeneralizedAssignment(), itertools.count(2), {}
+
+    def signed(var):
+        return var if rng.random() < 0.5 else -var
+
+    def link(parent, child, pool):
+        if pool:
+            pol = own.setdefault(parent, rng.random() < 0.5)
+            state.record_sing(parent if pol else -parent, signed(child))
+        else:
+            state.record_dual(signed(parent), signed(child))
+
+    def subtree():
+        var = next(names)
+        for _ in range(rng.randint(0, 2)):
+            leaf = next(names)
+            if rng.random() < 0.15:
+                state.flips.add(leaf)
+            link(var, leaf, rng.random() < 0.5)
+        if rng.random() < 0.15:
+            state.flips.add(var)
+        return var
+
+    pools = [True] * rng.randint(1, 4) + [False] * rng.randint(0, 3)
+    rng.shuffle(pools)
+    for pool in pools:
+        link(1, subtree(), pool)
+    return state
+
+
 class TestScoreTables:
+    def test_closed_form_matches_a_full_reading_on_random_states(self):
+        """`_table`'s closed form for a pool head equals the best over every
+        choice of satisfactor read down the whole subtree. Counts check that
+        the draws reach anchored and unanchored links, NEG entries below,
+        and two members that tie as the best choice."""
+        rng = random.Random(2200)
+        seen = collections.Counter()
+        for _ in range(3000):
+            state = one_variable_state(rng)
+            got, want = branching._table(state, 1), reference_table(state, 1)
+            assert all(w is None and g < 0 or g == w for g, w in zip(got, want)), (state, got, want)
+            members = state.sing[1]
+            seen["anchored"] += any(anchor for _, _, anchor in state.dual.get(1, ()))
+            seen["unanchored"] += any(not anchor for _, _, anchor in state.dual.get(1, ()))
+            seen["neg"] += any(min(state.score[child]) < 0 for child in state.score)
+            # A member's gain: its entry chosen in one model less its entry in neither.
+            gains = sorted(state.score[m][2 * pol + (not pol)] - state.score[m][3 * (not pol)] for m, pol in members)
+            seen["best ties"] += len(gains) > 1 and gains[-1] == gains[-2]
+            seen["best alone"] += len(gains) > 1 and gains[-1] > gains[-2]
+            seen["no pair"] += None in want
+        assert min(seen.values()) > 200, seen
+
     def test_cached_tables_match_a_full_reading_at_every_leaf(self, monkeypatch):
         """Tables built at link time or on a read, and dropped when their
         variable gains a link, equal the whole subtree read from scratch.

@@ -10,6 +10,8 @@ from xham import (
     assign,
     branching,
     enumerate_xmodels,
+    max_hamming_brute,
+    max_hamming_p,
     max_hamming_q,
     planted_formula,
     propagation,
@@ -129,6 +131,72 @@ class TestSubstituteDual:
         assert_model_preservation(formula((1, 2, 3), (1, 2, 4)), substitute=(1, 2))
 
 
+def substitute_by_settling(engine, a, b):
+    """`substitute` without its in-place drop: every rewritten clause, a
+    complementary pair included, is queued for `propagate` to settle.
+    Before an engine's first mark, so nothing is logged."""
+    source, target = abs(a), abs(b)
+    for pos in engine.occ[source]:
+        clause = engine.clauses[pos]
+        if clause is None:
+            continue
+        rewritten = tuple(-b if lit == a else (b if lit == -a else lit) for lit in clause)
+        if rewritten != clause:
+            engine.clauses[pos] = rewritten
+            engine.occ[target].append(pos)
+            engine._enqueue(pos)
+    engine.degree[target] += engine.degree[source]
+    engine.degree[source] = 0
+
+
+# The clauses around the binary one: none, one that leaves 2 a singleton
+# once the pair drops, and a pair that keeps both variables in the formula.
+CONTEXTS = [(), ((2, 3, 4),), ((1, 3, 4), (-2, 5, 6))]
+CONTEXT_IDS = ["lone", "leaves-2-single", "keeps-both"]
+
+
+class TestSubstituteDropsComplementaryBinaries:
+    """A dual substitution drops the binary clause it turns into a
+    complementary pair itself, with the outcome a settle of it would give."""
+
+    @pytest.mark.parametrize("context", CONTEXTS, ids=CONTEXT_IDS)
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 1), (-1, -2), (-2, -1)], ids=str)
+    @pytest.mark.parametrize("step", [(1, 2), (2, 1)], ids=str)
+    def test_matches_a_settle_of_the_rewrite(self, context, copies, pair, step):
+        f = formula(*context, *[pair] * copies, n=6)
+        dropped = [pos for pos, clause in enumerate(f.clauses) if clause == pair]
+        engine, settled = Propagator(f), Propagator(f)
+        for e in (engine, settled):
+            assert e.propagate()
+            e.changed.clear()
+        engine.substitute(*step)
+        assert all(engine.clauses[pos] is None for pos in dropped) and not engine.queued[dropped[0]]
+        substitute_by_settling(settled, *step)
+        assert engine.propagate() and settled.propagate()
+        assert engine.clauses == settled.clauses and engine.degree == settled.degree
+        assert engine.forced == settled.forced and engine.freed == settled.freed
+        assert sorted(engine.singles) == sorted(settled.singles)
+
+    @pytest.mark.parametrize("context", CONTEXTS, ids=CONTEXT_IDS)
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_undo_restores_the_dropped_copies(self, context, copies):
+        engine = Propagator(formula(*context, *[(-2, -1)] * copies, n=6))
+        assert engine.propagate()
+        before, mark = engine_state(engine), engine.mark()
+        engine.substitute(1, 2)
+        assert engine.propagate()
+        assert len(engine._writes) >= copies
+        engine.undo_to(mark)
+        assert engine_state(engine) == before
+
+    def test_q_p_and_brute_agree_where_one_substitution_drops_two_copies(self):
+        """q's simplification rewrites (-4 -1) as (-2 -1) next to (-1 -2), and
+        eliminating (-2 -1) drops both in one substitution."""
+        f = formula((-3, -4), (-4, 2), (-4, -1), (-1, -2))
+        assert max_hamming_q(f).distance == max_hamming_p(f).distance == max_hamming_brute(f).distance == 4
+
+
 class TestModelPreservationSuite:
     def test_random_instances(self):
         checked = 0
@@ -192,8 +260,9 @@ def test_fixpoint_clauses_hold_distinct_variables():
             assert len({abs(lit) for lit in clause}) == len(clause)
 
 
-def settled_clauses_on_chain(monkeypatch, n):
-    """Clause settlements while simplification eats a binary chain of n variables."""
+def settled_clauses_on_chain(monkeypatch, n, signed=True):
+    """Clause settlements while simplification eats a binary chain of n
+    variables, with random signs or all positive."""
     real = propagation._settle_clause
     count = 0
 
@@ -204,7 +273,7 @@ def settled_clauses_on_chain(monkeypatch, n):
 
     monkeypatch.setattr(propagation, "_settle_clause", counting)
     rng = random.Random(n)
-    chain = Formula(n, tuple((i, i + 1 if rng.random() < 0.5 else -(i + 1)) for i in range(1, n)))
+    chain = Formula(n, tuple((i, i + 1 if not signed or rng.random() < 0.5 else -(i + 1)) for i in range(1, n)))
     engine, state = Propagator(chain), GeneralizedAssignment()
     assert branching._simplify(engine, state)
     state.absorb(engine.forced.items(), engine.freed)
@@ -217,6 +286,13 @@ def test_chain_simplification_settles_linearly_many_clauses(monkeypatch):
     large = settled_clauses_on_chain(monkeypatch, 2000)
     assert small >= 999
     assert large <= 2.5 * small
+
+
+def test_binary_chain_settles_each_clause_once(monkeypatch):
+    """(1 2), (2 3), ...: the first propagation settles each clause, every
+    dual substitution drops the clause it rewrites in place, and the last
+    clause pools into a unit, settled once more."""
+    assert settled_clauses_on_chain(monkeypatch, 1000, signed=False) == 1000
 
 
 def engine_state(engine):
