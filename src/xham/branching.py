@@ -369,14 +369,19 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     heads no pool yet; only when no clause can pool does it eliminate
     the first binary clause by dual substitution, in place on the
     engine; the substitution drops that clause itself, with every other
-    clause it turns into a complementary pair, such as a copy, so an
-    elimination queues only the clauses it rewrites and keeps. Two
-    position heaps stand in for rescanning the formula, both fed from
-    the engine's `changed` and `singles` logs: `to_pool` holds every
-    clause that may have become poolable (it shrank, was rewritten, or
-    one of its variables fell to degree one) and `binaries` every clause
-    that may have become binary. A new engine logs every position; below
-    q's root the logs hold only what the node's steps touched since its
+    clause it turns into a complementary pair, such as a copy, and queues
+    a rewrite only when it repeats a variable. Two position heaps stand
+    in for rescanning the formula. `binaries` is fed from the engine's
+    `changed` log and holds every clause that may have become binary.
+    `to_pool` is fed from its `singles` log alone: a clause can only
+    start to pool when one of its variables falls to degree one, and
+    each such variable pushes its clause once. So a clause has at least
+    as many entries as fresh singletons (heading no pool), one fewer
+    while it holds no pool head; a pool uses one entry and takes at
+    least one fresh singleton, so a clause that can pool always has an
+    entry left, and a pooled clause is not pushed again. A new
+    engine logs its binary clauses and degree-one variables; below q's
+    root the logs hold only what the node's steps touched since its
     mark, at a fixpoint where nothing pools and no clause is binary.
     Popping the smallest position that passes the check makes the same
     choice, in the same order, as a scan of the whole formula would.
@@ -386,7 +391,6 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     binaries: list[int] = []
     while engine.propagate():
         for pos in engine.changed:
-            heappush(to_pool, pos)
             clause = clauses[pos]
             if clause is not None and len(clause) == 2:
                 heappush(binaries, pos)

@@ -62,6 +62,8 @@ def parse_formula(text: str) -> Formula:
     into clauses at their zeros. Tokens carry no line numbers: when a
     check fails, `_line_of` counts the tokens again up to the offending
     one, so the message names the line a token-by-token reading names.
+    These checks are the ones `Formula.__post_init__` makes, so the
+    formula is built without running them again.
     """
     tokens = _tokens(text)
     if not tokens:
@@ -96,7 +98,10 @@ def parse_formula(text: str) -> Formula:
         raise ParseError(
             f"line {_line_of(text, len(tokens) - 1)}: header declares {num_clauses} clauses, found {len(clauses)}"
         )
-    return Formula(num_vars, tuple(clauses))
+    formula = object.__new__(Formula)
+    object.__setattr__(formula, "num_vars", num_vars)
+    object.__setattr__(formula, "clauses", tuple(clauses))
+    return formula
 
 
 def serialize_formula(formula: Formula) -> str:

@@ -14,11 +14,17 @@ the clauses by position (a clause only shrinks, is rewritten in place or
 drops out; a rewrite that leaves a complementary pair of two literals
 drops that clause itself, rather than queue it for a settle), an
 occurrence list and a degree count per variable, the forced map, and a
-work queue: a clause is settled again only when one of its variables is
-forced or rewritten, so a fixpoint costs time linear in the clauses it
-touches rather than a sweep over the whole formula per round. The
-solver, p and q each search one engine: a level or a q child takes a
-`mark`, applies its steps, and goes back with `undo_to`. Every engine
+work queue. The queue rests on one invariant: a live clause off the
+queue holds at least two distinct unforced variables, so a settle would
+leave it as it is. A step queues only what breaks that: a force queues
+the clauses holding its variable, a rewrite only a clause in which it
+repeats a variable, a removed literal only a clause left with fewer
+than two, and a new engine only its clauses of fewer than two literals
+or with a repeated variable. A fixpoint so costs time linear in the
+clauses a step can change rather than a sweep over the whole formula.
+
+The solver, p and q each search one engine: a level or a q child takes
+a `mark`, applies its steps, and goes back with `undo_to`. Every engine
 keeps its trail from its first mark, so the root's own propagation and
 simplification, which nothing undoes, log nothing. The trail is two logs
 in the order of the steps: every clause write with the clause it
@@ -106,17 +112,20 @@ class Propagator:
     it, and every entry of a variable that left the formula. A position
     may repeat. degree counts the variable's literal occurrences in live
     clauses.
-    `force`, `substitute` and `remove_literal` queue exactly the clauses
-    they touch and leave live; a new engine starts with every clause in
-    the queue.
+    A live clause off the queue holds at least two distinct unforced
+    variables; `force`, `substitute`, `remove_literal` and a new engine
+    queue exactly the clauses that break this (see the module
+    docstring), so an engine whose clauses all hold two distinct
+    variables starts at its fixpoint.
 
     `propagate` closes one step: it runs the queue to a fixpoint and
     appends the variables that vanished during the step, sorted, to
     `freed`. Two logs serve a caller that keeps rewriting between steps:
-    `changed` collects positions whose clause the caller has not yet seen
-    settled (every position of a new engine, then each one whose clause
-    shrank or was rewritten), `singles` variables whose degree fell to
-    one. The caller drains them.
+    `changed` collects positions whose clause may have become binary
+    unseen by the caller (each binary clause of a new engine, then each
+    position whose clause shrank or was rewritten), `singles` variables
+    whose degree fell to one (each degree-one variable of a new engine,
+    then each whose degree fell to one). The caller drains them.
 
     The trail runs from the first mark on: `mark` and `undo_to` take the
     engine back to an earlier fixpoint, over every step since that mark
@@ -124,9 +133,10 @@ class Propagator:
     """
 
     def __init__(self, formula: Formula):
-        self.clauses: list[tuple[int, ...] | None] = list(formula.clauses)
+        clauses: list[tuple[int, ...] | None] = list(formula.clauses)
+        self.clauses = clauses
         occ: defaultdict[int, list[int]] = defaultdict(list)
-        for pos, clause in enumerate(self.clauses):
+        for pos, clause in enumerate(clauses):
             for lit in clause:
                 occ[abs(lit)].append(pos)
         self.occ = occ
@@ -135,10 +145,15 @@ class Propagator:
         self.forced: Assignment = {}
         self.freed: list[int] = []
         self.unsat = False
-        self.queue = deque(range(len(self.clauses)))
-        self.queued = bytearray(b"\x01") * len(self.clauses)
-        self.changed: list[int] = list(range(len(self.clauses)))
-        self.singles: list[int] = []
+        # Nothing is forced yet, so only a clause shorter than two literals
+        # or one that repeats a variable can change when settled.
+        dirty = [pos for pos, clause in enumerate(clauses) if len(clause) < 2 or len({*map(abs, clause)}) < len(clause)]
+        self.queue = deque(dirty)
+        self.queued = bytearray(len(clauses))
+        for pos in dirty:
+            self.queued[pos] = 1
+        self.changed: list[int] = [pos for pos, clause in enumerate(clauses) if len(clause) == 2]
+        self.singles: list[int] = [var for var, count in self.degree.items() if count == 1]
         self._vanished: list[int] = []
         # The trail: (pos, replaced clause) per clause write and
         # (var, old length) per occurrence list a rewrite appended to.
@@ -162,12 +177,17 @@ class Propagator:
             self.unsat = True
 
     def substitute(self, a: int, b: int) -> None:
-        """Rewrite literal a as the complement of b in place; queue those clauses.
+        """Rewrite literal a as the complement of b in place.
 
         A clause the rewrite turns into a complementary pair of b, such as
         (a b) or (-a -b) in either order, is satisfied by the pair and drops
         out here, every copy of it, with the degree, `singles` and freed
-        bookkeeping a settle would do; it is not queued.
+        bookkeeping a settle would do; it is not queued. Every other
+        rewrite is logged in `changed`, and queued only when it repeats a
+        variable. b must be unforced, as every variable of a live clause
+        is at a fixpoint and on a new engine: a clause off the queue then
+        still holds two distinct unforced variables after a rewrite that
+        repeats none.
         """
         source, target = abs(a), abs(b)
         clauses, occ, writes, degree = self.clauses, self.occ, self._writes, self.degree
@@ -190,20 +210,24 @@ class Propagator:
             clauses[pos] = rewritten
             moved.append(pos)
             self.changed.append(pos)
-            self._enqueue(pos)
+            if len({*map(abs, rewritten)}) < len(rewritten):
+                self._enqueue(pos)
 
     def remove_literal(self, pos: int, lit: int) -> None:
-        """Delete the one occurrence of a degree-one literal and queue its clause.
+        """Delete the one occurrence of a degree-one literal from a clause.
 
-        The variable leaves the formula without counting as freed: the
-        caller keeps track of it elsewhere.
+        The clause is logged in `changed` and queued only when it is left
+        with fewer than two literals: the ones it keeps stay distinct and
+        unforced. The variable leaves the formula without counting as
+        freed: the caller keeps track of it elsewhere.
         """
         clause = self.clauses[pos]
         self._writes.append((pos, clause))
-        self.clauses[pos] = tuple(l for l in clause if l != lit)
+        live = self.clauses[pos] = tuple(l for l in clause if l != lit)
         self.degree[abs(lit)] = 0
         self.changed.append(pos)
-        self._enqueue(pos)
+        if len(live) < 2:
+            self._enqueue(pos)
 
     def position_of(self, var: int) -> int:
         """Position of the one live clause holding a degree-one variable."""

@@ -123,7 +123,8 @@ def count_allowed_subsets_brute(formula: Formula, cap: int = 20) -> int:
 def count_builds(monkeypatch) -> dict[str, int]:
     """Count `Propagator` and `Formula` builds into the returned dict.
 
-    Every `Formula` passes `__post_init__`, so the count covers them all.
+    Every `Formula` but the parser's passes `__post_init__`, so the count
+    covers every one a search builds.
     """
     built = {"engines": 0, "formulas": 0}
     engine_init, formula_init = Propagator.__init__, Formula.__post_init__

@@ -1,4 +1,5 @@
 import collections
+import heapq
 import inspect
 import itertools
 import random
@@ -66,6 +67,70 @@ class TestSimplifyState:
         engine = Propagator(formula((1,), (-1,)))
         assert not branching._simplify(engine, GeneralizedAssignment())
         assert engine.unsat
+
+
+def simplify_pushing_every_change(engine, state):
+    """`_simplify` that also pushes every position in `changed` on
+    `to_pool`, so it checks for pooling every clause a step shrank or
+    rewrote, a pooled clause included: the reference for feeding
+    `to_pool` from `singles` alone."""
+    clauses, degree = engine.clauses, engine.degree
+    to_pool, binaries = [], []
+    while engine.propagate():
+        for pos in engine.changed:
+            heapq.heappush(to_pool, pos)
+            if clauses[pos] is not None and len(clauses[pos]) == 2:
+                heapq.heappush(binaries, pos)
+        for var in engine.singles:
+            if degree[var] == 1:
+                heapq.heappush(to_pool, engine.position_of(var))
+        engine.changed.clear()
+        engine.singles.clear()
+        if branching._pool_first(engine, state, to_pool):
+            continue
+        if not branching._eliminate_first_binary(engine, state, binaries):
+            return True
+    return False
+
+
+def logging_every_position(f):
+    """A new engine whose `changed` log holds every position, so the
+    reference `_simplify` checks every clause of the input for pooling."""
+    engine = Propagator(f)
+    engine.changed[:] = range(len(f.clauses))
+    return engine
+
+
+def test_simplify_links_as_a_reference_that_pools_from_every_change(monkeypatch):
+    """q with `to_pool` fed from `singles` alone records the same pool and
+    dual links, in the same order, as with every changed position pushed
+    too, and searches the same tree."""
+    monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
+    instances = [planted_formula(n, 3, 2, seed) for n in (12, 15, 18) for seed in range(3)]
+    instances += [planted_formula(n, 4, 2, seed) for n in (12, 16) for seed in range(3)]
+    instances += [random_formula(n, (n + 1) // 2, k, 7700 + 10 * n + k) for k in (3, 4, 5) for n in range(8, 24, 3)]
+    instances += [chain(n, k, seed) for k, n in ((2, 24), (3, 25), (4, 25), (5, 25)) for seed in range(3)]
+    links = []
+    sing, dual = GeneralizedAssignment.record_sing, GeneralizedAssignment.record_dual
+    monkeypatch.setattr(GeneralizedAssignment, "record_sing", lambda s, *a: links.append(("sing", a)) or sing(s, *a))
+    monkeypatch.setattr(GeneralizedAssignment, "record_dual", lambda s, *a: links.append(("dual", a)) or dual(s, *a))
+
+    def run(f):
+        del links[:]
+        counter = SearchStats()
+        distance = max_hamming_q(f, counter).distance
+        return distance, counter.nodes, counter.leaves, list(links)
+
+    pooled = 0
+    for f in instances:
+        got = run(f)
+        with monkeypatch.context() as reference:
+            reference.setattr(branching, "_simplify", simplify_pushing_every_change)
+            reference.setattr(branching, "Propagator", logging_every_position)
+            want = run(f)
+        assert got == want, f
+        pooled += sum(kind == "sing" for kind, _ in got[3])
+    assert pooled > 100
 
 
 def leaf_state(**kw):

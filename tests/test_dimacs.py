@@ -229,3 +229,31 @@ def test_malformed_text_gives_the_reference_error(text):
     expected = outcome(reference_parse, text)
     assert isinstance(expected, str)
     assert outcome(parse_formula, text) == expected
+
+
+def test_parsing_makes_the_formula_checks_once(monkeypatch):
+    """The parser's own range checks are `Formula.__post_init__`'s, so it
+    builds its formula without running them again: with `__post_init__`
+    made to raise, every text parses to the same formula or fails with the
+    same message, and every other construction still checks."""
+    rng = random.Random(23)
+    texts = MALFORMED + [random_text(rng) for _ in range(1000)]
+    expected = [outcome(reference_parse, text) for text in texts]
+    assert sum(isinstance(want, Formula) for want in expected) > 500
+
+    def refuse(self):
+        raise AssertionError("the parser ran Formula.__post_init__")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Formula, "__post_init__", refuse)
+        got = [outcome(parse_formula, text) for text in texts]
+        with pytest.raises(AssertionError, match="ran Formula.__post_init__"):
+            Formula(2, ((1, 2),))
+    assert got == expected
+    for f in got:
+        if isinstance(f, Formula):
+            assert type(f.clauses) is tuple and all(type(clause) is tuple for clause in f.clauses)
+            assert all(type(lit) is int for clause in f.clauses for lit in clause)
+    for bad in [((1, 3),), ((0, 1),), ((1.0,),)]:
+        with pytest.raises(ValueError):
+            Formula(2, bad)

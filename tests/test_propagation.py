@@ -281,18 +281,19 @@ def settled_clauses_on_chain(monkeypatch, n, signed=True):
     return count
 
 
-def test_chain_simplification_settles_linearly_many_clauses(monkeypatch):
-    small = settled_clauses_on_chain(monkeypatch, 1000)
-    large = settled_clauses_on_chain(monkeypatch, 2000)
-    assert small >= 999
-    assert large <= 2.5 * small
+def test_chain_simplification_settles_a_constant_number_of_clauses(monkeypatch):
+    """A new engine queues no clause of two distinct variables, and a dual
+    substitution queues no rewrite of one: the settles do not grow with
+    the chain."""
+    assert settled_clauses_on_chain(monkeypatch, 1000) == settled_clauses_on_chain(monkeypatch, 2000) == 1
 
 
-def test_binary_chain_settles_each_clause_once(monkeypatch):
-    """(1 2), (2 3), ...: the first propagation settles each clause, every
-    dual substitution drops the clause it rewrites in place, and the last
-    clause pools into a unit, settled once more."""
-    assert settled_clauses_on_chain(monkeypatch, 1000, signed=False) == 1000
+def test_binary_chain_settles_one_clause(monkeypatch):
+    """(1 2), (2 3), ...: a new engine settles none of them, every dual
+    substitution drops the clause it rewrites in place and queues no other
+    rewrite, and the last clause pools into a unit, the one clause settled."""
+    assert settled_clauses_on_chain(monkeypatch, 1000, signed=False) == 1
+    assert settled_clauses_on_chain(monkeypatch, 2000, signed=False) == 1
 
 
 def engine_state(engine):
@@ -379,9 +380,14 @@ def test_undo_restores_the_state_at_the_mark(f, data):
 
 
 def test_mark_needs_a_fixpoint():
-    engine = Propagator(formula((1, 2, 3)))
+    """A new engine queues its unit clause, so it is not at a fixpoint until
+    it propagates; one whose clauses each hold two distinct variables is."""
+    engine = Propagator(formula((1,), (1, 2, 3)))
     with pytest.raises(ValueError, match="fixpoint"):
         engine.mark()
+    assert engine.propagate() and engine.mark() == (0, 0, 3, 0, False)
+    clean = Propagator(formula((1, 2, 3), (-3, 4)))
+    assert not clean.queue and clean.mark() == (0, 0, 0, 0, False)
 
 
 def test_the_trail_starts_at_the_first_mark():
@@ -426,7 +432,8 @@ def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
     """At every q node that branches, each true, false and dual step on a
     pivot of its longest clause, applied under a mark on the search's one
     engine, simplifies exactly as on a fresh engine built from the node's
-    formula, settles fewer clauses doing it, and `undo_to` gives the node
+    formula, does less work doing it (settles, against settles plus the
+    literals a constructor indexes), and `undo_to` gives the node
     back. The nodes are those of the branching path alone."""
     monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
     instances = [planted_formula(n, 3, 2, seed) for n in (15, 18, 21) for seed in range(4)]
@@ -437,6 +444,7 @@ def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
     real = propagation._settle_clause
     settles = {"shared": 0, "fresh": 0, None: 0}
     engine_kind = None  # the search's own settles count under None
+    indexed = 0  # literals the fresh engines' constructors put in their occurrence lists
 
     def counting(*args):
         settles[engine_kind] += 1
@@ -445,7 +453,7 @@ def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
     nodes = steps = 0
 
     def check_node(engine, positions, state):
-        nonlocal engine_kind, nodes, steps
+        nonlocal engine_kind, nodes, steps, indexed
         nodes += 1
         node = engine_state(engine)
         f = Formula.from_clauses(engine.clauses[pos] for pos in positions)
@@ -460,6 +468,7 @@ def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
                 assert engine_state(engine) == node
                 engine_kind = "fresh"
                 fresh = Propagator(f)
+                indexed += sum(map(len, f.clauses))
                 want = step_outcome(fresh, range(len(f.clauses)), state, step)
                 assert got == want, (f, step)
                 steps += 1
@@ -477,4 +486,130 @@ def test_steps_under_a_mark_match_a_fresh_engine_on_q_fixpoints(monkeypatch):
     for f in instances:
         max_hamming_q(f)
     assert nodes > 150 and steps > 2000
-    assert settles["shared"] < settles["fresh"]
+    # A new engine on a node's clauses, which hold two distinct variables
+    # each, settles none of them, so the fresh side's work is its settles
+    # plus the literals its constructor indexes.
+    assert settles["shared"] < settles["fresh"] + indexed
+
+
+def queueing_everything(f):
+    """A new engine with every position queued, so `propagate` settles
+    each clause once: the reference for queueing only clauses that can
+    change."""
+    engine = Propagator(f)
+    for pos in range(len(f.clauses)):
+        engine._enqueue(pos)
+    return engine
+
+
+def outcome(engine):
+    """What a propagated engine holds: the forced map as a dict and the
+    freed variables as a set, since the order of its forces may differ."""
+    if engine.unsat:
+        return "unsat"
+    return list(engine.clauses), dict(engine.degree), dict(engine.forced), set(engine.freed)
+
+
+RULE_CORPUS = (
+    repeated_variable_corpus(300, 9300)
+    + [random_formula(n, clause_count(n, k), k, 9500 + 10 * n + k) for k in (3, 4, 5) for n in range(6, 16)]
+    + [planted_formula(n, k, 2, seed) for n, k in ((15, 3), (18, 3), (16, 4), (20, 4)) for seed in range(3)]
+    + [chain(n, k, seed) for k, n in ((2, 30), (3, 31), (4, 31)) for seed in range(3)]
+)
+
+
+def test_a_new_engine_propagates_as_one_that_queues_every_clause():
+    """Only a clause shorter than two literals or one that repeats a
+    variable can change when a new engine settles it, so queueing just
+    those reaches the same fixpoint; a clean formula starts at it."""
+    queued_none = 0
+    for f in RULE_CORPUS:
+        engine, reference = Propagator(f), queueing_everything(f)
+        queued_none += not engine.queue
+        engine.propagate(), reference.propagate()
+        assert outcome(engine) == outcome(reference), f
+        assert engine.unsat == reference.unsat
+    # Every corpus formula that repeats a variable queues, and no other does.
+    assert queued_none == len(RULE_CORPUS) - 300
+
+
+def rewritten_positions(engine, before):
+    return [pos for pos, clause in enumerate(engine.clauses) if clause is not None and clause != before[pos]]
+
+
+@pytest.mark.parametrize(
+    "clauses, step",
+    [
+        (((1, 2, 3), (1, 4, 5), (-4, 6, 7)), (1, 4)),  # (-4 2 3) stays clean; (-4 -4 5) repeats 4
+        (((1, 2, 3), (-1, 2, 4), (5, 2, 6)), (1, 2)),  # (-2 2 3): a complementary pair of three literals
+        (((1, 2, 3, 4), (-1, 5, 6), (3, 7, 8)), (1, -3)),  # (3 2 3 4) repeats 3; (-3 5 6) stays clean
+        (((1, 2, 3), (4, 5, 6), (1, 4, 7)), (4, 1)),  # (-1 5 6) stays clean; (1 -1 7) a pair
+        (((1, 2, 3), (1, 4, 5), (6, 7, 8)), (1, 6)),  # (-6 2 3) and (-6 4 5): every rewrite clean
+        (((1, 2, 3), (-1, -2, 4, 5), (2, 6, 7)), (1, 2)),  # (-2 2 3) and (2 -2 4 5): two pairs
+    ],
+)
+def test_substitute_matches_a_reference_that_queues_every_rewrite(clauses, step):
+    f = formula(*clauses)
+    engine, reference = Propagator(f), Propagator(f)
+    for e in (engine, reference):
+        assert not e.queue and e.propagate()
+    before = list(reference.clauses)
+    engine.substitute(*step)
+    reference.substitute(*step)
+    for pos in rewritten_positions(reference, before):
+        reference._enqueue(pos)
+    for pos, clause in enumerate(engine.clauses):
+        if clause is not None and not engine.queued[pos]:
+            assert len({abs(lit) for lit in clause}) == len(clause) >= 2
+    engine.propagate(), reference.propagate()
+    assert outcome(engine) == outcome(reference)
+    assert sorted(engine.changed) == sorted(reference.changed)
+
+
+@pytest.mark.parametrize(
+    "clauses, removals, left",
+    [
+        (((1, 2, 3), (3, 4, 5)), [(0, 1)], 2),
+        (((1, 2), (2, 4, 5)), [(0, 1)], 1),
+        (((1, 2), (-2, 4, 5)), [(0, 1)], 1),
+        (((1, 2, 3), (3, 4, 5)), [(0, 1), (0, 2)], 1),
+        (((1, 2), (3, 4, 5)), [(0, 1), (0, 2)], 0),
+    ],
+)
+def test_remove_literal_matches_a_reference_that_queues_the_clause(clauses, removals, left):
+    f = formula(*clauses)
+    engine, reference = Propagator(f), Propagator(f)
+    for e in (engine, reference):
+        assert not e.queue and e.propagate()
+    for pos, lit in removals:
+        engine.remove_literal(pos, lit)
+        reference.remove_literal(pos, lit)
+        reference._enqueue(pos)
+    assert len(engine.clauses[0]) == left
+    assert bool(engine.queued[0]) == (left < 2)
+    engine.propagate(), reference.propagate()
+    assert outcome(engine) == outcome(reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RULE_CORPUS), st.data())
+def test_substitute_after_a_fixpoint_matches_a_queueing_reference(f, data):
+    """A drawn dual step on any fixpoint of the corpus: the engine queues a
+    rewrite only when it repeats a variable and still reaches the fixpoint
+    of one that queues every rewrite."""
+    engine, reference = Propagator(f), Propagator(f)
+    if not (engine.propagate() and reference.propagate()):
+        return
+    clauses = [clause for clause in engine.clauses if clause is not None]
+    if not clauses:
+        return
+    clause = data.draw(st.sampled_from(clauses))
+    pivot = data.draw(st.sampled_from(clause))
+    lit = data.draw(st.sampled_from([lit for lit in clause if lit != pivot]))
+    before = list(reference.clauses)
+    engine.substitute(pivot, lit)
+    reference.substitute(pivot, lit)
+    for pos in rewritten_positions(reference, before):
+        reference._enqueue(pos)
+    engine.propagate(), reference.propagate()
+    assert outcome(engine) == outcome(reference)
