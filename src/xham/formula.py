@@ -74,10 +74,10 @@ class SearchStats:
     one per branched part of a node that splits into connected parts. A
     leaf is a node whose simplification retired variables, which `gen_h`
     then scores. A connected part that q values from its x-models instead
-    of branching adds neither. p counts subsets checked, summed over the
+    of branching adds neither. p counts subsets checked, the allowed
+    subsets with no sign contradiction that it lists, summed over the
     connected components it scans, and solver calls: the base check plus
-    one per subset that passes its contradiction check (within the
-    number of allowed subsets)."""
+    one per listed subset that passes its clause check."""
 
     nodes: int = 0
     leaves: int = 0

@@ -31,25 +31,33 @@ def find_xmodel(formula: Formula) -> Assignment | None:
     return solve(engine)
 
 
-def solve(engine: Propagator, assumptions=()) -> Assignment | None:
+def solve(engine: Propagator, assumptions=(), positions=None) -> Assignment | None:
     """An x-model of the engine's formula with every literal of
     `assumptions` true, or None; the engine is left as it was found.
 
     The engine must be at a fixpoint. The model holds every variable the
     engine has forced, its freed variables set True, and the variables of
-    its live clauses.
+    its live clauses. With `positions`, ascending live positions whose
+    clauses share no variable with the other live clauses, and
+    assumptions over their variables alone, the search branches on those
+    clauses only. The caller must know that the other live clauses have
+    an x-model of their own; the model holds none of their variables.
     """
     root = engine.mark()
     for lit in assumptions:
         engine.force(abs(lit), lit > 0)
-    model = _search(engine) if engine.propagate() else None
+    if engine.propagate():
+        model = _search(engine, range(len(engine.clauses)) if positions is None else positions)
+    else:
+        model = None
     engine.undo_to(root)
     return model
 
 
-def _search(engine: Propagator) -> Assignment | None:
-    """Depth-first search from the engine's fixpoint, leaving the engine at
-    the model it finds, or at its start when there is none.
+def _search(engine: Propagator, positions) -> Assignment | None:
+    """Depth-first search from the engine's fixpoint over the clauses at
+    positions, leaving the engine at the model it finds, or at its start
+    when there is none.
 
     Clauses only shrink or drop on the way down, so a level's scan for its
     first longest clause starts at its parent's first live position and
@@ -57,12 +65,12 @@ def _search(engine: Propagator) -> Assignment | None:
     each level so reads a few clauses, not the whole list.
     """
     clauses = engine.clauses
-    path = []  # (mark, untried branch literals, scan start, longest width) per level above this one
+    path = []  # (mark, untried branch literals, scan start index, longest width) per level above this one
     branches = None
     start, width = 0, None
     while True:
         if branches is None:  # a new level: done, or branch on the first longest clause
-            start, longest = _first_longest(clauses, start, width)
+            start, longest = _first_longest(clauses, positions, start, width)
             if longest is None:
                 model = dict(engine.forced)
                 for var in engine.freed:
@@ -84,19 +92,20 @@ def _search(engine: Propagator) -> Assignment | None:
             engine.undo_to(mark)
 
 
-def _first_longest(clauses, start, width):
-    """(first live position at or after start, first longest live clause there).
+def _first_longest(clauses, positions, start, width):
+    """(index in positions of the first live clause at or after start,
+    first longest live clause there).
 
     No live clause may lie before start or be longer than width (None: no
     limit). With no live clause, returns (start, None).
     """
     first, longest, size = None, None, 0
-    for pos in range(start, len(clauses)):
-        clause = clauses[pos]
+    for index in range(start, len(positions)):
+        clause = clauses[positions[index]]
         if not clause:
             continue
         if first is None:
-            first = pos
+            first = index
         if len(clause) > size:
             longest, size = clause, len(clause)
             if size == width:

@@ -18,32 +18,41 @@ and each component is scanned on its own, over its own variables, in
 the order of its first clause. Each component keeps its own variable
 order, masks and subset listing; the solver runs on the one engine
 throughout, and a subset's assumptions name only its component's
-literals. A formula with one component asks the same questions in the
-same order as a scan of the whole formula, and k disjoint clauses cost
-k small listings, not the product of their sizes.
+literals. The other components' clauses are x-satisfiable (the base
+check found a model) and no assumption reaches them, so the solver
+searches only the component's clauses (see `solver.solve`). A formula
+with one component asks the same questions in the same order as a scan
+of the whole formula, and k disjoint clauses cost k small listings, not
+the product of their sizes, and k small searches, not k searches of the
+whole formula.
 
-Generation. `allowed_classes` branches over the clauses in order. A
-clause with no chosen variable chooses none or one pair of its undecided
-variables, a clause with one chooses exactly one more, a clause with two
-chooses none, and a clause with three or more ends the branch; after a
-clause, all its variables are decided. So every search state is an
-allowed subset of the clauses processed so far. Which variables a
-clause leaves undecided (its fresh ones), and their pairs, depend on
-the clause's index alone, so they are worked out once per call, before
-the search; a state with one chosen variable at a clause with no fresh
-one cannot choose a second and is dropped. A state's bound is n
-less the decided variables it left out, the largest size it can still
-reach. States wait on one explicit stack per bound, and the stacks are
-emptied from bound n down, so each state is expanded once and the
-allowed subsets come out one size at a time, largest first. Each size is
-sorted by the ascending tuple of set positions: the order in which a
-loop over `itertools.combinations` from size n down would meet these
-subsets, so the solver sees the same subsets in the same order. The scan
-stops after the first size with a hit. A state is fixed by the clauses
-it has passed and the decided variables it left out, so before the
-first hit at size k the search expands at most m + 1 states per subset
-of size k or more, about what the old loop tested, and holds no more
-than their children: an answer near n costs little. Every allowed X
+Generation. `allowed_classes` branches over a component's clauses in a
+walk order fixed once per call: fewest undecided variables (fresh ones)
+first, ties by position. A heap of (fresh count, position) entries, fed
+by a variable -> clauses index as variables get decided, gives the walk
+in O(m log m) plus the clauses' sizes. A clause whose variables are all
+decided is a pure check and comes as soon as its last variable does, and
+the walk goes from a clause to the clauses that share its variables, so
+a state that breaks a clause dies early: fail-first with forward
+checking. A clause with no chosen variable chooses none or one pair of
+its fresh variables, a clause with one chooses exactly one more, a
+clause with two chooses none, and a clause with three or more ends the
+branch; after a clause, all its variables are decided. So every search
+state is an allowed subset of the clauses walked so far. A clause's
+fresh variables, and their pairs, depend on its place in the walk
+alone, so they are worked out once per call, before the search; a state
+with one chosen variable at a clause with no fresh one cannot choose a
+second and is dropped. A state's bound is n less the decided variables
+it left out, the largest size it can still reach. States wait on one
+explicit stack per bound, and the stacks are emptied from bound n down,
+so each state is expanded once and the allowed subsets come out one
+size at a time, largest first. Each size is sorted by the ascending
+tuple of set positions: the order in which a loop over
+`itertools.combinations` from size n down would meet these subsets, so
+the walk order decides which states are expanded but never which
+subsets come out or in what order. The scan stops after the first size
+with a hit. Before the first hit at size k the search holds only states
+of bound k or more, so an answer near n costs little. Every allowed X
 already meets the degree budget Σ_{v∈X} deg(v) ≤ 2m (each clause holds
 0 or 2 of its occurrences), so starting at that bound would skip nothing
 that generation does not skip already.
@@ -64,72 +73,95 @@ variable's bit, and a subset's assumptions are read off these lists. No
 formula is built, at the root or per subset, and the witnesses are the
 solver's models.
 
-The contradiction check. Most of these questions contradict themselves:
-a variable outside X that is positive in one touched clause and negative
-in another is assumed both ways, and the solver's first force fails.
-Each clause also keeps the bits of its positive literals and those of
-its negative ones; OR-ing them over the clauses X touches gives P and N,
-and X is dropped without a solver call when P & N & ~X is nonzero. The
-check spots nothing else, so it changes no verdict: only the calls that
-would have failed at their first assumption are saved.
+The checks before a call. Most of these questions contradict
+themselves. A variable outside X that is positive in one touched clause
+and negative in another is assumed both ways. So each listing state
+carries P and N, the bits of the positive and of the negative literals
+of the clauses it touches; every bit of them is decided, so a state with
+P & N & ~X nonzero cannot recover and is dropped at once, and such an X
+is never listed. Of a listed X, P & ~X holds the variables its
+assumptions make false and N & ~X those they make true. An untouched
+clause with two literals made true, or with all of them made false,
+refutes X, and it is dropped without a call. Either check spots only
+what the solver's first `propagate` refutes, so neither changes a
+verdict: the solver sees the same questions in the same order, less
+the ones it would refute at once.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import defaultdict
 
 from .formula import BOTTOM, Formula, HammingResult, SearchStats
 from .propagation import Propagator, components
 from .solver import solve
 
 
-def allowed_classes(masks):
-    """The nonempty bitsets meeting each mask in 0 or 2 bits, one list per
-    size, largest size first; each list in ascending order of the tuple of
-    set bit positions. Empty sizes are skipped.
+def allowed_classes(masks, negatives):
+    """The nonempty bitsets meeting each mask in 0 or 2 bits and free of
+    sign contradictions, one list per size, largest size first; each list
+    in ascending order of the tuple of set bit positions. Empty sizes are
+    skipped.
 
-    A state (index, chosen) has decided every bit of the first index masks
-    and waits on the stack of its bound; a child's bound is never above
-    its parent's, so once stack k is empty every allowed set of size k has
-    reached it as a finished state.
+    negatives[i] holds the bits of masks[i] whose literals are negative;
+    its other bits are positive. A bitset X has a sign contradiction when
+    some bit outside X is positive in one mask that X meets and negative
+    in another.
 
-    One pass over the masks first builds, per index, the mask, its fresh
-    bits (those no earlier mask holds), their pairs and their count. A
-    state meeting the mask in no bit goes on with none or one pair of
-    them, in one bit with one of them (none there: the state is dead and
-    pushes nothing), in two bits with none, and in more ends its branch.
+    A state (index, chosen, P, N) has decided every bit of the first
+    index masks of the walk (`_walk`), and P and N hold the positive and
+    negative bits of the masks it meets; it waits on the stack of its
+    bound. A child's bound is never above its parent's, so once stack k is
+    empty every allowed set of size k has reached it as a finished state.
+
+    One pass over the walk first builds, per index, the mask, its fresh
+    bits (those no earlier mask holds), their pairs, their count and the
+    mask's sign bits. A state meeting the mask in no bit goes on with
+    none or one pair of them, in one bit with one of them (none there:
+    the state is dead and pushes nothing), in two bits with none, and in
+    more ends its branch. The children that meet the mask are dropped
+    when P & N & ~chosen is nonzero; no fresh bit is in P or N, so
+    which fresh bits a child chose does not matter.
     """
-    table = []  # per clause index: (mask, fresh bits, their pairs, fresh count)
-    decided = 0
-    for mask in masks:
-        bits = _bits(mask & ~decided)
-        table.append((mask, bits, [a | b for a, b in itertools.combinations(bits, 2)], len(bits)))
-        decided |= mask
-    width = decided.bit_count()
+    table = []  # per walk index: (mask, fresh bits, their pairs, fresh count, positive bits, negative bits)
+    width = 0
+    for i, places in _walk(masks):
+        mask, negative = masks[i], negatives[i]
+        bits = [1 << place for place in places]
+        pairs = [a | b for a, b in itertools.combinations(bits, 2)]
+        table.append((mask, bits, pairs, len(bits), mask ^ negative, negative))
+        width += len(bits)
     end = len(masks)
     pending = [[] for _ in range(width + 1)]
-    pending[width].append((0, 0))
+    pending[width].append((0, 0, 0, 0))
     for size in range(width, 0, -1):
         stack = pending[size]
         found = []
         while stack:
-            index, chosen = stack.pop()
+            index, chosen, positive, negative = stack.pop()
             if index == end:
                 found.append(chosen)
                 continue
-            mask, bits, pairs, fresh = table[index]
+            mask, bits, pairs, fresh, mask_positive, mask_negative = table[index]
             count = (chosen & mask).bit_count()
             all_out = size - fresh  # the bound if no fresh bit is chosen
             index += 1
             if count == 0:
-                pending[all_out].append((index, chosen))
-                if pairs:  # with none, all_out + 2 may lie past the top bound
-                    pending[all_out + 2].extend([(index, chosen | pair) for pair in pairs])
+                pending[all_out].append((index, chosen, positive, negative))  # the mask stays unmet
+                children, bound = pairs, all_out + 2
             elif count == 1:
-                if bits:  # with no fresh bit the clause keeps one chosen bit: dead
-                    pending[all_out + 1].extend([(index, chosen | bit) for bit in bits])
+                children, bound = bits, all_out + 1  # none: the mask keeps one chosen bit, dead
             elif count == 2:
-                pending[all_out].append((index, chosen))
+                children, bound = (0,), all_out
+            else:
+                continue
+            if children:
+                positive |= mask_positive
+                negative |= mask_negative
+                if not positive & negative & ~chosen:  # no fresh bit is in P or N: one test for all
+                    pending[bound].extend([(index, chosen | extra, positive, negative) for extra in children])
         if found:
             # Read lowest bit first, a set's binary string puts its lowest
             # position first: among sets of one size, none of these strings
@@ -139,13 +171,62 @@ def allowed_classes(masks):
             yield found
 
 
-def _bits(bitset: int) -> list[int]:
-    """The single-bit parts of bitset, lowest first."""
-    bits = []
-    while bitset:
-        bits.append(bitset & -bitset)
-        bitset &= bitset - 1
-    return bits
+def _walk(masks) -> list[tuple[int, list[int]]]:
+    """(mask index, positions of its fresh bits) in walk order: fewest
+    fresh bits (bits no earlier mask of the walk holds) first, ties by
+    index.
+
+    A heap holds (fresh count, index) per mask, and a mask gets a new
+    entry each time one of its bits is decided; an entry whose count is
+    no longer its mask's is stale and skipped. Each bit's masks are
+    listed once, by bit position, and dropped when the bit is decided.
+    """
+    holders = defaultdict(list)  # undecided bit position -> indices of the masks holding it
+    spans = []  # per mask: the positions of its bits, lowest first
+    for i, mask in enumerate(masks):
+        places = _places(mask)
+        spans.append(places)
+        for place in places:
+            holders[place].append(i)
+    fresh = [len(places) for places in spans]
+    heap = [(count, i) for i, count in enumerate(fresh)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        count, i = heapq.heappop(heap)
+        if count != fresh[i]:
+            continue
+        fresh[i] = -1  # walked: no entry matches it again
+        decided = []
+        for place in spans[i]:
+            others = holders.pop(place, None)
+            if others is None:
+                continue  # decided by an earlier mask
+            decided.append(place)
+            for j in others:  # every mask but i holding an undecided bit is still unwalked
+                if j != i:
+                    fresh[j] -= 1
+                    heapq.heappush(heap, (fresh[j], j))
+        order.append((i, decided))
+    return order
+
+
+def _places(mask: int) -> list[int]:
+    """The positions of mask's set bits, lowest first.
+
+    The trailing zeros go in one shift, so a few bits high up in a wide
+    mask cost a few operations on the wide number, not a few per bit.
+    """
+    if not mask:
+        return []
+    base = (mask & -mask).bit_length() - 1
+    mask >>= base
+    places = []
+    while mask:
+        low = mask & -mask
+        places.append(base + low.bit_length() - 1)
+        mask ^= low
+    return places
 
 
 def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> HammingResult:
@@ -154,11 +235,12 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     One engine on the input does all the work: it propagates, the solver
     checks on it that the propagated formula has a model, and only then
     are the live clauses split into connected components and each
-    component's nonempty allowed subsets generated, one size at a time
-    from the largest (see the module docstring for their order, for the
-    literals the solver assumes with each and for the contradiction
-    check that drops a subset without a call). In each component the
-    first subset the solver accepts on the same engine is its answer;
+    component's nonempty allowed subsets with no sign contradiction
+    generated, one size at a time from the largest (see the module
+    docstring for their order, for the literals the solver assumes with
+    each and for the clause check that drops a subset without a call).
+    In each component the first subset the solver accepts on the same
+    engine, searching that component alone, is its answer;
     with none, the component adds nothing. The distance is the sum of
     the answers' sizes plus one per variable that propagation freed.
 
@@ -168,9 +250,10 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     and every freed one True. The second witness is the first flipped on
     every answer, with the freed variables False.
 
-    `stats.subsets_checked` sums the subsets listed in every component;
-    `stats.solver_calls` counts the base check plus one call per subset
-    that passes the contradiction check.
+    `stats.subsets_checked` sums the subsets listed in every component,
+    those with a sign contradiction left out; `stats.solver_calls` counts
+    the base check plus one call per listed subset that passes the
+    clause check.
     """
     if stats is None:
         stats = SearchStats()
@@ -180,10 +263,9 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     if base_model is None:
         return HammingResult(BOTTOM)
 
-    clauses = engine.clauses
     first, flips = base_model, set()
-    for part in components(engine, [pos for pos, clause in enumerate(clauses) if clause is not None]):
-        answer = _scan_component(engine, [clauses[pos] for pos in part], stats)
+    for part in components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None]):
+        answer = _scan_component(engine, part, stats)
         if answer is not None:
             values, subset = answer
             first.update(values)
@@ -194,17 +276,20 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     return HammingResult(len(flips) + len(freed), (first, second))
 
 
-def _scan_component(engine: Propagator, live, stats: SearchStats):
-    """For the first allowed subset of one component's live clauses that
-    the solver accepts: the solver's model on the component's variables,
-    and the subset's variables. None when the solver accepts none.
+def _scan_component(engine: Propagator, part, stats: SearchStats):
+    """For the first allowed subset of one component's live clauses, at
+    positions part, that the solver accepts: the solver's model on the
+    component's variables, and the subset's variables. None when the
+    solver accepts none.
 
     One pass builds each clause's row: its mask, the bits of its positive
     and of its negative literals, and the (complement, bit) of each
-    literal. A subset's one pass over the rows ORs the sign bits of the
-    clauses it touches and keeps their literals; a contradiction drops
-    the subset, and otherwise its assumptions are read off those literals.
+    literal. The listing drops sign contradictions; a listed subset's one
+    pass over the rows ORs the sign bits of the clauses it touches, an
+    untouched clause that those make two-true or all-false drops it, and
+    otherwise its assumptions are read off the touched clauses' literals.
     """
+    live = [engine.clauses[pos] for pos in part]
     variables = sorted({abs(lit) for clause in live for lit in clause})
     position = {v: i for i, v in enumerate(variables)}
     rows = []
@@ -214,23 +299,30 @@ def _scan_component(engine: Propagator, live, stats: SearchStats):
         negative = sum(bit for complement, bit in literals if complement > 0)
         rows.append((positive | negative, positive, negative, literals))
 
-    for subsets in allowed_classes([row[0] for row in rows]):
+    for subsets in allowed_classes([row[0] for row in rows], [row[2] for row in rows]):
         stats.subsets_checked += len(subsets)
         for bitset in subsets:
             positive = negative = 0
-            touched = []
-            for mask, pos_bits, neg_bits, literals in rows:
-                if bitset & mask:
-                    positive |= pos_bits
-                    negative |= neg_bits
-                    touched.append(literals)
-            if positive & negative & ~bitset:
-                continue  # some variable outside the subset would be assumed both ways
+            touched, untouched = [], []
+            for row in rows:
+                if bitset & row[0]:
+                    positive |= row[1]
+                    negative |= row[2]
+                    touched.append(row[3])
+                else:
+                    untouched.append(row)
+            false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
+            if any(
+                ((positive_bits & true) | (negative_bits & false)).bit_count() > 1  # two literals made true
+                or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
+                for mask, positive_bits, negative_bits, _ in untouched
+            ):
+                continue  # the solver's first propagate would refute it
             stats.solver_calls += 1
             assumptions = tuple(
                 complement for literals in touched for complement, bit in literals if not bitset & bit
             )
-            model = solve(engine, assumptions)
+            model = solve(engine, assumptions, part)
             if model is not None:
                 values = {v: model[v] for v in variables}
                 return values, [v for i, v in enumerate(variables) if (bitset >> i) & 1]

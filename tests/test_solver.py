@@ -143,9 +143,9 @@ def test_same_models_as_a_fresh_engine_per_level():
     assert 0 < found < len(instances)
 
 
-def full_scan_first_longest(clauses, start, width):
-    """The pick as a scan of the whole clause list, dead positions included."""
-    return 0, max(filter(None, clauses), key=len, default=None)
+def full_scan_first_longest(clauses, positions, start, width):
+    """The pick as a scan of every position searched, dead ones included."""
+    return 0, max(filter(None, (clauses[pos] for pos in positions)), key=len, default=None)
 
 
 def test_longest_pick_matches_a_full_scan(monkeypatch):

@@ -22,7 +22,7 @@ from xham import (
     verify_xmodel,
 )
 from xham import subset_scan
-from xham.propagation import components
+from xham.propagation import Propagator, components
 from xham.solver import solve
 
 from conftest import (
@@ -68,6 +68,25 @@ def random_masks(rng):
     return [sum(1 << new for new, old in enumerate(used) if (mask >> old) & 1) for mask in masks]
 
 
+def random_negatives(rng, masks):
+    """Per mask, a random part of its bits: the bits of negative literals."""
+    return [sum(1 << i for i in range(mask.bit_length()) if (mask >> i) & 1 and rng.random() < 0.5) for mask in masks]
+
+
+def outside_literals(clauses, subset) -> list[int]:
+    """The literals of the clauses that subset touches whose variables lie
+    outside it, in clause order: the literals p's question makes false."""
+    touched = [clause for clause in clauses if any(abs(lit) in subset for lit in clause)]
+    return [lit for clause in touched for lit in clause if abs(lit) not in subset]
+
+
+def sign_consistent(clauses, subset) -> bool:
+    """No variable outside subset is positive in one touched clause and
+    negative in another: the set form of the listing's P & N & ~X check."""
+    outside = set(outside_literals(clauses, subset))
+    return not any(-lit in outside for lit in outside)
+
+
 class TestAllowedSubsetCheck:
     def test_two_of_three(self):
         assert allowed_subset_check(formula((1, 2, 3)), {1, 2})
@@ -98,15 +117,16 @@ class TestFlippedUnion:
     order, every literal of a touched clause whose variable is outside the
     subset false; the same question as the formula plus flipped copies of
     the touched clauses. The spy reads the engine's live clauses and the
-    literals assumed true."""
+    literals assumed true, and the positions a question searches: None
+    for the base question, the component's live positions after it."""
 
     @staticmethod
     def solver_inputs(monkeypatch, f):
         seen = []
 
-        def spy(engine, assumptions=()):
-            seen.append((tuple(filter(None, engine.clauses)), tuple(assumptions)))
-            return solve(engine, assumptions)
+        def spy(engine, assumptions=(), positions=None):
+            seen.append((tuple(filter(None, engine.clauses)), tuple(assumptions), positions))
+            return solve(engine, assumptions, positions)
 
         monkeypatch.setattr(subset_scan, "solve", spy)
         max_hamming_p(f)
@@ -114,40 +134,51 @@ class TestFlippedUnion:
 
     def test_flips_touched_clause(self, monkeypatch):
         assert self.solver_inputs(monkeypatch, formula((1, 2, 3))) == [
-            (((1, 2, 3),), ()),
-            (((1, 2, 3),), (-3,)),
+            (((1, 2, 3),), (), None),
+            (((1, 2, 3),), (-3,), [0]),
         ]
 
     def test_untouched_clause_not_duplicated(self, monkeypatch):
         f = formula((1, 2, 3), (3, 4), (-4, -5, 6))
-        assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-3, 4))
+        assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-3, 4), [0, 1, 2])
+
+    def test_a_question_searches_only_its_component(self, monkeypatch):
+        """(1 2 3) and (4 5 6) share no variable: each question after the
+        base one names and searches one of them."""
+        f = formula((1, 2, 3), (4, 5, 6))
+        assert self.solver_inputs(monkeypatch, f) == [
+            (f.clauses, (), None),
+            (f.clauses, (-3,), [0]),
+            (f.clauses, (-6,), [1]),
+        ]
 
     @staticmethod
     def scan_walk(monkeypatch, f):
         """p's questions on f, read against what `allowed_classes` listed.
 
-        Returns None when f has no x-model. Otherwise returns the
-        base question's assumptions and one row per listed subset, per
-        component in p's order, up to the subset the solver accepts:
-        (component's live clauses, component's variables, bitset, the
-        outside literals' complements, whether p asked the solver). A
-        subset counts as asked when p's next question, on the whole live
-        formula, assumes exactly those complements; every question must
-        be matched so.
+        Returns None when f has no x-model. Otherwise returns the base
+        question's assumptions and, per component in p's order, (its live
+        positions, its live clauses, its variables, its rows, whether the
+        solver accepted a subset). A row is (bitset, the outside literals'
+        complements, whether p asked the solver), one per listed subset up
+        to the one the solver accepts. A subset counts as asked when p's
+        next question, on the whole live formula and searching the
+        component's positions, assumes exactly those complements; every
+        question must be matched so.
         """
         listed = []  # per `allowed_classes` call, the bitsets it listed
-        calls = []  # per solver call: (live clauses, assumptions, accepted)
+        calls = []  # per solver call: (live clauses, assumptions, positions, accepted)
         allowed_classes = subset_scan.allowed_classes
 
-        def spy_classes(masks):
+        def spy_classes(masks, negatives):
             listed.append([])
-            for found in allowed_classes(masks):
+            for found in allowed_classes(masks, negatives):
                 listed[-1].extend(found)
                 yield found
 
-        def spy_solve(engine, assumptions=()):
-            model = solve(engine, assumptions)
-            calls.append((tuple(filter(None, engine.clauses)), tuple(assumptions), model is not None))
+        def spy_solve(engine, assumptions=(), positions=None):
+            model = solve(engine, assumptions, positions)
+            calls.append((tuple(filter(None, engine.clauses)), tuple(assumptions), positions, model is not None))
             return model
 
         monkeypatch.setattr(subset_scan, "allowed_classes", spy_classes)
@@ -159,65 +190,94 @@ class TestFlippedUnion:
         everything = live_clauses(engine)
         parts = components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None])
         assert len(parts) == len(listed)
+        assert calls[0][2] is None  # the base question searches everything
         questions = iter(calls[1:])
         question = next(questions, None)
-        rows = []
+        walked = []
         for part, bitsets in zip(parts, listed):
             live = [engine.clauses[pos] for pos in part]
             variables = sorted({abs(lit) for clause in live for lit in clause})
+            rows, accepted = [], False
             for bitset in bitsets:
                 subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
-                touched = [clause for clause in live if any(abs(lit) in subset for lit in clause)]
-                assumptions = tuple(-lit for clause in touched for lit in clause if abs(lit) not in subset)
+                assumptions = tuple(-lit for lit in outside_literals(live, subset))
                 asked = question is not None and question[1] == assumptions
-                rows.append((live, variables, bitset, assumptions, asked))
+                rows.append((bitset, assumptions, asked))
                 if asked:
-                    assert question[0] == everything
-                    accepted, question = question[2], next(questions, None)
+                    assert question[0] == everything and question[2] == part
+                    accepted, question = question[3], next(questions, None)
                     if accepted:
                         break
+            walked.append((part, live, variables, rows, accepted))
         assert question is None, "a question matched no listed subset"
-        return calls[0][1], rows
+        return calls[0][1], walked
 
     def test_assumptions_are_the_outside_literals_of_touched_clauses(self, monkeypatch):
         """Every question p asks after the base one assumes, in clause
         order, the complement of each literal of a touched clause whose
-        variable lies outside the subset; the subsets are the ones
-        `allowed_classes` lists for each component, in its order, less
-        those the contradiction check drops."""
+        variable lies outside the subset, and searches only the subset's
+        component; the subsets are the ones `allowed_classes` lists for
+        each component, in its order, less those the clause check drops."""
         scan_shaped = [random_formula(n, (n + 1) // 2, 3, 9900 + 10 * n + i) for n in range(18, 23) for i in range(3)]
         asked = 0
         for f in REPEATED + OVERLAPPING + scan_shaped:
             walk = self.scan_walk(monkeypatch, f)
             if walk is None:
                 continue  # f has no x-model
-            base, rows = walk
+            base, walked = walk
             assert base == ()
-            asked += sum(row[-1] for row in rows)
-        assert asked == 202
+            asked += sum(row[-1] for *_, rows, _ in walked for row in rows)
+        assert asked == 147
 
     def test_contradiction_check_is_exact(self, monkeypatch):
-        """A listed subset gets no solver call exactly when the sign bits
-        of the clauses it touches give P & N & ~X nonzero, and the solver
-        refutes every such subset; the others are asked in listing order."""
-        skipped = 0
+        """Of each component's allowed subsets, in scan order up to the one
+        the solver accepts, p lists exactly those with no sign
+        contradiction, and asks exactly the listed ones whose assumptions
+        make no untouched clause two-true or all-false. The first
+        `propagate` after the assumptions refutes every subset either
+        check drops."""
+        dropped = {"sign": 0, "clause": 0}
         for f in OVERLAPPING + REPEATED:
             walk = self.scan_walk(monkeypatch, f)
             if walk is None:
                 continue
             engine = propagated(f)
-            for live, variables, bitset, assumptions, asked in walk[1]:
-                position = {v: i for i, v in enumerate(variables)}
-                positive = negative = 0
-                for clause in live:
-                    if any((bitset >> position[abs(lit)]) & 1 for lit in clause):
-                        positive |= sum(1 << position[lit] for lit in clause if lit > 0)
-                        negative |= sum(1 << position[-lit] for lit in clause if lit < 0)
-                assert asked == (not positive & negative & ~bitset)
-                if not asked:
-                    assert solve(engine, assumptions) is None
-                    skipped += 1
-        assert skipped == 92
+            for part, live, variables, rows, accepted in walk[1]:
+                component = Formula(f.num_vars, tuple(live))
+                allowed = [
+                    combo
+                    for size in range(len(variables), 0, -1)
+                    for combo in itertools.combinations(variables, size)
+                    if allowed_subset_check(component, combo)
+                ]
+                bitsets = [sum(1 << variables.index(v) for v in combo) for combo in allowed]
+                if accepted:
+                    allowed = allowed[: bitsets.index(rows[-1][0]) + 1]
+                assert [row[0] for row in rows] == [
+                    bitset for bitset, combo in zip(bitsets, allowed) if sign_consistent(live, set(combo))
+                ]
+                asked = {row[0]: row[2] for row in rows}
+                for bitset, combo in zip(bitsets, allowed):
+                    assumptions = [-lit for lit in outside_literals(live, set(combo))]
+                    if bitset not in asked:
+                        kind = "sign"
+                    else:
+                        truths = set(assumptions)
+                        untouched = [c for c in live if not any(abs(lit) in combo for lit in c)]
+                        refuted = any(
+                            sum(lit in truths for lit in c) > 1 or all(-lit in truths for lit in c) for c in untouched
+                        )
+                        assert asked[bitset] == (not refuted)
+                        if asked[bitset]:
+                            continue
+                        kind = "clause"
+                    mark = engine.mark()
+                    for lit in assumptions:
+                        engine.force(abs(lit), lit > 0)
+                    assert not engine.propagate()
+                    engine.undo_to(mark)
+                    dropped[kind] += 1
+        assert dropped == {"sign": 92, "clause": 4}
 
     def test_unit_form_matches_flipped_copies(self):
         """For every allowed subset X of the reduced formula, the formula
@@ -255,9 +315,9 @@ class TestAllowedClasses:
         return [sum(1 << position[abs(l)] for l in clause) for clause in reduced.clauses]
 
     def test_lists_the_allowed_subsets_in_scan_order(self):
-        """The nonempty subsets passing the set-based check, one list per
-        size, in the order a loop over combinations from the largest size
-        down meets them."""
+        """With no sign bits, the nonempty subsets passing the set-based
+        check, one list per size, in the order a loop over combinations
+        from the largest size down meets them."""
         for f in REPEATED + OVERLAPPING:
             engine = propagated(f)
             if engine.unsat:
@@ -270,7 +330,8 @@ class TestAllowedClasses:
                 for combo in itertools.combinations(variables, size)
                 if allowed_subset_check(reduced, combo)
             ]
-            classes = list(subset_scan.allowed_classes(self.masks(reduced)))
+            masks = self.masks(reduced)
+            classes = list(subset_scan.allowed_classes(masks, [0] * len(masks)))
             assert [bitset for found in classes for bitset in found] == want
             assert [{bitset.bit_count() for bitset in found} for found in classes] == [
                 {size} for size in sorted({bitset.bit_count() for bitset in want}, reverse=True)
@@ -278,12 +339,12 @@ class TestAllowedClasses:
 
     def test_matches_a_brute_force_reference_on_random_masks(self):
         """Seeded mask lists of width at most 9, with duplicate masks,
-        one-bit masks and masks whose bits all appeared earlier: the lists
-        equal every nonempty bitset meeting each mask in 0 or 2 bits, by
-        size from the largest, each in ascending order of its position
-        tuple. A one-bit mask behind a mask that shares its bit leaves a
-        state with one chosen bit and no fresh one, which is dead."""
-        assert list(subset_scan.allowed_classes([0b11, 0b01])) == []
+        one-bit masks and masks whose bits all appeared earlier, and no
+        sign bits: the lists equal every nonempty bitset meeting each mask
+        in 0 or 2 bits, by size from the largest, each in ascending order
+        of its position tuple. (0 2) walks last, with no fresh bit, and
+        meets the state {0, 1} in one bit only, so that state is dead."""
+        assert list(subset_scan.allowed_classes([0b11, 0b111, 0b101], [0, 0, 0])) == []
         for seed in range(3000):
             masks = random_masks(random.Random(seed))
             width = functools.reduce(operator.or_, masks).bit_length()
@@ -293,7 +354,66 @@ class TestAllowedClasses:
                 found = [s for s in subsets if all((s & mask).bit_count() in (0, 2) for mask in masks)]
                 if found:
                     want.append(found)
-            assert list(subset_scan.allowed_classes(masks)) == want, masks
+            assert list(subset_scan.allowed_classes(masks, [0] * len(masks))) == want, masks
+
+    @staticmethod
+    def signed_reference(masks, negatives):
+        """Every nonempty bitset X meeting each mask in 0 or 2 bits with no
+        bit outside X positive in one mask X meets and negative in another,
+        by size from the largest, each in ascending order of its position
+        tuple."""
+        width = functools.reduce(operator.or_, masks).bit_length()
+        want = []
+        for size in range(width, 0, -1):
+            found = []
+            for combo in itertools.combinations(range(width), size):
+                subset = sum(1 << i for i in combo)
+                if any((subset & mask).bit_count() not in (0, 2) for mask in masks):
+                    continue
+                met = [(mask & ~negative, negative) for mask, negative in zip(masks, negatives) if subset & mask]
+                positive = functools.reduce(operator.or_, (bits for bits, _ in met), 0)
+                negative = functools.reduce(operator.or_, (bits for _, bits in met), 0)
+                if not positive & negative & ~subset:
+                    found.append(subset)
+            if found:
+                want.append(found)
+        return want
+
+    def test_drops_sign_contradictions_as_a_brute_force_reference_does(self):
+        """The same seeded mask lists, with random sign bits: the lists are
+        the allowed bitsets with no sign contradiction, in scan order, and
+        both kinds of drop occur."""
+        contradicted = 0
+        for seed in range(3000):
+            rng = random.Random(seed)
+            masks = random_masks(rng)
+            negatives = random_negatives(rng, masks)
+            want = self.signed_reference(masks, negatives)
+            assert list(subset_scan.allowed_classes(masks, negatives)) == want, (masks, negatives)
+            contradicted += sum(map(len, self.signed_reference(masks, [0] * len(masks)))) - sum(map(len, want))
+        assert contradicted > 1000
+
+    def test_permuting_the_masks_changes_no_list(self):
+        """The walk order depends on the masks' order, the lists do not."""
+        for seed in range(1000):
+            rng = random.Random(seed)
+            masks = random_masks(rng)
+            rows = list(zip(masks, random_negatives(rng, masks)))
+            want = list(subset_scan.allowed_classes(*map(list, zip(*rows))))
+            for _ in range(3):
+                rng.shuffle(rows)
+                assert list(subset_scan.allowed_classes(*map(list, zip(*rows)))) == want, rows
+
+    def test_walk_takes_fewest_fresh_bits_first(self):
+        """Each mask comes with its fresh bits. (2 3) goes first, as the
+        first of the shortest; then (1 2), whose bit 2 is decided; then
+        (0 1 2), with one fresh bit left, which leaves (0 1 5) with one
+        too, ahead of (6 7) with two. A chain given back to front walks
+        from its first clause to its neighbours."""
+        masks = [0b111, 0b1100, 0b11000000, 0b110, 0b100011]
+        assert subset_scan._walk(masks) == [(1, [2, 3]), (3, [1]), (0, [0]), (4, [5]), (2, [6, 7])]
+        chain = [0b11 << i for i in range(5)][::-1]
+        assert subset_scan._walk(chain) == [(0, [4, 5]), (1, [3]), (2, [2]), (3, [1]), (4, [0])]
 
     def test_long_binary_chain_has_no_recursion_limit(self):
         """Each clause of (1 2), (2 3), … forces its second variable to
@@ -302,7 +422,7 @@ class TestAllowedClasses:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            got = list(subset_scan.allowed_classes(masks))
+            got = list(subset_scan.allowed_classes(masks, [0] * len(masks)))
         finally:
             sys.setrecursionlimit(limit)
         assert got == [[(1 << 3001) - 1]]
@@ -345,7 +465,7 @@ def test_one_engine_and_no_formula_per_scan(monkeypatch):
         max_hamming_p(f, stats)
         assert built == {"engines": 1, "formulas": 0}, f
         calls += stats.solver_calls
-    assert calls == 95
+    assert calls == 83
 
 
 def test_agrees_with_oracle_on_random_suite():
@@ -417,30 +537,31 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
 # subsets_checked); a distance of None means unsatisfiable. Uniform rows
 # have the criterion-8 shape (m = (n + 1) // 2); a "repeated" row's seed
 # is its index in REPEATED. Every row's live clauses form one component.
-# solver_calls counts the base check and the subsets that pass the
-# contradiction check. The last field only names the test: an id is
+# subsets_checked counts the allowed subsets the listing keeps, those with
+# no sign contradiction, and solver_calls the base check and the listed
+# subsets that pass the clause check. The last field only names the test: an id is
 # family-n-length-seed-distance and then the solver_calls and filtering-scan
 # counts the row was first recorded with, kept fixed so that re-recording a
 # count does not rename a test.
 SCAN_WORK = [
     ("uniform", 10, 3, 8103100, None, 1, 0, "1-0"),
-    ("uniform", 10, 3, 8103101, 6, 2, 6, "4-83"),
-    ("uniform", 11, 3, 8103110, 5, 3, 6, "6-214"),
-    ("uniform", 11, 3, 8103111, 5, 2, 2, "3-74"),
-    ("uniform", 12, 3, 8103120, 2, 6, 15, "15-969"),
-    ("uniform", 12, 3, 8103121, 6, 3, 7, "5-207"),
-    ("uniform", 13, 3, 8103130, 0, 2, 7, "8-1023"),
-    ("uniform", 13, 3, 8103131, 8, 2, 16, "9-1422"),
-    ("uniform", 14, 3, 8103140, 8, 2, 23, "12-1406"),
-    ("uniform", 14, 3, 8103141, 9, 3, 9, "5-598"),
-    ("uniform", 10, 4, 8104100, 5, 2, 16, "16-604"),
-    ("uniform", 10, 4, 8104101, 0, 6, 21, "22-1023"),
-    ("uniform", 11, 4, 8104110, 0, 4, 9, "10-1023"),
+    ("uniform", 10, 3, 8103101, 6, 2, 2, "4-83"),
+    ("uniform", 11, 3, 8103110, 5, 2, 2, "6-214"),
+    ("uniform", 11, 3, 8103111, 5, 2, 1, "3-74"),
+    ("uniform", 12, 3, 8103120, 2, 6, 6, "15-969"),
+    ("uniform", 12, 3, 8103121, 6, 3, 3, "5-207"),
+    ("uniform", 13, 3, 8103130, 0, 2, 1, "8-1023"),
+    ("uniform", 13, 3, 8103131, 8, 2, 8, "9-1422"),
+    ("uniform", 14, 3, 8103140, 8, 2, 8, "12-1406"),
+    ("uniform", 14, 3, 8103141, 9, 2, 2, "5-598"),
+    ("uniform", 10, 4, 8104100, 5, 2, 2, "16-604"),
+    ("uniform", 10, 4, 8104101, 0, 2, 5, "22-1023"),
+    ("uniform", 11, 4, 8104110, 0, 4, 3, "10-1023"),
     ("uniform", 11, 4, 8104111, None, 1, 0, "1-0"),
     ("uniform", 12, 4, 8104120, None, 1, 0, "1-0"),
     ("uniform", 12, 4, 8104121, None, 1, 0, "1-0"),
-    ("uniform", 13, 4, 8104130, 0, 4, 35, "36-8191"),
-    ("uniform", 13, 4, 8104131, 7, 2, 7, "7-3677"),
+    ("uniform", 13, 4, 8104130, 0, 1, 3, "36-8191"),
+    ("uniform", 13, 4, 8104131, 7, 2, 1, "7-3677"),
     ("uniform", 14, 4, 8104140, None, 1, 0, "1-0"),
     ("uniform", 14, 4, 8104141, None, 1, 0, "1-0"),
     ("repeated", 8, None, 1, 3, 2, 1, "2-1"),
@@ -468,15 +589,15 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, su
         subsets,
     )
     if distance is not None:
-        # Every nonempty allowed subset at least as large as the answer's,
-        # over the one component.
+        # Every nonempty allowed subset with no sign contradiction at least
+        # as large as the answer's, over the one component.
         engine = propagated(f)
         positions = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
         assert len(components(engine, positions)) == 1
         live = Formula(f.num_vars, live_clauses(engine))
         variables = sorted(var for var, count in engine.degree.items() if count)
         assert subsets == sum(
-            allowed_subset_check(live, combo)
+            allowed_subset_check(live, combo) and sign_consistent(live.clauses, set(combo))
             for size in range(max(distance - len(engine.freed), 1), len(variables) + 1)
             for combo in itertools.combinations(variables, size)
         )
@@ -484,11 +605,12 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, su
 
 def test_scan_generates_where_filtering_would_not_finish():
     """On n=24 the filter checked 2,093,332 subsets to make 504 solver
-    calls; the scan per component lists 130 subsets, and 28 of them pass
-    the contradiction check. On n=40 the filter would face 2^40."""
+    calls; the scan per component lists 30 subsets with no sign
+    contradiction, and 7 of them pass the clause check. On n=40 the
+    filter would face 2^40."""
     stats = SearchStats()
     assert max_hamming_p(random_formula(24, 12, 3, 903), stats).distance == 4
-    assert (stats.solver_calls, stats.subsets_checked) == (29, 130)
+    assert (stats.solver_calls, stats.subsets_checked) == (8, 30)
     f = random_formula(40, 20, 3, 901)
     assert max_hamming_p(f).distance == max_hamming_q(f).distance == 9
 
@@ -515,6 +637,27 @@ def test_disjoint_length_four_clauses_scan_per_component():
     a, b = result.witnesses
     assert verify_xmodel(f, a) and verify_xmodel(f, b)
     assert hamming_distance(a, b) == 24
+
+
+@pytest.mark.parametrize("k,forces", [(6, 48), (12, 96), (24, 192)])
+def test_questions_search_only_their_component(monkeypatch, k, forces):
+    """k disjoint length-4 clauses: the base check forces 4 values per
+    clause, and each clause's one question forces its 2 assumptions and 2
+    more values in its own clause alone, so the work is 8k forces, not the
+    4k per question of a search over every clause."""
+    count = 0
+    force = Propagator.force
+
+    def counting(engine, var, value):
+        nonlocal count
+        count += 1
+        force(engine, var, value)
+
+    monkeypatch.setattr(Propagator, "force", counting)
+    stats = SearchStats()
+    f = Formula.from_clauses([tuple(range(4 * i + 1, 4 * i + 5)) for i in range(k)])
+    assert max_hamming_p(f, stats).distance == 2 * k
+    assert (stats.solver_calls, count) == (k + 1, forces)
 
 
 def test_scan_never_calls_the_set_based_check():
