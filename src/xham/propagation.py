@@ -23,8 +23,9 @@ than two, and a new engine only its clauses of fewer than two literals
 or with a repeated variable. A fixpoint so costs time linear in the
 clauses a step can change rather than a sweep over the whole formula.
 
-The solver, p and q each search one engine: a level or a q child takes
-a `mark`, applies its steps, and goes back with `undo_to`. Every engine
+Only q searches an engine: a q child takes a `mark`, applies its steps,
+and goes back with `undo_to`. The solver and p propagate the root with
+it and search on value lists of their own (see `solver`). Every engine
 keeps its trail from its first mark, so the root's own propagation and
 simplification, which nothing undoes, log nothing. The trail is two logs
 in the order of the steps: every clause write with the clause it
@@ -50,7 +51,7 @@ from .formula import Assignment, Formula
 def assign(formula: Formula, var: int, value: bool) -> "Propagator":
     """A fresh engine on formula with var forced to value and propagated.
 
-    The solver, p and q force on their own engines and never call this.
+    q forces on its own engine and never calls this.
     It stays because `branching` re-exports it for xbench, whose tracer
     wraps `branching.assign` and whose tests restore it.
     """

@@ -3,19 +3,72 @@
 Branches on which literal of a longest clause is the satisfactor: making
 one literal true forces every sibling false under exactly-one semantics,
 so each clause yields as many branches as literals. Propagation does the
-rest. The search runs on one propagation engine: each level is a mark, a
-force and a propagate, and backing up is an undo to the level's mark
-(see `propagation`). A level so costs the clauses its force touches, not
-a pass over the remaining formula, and the path lives on an explicit
-stack, so deep instances need no recursion. Worst-case bounds are not a
-goal here; this is the inner solver for the subset-scan algorithm and a
-fast satisfiability filter.
+rest.
+
+The root is propagated once by a `Propagator`: it forces what the input
+forces, frees what vanishes and leaves live clauses of two or more
+distinct variables. Those are split into connected components
+(`propagation.components`), and each component is searched on its own,
+since components share no variable: a formula has an x-model exactly
+when every component has one, and the check stops at the first that has
+none. Searching each on its own keeps a component without a model from
+being refuted once per combination of the choices made in the others.
+
+A component is renumbered to local variables 1..n (`Part`), and its
+search keeps one value per literal, indexed by the literal itself, so
+negative literals count back from the end of the list. Assignments go
+on a trail; a level is the trail's length before its branch literal,
+and backing up pops the trail to it, clearing each popped literal's
+values. No clause is rewritten: a clause is read through the values, and
+at a propagation fixpoint one with an unassigned literal has no true
+one, so its unassigned literals, in clause order, are what the
+propagation engine would have left of it. The path lives on an explicit
+stack, so deep instances need no recursion, and a step costs the
+clauses holding the variables it assigns, however many variables the
+component has. Worst-case bounds are not a goal here; this is the inner solver
+for the subset-scan algorithm and a fast satisfiability filter.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from typing import NamedTuple
+
 from .formula import Assignment, Formula
-from .propagation import Propagator
+from .propagation import Propagator, components
+
+
+class Part(NamedTuple):
+    """One connected component of a propagated engine's live clauses, in
+    local numbering.
+
+    Local variable i is variables[i - 1]; variables are ascending.
+    clauses holds the component's live clauses in position order, each
+    literal renumbered, and holding[lit] every clause that holds the
+    local literal lit; a negative literal indexes from the end of the
+    list.
+    """
+
+    variables: list[int]
+    clauses: list[tuple[int, ...]]
+    holding: list[list[tuple[int, ...]]]
+
+
+def _part_of(engine: Propagator, positions) -> Part:
+    """The Part of the live clauses at positions, one component of the
+    engine at its fixpoint."""
+    live = [engine.clauses[pos] for pos in positions]
+    variables = sorted(set(map(abs, itertools.chain.from_iterable(live))))
+    n = len(variables)
+    local = dict(zip(variables, range(1, n + 1)))
+    local.update(zip(map(operator.neg, variables), range(-1, -n - 1, -1)))
+    clauses = [tuple(map(local.__getitem__, clause)) for clause in live]
+    holding = [[] for _ in range(2 * n + 1)]
+    for clause in clauses:
+        for lit in clause:
+            holding[lit].append(clause)
+    return Part(variables, clauses, holding)
 
 
 def find_xmodel(formula: Formula) -> Assignment | None:
@@ -25,89 +78,149 @@ def find_xmodel(formula: Formula) -> Assignment | None:
     branch literals are tried in clause order, and variables left
     unconstrained by propagation are filled positively.
     """
-    engine = Propagator(formula)
+    found = solve(Propagator(formula))
+    return None if found is None else found[0]
+
+
+def solve(engine: Propagator) -> tuple[Assignment, list[Part]] | None:
+    """(an x-model of a new engine's formula, the Parts of its live
+    clauses' components in the order of their first positions), or None
+    when it has no x-model.
+
+    Propagates the engine, then searches each component, stopping at the
+    first that has no model. The model holds every variable the engine
+    forced, each component's variables from its search, and the engine's
+    freed variables set True.
+    """
     if not engine.propagate():
         return None
-    return solve(engine)
+    model = dict(engine.forced)
+    parts = []
+    live = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
+    for positions in components(engine, live):
+        part = _part_of(engine, positions)
+        values = search(part)
+        if values is None:
+            return None
+        model.update(zip(part.variables, values[1:]))
+        parts.append(part)
+    model.update(dict.fromkeys(engine.freed, True))
+    return model, parts
 
 
-def solve(engine: Propagator, assumptions=(), positions=None) -> Assignment | None:
-    """An x-model of the engine's formula with every literal of
-    `assumptions` true, or None; the engine is left as it was found.
+def search(part: Part, assumptions=()) -> list | None:
+    """An x-model of part's clauses with every local literal of
+    `assumptions` true, or None.
 
-    The engine must be at a fixpoint. The model holds every variable the
-    engine has forced, its freed variables set True, and the variables of
-    its live clauses. With `positions`, ascending live positions whose
-    clauses share no variable with the other live clauses, and
-    assumptions over their variables alone, the search branches on those
-    clauses only. The caller must know that the other live clauses have
-    an x-model of their own; the model holds none of their variables.
+    The model is the value list: index i, for each local variable i,
+    holds its value.
+
+    Every variable is in a clause, so a fixpoint with every variable
+    assigned has no live clause: the model. Clauses only lose literals on
+    the way down, so a level's scan for its first longest clause starts
+    at its parent's first live clause and stops at the first clause as
+    long as its parent's longest, the root's at one as long as the
+    longest clause; on a chain each level so reads a few clauses, not the
+    whole list.
     """
-    root = engine.mark()
-    for lit in assumptions:
-        engine.force(abs(lit), lit > 0)
-    if engine.propagate():
-        model = _search(engine, range(len(engine.clauses)) if positions is None else positions)
-    else:
-        model = None
-    engine.undo_to(root)
-    return model
-
-
-def _search(engine: Propagator, positions) -> Assignment | None:
-    """Depth-first search from the engine's fixpoint over the clauses at
-    positions, leaving the engine at the model it finds, or at its start
-    when there is none.
-
-    Clauses only shrink or drop on the way down, so a level's scan for its
-    first longest clause starts at its parent's first live position and
-    stops at the first clause as long as its parent's longest; on a chain
-    each level so reads a few clauses, not the whole list.
-    """
-    clauses = engine.clauses
-    path = []  # (mark, untried branch literals, scan start index, longest width) per level above this one
+    clauses, holding = part.clauses, part.holding
+    n = len(part.variables)
+    value = [None] * len(holding)
+    trail = []
+    if not _propagate(value, trail, assumptions, holding):
+        return None
+    path = []  # (trail length, untried branch literals, scan start index, longest width) per level above this one
     branches = None
-    start, width = 0, None
+    start, longest = 0, max(map(len, clauses))
     while True:
         if branches is None:  # a new level: done, or branch on the first longest clause
-            start, longest = _first_longest(clauses, positions, start, width)
-            if longest is None:
-                model = dict(engine.forced)
-                for var in engine.freed:
-                    model.setdefault(var, True)
-                return model
-            branches, width = iter(longest), len(longest)
+            if len(trail) == n:
+                return value
+            start, free = _first_longest(clauses, value, start, longest)
+            branches, longest = iter(free), len(free)
         for lit in branches:
-            mark = engine.mark()
-            engine.force(abs(lit), lit > 0)
-            if engine.propagate():
-                path.append((mark, branches, start, width))
+            mark = len(trail)
+            if _propagate(value, trail, (lit,), holding):
+                path.append((mark, branches, start, longest))
                 branches = None
                 break
-            engine.undo_to(mark)
+            _undo(value, trail, mark)
         else:
             if not path:
                 return None
-            mark, branches, start, width = path.pop()
-            engine.undo_to(mark)
+            mark, branches, start, longest = path.pop()
+            _undo(value, trail, mark)
 
 
-def _first_longest(clauses, positions, start, width):
-    """(index in positions of the first live clause at or after start,
-    first longest live clause there).
+def _propagate(value, trail, literals, holding) -> bool:
+    """Make each of literals true and propagate to a fixpoint; False on a
+    conflict, with the trail holding what was assigned before it showed.
 
-    No live clause may lie before start or be longer than width (None: no
-    limit). With no live clause, returns (start, None).
+    A true literal makes the other literals of its clauses false; a
+    clause that loses a literal and holds no true one makes its last
+    unassigned literal true, and with none left it is a conflict.
+    """
+    head = len(trail)
+    for lit in literals:
+        known = value[lit]
+        if known is None:
+            value[lit], value[-lit] = True, False
+            trail.append(lit)
+        elif not known:
+            return False
+    while head < len(trail):
+        lit = trail[head]
+        head += 1
+        for clause in holding[lit]:
+            for other in clause:
+                known = value[other]
+                if known is None:
+                    value[other], value[-other] = False, True
+                    trail.append(-other)
+                elif known and other != lit:
+                    return False
+        for clause in holding[-lit]:
+            unit = None
+            for other in clause:
+                known = value[other]
+                if known is None:
+                    if unit is not None:
+                        break  # two unassigned: nothing to do yet
+                    unit = other
+                elif known:
+                    break  # satisfied: its true literal settles the rest
+            else:
+                if unit is None:
+                    return False
+                value[unit], value[-unit] = True, False
+                trail.append(unit)
+    return True
+
+
+def _undo(value, trail, mark) -> None:
+    """Pop the trail back to length mark, clearing the popped literals."""
+    for lit in trail[mark:]:
+        value[lit] = value[-lit] = None
+    del trail[mark:]
+
+
+def _first_longest(clauses, value, start, width):
+    """(index of the first live clause at or after start, the unassigned
+    literals of the first longest live clause there, in clause order).
+
+    At a fixpoint a clause is live when some literal is unassigned. Some
+    live clause must lie at or after start, and none before it or longer
+    than width.
     """
     first, longest, size = None, None, 0
-    for index in range(start, len(positions)):
-        clause = clauses[positions[index]]
-        if not clause:
+    for index in range(start, len(clauses)):
+        free = [lit for lit in clauses[index] if value[lit] is None]
+        if not free:
             continue
         if first is None:
             first = index
-        if len(clause) > size:
-            longest, size = clause, len(clause)
+        if len(free) > size:
+            longest, size = free, len(free)
             if size == width:
                 break
-    return (start if first is None else first), longest
+    return first, longest

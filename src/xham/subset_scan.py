@@ -12,19 +12,17 @@ clause is one bitmask over the live variables.
 
 Components. Clauses that share no variable, even through others, flip
 independently: the best distance is the sum of each connected
-component's best subset size, plus one per freed variable. So after the
-base check the live clauses are split with `propagation.components`,
-and each component is scanned on its own, over its own variables, in
-the order of its first clause. Each component keeps its own variable
-order, masks and subset listing; the solver runs on the one engine
-throughout, and a subset's assumptions name only its component's
-literals. The other components' clauses are x-satisfiable (the base
-check found a model) and no assumption reaches them, so the solver
-searches only the component's clauses (see `solver.solve`). A formula
-with one component asks the same questions in the same order as a scan
-of the whole formula, and k disjoint clauses cost k small listings, not
-the product of their sizes, and k small searches, not k searches of the
-whole formula.
+component's best subset size, plus one per freed variable. The base
+check already splits the live clauses with `propagation.components` and
+renumbers each component to local variables 1..n, ascending (a
+`solver.Part`); each component is then scanned on its own, over its own
+variables, in the order of its first clause. A component's masks are
+read off its local clauses, bit i - 1 for local variable i, and every
+question about it searches its clauses alone (see `solver.search`). A
+formula with one component asks the same questions in the same order as
+a scan of the whole formula, and k disjoint clauses cost k small
+listings, not the product of their sizes, and k small searches, not k
+searches of the whole formula.
 
 Generation. `allowed_classes` branches over a component's clauses in a
 walk order fixed once per call: fewest undecided variables (fresh ones)
@@ -65,10 +63,11 @@ true; with R false, C makes exactly one of l₁, l₂ true, and flipping
 swaps them. So X separates two x-models iff the formula stays
 x-satisfiable with every literal of a touched clause whose variable is
 outside X made false, and flipping X in such a model gives the second
-model. p puts these questions to the engine it propagated: the solver
-assumes the complements of those literals, in clause order, searches,
-and undoes all of it before the next subset (see `solver.solve`). Each
-live clause's complements are listed once per call, each with its
+model. p puts each question to the solver's search of the component,
+which assumes the complements of those literals, in clause order, on a
+value list of its own: a question marks, forces or undoes nothing on the
+engine, which is left as the base check found it. Each clause's
+complements are listed once per call, in local literals, each with its
 variable's bit, and a subset's assumptions are read off these lists. No
 formula is built, at the root or per subset, and the witnesses are the
 solver's models.
@@ -83,7 +82,7 @@ is never listed. Of a listed X, P & ~X holds the variables its
 assumptions make false and N & ~X those they make true. An untouched
 clause with two literals made true, or with all of them made false,
 refutes X, and it is dropped without a call. Either check spots only
-what the solver's first `propagate` refutes, so neither changes a
+what the solver's first propagation refutes, so neither changes a
 verdict: the solver sees the same questions in the same order, less
 the ones it would refute at once.
 """
@@ -95,8 +94,8 @@ import itertools
 from collections import defaultdict
 
 from .formula import BOTTOM, Formula, HammingResult, SearchStats
-from .propagation import Propagator, components
-from .solver import solve
+from .propagation import Propagator
+from .solver import Part, search, solve
 
 
 def allowed_classes(masks, negatives):
@@ -232,17 +231,17 @@ def _places(mask: int) -> list[int]:
 def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> HammingResult:
     """Exact max Hamming distance with witnesses, via the subset scan.
 
-    One engine on the input does all the work: it propagates, the solver
-    checks on it that the propagated formula has a model, and only then
-    are the live clauses split into connected components and each
-    component's nonempty allowed subsets with no sign contradiction
-    generated, one size at a time from the largest (see the module
-    docstring for their order, for the literals the solver assumes with
-    each and for the clause check that drops a subset without a call).
-    In each component the first subset the solver accepts on the same
-    engine, searching that component alone, is its answer;
-    with none, the component adds nothing. The distance is the sum of
-    the answers' sizes plus one per variable that propagation freed.
+    One engine on the input propagates it, and the solver checks that the
+    propagated formula has a model, component by component (see
+    `solver.solve`); only then is each component's list of nonempty
+    allowed subsets with no sign contradiction generated, one size at a
+    time from the largest (see the module docstring for their order, for
+    the literals the solver assumes with each and for the clause check
+    that drops a subset without a call). In each component the first
+    subset the solver accepts, searching that component alone, is its
+    answer; with none, the component adds nothing. The distance is the
+    sum of the answers' sizes plus one per variable that propagation
+    freed.
 
     The first witness is the base model, the solver's model before any
     subset, with each answered component's variables taken from the
@@ -252,20 +251,21 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
 
     `stats.subsets_checked` sums the subsets listed in every component,
     those with a sign contradiction left out; `stats.solver_calls` counts
-    the base check plus one call per listed subset that passes the
-    clause check.
+    the base check, once however many components it searches, plus one
+    call per listed subset that passes the clause check.
     """
     if stats is None:
         stats = SearchStats()
     engine = Propagator(formula)
     stats.solver_calls += 1
-    base_model = solve(engine) if engine.propagate() else None
-    if base_model is None:
+    found = solve(engine)
+    if found is None:
         return HammingResult(BOTTOM)
 
-    first, flips = base_model, set()
-    for part in components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None]):
-        answer = _scan_component(engine, part, stats)
+    first, parts = found
+    flips = set()
+    for part in parts:
+        answer = _scan_component(part, stats)
         if answer is not None:
             values, subset = answer
             first.update(values)
@@ -276,25 +276,22 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     return HammingResult(len(flips) + len(freed), (first, second))
 
 
-def _scan_component(engine: Propagator, part, stats: SearchStats):
-    """For the first allowed subset of one component's live clauses, at
-    positions part, that the solver accepts: the solver's model on the
-    component's variables, and the subset's variables. None when the
-    solver accepts none.
+def _scan_component(part: Part, stats: SearchStats):
+    """For the first allowed subset of one component that the solver
+    accepts: the solver's model on the component's variables, and the
+    subset's variables. None when the solver accepts none.
 
-    One pass builds each clause's row: its mask, the bits of its positive
-    and of its negative literals, and the (complement, bit) of each
-    literal. The listing drops sign contradictions; a listed subset's one
-    pass over the rows ORs the sign bits of the clauses it touches, an
-    untouched clause that those make two-true or all-false drops it, and
-    otherwise its assumptions are read off the touched clauses' literals.
+    One pass builds a row per clause of the part: its mask (bit i - 1
+    for local variable i), the bits of its positive and of its negative
+    literals, and the (complement, bit) of each literal. The listing
+    drops sign contradictions; a listed subset's one pass over the rows
+    ORs the sign bits of the clauses it touches, an untouched clause that
+    those make two-true or all-false drops it, and otherwise its
+    assumptions are read off the touched clauses' literals.
     """
-    live = [engine.clauses[pos] for pos in part]
-    variables = sorted({abs(lit) for clause in live for lit in clause})
-    position = {v: i for i, v in enumerate(variables)}
     rows = []
-    for clause in live:
-        literals = [(-lit, 1 << position[abs(lit)]) for lit in clause]
+    for clause in part.clauses:
+        literals = [(-lit, 1 << (abs(lit) - 1)) for lit in clause]
         positive = sum(bit for complement, bit in literals if complement < 0)
         negative = sum(bit for complement, bit in literals if complement > 0)
         rows.append((positive | negative, positive, negative, literals))
@@ -317,13 +314,12 @@ def _scan_component(engine: Propagator, part, stats: SearchStats):
                 or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
                 for mask, positive_bits, negative_bits, _ in untouched
             ):
-                continue  # the solver's first propagate would refute it
+                continue  # the solver's first propagation would refute it
             stats.solver_calls += 1
-            assumptions = tuple(
-                complement for literals in touched for complement, bit in literals if not bitset & bit
-            )
-            model = solve(engine, assumptions, part)
+            assumptions = [complement for literals in touched for complement, bit in literals if not bitset & bit]
+            model = search(part, assumptions)
             if model is not None:
-                values = {v: model[v] for v in variables}
+                variables = part.variables
+                values = dict(zip(variables, model[1:]))
                 return values, [v for i, v in enumerate(variables) if (bitset >> i) & 1]
     return None

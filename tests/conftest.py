@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from xham import CapExceeded, Formula, enumerate_xmodels, random_formula
+from xham import CapExceeded, Formula, enumerate_xmodels, random_formula, solver
 from xham.propagation import Propagator
 
 
@@ -140,6 +140,103 @@ def count_builds(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(Propagator, "__init__", counting_engine)
     monkeypatch.setattr(Formula, "__post_init__", counting_formula)
     return built
+
+
+def count_search_work(monkeypatch) -> dict[str, int]:
+    """Count the solver's search work into the returned dict.
+
+    "assignments" counts the values it assigns, undone ones included, and
+    "visits" the clauses those cost: each assigned literal visits every
+    clause that holds its variable.
+    """
+    work = {"assignments": 0, "visits": 0}
+    propagate = solver._propagate
+
+    def counting(value, trail, literals, holding):
+        head = len(trail)
+        consistent = propagate(value, trail, literals, holding)
+        assigned = trail[head:]
+        work["assignments"] += len(assigned)
+        work["visits"] += sum(len(holding[lit]) + len(holding[-lit]) for lit in assigned)
+        return consistent
+
+    monkeypatch.setattr(solver, "_propagate", counting)
+    return work
+
+
+def engine_solve(engine: Propagator, assumptions=(), positions=None):
+    """The search the solver ran on the propagation engine before its
+    value-list search, kept as the reference the tests hold it to.
+
+    An x-model of the engine's formula with every literal of assumptions
+    true, or None; the engine is left as it was found. The engine must be
+    at a fixpoint. The model holds every variable the engine has forced,
+    its freed variables set True, and the variables of its live clauses.
+    With positions, ascending live positions whose clauses share no
+    variable with the other live clauses, and assumptions over their
+    variables alone, the search branches on those clauses only; the
+    model holds none of the other clauses' variables.
+    """
+    root = engine.mark()
+    for lit in assumptions:
+        engine.force(abs(lit), lit > 0)
+    if engine.propagate():
+        model = _engine_search(engine, range(len(engine.clauses)) if positions is None else positions)
+    else:
+        model = None
+    engine.undo_to(root)
+    return model
+
+
+def _engine_search(engine: Propagator, positions):
+    """Depth-first search from the engine's fixpoint over the clauses at
+    positions: each level is a mark, a force and a propagate, branching
+    on the first longest live clause with its literals in clause order,
+    and backing up is an undo to the level's mark."""
+    clauses = engine.clauses
+    path = []  # (mark, untried branch literals, scan start index, longest width) per level above this one
+    branches = None
+    start, width = 0, None
+    while True:
+        if branches is None:  # a new level: done, or branch on the first longest clause
+            start, longest = _engine_first_longest(clauses, positions, start, width)
+            if longest is None:
+                model = dict(engine.forced)
+                for var in engine.freed:
+                    model.setdefault(var, True)
+                return model
+            branches, width = iter(longest), len(longest)
+        for lit in branches:
+            mark = engine.mark()
+            engine.force(abs(lit), lit > 0)
+            if engine.propagate():
+                path.append((mark, branches, start, width))
+                branches = None
+                break
+            engine.undo_to(mark)
+        else:
+            if not path:
+                return None
+            mark, branches, start, width = path.pop()
+            engine.undo_to(mark)
+
+
+def _engine_first_longest(clauses, positions, start, width):
+    """(index in positions of the first live clause at or after start,
+    first longest live clause there); no live clause lies before start or
+    is longer than width (None: no limit)."""
+    first, longest, size = None, None, 0
+    for index in range(start, len(positions)):
+        clause = clauses[positions[index]]
+        if not clause:
+            continue
+        if first is None:
+            first = index
+        if len(clause) > size:
+            longest, size = clause, len(clause)
+            if size == width:
+                break
+    return (start if first is None else first), longest
 
 
 def formula(*clauses, n=None) -> Formula:

@@ -1,13 +1,15 @@
 import sys
 
+import pytest
+
 from xham import (
+    BOTTOM,
     Formula,
     SearchStats,
     enumerate_xmodels,
     find_xmodel,
     max_hamming_p,
     planted_formula,
-    propagation,
     random_formula,
     solver,
     verify_xmodel,
@@ -15,6 +17,7 @@ from xham import (
 
 from conftest import (
     clause_count,
+    count_search_work,
     extend_model,
     formula,
     live_clauses,
@@ -77,29 +80,48 @@ def test_deep_search_has_no_recursion_limit():
     assert set(model) == set(chain.variables()) and verify_xmodel(chain, model)
 
 
-def settled_clauses_solving_chain(monkeypatch, n):
-    """Clause settlements while find_xmodel solves the ternary chain (1 2 3), (3 4 5), ..."""
-    real = propagation._settle_clause
-    count = 0
-
-    def counting(*args):
-        nonlocal count
-        count += 1
-        return real(*args)
-
-    monkeypatch.setattr(propagation, "_settle_clause", counting)
+def visits_solving_chain(monkeypatch, n):
+    """Clause visits while find_xmodel solves the ternary chain (1 2 3), (3 4 5), ..."""
+    work = count_search_work(monkeypatch)
     chain = Formula(n, tuple((v, v + 1, v + 2) for v in range(1, n, 2)))
     assert verify_xmodel(chain, find_xmodel(chain))
-    return count
+    return work["visits"]
 
 
 def test_chain_search_settles_linearly_many_clauses(monkeypatch):
-    """Each level settles only the clauses its force touches; a fresh
-    engine per level settled every remaining clause again."""
-    small = settled_clauses_solving_chain(monkeypatch, 1001)
-    large = settled_clauses_solving_chain(monkeypatch, 2001)
+    """Each level visits only the clauses holding the values it assigns;
+    a fresh engine per level settled every remaining clause again."""
+    small = visits_solving_chain(monkeypatch, 1001)
+    large = visits_solving_chain(monkeypatch, 2001)
     assert small >= 500
     assert large <= 2.5 * small
+
+
+# Five clauses over variables 2..7 with no x-model, which root propagation
+# leaves as they are: no clause is a unit and no variable repeats.
+CORE = ((7, -4, 6), (7, -3, 4), (-2, -3, 7), (-5, 6, -7), (7, 6, 3))
+
+
+def disjoint_clauses_then_core(k):
+    """k disjoint length-4 clauses over variables from 8 up, then CORE."""
+    return Formula(7 + 4 * k, tuple(tuple(range(8 + 4 * i, 12 + 4 * i)) for i in range(k)) + CORE)
+
+
+@pytest.mark.parametrize("k,assignments", [(6, 37), (12, 61), (24, 109)])
+def test_a_component_without_a_model_is_refuted_once(monkeypatch, k, assignments):
+    """Each of the k clauses is a component that its first branch solves
+    with 4 assignments, and CORE is refuted once, with 13: 4k + 13 in all.
+    A search of the whole formula branched on the k clauses first and
+    refuted CORE once per combination of their branches, 4^k times."""
+    f = disjoint_clauses_then_core(k)
+    assert live_clauses(propagated(f)) == f.clauses
+    work = count_search_work(monkeypatch)
+    assert find_xmodel(f) is None
+    assert work["assignments"] == assignments == 4 * k + 13
+    stats = SearchStats()
+    assert max_hamming_p(f, stats).distance is BOTTOM
+    assert (stats.solver_calls, stats.subsets_checked) == (1, 0)
+    assert work["assignments"] == 2 * assignments
 
 
 def reference_find_xmodel(formula):
@@ -143,9 +165,10 @@ def test_same_models_as_a_fresh_engine_per_level():
     assert 0 < found < len(instances)
 
 
-def full_scan_first_longest(clauses, positions, start, width):
-    """The pick as a scan of every position searched, dead ones included."""
-    return 0, max(filter(None, (clauses[pos] for pos in positions)), key=len, default=None)
+def full_scan_first_longest(clauses, value, start, width):
+    """The pick as a scan of every clause, dead ones included."""
+    free = ([lit for lit in clause if value[lit] is None] for clause in clauses)
+    return 0, max(filter(None, free), key=len, default=None)
 
 
 def test_longest_pick_matches_a_full_scan(monkeypatch):

@@ -21,15 +21,17 @@ from xham import (
     random_formula,
     verify_xmodel,
 )
-from xham import subset_scan
-from xham.propagation import Propagator, components
-from xham.solver import solve
+from xham import solver, subset_scan
+from xham.propagation import components
+from xham.solver import search, solve
 
 from conftest import (
     allowed_subset_check,
     clause_count,
     count_allowed_subsets_brute,
     count_builds,
+    count_search_work,
+    engine_solve,
     formula,
     live_clauses,
     propagated,
@@ -80,6 +82,16 @@ def outside_literals(clauses, subset) -> list[int]:
     return [lit for clause in touched for lit in clause if abs(lit) not in subset]
 
 
+def in_input_variables(part, assumptions):
+    """A search's part clauses and assumptions, in the input's variables."""
+    variables = part.variables
+
+    def named(lit):
+        return variables[lit - 1] if lit > 0 else -variables[-lit - 1]
+
+    return tuple(tuple(map(named, clause)) for clause in part.clauses), tuple(map(named, assumptions))
+
+
 def sign_consistent(clauses, subset) -> bool:
     """No variable outside subset is positive in one touched clause and
     negative in another: the set form of the listing's P & N & ~X check."""
@@ -116,58 +128,61 @@ class TestFlippedUnion:
     model, then for each allowed subset whether it has one with, in clause
     order, every literal of a touched clause whose variable is outside the
     subset false; the same question as the formula plus flipped copies of
-    the touched clauses. The spy reads the engine's live clauses and the
-    literals assumed true, and the positions a question searches: None
-    for the base question, the component's live positions after it."""
+    the touched clauses. The spy reads each search the solver runs, the
+    base check's one per component and then p's questions: the clauses it
+    searches and the literals it assumes true, both in the input's
+    variables."""
 
     @staticmethod
     def solver_inputs(monkeypatch, f):
         seen = []
 
-        def spy(engine, assumptions=(), positions=None):
-            seen.append((tuple(filter(None, engine.clauses)), tuple(assumptions), positions))
-            return solve(engine, assumptions, positions)
+        def spy(part, assumptions=()):
+            seen.append(in_input_variables(part, assumptions))
+            return search(part, assumptions)
 
-        monkeypatch.setattr(subset_scan, "solve", spy)
+        monkeypatch.setattr(solver, "search", spy)
+        monkeypatch.setattr(subset_scan, "search", spy)
         max_hamming_p(f)
         return seen
 
     def test_flips_touched_clause(self, monkeypatch):
         assert self.solver_inputs(monkeypatch, formula((1, 2, 3))) == [
-            (((1, 2, 3),), (), None),
-            (((1, 2, 3),), (-3,), [0]),
+            (((1, 2, 3),), ()),
+            (((1, 2, 3),), (-3,)),
         ]
 
     def test_untouched_clause_not_duplicated(self, monkeypatch):
         f = formula((1, 2, 3), (3, 4), (-4, -5, 6))
-        assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-3, 4), [0, 1, 2])
+        assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-3, 4))
 
     def test_a_question_searches_only_its_component(self, monkeypatch):
-        """(1 2 3) and (4 5 6) share no variable: each question after the
-        base one names and searches one of them."""
+        """(1 2 3) and (4 5 6) share no variable: the base check searches
+        each of them, and each question after it names and searches one."""
         f = formula((1, 2, 3), (4, 5, 6))
         assert self.solver_inputs(monkeypatch, f) == [
-            (f.clauses, (), None),
-            (f.clauses, (-3,), [0]),
-            (f.clauses, (-6,), [1]),
+            (((1, 2, 3),), ()),
+            (((4, 5, 6),), ()),
+            (((1, 2, 3),), (-3,)),
+            (((4, 5, 6),), (-6,)),
         ]
 
     @staticmethod
     def scan_walk(monkeypatch, f):
         """p's questions on f, read against what `allowed_classes` listed.
 
-        Returns None when f has no x-model. Otherwise returns the base
-        question's assumptions and, per component in p's order, (its live
-        positions, its live clauses, its variables, its rows, whether the
-        solver accepted a subset). A row is (bitset, the outside literals'
-        complements, whether p asked the solver), one per listed subset up
-        to the one the solver accepts. A subset counts as asked when p's
-        next question, on the whole live formula and searching the
-        component's positions, assumes exactly those complements; every
-        question must be matched so.
+        Returns None when f has no x-model. Otherwise returns, per
+        component in p's order, (its live positions, its live clauses, its
+        variables, its rows, whether the solver accepted a subset). A row
+        is (bitset, the outside literals' complements, whether p asked the
+        solver), one per listed subset up to the one the solver accepts. A
+        subset counts as asked when p's next question searches the
+        component's live clauses and assumes exactly those complements;
+        every question must be matched so.
         """
         listed = []  # per `allowed_classes` call, the bitsets it listed
-        calls = []  # per solver call: (live clauses, assumptions, positions, accepted)
+        bases = []  # per base check, whether it found a model
+        calls = []  # per question: (clauses searched, assumptions, accepted)
         allowed_classes = subset_scan.allowed_classes
 
         def spy_classes(masks, negatives):
@@ -176,22 +191,27 @@ class TestFlippedUnion:
                 listed[-1].extend(found)
                 yield found
 
-        def spy_solve(engine, assumptions=(), positions=None):
-            model = solve(engine, assumptions, positions)
-            calls.append((tuple(filter(None, engine.clauses)), tuple(assumptions), positions, model is not None))
+        def spy_solve(engine):
+            found = solve(engine)
+            bases.append(found is not None)
+            return found
+
+        def spy_search(part, assumptions=()):
+            model = search(part, assumptions)
+            calls.append((*in_input_variables(part, assumptions), model is not None))
             return model
 
         monkeypatch.setattr(subset_scan, "allowed_classes", spy_classes)
         monkeypatch.setattr(subset_scan, "solve", spy_solve)
+        monkeypatch.setattr(subset_scan, "search", spy_search)
         if max_hamming_p(f).distance is BOTTOM:
-            assert len(calls) <= 1 and listed == []
+            assert (bases, calls, listed) == ([False], [], [])
             return None
+        assert bases == [True]
         engine = propagated(f)
-        everything = live_clauses(engine)
         parts = components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None])
         assert len(parts) == len(listed)
-        assert calls[0][2] is None  # the base question searches everything
-        questions = iter(calls[1:])
+        questions = iter(calls)
         question = next(questions, None)
         walked = []
         for part, bitsets in zip(parts, listed):
@@ -204,16 +224,16 @@ class TestFlippedUnion:
                 asked = question is not None and question[1] == assumptions
                 rows.append((bitset, assumptions, asked))
                 if asked:
-                    assert question[0] == everything and question[2] == part
-                    accepted, question = question[3], next(questions, None)
+                    assert question[0] == tuple(live)
+                    accepted, question = question[2], next(questions, None)
                     if accepted:
                         break
             walked.append((part, live, variables, rows, accepted))
         assert question is None, "a question matched no listed subset"
-        return calls[0][1], walked
+        return walked
 
     def test_assumptions_are_the_outside_literals_of_touched_clauses(self, monkeypatch):
-        """Every question p asks after the base one assumes, in clause
+        """Every question p asks after the base check assumes, in clause
         order, the complement of each literal of a touched clause whose
         variable lies outside the subset, and searches only the subset's
         component; the subsets are the ones `allowed_classes` lists for
@@ -221,11 +241,9 @@ class TestFlippedUnion:
         scan_shaped = [random_formula(n, (n + 1) // 2, 3, 9900 + 10 * n + i) for n in range(18, 23) for i in range(3)]
         asked = 0
         for f in REPEATED + OVERLAPPING + scan_shaped:
-            walk = self.scan_walk(monkeypatch, f)
-            if walk is None:
+            walked = self.scan_walk(monkeypatch, f)
+            if walked is None:
                 continue  # f has no x-model
-            base, walked = walk
-            assert base == ()
             asked += sum(row[-1] for *_, rows, _ in walked for row in rows)
         assert asked == 147
 
@@ -238,11 +256,11 @@ class TestFlippedUnion:
         check drops."""
         dropped = {"sign": 0, "clause": 0}
         for f in OVERLAPPING + REPEATED:
-            walk = self.scan_walk(monkeypatch, f)
-            if walk is None:
+            walked = self.scan_walk(monkeypatch, f)
+            if walked is None:
                 continue
             engine = propagated(f)
-            for part, live, variables, rows, accepted in walk[1]:
+            for part, live, variables, rows, accepted in walked:
                 component = Formula(f.num_vars, tuple(live))
                 allowed = [
                     combo
@@ -641,23 +659,60 @@ def test_disjoint_length_four_clauses_scan_per_component():
 
 @pytest.mark.parametrize("k,forces", [(6, 48), (12, 96), (24, 192)])
 def test_questions_search_only_their_component(monkeypatch, k, forces):
-    """k disjoint length-4 clauses: the base check forces 4 values per
-    clause, and each clause's one question forces its 2 assumptions and 2
-    more values in its own clause alone, so the work is 8k forces, not the
-    4k per question of a search over every clause."""
-    count = 0
-    force = Propagator.force
-
-    def counting(engine, var, value):
-        nonlocal count
-        count += 1
-        force(engine, var, value)
-
-    monkeypatch.setattr(Propagator, "force", counting)
+    """k disjoint length-4 clauses: the base check assigns 4 values per
+    clause, and each clause's one question assigns its 2 assumptions and
+    2 more values in its own clause alone, so the work is 8k assignments,
+    not the 4k per question of a search over every clause."""
+    work = count_search_work(monkeypatch)
     stats = SearchStats()
     f = Formula.from_clauses([tuple(range(4 * i + 1, 4 * i + 5)) for i in range(k)])
     assert max_hamming_p(f, stats).distance == 2 * k
-    assert (stats.solver_calls, count) == (k + 1, forces)
+    assert (stats.solver_calls, work["assignments"]) == (k + 1, forces)
+
+
+# The scan-p benchmark's shape, uniform length 3 with m = (n + 1) // 2 at
+# n 18-22, and planted degree-2 instances up to n = 24.
+SCAN_SHAPED = [random_formula(n, (n + 1) // 2, 3, 9950 + 10 * n + i) for n in range(18, 23) for i in range(8)]
+PLANTED = [planted_formula(n, 3, 2, seed) for n in (12, 15, 18, 21, 24) for seed in range(4)]
+PLANTED += [planted_formula(n, 4, 2, seed) for n in (12, 16, 20, 24) for seed in range(4)]
+
+
+def test_every_search_gives_the_engine_search_model(monkeypatch):
+    """Each search p runs, the base check's one per component and every
+    question, gives the model, or None, that the engine search the solver
+    ran before (`engine_solve`) gives for the same component and
+    assumptions, and find_xmodel gives that search's model of the whole
+    formula."""
+    runs = []
+
+    def spy(kind):
+        def spied(part, assumptions=()):
+            model = search(part, assumptions)
+            runs.append((kind, part, assumptions, model))
+            return model
+
+        return spied
+
+    monkeypatch.setattr(solver, "search", spy("base"))
+    monkeypatch.setattr(subset_scan, "search", spy("question"))
+    outcomes = {"base": [0, 0], "question": [0, 0]}  # per kind of search: (no model, model) counts
+    for f in REPEATED + OVERLAPPING + SCAN_SHAPED + PLANTED:
+        engine = propagated(f)
+        assert find_xmodel(f) == (None if engine.unsat else engine_solve(engine))
+        if engine.unsat:
+            continue
+        parts = components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None])
+        positions = {tuple(sorted({abs(lit) for pos in part for lit in engine.clauses[pos]})): part for part in parts}
+        runs.clear()
+        max_hamming_p(f)
+        for kind, part, assumptions, model in runs:
+            variables = part.variables
+            named = [variables[lit - 1] if lit > 0 else -variables[-lit - 1] for lit in assumptions]
+            want = engine_solve(engine, named, positions[tuple(variables)])
+            got = None if model is None else dict(zip(variables, model[1:]))
+            assert got == (None if want is None else {v: want[v] for v in variables}), (f, part, assumptions)
+            outcomes[kind][got is not None] += 1
+    assert outcomes == {"base": [34, 179], "question": [258, 160]}
 
 
 def test_scan_never_calls_the_set_based_check():
