@@ -28,13 +28,12 @@ from .gen import planted_formula, random_formula
 from .oracle import (
     CapExceeded,
     enumerate_xmodels,
-    expand_state,
     max_hamming_brute,
 )
 from .propagation import assign, connected_components
 from .solver import find_xmodel
 from .subset_scan import max_hamming_p
-from .tau import nth_root, parse_branch_spec, tau_root
+from .tau import parse_branch_spec, tau_root
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,6 @@ __all__ = [
     "assign",
     "connected_components",
     "enumerate_xmodels",
-    "expand_state",
     "find_xmodel",
     "gen_h",
     "hamming_distance",
@@ -59,7 +57,6 @@ __all__ = [
     "max_hamming_brute",
     "max_hamming_p",
     "max_hamming_q",
-    "nth_root",
     "parse_branch_spec",
     "parse_formula",
     "planted_formula",

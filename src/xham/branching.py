@@ -182,43 +182,6 @@ class GeneralizedAssignment:
                 if var not in known_free and var not in self.values:
                     self.free.append(var)
 
-    def validate(self, require_rooted: bool = False) -> None:
-        """Check forest invariants; raise ValueError on ill-formed links."""
-        parent: dict[int, int] = {}
-        rooted = self.root_vars()
-        for var, members in self.sing.items():
-            if members and var not in self.sat:
-                raise ValueError(f"pool head {var} lacks a slot polarity")
-        links = [(m, var) for var, members in self.sing.items() for m, _ in members]
-        links += [(c, var) for var, children in self.dual.items() for c, _, _ in children]
-        for child, var in links:
-            if child in parent:
-                raise ValueError(f"variable {child} linked from two sets")
-            parent[child] = var
-        # Variables whose walk already ended at an acceptable root; a walk
-        # that meets one stops there, so each link is followed once.
-        reaches_root: set[int] = set()
-        for child in parent:
-            if child in rooted:
-                raise ValueError(f"linked variable {child} also carries a value")
-            seen = {child}
-            cursor = child
-            while cursor in parent and cursor not in reaches_root:
-                cursor = parent[cursor]
-                if cursor in seen:
-                    raise ValueError(f"link cycle through variable {cursor}")
-                seen.add(cursor)
-            if require_rooted and cursor not in reaches_root and cursor not in rooted:
-                raise ValueError(f"link tree root {cursor} has no value and is not free")
-            reaches_root |= seen
-
-    def universe(self) -> set[int]:
-        """All variables the state speaks for."""
-        out = self.root_vars() | set(self.sing) | set(self.dual)
-        out.update(m for members in self.sing.values() for m, _ in members)
-        out.update(c for children in self.dual.values() for c, _, _ in children)
-        return out
-
 
 def slot_options(state: GeneralizedAssignment, var: int, slot: bool):
     """Concrete readings of a variable's slot value.
@@ -255,7 +218,9 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
     slot b, of whether the two concrete values differ plus each child's
     table entry for the slots it reads. A dual child reads a pair of
     slots or a pair of concrete values, reversed when its link flips, so
-    the dual children sum into two four-entry tables. A pool member reads
+    the dual children sum into two four-entry tables. Without pool members
+    the slot is the concrete value, so they sum into one, plus
+    (0, 1, 1, 0) for the variable itself. A pool member reads
     its own polarity where it is the chosen satisfactor and the opposite
     elsewhere, so its entry is its unchosen one plus a gain when one
     model or both choose it; only the choices vary with the slots.
@@ -277,12 +242,20 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
     if not members and not duals:
         return _UNLINKED
     score = state.score
-    by_slot = [0, 0, 0, 0]
-    by_value = [0, 0, 0, 0]
-    unchosen = 0
-    # Per member, the gain of choosing it in one model and in both.
-    gains, both = [], []
     try:
+        if not members:  # the slot is the concrete value: one sum of the children's tables
+            s0 = s1 = s2 = s3 = 0
+            for child, flip, _ in duals:
+                t0, t1, t2, t3 = score[child]
+                if flip:
+                    t0, t1, t2, t3 = t3, t2, t1, t0
+                s0 += t0
+                s1 += t1
+                s2 += t2
+                s3 += t3
+            return s0, s1 + 1, s2 + 1, s3
+        by_slot = [0, 0, 0, 0]
+        by_value = [0, 0, 0, 0]
         for child, flip, anchor in duals:
             t = score[child]
             acc = by_slot if anchor else by_value
@@ -292,6 +265,9 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
             acc[1] += t[1]
             acc[2] += t[2]
             acc[3] += t[3]
+        unchosen = 0
+        # Per member, the gain of choosing it in one model and in both.
+        gains, both = [], []
         for member, pol in members:
             t = score[member]
             if not pol:  # read the member's table from its own literal's side
@@ -302,13 +278,6 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
             both.append(t[3] - idle)
     except KeyError as missing:
         raise ValueError(f"linked variable {missing.args[0]} has no score table") from None
-    if not members:  # the slot is the concrete value
-        return (
-            by_slot[0] + by_value[0],
-            by_slot[1] + by_value[1] + 1,
-            by_slot[2] + by_value[2] + 1,
-            by_slot[3] + by_value[3],
-        )
 
     o = int(state.sat[var])
     x = 1 - o
@@ -368,9 +337,13 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     clause, by position, that holds at least two singletons one of which
     heads no pool yet; only when no clause can pool does it eliminate
     the first binary clause by dual substitution, in place on the
-    engine; the substitution drops that clause itself, with every other
-    clause it turns into a complementary pair, such as a copy, and queues
-    a rewrite only when it repeats a variable. Two position heaps stand
+    engine. When the removed side has degree one, as on every step of a
+    chain, the clause is its only occurrence, and the engine drops it
+    with one write and no rewrite (`Propagator.drop_binary`). Otherwise
+    the substitution rewrites every clause holding the removed side,
+    drops that clause itself with every other clause it turns into a
+    complementary pair, such as a copy, and queues a rewrite only when it
+    repeats a variable. Two position heaps stand
     in for rescanning the formula. `binaries` is fed from the engine's
     `changed` log and holds every clause that may have become binary.
     `to_pool` is fed from its `singles` log alone: a clause can only
@@ -432,10 +405,15 @@ def _pool_first(engine: Propagator, state: GeneralizedAssignment, to_pool: list[
 
 
 def _eliminate_first_binary(engine: Propagator, state: GeneralizedAssignment, binaries: list[int]) -> bool:
-    """Dual-substitute away the first binary clause; False if there is none."""
+    """Dual-substitute away the first binary clause; False if there is none.
+
+    A removed side of degree one has this clause as its only occurrence,
+    so the engine drops the clause without a rewrite (`drop_binary`).
+    """
     clauses, degree = engine.clauses, engine.degree
     while binaries:
-        clause = clauses[heappop(binaries)]
+        pos = heappop(binaries)
+        clause = clauses[pos]
         if clause is None or len(clause) != 2:
             continue
         first, second = clause
@@ -445,7 +423,10 @@ def _eliminate_first_binary(engine: Propagator, state: GeneralizedAssignment, bi
             removed, survivor = second, first
         else:
             removed, survivor = first, second
-        engine.substitute(removed, survivor)
+        if degree[abs(removed)] == 1:
+            engine.drop_binary(pos, removed)
+        else:
+            engine.substitute(removed, survivor)
         state.record_dual(survivor, removed)
         return True
     return False

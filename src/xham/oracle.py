@@ -1,14 +1,12 @@
 """Exhaustive ground-truth engines.
 
 Everything here trades time for certainty: model enumeration over all
-2^n assignments, max Hamming by pairwise comparison, and expansion of
-generalized assignments into the concrete models they stand for. Caps
-refuse oversized inputs instead of running for hours.
+2^n assignments and max Hamming by pairwise comparison. Caps refuse
+oversized inputs instead of running for hours.
 """
 
 from __future__ import annotations
 
-from .branching import GeneralizedAssignment, slot_options
 from .formula import BOTTOM, Assignment, Formula, HammingResult
 
 DEFAULT_ENUM_CAP = 24
@@ -80,40 +78,3 @@ def max_hamming_brute(formula: Formula, cap: int = DEFAULT_ENUM_CAP) -> HammingR
             best = int(dist[j])
             pair = (i, i + 1 + j)
     return HammingResult(best, (dict(models[pair[0]]), dict(models[pair[1]])))
-
-
-def expand_state(state: GeneralizedAssignment) -> list[Assignment]:
-    """Every concrete assignment a leaf state represents.
-
-    Fixed values are taken verbatim; a satisfactor group contributes one
-    assignment per choice of satisfying participant; dual links follow
-    their parent's concrete value; free roots take both values. Output is
-    sorted for determinism.
-    """
-    state.validate(require_rooted=True)
-    options: list[list[Assignment]] = []
-    for var in sorted(state.values):
-        options.append(_expand_tree(state, var, state.values[var]))
-    for var in sorted(state.free):
-        both = _expand_tree(state, var, False) + _expand_tree(state, var, True)
-        options.append(both)
-
-    assignments: list[Assignment] = [{}]
-    for candidates in options:
-        assignments = [{**base, **extra} for base in assignments for extra in candidates]
-    keys = sorted(state.universe())
-    assignments.sort(key=lambda m: tuple(m[k] for k in keys))
-    return assignments
-
-
-def _expand_tree(state, var, slot) -> list[Assignment]:
-    out: list[Assignment] = []
-    for value, child_slots in slot_options(state, var, slot):
-        parts: list[list[Assignment]] = [[{var: value}]]
-        for child, child_slot in child_slots.items():
-            parts.append(_expand_tree(state, child, child_slot))
-        combined: list[Assignment] = [{}]
-        for candidates in parts:
-            combined = [{**base, **extra} for base in combined for extra in candidates]
-        out.extend(combined)
-    return out

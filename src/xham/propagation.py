@@ -23,6 +23,14 @@ than two, and a new engine only its clauses of fewer than two literals
 or with a repeated variable. A fixpoint so costs time linear in the
 clauses a step can change rather than a sweep over the whole formula.
 
+The dual substitution of a literal whose variable has degree one, in a
+binary clause, is the cheapest step of all (`drop_binary`): the clause
+is the variable's only occurrence, and the rewrite would turn it into a
+complementary pair, which drops. So the clause drops with one write and
+no rewrite: the variable's degree goes to 0 and the other literal's
+falls by one. It queues nothing and changes no other clause. On a chain
+every dual elimination is of this kind.
+
 Only q searches an engine: a q child takes a `mark`, applies its steps,
 and goes back with `undo_to`. The solver and p propagate the root with
 it and search on value lists of their own (see `solver`). Every engine
@@ -114,8 +122,8 @@ class Propagator:
     may repeat. degree counts the variable's literal occurrences in live
     clauses.
     A live clause off the queue holds at least two distinct unforced
-    variables; `force`, `substitute`, `remove_literal` and a new engine
-    queue exactly the clauses that break this (see the module
+    variables; `force`, `substitute`, `remove_literal`, `drop_binary` and
+    a new engine queue exactly the clauses that break this (see the module
     docstring), so an engine whose clauses all hold two distinct
     variables starts at its fixpoint.
 
@@ -229,6 +237,24 @@ class Propagator:
         self.changed.append(pos)
         if len(live) < 2:
             self._enqueue(pos)
+
+    def drop_binary(self, pos: int, removed: int) -> None:
+        """Dual-substitute away a degree-one literal of a binary clause without a rewrite.
+
+        Rewriting `removed` as the complement of the clause's other
+        literal, the survivor, would turn its one occurrence, this clause,
+        into a complementary pair, which drops. So the clause drops here
+        with one write: the removed variable leaves the formula without
+        counting as freed, as after `remove_literal`, and the survivor
+        loses one occurrence, with the `singles` and freed bookkeeping of
+        a settle. No other clause changes, so nothing is queued or logged
+        in `changed`.
+        """
+        clause = self.clauses[pos]
+        self._writes.append((pos, clause))
+        self.clauses[pos] = None
+        self.degree[abs(removed)] = 0
+        self._lose((clause[1] if clause[0] == removed else clause[0],), ())
 
     def position_of(self, var: int) -> int:
         """Position of the one live clause holding a degree-one variable."""

@@ -61,10 +61,3 @@ def parse_branch_spec(text: str) -> tuple[int, ...]:
             raise ValueError(f"branch spec has more than {MAX_BRANCHES} branches")
         decrements.extend([r] * k)
     return tuple(decrements)
-
-
-def nth_root(value: float, degree: int) -> float:
-    """value ** (1/degree): per-variable base of a count growing as value^(n/degree)."""
-    if degree < 1:
-        raise ValueError("degree must be a positive integer")
-    return value ** (1.0 / degree)

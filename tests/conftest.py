@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from xham import CapExceeded, Formula, enumerate_xmodels, random_formula, solver
+from xham import CapExceeded, Formula, GeneralizedAssignment, enumerate_xmodels, random_formula, solver
+from xham.branching import slot_options
+from xham.formula import Assignment
 from xham.propagation import Propagator
 
 
@@ -264,6 +266,12 @@ def propagated(f: Formula, force=None, substitute=None) -> Propagator:
     return engine
 
 
+def engine_state(engine):
+    """Everything `undo_to` restores, copied."""
+    occ = {var: list(positions) for var, positions in engine.occ.items()}
+    return list(engine.clauses), dict(engine.degree), dict(engine.forced), occ, list(engine.freed), engine.unsat
+
+
 def live_clauses(engine) -> tuple:
     """The engine's live clauses in position order."""
     return tuple(clause for clause in engine.clauses if clause is not None)
@@ -323,3 +331,90 @@ def assert_model_preservation(f, force=None, substitute=None):
     as_set = lambda ms: {tuple(sorted(m.items())) for m in ms}
     assert as_set(got) == as_set(want)
     assert len(got) == len(want)  # no double-represented model
+
+
+def nth_root(value: float, degree: int) -> float:
+    """value ** (1/degree): per-variable base of a count growing as value^(n/degree)."""
+    if degree < 1:
+        raise ValueError("degree must be a positive integer")
+    return value ** (1.0 / degree)
+
+
+def validate(state: GeneralizedAssignment, require_rooted: bool = False) -> None:
+    """Check a state's link forest; raise ValueError on ill-formed links.
+
+    q never calls this: `gen_h` trusts the links `record_sing` and
+    `record_dual` record, and the tests check the leaves it scores.
+    """
+    parent: dict[int, int] = {}
+    rooted = state.root_vars()
+    for var, members in state.sing.items():
+        if members and var not in state.sat:
+            raise ValueError(f"pool head {var} lacks a slot polarity")
+    links = [(m, var) for var, members in state.sing.items() for m, _ in members]
+    links += [(c, var) for var, children in state.dual.items() for c, _, _ in children]
+    for child, var in links:
+        if child in parent:
+            raise ValueError(f"variable {child} linked from two sets")
+        parent[child] = var
+    # Variables whose walk already ended at an acceptable root; a walk
+    # that meets one stops there, so each link is followed once.
+    reaches_root: set[int] = set()
+    for child in parent:
+        if child in rooted:
+            raise ValueError(f"linked variable {child} also carries a value")
+        seen = {child}
+        cursor = child
+        while cursor in parent and cursor not in reaches_root:
+            cursor = parent[cursor]
+            if cursor in seen:
+                raise ValueError(f"link cycle through variable {cursor}")
+            seen.add(cursor)
+        if require_rooted and cursor not in reaches_root and cursor not in rooted:
+            raise ValueError(f"link tree root {cursor} has no value and is not free")
+        reaches_root |= seen
+
+
+def universe(state: GeneralizedAssignment) -> set[int]:
+    """All variables a state speaks for."""
+    out = state.root_vars() | set(state.sing) | set(state.dual)
+    out.update(m for members in state.sing.values() for m, _ in members)
+    out.update(c for children in state.dual.values() for c, _, _ in children)
+    return out
+
+
+def expand_state(state: GeneralizedAssignment) -> list[Assignment]:
+    """Every concrete assignment a leaf state represents.
+
+    Fixed values are taken verbatim; a satisfactor group contributes one
+    assignment per choice of satisfying participant; dual links follow
+    their parent's concrete value; free roots take both values. Output is
+    sorted for determinism.
+    """
+    validate(state, require_rooted=True)
+    options: list[list[Assignment]] = []
+    for var in sorted(state.values):
+        options.append(_expand_tree(state, var, state.values[var]))
+    for var in sorted(state.free):
+        both = _expand_tree(state, var, False) + _expand_tree(state, var, True)
+        options.append(both)
+
+    assignments: list[Assignment] = [{}]
+    for candidates in options:
+        assignments = [{**base, **extra} for base in assignments for extra in candidates]
+    keys = sorted(universe(state))
+    assignments.sort(key=lambda m: tuple(m[k] for k in keys))
+    return assignments
+
+
+def _expand_tree(state, var, slot) -> list[Assignment]:
+    out: list[Assignment] = []
+    for value, child_slots in slot_options(state, var, slot):
+        parts: list[list[Assignment]] = [[{var: value}]]
+        for child, child_slot in child_slots.items():
+            parts.append(_expand_tree(state, child, child_slot))
+        combined: list[Assignment] = [{}]
+        for candidates in parts:
+            combined = [{**base, **extra} for base in combined for extra in candidates]
+        out.extend(combined)
+    return out

@@ -21,14 +21,20 @@ from xham import (
     max_hamming_brute,
     max_hamming_p,
     max_hamming_q,
-    nth_root,
     planted_formula,
     random_formula,
     tau_root,
     verify_xmodel,
 )
 
-from conftest import allowed_subset_check, assert_model_preservation, chain, clause_count, count_allowed_subsets_brute
+from conftest import (
+    allowed_subset_check,
+    assert_model_preservation,
+    chain,
+    clause_count,
+    count_allowed_subsets_brute,
+    nth_root,
+)
 
 LENGTH_CLASSES = (2, 3, 4, 5, 6)
 INSTANCES_PER_CLASS = 1000

@@ -15,18 +15,28 @@ from xham import (
     SearchStats,
     branching,
     enumerate_xmodels,
-    expand_state,
     gen_h,
     max_hamming_brute,
     max_hamming_q,
     planted_formula,
+    propagation,
     random_formula,
     subset_scan,
 )
 from xham.branching import slot_options
 from xham.propagation import Propagator, components
 
-from conftest import chain, clause_count, count_builds, formula, repeated_variable_corpus
+from conftest import (
+    chain,
+    clause_count,
+    count_builds,
+    engine_state,
+    expand_state,
+    formula,
+    repeated_variable_corpus,
+    universe,
+    validate,
+)
 from test_golden import GOLDEN, build
 
 
@@ -42,7 +52,7 @@ class TestSimplifyState:
         # true with its satisfactor polarity recorded
         [(root, value)] = state.values.items()
         assert value is True and state.sat[root] is True
-        assert state.universe() == {1, 2, 3}
+        assert universe(state) == {1, 2, 3}
         got = {tuple(sorted(m.items())) for m in expand_state(state)}
         want = {
             ((1, True), (2, False), (3, False)),
@@ -133,6 +143,106 @@ def test_simplify_links_as_a_reference_that_pools_from_every_change(monkeypatch)
     assert pooled > 100
 
 
+def drop_by_substitute(engine, pos, removed):
+    """The dual substitution `drop_binary` stands in for: rewrite the
+    removed literal as the complement of its clause's other literal, which
+    turns the clause into a complementary pair that drops."""
+    first, second = engine.clauses[pos]
+    engine.substitute(removed, second if first == removed else first)
+
+
+def simplified(simplify, engine, state):
+    """Run a `_simplify` and return what it leaves on the engine and the state."""
+    ok = simplify(engine, state)
+    engine_side = list(engine.clauses), dict(engine.degree), dict(engine.forced), list(engine.freed)
+    return ok, engine_side, state.sing, state.dual, state.sat, state.score
+
+
+def with_pendants(f: Formula, seed: int) -> Formula:
+    """f with a fresh variable of random sign added to about two clauses in
+    five. A branch that leaves such a clause binary leaves the fresh
+    variable as its degree-one side."""
+    rng = random.Random(seed)
+    n, clauses = f.num_vars, []
+    for clause in f.clauses:
+        if rng.random() < 0.4:
+            n += 1
+            clause += (n if rng.random() < 0.5 else -n,)
+        clauses.append(clause)
+    return Formula(n, tuple(clauses))
+
+
+DROP_CORPUS = (
+    [random_formula(n, clause_count(n, k), k, 8100 + 10 * n + k) for k in (2, 3, 4, 5) for n in range(6, 22, 3)]
+    + [planted_formula(n, k, 2, seed) for n, k in ((15, 3), (18, 3), (21, 3), (16, 4), (20, 4)) for seed in range(3)]
+    + [with_pendants(planted_formula(n, k, 2, seed), seed) for n, k in ((15, 3), (18, 3), (21, 3), (16, 4), (20, 4)) for seed in range(4)]
+    + [chain(n, k, seed) for k, n in ((2, 40), (2, 101), (3, 41), (3, 101)) for seed in range(4)]
+)
+
+
+def test_drop_step_simplifies_as_the_substitution_it_replaces(monkeypatch):
+    """`_simplify` with `drop_binary` and with it patched back to the
+    rewrite leaves the same live clauses, degrees, forces, freed
+    variables, links and tables: on fresh engines, and under a mark at
+    every q child the branching search visits, whose engine `undo_to`
+    then gives back. q's answers, nodes and leaves are the same too."""
+    real = branching._simplify
+    drops = {"root": 0, "child": 0}
+    where = "root"
+    drop = Propagator.drop_binary
+
+    def counting(engine, pos, removed):
+        drops[where] += 1
+        drop(engine, pos, removed)
+
+    def both_ways(engine, state):
+        outcomes = []
+        for patched in (False, True):
+            with monkeypatch.context() as patch:
+                patch.setattr(Propagator, "drop_binary", drop_by_substitute if patched else counting)
+                outcomes.append(simplified(real, engine(), state.copy()))
+        return outcomes
+
+    for f in DROP_CORPUS:
+        got, want = both_ways(lambda: Propagator(f), GeneralizedAssignment())
+        assert got == want, f
+
+    def checking(engine, state):
+        nonlocal where
+        if engine._writes is not propagation._UNLOGGED:  # a child, below the root's first mark
+            where = "child"
+            node, logs = engine_state(engine), (list(engine.changed), list(engine.singles))
+
+            def marked():
+                engine.undo_to(mark)
+                engine.changed[:], engine.singles[:] = logs
+                return engine
+
+            mark = engine.mark()
+            got, want = both_ways(marked, state)
+            assert got == want
+            marked()
+            assert engine_state(engine) == node
+            where = "root"
+        return real(engine, state)
+
+    def answers():
+        out = []
+        for f in DROP_CORPUS:
+            counter = SearchStats()
+            out.append((max_hamming_q(f, counter).distance, counter.nodes, counter.leaves))
+        return out
+
+    want = answers()
+    with monkeypatch.context() as patch:
+        patch.setattr(Propagator, "drop_binary", drop_by_substitute)
+        assert answers() == want
+    monkeypatch.setattr(branching, "_simplify", checking)
+    monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
+    answers()
+    assert drops["root"] > 800 and drops["child"] > 200, drops
+
+
 def leaf_state(**kw):
     return GeneralizedAssignment(**kw)
 
@@ -141,37 +251,37 @@ class TestValidate:
     def test_pool_head_without_slot_polarity(self):
         state = leaf_state(values={1: True}, sing={1: [(2, True)]})
         with pytest.raises(ValueError, match="pool head 1 lacks a slot polarity"):
-            state.validate()
+            validate(state)
 
     def test_variable_linked_from_two_sets(self):
         state = leaf_state(values={1: True, 3: False}, dual={1: [(2, True, False)], 3: [(2, False, False)]})
         with pytest.raises(ValueError, match="variable 2 linked from two sets"):
-            state.validate()
+            validate(state)
 
     def test_linked_variable_with_a_value(self):
         state = leaf_state(values={1: True, 2: False}, dual={1: [(2, True, False)]})
         with pytest.raises(ValueError, match="linked variable 2 also carries a value"):
-            state.validate()
+            validate(state)
 
     def test_link_cycle(self):
         state = leaf_state(dual={1: [(2, True, False)], 2: [(3, True, False)], 3: [(1, True, False)]})
         with pytest.raises(ValueError, match="link cycle through variable"):
-            state.validate()
+            validate(state)
 
     def test_unrooted_tree_only_when_rooting_is_required(self):
         state = leaf_state(dual={1: [(2, True, False)]})
-        state.validate()
+        validate(state)
         with pytest.raises(ValueError, match="link tree root 1 has no value and is not free"):
-            state.validate(require_rooted=True)
+            validate(state, require_rooted=True)
 
     def test_long_chain_is_rooted(self):
         n = 5000
         state = leaf_state(values={1: True}, dual={v: [(v + 1, True, False)] for v in range(1, n)})
-        state.validate(require_rooted=True)
+        validate(state, require_rooted=True)
         state.dual[n] = [(1, True, False)]
         del state.values[1]
         with pytest.raises(ValueError, match="link cycle"):
-            state.validate()
+            validate(state)
 
 
 class TestGenH:
@@ -223,7 +333,7 @@ class TestGenH:
                     expansions = expand_state(state)
                 except ValueError:
                     continue
-                keys = sorted(state.universe())
+                keys = sorted(universe(state))
                 best = None if state.flips else 0
                 for a, b in itertools.combinations(expansions, 2):
                     if all(slot_reading(state, a, v) != slot_reading(state, b, v) for v in state.flips):
@@ -925,7 +1035,7 @@ class TestInvariants:
             leaves = []
             max_hamming_q(f, leaf_hook=lambda s, t: leaves.append(s.copy()))
             for state in leaves:
-                state.validate()
+                validate(state)
 
     def test_simplification_only_instances_expand_to_all_models(self):
         """When no branching happens, the single leaf represents Var(F) exactly."""

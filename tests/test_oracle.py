@@ -5,13 +5,12 @@ from xham import (
     CapExceeded,
     GeneralizedAssignment,
     enumerate_xmodels,
-    expand_state,
     hamming_distance,
     max_hamming_brute,
     verify_xmodel,
 )
 
-from conftest import count_allowed_subsets_brute, formula
+from conftest import count_allowed_subsets_brute, expand_state, formula
 
 
 class TestEnumerate:

@@ -23,11 +23,13 @@ from conftest import (
     assert_model_preservation,
     chain,
     clause_count,
+    engine_state,
     extend_model,
     formula,
     live_clauses,
     propagated,
     repeated_variable_corpus,
+    universe,
 )
 
 
@@ -277,7 +279,7 @@ def settled_clauses_on_chain(monkeypatch, n, signed=True):
     engine, state = Propagator(chain), GeneralizedAssignment()
     assert branching._simplify(engine, state)
     state.absorb(engine.forced.items(), engine.freed)
-    assert all(clause is None for clause in engine.clauses) and len(state.universe()) == n
+    assert all(clause is None for clause in engine.clauses) and len(universe(state)) == n
     return count
 
 
@@ -294,15 +296,6 @@ def test_binary_chain_settles_one_clause(monkeypatch):
     rewrite, and the last clause pools into a unit, the one clause settled."""
     assert settled_clauses_on_chain(monkeypatch, 1000, signed=False) == 1
     assert settled_clauses_on_chain(monkeypatch, 2000, signed=False) == 1
-
-
-def engine_state(engine):
-    """Everything `undo_to` restores, copied."""
-    occ = {var: list(positions) for var, positions in engine.occ.items()}
-    return (
-        list(engine.clauses), dict(engine.degree), dict(engine.forced), occ,
-        list(engine.freed), engine.unsat,
-    )
 
 
 trail_formulas = st.one_of(
@@ -589,6 +582,58 @@ def test_remove_literal_matches_a_reference_that_queues_the_clause(clauses, remo
     assert bool(engine.queued[0]) == (left < 2)
     engine.propagate(), reference.propagate()
     assert outcome(engine) == outcome(reference)
+
+
+@pytest.mark.parametrize(
+    "clauses, removed, survivor, left, singles, freed",
+    [
+        (((1, 2), (2, 3, 4), (-2, 5, 6)), 1, 2, 2, [], []),  # the survivor keeps two occurrences
+        (((1, -2), (2, 3, 4), (5, 6, 7)), 1, 2, 1, [2], []),  # it falls to degree one
+        (((3, -1), (4, 5, 6)), -1, 3, 0, [], [3]),  # it vanishes, so it is freed
+    ],
+)
+def test_drop_binary_retires_a_degree_one_side_in_one_write(clauses, removed, survivor, left, singles, freed):
+    """The clause drops, the removed variable's degree goes to 0 without
+    freeing it, the survivor loses one occurrence with the bookkeeping of
+    a settle, and the write log holds the one clause; `undo_to` gives the
+    engine at the mark back."""
+    engine = Propagator(formula(*clauses))
+    assert engine.propagate()
+    engine.changed.clear(), engine.singles.clear()
+    before = engine_state(engine)
+    mark = engine.mark()
+    engine.drop_binary(0, removed)
+    assert engine.clauses == [None, *clauses[1:]]
+    assert engine.degree[abs(removed)] == 0 and engine.degree[survivor] == left
+    assert engine.singles == singles and not engine.changed and not engine.queue
+    assert engine._writes == [(0, clauses[0])] and engine._occs == []
+    assert engine.propagate() and engine.freed == freed and not engine.forced
+    engine.undo_to(mark)
+    assert engine_state(engine) == before
+
+
+def test_drop_binary_below_q_root_undoes_to_every_mark():
+    """Before the first mark the drop logs nothing, as the root's
+    simplification does; under a q child's mark, after a force left a
+    binary clause with a degree-one side, it logs one write, and undoing
+    to the child's mark and then to the one above it gives each back."""
+    f = formula((1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8))
+    engine = Propagator(f)
+    engine.drop_binary(3, 8)
+    assert engine.clauses[3] is None and len(engine._writes) == 0
+    assert engine.propagate() and engine.freed == []
+    root, root_mark = engine_state(engine), engine.mark()
+    engine.force(1, False)
+    assert engine.propagate() and engine.clauses[0] == (2, 3) and engine.degree[2] == 1
+    engine.changed.clear(), engine.singles.clear()
+    child, child_mark = engine_state(engine), engine.mark()
+    engine.drop_binary(0, 2)
+    assert engine._writes[child_mark[0] :] == [(0, (2, 3))]
+    assert engine.degree[2] == 0 and engine.degree[3] == 1 and engine.singles == [3]
+    engine.undo_to(child_mark)
+    assert engine_state(engine) == child
+    engine.undo_to(root_mark)
+    assert engine_state(engine) == root
 
 
 @settings(max_examples=200, deadline=None)

@@ -174,7 +174,11 @@ def full_scan_first_longest(clauses, value, start, width):
 def test_longest_pick_matches_a_full_scan(monkeypatch):
     """Each level's scan starts where its parent's live clauses start and
     stops at a clause as long as its parent's longest; models, p's solver
-    calls and p's answers are those a scan of the whole list gives."""
+    calls and p's answers are those a scan of the whole list gives.
+
+    The ternary chains branch once per two clauses, so a full scan costs
+    the square of their length: it runs on the 2,001-variable chain, and
+    the 16,001-variable one checks that the linear pick finds a model."""
     instances = [
         random_formula(n, clause_count(n, length) + extra, length, seed=63000 + i)
         for i in range(600)
@@ -182,7 +186,7 @@ def test_longest_pick_matches_a_full_scan(monkeypatch):
     ]
     instances += [planted_formula(n, length, 2, seed) for n, length in ((21, 3), (20, 4)) for seed in range(20)]
     instances += repeated_variable_corpus(100, 64000)
-    chain = Formula(16001, tuple((v, v + 1, v + 2) for v in range(1, 16001, 2)))
+    chain, long_chain = (Formula(n, tuple((v, v + 1, v + 2) for v in range(1, n, 2))) for n in (2001, 16001))
 
     def answers():
         out = [find_xmodel(f) for f in instances + [chain]]
@@ -192,6 +196,7 @@ def test_longest_pick_matches_a_full_scan(monkeypatch):
         return out
 
     linear = answers()
+    assert verify_xmodel(long_chain, find_xmodel(long_chain))
     monkeypatch.setattr(solver, "_first_longest", full_scan_first_longest)
     assert linear == answers()
     assert verify_xmodel(chain, linear[len(instances)])

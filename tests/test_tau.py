@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xham import nth_root, parse_branch_spec, tau_root
+from xham import parse_branch_spec, tau_root
 from xham.tau import MAX_BRANCHES
+
+from conftest import nth_root
 
 # Branching constants the analysis relies on, to four decimals. The
 # quoted 1.7888 belongs to (6, 5, 4^4, 3^3); the eight-branch variant
