@@ -348,11 +348,14 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     `changed` log and holds every clause that may have become binary.
     `to_pool` is fed from its `singles` log alone: a clause can only
     start to pool when one of its variables falls to degree one, and
-    each such variable pushes its clause once. So a clause has at least
-    as many entries as fresh singletons (heading no pool), one fewer
-    while it holds no pool head; a pool uses one entry and takes at
-    least one fresh singleton, so a clause that can pool always has an
-    entry left, and a pooled clause is not pushed again. A new
+    each such variable pushes its clause once if the clause can pool
+    then (`_pool_pair`). So a clause has at least as many entries as
+    fresh singletons (heading no pool), one fewer while it holds no pool
+    head: a push is skipped only on a clause with fewer than two
+    singletons or no fresh one, which needs no entry; a pool uses one
+    entry and takes at least one fresh singleton, so a clause that can
+    pool always has an entry left, and a pooled clause is not pushed
+    again. `_pool_first` runs only on a heap that holds an entry. A new
     engine logs its binary clauses and degree-one variables; below q's
     root the logs hold only what the node's steps touched since its
     mark, at a fixpoint where nothing pools and no clause is binary.
@@ -369,11 +372,13 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
                 heappush(binaries, pos)
         for var in engine.singles:
             if degree[var] == 1:
-                heappush(to_pool, engine.position_of(var))
+                pos = engine.position_of(var)
+                if _pool_pair(clauses[pos], degree, state.sat):
+                    heappush(to_pool, pos)
         engine.changed.clear()
         engine.singles.clear()
 
-        if _pool_first(engine, state, to_pool):
+        if to_pool and _pool_first(engine, state, to_pool):
             continue
         if not _eliminate_first_binary(engine, state, binaries):
             return True
@@ -386,22 +391,29 @@ def _pool_first(engine: Propagator, state: GeneralizedAssignment, to_pool: list[
     while to_pool:
         pos = heappop(to_pool)
         clause = clauses[pos]
-        if clause is None:
-            continue
-        singles = [lit for lit in clause if degree[abs(lit)] == 1]
-        if len(singles) < 2:
-            continue
-        # The pool head must not already head a pool from another
-        # clause; a head that went singleton again nests as a member.
-        fresh = [lit for lit in singles if abs(lit) not in state.sat]
-        if not fresh:
-            continue
-        rep = fresh[0]
-        victim = next(lit for lit in singles if lit != rep)
-        state.record_sing(rep, victim)
-        engine.remove_literal(pos, victim)
-        return True
+        pair = clause is not None and _pool_pair(clause, degree, state.sat)
+        if pair:
+            rep, victim = pair
+            state.record_sing(rep, victim)
+            engine.remove_literal(pos, victim)
+            return True
     return False
+
+
+def _pool_pair(clause, degree, sat):
+    """The head and the member of the clause's next pool, or None if it cannot pool.
+
+    A clause pools when it holds at least two singletons one of which
+    heads no pool: the head must not already head a pool from another
+    clause, and a head that went singleton again nests as a member. The
+    head is the first such singleton, the member the first other one.
+    """
+    singles = [lit for lit in clause if degree[abs(lit)] == 1]
+    if len(singles) > 1:
+        for rep in singles:
+            if abs(rep) not in sat:
+                return rep, singles[1] if rep == singles[0] else singles[0]
+    return None
 
 
 def _eliminate_first_binary(engine: Propagator, state: GeneralizedAssignment, binaries: list[int]) -> bool:
@@ -572,31 +584,36 @@ def _evaluate(engine, positions, state):
     The part's x-models are listed over the live variables' slot values
     as bitmasks, one clause depth at a time: each clause in turn picks its
     satisfactor, its other literals go false, and a pick that contradicts
-    an earlier clause's is dropped. The clause order depends on the
-    clauses alone, so every state at one depth has set the same
-    variables, and a state agrees with a pick exactly when they match on
-    the clause's variables set earlier. The picks are keyed by those
-    bits once per depth, and each state finds its agreeing picks with one
-    lookup. The states of a depth are the nodes of that depth in the
-    tree of picks, so their running count is the number of states a
-    depth-first search of that tree visits, and the listing gives up,
-    returning None, once the count passes `SMALL_PART_CAP` (models
-    included). A model of d clauses takes d + 1 states to reach, so a
-    part of at least `SMALL_PART_CAP` clauses cannot reach a model within
-    the cap and returns None before any set-up; such a part with no
-    x-model is refuted by branching instead. A part without an x-model is
-    BOTTOM.
+    an earlier clause's is dropped. The next clause is the first, by
+    position, of those with the fewest variables no earlier clause set,
+    found in one pass over the clauses left that stops at a clause with
+    none. The clause order depends on the clauses alone, so every state
+    at one depth has set the same variables, and a state agrees with a
+    pick exactly when they match on the clause's variables set earlier.
+    The picks are keyed by those bits once per depth, and each state
+    finds its agreeing picks with one lookup. The states of a depth are
+    the nodes of that depth in the tree of picks, so their running count
+    is the number of states a depth-first search of that tree visits,
+    and the listing gives up, returning None, once the count passes
+    `SMALL_PART_CAP` (models included). A model of d clauses takes d + 1
+    states to reach, so a part of at least `SMALL_PART_CAP` clauses
+    cannot reach a model within the cap and returns None before any
+    set-up; such a part with no x-model is refuted by branching instead.
+    A part without an x-model is BOTTOM.
 
     The value is the best pair of those models, A = B included, of the
     sum over the variables of their table entries 2*a + b, the same
     tables `gen_h` and `_bound` read, so flip pivots, pools and dual
     links count with no rule of their own; a part where no pair honours
-    every flip reads negative. A table entry splits as
+    every flip reads negative. When no variable of the part is linked
+    (in `state.sing` or `state.dual`), every table reads (0, 1, 1, 0),
+    so the value is the largest popcount of a ^ b over pairs of distinct
+    models, or 0 for one model. Otherwise a table entry splits as
     t00 + d*(a + b) + c*a*b, with d = t01 - t00 and
     c = t11 - 2*t01 + t00 (tables are symmetric), so a pair scores t00
     summed, plus each model's own d-sum, plus the c-sum over the
     variables both models set. Variables are grouped by table, then by d
-    and by c, and a group sums with one popcount per model or pair. The
+    and by c, and a group sums with one popcount per model or pair. Those
     pairs are scored in bulk, one list per group; there are at most
     `SMALL_PART_CAP` models, so at most about cap**2 / 2 pairs.
     """
@@ -624,11 +641,18 @@ def _evaluate(engine, positions, state):
         options.append((span, [negative ^ bit for bit in lit_bits]))
     # Each next clause is the one with the fewest variables no earlier
     # clause set, so picks clash as early as they can and fewer parts run
-    # past `SMALL_PART_CAP`.
+    # past `SMALL_PART_CAP`. A clause with none ends the scan, as no
+    # clause can have fewer.
     models, states, fixed = [0], 1, 0
     while options:
-        new = [(span & ~fixed).bit_count() for span, _ in options]
-        span, picks = options.pop(new.index(min(new)))
+        first, fewest, free = 0, len(bits) + 1, ~fixed
+        for i, (span, _) in enumerate(options):
+            new = (span & free).bit_count()
+            if new < fewest:
+                first, fewest = i, new
+                if not new:
+                    break
+        span, picks = options.pop(first)
         seen = span & fixed
         agreeing = {}
         for pick in picks:
@@ -641,6 +665,14 @@ def _evaluate(engine, positions, state):
             return BOTTOM
         fixed |= span
 
+    if state.sing.keys().isdisjoint(bits) and state.dual.keys().isdisjoint(bits):
+        best = 0
+        for i, a in enumerate(models):
+            for b in models[i + 1 :]:
+                apart = (a ^ b).bit_count()
+                if apart > best:
+                    best = apart
+        return best
     by_table = {}
     for var, bit in bits.items():
         t = state.table(var)

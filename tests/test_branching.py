@@ -908,6 +908,37 @@ class TestSmallParts:
         assert seen["valued at its count"] > 1000, seen
         assert seen["pool"] > 20 and seen["dual link"] > 400 and seen["must flip"] > 300, seen
 
+    def test_a_link_free_part_scores_as_the_tables_do(self, monkeypatch):
+        """At every part with no variable in `state.sing` or `state.dual`,
+        `_evaluate`'s popcount score equals its table scorer's. An empty
+        link list on one of the part's variables sends the part down the
+        table path while that variable's table still reads (0, 1, 1, 0).
+        Some of these parts sit at nodes whose state links other
+        variables."""
+        real = branching._evaluate
+        seen = collections.Counter()
+
+        def evaluate(engine, positions, state):
+            value = real(engine, positions, state)
+            live = {abs(lit) for pos in positions for lit in engine.clauses[pos]}
+            linked = live & (state.sing.keys() | state.dual.keys())
+            if value is None or value is BOTTOM or linked:
+                return value
+            by_table = state.copy()
+            by_table.dual[min(live)] = []
+            assert by_table.table(min(live)) == (0, 1, 1, 0)
+            assert real(engine, positions, by_table) == value
+            seen["link-free"] += 1
+            seen["links elsewhere"] += bool(state.sing or state.dual)
+            return value
+
+        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        for cap in (16, 64, branching.SMALL_PART_CAP):
+            monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
+            for f in self.instances():
+                max_hamming_q(f)
+        assert seen["link-free"] > 150 and seen["links elsewhere"] > 40, seen
+
     def test_a_pair_of_equal_models_can_win(self):
         """Two models that agree on every live variable still differ below a
         pool head, whose members may pick different satisfactors, so the
