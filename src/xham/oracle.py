@@ -1,16 +1,17 @@
 """Exhaustive ground-truth engines.
 
-Everything here trades time for certainty: model enumeration over all
-2^n assignments and max Hamming by pairwise comparison. Caps refuse
-oversized inputs instead of running for hours.
+Everything here trades time for certainty: every x-model listed on the
+solver's search (`solver.models`), and max Hamming by comparing every
+model pair. Caps refuse oversized inputs instead of running for hours.
 """
 
 from __future__ import annotations
 
 from .formula import BOTTOM, Assignment, Formula, HammingResult
+from .propagation import Propagator
+from .solver import models, solve
 
 DEFAULT_ENUM_CAP = 24
-_CHUNK = 1 << 16
 
 
 class CapExceeded(ValueError):
@@ -23,34 +24,8 @@ def enumerate_xmodels(formula: Formula, cap: int = DEFAULT_ENUM_CAP) -> list[Ass
     Assignments are ordered as tuples of booleans over ascending
     variables, False before True.
     """
-    variables = formula.variables()
-    n = len(variables)
-    if n > cap:
-        raise CapExceeded(f"{n} variables exceed enumeration cap {cap}")
-    if any(not clause for clause in formula.clauses):
-        return []
-    if n == 0:
-        return [{}]
-
-    import numpy as np  # imported here so that importing xham does not load numpy
-
-    position = {v: i for i, v in enumerate(variables)}
-    shifts = np.array([n - 1 - position[v] for v in variables], dtype=np.uint32)
-    models: list[Assignment] = []
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        index = np.arange(start, stop, dtype=np.int64)
-        bits = ((index[:, None] >> shifts[None, :]) & 1).astype(bool)
-        ok = np.ones(stop - start, dtype=bool)
-        for clause in formula.clauses:
-            count = np.zeros(stop - start, dtype=np.int16)
-            for lit in clause:
-                column = bits[:, position[abs(lit)]]
-                count += column if lit > 0 else ~column
-            ok &= count == 1
-        for row in np.nonzero(ok)[0]:
-            models.append({v: bool(bits[row, position[v]]) for v in variables})
-    return models
+    bits, masks = _model_masks(formula, cap)
+    return [{v: bool(mask & bit) for v, bit in bits} for mask in masks]
 
 
 def max_hamming_brute(formula: Formula, cap: int = DEFAULT_ENUM_CAP) -> HammingResult:
@@ -59,22 +34,40 @@ def max_hamming_brute(formula: Formula, cap: int = DEFAULT_ENUM_CAP) -> HammingR
     The witness pair is the lexicographically first maximizing one; a
     single model yields distance 0 witnessed by itself.
     """
-    models = enumerate_xmodels(formula, cap)
-    if not models:
+    bits, masks = _model_masks(formula, cap)
+    if not masks:
         return HammingResult(BOTTOM)
-    variables = formula.variables()
-    if len(models) == 1:
-        only = models[0]
-        return HammingResult(0, (dict(only), dict(only)))
-    import numpy as np
+    best, pair = 0, (masks[0], masks[0])
+    for i, first in enumerate(masks):
+        if best == len(bits):
+            break  # no pair can score higher
+        scores = [(first ^ second).bit_count() for second in masks[i + 1 :]]
+        top = max(scores, default=0)
+        if top > best:  # only a strictly higher score moves the witness
+            best, pair = top, (first, masks[i + 1 + scores.index(top)])
+    return HammingResult(best, tuple({v: bool(mask & bit) for v, bit in bits} for mask in pair))
 
-    matrix = np.array([[m[v] for v in variables] for m in models], dtype=bool)
-    best = -1
-    pair = (0, 0)
-    for i in range(len(models) - 1):
-        dist = (matrix[i + 1 :] != matrix[i]).sum(axis=1)
-        j = int(np.argmax(dist))
-        if int(dist[j]) > best:
-            best = int(dist[j])
-            pair = (i, i + 1 + j)
-    return HammingResult(best, (dict(models[pair[0]]), dict(models[pair[1]])))
+
+def _model_masks(formula: Formula, cap: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """((v, bit) per variable of Var(formula), ascending, bits descending;
+    its x-models as ascending masks, so in lexicographic order), listed
+    from one propagated root: each component's models, times the freed
+    variables' two values, with the forced values."""
+    variables = formula.variables()
+    n = len(variables)
+    if n > cap:
+        raise CapExceeded(f"{n} variables exceed enumeration cap {cap}")
+    bits = [(v, 1 << (n - 1 - i)) for i, v in enumerate(variables)]
+    engine = Propagator(formula)
+    found = solve(engine)  # a component with no model is refuted once, before any listing
+    if found is None:
+        return bits, []
+    bit = dict(bits)
+    masks = [sum(bit[v] for v, value in engine.forced.items() if value)]
+    factors = [(0, bit[v]) for v in engine.freed]
+    for part in found[1]:
+        factors.append([sum(bit[v] for v, value in zip(part.variables, values[1:]) if value) for values in models(part)])
+    for factor in factors:
+        masks = [mask | extra for mask in masks for extra in factor]
+    masks.sort()
+    return bits, masks

@@ -25,8 +25,9 @@ one, so its unassigned literals, in clause order, are what the
 propagation engine would have left of it. The path lives on an explicit
 stack, so deep instances need no recursion, and a step costs the
 clauses holding the variables it assigns, however many variables the
-component has. Worst-case bounds are not a goal here; this is the inner solver
-for the subset-scan algorithm and a fast satisfiability filter.
+component has. `models` lists every model, backing up after each, and
+`search` is its first; this is the inner solver of the subset scan and
+the oracle, and a fast satisfiability filter.
 """
 
 from __future__ import annotations
@@ -109,35 +110,40 @@ def solve(engine: Propagator) -> tuple[Assignment, list[Part]] | None:
 
 
 def search(part: Part, assumptions=()) -> list | None:
-    """An x-model of part's clauses with every local literal of
-    `assumptions` true, or None.
+    """The first x-model of `models(part, assumptions)`, or None."""
+    return next(models(part, assumptions), None)
 
-    The model is the value list: index i, for each local variable i,
-    holds its value.
 
-    Every variable is in a clause, so a fixpoint with every variable
-    assigned has no live clause: the model. Clauses only lose literals on
-    the way down, so a level's scan for its first longest clause starts
-    at its parent's first live clause and stops at the first clause as
-    long as its parent's longest, the root's at one as long as the
-    longest clause; on a chain each level so reads a few clauses, not the
-    whole list.
+def models(part: Part, assumptions=()):
+    """Yield each x-model of part's clauses with every local literal of
+    `assumptions` true, once.
+
+    A model is the value list, index i holding local variable i's value;
+    the search reuses it, so a caller copies what it keeps. Every variable
+    is in a clause, so a fixpoint with every variable assigned is a model,
+    and the search backs up from it. Clauses only lose literals on the way
+    down, so a level's scan for its first longest clause starts at its
+    parent's first live clause and stops at the first clause as long as
+    its parent's longest, the root's at one as long as the longest clause;
+    on a chain each level so reads a few clauses, not the whole list.
     """
     clauses, holding = part.clauses, part.holding
     n = len(part.variables)
     value = [None] * len(holding)
     trail = []
     if not _propagate(value, trail, assumptions, holding):
-        return None
+        return
     path = []  # (trail length, untried branch literals, scan start index, longest width) per level above this one
     branches = None
     start, longest = 0, max(map(len, clauses))
     while True:
-        if branches is None:  # a new level: done, or branch on the first longest clause
+        if branches is None:  # a new level: a model, or branch on the first longest clause
             if len(trail) == n:
-                return value
-            start, free = _first_longest(clauses, value, start, longest)
-            branches, longest = iter(free), len(free)
+                yield value
+                branches = iter(())  # back up to the nearest untried branch
+            else:
+                start, free = _first_longest(clauses, value, start, longest)
+                branches, longest = iter(free), len(free)
         for lit in branches:
             mark = len(trail)
             if _propagate(value, trail, (lit,), holding):
@@ -147,7 +153,7 @@ def search(part: Part, assumptions=()) -> list | None:
             _undo(value, trail, mark)
         else:
             if not path:
-                return None
+                return
             mark, branches, start, longest = path.pop()
             _undo(value, trail, mark)
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from xham import CapExceeded, Formula, GeneralizedAssignment, enumerate_xmodels, random_formula, solver
+from xham import BOTTOM, CapExceeded, Formula, GeneralizedAssignment, HammingResult, random_formula, solver
 from xham.branching import slot_options
 from xham.formula import Assignment
 from xham.propagation import Propagator
@@ -120,6 +120,72 @@ def count_allowed_subsets_brute(formula: Formula, cap: int = 20) -> int:
         else:
             count += 1
     return count
+
+
+_CHUNK = 1 << 16
+
+
+def scan_xmodels(formula: Formula, cap: int = 24) -> list[Assignment]:
+    """All x-models over Var(formula), in lexicographic order, by a numpy
+    scan of all 2^n assignments.
+
+    The reference that `enumerate_xmodels`, the solver and the
+    propagation engine are held to: the oracle runs on the other two, so
+    it cannot check them.
+    """
+    variables = formula.variables()
+    n = len(variables)
+    if n > cap:
+        raise CapExceeded(f"{n} variables exceed enumeration cap {cap}")
+    if any(not clause for clause in formula.clauses):
+        return []
+    if n == 0:
+        return [{}]
+
+    import numpy as np
+
+    position = {v: i for i, v in enumerate(variables)}
+    shifts = np.array([n - 1 - position[v] for v in variables], dtype=np.uint32)
+    models: list[Assignment] = []
+    for start in range(0, 1 << n, _CHUNK):
+        stop = min(start + _CHUNK, 1 << n)
+        index = np.arange(start, stop, dtype=np.int64)
+        bits = ((index[:, None] >> shifts[None, :]) & 1).astype(bool)
+        ok = np.ones(stop - start, dtype=bool)
+        for clause in formula.clauses:
+            count = np.zeros(stop - start, dtype=np.int16)
+            for lit in clause:
+                column = bits[:, position[abs(lit)]]
+                count += column if lit > 0 else ~column
+            ok &= count == 1
+        for row in np.nonzero(ok)[0]:
+            models.append({v: bool(bits[row, position[v]]) for v in variables})
+    return models
+
+
+def scan_brute(formula: Formula, cap: int = 24) -> HammingResult:
+    """Max pairwise Hamming distance over `scan_xmodels`, scored row by
+    row with numpy; the witness pair is the lexicographically first
+    maximizing one. The reference `max_hamming_brute` is held to."""
+    models = scan_xmodels(formula, cap)
+    if not models:
+        return HammingResult(BOTTOM)
+    variables = formula.variables()
+    if len(models) == 1:
+        only = models[0]
+        return HammingResult(0, (dict(only), dict(only)))
+    import numpy as np
+
+    matrix = np.array([[m[v] for v in variables] for m in models], dtype=bool)
+    best = -1
+    pair = (0, 0)
+    for i in range(len(models) - 1):
+        dist = (matrix[i + 1 :] != matrix[i]).sum(axis=1)
+        j = int(np.argmax(dist))
+        if int(dist[j]) > best:
+            best = int(dist[j])
+            pair = (i, i + 1 + j)
+    return HammingResult(best, (dict(models[pair[0]]), dict(models[pair[1]])))
 
 
 def count_builds(monkeypatch) -> dict[str, int]:
@@ -300,7 +366,7 @@ def expanded_models(f, engine, substitute=None):
     if engine.unsat:
         return []
     out = []
-    for model in enumerate_xmodels(Formula(f.num_vars, live_clauses(engine))):
+    for model in scan_xmodels(Formula(f.num_vars, live_clauses(engine))):
         for picks in itertools.product((False, True), repeat=len(engine.freed)):
             chosen = dict(model)
             chosen.update(zip(engine.freed, picks))
@@ -326,7 +392,7 @@ def assert_model_preservation(f, force=None, substitute=None):
             return (m[abs(a)] == (a > 0)) != (m[abs(b)] == (b > 0))
         return True
 
-    want = [{v: m[v] for v in f.variables()} for m in enumerate_xmodels(f) if allowed(m)]
+    want = [{v: m[v] for v in f.variables()} for m in scan_xmodels(f) if allowed(m)]
     got = expanded_models(f, propagated(f, force, substitute), substitute)
     as_set = lambda ms: {tuple(sorted(m.items())) for m in ms}
     assert as_set(got) == as_set(want)

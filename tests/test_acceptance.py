@@ -109,6 +109,29 @@ def test_agreement_on_planted_instances_and_chains():
     print(f"corpus PASS: p/q/brute agree on {len(instances)} planted instances and chains")
 
 
+# (length, sizes) of planted degree-2 instances past brute's default cap of
+# 24 variables. p's time grows with n less the answer: it takes under a
+# second up to n = 50 and from seconds to minutes at n = 60-72.
+PAST_CAP_SHAPES = [(3, (30, 48, 72)), (4, (30, 48, 72)), (5, (30, 50, 70))]
+P_LIMIT = 50
+
+
+def test_agreement_past_the_old_brute_cap():
+    """brute lists the models of instances of up to 72 variables, and q, q
+    with its evaluator off and brute give one distance there; so does p,
+    on the instances of at most P_LIMIT variables."""
+    scanned = 0
+    for length, sizes in PAST_CAP_SHAPES:
+        for n in sizes:
+            f = planted_formula(n, length, 2, seed=1)
+            brute = max_hamming_brute(f, cap=72).distance
+            assert max_hamming_q(f).distance == branched_q(f).distance == brute, (length, n)
+            if n <= P_LIMIT:
+                assert max_hamming_p(f).distance == brute, (length, n)
+                scanned += 1
+    print(f"past-cap PASS: q/brute agree on 9 planted instances of 30-72 variables, p on {scanned} of them")
+
+
 # Constants quoted for the branching analysis, four decimals each. The
 # printed decrement vector for the 1.7888 case has eight branches but the
 # constant is the root of the nine-branch variant (6,5,4^4,3^3); the

@@ -382,7 +382,8 @@ def test_repeated_calls_match_fresh_processes(capsys, instance, tiny):
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    """Only the brute oracle uses numpy, and it imports it when called."""
+    """No module of the package imports numpy; only the tests' reference
+    scan uses it."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, xham.cli; print('numpy' in sys.modules)"],
         capture_output=True,
@@ -390,3 +391,34 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_brute_and_models_run_without_numpy(instance, tiny):
+    """With numpy unimportable, `import xham` works, and brute and `models`
+    give their answers, witness pair and exit codes."""
+    sat, unsat = instance(tiny, "sat.xsat"), instance(formula((1,), (-1,)), "unsat.xsat")
+    script = "; ".join(
+        [
+            "import sys",
+            "sys.modules['numpy'] = None",
+            "import xham",
+            "from xham.cli import main",
+            f"print(main(['maxham', '--algo', 'brute', '--witness', {sat!r}]))",
+            f"print(main(['maxham', '--algo', 'brute', {unsat!r}]))",
+            f"print(main(['models', {sat!r}]))",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "s MAXHAM 3",
+        "v -1 -2 3 4 0",
+        "v -1 2 -3 -4 0",
+        "10",
+        "s UNSATISFIABLE",
+        "20",
+        "v -1 -2 3 4 0",
+        "v -1 2 -3 -4 0",
+        "v 1 -2 -3 -4 0",
+        "0",
+    ]

@@ -1,16 +1,30 @@
+import random
+
 import pytest
 
 from xham import (
     BOTTOM,
     CapExceeded,
+    Formula,
     GeneralizedAssignment,
     enumerate_xmodels,
     hamming_distance,
     max_hamming_brute,
+    planted_formula,
+    random_formula,
     verify_xmodel,
 )
+from xham.propagation import Propagator
 
-from conftest import count_allowed_subsets_brute, expand_state, formula
+from conftest import (
+    clause_count,
+    count_allowed_subsets_brute,
+    expand_state,
+    formula,
+    repeated_variable_corpus,
+    scan_brute,
+    scan_xmodels,
+)
 
 
 class TestEnumerate:
@@ -75,6 +89,77 @@ class TestMaxHammingBrute:
         ]
         first = pairs[0]
         assert result.witnesses == (models[first[0]], models[first[1]])
+
+
+def drawn_with_replacement(count: int, seed_base: int) -> list[Formula]:
+    """Formulas of at most 14 variables whose clauses draw each literal
+    independently, so they hold repeated literals and complementary pairs,
+    plus a clause (x -x l) on a fresh variable x, which propagation frees
+    when the formula has a model, as (1 -1 2) frees 1."""
+    out = []
+    for i in range(count):
+        rng = random.Random(seed_base + i)
+        n = rng.randint(1, 13)
+        clauses = [
+            tuple(rng.choice((-1, 1)) * rng.randint(1, n) for _ in range(rng.randint(1, 6)))
+            for _ in range(rng.randint(0, n))
+        ]
+        n += 1
+        clauses.insert(rng.randint(0, len(clauses)), (n, -n, rng.choice((-1, 1)) * rng.randint(1, n - 1)))
+        out.append(Formula(n, tuple(clauses)))
+    return out
+
+
+def scan_corpus() -> list[Formula]:
+    """At most 20 variables each: uniform and planted instances of clause
+    lengths 1-6, clauses drawn with replacement, the repeated-variable
+    corpus and hand-written edge cases."""
+    out = []
+    for length in range(1, 7):
+        for i in range(100):
+            n = max(length, 2) + i % (17 - max(length, 2))
+            m = clause_count(n, length) + i % 3 - 1
+            out.append(random_formula(n, max(m, 1), length, seed=900_000 + 1000 * length + i))
+    # A scan of 2^20 assignments takes about 0.15 s, so the larger shapes take fewer seeds.
+    for length, degree, n, seeds in (
+        (2, 2, 12, 12), (3, 2, 12, 12), (4, 2, 16, 12), (3, 3, 15, 12), (5, 2, 15, 12),
+        (3, 2, 18, 4), (6, 2, 18, 4), (4, 2, 20, 3), (5, 2, 20, 3),
+    ):
+        out += [planted_formula(n, length, degree, seed=910_000 + seed) for seed in range(seeds)]
+    out += drawn_with_replacement(250, 920_000)
+    out += repeated_variable_corpus(150, 930_000)
+    out += [
+        formula(()),
+        formula((1, 2), ()),
+        formula(n=5),
+        formula((1, -1)),
+        formula((1, -1, 2)),
+        formula((1, -1, 2), (2, 3, 4)),
+        formula((1, 1, 2), (2, 3)),
+        formula((1, 1, 1)),
+        formula((-3,), (1, -1), (2, 4)),
+        formula(*[(2 * i + 1, 2 * i + 2) for i in range(8)]),
+        formula(*[(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(6)], (19, -19, 20)),
+    ]
+    return out
+
+
+def test_listing_and_brute_match_the_scan():
+    """enumerate_xmodels lists what the 2^n scan does, in its order, and
+    max_hamming_brute gives the scan-based brute's distance and witness
+    pair, on every formula of the corpus."""
+    corpus = scan_corpus()
+    assert len(corpus) >= 1000 and max(f.num_vars for f in corpus) == 20
+    listed = freed = 0
+    for f in corpus:
+        models = scan_xmodels(f)
+        assert enumerate_xmodels(f) == models, f
+        want, got = scan_brute(f), max_hamming_brute(f)
+        assert (got.distance, got.witnesses) == (want.distance, want.witnesses), f
+        listed += len(models)
+        engine = Propagator(f)
+        freed += engine.propagate() and bool(engine.freed) and bool(models)  # the listing takes both values of a freed variable
+    assert listed > 2000 and freed > 100
 
 
 class TestCountAllowedSubsets:
