@@ -146,11 +146,15 @@ class GeneralizedAssignment:
     def _link(self, parent: int, child: int) -> None:
         """The child left the formula below parent: fix its table, drop parent's.
 
-        A pivot in `flips` reads NEG where its two slots agree.
+        The child's table is its cached one, or `_table` builds it, as
+        `table` would. A pivot in `flips` reads NEG where its two slots agree.
         """
-        self.score.pop(parent, None)
-        table = self.table(child)
-        self.score[child] = (NEG, table[1], table[2], NEG) if child in self.flips else table
+        score = self.score
+        score.pop(parent, None)
+        table = score.get(child)
+        if table is None:
+            table = _table(self, child)
+        score[child] = (NEG, table[1], table[2], NEG) if child in self.flips else table
 
     def table(self, var: int) -> tuple[int, int, int, int]:
         """Score table of var's subtree, built on the first read after its last link.
@@ -361,26 +365,66 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     mark, at a fixpoint where nothing pools and no clause is binary.
     Popping the smallest position that passes the check makes the same
     choice, in the same order, as a scan of the whole formula would.
+
+    A drop changes one degree, the survivor's, and queues nothing. So
+    after a drop whose survivor cannot start a pool, because it keeps
+    degree two or more, or falls to one in a clause `_pool_pair` turns
+    down, the loop drops or substitutes the next binary clause at once:
+    a round would find the engine at its fixpoint, no clause newly
+    binary and nothing to pool, and make that same choice. A binary
+    chain of any length so takes three rounds. A survivor that can pool,
+    as on a ternary chain, goes back round to pool, and one that leaves
+    the formula goes back round for the engine to log it as freed.
     """
-    clauses, degree = engine.clauses, engine.degree
+    clauses, degree, changed, singles, sat = engine.clauses, engine.degree, engine.changed, engine.singles, state.sat
+    propagate, position_of = engine.propagate, engine.position_of
+    drop, substitute, record_dual = engine.drop_binary, engine.substitute, state.record_dual
     to_pool: list[int] = []
     binaries: list[int] = []
-    while engine.propagate():
-        for pos in engine.changed:
+    while propagate():
+        for pos in changed:
             clause = clauses[pos]
             if clause is not None and len(clause) == 2:
                 heappush(binaries, pos)
-        for var in engine.singles:
+        for var in singles:
             if degree[var] == 1:
-                pos = engine.position_of(var)
-                if _pool_pair(clauses[pos], degree, state.sat):
+                pos = position_of(var)
+                if _pool_pair(clauses[pos], degree, sat):
                     heappush(to_pool, pos)
-        engine.changed.clear()
-        engine.singles.clear()
+        changed.clear()
+        singles.clear()
 
         if to_pool and _pool_first(engine, state, to_pool):
             continue
-        if not _eliminate_first_binary(engine, state, binaries):
+        while binaries:  # dual-substitute away the first binary clause
+            pos = heappop(binaries)
+            clause = clauses[pos]
+            if clause is None or len(clause) != 2:
+                continue
+            first, second = clause
+            # Keep a non-singleton alive when there is one; the removed
+            # side hangs below the survivor either way.
+            if degree[abs(second)] == 1 and degree[abs(first)] > 1:
+                removed, survivor = second, first
+            else:
+                removed, survivor = first, second
+            if degree[abs(removed)] != 1:
+                substitute(removed, survivor)
+                record_dual(survivor, removed)
+                break
+            drop(pos, removed)
+            record_dual(survivor, removed)
+            var = abs(survivor)
+            left = degree[var]
+            if not left:
+                break
+            singles.clear()  # the survivor alone, if anything
+            if left == 1:
+                pos = position_of(var)
+                if _pool_pair(clauses[pos], degree, sat):
+                    heappush(to_pool, pos)
+                    break
+        else:
             return True
     return False
 
@@ -414,34 +458,6 @@ def _pool_pair(clause, degree, sat):
             if abs(rep) not in sat:
                 return rep, singles[1] if rep == singles[0] else singles[0]
     return None
-
-
-def _eliminate_first_binary(engine: Propagator, state: GeneralizedAssignment, binaries: list[int]) -> bool:
-    """Dual-substitute away the first binary clause; False if there is none.
-
-    A removed side of degree one has this clause as its only occurrence,
-    so the engine drops the clause without a rewrite (`drop_binary`).
-    """
-    clauses, degree = engine.clauses, engine.degree
-    while binaries:
-        pos = heappop(binaries)
-        clause = clauses[pos]
-        if clause is None or len(clause) != 2:
-            continue
-        first, second = clause
-        # Keep a non-singleton alive when there is one; the removed
-        # side hangs below the survivor either way.
-        if degree[abs(second)] == 1 and degree[abs(first)] > 1:
-            removed, survivor = second, first
-        else:
-            removed, survivor = first, second
-        if degree[abs(removed)] == 1:
-            engine.drop_binary(pos, removed)
-        else:
-            engine.substitute(removed, survivor)
-        state.record_dual(survivor, removed)
-        return True
-    return False
 
 
 def max_hamming_q(

@@ -21,7 +21,14 @@ the clauses holding its variable, a rewrite only a clause in which it
 repeats a variable, a removed literal only a clause left with fewer
 than two, and a new engine only its clauses of fewer than two literals
 or with a repeated variable. A fixpoint so costs time linear in the
-clauses a step can change rather than a sweep over the whole formula.
+clauses a step can change rather than a sweep over the whole formula,
+and `propagate` with nothing queued and no variable vanished returns at
+once: a caller that propagates after a step that queued nothing, such
+as a drop, pays one check. A new engine reads each literal once: one
+pass appends every position to its variable's occurrence list, whose
+length is then the degree, and finds the clauses to queue and the binary
+ones; a variable repeats in a clause when its list already ends at that
+clause's position.
 
 The dual substitution of a literal whose variable has degree one, in a
 binary clause, is the cheapest step of all (`drop_binary`): the clause
@@ -125,7 +132,8 @@ class Propagator:
     variables; `force`, `substitute`, `remove_literal`, `drop_binary` and
     a new engine queue exactly the clauses that break this (see the module
     docstring), so an engine whose clauses all hold two distinct
-    variables starts at its fixpoint.
+    variables starts at its fixpoint. The build is one pass over the
+    literals (see the module docstring).
 
     `propagate` closes one step: it runs the queue to a fixpoint and
     appends the variables that vanished during the step, sorted, to
@@ -134,7 +142,9 @@ class Propagator:
     unseen by the caller (each binary clause of a new engine, then each
     position whose clause shrank or was rewritten), `singles` variables
     whose degree fell to one (each degree-one variable of a new engine,
-    then each whose degree fell to one). The caller drains them.
+    then each whose degree fell to one). The caller drains them. A
+    `propagate` with no queued clause and no vanished variable changes
+    nothing and returns `not unsat` at once.
 
     The trail runs from the first mark on: `mark` and `undo_to` take the
     engine back to an earlier fixpoint, over every step since that mark
@@ -145,24 +155,42 @@ class Propagator:
         clauses: list[tuple[int, ...] | None] = list(formula.clauses)
         self.clauses = clauses
         occ: defaultdict[int, list[int]] = defaultdict(list)
+        find = occ.get
+        # Nothing is forced yet, so only a clause shorter than two literals
+        # or one that repeats a variable can change when settled. One pass
+        # reads each literal once: a variable repeats in a clause when its
+        # occurrence list already ends at the clause's position.
+        dirty: list[int] = []
+        binary: list[int] = []
         for pos, clause in enumerate(clauses):
+            width = len(clause)
+            if width == 2:
+                binary.append(pos)
+            elif width < 2:
+                dirty.append(pos)
+            repeats = False
             for lit in clause:
-                occ[abs(lit)].append(pos)
+                positions = find(abs(lit))
+                if positions is None:
+                    occ[abs(lit)] = [pos]
+                else:
+                    if positions[-1] == pos:
+                        repeats = True
+                    positions.append(pos)
+            if repeats:
+                dirty.append(pos)
         self.occ = occ
         # One occ entry per literal so far, so list lengths are the degrees.
-        self.degree = {var: len(positions) for var, positions in occ.items()}
+        self.degree = degree = {var: len(positions) for var, positions in occ.items()}
         self.forced: Assignment = {}
         self.freed: list[int] = []
         self.unsat = False
-        # Nothing is forced yet, so only a clause shorter than two literals
-        # or one that repeats a variable can change when settled.
-        dirty = [pos for pos, clause in enumerate(clauses) if len(clause) < 2 or len({*map(abs, clause)}) < len(clause)]
         self.queue = deque(dirty)
         self.queued = bytearray(len(clauses))
         for pos in dirty:
             self.queued[pos] = 1
-        self.changed: list[int] = [pos for pos, clause in enumerate(clauses) if len(clause) == 2]
-        self.singles: list[int] = [var for var, count in self.degree.items() if count == 1]
+        self.changed: list[int] = binary
+        self.singles: list[int] = [var for var, count in degree.items() if count == 1]
         self._vanished: list[int] = []
         # The trail: (pos, replaced clause) per clause write and
         # (var, old length) per occurrence list a rewrite appended to.
@@ -246,15 +274,22 @@ class Propagator:
         into a complementary pair, which drops. So the clause drops here
         with one write: the removed variable leaves the formula without
         counting as freed, as after `remove_literal`, and the survivor
-        loses one occurrence, with the `singles` and freed bookkeeping of
-        a settle. No other clause changes, so nothing is queued or logged
-        in `changed`.
+        loses one occurrence, lowered here with the `singles` and freed
+        bookkeeping a settle would do. No other clause changes, so nothing
+        is queued or logged in `changed`.
         """
         clause = self.clauses[pos]
         self._writes.append((pos, clause))
         self.clauses[pos] = None
-        self.degree[abs(removed)] = 0
-        self._lose((clause[1] if clause[0] == removed else clause[0],), ())
+        degree = self.degree
+        degree[abs(removed)] = 0
+        survivor = abs(clause[1] if clause[0] == removed else clause[0])
+        left = degree[survivor] - 1
+        degree[survivor] = left
+        if left == 1:
+            self.singles.append(survivor)
+        elif not left:
+            self._vanished.append(survivor)
 
     def position_of(self, var: int) -> int:
         """Position of the one live clause holding a degree-one variable."""
@@ -265,7 +300,13 @@ class Propagator:
         raise ValueError(f"variable {var} occurs in no live clause")
 
     def propagate(self) -> bool:
-        """Settle queued clauses to a fixpoint; False when a conflict shows."""
+        """Settle queued clauses to a fixpoint; False when a conflict shows.
+
+        With nothing queued and no variable vanished since the last call,
+        the engine is at its fixpoint already, and this returns at once.
+        """
+        if not self.queue and not self._vanished:
+            return not self.unsat
         clauses, queue, queued, forced = self.clauses, self.queue, self.queued, self.forced
         settle, force, writes = _settle_clause, self.force, self._writes
         while queue and not self.unsat:

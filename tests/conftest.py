@@ -332,6 +332,46 @@ def propagated(f: Formula, force=None, substitute=None) -> Propagator:
     return engine
 
 
+def reference_engine_build(f: Formula) -> dict:
+    """What a new `Propagator` on f holds, built a field at a time: the
+    occurrence lists, then the degrees, a set per clause for the queue,
+    and one more pass each for the binary clauses and the degree-one
+    variables. The reference for the engine's one-pass build; dicts are
+    given as item lists, so their order counts too."""
+    clauses = list(f.clauses)
+    occ: dict[int, list[int]] = {}
+    for pos, clause in enumerate(clauses):
+        for lit in clause:
+            occ.setdefault(abs(lit), []).append(pos)
+    degree = {var: len(positions) for var, positions in occ.items()}
+    dirty = [pos for pos, clause in enumerate(clauses) if len(clause) < 2 or len({*map(abs, clause)}) < len(clause)]
+    queued = bytearray(len(clauses))
+    for pos in dirty:
+        queued[pos] = 1
+    return {
+        "clauses": clauses,
+        "occ": list(occ.items()),
+        "degree": list(degree.items()),
+        "queue": dirty,
+        "queued": bytes(queued),
+        "changed": [pos for pos, clause in enumerate(clauses) if len(clause) == 2],
+        "singles": [var for var, count in degree.items() if count == 1],
+    }
+
+
+def engine_build(engine: Propagator) -> dict:
+    """The fields of a new engine that `reference_engine_build` gives, copied."""
+    return {
+        "clauses": list(engine.clauses),
+        "occ": [(var, list(positions)) for var, positions in engine.occ.items()],
+        "degree": list(engine.degree.items()),
+        "queue": list(engine.queue),
+        "queued": bytes(engine.queued),
+        "changed": list(engine.changed),
+        "singles": list(engine.singles),
+    }
+
+
 def engine_state(engine):
     """Everything `undo_to` restores, copied."""
     occ = {var: list(positions) for var, positions in engine.occ.items()}

@@ -98,9 +98,50 @@ def simplify_pushing_every_change(engine, state):
         engine.singles.clear()
         if branching._pool_first(engine, state, to_pool):
             continue
-        if not branching._eliminate_first_binary(engine, state, binaries):
+        if not eliminate_first_binary(engine, state, binaries):
             return True
     return False
+
+
+def eliminate_first_binary(engine, state, binaries):
+    """Dual-substitute away the first binary clause on the heap, one step
+    per round of the reference; False if there is none."""
+    clauses, degree = engine.clauses, engine.degree
+    while binaries:
+        pos = heapq.heappop(binaries)
+        clause = clauses[pos]
+        if clause is None or len(clause) != 2:
+            continue
+        first, second = clause
+        if degree[abs(second)] == 1 and degree[abs(first)] > 1:
+            removed, survivor = second, first
+        else:
+            removed, survivor = first, second
+        if degree[abs(removed)] == 1:
+            engine.drop_binary(pos, removed)
+        else:
+            engine.substitute(removed, survivor)
+        state.record_dual(survivor, removed)
+        return True
+    return False
+
+
+def caterpillar(n: int, length: int, seed: int) -> Formula:
+    """`chain(n, length, seed)` with a pendant binary clause on every spine
+    variable, to a fresh variable, at a random place among the clauses.
+    Dropping a pendant whose spine variable is still in two spine clauses
+    leaves that survivor at degree two or more."""
+    rng = random.Random(seed)
+    clauses = list(chain(n, length, seed).clauses)
+    for var in range(1, n + 1):
+        pendant = (var if rng.random() < 0.5 else -var, n + var if rng.random() < 0.5 else -(n + var))
+        clauses.insert(rng.randint(0, len(clauses)), pendant if rng.random() < 0.5 else pendant[::-1])
+    return Formula(2 * n, tuple(clauses))
+
+
+#: Long chains, whose root simplification runs thousands of drops in a row.
+LONG_CHAINS = [chain(2001, k, seed) for k in (2, 3) for seed in range(2)]
+CATERPILLARS = [caterpillar(n, k, seed) for k, n in ((2, 30), (3, 31), (4, 31)) for seed in range(4)]
 
 
 def logging_every_position(f):
@@ -112,14 +153,16 @@ def logging_every_position(f):
 
 
 def test_simplify_links_as_a_reference_that_pools_from_every_change(monkeypatch):
-    """q with `to_pool` fed from `singles` alone records the same pool and
-    dual links, in the same order, as with every changed position pushed
-    too, and searches the same tree."""
+    """q with `to_pool` fed from `singles` alone, and with a drop going
+    straight to the next choice, records the same pool and dual links, in
+    the same order, as a reference that also pushes every changed position
+    and takes one elimination per round, and searches the same tree."""
     monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
     instances = [planted_formula(n, 3, 2, seed) for n in (12, 15, 18) for seed in range(3)]
     instances += [planted_formula(n, 4, 2, seed) for n in (12, 16) for seed in range(3)]
     instances += [random_formula(n, (n + 1) // 2, k, 7700 + 10 * n + k) for k in (3, 4, 5) for n in range(8, 24, 3)]
     instances += [chain(n, k, seed) for k, n in ((2, 24), (3, 25), (4, 25), (5, 25)) for seed in range(3)]
+    instances += LONG_CHAINS + CATERPILLARS
     links = []
     sing, dual = GeneralizedAssignment.record_sing, GeneralizedAssignment.record_dual
     monkeypatch.setattr(GeneralizedAssignment, "record_sing", lambda s, *a: links.append(("sing", a)) or sing(s, *a))
@@ -177,6 +220,8 @@ DROP_CORPUS = (
     + [planted_formula(n, k, 2, seed) for n, k in ((15, 3), (18, 3), (21, 3), (16, 4), (20, 4)) for seed in range(3)]
     + [with_pendants(planted_formula(n, k, 2, seed), seed) for n, k in ((15, 3), (18, 3), (21, 3), (16, 4), (20, 4)) for seed in range(4)]
     + [chain(n, k, seed) for k, n in ((2, 40), (2, 101), (3, 41), (3, 101)) for seed in range(4)]
+    + LONG_CHAINS
+    + CATERPILLARS
 )
 
 

@@ -23,11 +23,13 @@ from conftest import (
     assert_model_preservation,
     chain,
     clause_count,
+    engine_build,
     engine_state,
     extend_model,
     formula,
     live_clauses,
     propagated,
+    reference_engine_build,
     repeated_variable_corpus,
     universe,
 )
@@ -260,6 +262,74 @@ def test_fixpoint_clauses_hold_distinct_variables():
         engine = propagated(f)
         for clause in () if engine.unsat else live_clauses(engine):
             assert len({abs(lit) for lit in clause}) == len(clause)
+
+
+ENGINE_BUILD_CORPUS = (
+    [random_formula(n, clause_count(n, k), k, 9300 + 10 * n + k) for k in (2, 3, 4, 5) for n in range(5, 30, 6)]
+    + [planted_formula(n, k, 2, seed) for n, k in ((15, 3), (21, 3), (16, 4)) for seed in range(3)]
+    + [chain(n, k, seed) for k, n in ((2, 40), (3, 41), (4, 40)) for seed in range(2)]
+    + repeated_variable_corpus(150, 9400)
+    + [
+        formula((1, 2, 3), (), (-2, 4)),
+        formula((1,), (-1, 2, 3), (3,), (2, 4)),
+        formula((4, 4, 5), (1, 2), (6, -6, 7), (3, 5)),
+        formula((8, 9, 8, 10, -8), (9, 10)),
+        formula((5, 4, 4), (4, -1)),
+        formula(n=3),
+    ]
+)
+
+
+def test_a_new_engine_matches_the_field_by_field_build():
+    """One pass over the literals builds what a pass per field does:
+    clauses, occurrence lists and degrees in the same order, the queue
+    (clauses shorter than two literals or repeating a variable, wherever
+    the repeat sits) with its flags, and the `changed` and `singles` logs."""
+    for f in ENGINE_BUILD_CORPUS:
+        assert engine_build(Propagator(f)) == reference_engine_build(f), f
+    assert sum(any(len({*map(abs, c)}) < len(c) for c in f.clauses) for f in ENGINE_BUILD_CORPUS) > 150
+
+
+def idle_propagate(engine):
+    """Propagate an engine with nothing queued and check that it writes
+    nothing: no clause, degree, force, occurrence, log or trail entry."""
+    before = engine_state(engine), engine_build(engine), len(engine._writes), len(engine._occs)
+    assert not engine.queue
+    assert engine.propagate() == (not engine.unsat)
+    assert (engine_state(engine), engine_build(engine), len(engine._writes), len(engine._occs)) == before
+
+
+def test_an_idle_propagate_returns_without_a_write(monkeypatch):
+    """With nothing queued and nothing vanished, `propagate` settles no
+    clause and returns `not unsat`: on a new engine at its fixpoint, after
+    `undo_to`, and on an engine a conflicting force made unsat."""
+
+    def settle(*args):
+        raise AssertionError("an idle propagate settled a clause")
+
+    conflicts = 0
+    for f in ENGINE_BUILD_CORPUS[:40]:
+        engine = Propagator(f)
+        if engine.queue:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(propagation, "_settle_clause", settle)
+            idle_propagate(engine)
+        mark = engine.mark()
+        var = f.variables()[0]
+        engine.force(var, True)
+        if engine.propagate():
+            engine.force(var, False)
+            assert engine.unsat and not engine.queue
+            conflicts += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(propagation, "_settle_clause", settle)
+                idle_propagate(engine)
+        engine.undo_to(mark)
+        with monkeypatch.context() as patch:
+            patch.setattr(propagation, "_settle_clause", settle)
+            idle_propagate(engine)
+    assert conflicts > 20, conflicts
 
 
 def settled_clauses_on_chain(monkeypatch, n, signed=True):
