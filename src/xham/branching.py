@@ -187,27 +187,6 @@ class GeneralizedAssignment:
                     self.free.append(var)
 
 
-def slot_options(state: GeneralizedAssignment, var: int, slot: bool):
-    """Concrete readings of a variable's slot value.
-
-    Yields (concrete_value, child_slots) pairs, where child_slots maps
-    each child linked below the variable to the slot value it reads. For
-    a plain variable the slot is the value. For a pool head whose slot is
-    active, any one participant's literal may be the satisfactor; peers
-    read the slot values induced by that choice. A dual child mirrors the
-    slot or the concrete value, as its link says.
-    """
-    members = state.sing.get(var, ())
-    own_pol = state.sat.get(var)
-    active = bool(members) and slot == own_pol
-    for chosen in (var, *(m for m, _ in members)) if active else (None,):
-        value = own_pol == (chosen == var) if active else slot
-        child_slots = {m: pol == (m == chosen) for m, pol in members}
-        for child, flip, anchor in state.dual.get(var, ()):
-            child_slots[child] = (slot if anchor else value) ^ flip
-        yield value, child_slots
-
-
 _UNLINKED = (0, 1, 1, 0)
 #: Stay entry of a pivot that must flip. A reading that includes it stays
 #: negative, below any distance and any threshold `need`, for formulas of
@@ -218,9 +197,10 @@ NEG = -(1 << 30)
 def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
     """Build var's score table from its children's, one level down.
 
-    Entry 2*a + b is the best, over the `slot_options` of slot a and of
-    slot b, of whether the two concrete values differ plus each child's
-    table entry for the slots it reads. A dual child reads a pair of
+    Entry 2*a + b is the best, over the readings of slot a and of slot b
+    (`slot_options` in tests/conftest.py is the reference), of whether
+    the two concrete values differ plus each child's table entry for the
+    slots it reads. A dual child reads a pair of
     slots or a pair of concrete values, reversed when its link flips, so
     the dual children sum into two four-entry tables. Without pool members
     the slot is the concrete value, so they sum into one, plus

@@ -75,9 +75,10 @@ class SearchStats:
     leaf is a node whose simplification retired variables, which `gen_h`
     then scores. A connected part that q values from its x-models instead
     of branching adds neither. p counts subsets checked, the allowed
-    subsets with no sign contradiction that it lists, summed over the
-    connected components it scans, and solver calls: the base check plus
-    one per listed subset that passes its clause check."""
+    subsets with no sign contradiction that it lists in each connected
+    component up to that component's answer, summed over the components,
+    and solver calls: the base check plus one per listed subset that
+    passes its clause check."""
 
     nodes: int = 0
     leaves: int = 0

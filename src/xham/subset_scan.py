@@ -24,7 +24,7 @@ a scan of the whole formula, and k disjoint clauses cost k small
 listings, not the product of their sizes, and k small searches, not k
 searches of the whole formula.
 
-Generation. `allowed_classes` branches over a component's clauses in a
+Generation. `allowed_subsets` branches over a component's clauses in a
 walk order fixed once per call: fewest undecided variables (fresh ones)
 first, ties by position. A heap of (fresh count, position) entries, fed
 by a variable -> clauses index as variables get decided, gives the walk
@@ -43,14 +43,11 @@ with one chosen variable at a clause with no fresh one cannot choose a
 second and is dropped. A state's bound is n less the decided variables
 it left out, the largest size it can still reach. States wait on one
 explicit stack per bound, and the stacks are emptied from bound n down,
-so each state is expanded once and the allowed subsets come out one
-size at a time, largest first. Each size is sorted by the ascending
-tuple of set positions: the order in which a loop over
-`itertools.combinations` from size n down would meet these subsets, so
-the walk order decides which states are expanded but never which
-subsets come out or in what order. The scan stops after the first size
-with a hit. Before the first hit at size k the search holds only states
-of bound k or more, so an answer near n costs little. Every allowed X
+so each state is expanded once and the allowed subsets come out largest
+size first, each as soon as its state finishes, and p asks about it at
+once. The walk order decides the order within a size. The scan stops at
+the first hit; before a hit at size k the search holds only states of
+bound k or more, so an answer near n costs little. Every allowed X
 already meets the degree budget Σ_{v∈X} deg(v) ≤ 2m (each clause holds
 0 or 2 of its occurrences), so starting at that bound would skip nothing
 that generation does not skip already.
@@ -64,13 +61,10 @@ swaps them. So X separates two x-models iff the formula stays
 x-satisfiable with every literal of a touched clause whose variable is
 outside X made false, and flipping X in such a model gives the second
 model. p puts each question to the solver's search of the component,
-which assumes the complements of those literals, in clause order, on a
-value list of its own: a question marks, forces or undoes nothing on the
-engine, which is left as the base check found it. Each clause's
-complements are listed once per call, in local literals, each with its
-variable's bit, and a subset's assumptions are read off these lists. No
-formula is built, at the root or per subset, and the witnesses are the
-solver's models.
+which assumes the complements of those literals on a value list of its
+own: a question marks, forces or undoes nothing on the engine, which is
+left as the base check found it. No formula is built, at the root or
+per subset, and the witnesses are the solver's models.
 
 The checks before a call. Most of these questions contradict
 themselves. A variable outside X that is positive in one touched clause
@@ -78,13 +72,20 @@ and negative in another is assumed both ways. So each listing state
 carries P and N, the bits of the positive and of the negative literals
 of the clauses it touches; every bit of them is decided, so a state with
 P & N & ~X nonzero cannot recover and is dropped at once, and such an X
-is never listed. Of a listed X, P & ~X holds the variables its
-assumptions make false and N & ~X those they make true. An untouched
-clause with two literals made true, or with all of them made false,
-refutes X, and it is dropped without a call. Either check spots only
-what the solver's first propagation refutes, so neither changes a
-verdict: the solver sees the same questions in the same order, less
-the ones it would refute at once.
+is never listed. A listed X comes with its P and N: P & ~X holds the
+variables its assumptions make false and N & ~X those they make true,
+and the assumptions are read off these bits, variable by variable. The
+solver makes them all true before it propagates, and unit propagation
+reaches one fixpoint, or a conflict, in any order, so their order
+changes no answer and no model. A clause with two literals made true,
+or with all of them made false, refutes X, and it is dropped without a
+call. The check runs over every clause, but only an untouched one can
+fail it: a touched clause's literals outside X are all made false, none
+true, since P & N & ~X is zero, and its two literals over X are not
+assumed, so it has neither two literals made true nor all made false.
+Either check spots only what the solver's first propagation refutes,
+so neither changes a verdict: the solver sees the same questions in the
+same order, less the ones it would refute at once.
 """
 
 from __future__ import annotations
@@ -98,22 +99,23 @@ from .propagation import Propagator
 from .solver import Part, search, solve
 
 
-def allowed_classes(masks, negatives):
-    """The nonempty bitsets meeting each mask in 0 or 2 bits and free of
-    sign contradictions, one list per size, largest size first; each list
-    in ascending order of the tuple of set bit positions. Empty sizes are
-    skipped.
+def allowed_subsets(masks, negatives):
+    """Yield (X, P, N) for each nonempty bitset X meeting each mask in 0
+    or 2 bits and free of sign contradictions, once each, largest size
+    first; P and N are the positive and negative bits of the masks X
+    meets.
 
     negatives[i] holds the bits of masks[i] whose literals are negative;
     its other bits are positive. A bitset X has a sign contradiction when
     some bit outside X is positive in one mask that X meets and negative
-    in another.
+    in another: when P & N & ~X is nonzero.
 
     A state (index, chosen, P, N) has decided every bit of the first
     index masks of the walk (`_walk`), and P and N hold the positive and
     negative bits of the masks it meets; it waits on the stack of its
-    bound. A child's bound is never above its parent's, so once stack k is
-    empty every allowed set of size k has reached it as a finished state.
+    bound. A child's bound is never above its parent's, so stack k holds
+    the finished states of size k, each yielded as it is popped, and once
+    it is empty every allowed set of size k has come out.
 
     One pass over the walk first builds, per index, the mask, its fresh
     bits (those no earlier mask holds), their pairs, their count and the
@@ -137,11 +139,10 @@ def allowed_classes(masks, negatives):
     pending[width].append((0, 0, 0, 0))
     for size in range(width, 0, -1):
         stack = pending[size]
-        found = []
         while stack:
             index, chosen, positive, negative = stack.pop()
             if index == end:
-                found.append(chosen)
+                yield chosen, positive, negative
                 continue
             mask, bits, pairs, fresh, mask_positive, mask_negative = table[index]
             count = (chosen & mask).bit_count()
@@ -161,13 +162,6 @@ def allowed_classes(masks, negatives):
                 negative |= mask_negative
                 if not positive & negative & ~chosen:  # no fresh bit is in P or N: one test for all
                     pending[bound].extend([(index, chosen | extra, positive, negative) for extra in children])
-        if found:
-            # Read lowest bit first, a set's binary string puts its lowest
-            # position first: among sets of one size, none of these strings
-            # is a prefix of another, and larger strings have smaller
-            # position tuples.
-            found.sort(key=lambda bitset: bin(bitset)[:1:-1], reverse=True)
-            yield found
 
 
 def _walk(masks) -> list[tuple[int, list[int]]]:
@@ -233,14 +227,14 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
 
     One engine on the input propagates it, and the solver checks that the
     propagated formula has a model, component by component (see
-    `solver.solve`); only then is each component's list of nonempty
-    allowed subsets with no sign contradiction generated, one size at a
-    time from the largest (see the module docstring for their order, for
-    the literals the solver assumes with each and for the clause check
-    that drops a subset without a call). In each component the first
-    subset the solver accepts, searching that component alone, is its
-    answer; with none, the component adds nothing. The distance is the
-    sum of the answers' sizes plus one per variable that propagation
+    `solver.solve`); only then are each component's nonempty allowed
+    subsets with no sign contradiction listed, largest size first, each
+    asked about as it comes (see the module docstring for their order,
+    for the literals the solver assumes with each and for the clause
+    check that drops a subset without a call). In each component the
+    first subset the solver accepts, searching that component alone, is
+    its answer; with none, the component adds nothing. The distance is
+    the sum of the answers' sizes plus one per variable that propagation
     freed.
 
     The first witness is the base model, the solver's model before any
@@ -249,10 +243,12 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     and every freed one True. The second witness is the first flipped on
     every answer, with the freed variables False.
 
-    `stats.subsets_checked` sums the subsets listed in every component,
-    those with a sign contradiction left out; `stats.solver_calls` counts
-    the base check, once however many components it searches, plus one
-    call per listed subset that passes the clause check.
+    `stats.subsets_checked` sums, over the components, the subsets listed
+    up to the component's answer, that one included (all of them when
+    none answers), those with a sign contradiction left out;
+    `stats.solver_calls` counts the base check, once however many
+    components it searches, plus one call per listed subset that passes
+    the clause check.
     """
     if stats is None:
         stats = SearchStats()
@@ -282,44 +278,31 @@ def _scan_component(part: Part, stats: SearchStats):
     subset's variables. None when the solver accepts none.
 
     One pass builds a row per clause of the part: its mask (bit i - 1
-    for local variable i), the bits of its positive and of its negative
-    literals, and the (complement, bit) of each literal. The listing
-    drops sign contradictions; a listed subset's one pass over the rows
-    ORs the sign bits of the clauses it touches, an untouched clause that
-    those make two-true or all-false drops it, and otherwise its
-    assumptions are read off the touched clauses' literals.
+    for local variable i) and the bits of its positive and of its
+    negative literals. The listing drops sign contradictions and yields
+    each subset X with its P and N; a row that those make two-true or
+    all-false drops it, and otherwise its assumptions are read off
+    P & ~X (made false) and N & ~X (made true).
     """
     rows = []
     for clause in part.clauses:
-        literals = [(-lit, 1 << (abs(lit) - 1)) for lit in clause]
-        positive = sum(bit for complement, bit in literals if complement < 0)
-        negative = sum(bit for complement, bit in literals if complement > 0)
-        rows.append((positive | negative, positive, negative, literals))
+        positive = sum(1 << (lit - 1) for lit in clause if lit > 0)
+        negative = sum(1 << (-lit - 1) for lit in clause if lit < 0)
+        rows.append((positive | negative, positive, negative))
 
-    for subsets in allowed_classes([row[0] for row in rows], [row[2] for row in rows]):
-        stats.subsets_checked += len(subsets)
-        for bitset in subsets:
-            positive = negative = 0
-            touched, untouched = [], []
-            for row in rows:
-                if bitset & row[0]:
-                    positive |= row[1]
-                    negative |= row[2]
-                    touched.append(row[3])
-                else:
-                    untouched.append(row)
-            false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
-            if any(
-                ((positive_bits & true) | (negative_bits & false)).bit_count() > 1  # two literals made true
-                or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
-                for mask, positive_bits, negative_bits, _ in untouched
-            ):
-                continue  # the solver's first propagation would refute it
-            stats.solver_calls += 1
-            assumptions = [complement for literals in touched for complement, bit in literals if not bitset & bit]
-            model = search(part, assumptions)
-            if model is not None:
-                variables = part.variables
-                values = dict(zip(variables, model[1:]))
-                return values, [v for i, v in enumerate(variables) if (bitset >> i) & 1]
+    for bitset, positive, negative in allowed_subsets([row[0] for row in rows], [row[2] for row in rows]):
+        stats.subsets_checked += 1
+        false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
+        if any(
+            ((positive_bits & true) | (negative_bits & false)).bit_count() > 1  # two literals made true
+            or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
+            for mask, positive_bits, negative_bits in rows
+        ):
+            continue  # the solver's first propagation would refute it
+        stats.solver_calls += 1
+        model = search(part, [-1 - place for place in _places(false)] + [1 + place for place in _places(true)])
+        if model is not None:
+            variables = part.variables
+            values = dict(zip(variables, model[1:]))
+            return values, [v for i, v in enumerate(variables) if (bitset >> i) & 1]
     return None

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from xham import BOTTOM, CapExceeded, Formula, GeneralizedAssignment, HammingResult, random_formula, solver
-from xham.branching import slot_options
 from xham.formula import Assignment
 from xham.propagation import Propagator
 
@@ -511,6 +510,27 @@ def expand_state(state: GeneralizedAssignment) -> list[Assignment]:
     keys = sorted(universe(state))
     assignments.sort(key=lambda m: tuple(m[k] for k in keys))
     return assignments
+
+
+def slot_options(state: GeneralizedAssignment, var: int, slot: bool):
+    """Concrete readings of a variable's slot value.
+
+    Yields (concrete_value, child_slots) pairs, where child_slots maps
+    each child linked below the variable to the slot value it reads. For
+    a plain variable the slot is the value. For a pool head whose slot is
+    active, any one participant's literal may be the satisfactor; peers
+    read the slot values induced by that choice. A dual child mirrors the
+    slot or the concrete value, as its link says.
+    """
+    members = state.sing.get(var, ())
+    own_pol = state.sat.get(var)
+    active = bool(members) and slot == own_pol
+    for chosen in (var, *(m for m, _ in members)) if active else (None,):
+        value = own_pol == (chosen == var) if active else slot
+        child_slots = {m: pol == (m == chosen) for m, pol in members}
+        for child, flip, anchor in state.dual.get(var, ()):
+            child_slots[child] = (slot if anchor else value) ^ flip
+        yield value, child_slots
 
 
 def _expand_tree(state, var, slot) -> list[Assignment]:

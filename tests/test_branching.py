@@ -23,7 +23,6 @@ from xham import (
     random_formula,
     subset_scan,
 )
-from xham.branching import slot_options
 from xham.propagation import Propagator, components
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     expand_state,
     formula,
     repeated_variable_corpus,
+    slot_options,
     universe,
     validate,
 )

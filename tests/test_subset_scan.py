@@ -149,12 +149,13 @@ class TestFlippedUnion:
     def test_flips_touched_clause(self, monkeypatch):
         assert self.solver_inputs(monkeypatch, formula((1, 2, 3))) == [
             (((1, 2, 3),), ()),
-            (((1, 2, 3),), (-3,)),
+            (((1, 2, 3),), (-1,)),
         ]
 
     def test_untouched_clause_not_duplicated(self, monkeypatch):
+        """{1, 3, 4, 6} leaves 2 of (1 2 3) and -5 of (-4 -5 6) outside."""
         f = formula((1, 2, 3), (3, 4), (-4, -5, 6))
-        assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-3, 4))
+        assert self.solver_inputs(monkeypatch, f)[1] == (f.clauses, (-2, 5))
 
     def test_a_question_searches_only_its_component(self, monkeypatch):
         """(1 2 3) and (4 5 6) share no variable: the base check searches
@@ -163,32 +164,33 @@ class TestFlippedUnion:
         assert self.solver_inputs(monkeypatch, f) == [
             (((1, 2, 3),), ()),
             (((4, 5, 6),), ()),
-            (((1, 2, 3),), (-3,)),
-            (((4, 5, 6),), (-6,)),
+            (((1, 2, 3),), (-1,)),
+            (((4, 5, 6),), (-4,)),
         ]
 
     @staticmethod
     def scan_walk(monkeypatch, f):
-        """p's questions on f, read against what `allowed_classes` listed.
+        """p's questions on f, read against what `allowed_subsets` listed.
 
         Returns None when f has no x-model. Otherwise returns, per
         component in p's order, (its live positions, its live clauses, its
         variables, its rows, whether the solver accepted a subset). A row
-        is (bitset, the outside literals' complements, whether p asked the
-        solver), one per listed subset up to the one the solver accepts. A
-        subset counts as asked when p's next question searches the
-        component's live clauses and assumes exactly those complements;
-        every question must be matched so.
+        is (bitset, the outside literals' complements in clause order,
+        whether p asked the solver), one per listed subset up to the one
+        the solver accepts. A subset counts as asked when p's next
+        question searches the component's live clauses and assumes
+        exactly those complements, as a set and each once; every question
+        must be matched so.
         """
-        listed = []  # per `allowed_classes` call, the bitsets it listed
+        listed = []  # per `allowed_subsets` call, the bitsets it listed
         bases = []  # per base check, whether it found a model
         calls = []  # per question: (clauses searched, assumptions, accepted)
-        allowed_classes = subset_scan.allowed_classes
+        allowed_subsets = subset_scan.allowed_subsets
 
-        def spy_classes(masks, negatives):
+        def spy_subsets(masks, negatives):
             listed.append([])
-            for found in allowed_classes(masks, negatives):
-                listed[-1].extend(found)
+            for found in allowed_subsets(masks, negatives):
+                listed[-1].append(found[0])
                 yield found
 
         def spy_solve(engine):
@@ -201,7 +203,7 @@ class TestFlippedUnion:
             calls.append((*in_input_variables(part, assumptions), model is not None))
             return model
 
-        monkeypatch.setattr(subset_scan, "allowed_classes", spy_classes)
+        monkeypatch.setattr(subset_scan, "allowed_subsets", spy_subsets)
         monkeypatch.setattr(subset_scan, "solve", spy_solve)
         monkeypatch.setattr(subset_scan, "search", spy_search)
         if max_hamming_p(f).distance is BOTTOM:
@@ -221,7 +223,7 @@ class TestFlippedUnion:
             for bitset in bitsets:
                 subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
                 assumptions = tuple(-lit for lit in outside_literals(live, subset))
-                asked = question is not None and question[1] == assumptions
+                asked = question is not None and sorted(question[1]) == sorted(set(assumptions))
                 rows.append((bitset, assumptions, asked))
                 if asked:
                     assert question[0] == tuple(live)
@@ -233,10 +235,10 @@ class TestFlippedUnion:
         return walked
 
     def test_assumptions_are_the_outside_literals_of_touched_clauses(self, monkeypatch):
-        """Every question p asks after the base check assumes, in clause
-        order, the complement of each literal of a touched clause whose
-        variable lies outside the subset, and searches only the subset's
-        component; the subsets are the ones `allowed_classes` lists for
+        """Every question p asks after the base check assumes the
+        complement of each literal of a touched clause whose variable lies
+        outside the subset, each once, and searches only the subset's
+        component; the subsets are the ones `allowed_subsets` lists for
         each component, in its order, less those the clause check drops."""
         scan_shaped = [random_formula(n, (n + 1) // 2, 3, 9900 + 10 * n + i) for n in range(18, 23) for i in range(3)]
         asked = 0
@@ -248,12 +250,14 @@ class TestFlippedUnion:
         assert asked == 147
 
     def test_contradiction_check_is_exact(self, monkeypatch):
-        """Of each component's allowed subsets, in scan order up to the one
-        the solver accepts, p lists exactly those with no sign
-        contradiction, and asks exactly the listed ones whose assumptions
-        make no untouched clause two-true or all-false. The first
-        `propagate` after the assumptions refutes every subset either
-        check drops."""
+        """Of each component's allowed subsets, from the largest size down
+        to the size of the one the solver accepts, p lists those with no
+        sign contradiction, each once and sizes never growing: every one
+        larger than the answer, and at the answer's size some of them. It
+        asks exactly the listed ones whose assumptions make no untouched
+        clause two-true or all-false. The first `propagate` after the
+        assumptions refutes every subset either check drops; sign drops
+        are counted over every size down to the answer's."""
         dropped = {"sign": 0, "clause": 0}
         for f in OVERLAPPING + REPEATED:
             walked = self.scan_walk(monkeypatch, f)
@@ -262,22 +266,26 @@ class TestFlippedUnion:
             engine = propagated(f)
             for part, live, variables, rows, accepted in walked:
                 component = Formula(f.num_vars, tuple(live))
+                listed = [row[0] for row in rows]
+                smallest = listed[-1].bit_count() if accepted else 1
                 allowed = [
                     combo
-                    for size in range(len(variables), 0, -1)
+                    for size in range(len(variables), smallest - 1, -1)
                     for combo in itertools.combinations(variables, size)
                     if allowed_subset_check(component, combo)
                 ]
                 bitsets = [sum(1 << variables.index(v) for v in combo) for combo in allowed]
-                if accepted:
-                    allowed = allowed[: bitsets.index(rows[-1][0]) + 1]
-                assert [row[0] for row in rows] == [
-                    bitset for bitset, combo in zip(bitsets, allowed) if sign_consistent(live, set(combo))
-                ]
+                consistent = {bitset for bitset, combo in zip(bitsets, allowed) if sign_consistent(live, set(combo))}
+                assert len(set(listed)) == len(listed)
+                assert [bitset.bit_count() for bitset in listed] == sorted((b.bit_count() for b in listed), reverse=True)
+                assert set(listed) <= consistent
+                assert {bitset for bitset in consistent if bitset.bit_count() > smallest or not accepted} <= set(listed)
                 asked = {row[0]: row[2] for row in rows}
                 for bitset, combo in zip(bitsets, allowed):
                     assumptions = [-lit for lit in outside_literals(live, set(combo))]
                     if bitset not in asked:
+                        if bitset in consistent:
+                            continue  # at the answer's size, not reached before the answer
                         kind = "sign"
                     else:
                         truths = set(assumptions)
@@ -295,7 +303,7 @@ class TestFlippedUnion:
                     assert not engine.propagate()
                     engine.undo_to(mark)
                     dropped[kind] += 1
-        assert dropped == {"sign": 92, "clause": 4}
+        assert dropped == {"sign": 103, "clause": 2}
 
     def test_unit_form_matches_flipped_copies(self):
         """For every allowed subset X of the reduced formula, the formula
@@ -326,7 +334,37 @@ class TestFlippedUnion:
         assert (len(outcomes), sum(outcomes)) == (500, 211)  # both answers occur
 
 
+def listed_classes(masks, negatives):
+    """What `allowed_subsets` yields, as one set per size, largest first.
+
+    Checks on the way that each subset comes once, that sizes never grow,
+    and that each yielded P and N are the OR of the positive and of the
+    negative bits of the masks the subset meets."""
+    classes, seen = [], set()
+    for bitset, positive, negative in subset_scan.allowed_subsets(masks, negatives):
+        assert bitset not in seen
+        seen.add(bitset)
+        met = [(mask, bits) for mask, bits in zip(masks, negatives) if bitset & mask]
+        assert positive == functools.reduce(operator.or_, (mask & ~bits for mask, bits in met), 0)
+        assert negative == functools.reduce(operator.or_, (bits for _, bits in met), 0)
+        size = bitset.bit_count()
+        if not classes or size < classes[-1][0]:
+            classes.append((size, set()))
+        assert size == classes[-1][0]
+        classes[-1][1].add(bitset)
+    return [found for _, found in classes]
+
+
+def by_size(subsets):
+    """subsets as one set per size, largest first, empty sizes left out."""
+    sizes = sorted({bitset.bit_count() for bitset in subsets}, reverse=True)
+    return [{bitset for bitset in subsets if bitset.bit_count() == size} for size in sizes]
+
+
 class TestAllowedClasses:
+    """The listing, `allowed_subsets`: each size's subsets are compared as
+    a set, since the walk order decides the order within a size."""
+
     @staticmethod
     def masks(reduced):
         position = {v: i for i, v in enumerate(reduced.variables())}
@@ -334,8 +372,7 @@ class TestAllowedClasses:
 
     def test_lists_the_allowed_subsets_in_scan_order(self):
         """With no sign bits, the nonempty subsets passing the set-based
-        check, one list per size, in the order a loop over combinations
-        from the largest size down meets them."""
+        check, each once, largest size first."""
         for f in REPEATED + OVERLAPPING:
             engine = propagated(f)
             if engine.unsat:
@@ -349,78 +386,68 @@ class TestAllowedClasses:
                 if allowed_subset_check(reduced, combo)
             ]
             masks = self.masks(reduced)
-            classes = list(subset_scan.allowed_classes(masks, [0] * len(masks)))
-            assert [bitset for found in classes for bitset in found] == want
-            assert [{bitset.bit_count() for bitset in found} for found in classes] == [
-                {size} for size in sorted({bitset.bit_count() for bitset in want}, reverse=True)
-            ]
+            assert listed_classes(masks, [0] * len(masks)) == by_size(want)
 
     def test_matches_a_brute_force_reference_on_random_masks(self):
         """Seeded mask lists of width at most 9, with duplicate masks,
         one-bit masks and masks whose bits all appeared earlier, and no
-        sign bits: the lists equal every nonempty bitset meeting each mask
-        in 0 or 2 bits, by size from the largest, each in ascending order
-        of its position tuple. (0 2) walks last, with no fresh bit, and
-        meets the state {0, 1} in one bit only, so that state is dead."""
-        assert list(subset_scan.allowed_classes([0b11, 0b111, 0b101], [0, 0, 0])) == []
+        sign bits: the listing holds every nonempty bitset meeting each
+        mask in 0 or 2 bits, each once, largest size first. (0 2) walks
+        last, with no fresh bit, and meets the state {0, 1} in one bit
+        only, so that state is dead."""
+        assert list(subset_scan.allowed_subsets([0b11, 0b111, 0b101], [0, 0, 0])) == []
         for seed in range(3000):
             masks = random_masks(random.Random(seed))
             width = functools.reduce(operator.or_, masks).bit_length()
-            want = []
-            for size in range(width, 0, -1):
-                subsets = (sum(1 << i for i in combo) for combo in itertools.combinations(range(width), size))
-                found = [s for s in subsets if all((s & mask).bit_count() in (0, 2) for mask in masks)]
-                if found:
-                    want.append(found)
-            assert list(subset_scan.allowed_classes(masks, [0] * len(masks))) == want, masks
+            want = [
+                subset
+                for subset in range(1, 1 << width)
+                if all((subset & mask).bit_count() in (0, 2) for mask in masks)
+            ]
+            assert listed_classes(masks, [0] * len(masks)) == by_size(want), masks
 
     @staticmethod
     def signed_reference(masks, negatives):
         """Every nonempty bitset X meeting each mask in 0 or 2 bits with no
         bit outside X positive in one mask X meets and negative in another,
-        by size from the largest, each in ascending order of its position
-        tuple."""
+        one set per size, largest first."""
         width = functools.reduce(operator.or_, masks).bit_length()
-        want = []
-        for size in range(width, 0, -1):
-            found = []
-            for combo in itertools.combinations(range(width), size):
-                subset = sum(1 << i for i in combo)
-                if any((subset & mask).bit_count() not in (0, 2) for mask in masks):
-                    continue
-                met = [(mask & ~negative, negative) for mask, negative in zip(masks, negatives) if subset & mask]
-                positive = functools.reduce(operator.or_, (bits for bits, _ in met), 0)
-                negative = functools.reduce(operator.or_, (bits for _, bits in met), 0)
-                if not positive & negative & ~subset:
-                    found.append(subset)
-            if found:
-                want.append(found)
-        return want
+        found = []
+        for subset in range(1, 1 << width):
+            if any((subset & mask).bit_count() not in (0, 2) for mask in masks):
+                continue
+            met = [(mask & ~negative, negative) for mask, negative in zip(masks, negatives) if subset & mask]
+            positive = functools.reduce(operator.or_, (bits for bits, _ in met), 0)
+            negative = functools.reduce(operator.or_, (bits for _, bits in met), 0)
+            if not positive & negative & ~subset:
+                found.append(subset)
+        return by_size(found)
 
     def test_drops_sign_contradictions_as_a_brute_force_reference_does(self):
-        """The same seeded mask lists, with random sign bits: the lists are
-        the allowed bitsets with no sign contradiction, in scan order, and
-        both kinds of drop occur."""
+        """The same seeded mask lists, with random sign bits: the listing
+        holds the allowed bitsets with no sign contradiction, and both
+        kinds of drop occur."""
         contradicted = 0
         for seed in range(3000):
             rng = random.Random(seed)
             masks = random_masks(rng)
             negatives = random_negatives(rng, masks)
             want = self.signed_reference(masks, negatives)
-            assert list(subset_scan.allowed_classes(masks, negatives)) == want, (masks, negatives)
+            assert listed_classes(masks, negatives) == want, (masks, negatives)
             contradicted += sum(map(len, self.signed_reference(masks, [0] * len(masks)))) - sum(map(len, want))
         assert contradicted > 1000
 
     def test_permuting_the_masks_changes_no_list(self):
-        """The walk order depends on the masks' order, the lists do not."""
+        """The walk order depends on the masks' order; the subsets of each
+        size, as a set, do not."""
         for seed in range(1000):
             rng = random.Random(seed)
             masks = random_masks(rng)
             rows = list(zip(masks, random_negatives(rng, masks)))
-            want = list(subset_scan.allowed_classes(*map(list, zip(*rows))))
+            want = listed_classes(*map(list, zip(*rows)))
             for _ in range(3):
                 rng.shuffle(rows)
-                assert list(subset_scan.allowed_classes(*map(list, zip(*rows)))) == want, rows
+                assert listed_classes(*map(list, zip(*rows))) == want, rows
 
     def test_walk_takes_fewest_fresh_bits_first(self):
         """Each mask comes with its fresh bits. (2 3) goes first, as the
@@ -440,10 +467,10 @@ class TestAllowedClasses:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            got = list(subset_scan.allowed_classes(masks, [0] * len(masks)))
+            got = listed_classes(masks, [0] * len(masks))
         finally:
             sys.setrecursionlimit(limit)
-        assert got == [[(1 << 3001) - 1]]
+        assert got == [{(1 << 3001) - 1}]
 
 
 class TestMaxHammingP:
@@ -483,7 +510,7 @@ def test_one_engine_and_no_formula_per_scan(monkeypatch):
         max_hamming_p(f, stats)
         assert built == {"engines": 1, "formulas": 0}, f
         calls += stats.solver_calls
-    assert calls == 83
+    assert calls == 85
 
 
 def test_agrees_with_oracle_on_random_suite():
@@ -556,23 +583,23 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
 # have the criterion-8 shape (m = (n + 1) // 2); a "repeated" row's seed
 # is its index in REPEATED. Every row's live clauses form one component.
 # subsets_checked counts the allowed subsets the listing keeps, those with
-# no sign contradiction, and solver_calls the base check and the listed
-# subsets that pass the clause check. The last field only names the test: an id is
+# no sign contradiction, up to the answer, and solver_calls the base check
+# and the listed subsets that pass the clause check. The last field only names the test: an id is
 # family-n-length-seed-distance and then the solver_calls and filtering-scan
 # counts the row was first recorded with, kept fixed so that re-recording a
 # count does not rename a test.
 SCAN_WORK = [
     ("uniform", 10, 3, 8103100, None, 1, 0, "1-0"),
-    ("uniform", 10, 3, 8103101, 6, 2, 2, "4-83"),
+    ("uniform", 10, 3, 8103101, 6, 2, 1, "4-83"),
     ("uniform", 11, 3, 8103110, 5, 2, 2, "6-214"),
     ("uniform", 11, 3, 8103111, 5, 2, 1, "3-74"),
-    ("uniform", 12, 3, 8103120, 2, 6, 6, "15-969"),
-    ("uniform", 12, 3, 8103121, 6, 3, 3, "5-207"),
+    ("uniform", 12, 3, 8103120, 2, 7, 6, "15-969"),
+    ("uniform", 12, 3, 8103121, 6, 3, 2, "5-207"),
     ("uniform", 13, 3, 8103130, 0, 2, 1, "8-1023"),
-    ("uniform", 13, 3, 8103131, 8, 2, 8, "9-1422"),
-    ("uniform", 14, 3, 8103140, 8, 2, 8, "12-1406"),
-    ("uniform", 14, 3, 8103141, 9, 2, 2, "5-598"),
-    ("uniform", 10, 4, 8104100, 5, 2, 2, "16-604"),
+    ("uniform", 13, 3, 8103131, 8, 2, 1, "9-1422"),
+    ("uniform", 14, 3, 8103140, 8, 2, 1, "12-1406"),
+    ("uniform", 14, 3, 8103141, 9, 2, 1, "5-598"),
+    ("uniform", 10, 4, 8104100, 5, 2, 1, "16-604"),
     ("uniform", 10, 4, 8104101, 0, 2, 5, "22-1023"),
     ("uniform", 11, 4, 8104110, 0, 4, 3, "10-1023"),
     ("uniform", 11, 4, 8104111, None, 1, 0, "1-0"),
@@ -583,7 +610,7 @@ SCAN_WORK = [
     ("uniform", 14, 4, 8104140, None, 1, 0, "1-0"),
     ("uniform", 14, 4, 8104141, None, 1, 0, "1-0"),
     ("repeated", 8, None, 1, 3, 2, 1, "2-1"),
-    ("repeated", 7, None, 4, 2, 2, 3, "2-2"),
+    ("repeated", 7, None, 4, 2, 2, 1, "2-2"),
     ("repeated", 7, None, 6, 3, 2, 1, "2-1"),
     ("repeated", 7, None, 10, 3, 2, 1, "2-1"),
 ]
@@ -607,28 +634,38 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, su
         subsets,
     )
     if distance is not None:
-        # Every nonempty allowed subset with no sign contradiction at least
-        # as large as the answer's, over the one component.
+        # Every nonempty allowed subset with no sign contradiction larger
+        # than the answer, over the one component, and then at the answer's
+        # size at least the answer and at most its whole class; with no
+        # nonempty answer, every such subset.
         engine = propagated(f)
         positions = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
         assert len(components(engine, positions)) == 1
         live = Formula(f.num_vars, live_clauses(engine))
         variables = sorted(var for var, count in engine.degree.items() if count)
-        assert subsets == sum(
-            allowed_subset_check(live, combo) and sign_consistent(live.clauses, set(combo))
-            for size in range(max(distance - len(engine.freed), 1), len(variables) + 1)
-            for combo in itertools.combinations(variables, size)
-        )
+        answer = distance - len(engine.freed)
+        counts = [
+            sum(
+                allowed_subset_check(live, combo) and sign_consistent(live.clauses, set(combo))
+                for combo in itertools.combinations(variables, size)
+            )
+            for size in range(len(variables) + 1)
+        ]
+        if answer == 0:
+            assert subsets == sum(counts[1:])
+        else:
+            larger = sum(counts[answer + 1 :])
+            assert 1 <= subsets - larger <= counts[answer]
 
 
 def test_scan_generates_where_filtering_would_not_finish():
     """On n=24 the filter checked 2,093,332 subsets to make 504 solver
-    calls; the scan per component lists 30 subsets with no sign
+    calls; the scan per component lists 28 subsets with no sign
     contradiction, and 7 of them pass the clause check. On n=40 the
     filter would face 2^40."""
     stats = SearchStats()
     assert max_hamming_p(random_formula(24, 12, 3, 903), stats).distance == 4
-    assert (stats.solver_calls, stats.subsets_checked) == (8, 30)
+    assert (stats.solver_calls, stats.subsets_checked) == (8, 28)
     f = random_formula(40, 20, 3, 901)
     assert max_hamming_p(f).distance == max_hamming_q(f).distance == 9
 
@@ -646,12 +683,13 @@ def test_scan_stops_at_the_first_size_with_a_hit():
 def test_disjoint_length_four_clauses_scan_per_component():
     """12 disjoint length-4 clauses: a whole-formula scan would list the
     6^12 subsets of the top size class before its first call; per
-    component each clause lists its 6 pairs and the first one answers."""
+    component the first of each clause's 6 pairs answers, so it lists
+    one subset and asks one question."""
     stats = SearchStats()
     f = Formula.from_clauses([tuple(range(4 * i + 1, 4 * i + 5)) for i in range(12)])
     result = max_hamming_p(f, stats)
     assert result.distance == 24
-    assert (stats.subsets_checked, stats.solver_calls) == (72, 13)
+    assert (stats.subsets_checked, stats.solver_calls) == (12, 13)
     a, b = result.witnesses
     assert verify_xmodel(f, a) and verify_xmodel(f, b)
     assert hamming_distance(a, b) == 24
@@ -675,6 +713,70 @@ def test_questions_search_only_their_component(monkeypatch, k, forces):
 SCAN_SHAPED = [random_formula(n, (n + 1) // 2, 3, 9950 + 10 * n + i) for n in range(18, 23) for i in range(8)]
 PLANTED = [planted_formula(n, 3, 2, seed) for n in (12, 15, 18, 21, 24) for seed in range(4)]
 PLANTED += [planted_formula(n, 4, 2, seed) for n in (12, 16, 20, 24) for seed in range(4)]
+
+
+def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
+    """For every subset X the listing yields with its P and N, in a
+    component's local variables: the clause check over every clause drops
+    X exactly when the check over the clauses X does not touch drops it,
+    p asks the solver exactly about the X the check keeps, and the
+    question assumes the complements of the outside literals of the
+    touched clauses (`outside_literals`), as a set and each once."""
+    events = []  # ("part", part), ("listed", X, P, N) and ("asked", assumptions), in p's order
+    scan, listing, question = subset_scan._scan_component, subset_scan.allowed_subsets, subset_scan.search
+
+    def spy_scan(part, stats):
+        events.append(("part", part))
+        return scan(part, stats)
+
+    def spy_listing(masks, negatives):
+        for found in listing(masks, negatives):
+            events.append(("listed", *found))
+            yield found
+
+    def spy_search(part, assumptions=()):
+        events.append(("asked", tuple(assumptions)))
+        return question(part, assumptions)
+
+    monkeypatch.setattr(subset_scan, "_scan_component", spy_scan)
+    monkeypatch.setattr(subset_scan, "allowed_subsets", spy_listing)
+    monkeypatch.setattr(subset_scan, "search", spy_search)
+
+    def refuted(rows, false, true):
+        """Some row has two literals made true or all of them made false."""
+        return any(
+            ((positive & true) | (negative & false)).bit_count() > 1 or (positive & false) | (negative & true) == mask
+            for mask, positive, negative in rows
+        )
+
+    counts = {"listed": 0, "dropped": 0}
+    for f in REPEATED + OVERLAPPING + SCAN_SHAPED:
+        events.clear()
+        max_hamming_p(f)
+        events.append(("end",))
+        for event, following in zip(events, events[1:]):
+            if event[0] == "part":
+                clauses = event[1].clauses
+                rows = []
+                for clause in clauses:
+                    positive = sum(1 << (lit - 1) for lit in clause if lit > 0)
+                    negative = sum(1 << (-lit - 1) for lit in clause if lit < 0)
+                    rows.append((positive | negative, positive, negative))
+            if event[0] != "listed":
+                continue
+            _, bitset, positive, negative = event
+            false, true = positive & ~bitset, negative & ~bitset
+            dropped = refuted([row for row in rows if not row[0] & bitset], false, true)
+            assert refuted(rows, false, true) == dropped
+            assert (following[0] == "asked") == (not dropped)
+            if not dropped:
+                subset = {i + 1 for i in range(bitset.bit_length()) if (bitset >> i) & 1}
+                assumptions = following[1]
+                assert len(set(assumptions)) == len(assumptions)
+                assert set(assumptions) == {-lit for lit in outside_literals(clauses, subset)}, (clauses, subset)
+            counts["listed"] += 1
+            counts["dropped"] += dropped
+    assert counts == {"listed": 361, "dropped": 109}
 
 
 def test_every_search_gives_the_engine_search_model(monkeypatch):
@@ -712,7 +814,7 @@ def test_every_search_gives_the_engine_search_model(monkeypatch):
             got = None if model is None else dict(zip(variables, model[1:]))
             assert got == (None if want is None else {v: want[v] for v in variables}), (f, part, assumptions)
             outcomes[kind][got is not None] += 1
-    assert outcomes == {"base": [34, 179], "question": [258, 160]}
+    assert outcomes == {"base": [34, 179], "question": [264, 160]}
 
 
 def test_scan_never_calls_the_set_based_check():
