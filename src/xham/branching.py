@@ -69,7 +69,7 @@ a pool forms bind the slot instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, islice
 
 from .formula import BOTTOM, Formula, HammingResult, SearchStats
@@ -219,7 +219,10 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
     value o when var itself is the satisfactor and x when a member is.
     So entry xx reads d(x, x), each mixed entry max(d(o, x), d(x, x) + G)
     and entry oo max(d(o, o), d(o, x) + G, d(x, x) + max(P, B)), each
-    plus its by_slot term and every member's unchosen entry.
+    plus its by_slot term and every member's unchosen entry. A lone
+    member is its own G and B, with no P; a lone dual child, and no
+    member, hands up its table, reversed when the link flips, plus
+    (0, 1, 1, 0).
     """
     members = state.sing.get(var, ())
     duals = state.dual.get(var, ())
@@ -228,6 +231,10 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
     score = state.score
     try:
         if not members:  # the slot is the concrete value: one sum of the children's tables
+            if len(duals) == 1:
+                child, flip, _ = duals[0]
+                t0, t1, t2, t3 = score[child]
+                return (t3, t2 + 1, t1 + 1, t0) if flip else (t0, t1 + 1, t2 + 1, t3)
             s0 = s1 = s2 = s3 = 0
             for child, flip, _ in duals:
                 t0, t1, t2, t3 = score[child]
@@ -249,27 +256,32 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
             acc[1] += t[1]
             acc[2] += t[2]
             acc[3] += t[3]
-        unchosen = 0
-        # Per member, the gain of choosing it in one model and in both.
-        gains, both = [], []
-        for member, pol in members:
-            t = score[member]
+        if len(members) == 1:
+            ((member, pol),) = members
+            t0, t1, t2, t3 = score[member]
             if not pol:  # read the member's table from its own literal's side
-                t = t[::-1]
-            idle = t[0]
-            unchosen += idle
-            gains.append(t[1] - idle)
-            both.append(t[3] - idle)
+                t0, t1, t3 = t3, t2, t0
+            unchosen, gain, chosen = t0, t1 - t0, t3 - t0
+        else:
+            unchosen = 0
+            # Per member, the gain of choosing it in one model and in both.
+            gains, both = [], []
+            for member, pol in members:
+                t = score[member]
+                if not pol:  # read the member's table from its own literal's side
+                    t = t[::-1]
+                idle = t[0]
+                unchosen += idle
+                gains.append(t[1] - idle)
+                both.append(t[3] - idle)
+            gain, chosen = max(gains), max(both)
+            gains.remove(gain)
+            chosen = max(chosen, gain + max(gains))
     except KeyError as missing:
         raise ValueError(f"linked variable {missing.args[0]} has no score table") from None
 
     o = int(state.sat[var])
     x = 1 - o
-    gain, chosen = gains[0], both[0]
-    if len(gains) > 1:
-        gain, chosen = max(gains), max(both)
-        gains.remove(gain)
-        chosen = max(chosen, gain + max(gains))
     stay, mixed = by_value[3 * x], by_value[1] + 1  # d(x, x) and d(o, x)
     active = max(by_value[3 * o], mixed + gain, stay + chosen)
     mixed = max(mixed, stay + gain)
@@ -319,93 +331,113 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     pools and dual links; the caller folds in what the engine forced and
     freed. Each round propagates to a fixpoint, then pools in the first
     clause, by position, that holds at least two singletons one of which
-    heads no pool yet; only when no clause can pool does it eliminate
-    the first binary clause by dual substitution, in place on the
-    engine. When the removed side has degree one, as on every step of a
-    chain, the clause is its only occurrence, and the engine drops it
-    with one write and no rewrite (`Propagator.drop_binary`). Otherwise
-    the substitution rewrites every clause holding the removed side,
-    drops that clause itself with every other clause it turns into a
-    complementary pair, such as a copy, and queues a rewrite only when it
-    repeats a variable. Two position heaps stand
-    in for rescanning the formula. `binaries` is fed from the engine's
-    `changed` log and holds every clause that may have become binary.
-    `to_pool` is fed from its `singles` log alone: a clause can only
-    start to pool when one of its variables falls to degree one, and
-    each such variable pushes its clause once if the clause can pool
-    then (`_pool_pair`). So a clause has at least as many entries as
-    fresh singletons (heading no pool), one fewer while it holds no pool
-    head: a push is skipped only on a clause with fewer than two
-    singletons or no fresh one, which needs no entry; a pool uses one
-    entry and takes at least one fresh singleton, so a clause that can
-    pool always has an entry left, and a pooled clause is not pushed
-    again. `_pool_first` runs only on a heap that holds an entry. A new
-    engine logs its binary clauses and degree-one variables; below q's
-    root the logs hold only what the node's steps touched since its
-    mark, at a fixpoint where nothing pools and no clause is binary.
-    Popping the smallest position that passes the check makes the same
-    choice, in the same order, as a scan of the whole formula would.
+    heads no pool yet, and again while a clause can pool; only when none
+    can does it eliminate the first binary clause by dual substitution, in
+    place on the engine. A pool queues its clause only when it leaves
+    fewer than two literals, and only then does the next pool wait for a
+    round: after any other a round would find the engine idle and make
+    the same choice. When the removed side has degree one, as on every
+    step of a chain, the clause is its only occurrence, and the engine
+    drops it with one write and no rewrite (`Propagator.drop_binary`).
+    Otherwise the substitution rewrites every clause holding the removed
+    side, drops that clause itself with every other clause it turns into
+    a complementary pair, such as a copy, and queues a rewrite only when
+    it repeats a variable. Two position heaps stand in for rescanning the
+    formula. `binaries` is fed from the engine's `changed` log and holds
+    every clause that may have become binary. `to_pool` is fed from its
+    `singles` log alone: a clause can only start to pool when one of its
+    variables falls to degree one, and each such variable pushes its
+    clause once if the clause can pool then (`_pool_pair`). So a clause
+    has at least as many entries as fresh singletons (heading no pool),
+    one fewer while it holds no pool head: a push is skipped only on a
+    clause with fewer than two singletons or no fresh one, which needs no
+    entry; a pool uses one entry and takes at least one fresh singleton,
+    so a clause that can pool always has an entry left, and a pooled
+    clause is not pushed again. `_pool_first` runs only on a heap that
+    holds an entry. A new engine logs its binary clauses and degree-one
+    variables; below q's root the logs hold only what the node's steps
+    touched since its mark, at a fixpoint where nothing pools and no
+    clause is binary. Popping the smallest position that passes the
+    check makes the same choice, in the same order, as a scan of the
+    whole formula would.
 
-    A drop changes one degree, the survivor's, and queues nothing. So
-    after a drop whose survivor cannot start a pool, because it keeps
-    degree two or more, or falls to one in a clause `_pool_pair` turns
-    down, the loop drops or substitutes the next binary clause at once:
-    a round would find the engine at its fixpoint, no clause newly
-    binary and nothing to pool, and make that same choice. A binary
-    chain of any length so takes three rounds. A survivor that can pool,
-    as on a ternary chain, goes back round to pool, and one that leaves
-    the formula goes back round for the engine to log it as freed.
+    A drop changes one degree, the survivor's, and queues nothing, and
+    the pools before it ran `to_pool` dry, so no clause can pool. The
+    survivor's clause is then the only one that can start to: when the
+    survivor falls to degree one in a clause `_pool_pair` takes, the
+    loop pools that clause right there, with no entry, and puts it on
+    `binaries` if it is left binary. That one pool is all the clause can
+    take: before the drop it held at most one singleton or no fresh one,
+    and a pool changes no degree but the member's, so it leaves one
+    singleton or, the survivor now heading it, none fresh. Then, as
+    after a survivor that keeps degree two or more or whose clause
+    cannot pool, the loop drops or substitutes the next binary clause at
+    once: a round would find the engine at its fixpoint and make these
+    same choices. Only a pool that leaves fewer than two literals, which
+    queues its clause, and a survivor that leaves the formula, which the
+    engine logs as freed, go back round. A chain of any clause length so
+    takes two rounds.
     """
     clauses, degree, changed, singles, sat = engine.clauses, engine.degree, engine.changed, engine.singles, state.sat
-    propagate, position_of = engine.propagate, engine.position_of
-    drop, substitute, record_dual = engine.drop_binary, engine.substitute, state.record_dual
+    propagate, position_of, queue = engine.propagate, engine.position_of, engine.queue
+    drop, substitute, remove_literal = engine.drop_binary, engine.substitute, engine.remove_literal
+    record_sing, record_dual = state.record_sing, state.record_dual
     to_pool: list[int] = []
     binaries: list[int] = []
     while propagate():
-        for pos in changed:
-            clause = clauses[pos]
-            if clause is not None and len(clause) == 2:
-                heappush(binaries, pos)
         for var in singles:
             if degree[var] == 1:
                 pos = position_of(var)
                 if _pool_pair(clauses[pos], degree, sat):
                     heappush(to_pool, pos)
-        changed.clear()
         singles.clear()
-
-        if to_pool and _pool_first(engine, state, to_pool):
-            continue
-        while binaries:  # dual-substitute away the first binary clause
-            pos = heappop(binaries)
-            clause = clauses[pos]
-            if clause is None or len(clause) != 2:
-                continue
-            first, second = clause
-            # Keep a non-singleton alive when there is one; the removed
-            # side hangs below the survivor either way.
-            if degree[abs(second)] == 1 and degree[abs(first)] > 1:
-                removed, survivor = second, first
-            else:
-                removed, survivor = first, second
-            if degree[abs(removed)] != 1:
-                substitute(removed, survivor)
-                record_dual(survivor, removed)
-                break
-            drop(pos, removed)
-            record_dual(survivor, removed)
-            var = abs(survivor)
-            left = degree[var]
-            if not left:
-                break
-            singles.clear()  # the survivor alone, if anything
-            if left == 1:
-                pos = position_of(var)
-                if _pool_pair(clauses[pos], degree, sat):
-                    heappush(to_pool, pos)
-                    break
+        while to_pool and _pool_first(engine, state, to_pool):
+            if queue:
+                break  # the pool left fewer than two literals: settle them first
         else:
-            return True
+            if binaries:
+                for pos in changed:
+                    if len(clauses[pos] or ()) == 2:
+                        heappush(binaries, pos)
+            else:
+                binaries = [pos for pos in changed if len(clauses[pos] or ()) == 2]
+                heapify(binaries)
+            changed.clear()
+            while binaries:  # dual-substitute away the first binary clause
+                pos = heappop(binaries)
+                clause = clauses[pos]
+                if clause is None or len(clause) != 2:
+                    continue
+                first, second = clause
+                # Keep a non-singleton alive when there is one; the removed
+                # side hangs below the survivor either way.
+                if degree[abs(second)] == 1 and degree[abs(first)] > 1:
+                    removed, survivor = second, first
+                else:
+                    removed, survivor = first, second
+                if degree[abs(removed)] != 1:
+                    substitute(removed, survivor)
+                    record_dual(survivor, removed)
+                    break
+                drop(pos, removed)
+                record_dual(survivor, removed)
+                var = abs(survivor)
+                left = degree[var]
+                if not left:
+                    break
+                singles.clear()  # the survivor alone, if anything
+                if left == 1:
+                    pos = position_of(var)
+                    pair = _pool_pair(clauses[pos], degree, sat)
+                    if pair:  # the one pool the survivor's clause can take
+                        record_sing(*pair)
+                        remove_literal(pos, pair[1])
+                        if queue:
+                            break  # the pool left fewer than two literals: settle them first
+                        if len(clauses[pos]) == 2:
+                            heappush(binaries, pos)
+            else:
+                return True
     return False
 
 
@@ -432,11 +464,15 @@ def _pool_pair(clause, degree, sat):
     clause, and a head that went singleton again nests as a member. The
     head is the first such singleton, the member the first other one.
     """
-    singles = [lit for lit in clause if degree[abs(lit)] == 1]
-    if len(singles) > 1:
-        for rep in singles:
-            if abs(rep) not in sat:
-                return rep, singles[1] if rep == singles[0] else singles[0]
+    rep = other = None
+    for lit in clause:
+        if degree[abs(lit)] == 1:
+            if rep is None and abs(lit) not in sat:
+                rep = lit
+            elif other is None:
+                other = lit
+            if rep is not None and other is not None:
+                return rep, other
     return None
 
 

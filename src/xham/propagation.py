@@ -260,7 +260,7 @@ class Propagator:
         """
         clause = self.clauses[pos]
         self._writes.append((pos, clause))
-        live = self.clauses[pos] = tuple(l for l in clause if l != lit)
+        live = self.clauses[pos] = tuple([l for l in clause if l != lit])
         self.degree[abs(lit)] = 0
         self.changed.append(pos)
         if len(live) < 2:

@@ -544,3 +544,47 @@ def _expand_tree(state, var, slot) -> list[Assignment]:
             combined = [{**base, **extra} for base in combined for extra in candidates]
         out.extend(combined)
     return out
+
+
+def pool_pair_reference(clause, degree, sat):
+    """`branching._pool_pair` as a list of the clause's singletons: the
+    first one heading no pool, and the first other one."""
+    singles = [lit for lit in clause if degree[abs(lit)] == 1]
+    if len(singles) > 1:
+        for rep in singles:
+            if abs(rep) not in sat:
+                return rep, singles[1] if rep == singles[0] else singles[0]
+    return None
+
+
+def general_table(state: GeneralizedAssignment, var: int):
+    """`branching._table` with no closed form for one child: every dual
+    child summed into four-entry tables, every pool member's gains listed,
+    and the best gain, pair and both-model gain taken by `max`."""
+    members, duals, score = state.sing.get(var, ()), state.dual.get(var, ()), state.score
+    by_slot, by_value = [0, 0, 0, 0], [0, 0, 0, 0]
+    for child, flip, anchor in duals:
+        t = score[child][::-1] if flip else score[child]
+        acc = by_slot if anchor and members else by_value
+        for i in range(4):
+            acc[i] += t[i]
+    if not members:
+        return by_value[0], by_value[1] + 1, by_value[2] + 1, by_value[3]
+    unchosen, gains, both = 0, [], []
+    for member, pol in members:
+        t = score[member] if pol else score[member][::-1]
+        unchosen += t[0]
+        gains.append(t[1] - t[0])
+        both.append(t[3] - t[0])
+    gain, chosen = max(gains), max(both)
+    if len(gains) > 1:
+        rest = list(gains)
+        rest.remove(gain)
+        chosen = max(chosen, gain + max(rest))
+    o = int(state.sat[var])
+    x = 1 - o
+    stay, mixed = by_value[3 * x], by_value[1] + 1
+    active = max(by_value[3 * o], mixed + gain, stay + chosen)
+    mixed = max(mixed, stay + gain)
+    low, high = (stay, active) if o else (active, stay)
+    return tuple(by_slot[i] + unchosen + entry for i, entry in enumerate((low, mixed, mixed, high)))

@@ -32,6 +32,8 @@ from conftest import (
     engine_state,
     expand_state,
     formula,
+    general_table,
+    pool_pair_reference,
     repeated_variable_corpus,
     slot_options,
     universe,
@@ -153,20 +155,44 @@ def logging_every_position(f):
 
 
 def test_simplify_links_as_a_reference_that_pools_from_every_change(monkeypatch):
-    """q with `to_pool` fed from `singles` alone, and with a drop going
-    straight to the next choice, records the same pool and dual links, in
-    the same order, as a reference that also pushes every changed position
-    and takes one elimination per round, and searches the same tree."""
+    """q with `to_pool` fed from `singles` alone, with every pool a round
+    can take in one go, and with a drop going straight to the next choice,
+    pooling its survivor's clause on the spot, records the same pool and
+    dual links, in the same order, as a reference that also pushes every
+    changed position and takes one pool or one elimination per round, and
+    searches the same tree. Counts check that the pools on the spot run at
+    the root and at q's children, under a mark."""
     monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
     instances = [planted_formula(n, 3, 2, seed) for n in (12, 15, 18) for seed in range(3)]
     instances += [planted_formula(n, 4, 2, seed) for n in (12, 16) for seed in range(3)]
     instances += [random_formula(n, (n + 1) // 2, k, 7700 + 10 * n + k) for k in (3, 4, 5) for n in range(8, 24, 3)]
     instances += [chain(n, k, seed) for k, n in ((2, 24), (3, 25), (4, 25), (5, 25)) for seed in range(3)]
     instances += LONG_CHAINS + CATERPILLARS
+    instances += [chain(n, k, seed) for k, n in ((4, 2002), (5, 2001)) for seed in range(2)]
+    instances += [with_pendants(chain(n, k, seed), seed) for k, n in ((2, 40), (3, 41), (4, 40), (5, 41)) for seed in range(4)]
+    instances += [with_pendants(planted_formula(n, k, 2, seed), seed) for n, k in ((15, 3), (18, 3), (16, 4)) for seed in range(4)]
     links = []
     sing, dual = GeneralizedAssignment.record_sing, GeneralizedAssignment.record_dual
     monkeypatch.setattr(GeneralizedAssignment, "record_sing", lambda s, *a: links.append(("sing", a)) or sing(s, *a))
     monkeypatch.setattr(GeneralizedAssignment, "record_dual", lambda s, *a: links.append(("dual", a)) or dual(s, *a))
+    # A pool that removes a literal outside `_pool_first` is one on the spot.
+    on_the_spot, pooling = {"root": 0, "child": 0}, []
+    pool_first, remove_literal = branching._pool_first, Propagator.remove_literal
+
+    def first(*args):
+        pooling.append(True)
+        try:
+            return pool_first(*args)
+        finally:
+            pooling.pop()
+
+    def removing(engine, pos, lit):
+        if not pooling:
+            on_the_spot["root" if engine._writes is propagation._UNLOGGED else "child"] += 1
+        remove_literal(engine, pos, lit)
+
+    monkeypatch.setattr(branching, "_pool_first", first)
+    monkeypatch.setattr(Propagator, "remove_literal", removing)
 
     def run(f):
         del links[:]
@@ -184,6 +210,43 @@ def test_simplify_links_as_a_reference_that_pools_from_every_change(monkeypatch)
         assert got == want, f
         pooled += sum(kind == "sing" for kind, _ in got[3])
     assert pooled > 100
+    assert on_the_spot["root"] > 4000 and on_the_spot["child"] > 50, on_the_spot
+
+
+def test_long_chains_simplify_in_a_few_rounds(monkeypatch):
+    """The root pools every clause it can before it drops, and a drop pools
+    its survivor's clause on the spot, so the root's simplification
+    retires ternary and length-4 chains with random polarities in at most
+    five `propagate` calls, and the binary chain in at most three; one
+    pool per round would take a call per clause."""
+    calls = []
+    propagate = Propagator.propagate
+    monkeypatch.setattr(Propagator, "propagate", lambda engine: calls.append(engine) or propagate(engine))
+    for n, length, most in ((2001, 2, 3), (2001, 3, 5), (2002, 4, 5)):
+        for seed in range(2):
+            del calls[:]
+            engine = Propagator(chain(n, length, seed))
+            assert branching._simplify(engine, GeneralizedAssignment())
+            assert engine.clauses.count(None) == len(engine.clauses) and len(calls) <= most, (n, length, seed, len(calls))
+
+
+def test_pool_pair_matches_the_list_reference_on_every_small_clause():
+    """`_pool_pair`'s one scan returns what the list of the clause's
+    singletons gives, on every clause of one to five literals over every
+    sign, degree of one or two and pool-head membership of each literal:
+    8 + 64 + ... + 8**5 = 37,448 clauses."""
+    seen = collections.Counter()
+    for length in range(1, 6):
+        for kinds in itertools.product(itertools.product((1, -1), (1, 2), (False, True)), repeat=length):
+            clause = tuple(sign * var for var, (sign, _, _) in enumerate(kinds, 1))
+            degree = {var: count for var, (_, count, _) in enumerate(kinds, 1)}
+            sat = {var: True for var, (_, _, head) in enumerate(kinds, 1) if head}
+            got = branching._pool_pair(clause, degree, sat)
+            assert got == pool_pair_reference(clause, degree, sat), (clause, degree, sat)
+            seen["clauses"] += 1
+            seen["pools" if got else "none"] += 1
+            seen["head first"] += bool(got) and abs(got[1]) < abs(got[0])
+    assert seen["clauses"] == 37448 and min(seen.values()) > 5000, seen
 
 
 def drop_by_substitute(engine, pos, removed):
@@ -425,9 +488,10 @@ def reference_table(state, var):
     return tuple(reading(var, a, b) for a in (False, True) for b in (False, True))
 
 
-def one_variable_state(rng):
+def one_variable_state(rng, pools=None):
     """A state in which variable 1 heads 1-4 pool members and 0-3 dual
-    children, linked in a random order through `record_sing` and
+    children (one of each kind per True and False in `pools`, when given),
+    linked in a random order through `record_sing` and
     `record_dual`: a dual link recorded before 1's first pool membership
     follows its concrete value, a later one its slot. Every child is a
     flip pivot (its stay entries NEG) or not, and heads up to two links of
@@ -455,7 +519,8 @@ def one_variable_state(rng):
             state.flips.add(var)
         return var
 
-    pools = [True] * rng.randint(1, 4) + [False] * rng.randint(0, 3)
+    if pools is None:
+        pools = [True] * rng.randint(1, 4) + [False] * rng.randint(0, 3)
     rng.shuffle(pools)
     for pool in pools:
         link(1, subtree(), pool)
@@ -484,6 +549,33 @@ class TestScoreTables:
             seen["best alone"] += len(gains) > 1 and gains[-1] > gains[-2]
             seen["no pair"] += None in want
         assert min(seen.values()) > 200, seen
+
+    def test_one_child_closed_forms_match_the_general_sum_and_a_full_reading(self):
+        """`_table`'s closed forms for one dual child and no pool member, and
+        for one pool member beside 0-3 dual children, equal the general sums
+        and the best reading down the whole subtree. Counts check that each
+        form is reached with a flipped and an unflipped child, slot- and
+        value-anchored links, members of both polarities and flip pivots."""
+        rng = random.Random(3100)
+        seen = collections.Counter()
+        for i in range(4000):
+            state = one_variable_state(rng, [False] if i % 2 else [True] + [False] * rng.randint(0, 3))
+            got = branching._table(state, 1)
+            assert got == general_table(state, 1), state
+            want = reference_table(state, 1)
+            assert all(w is None and g < 0 or g == w for g, w in zip(got, want)), (state, got, want)
+            duals, pivot = state.dual.get(1, []), any(min(state.score[child]) < 0 for child in state.score)
+            if 1 not in state.sing:
+                [(child, flip, _)] = duals
+                seen["dual flipped" if flip else "dual unflipped"] += 1
+                seen["dual over a flip pivot"] += pivot
+                continue
+            [(_, pol)] = state.sing[1]
+            seen["member of its own sign" if pol else "member of the other sign"] += 1
+            seen["member over a flip pivot"] += pivot
+            seen["member with a slot-anchored link"] += any(anchor for _, _, anchor in duals)
+            seen["member with a value-anchored link"] += any(not anchor for _, _, anchor in duals)
+        assert len(seen) == 8 and min(seen.values()) > 200, seen
 
     def test_cached_tables_match_a_full_reading_at_every_leaf(self, monkeypatch):
         """Tables built at link time or on a read, and dropped when their
