@@ -27,7 +27,8 @@ stack, so deep instances need no recursion, and a step costs the
 clauses holding the variables it assigns, however many variables the
 component has. `models` lists every model, backing up after each, and
 `search` is its first; this is the inner solver of the subset scan and
-the oracle, and a fast satisfiability filter.
+the oracle, and a fast satisfiability filter. `probe` runs failed-literal
+probing on the same value list and trail, for the subset scan.
 """
 
 from __future__ import annotations
@@ -208,6 +209,45 @@ def _undo(value, trail, mark) -> None:
     for lit in trail[mark:]:
         value[lit] = value[-lit] = None
     del trail[mark:]
+
+
+def probe(part: Part, model) -> tuple[list, list]:
+    """(a value list for part, its trail): the literals that failed-literal
+    probing around `model`, one x-model of part (a value list as `models`
+    yields), shows true in every x-model of part, and what they propagate.
+
+    One pass over the local variables, in order: a variable still
+    unassigned has the literal model makes false propagated alone. A
+    conflict shows that literal false in every x-model, so it is undone
+    and its complement is propagated, and stays; that cannot conflict,
+    since model holds every literal asserted so far. Without a conflict
+    the probe is undone, and every literal it made true is skipped for
+    the rest of the pass: closure under propagation is monotone, so such
+    a literal's own probe would not fail at that point either. The pass
+    is not repeated to a fixpoint; a backbone literal it misses only
+    costs the caller time, as probing asserts nothing that is not true in
+    every x-model. A part of one clause is left unprobed: each of its
+    literals is true in one of its models, so it has no backbone.
+    """
+    holding = part.holding
+    value = [None] * len(holding)
+    trail = []
+    if len(part.clauses) == 1:
+        return value, trail
+    skip = [False] * len(holding)
+    for var in range(1, len(part.variables) + 1):
+        lit = -var if model[var] else var
+        if value[lit] is not None or skip[lit]:
+            continue
+        mark = len(trail)
+        if _propagate(value, trail, (lit,), holding):
+            for implied in trail[mark:]:
+                skip[implied] = True
+            _undo(value, trail, mark)
+        else:
+            _undo(value, trail, mark)
+            _propagate(value, trail, (-lit,), holding)
+    return value, trail
 
 
 def _first_longest(clauses, value, start, width):

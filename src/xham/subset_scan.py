@@ -24,8 +24,32 @@ a scan of the whole formula, and k disjoint clauses cost k small
 listings, not the product of their sizes, and k small searches, not k
 searches of the whole formula.
 
-Generation. `allowed_subsets` branches over a component's clauses in a
-walk order fixed once per call: fewest undecided variables (fresh ones)
+Probing. A variable that keeps one value in every x-model (a backbone
+variable) is in no flip set, so a scan over it lists subsets that can
+only fail. The base check gives a model M of each component, and
+`solver.probe` makes one pass of failed-literal probing around it: the
+literal M makes false is propagated alone, and a conflict asserts its
+complement, true in M, and what that propagates. This is sound: a
+literal asserted so is true in every x-model, since its complement
+propagated to a conflict on clauses every model satisfies. A probe that
+does not conflict puts the literals it made true on a skip set, whose
+literals are not probed later in the pass: closure under propagation is
+monotone, so their probes could not fail at that point. A backbone
+variable the pass misses only costs time. The scan then reads each
+clause through the probe's values: a clause with a true literal has all
+its other literals false and drops, and every other clause becomes one
+row over its unassigned literals, so no listed subset holds an asserted
+variable. Removing the backbone can disconnect a component: rows that
+share a bit, directly or through others, form a group, and each group is
+listed and asked about on its own, so k groups cost the sum of their
+listings, not the product. Groups share only asserted variables, which
+every model gives the same values, so a group's answer does not depend
+on another's, and the component's distance is the sum of its groups'.
+Each question still searches the whole component, assuming the asserted
+literals first.
+
+Generation. `allowed_subsets` branches over a group's rows, called
+clauses in this paragraph, in a walk order fixed once per call: fewest undecided variables (fresh ones)
 first, ties by position. A heap of (fresh count, position) entries, fed
 by a variable -> clauses index as variables get decided, gives the walk
 in O(m log m) plus the clauses' sizes. A clause whose variables are all
@@ -60,9 +84,11 @@ true; with R false, C makes exactly one of l₁, l₂ true, and flipping
 swaps them. So X separates two x-models iff the formula stays
 x-satisfiable with every literal of a touched clause whose variable is
 outside X made false, and flipping X in such a model gives the second
-model. p puts each question to the solver's search of the component,
-which assumes the complements of those literals on a value list of its
-own: a question marks, forces or undoes nothing on the engine, which is
+model. The outside literals of a touched clause that probing assigned
+are false in every model, so p puts each question to the solver's search
+of the component, which assumes the asserted literals and then the
+complements of the outside literals of the touched rows, on a value list
+of its own: a question marks, forces or undoes nothing on the engine, which is
 left as the base check found it. No formula is built, at the root or
 per subset, and the witnesses are the solver's models.
 
@@ -70,17 +96,17 @@ The checks before a call. Most of these questions contradict
 themselves. A variable outside X that is positive in one touched clause
 and negative in another is assumed both ways. So each listing state
 carries P and N, the bits of the positive and of the negative literals
-of the clauses it touches; every bit of them is decided, so a state with
+of the rows it touches; every bit of them is decided, so a state with
 P & N & ~X nonzero cannot recover and is dropped at once, and such an X
 is never listed. A listed X comes with its P and N: P & ~X holds the
 variables its assumptions make false and N & ~X those they make true,
-and the assumptions are read off these bits, variable by variable. The
-solver makes them all true before it propagates, and unit propagation
+and the assumptions after the asserted literals are read off these
+bits, variable by variable. The solver makes them all true before it propagates, and unit propagation
 reaches one fixpoint, or a conflict, in any order, so their order
-changes no answer and no model. A clause with two literals made true,
-or with all of them made false, refutes X, and it is dropped without a
-call. The check runs over every clause, but only an untouched one can
-fail it: a touched clause's literals outside X are all made false, none
+changes no answer and no model. A row of the group with two literals
+made true, or with all of them made false, refutes X, and it is dropped
+without a call. The check runs over every row, but only an untouched one
+can fail it: a touched row's literals outside X are all made false, none
 true, since P & N & ~X is zero, and its two literals over X are not
 assumed, so it has neither two literals made true nor all made false.
 Either check spots only what the solver's first propagation refutes,
@@ -96,7 +122,7 @@ from collections import defaultdict
 
 from .formula import BOTTOM, Formula, HammingResult, SearchStats
 from .propagation import Propagator
-from .solver import Part, search, solve
+from .solver import Part, probe, search, solve
 
 
 def allowed_subsets(masks, negatives):
@@ -227,28 +253,30 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
 
     One engine on the input propagates it, and the solver checks that the
     propagated formula has a model, component by component (see
-    `solver.solve`); only then are each component's nonempty allowed
-    subsets with no sign contradiction listed, largest size first, each
-    asked about as it comes (see the module docstring for their order,
-    for the literals the solver assumes with each and for the clause
-    check that drops a subset without a call). In each component the
-    first subset the solver accepts, searching that component alone, is
-    its answer; with none, the component adds nothing. The distance is
-    the sum of the answers' sizes plus one per variable that propagation
-    freed.
+    `solver.solve`). Each component is then probed around its base model
+    (`solver.probe`), and the clauses the probe leaves unsettled are
+    split into groups that share no unassigned variable; in each group
+    the nonempty allowed subsets with no sign contradiction are listed,
+    largest size first, each asked about as it comes (see the module
+    docstring for their order, for the literals the solver assumes with
+    each, for the clause check that drops a subset without a call and for
+    the probe). In each group the first subset the solver accepts,
+    searching the group's whole component, is its answer; with none, the
+    group adds nothing. The distance is the sum of the answers' sizes
+    plus one per variable that propagation freed.
 
     The first witness is the base model, the solver's model before any
-    subset, with each answered component's variables taken from the
-    solver's model for its answer; the solver sets every forced variable,
-    and every freed one True. The second witness is the first flipped on
+    subset, with each answered group's variables taken from the solver's
+    model for its answer; the solver sets every forced variable, and
+    every freed one True. The second witness is the first flipped on
     every answer, with the freed variables False.
 
-    `stats.subsets_checked` sums, over the components, the subsets listed
-    up to the component's answer, that one included (all of them when
-    none answers), those with a sign contradiction left out;
+    `stats.subsets_checked` sums, over the groups, the subsets listed up
+    to the group's answer, that one included (all of them when none
+    answers), those with a sign contradiction left out;
     `stats.solver_calls` counts the base check, once however many
     components it searches, plus one call per listed subset that passes
-    the clause check.
+    the clause check. Probes are not solver calls.
     """
     if stats is None:
         stats = SearchStats()
@@ -261,48 +289,106 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     first, parts = found
     flips = set()
     for part in parts:
-        answer = _scan_component(part, stats)
-        if answer is not None:
-            values, subset = answer
-            first.update(values)
-            flips.update(subset)
+        values, subset = _scan_component(part, [None, *map(first.__getitem__, part.variables)], stats)
+        first.update(values)
+        flips.update(subset)
     freed = engine.freed
     second = {v: value != (v in flips) for v, value in first.items()}
     second.update(dict.fromkeys(freed, False))
     return HammingResult(len(flips) + len(freed), (first, second))
 
 
-def _scan_component(part: Part, stats: SearchStats):
-    """For the first allowed subset of one component that the solver
-    accepts: the solver's model on the component's variables, and the
-    subset's variables. None when the solver accepts none.
+def _scan_component(part: Part, model, stats: SearchStats):
+    """(the answering models' values of the variables of the groups that
+    answer, the variables of their answers) for one component, whose base
+    model is the value list `model`.
 
-    One pass builds a row per clause of the part: its mask (bit i - 1
-    for local variable i) and the bits of its positive and of its
-    negative literals. The listing drops sign contradictions and yields
-    each subset X with its P and N; a row that those make two-true or
-    all-false drops it, and otherwise its assumptions are read off
-    P & ~X (made false) and N & ~X (made true).
+    `solver.probe` asserts the component's backbone literals it finds.
+    One pass then builds a row per clause with no true literal: the mask
+    of its unassigned literals (bit i - 1 for local variable i) and the
+    bits of the positive and of the negative ones; a clause with a true
+    literal has every other literal false and drops. Rows that share a
+    bit, directly or through others, form a group (`_groups`), and each
+    group is scanned on its own. The listing drops sign contradictions
+    and yields each subset X with its P and N; a row of the group that
+    those make two-true or all-false drops it, and otherwise the solver
+    searches the whole component assuming the backbone literals, then
+    those read off P & ~X (made false) and N & ~X (made true).
+
+    Groups share only assigned variables, so the component's x-models are
+    its backbone values times one x-model of each group's rows: each row
+    is one clause whose assigned literals are all false, and it lies in
+    one group. So a group's answer is independent of the others', the
+    component's best distance is the sum of its groups' answers, and
+    taking each answered group's variables from that group's answer
+    model, every other variable from `model` (every model gives the
+    backbone the same values), gives an x-model; flipping every answer
+    in it gives another, since each group's flipped answer model is one.
     """
+    value, backbone = probe(part, model)
     rows = []
     for clause in part.clauses:
-        positive = sum(1 << (lit - 1) for lit in clause if lit > 0)
-        negative = sum(1 << (-lit - 1) for lit in clause if lit < 0)
-        rows.append((positive | negative, positive, negative))
+        positive = negative = 0
+        for lit in clause:
+            known = value[lit]
+            if known is None:
+                if lit > 0:
+                    positive |= 1 << (lit - 1)
+                else:
+                    negative |= 1 << (-lit - 1)
+            elif known:
+                break  # settled: its other literals are false
+        else:
+            rows.append((positive | negative, positive, negative))
 
-    for bitset, positive, negative in allowed_subsets([row[0] for row in rows], [row[2] for row in rows]):
-        stats.subsets_checked += 1
-        false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
-        if any(
-            ((positive_bits & true) | (negative_bits & false)).bit_count() > 1  # two literals made true
-            or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
-            for mask, positive_bits, negative_bits in rows
-        ):
-            continue  # the solver's first propagation would refute it
-        stats.solver_calls += 1
-        model = search(part, [-1 - place for place in _places(false)] + [1 + place for place in _places(true)])
-        if model is not None:
-            variables = part.variables
-            values = dict(zip(variables, model[1:]))
-            return values, [v for i, v in enumerate(variables) if (bitset >> i) & 1]
-    return None
+    variables = part.variables
+    values, flips = {}, []
+    for group in _groups(rows) if backbone else [rows]:  # a component with no backbone is one group
+        for bitset, positive, negative in allowed_subsets([row[0] for row in group], [row[2] for row in group]):
+            stats.subsets_checked += 1
+            false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
+            if any(
+                ((positive_bits & true) | (negative_bits & false)).bit_count() > 1  # two literals made true
+                or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
+                for mask, positive_bits, negative_bits in group
+            ):
+                continue  # the solver's first propagation would refute it
+            stats.solver_calls += 1
+            assumptions = backbone + [-1 - place for place in _places(false)] + [1 + place for place in _places(true)]
+            answer = search(part, assumptions)
+            if answer is not None:
+                span = 0
+                for mask, _, _ in group:
+                    span |= mask
+                values.update((variables[place], answer[place + 1]) for place in _places(span))
+                flips += [variables[place] for place in _places(bitset)]
+                break
+    return values, flips
+
+
+def _groups(rows) -> list[list]:
+    """rows split into groups whose masks share bits, directly or through
+    other rows, each in row order, the groups in the order of their first
+    rows.
+
+    A union-find over row indices joins each row to the first row holding
+    each of its bits; a root is always the least index of its set.
+    """
+    root = list(range(len(rows)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    holder = {}  # bit position -> the first row holding it
+    for i, (mask, _, _) in enumerate(rows):
+        for place in _places(mask):
+            a, b = find(i), find(holder.setdefault(place, i))
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(find(i), []).append(row)
+    return list(groups.values())

@@ -121,6 +121,87 @@ def count_allowed_subsets_brute(formula: Formula, cap: int = 20) -> int:
     return count
 
 
+def unit_closure(clauses, literals) -> set[int] | None:
+    """The literals unit propagation on exactly-one clauses makes true from
+    literals, those included, or None on a conflict, by sweeps over every
+    clause until one changes nothing: a clause with a true literal makes
+    its others false, one with no true literal and one literal not false
+    makes that one true, and one with two true literals or all false is a
+    conflict. Clauses hold distinct variables."""
+    true = set(literals)
+    if any(-lit in true for lit in true):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            held = [lit for lit in clause if lit in true]
+            if len(held) > 1:
+                return None
+            if held:
+                new = {-lit for lit in clause if lit != held[0]} - true
+            else:
+                open_ = [lit for lit in clause if -lit not in true]
+                if not open_:
+                    return None
+                new = {open_[0]} if len(open_) == 1 else set()
+            if new:
+                true |= new
+                changed = True
+    return true
+
+
+def probe_reference(clauses, model) -> set[int]:
+    """The literals failed-literal probing asserts on clauses around
+    model, an x-model of them given as model[var] -> bool, by sets: the
+    reference `solver.probe` is held to.
+
+    One pass over the clauses' variables, ascending: a variable no
+    asserted literal settles, whose literal false in model no earlier
+    consistent probe made true, has that literal closed under
+    `unit_closure` with the asserted ones. A conflict asserts the
+    complement's closure; otherwise the probe's new literals are skipped
+    from then on. A single clause is not probed.
+    """
+    true: set[int] = set()
+    if len(clauses) == 1:
+        return true
+    skip: set[int] = set()
+    for var in sorted({abs(lit) for clause in clauses for lit in clause}):
+        lit = -var if model[var] else var
+        if lit in true or -lit in true or lit in skip:
+            continue
+        closure = unit_closure(clauses, true | {lit})
+        if closure is None:
+            true = unit_closure(clauses, true | {-lit})
+        else:
+            skip |= closure - true
+    return true
+
+
+def reduced_groups(clauses, true) -> list[list[tuple[int, ...]]]:
+    """clauses with no literal in true, each cut to its literals whose
+    variable true leaves unassigned, in groups that share a variable,
+    directly or through others: each group in clause order, the groups in
+    the order of their first clauses. The reference for p's rows and
+    groups."""
+    assigned = {abs(lit) for lit in true}
+    groups: list[tuple[set[int], list[tuple[int, tuple[int, ...]]]]] = []
+    for index, clause in enumerate(clauses):
+        if any(lit in true for lit in clause):
+            continue
+        row = tuple(lit for lit in clause if abs(lit) not in assigned)
+        variables = {abs(lit) for lit in row}
+        joined = [group for group in groups if group[0] & variables]
+        merged = (variables.union(*(group[0] for group in joined)), [(index, row)])
+        for group in joined:
+            merged[1].extend(group[1])
+        at = groups.index(joined[0]) if joined else len(groups)
+        groups = [group for group in groups if group not in joined]
+        groups.insert(at, merged)
+    return [[row for _, row in sorted(group[1])] for group in groups]
+
+
 _CHUNK = 1 << 16
 
 

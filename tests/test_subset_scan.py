@@ -34,8 +34,11 @@ from conftest import (
     engine_solve,
     formula,
     live_clauses,
+    probe_reference,
     propagated,
+    reduced_groups,
     repeated_variable_corpus,
+    scan_xmodels,
 )
 
 REPEATED = repeated_variable_corpus(300, 9100)
@@ -172,18 +175,22 @@ class TestFlippedUnion:
     def scan_walk(monkeypatch, f):
         """p's questions on f, read against what `allowed_subsets` listed.
 
-        Returns None when f has no x-model. Otherwise returns, per
-        component in p's order, (its live positions, its live clauses, its
-        variables, its rows, whether the solver accepted a subset). A row
-        is (bitset, the outside literals' complements in clause order,
-        whether p asked the solver), one per listed subset up to the one
-        the solver accepts. A subset counts as asked when p's next
-        question searches the component's live clauses and assumes
-        exactly those complements, as a set and each once; every question
-        must be matched so.
+        Returns None when f has no x-model. Otherwise returns, per group
+        of each component in p's order (`reduced_groups` of the
+        component's live clauses less the literals `probe_reference`
+        asserts around the base model), (the component's live clauses,
+        its variables, those asserted literals, the group's rows, its
+        listing rows, whether the solver accepted a subset). A listing row
+        is (bitset over the component's variables, the asserted literals
+        and then the complements of the outside literals of the group rows
+        the subset touches, whether p asked the solver), one per listed
+        subset up to the one the solver accepts. A subset counts as asked
+        when p's next question searches the component's live clauses and
+        assumes exactly those literals, as a set and each once; every
+        question must be matched so.
         """
         listed = []  # per `allowed_subsets` call, the bitsets it listed
-        bases = []  # per base check, whether it found a model
+        bases = []  # per base check, its model, or None
         calls = []  # per question: (clauses searched, assumptions, accepted)
         allowed_subsets = subset_scan.allowed_subsets
 
@@ -195,7 +202,7 @@ class TestFlippedUnion:
 
         def spy_solve(engine):
             found = solve(engine)
-            bases.append(found is not None)
+            bases.append(None if found is None else dict(found[0]))
             return found
 
         def spy_search(part, assumptions=()):
@@ -207,22 +214,25 @@ class TestFlippedUnion:
         monkeypatch.setattr(subset_scan, "solve", spy_solve)
         monkeypatch.setattr(subset_scan, "search", spy_search)
         if max_hamming_p(f).distance is BOTTOM:
-            assert (bases, calls, listed) == ([False], [], [])
+            assert (bases, calls, listed) == ([None], [], [])
             return None
-        assert bases == [True]
+        assert len(bases) == 1 and bases[0] is not None
         engine = propagated(f)
-        parts = components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None])
-        assert len(parts) == len(listed)
+        groups = []
+        for part in components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None]):
+            live = [engine.clauses[pos] for pos in part]
+            backbone = probe_reference(live, bases[0])
+            groups += [(live, backbone, group) for group in reduced_groups(live, backbone)]
+        assert len(groups) == len(listed)
         questions = iter(calls)
         question = next(questions, None)
         walked = []
-        for part, bitsets in zip(parts, listed):
-            live = [engine.clauses[pos] for pos in part]
+        for (live, backbone, group), bitsets in zip(groups, listed):
             variables = sorted({abs(lit) for clause in live for lit in clause})
             rows, accepted = [], False
             for bitset in bitsets:
                 subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
-                assumptions = tuple(-lit for lit in outside_literals(live, subset))
+                assumptions = tuple(backbone) + tuple(-lit for lit in outside_literals(group, subset))
                 asked = question is not None and sorted(question[1]) == sorted(set(assumptions))
                 rows.append((bitset, assumptions, asked))
                 if asked:
@@ -230,16 +240,19 @@ class TestFlippedUnion:
                     accepted, question = question[2], next(questions, None)
                     if accepted:
                         break
-            walked.append((part, live, variables, rows, accepted))
+            walked.append((live, variables, backbone, group, rows, accepted))
         assert question is None, "a question matched no listed subset"
         return walked
 
     def test_assumptions_are_the_outside_literals_of_touched_clauses(self, monkeypatch):
-        """Every question p asks after the base check assumes the
-        complement of each literal of a touched clause whose variable lies
-        outside the subset, each once, and searches only the subset's
-        component; the subsets are the ones `allowed_subsets` lists for
-        each component, in its order, less those the clause check drops."""
+        """Every question p asks after the base check assumes the literals
+        the probe asserts and the complement of each literal of a touched
+        row whose variable lies outside the subset, each once, and searches
+        only the subset's component; the subsets are the ones
+        `allowed_subsets` lists for each group of rows, in its order, less
+        those the clause check drops. A touched clause's outside literals
+        that the probe assigned are false in every model, so the question
+        still makes every outside literal of a touched clause false."""
         scan_shaped = [random_formula(n, (n + 1) // 2, 3, 9900 + 10 * n + i) for n in range(18, 23) for i in range(3)]
         asked = 0
         for f in REPEATED + OVERLAPPING + scan_shaped:
@@ -247,49 +260,51 @@ class TestFlippedUnion:
             if walked is None:
                 continue  # f has no x-model
             asked += sum(row[-1] for *_, rows, _ in walked for row in rows)
-        assert asked == 147
+        assert asked == 113
 
     def test_contradiction_check_is_exact(self, monkeypatch):
-        """Of each component's allowed subsets, from the largest size down
-        to the size of the one the solver accepts, p lists those with no
-        sign contradiction, each once and sizes never growing: every one
-        larger than the answer, and at the answer's size some of them. It
-        asks exactly the listed ones whose assumptions make no untouched
-        clause two-true or all-false. The first `propagate` after the
-        assumptions refutes every subset either check drops; sign drops
-        are counted over every size down to the answer's."""
+        """Of each group's allowed subsets, from the largest size down to
+        the size of the one the solver accepts, p lists those with no sign
+        contradiction, each once and sizes never growing: every one larger
+        than the answer, and at the answer's size some of them. It asks
+        exactly the listed ones whose assumptions make no untouched row
+        two-true or all-false. The first `propagate` after the probe's
+        literals and the assumptions refutes every subset either check
+        drops; sign drops are counted over every size down to the
+        answer's."""
         dropped = {"sign": 0, "clause": 0}
-        for f in OVERLAPPING + REPEATED:
+        for f in OVERLAPPING + REPEATED + SCAN_SHAPED:
             walked = self.scan_walk(monkeypatch, f)
             if walked is None:
                 continue
             engine = propagated(f)
-            for part, live, variables, rows, accepted in walked:
-                component = Formula(f.num_vars, tuple(live))
+            for live, variables, backbone, group, rows, accepted in walked:
+                reduced = Formula(f.num_vars, tuple(group))
+                free = reduced.variables()
                 listed = [row[0] for row in rows]
                 smallest = listed[-1].bit_count() if accepted else 1
                 allowed = [
                     combo
-                    for size in range(len(variables), smallest - 1, -1)
-                    for combo in itertools.combinations(variables, size)
-                    if allowed_subset_check(component, combo)
+                    for size in range(len(free), smallest - 1, -1)
+                    for combo in itertools.combinations(free, size)
+                    if allowed_subset_check(reduced, combo)
                 ]
                 bitsets = [sum(1 << variables.index(v) for v in combo) for combo in allowed]
-                consistent = {bitset for bitset, combo in zip(bitsets, allowed) if sign_consistent(live, set(combo))}
+                consistent = {bitset for bitset, combo in zip(bitsets, allowed) if sign_consistent(group, set(combo))}
                 assert len(set(listed)) == len(listed)
                 assert [bitset.bit_count() for bitset in listed] == sorted((b.bit_count() for b in listed), reverse=True)
                 assert set(listed) <= consistent
                 assert {bitset for bitset in consistent if bitset.bit_count() > smallest or not accepted} <= set(listed)
                 asked = {row[0]: row[2] for row in rows}
                 for bitset, combo in zip(bitsets, allowed):
-                    assumptions = [-lit for lit in outside_literals(live, set(combo))]
+                    assumptions = [*backbone, *(-lit for lit in outside_literals(group, set(combo)))]
                     if bitset not in asked:
                         if bitset in consistent:
                             continue  # at the answer's size, not reached before the answer
                         kind = "sign"
                     else:
                         truths = set(assumptions)
-                        untouched = [c for c in live if not any(abs(lit) in combo for lit in c)]
+                        untouched = [c for c in group if not any(abs(lit) in combo for lit in c)]
                         refuted = any(
                             sum(lit in truths for lit in c) > 1 or all(-lit in truths for lit in c) for c in untouched
                         )
@@ -303,7 +318,7 @@ class TestFlippedUnion:
                     assert not engine.propagate()
                     engine.undo_to(mark)
                     dropped[kind] += 1
-        assert dropped == {"sign": 103, "clause": 2}
+        assert dropped == {"sign": 187, "clause": 10}
 
     def test_unit_form_matches_flipped_copies(self):
         """For every allowed subset X of the reduced formula, the formula
@@ -510,7 +525,7 @@ def test_one_engine_and_no_formula_per_scan(monkeypatch):
         max_hamming_p(f, stats)
         assert built == {"engines": 1, "formulas": 0}, f
         calls += stats.solver_calls
-    assert calls == 85
+    assert calls == 78
 
 
 def test_agrees_with_oracle_on_random_suite():
@@ -582,30 +597,31 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
 # subsets_checked); a distance of None means unsatisfiable. Uniform rows
 # have the criterion-8 shape (m = (n + 1) // 2); a "repeated" row's seed
 # is its index in REPEATED. Every row's live clauses form one component.
-# subsets_checked counts the allowed subsets the listing keeps, those with
-# no sign contradiction, up to the answer, and solver_calls the base check
-# and the listed subsets that pass the clause check. The last field only names the test: an id is
+# subsets_checked counts, over the groups of rows the probe leaves, the
+# allowed subsets the listing keeps, those with no sign contradiction, up
+# to each group's answer, and solver_calls the base check and the listed
+# subsets that pass the clause check. The last field only names the test: an id is
 # family-n-length-seed-distance and then the solver_calls and filtering-scan
 # counts the row was first recorded with, kept fixed so that re-recording a
 # count does not rename a test.
 SCAN_WORK = [
     ("uniform", 10, 3, 8103100, None, 1, 0, "1-0"),
     ("uniform", 10, 3, 8103101, 6, 2, 1, "4-83"),
-    ("uniform", 11, 3, 8103110, 5, 2, 2, "6-214"),
+    ("uniform", 11, 3, 8103110, 5, 2, 1, "6-214"),
     ("uniform", 11, 3, 8103111, 5, 2, 1, "3-74"),
-    ("uniform", 12, 3, 8103120, 2, 7, 6, "15-969"),
-    ("uniform", 12, 3, 8103121, 6, 3, 2, "5-207"),
-    ("uniform", 13, 3, 8103130, 0, 2, 1, "8-1023"),
+    ("uniform", 12, 3, 8103120, 2, 2, 1, "15-969"),
+    ("uniform", 12, 3, 8103121, 6, 2, 1, "5-207"),
+    ("uniform", 13, 3, 8103130, 0, 1, 0, "8-1023"),
     ("uniform", 13, 3, 8103131, 8, 2, 1, "9-1422"),
     ("uniform", 14, 3, 8103140, 8, 2, 1, "12-1406"),
     ("uniform", 14, 3, 8103141, 9, 2, 1, "5-598"),
     ("uniform", 10, 4, 8104100, 5, 2, 1, "16-604"),
-    ("uniform", 10, 4, 8104101, 0, 2, 5, "22-1023"),
-    ("uniform", 11, 4, 8104110, 0, 4, 3, "10-1023"),
+    ("uniform", 10, 4, 8104101, 0, 1, 0, "22-1023"),
+    ("uniform", 11, 4, 8104110, 0, 1, 0, "10-1023"),
     ("uniform", 11, 4, 8104111, None, 1, 0, "1-0"),
     ("uniform", 12, 4, 8104120, None, 1, 0, "1-0"),
     ("uniform", 12, 4, 8104121, None, 1, 0, "1-0"),
-    ("uniform", 13, 4, 8104130, 0, 1, 3, "36-8191"),
+    ("uniform", 13, 4, 8104130, 0, 1, 0, "36-8191"),
     ("uniform", 13, 4, 8104131, 7, 2, 1, "7-3677"),
     ("uniform", 14, 4, 8104140, None, 1, 0, "1-0"),
     ("uniform", 14, 4, 8104141, None, 1, 0, "1-0"),
@@ -634,38 +650,48 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, su
         subsets,
     )
     if distance is not None:
-        # Every nonempty allowed subset with no sign contradiction larger
-        # than the answer, over the one component, and then at the answer's
-        # size at least the answer and at most its whole class; with no
-        # nonempty answer, every such subset.
+        # In each group of rows the probe leaves in the one component
+        # (`probe_reference` around the base model, then `reduced_groups`):
+        # every nonempty allowed subset with no sign contradiction larger
+        # than the group's answer, and then at the answer's size at least
+        # the answer and at most its whole class; with no nonempty answer,
+        # every such subset. Each group's answer is brute's on its rows
+        # alone, and the answers sum to the distance less the freed
+        # variables.
         engine = propagated(f)
         positions = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
         assert len(components(engine, positions)) == 1
-        live = Formula(f.num_vars, live_clauses(engine))
-        variables = sorted(var for var, count in engine.degree.items() if count)
-        answer = distance - len(engine.freed)
-        counts = [
-            sum(
-                allowed_subset_check(live, combo) and sign_consistent(live.clauses, set(combo))
-                for combo in itertools.combinations(variables, size)
-            )
-            for size in range(len(variables) + 1)
-        ]
-        if answer == 0:
-            assert subsets == sum(counts[1:])
-        else:
+        live = live_clauses(engine)
+        low = high = answers = 0
+        for group in reduced_groups(live, probe_reference(live, solve(propagated(f))[0])):
+            rows = Formula(f.num_vars, tuple(group))
+            free = rows.variables()
+            answer = max_hamming_brute(rows).distance
+            counts = [
+                sum(
+                    allowed_subset_check(rows, combo) and sign_consistent(group, set(combo))
+                    for combo in itertools.combinations(free, size)
+                )
+                for size in range(len(free) + 1)
+            ]
             larger = sum(counts[answer + 1 :])
-            assert 1 <= subsets - larger <= counts[answer]
+            if answer == 0:
+                low, high = low + larger, high + larger
+            else:
+                low, high = low + larger + 1, high + larger + counts[answer]
+            answers += answer
+        assert answers == distance - len(engine.freed)
+        assert low <= subsets <= high
 
 
 def test_scan_generates_where_filtering_would_not_finish():
     """On n=24 the filter checked 2,093,332 subsets to make 504 solver
-    calls; the scan per component lists 28 subsets with no sign
-    contradiction, and 7 of them pass the clause check. On n=40 the
-    filter would face 2^40."""
+    calls; the scan per component listed 28 subsets with no sign
+    contradiction and asked about 7. Over the rows the probe leaves it
+    lists 2 and asks about both. On n=40 the filter would face 2^40."""
     stats = SearchStats()
     assert max_hamming_p(random_formula(24, 12, 3, 903), stats).distance == 4
-    assert (stats.solver_calls, stats.subsets_checked) == (8, 28)
+    assert (stats.solver_calls, stats.subsets_checked) == (3, 2)
     f = random_formula(40, 20, 3, 901)
     assert max_hamming_p(f).distance == max_hamming_q(f).distance == 9
 
@@ -716,20 +742,26 @@ PLANTED += [planted_formula(n, 4, 2, seed) for n in (12, 16, 20, 24) for seed in
 
 
 def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
-    """For every subset X the listing yields with its P and N, in a
-    component's local variables: the clause check over every clause drops
-    X exactly when the check over the clauses X does not touch drops it,
-    p asks the solver exactly about the X the check keeps, and the
-    question assumes the complements of the outside literals of the
-    touched clauses (`outside_literals`), as a set and each once."""
-    events = []  # ("part", part), ("listed", X, P, N) and ("asked", assumptions), in p's order
+    """Per component, p lists the groups of rows that the probe leaves
+    (`probe_reference` around the base model, then `reduced_groups`), one
+    listing each, in order. For every subset X a listing yields with its
+    P and N, in the component's local variables: the clause check over
+    every row of the group drops X exactly when the check over the rows X
+    does not touch drops it, p asks the solver exactly about the X the
+    check keeps, and the question assumes the probe's literals and the
+    complements of the outside literals of the rows X touches
+    (`outside_literals`), as a set and each once."""
+    # ("part", part, base model), ("listing", masks, negatives), ("listed", X, P, N)
+    # and ("asked", assumptions), in p's order
+    events = []
     scan, listing, question = subset_scan._scan_component, subset_scan.allowed_subsets, subset_scan.search
 
-    def spy_scan(part, stats):
-        events.append(("part", part))
-        return scan(part, stats)
+    def spy_scan(part, model, stats):
+        events.append(("part", part, list(model)))
+        return scan(part, model, stats)
 
     def spy_listing(masks, negatives):
+        events.append(("listing", list(masks), list(negatives)))
         for found in listing(masks, negatives):
             events.append(("listed", *found))
             yield found
@@ -749,34 +781,42 @@ def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
             for mask, positive, negative in rows
         )
 
-    counts = {"listed": 0, "dropped": 0}
+    counts = {"groups": 0, "listed": 0, "dropped": 0}
     for f in REPEATED + OVERLAPPING + SCAN_SHAPED:
         events.clear()
         max_hamming_p(f)
         events.append(("end",))
+        groups = iter(())
         for event, following in zip(events, events[1:]):
             if event[0] == "part":
-                clauses = event[1].clauses
+                assert next(groups, None) is None  # every group of the last part was listed
+                backbone = probe_reference(event[1].clauses, event[2])
+                groups = iter(reduced_groups(event[1].clauses, backbone))
+            elif event[0] == "listing":
+                group = next(groups)
                 rows = []
-                for clause in clauses:
+                for clause in group:
                     positive = sum(1 << (lit - 1) for lit in clause if lit > 0)
                     negative = sum(1 << (-lit - 1) for lit in clause if lit < 0)
                     rows.append((positive | negative, positive, negative))
-            if event[0] != "listed":
-                continue
-            _, bitset, positive, negative = event
-            false, true = positive & ~bitset, negative & ~bitset
-            dropped = refuted([row for row in rows if not row[0] & bitset], false, true)
-            assert refuted(rows, false, true) == dropped
-            assert (following[0] == "asked") == (not dropped)
-            if not dropped:
-                subset = {i + 1 for i in range(bitset.bit_length()) if (bitset >> i) & 1}
-                assumptions = following[1]
-                assert len(set(assumptions)) == len(assumptions)
-                assert set(assumptions) == {-lit for lit in outside_literals(clauses, subset)}, (clauses, subset)
-            counts["listed"] += 1
-            counts["dropped"] += dropped
-    assert counts == {"listed": 361, "dropped": 109}
+                assert (event[1], event[2]) == ([row[0] for row in rows], [row[2] for row in rows])
+                counts["groups"] += 1
+            elif event[0] == "listed":
+                _, bitset, positive, negative = event
+                false, true = positive & ~bitset, negative & ~bitset
+                dropped = refuted([row for row in rows if not row[0] & bitset], false, true)
+                assert refuted(rows, false, true) == dropped
+                assert (following[0] == "asked") == (not dropped)
+                if not dropped:
+                    subset = {i + 1 for i in range(bitset.bit_length()) if (bitset >> i) & 1}
+                    assumptions = following[1]
+                    assert len(set(assumptions)) == len(assumptions)
+                    want = backbone | {-lit for lit in outside_literals(group, subset)}
+                    assert set(assumptions) == want, (group, subset)
+                counts["listed"] += 1
+                counts["dropped"] += dropped
+        assert next(groups, None) is None
+    assert counts == {"groups": 132, "listed": 142, "dropped": 10}
 
 
 def test_every_search_gives_the_engine_search_model(monkeypatch):
@@ -814,7 +854,7 @@ def test_every_search_gives_the_engine_search_model(monkeypatch):
             got = None if model is None else dict(zip(variables, model[1:]))
             assert got == (None if want is None else {v: want[v] for v in variables}), (f, part, assumptions)
             outcomes[kind][got is not None] += 1
-    assert outcomes == {"base": [34, 179], "question": [264, 160]}
+    assert outcomes == {"base": [34, 179], "question": [0, 181]}
 
 
 def test_scan_never_calls_the_set_based_check():
@@ -823,3 +863,90 @@ def test_scan_never_calls_the_set_based_check():
     assert not hasattr(subset_scan, "allowed_subset_check")
     assert not hasattr(xham, "allowed_subset_check")
     assert not hasattr(xham, "count_allowed_subsets_brute")
+
+
+def probed(f):
+    """Per component of f's propagated clauses, in p's order: (the Part,
+    its base model as a value list, `solver.probe`'s value list and
+    trail). None when f has no x-model."""
+    found = solve(propagated(f))
+    if found is None:
+        return None
+    model, parts = found
+    out = []
+    for part in parts:
+        local = [None, *map(model.__getitem__, part.variables)]
+        out.append((part, local, *solver.probe(part, local)))
+    return out
+
+
+UNIFORM = [random_formula(n, (n + 1) // 2, k, 9300 + 10 * n + k) for k in (3, 4, 5) for n in range(12, 22, 3)]
+
+
+def test_probe_asserts_only_literals_true_in_every_model():
+    """Every literal `solver.probe` asserts, in the input's variables, is
+    true in every x-model of the formula (`scan_xmodels`); its trail is
+    the set `probe_reference` asserts, each once, and its value list
+    holds exactly the trail's values."""
+    found = {"components": 0, "asserted": 0}
+    for f in REPEATED + OVERLAPPING + SCAN_SHAPED + UNIFORM + [f for f in PLANTED if f.num_vars <= 20]:
+        found_parts = probed(f)
+        if found_parts is None:
+            continue
+        models = scan_xmodels(f)
+        for part, model, value, trail in found_parts:
+            assert len(set(trail)) == len(trail)
+            assert set(trail) == probe_reference(part.clauses, model)
+            n = len(part.variables)
+            assert [lit for lit in range(-n, n + 1) if lit and value[lit]] == sorted(trail)
+            for lit in trail:
+                var = part.variables[abs(lit) - 1]
+                assert all(m[var] == (lit > 0) for m in models), (f, lit)
+            found["components"] += 1
+            found["asserted"] += len(trail)
+    assert found == {"components": 170, "asserted": 560}
+
+
+def test_each_group_is_listed_on_its_own(monkeypatch):
+    """(1 2 5), (3 4 5), (6 7), (6 7 5) is one component, and 5 is false
+    in every x-model: 5 true makes 6 and 7 false, and (6 7) then holds no
+    true literal. The probe asserts -5, which leaves the rows (1 2), (3 4),
+    (6 7) and (6 7) in three groups; each lists its one pair and asks
+    about it, so p lists 3 subsets and asks 3 questions after the base
+    check. One listing of all four rows would list the union of the three
+    pairs first, and it would answer alone. On the scan-shaped and
+    planted instances p lists each component's groups of rows
+    (`reduced_groups` of the probe's trail) in order, one listing each,
+    and its witness pair verifies at brute's distance, on components that
+    split too."""
+    stats = SearchStats()
+    f = formula((1, 2, 5), (3, 4, 5), (6, 7), (6, 7, 5))
+    result = max_hamming_p(f, stats)
+    assert (result.distance, stats.subsets_checked, stats.solver_calls) == (6, 3, 4)
+    a, b = result.witnesses
+    assert verify_xmodel(f, a) and verify_xmodel(f, b) and hamming_distance(a, b) == 6
+
+    listings, listing = [], subset_scan.allowed_subsets
+
+    def spy(masks, negatives):
+        listings.append(list(masks))
+        yield from listing(masks, negatives)
+
+    monkeypatch.setattr(subset_scan, "allowed_subsets", spy)
+    split = 0
+    for f in SCAN_SHAPED + PLANTED:
+        found_parts = probed(f)
+        if found_parts is None:
+            continue
+        want = []
+        for part, _, _, trail in found_parts:
+            groups = reduced_groups(part.clauses, set(trail))
+            split += len(groups) > 1
+            want += [[sum(1 << (abs(lit) - 1) for lit in row) for row in group] for group in groups]
+        listings.clear()
+        result = max_hamming_p(f)
+        assert listings == want
+        a, b = result.witnesses
+        assert verify_xmodel(f, a) and verify_xmodel(f, b)
+        assert hamming_distance(a, b) == result.distance == max_hamming_brute(f).distance
+    assert split == 18
