@@ -75,9 +75,9 @@ class SearchStats:
     leaf is a node whose simplification retired variables, which `gen_h`
     then scores. A connected part that q values from its x-models instead
     of branching adds neither. p counts subsets checked, the allowed
-    subsets with no sign contradiction that it lists in each group of
-    rows that probing leaves in a connected component, up to that group's
-    answer, summed over the groups, and solver calls: the base check plus
+    subsets with no sign contradiction that it lists over the rows that
+    probing leaves in each connected component, up to that component's
+    answer, summed over the components, and solver calls: the base check plus
     one per listed subset that passes its clause check. Probes are not
     solver calls."""
 

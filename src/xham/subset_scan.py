@@ -39,42 +39,41 @@ variable the pass misses only costs time. The scan then reads each
 clause through the probe's values: a clause with a true literal has all
 its other literals false and drops, and every other clause becomes one
 row over its unassigned literals, so no listed subset holds an asserted
-variable. Removing the backbone can disconnect a component: rows that
-share a bit, directly or through others, form a group, and each group is
-listed and asked about on its own, so k groups cost the sum of their
-listings, not the product. Groups share only asserted variables, which
-every model gives the same values, so a group's answer does not depend
-on another's, and the component's distance is the sum of its groups'.
-Each question still searches the whole component, assuming the asserted
-literals first.
+variable. A component's rows are listed together: its x-models are its
+backbone values with one x-model of the rows, and each question still
+searches the whole component, assuming the asserted literals first.
+Removing the backbone can leave rows that share no variable, and one
+listing then lists unions of their subsets; when each part answers with
+its largest subset, that union comes first and is the only question,
+where listing the parts apart would ask one per part.
 
-Generation. `allowed_subsets` branches over a group's rows, called
-clauses in this paragraph, in a walk order fixed once per call: fewest undecided variables (fresh ones)
-first, ties by position. A heap of (fresh count, position) entries, fed
-by a variable -> clauses index as variables get decided, gives the walk
-in O(m log m) plus the clauses' sizes. A clause whose variables are all
-decided is a pure check and comes as soon as its last variable does, and
-the walk goes from a clause to the clauses that share its variables, so
-a state that breaks a clause dies early: fail-first with forward
-checking. A clause with no chosen variable chooses none or one pair of
-its fresh variables, a clause with one chooses exactly one more, a
-clause with two chooses none, and a clause with three or more ends the
-branch; after a clause, all its variables are decided. So every search
-state is an allowed subset of the clauses walked so far. A clause's
-fresh variables, and their pairs, depend on its place in the walk
-alone, so they are worked out once per call, before the search; a state
-with one chosen variable at a clause with no fresh one cannot choose a
-second and is dropped. A state's bound is n less the decided variables
-it left out, the largest size it can still reach. States wait on one
-explicit stack per bound, and the stacks are emptied from bound n down,
-so each state is expanded once and the allowed subsets come out largest
-size first, each as soon as its state finishes, and p asks about it at
-once. The walk order decides the order within a size. The scan stops at
-the first hit; before a hit at size k the search holds only states of
-bound k or more, so an answer near n costs little. Every allowed X
-already meets the degree budget Σ_{v∈X} deg(v) ≤ 2m (each clause holds
-0 or 2 of its occurrences), so starting at that bound would skip nothing
-that generation does not skip already.
+Generation. `allowed_subsets` branches over the rows, called clauses in
+this paragraph, in a walk order fixed once per call: fewest undecided
+variables (fresh ones) first, ties by position. A heap of (fresh count,
+position) entries, fed by a variable -> clauses index as variables get
+decided, gives the walk in O(m log m) plus the clauses' sizes. A clause
+whose variables are all decided is a pure check and comes as soon as its
+last variable does, and the walk goes from a clause to the clauses that
+share its variables, so a state that breaks a clause dies early:
+fail-first with forward checking. A clause with no chosen variable
+chooses none or one pair of its fresh variables, a clause with one
+chooses exactly one more, a clause with two chooses none, and a clause
+with three or more ends the branch; after a clause, all its variables
+are decided. So every search state is an allowed subset of the clauses
+walked so far. A clause's fresh variables, and their pairs, depend on
+its place in the walk alone, so they are worked out once per call,
+before the search; a state with one chosen variable at a clause with no
+fresh one cannot choose a second and is dropped. A state's bound is n
+less the decided variables it left out, the largest size it can still
+reach. States wait on one explicit stack per bound, and the stacks are
+emptied from bound n down, so each state is expanded once and the
+allowed subsets come out largest size first, each as soon as its state
+finishes, and p asks about it at once. The walk order decides the order
+within a size. The scan stops at the first hit; before a hit at size k
+the search holds only states of bound k or more, so an answer near n
+costs little. Every allowed X already meets the degree budget Σ_{v∈X}
+deg(v) ≤ 2m (each clause holds 0 or 2 of its occurrences), so starting
+at that bound would skip nothing that generation does not skip already.
 
 The solver's question. Let a clause C touched by X hold literals l₁, l₂
 over X and the rest R. A model of C that stays a model of C with X
@@ -88,30 +87,30 @@ model. The outside literals of a touched clause that probing assigned
 are false in every model, so p puts each question to the solver's search
 of the component, which assumes the asserted literals and then the
 complements of the outside literals of the touched rows, on a value list
-of its own: a question marks, forces or undoes nothing on the engine, which is
-left as the base check found it. No formula is built, at the root or
-per subset, and the witnesses are the solver's models.
+of its own: a question marks, forces or undoes nothing on the engine,
+which is left as the base check found it. No formula is built, at the
+root or per subset, and the witnesses are the solver's models.
 
-The checks before a call. Most of these questions contradict
-themselves. A variable outside X that is positive in one touched clause
-and negative in another is assumed both ways. So each listing state
-carries P and N, the bits of the positive and of the negative literals
-of the rows it touches; every bit of them is decided, so a state with
-P & N & ~X nonzero cannot recover and is dropped at once, and such an X
-is never listed. A listed X comes with its P and N: P & ~X holds the
-variables its assumptions make false and N & ~X those they make true,
-and the assumptions after the asserted literals are read off these
-bits, variable by variable. The solver makes them all true before it propagates, and unit propagation
-reaches one fixpoint, or a conflict, in any order, so their order
-changes no answer and no model. A row of the group with two literals
-made true, or with all of them made false, refutes X, and it is dropped
-without a call. The check runs over every row, but only an untouched one
-can fail it: a touched row's literals outside X are all made false, none
-true, since P & N & ~X is zero, and its two literals over X are not
-assumed, so it has neither two literals made true nor all made false.
-Either check spots only what the solver's first propagation refutes,
-so neither changes a verdict: the solver sees the same questions in the
-same order, less the ones it would refute at once.
+The checks before a call. Most of these questions contradict themselves.
+A variable outside X that is positive in one touched clause and negative
+in another is assumed both ways. So each listing state carries P and N,
+the bits of the positive and of the negative literals of the rows it
+touches; every bit of them is decided, so a state with P & N & ~X
+nonzero cannot recover and is dropped at once, and such an X is never
+listed. A listed X comes with its P and N: P & ~X holds the variables
+its assumptions make false and N & ~X those they make true, and the
+assumptions after the asserted literals are read off these bits,
+variable by variable. The solver makes them all true before it
+propagates, and unit propagation reaches one fixpoint, or a conflict, in
+any order, so their order changes no answer and no model. A row with two
+literals made true, or with all of them made false, refutes X, and it is
+dropped without a call. The check runs over every row, but only an
+untouched one can fail it: a touched row's literals outside X are all
+made false, none true, since P & N & ~X is zero, and its two literals
+over X are not assumed, so it has neither two literals made true nor all
+made false. Either check spots only what the solver's first propagation
+refutes, so neither changes a verdict: the solver sees the same
+questions in the same order, less the ones it would refute at once.
 """
 
 from __future__ import annotations
@@ -254,26 +253,25 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     One engine on the input propagates it, and the solver checks that the
     propagated formula has a model, component by component (see
     `solver.solve`). Each component is then probed around its base model
-    (`solver.probe`), and the clauses the probe leaves unsettled are
-    split into groups that share no unassigned variable; in each group
-    the nonempty allowed subsets with no sign contradiction are listed,
-    largest size first, each asked about as it comes (see the module
-    docstring for their order, for the literals the solver assumes with
-    each, for the clause check that drops a subset without a call and for
-    the probe). In each group the first subset the solver accepts,
-    searching the group's whole component, is its answer; with none, the
-    group adds nothing. The distance is the sum of the answers' sizes
-    plus one per variable that propagation freed.
+    (`solver.probe`), and for the rows of the clauses the probe leaves
+    unsettled the nonempty allowed subsets with no sign contradiction are
+    listed, largest size first, each asked about as it comes (see the
+    module docstring for their order, for the literals the solver assumes
+    with each, for the clause check that drops a subset without a call
+    and for the probe). In each component the first subset the solver
+    accepts, searching that component alone, is its answer; with none,
+    the component adds nothing. The distance is the sum of the answers'
+    sizes plus one per variable that propagation freed.
 
     The first witness is the base model, the solver's model before any
-    subset, with each answered group's variables taken from the solver's
-    model for its answer; the solver sets every forced variable, and
-    every freed one True. The second witness is the first flipped on
+    subset, with each answered component's variables taken from the
+    solver's model for its answer; the solver sets every forced variable,
+    and every freed one True. The second witness is the first flipped on
     every answer, with the freed variables False.
 
-    `stats.subsets_checked` sums, over the groups, the subsets listed up
-    to the group's answer, that one included (all of them when none
-    answers), those with a sign contradiction left out;
+    `stats.subsets_checked` sums, over the components, the subsets listed
+    up to the component's answer, that one included (all of them when
+    none answers), those with a sign contradiction left out;
     `stats.solver_calls` counts the base check, once however many
     components it searches, plus one call per listed subset that passes
     the clause check. Probes are not solver calls.
@@ -289,9 +287,11 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     first, parts = found
     flips = set()
     for part in parts:
-        values, subset = _scan_component(part, [None, *map(first.__getitem__, part.variables)], stats)
-        first.update(values)
-        flips.update(subset)
+        answer = _scan_component(part, [None, *map(first.__getitem__, part.variables)], stats)
+        if answer is not None:
+            values, subset = answer
+            first.update(values)
+            flips.update(subset)
     freed = engine.freed
     second = {v: value != (v in flips) for v, value in first.items()}
     second.update(dict.fromkeys(freed, False))
@@ -299,31 +299,20 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
 
 
 def _scan_component(part: Part, model, stats: SearchStats):
-    """(the answering models' values of the variables of the groups that
-    answer, the variables of their answers) for one component, whose base
-    model is the value list `model`.
+    """For the first allowed subset of one component's probed rows that
+    the solver accepts: the solver's model on the component's variables,
+    and the subset's variables. None when the solver accepts none. The
+    component's base model is the value list `model`.
 
     `solver.probe` asserts the component's backbone literals it finds.
     One pass then builds a row per clause with no true literal: the mask
     of its unassigned literals (bit i - 1 for local variable i) and the
     bits of the positive and of the negative ones; a clause with a true
-    literal has every other literal false and drops. Rows that share a
-    bit, directly or through others, form a group (`_groups`), and each
-    group is scanned on its own. The listing drops sign contradictions
-    and yields each subset X with its P and N; a row of the group that
-    those make two-true or all-false drops it, and otherwise the solver
-    searches the whole component assuming the backbone literals, then
+    literal has every other literal false and drops. The listing drops
+    sign contradictions and yields each subset X with its P and N; a row
+    that those make two-true or all-false drops it, and otherwise the
+    solver searches the component assuming the backbone literals, then
     those read off P & ~X (made false) and N & ~X (made true).
-
-    Groups share only assigned variables, so the component's x-models are
-    its backbone values times one x-model of each group's rows: each row
-    is one clause whose assigned literals are all false, and it lies in
-    one group. So a group's answer is independent of the others', the
-    component's best distance is the sum of its groups' answers, and
-    taking each answered group's variables from that group's answer
-    model, every other variable from `model` (every model gives the
-    backbone the same values), gives an x-model; flipping every answer
-    in it gives another, since each group's flipped answer model is one.
     """
     value, backbone = probe(part, model)
     rows = []
@@ -341,54 +330,20 @@ def _scan_component(part: Part, model, stats: SearchStats):
         else:
             rows.append((positive | negative, positive, negative))
 
-    variables = part.variables
-    values, flips = {}, []
-    for group in _groups(rows) if backbone else [rows]:  # a component with no backbone is one group
-        for bitset, positive, negative in allowed_subsets([row[0] for row in group], [row[2] for row in group]):
-            stats.subsets_checked += 1
-            false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
-            if any(
-                ((positive_bits & true) | (negative_bits & false)).bit_count() > 1  # two literals made true
-                or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
-                for mask, positive_bits, negative_bits in group
-            ):
-                continue  # the solver's first propagation would refute it
-            stats.solver_calls += 1
-            assumptions = backbone + [-1 - place for place in _places(false)] + [1 + place for place in _places(true)]
-            answer = search(part, assumptions)
-            if answer is not None:
-                span = 0
-                for mask, _, _ in group:
-                    span |= mask
-                values.update((variables[place], answer[place + 1]) for place in _places(span))
-                flips += [variables[place] for place in _places(bitset)]
-                break
-    return values, flips
-
-
-def _groups(rows) -> list[list]:
-    """rows split into groups whose masks share bits, directly or through
-    other rows, each in row order, the groups in the order of their first
-    rows.
-
-    A union-find over row indices joins each row to the first row holding
-    each of its bits; a root is always the least index of its set.
-    """
-    root = list(range(len(rows)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    holder = {}  # bit position -> the first row holding it
-    for i, (mask, _, _) in enumerate(rows):
-        for place in _places(mask):
-            a, b = find(i), find(holder.setdefault(place, i))
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    groups = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(find(i), []).append(row)
-    return list(groups.values())
+    for bitset, positive, negative in allowed_subsets([row[0] for row in rows], [row[2] for row in rows]):
+        stats.subsets_checked += 1
+        false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
+        if any(
+            ((positive_bits & true) | (negative_bits & false)).bit_count() > 1  # two literals made true
+            or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
+            for mask, positive_bits, negative_bits in rows
+        ):
+            continue  # the solver's first propagation would refute it
+        stats.solver_calls += 1
+        assumptions = backbone + [-1 - place for place in _places(false)] + [1 + place for place in _places(true)]
+        answer = search(part, assumptions)
+        if answer is not None:
+            variables = part.variables
+            values = dict(zip(variables, answer[1:]))
+            return values, [v for i, v in enumerate(variables) if (bitset >> i) & 1]
+    return None

@@ -69,6 +69,21 @@ def chain(n, length, seed):
     return Formula(n, tuple(tuple(v if rng.random() < 0.5 else -v for v in c) for c in clauses))
 
 
+def guarded_grid(f: Formula, guard: int, seed) -> Formula:
+    """f plus seven clauses over a 3 x 4 grid of fresh variables, one per
+    row and one per column, each also holding the literal guard; the grid
+    literals' signs are random. With guard false the rows need 3 true
+    grid literals and the columns 4, so guard is true in every x-model.
+    No single probe shows it: guard false, or one grid literal true, makes
+    no row or column unit. So p asks questions that assume guard false,
+    and the solver refutes them."""
+    rng = random.Random(seed)
+    n = f.num_vars
+    grid = [[rng.choice((1, -1)) * (n + 1 + 4 * row + column) for column in range(4)] for row in range(3)]
+    lines = grid + [list(column) for column in zip(*grid)]
+    return Formula(n + 12, f.clauses + tuple((guard, *line) for line in lines))
+
+
 def allowed_subset_check(formula: Formula, subset) -> bool:
     """True iff every clause has 0 or 2 literals of variables in subset.
 
@@ -179,27 +194,16 @@ def probe_reference(clauses, model) -> set[int]:
     return true
 
 
-def reduced_groups(clauses, true) -> list[list[tuple[int, ...]]]:
+def reduced_rows(clauses, true) -> list[tuple[int, ...]]:
     """clauses with no literal in true, each cut to its literals whose
-    variable true leaves unassigned, in groups that share a variable,
-    directly or through others: each group in clause order, the groups in
-    the order of their first clauses. The reference for p's rows and
-    groups."""
+    variable true leaves unassigned, in clause order: the reference for
+    the rows p lists."""
     assigned = {abs(lit) for lit in true}
-    groups: list[tuple[set[int], list[tuple[int, tuple[int, ...]]]]] = []
-    for index, clause in enumerate(clauses):
-        if any(lit in true for lit in clause):
-            continue
-        row = tuple(lit for lit in clause if abs(lit) not in assigned)
-        variables = {abs(lit) for lit in row}
-        joined = [group for group in groups if group[0] & variables]
-        merged = (variables.union(*(group[0] for group in joined)), [(index, row)])
-        for group in joined:
-            merged[1].extend(group[1])
-        at = groups.index(joined[0]) if joined else len(groups)
-        groups = [group for group in groups if group not in joined]
-        groups.insert(at, merged)
-    return [[row for _, row in sorted(group[1])] for group in groups]
+    return [
+        tuple(lit for lit in clause if abs(lit) not in assigned)
+        for clause in clauses
+        if not any(lit in true for lit in clause)
+    ]
 
 
 _CHUNK = 1 << 16

@@ -33,10 +33,11 @@ from conftest import (
     count_search_work,
     engine_solve,
     formula,
+    guarded_grid,
     live_clauses,
     probe_reference,
     propagated,
-    reduced_groups,
+    reduced_rows,
     repeated_variable_corpus,
     scan_xmodels,
 )
@@ -175,19 +176,17 @@ class TestFlippedUnion:
     def scan_walk(monkeypatch, f):
         """p's questions on f, read against what `allowed_subsets` listed.
 
-        Returns None when f has no x-model. Otherwise returns, per group
-        of each component in p's order (`reduced_groups` of the
-        component's live clauses less the literals `probe_reference`
-        asserts around the base model), (the component's live clauses,
-        its variables, those asserted literals, the group's rows, its
-        listing rows, whether the solver accepted a subset). A listing row
-        is (bitset over the component's variables, the asserted literals
-        and then the complements of the outside literals of the group rows
-        the subset touches, whether p asked the solver), one per listed
-        subset up to the one the solver accepts. A subset counts as asked
-        when p's next question searches the component's live clauses and
-        assumes exactly those literals, as a set and each once; every
-        question must be matched so.
+        Returns None when f has no x-model. Otherwise returns, per
+        component in p's order, (its live clauses, its variables, the
+        literals `probe_reference` asserts around the base model, the rows
+        they leave (`reduced_rows`), its listing rows, whether the solver
+        accepted a subset). A listing row is (bitset over the component's
+        variables, the asserted literals and then the complements of the
+        outside literals of the rows the subset touches, whether p asked
+        the solver), one per listed subset up to the one the solver
+        accepts. A subset counts as asked when p's next question searches
+        the component's live clauses and assumes exactly those literals,
+        as a set and each once; every question must be matched so.
         """
         listed = []  # per `allowed_subsets` call, the bitsets it listed
         bases = []  # per base check, its model, or None
@@ -218,21 +217,21 @@ class TestFlippedUnion:
             return None
         assert len(bases) == 1 and bases[0] is not None
         engine = propagated(f)
-        groups = []
+        scanned = []
         for part in components(engine, [pos for pos, clause in enumerate(engine.clauses) if clause is not None]):
             live = [engine.clauses[pos] for pos in part]
             backbone = probe_reference(live, bases[0])
-            groups += [(live, backbone, group) for group in reduced_groups(live, backbone)]
-        assert len(groups) == len(listed)
+            scanned.append((live, backbone, reduced_rows(live, backbone)))
+        assert len(scanned) == len(listed)
         questions = iter(calls)
         question = next(questions, None)
         walked = []
-        for (live, backbone, group), bitsets in zip(groups, listed):
+        for (live, backbone, reduced), bitsets in zip(scanned, listed):
             variables = sorted({abs(lit) for clause in live for lit in clause})
             rows, accepted = [], False
             for bitset in bitsets:
                 subset = {v for i, v in enumerate(variables) if (bitset >> i) & 1}
-                assumptions = tuple(backbone) + tuple(-lit for lit in outside_literals(group, subset))
+                assumptions = tuple(backbone) + tuple(-lit for lit in outside_literals(reduced, subset))
                 asked = question is not None and sorted(question[1]) == sorted(set(assumptions))
                 rows.append((bitset, assumptions, asked))
                 if asked:
@@ -240,7 +239,7 @@ class TestFlippedUnion:
                     accepted, question = question[2], next(questions, None)
                     if accepted:
                         break
-            walked.append((live, variables, backbone, group, rows, accepted))
+            walked.append((live, variables, backbone, reduced, rows, accepted))
         assert question is None, "a question matched no listed subset"
         return walked
 
@@ -249,10 +248,11 @@ class TestFlippedUnion:
         the probe asserts and the complement of each literal of a touched
         row whose variable lies outside the subset, each once, and searches
         only the subset's component; the subsets are the ones
-        `allowed_subsets` lists for each group of rows, in its order, less
-        those the clause check drops. A touched clause's outside literals
-        that the probe assigned are false in every model, so the question
-        still makes every outside literal of a touched clause false."""
+        `allowed_subsets` lists for each component's rows, in its order,
+        less those the clause check drops. A touched clause's outside
+        literals that the probe assigned are false in every model, so the
+        question still makes every outside literal of a touched clause
+        false."""
         scan_shaped = [random_formula(n, (n + 1) // 2, 3, 9900 + 10 * n + i) for n in range(18, 23) for i in range(3)]
         asked = 0
         for f in REPEATED + OVERLAPPING + scan_shaped:
@@ -260,51 +260,51 @@ class TestFlippedUnion:
             if walked is None:
                 continue  # f has no x-model
             asked += sum(row[-1] for *_, rows, _ in walked for row in rows)
-        assert asked == 113
+        assert asked == 111
 
     def test_contradiction_check_is_exact(self, monkeypatch):
-        """Of each group's allowed subsets, from the largest size down to
-        the size of the one the solver accepts, p lists those with no sign
-        contradiction, each once and sizes never growing: every one larger
-        than the answer, and at the answer's size some of them. It asks
-        exactly the listed ones whose assumptions make no untouched row
-        two-true or all-false. The first `propagate` after the probe's
-        literals and the assumptions refutes every subset either check
-        drops; sign drops are counted over every size down to the
-        answer's."""
+        """Of each component's allowed subsets of its rows, from the
+        largest size down to the size of the one the solver accepts, p
+        lists those with no sign contradiction, each once and sizes never
+        growing: every one larger than the answer, and at the answer's
+        size some of them. It asks exactly the listed ones whose
+        assumptions make no untouched row two-true or all-false. The first
+        `propagate` after the probe's literals and the assumptions refutes
+        every subset either check drops; sign drops are counted over every
+        size down to the answer's."""
         dropped = {"sign": 0, "clause": 0}
         for f in OVERLAPPING + REPEATED + SCAN_SHAPED:
             walked = self.scan_walk(monkeypatch, f)
             if walked is None:
                 continue
             engine = propagated(f)
-            for live, variables, backbone, group, rows, accepted in walked:
-                reduced = Formula(f.num_vars, tuple(group))
-                free = reduced.variables()
+            for live, variables, backbone, reduced, rows, accepted in walked:
+                rows_formula = Formula(f.num_vars, tuple(reduced))
+                free = rows_formula.variables()
                 listed = [row[0] for row in rows]
                 smallest = listed[-1].bit_count() if accepted else 1
                 allowed = [
                     combo
                     for size in range(len(free), smallest - 1, -1)
                     for combo in itertools.combinations(free, size)
-                    if allowed_subset_check(reduced, combo)
+                    if allowed_subset_check(rows_formula, combo)
                 ]
                 bitsets = [sum(1 << variables.index(v) for v in combo) for combo in allowed]
-                consistent = {bitset for bitset, combo in zip(bitsets, allowed) if sign_consistent(group, set(combo))}
+                consistent = {bitset for bitset, combo in zip(bitsets, allowed) if sign_consistent(reduced, set(combo))}
                 assert len(set(listed)) == len(listed)
                 assert [bitset.bit_count() for bitset in listed] == sorted((b.bit_count() for b in listed), reverse=True)
                 assert set(listed) <= consistent
                 assert {bitset for bitset in consistent if bitset.bit_count() > smallest or not accepted} <= set(listed)
                 asked = {row[0]: row[2] for row in rows}
                 for bitset, combo in zip(bitsets, allowed):
-                    assumptions = [*backbone, *(-lit for lit in outside_literals(group, set(combo)))]
+                    assumptions = [*backbone, *(-lit for lit in outside_literals(reduced, set(combo)))]
                     if bitset not in asked:
                         if bitset in consistent:
                             continue  # at the answer's size, not reached before the answer
                         kind = "sign"
                     else:
                         truths = set(assumptions)
-                        untouched = [c for c in group if not any(abs(lit) in combo for lit in c)]
+                        untouched = [c for c in reduced if not any(abs(lit) in combo for lit in c)]
                         refuted = any(
                             sum(lit in truths for lit in c) > 1 or all(-lit in truths for lit in c) for c in untouched
                         )
@@ -525,7 +525,7 @@ def test_one_engine_and_no_formula_per_scan(monkeypatch):
         max_hamming_p(f, stats)
         assert built == {"engines": 1, "formulas": 0}, f
         calls += stats.solver_calls
-    assert calls == 78
+    assert calls == 76
 
 
 def test_agrees_with_oracle_on_random_suite():
@@ -597,9 +597,9 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
 # subsets_checked); a distance of None means unsatisfiable. Uniform rows
 # have the criterion-8 shape (m = (n + 1) // 2); a "repeated" row's seed
 # is its index in REPEATED. Every row's live clauses form one component.
-# subsets_checked counts, over the groups of rows the probe leaves, the
-# allowed subsets the listing keeps, those with no sign contradiction, up
-# to each group's answer, and solver_calls the base check and the listed
+# subsets_checked counts, over the rows the probe leaves, the allowed
+# subsets the listing keeps, those with no sign contradiction, up to the
+# answer, and solver_calls the base check and the listed
 # subsets that pass the clause check. The last field only names the test: an id is
 # family-n-length-seed-distance and then the solver_calls and filtering-scan
 # counts the row was first recorded with, kept fixed so that re-recording a
@@ -650,38 +650,34 @@ def test_scan_work_is_pinned(family, n, length, seed, distance, solver_calls, su
         subsets,
     )
     if distance is not None:
-        # In each group of rows the probe leaves in the one component
-        # (`probe_reference` around the base model, then `reduced_groups`):
+        # Over the rows the probe leaves in the one component
+        # (`probe_reference` around the base model, then `reduced_rows`):
         # every nonempty allowed subset with no sign contradiction larger
-        # than the group's answer, and then at the answer's size at least
-        # the answer and at most its whole class; with no nonempty answer,
-        # every such subset. Each group's answer is brute's on its rows
-        # alone, and the answers sum to the distance less the freed
-        # variables.
+        # than the answer, and then at the answer's size at least the
+        # answer and at most its whole class; with no nonempty answer,
+        # every such subset. The answer is brute's on the rows, and it is
+        # the distance less the freed variables.
         engine = propagated(f)
         positions = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
         assert len(components(engine, positions)) == 1
         live = live_clauses(engine)
-        low = high = answers = 0
-        for group in reduced_groups(live, probe_reference(live, solve(propagated(f))[0])):
-            rows = Formula(f.num_vars, tuple(group))
-            free = rows.variables()
-            answer = max_hamming_brute(rows).distance
-            counts = [
-                sum(
-                    allowed_subset_check(rows, combo) and sign_consistent(group, set(combo))
-                    for combo in itertools.combinations(free, size)
-                )
-                for size in range(len(free) + 1)
-            ]
+        reduced = reduced_rows(live, probe_reference(live, solve(propagated(f))[0]))
+        rows = Formula(f.num_vars, tuple(reduced))
+        free = rows.variables()
+        answer = max_hamming_brute(rows).distance
+        assert answer == distance - len(engine.freed)
+        counts = [
+            sum(
+                allowed_subset_check(rows, combo) and sign_consistent(reduced, set(combo))
+                for combo in itertools.combinations(free, size)
+            )
+            for size in range(len(free) + 1)
+        ]
+        if answer == 0:
+            assert subsets == sum(counts[1:])
+        else:
             larger = sum(counts[answer + 1 :])
-            if answer == 0:
-                low, high = low + larger, high + larger
-            else:
-                low, high = low + larger + 1, high + larger + counts[answer]
-            answers += answer
-        assert answers == distance - len(engine.freed)
-        assert low <= subsets <= high
+            assert 1 <= subsets - larger <= counts[answer]
 
 
 def test_scan_generates_where_filtering_would_not_finish():
@@ -739,18 +735,26 @@ def test_questions_search_only_their_component(monkeypatch, k, forces):
 SCAN_SHAPED = [random_formula(n, (n + 1) // 2, 3, 9950 + 10 * n + i) for n in range(18, 23) for i in range(8)]
 PLANTED = [planted_formula(n, 3, 2, seed) for n in (12, 15, 18, 21, 24) for seed in range(4)]
 PLANTED += [planted_formula(n, 4, 2, seed) for n in (12, 16, 20, 24) for seed in range(4)]
+# Small uniform instances with a guarded grid (`guarded_grid`) on one of
+# their variables, either sign: a backbone literal that probing misses, so
+# p's questions that assume it false are refused.
+GUARDED = [
+    guarded_grid(random_formula(n, (n + 1) // 2, 3, 7700 + 10 * n + i), (1 + i % n) * (-1) ** i, 7800 + 10 * n + i)
+    for n in range(6, 13, 2)
+    for i in range(4)
+]
 
 
 def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
-    """Per component, p lists the groups of rows that the probe leaves
-    (`probe_reference` around the base model, then `reduced_groups`), one
-    listing each, in order. For every subset X a listing yields with its
-    P and N, in the component's local variables: the clause check over
-    every row of the group drops X exactly when the check over the rows X
-    does not touch drops it, p asks the solver exactly about the X the
-    check keeps, and the question assumes the probe's literals and the
-    complements of the outside literals of the rows X touches
-    (`outside_literals`), as a set and each once."""
+    """Per component, p lists the rows that the probe leaves
+    (`probe_reference` around the base model, then `reduced_rows`) in
+    one listing. For every subset X the listing yields with its P and N,
+    in the component's local variables: the clause check over every row
+    drops X exactly when the check over the rows X does not touch drops
+    it, p asks the solver exactly about the X the check keeps, and the
+    question assumes the probe's literals and the complements of the
+    outside literals of the rows X touches (`outside_literals`), as a set
+    and each once."""
     # ("part", part, base model), ("listing", masks, negatives), ("listed", X, P, N)
     # and ("asked", assumptions), in p's order
     events = []
@@ -781,26 +785,23 @@ def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
             for mask, positive, negative in rows
         )
 
-    counts = {"groups": 0, "listed": 0, "dropped": 0}
-    for f in REPEATED + OVERLAPPING + SCAN_SHAPED:
+    counts = {"listed": 0, "dropped": 0}
+    for f in REPEATED + OVERLAPPING + SCAN_SHAPED + GUARDED:
         events.clear()
         max_hamming_p(f)
         events.append(("end",))
-        groups = iter(())
         for event, following in zip(events, events[1:]):
             if event[0] == "part":
-                assert next(groups, None) is None  # every group of the last part was listed
+                assert following[0] == "listing"
                 backbone = probe_reference(event[1].clauses, event[2])
-                groups = iter(reduced_groups(event[1].clauses, backbone))
-            elif event[0] == "listing":
-                group = next(groups)
+                reduced = reduced_rows(event[1].clauses, backbone)
                 rows = []
-                for clause in group:
+                for clause in reduced:
                     positive = sum(1 << (lit - 1) for lit in clause if lit > 0)
                     negative = sum(1 << (-lit - 1) for lit in clause if lit < 0)
                     rows.append((positive | negative, positive, negative))
+            elif event[0] == "listing":
                 assert (event[1], event[2]) == ([row[0] for row in rows], [row[2] for row in rows])
-                counts["groups"] += 1
             elif event[0] == "listed":
                 _, bitset, positive, negative = event
                 false, true = positive & ~bitset, negative & ~bitset
@@ -811,12 +812,11 @@ def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
                     subset = {i + 1 for i in range(bitset.bit_length()) if (bitset >> i) & 1}
                     assumptions = following[1]
                     assert len(set(assumptions)) == len(assumptions)
-                    want = backbone | {-lit for lit in outside_literals(group, subset)}
-                    assert set(assumptions) == want, (group, subset)
+                    want = backbone | {-lit for lit in outside_literals(reduced, subset)}
+                    assert set(assumptions) == want, (reduced, subset)
                 counts["listed"] += 1
                 counts["dropped"] += dropped
-        assert next(groups, None) is None
-    assert counts == {"groups": 132, "listed": 142, "dropped": 10}
+    assert counts == {"listed": 956, "dropped": 526}
 
 
 def test_every_search_gives_the_engine_search_model(monkeypatch):
@@ -838,7 +838,7 @@ def test_every_search_gives_the_engine_search_model(monkeypatch):
     monkeypatch.setattr(solver, "search", spy("base"))
     monkeypatch.setattr(subset_scan, "search", spy("question"))
     outcomes = {"base": [0, 0], "question": [0, 0]}  # per kind of search: (no model, model) counts
-    for f in REPEATED + OVERLAPPING + SCAN_SHAPED + PLANTED:
+    for f in REPEATED + OVERLAPPING + SCAN_SHAPED + PLANTED + GUARDED:
         engine = propagated(f)
         assert find_xmodel(f) == (None if engine.unsat else engine_solve(engine))
         if engine.unsat:
@@ -854,7 +854,7 @@ def test_every_search_gives_the_engine_search_model(monkeypatch):
             got = None if model is None else dict(zip(variables, model[1:]))
             assert got == (None if want is None else {v: want[v] for v in variables}), (f, part, assumptions)
             outcomes[kind][got is not None] += 1
-    assert outcomes == {"base": [34, 179], "question": [0, 181]}
+    assert outcomes == {"base": [36, 197], "question": [297, 169]}
 
 
 def test_scan_never_calls_the_set_based_check():
@@ -881,6 +881,13 @@ def probed(f):
 
 
 UNIFORM = [random_formula(n, (n + 1) // 2, k, 9300 + 10 * n + k) for k in (3, 4, 5) for n in range(12, 22, 3)]
+# Components where the skip set changes what the pass asserts: a literal a
+# consistent probe made true is not probed later, when an asserted literal
+# would have made its probe fail.
+SKIP_MATTERS = [
+    formula((6, 2), (3, 7), (8, 7, -2, 6), (-9, -4, 1), (8, -4, -1, -3), (-5, 8)),
+    formula((-5, -1, 4, 2), (-5, 2, -6, -3), (-6, 4, 1), (2, 3, -7)),
+]
 
 
 def test_probe_asserts_only_literals_true_in_every_model():
@@ -889,7 +896,8 @@ def test_probe_asserts_only_literals_true_in_every_model():
     the set `probe_reference` asserts, each once, and its value list
     holds exactly the trail's values."""
     found = {"components": 0, "asserted": 0}
-    for f in REPEATED + OVERLAPPING + SCAN_SHAPED + UNIFORM + [f for f in PLANTED if f.num_vars <= 20]:
+    small = [f for f in PLANTED + GUARDED if f.num_vars <= 20]
+    for f in REPEATED + OVERLAPPING + SCAN_SHAPED + UNIFORM + small + SKIP_MATTERS:
         found_parts = probed(f)
         if found_parts is None:
             continue
@@ -904,25 +912,23 @@ def test_probe_asserts_only_literals_true_in_every_model():
                 assert all(m[var] == (lit > 0) for m in models), (f, lit)
             found["components"] += 1
             found["asserted"] += len(trail)
-    assert found == {"components": 170, "asserted": 560}
+    assert found == {"components": 178, "asserted": 588}
 
 
-def test_each_group_is_listed_on_its_own(monkeypatch):
+def test_each_component_lists_its_probed_rows_once(monkeypatch):
     """(1 2 5), (3 4 5), (6 7), (6 7 5) is one component, and 5 is false
     in every x-model: 5 true makes 6 and 7 false, and (6 7) then holds no
     true literal. The probe asserts -5, which leaves the rows (1 2), (3 4),
-    (6 7) and (6 7) in three groups; each lists its one pair and asks
-    about it, so p lists 3 subsets and asks 3 questions after the base
-    check. One listing of all four rows would list the union of the three
-    pairs first, and it would answer alone. On the scan-shaped and
-    planted instances p lists each component's groups of rows
-    (`reduced_groups` of the probe's trail) in order, one listing each,
-    and its witness pair verifies at brute's distance, on components that
-    split too."""
+    (6 7) and (6 7), with no variable shared between the three pairs. One
+    listing of the four rows lists the union of the pairs first, and it
+    answers alone: 1 subset and 1 question after the base check. On the
+    scan-shaped, planted and guarded instances p lists each component's
+    rows (`reduced_rows` of the probe's trail) once, in order, and its
+    witness pair verifies at brute's distance."""
     stats = SearchStats()
     f = formula((1, 2, 5), (3, 4, 5), (6, 7), (6, 7, 5))
     result = max_hamming_p(f, stats)
-    assert (result.distance, stats.subsets_checked, stats.solver_calls) == (6, 3, 4)
+    assert (result.distance, stats.subsets_checked, stats.solver_calls) == (6, 1, 2)
     a, b = result.witnesses
     assert verify_xmodel(f, a) and verify_xmodel(f, b) and hamming_distance(a, b) == 6
 
@@ -933,20 +939,17 @@ def test_each_group_is_listed_on_its_own(monkeypatch):
         yield from listing(masks, negatives)
 
     monkeypatch.setattr(subset_scan, "allowed_subsets", spy)
-    split = 0
-    for f in SCAN_SHAPED + PLANTED:
+    for f in SCAN_SHAPED + PLANTED + GUARDED:
         found_parts = probed(f)
         if found_parts is None:
             continue
-        want = []
-        for part, _, _, trail in found_parts:
-            groups = reduced_groups(part.clauses, set(trail))
-            split += len(groups) > 1
-            want += [[sum(1 << (abs(lit) - 1) for lit in row) for row in group] for group in groups]
+        want = [
+            [sum(1 << (abs(lit) - 1) for lit in row) for row in reduced_rows(part.clauses, set(trail))]
+            for part, _, _, trail in found_parts
+        ]
         listings.clear()
         result = max_hamming_p(f)
         assert listings == want
         a, b = result.witnesses
         assert verify_xmodel(f, a) and verify_xmodel(f, b)
         assert hamming_distance(a, b) == result.distance == max_hamming_brute(f).distance
-    assert split == 18
