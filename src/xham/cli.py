@@ -5,11 +5,15 @@ of signed literals terminated by 0, exit code 10 when an answer/model was
 found, 20 for unsatisfiable, 0 for non-decision subcommands, 1 for usage
 or input errors.
 
-A call parses its arguments with one parser level: `parse_args` hands the
-arguments after a known subcommand straight to that subcommand's parser.
-The top-level parser answers everything else (no arguments, `-h`, an
-unknown command) and reports arguments the subcommand leaves over, so
-every message and exit code is the one the two-level parse gives.
+A call after a known subcommand is read straight off that subcommand's
+argparse action table when every token is an exact option string, that
+option's value or a lone positional, and the options are plain stores,
+`store_true` flags and single positionals (see `parse_args`). argparse
+answers everything else, with one parser level: the arguments after a
+known subcommand go to its parser, and the top-level parser answers the
+rest (no arguments, `-h`, an unknown command) and reports arguments the
+subcommand leaves over, so every message and exit code is the one the
+two-level parse gives.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ EXIT_ERROR = 1
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the CLI contract wants 1.
 
-    `build_parser` sets `commands` on the top-level parser: each
-    subcommand's name mapped to its own parser.
+    `build_parser` sets `commands` on the top-level parser, each
+    subcommand's name mapped to its own parser, and `tables`, each name
+    mapped to that parser's `_action_table`.
     """
 
     def error(self, message):
@@ -124,18 +129,109 @@ def build_parser() -> argparse.ArgumentParser:
         "bench": p_bench,
         "verify": p_verify,
     }
+    parser.tables = {name: _action_table(command) for name, command in parser.commands.items()}
     return parser
 
 
+def _action_table(command: argparse.ArgumentParser):
+    """(option string -> action, the positional actions in order, each
+    dest's default in action order, the dests of required options), read
+    off a subcommand parser's own actions; None when it holds an action
+    `_read_table` cannot stand in for.
+
+    The help action is left out, so `-h` reaches argparse. A plain store
+    takes one value and `store_true` none; any other kind of action (a
+    `nargs` list, a count, an append), a string default that argparse
+    would pass through `type`, a parser-level default or a mutually
+    exclusive group leaves the parser to argparse.
+    """
+    if command._defaults or command._mutually_exclusive_groups:
+        return None
+    options, positionals, defaults = {}, [], {}
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        store = type(action) is argparse._StoreAction and action.nargs is None
+        flag = type(action) is argparse._StoreTrueAction
+        if not (store or flag) or (isinstance(action.default, str) and action.type is not None):
+            return None
+        for option in action.option_strings:
+            options[option] = action
+        if not action.option_strings:
+            positionals.append(action)
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+    required = {action.dest for action in options.values() if action.required}
+    return options, positionals, defaults, required
+
+
+def _read_table(table, argv) -> argparse.Namespace | None:
+    """The Namespace argparse gives for argv, a known subcommand and its
+    arguments, read off the subcommand's `_action_table`; None where only
+    argparse can tell.
+
+    Each token is an exact option string, the value after a plain store
+    or the next positional. A token starting with `-` that is no option
+    string, a value starting with `-` or missing, a `type` that raises, a
+    value outside `choices`, a positional too many or too few and a
+    required option left out all go to argparse, which gives their
+    message or reading.
+    """
+    if table is None:
+        return None
+    options, positionals, defaults, required = table
+    given = {}
+    tokens, free = iter(argv[1:]), iter(positionals)
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            if token[:1] == "-":
+                return None
+            action, value = next(free, None), token
+            if action is None:
+                return None
+        elif action.nargs == 0:
+            given[action.dest] = action.const
+            continue
+        else:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-":
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's error
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if next(free, None) is not None or not required <= given.keys():
+        return None
+    return argparse.Namespace(command=argv[0], **{**defaults, **given})
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """What `build_parser().parse_args(argv)` returns or raises, parsed with
-    one parser level when `argv` starts with a known subcommand."""
+    """What `build_parser().parse_args(argv)` returns or raises.
+
+    An argv that starts with a known subcommand, whose other tokens are
+    exact option strings of that subcommand, their values and its
+    positionals, is read off the subcommand's action table
+    (`_read_table`). argparse answers everything else, with one parser
+    level when argv starts with a known subcommand: `-h`, abbreviations,
+    `--opt=value`, `--`, a token or value starting with `-`, a missing or
+    extra argument, a value its `type` or `choices` refuses, and every
+    argv of a subcommand whose actions the table does not cover, such as
+    `tau`'s list of specs.
+    """
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _read_table(parser.tables[argv[0]], argv)
+    if args is not None:
+        return args
     args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")

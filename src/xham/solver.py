@@ -28,7 +28,8 @@ clauses holding the variables it assigns, however many variables the
 component has. `models` lists every model, backing up after each, and
 `search` is its first; this is the inner solver of the subset scan and
 the oracle, and a fast satisfiability filter. `probe` runs failed-literal
-probing on the same value list and trail, for the subset scan.
+probing on the same value list and trail, for the subset scan, whose
+questions then search from copies of what it leaves.
 """
 
 from __future__ import annotations
@@ -110,14 +111,22 @@ def solve(engine: Propagator) -> tuple[Assignment, list[Part]] | None:
     return model, parts
 
 
-def search(part: Part, assumptions=()) -> list | None:
-    """The first x-model of `models(part, assumptions)`, or None."""
-    return next(models(part, assumptions), None)
+def search(part: Part, assumptions=(), base=None) -> list | None:
+    """The first x-model of `models(part, assumptions, base)`, or None."""
+    return next(models(part, assumptions, base), None)
 
 
-def models(part: Part, assumptions=()):
+def models(part: Part, assumptions=(), base=None):
     """Yield each x-model of part's clauses with every local literal of
     `assumptions` true, once.
+
+    base, when given, is a value list and its trail at a propagation
+    fixpoint of part's clauses, such as `probe` returns; the search starts
+    from copies of them, so its models are those with the trail's
+    literals true as well, and those literals are not propagated again.
+    Unit propagation reaches one fixpoint in any order, so these are the
+    models, in the same order, of a search that assumes the trail's
+    literals and then assumptions.
 
     A model is the value list, index i holding local variable i's value;
     the search reuses it, so a caller copies what it keeps. Every variable
@@ -130,8 +139,10 @@ def models(part: Part, assumptions=()):
     """
     clauses, holding = part.clauses, part.holding
     n = len(part.variables)
-    value = [None] * len(holding)
-    trail = []
+    if base is None:
+        value, trail = [None] * len(holding), []
+    else:
+        value, trail = base[0][:], base[1][:]
     if not _propagate(value, trail, assumptions, holding):
         return
     path = []  # (trail length, untried branch literals, scan start index, longest width) per level above this one

@@ -41,7 +41,7 @@ its other literals false and drops, and every other clause becomes one
 row over its unassigned literals, so no listed subset holds an asserted
 variable. A component's rows are listed together: its x-models are its
 backbone values with one x-model of the rows, and each question still
-searches the whole component, assuming the asserted literals first.
+searches the whole component, starting from the probe's value list.
 Removing the backbone can leave rows that share no variable, and one
 listing then lists unions of their subsets; when each part answers with
 its largest subset, that union comes first and is the only question,
@@ -85,11 +85,12 @@ x-satisfiable with every literal of a touched clause whose variable is
 outside X made false, and flipping X in such a model gives the second
 model. The outside literals of a touched clause that probing assigned
 are false in every model, so p puts each question to the solver's search
-of the component, which assumes the asserted literals and then the
-complements of the outside literals of the touched rows, on a value list
-of its own: a question marks, forces or undoes nothing on the engine,
-which is left as the base check found it. No formula is built, at the
-root or per subset, and the witnesses are the solver's models.
+of the component, which starts from a copy of the probe's value list and
+trail and assumes the complements of the outside literals of the touched
+rows: the asserted literals are set already and are not propagated again,
+and a question marks, forces or undoes nothing on the engine, which is
+left as the base check found it. No formula is built, at the root or per
+subset, and the witnesses are the solver's models.
 
 The checks before a call. Most of these questions contradict themselves.
 A variable outside X that is positive in one touched clause and negative
@@ -99,10 +100,10 @@ touches; every bit of them is decided, so a state with P & N & ~X
 nonzero cannot recover and is dropped at once, and such an X is never
 listed. A listed X comes with its P and N: P & ~X holds the variables
 its assumptions make false and N & ~X those they make true, and the
-assumptions after the asserted literals are read off these bits,
-variable by variable. The solver makes them all true before it
-propagates, and unit propagation reaches one fixpoint, or a conflict, in
-any order, so their order changes no answer and no model. A row with two
+assumptions are read off these bits, variable by variable. The solver
+makes them all true, on the probe's values, before it propagates, and
+unit propagation reaches one fixpoint, or a conflict, in any order, so
+their order changes no answer and no model. A row with two
 literals made true, or with all of them made false, refutes X, and it is
 dropped without a call. The check runs over every row, but only an
 untouched one can fail it: a touched row's literals outside X are all
@@ -311,10 +312,12 @@ def _scan_component(part: Part, model, stats: SearchStats):
     literal has every other literal false and drops. The listing drops
     sign contradictions and yields each subset X with its P and N; a row
     that those make two-true or all-false drops it, and otherwise the
-    solver searches the component assuming the backbone literals, then
-    those read off P & ~X (made false) and N & ~X (made true).
+    solver searches the component from a copy of the probe's value list
+    and trail, assuming the literals read off P & ~X (made false) and
+    N & ~X (made true).
     """
-    value, backbone = probe(part, model)
+    probed = probe(part, model)
+    value = probed[0]
     rows = []
     for clause in part.clauses:
         positive = negative = 0
@@ -340,8 +343,8 @@ def _scan_component(part: Part, model, stats: SearchStats):
         ):
             continue  # the solver's first propagation would refute it
         stats.solver_calls += 1
-        assumptions = backbone + [-1 - place for place in _places(false)] + [1 + place for place in _places(true)]
-        answer = search(part, assumptions)
+        assumptions = [-1 - place for place in _places(false)] + [1 + place for place in _places(true)]
+        answer = search(part, assumptions, probed)
         if answer is not None:
             variables = part.variables
             values = dict(zip(variables, answer[1:]))

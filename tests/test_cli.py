@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -286,6 +287,20 @@ ARGVS = [
     ["maxham", "--", "f"],
     ["maxham", "-1"],
     ["--", "maxham", "f"],
+    # read off the action table, or handed to argparse by it
+    ["maxham", "--stats", "--stats", "f"],
+    ["maxham", "--algo", "p", "--algo", "q", "f"],
+    ["maxham", "f", "--algo", "p"],
+    ["maxham", "--algo", "-1", "f"],
+    ["maxham", "--algo", "x", "f"],
+    ["gen", "--vars", "3", "--clauses", "1", "--len", "3", "-o", "--seed"],
+    ["maxham", "-"],
+    ["maxham", ""],
+    ["verify", "f", "-"],
+    ["gen", "--vars", "-5", "--clauses", "2", "--len", "3"],
+    ["gen", "--clauses", "4", "--len", "3"],
+    ["gen", "-oout", "--vars", "3", "--clauses", "1", "--len", "3"],
+    ["bench", "--runs", "2", "--vars", "5", "--clauses", "3", "--len", "2", "--algo", "q"],
 ]
 
 
@@ -303,6 +318,24 @@ def parse_outcome(parse, argv, capsys):
 def test_parse_args_matches_the_two_level_parse(capsys, argv):
     expected = parse_outcome(build_parser().parse_args, list(argv), capsys)
     assert parse_outcome(parse_args, list(argv), capsys) == expected
+
+
+def test_well_formed_calls_never_enter_argparse(monkeypatch):
+    """The benchmark's two argv forms and `solve F` are read off their
+    subcommand's action table: with argparse's parse made to raise, they
+    still parse to the Namespace argparse gives."""
+    argvs = [
+        ["maxham", "--algo", "q", "--stats", "F"],
+        ["maxham", "--algo", "p", "--witness", "--stats", "F"],
+        ["solve", "F"],
+    ]
+    expected = [build_parser().parse_args(argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed call")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [parse_args(argv) for argv in argvs] == expected
 
 
 @pytest.mark.parametrize("argv", [["tau", "7^2", "3^6"], ["maxham", "f", "extra"], ["-h"]], ids=" ".join)

@@ -86,6 +86,12 @@ def outside_literals(clauses, subset) -> list[int]:
     return [lit for clause in touched for lit in clause if abs(lit) not in subset]
 
 
+def assumed(assumptions, base):
+    """The literals a search takes as true: the trail of its base, when
+    it starts from one, then its assumptions."""
+    return tuple(assumptions) if base is None else (*base[1], *assumptions)
+
+
 def in_input_variables(part, assumptions):
     """A search's part clauses and assumptions, in the input's variables."""
     variables = part.variables
@@ -141,9 +147,9 @@ class TestFlippedUnion:
     def solver_inputs(monkeypatch, f):
         seen = []
 
-        def spy(part, assumptions=()):
-            seen.append(in_input_variables(part, assumptions))
-            return search(part, assumptions)
+        def spy(part, assumptions=(), base=None):
+            seen.append(in_input_variables(part, assumed(assumptions, base)))
+            return search(part, assumptions, base)
 
         monkeypatch.setattr(solver, "search", spy)
         monkeypatch.setattr(subset_scan, "search", spy)
@@ -204,9 +210,9 @@ class TestFlippedUnion:
             bases.append(None if found is None else dict(found[0]))
             return found
 
-        def spy_search(part, assumptions=()):
-            model = search(part, assumptions)
-            calls.append((*in_input_variables(part, assumptions), model is not None))
+        def spy_search(part, assumptions=(), base=None):
+            model = search(part, assumptions, base)
+            calls.append((*in_input_variables(part, assumed(assumptions, base)), model is not None))
             return model
 
         monkeypatch.setattr(subset_scan, "allowed_subsets", spy_subsets)
@@ -770,9 +776,9 @@ def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
             events.append(("listed", *found))
             yield found
 
-    def spy_search(part, assumptions=()):
-        events.append(("asked", tuple(assumptions)))
-        return question(part, assumptions)
+    def spy_search(part, assumptions=(), base=None):
+        events.append(("asked", assumed(assumptions, base)))
+        return question(part, assumptions, base)
 
     monkeypatch.setattr(subset_scan, "_scan_component", spy_scan)
     monkeypatch.setattr(subset_scan, "allowed_subsets", spy_listing)
@@ -828,9 +834,9 @@ def test_every_search_gives_the_engine_search_model(monkeypatch):
     runs = []
 
     def spy(kind):
-        def spied(part, assumptions=()):
-            model = search(part, assumptions)
-            runs.append((kind, part, assumptions, model))
+        def spied(part, assumptions=(), base=None):
+            model = search(part, assumptions, base)
+            runs.append((kind, part, assumed(assumptions, base), model))
             return model
 
         return spied
@@ -855,6 +861,45 @@ def test_every_search_gives_the_engine_search_model(monkeypatch):
             assert got == (None if want is None else {v: want[v] for v in variables}), (f, part, assumptions)
             outcomes[kind][got is not None] += 1
     assert outcomes == {"base": [36, 197], "question": [297, 169]}
+
+
+def test_questions_start_from_the_probe(monkeypatch):
+    """Each question starts from the probe's value list and trail: no
+    propagation a question runs assigns a literal the probe asserted for
+    its component, so the asserted literals are propagated once, by the
+    probe, not once more per question."""
+    probe, question, propagate = subset_scan.probe, subset_scan.search, solver._propagate
+    state = {"asserted": set(), "asking": False}
+    counts = {"questions": 0, "on_asserted": 0, "assigned": 0, "again": 0}
+
+    def spy_probe(part, model):
+        found = probe(part, model)
+        state["asserted"] = set(found[1])
+        return found
+
+    def spy_search(*args):
+        counts["questions"] += 1
+        counts["on_asserted"] += bool(state["asserted"])
+        state["asking"] = True
+        try:
+            return question(*args)
+        finally:
+            state["asking"] = False
+
+    def spy_propagate(value, trail, literals, holding):
+        head = len(trail)
+        consistent = propagate(value, trail, literals, holding)
+        if state["asking"]:
+            counts["assigned"] += len(trail) - head
+            counts["again"] += len(state["asserted"].intersection(trail[head:]))
+        return consistent
+
+    monkeypatch.setattr(subset_scan, "probe", spy_probe)
+    monkeypatch.setattr(subset_scan, "search", spy_search)
+    monkeypatch.setattr(solver, "_propagate", spy_propagate)
+    for f in SCAN_SHAPED + PLANTED + GUARDED:
+        max_hamming_p(f)
+    assert counts == {"questions": 367, "on_asserted": 270, "assigned": 4280, "again": 0}
 
 
 def test_scan_never_calls_the_set_based_check():
