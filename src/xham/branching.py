@@ -128,33 +128,50 @@ class GeneralizedAssignment:
 
         The representative must not already head a pool from another
         clause; a previously pooled victim simply nests, its old pool
-        expanding off the slot value this membership hands it.
+        expanding off the slot value this membership hands it. The victim
+        leaves the formula, so its table is final and is filled here: its
+        cached one, (0, 1, 1, 0) when it has no links, or `_table`'s. The
+        representative's cached table is dropped.
         """
         rep, victim = abs(rep_lit), abs(victim_lit)
         pol = rep_lit > 0
         if self.sat.setdefault(rep, pol) != pol:
             raise ValueError(f"variable {rep} already pools a different clause slot")
         self.sing.setdefault(rep, []).append((victim, victim_lit > 0))
-        self._link(rep, victim)
+        score = self.score
+        score.pop(rep, None)
+        table = score.get(victim)
+        if table is None:
+            table = _table(self, victim) if victim in self.sing or victim in self.dual else _UNLINKED
+        score[victim] = (NEG, table[1], table[2], NEG) if victim in self.flips else table
 
     def record_dual(self, survivor_lit: int, removed_lit: int) -> None:
+        """Link a variable rewritten away below the survivor it mirrors.
+
+        The removed variable leaves the formula, so its table is final and
+        is filled here, as `record_sing` fills a victim's; one with a lone
+        dual child and no pool member, every removed variable of a binary
+        chain but the first, hands up that child's table in `_table`'s
+        closed form, without a call. A pivot in `flips` reads NEG where its
+        two slots agree. The survivor's cached table is dropped.
+        """
         survivor, removed = abs(survivor_lit), abs(removed_lit)
         flip = (removed_lit > 0) == (survivor_lit > 0)
         self.dual.setdefault(survivor, []).append((removed, flip, survivor in self.sat))
-        self._link(survivor, removed)
-
-    def _link(self, parent: int, child: int) -> None:
-        """The child left the formula below parent: fix its table, drop parent's.
-
-        The child's table is its cached one, or `_table` builds it, as
-        `table` would. A pivot in `flips` reads NEG where its two slots agree.
-        """
         score = self.score
-        score.pop(parent, None)
-        table = score.get(child)
+        score.pop(survivor, None)
+        table = score.get(removed)
         if table is None:
-            table = _table(self, child)
-        score[child] = (NEG, table[1], table[2], NEG) if child in self.flips else table
+            children = self.dual.get(removed)
+            if removed in self.sing or children and len(children) > 1:
+                table = _table(self, removed)
+            elif children:
+                ((child, turned, _),) = children
+                t0, t1, t2, t3 = score[child]
+                table = (t3, t2 + 1, t1 + 1, t0) if turned else (t0, t1 + 1, t2 + 1, t3)
+            else:
+                table = _UNLINKED
+        score[removed] = (NEG, table[1], table[2], NEG) if removed in self.flips else table
 
     def table(self, var: int) -> tuple[int, int, int, int]:
         """Score table of var's subtree, built on the first read after its last link.
@@ -165,8 +182,8 @@ class GeneralizedAssignment:
         that left the formula, a flip pivot's among them, and of every
         linked variable read since its last link. Any other variable
         reads (0, 1, 1, 0) when it has no links, and a linked one, whose
-        table `_link` dropped, is built here. Every table is symmetric:
-        entry 2*b + a equals entry 2*a + b.
+        table its latest link dropped, is built here. Every table is
+        symmetric: entry 2*b + a equals entry 2*a + b.
         """
         table = self.score.get(var)
         if table is None:
@@ -337,12 +354,13 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     fewer than two literals, and only then does the next pool wait for a
     round: after any other a round would find the engine idle and make
     the same choice. When the removed side has degree one, as on every
-    step of a chain, the clause is its only occurrence, and the engine
-    drops it with one write and no rewrite (`Propagator.drop_binary`).
-    Otherwise the substitution rewrites every clause holding the removed
-    side, drops that clause itself with every other clause it turns into
-    a complementary pair, such as a copy, and queues a rewrite only when
-    it repeats a variable. Two position heaps stand in for rescanning the
+    step of a chain, the clause is its only occurrence, and the loop
+    drops it itself, on the engine's fields, with one logged write and no
+    rewrite: the removed side's degree goes to 0 and the survivor's falls
+    by one. Otherwise the substitution rewrites every clause holding the
+    removed side, drops that clause itself with every other clause it
+    turns into a complementary pair, such as a copy, and queues a rewrite
+    only when it repeats a variable. Two position heaps stand in for rescanning the
     formula. `binaries` is fed from the engine's `changed` log and holds
     every clause that may have become binary. `to_pool` is fed from its
     `singles` log alone: a clause can only start to pool when one of its
@@ -365,7 +383,8 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     the pools before it ran `to_pool` dry, so no clause can pool. The
     survivor's clause is then the only one that can start to: when the
     survivor falls to degree one in a clause `_pool_pair` takes, the
-    loop pools that clause right there, with no entry, and puts it on
+    loop pools that clause right there, with no entry, removing the
+    member with the writes of `Propagator.remove_literal`, and puts it on
     `binaries` if it is left binary. That one pool is all the clause can
     take: before the drop it held at most one singleton or no fresh one,
     and a pool changes no degree but the member's, so it leaves one
@@ -376,11 +395,13 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     same choices. Only a pool that leaves fewer than two literals, which
     queues its clause, and a survivor that leaves the formula, which the
     engine logs as freed, go back round. A chain of any clause length so
-    takes two rounds.
+    takes two rounds. The drop, the lookup of the survivor's clause and
+    the pool's removal are written out in the loop, so a step of a binary
+    chain makes two calls, `record_dual` and `_pool_pair`.
     """
     clauses, degree, changed, singles, sat = engine.clauses, engine.degree, engine.changed, engine.singles, state.sat
-    propagate, position_of, queue = engine.propagate, engine.position_of, engine.queue
-    drop, substitute, remove_literal = engine.drop_binary, engine.substitute, engine.remove_literal
+    occ, writes, queue = engine.occ, engine._writes, engine.queue
+    propagate, position_of, substitute = engine.propagate, engine.position_of, engine.substitute
     record_sing, record_dual = state.record_sing, state.record_dual
     to_pool: list[int] = []
     binaries: list[int] = []
@@ -419,22 +440,34 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
                     substitute(removed, survivor)
                     record_dual(survivor, removed)
                     break
-                drop(pos, removed)
+                # The drop: the clause is the removed side's one occurrence.
+                writes.append((pos, clause))
+                clauses[pos] = None
+                degree[abs(removed)] = 0
+                var = survivor if survivor > 0 else -survivor
+                left = degree[var] - 1
+                degree[var] = left
                 record_dual(survivor, removed)
-                var = abs(survivor)
-                left = degree[var]
                 if not left:
+                    engine._vanished.append(var)
                     break
-                singles.clear()  # the survivor alone, if anything
                 if left == 1:
-                    pos = position_of(var)
-                    pair = _pool_pair(clauses[pos], degree, sat)
+                    for pos in occ[var]:  # the survivor's one live clause
+                        clause = clauses[pos]
+                        if clause is not None and (var in clause or -var in clause):
+                            break
+                    pair = _pool_pair(clause, degree, sat)
                     if pair:  # the one pool the survivor's clause can take
                         record_sing(*pair)
-                        remove_literal(pos, pair[1])
-                        if queue:
-                            break  # the pool left fewer than two literals: settle them first
-                        if len(clauses[pos]) == 2:
+                        member = pair[1]
+                        writes.append((pos, clause))
+                        clause = clauses[pos] = tuple([lit for lit in clause if lit != member])
+                        degree[abs(member)] = 0
+                        changed.append(pos)
+                        if len(clause) < 2:
+                            engine._enqueue(pos)
+                            break  # settle it first
+                        if len(clause) == 2:
                             heappush(binaries, pos)
             else:
                 return True

@@ -6,9 +6,9 @@ separated run of nonzero integers terminated by 0. Newlines carry no
 meaning beyond whitespace, so clauses may span or share lines.
 
 `parse_formula` splits the text into tokens once, converts the clause
-tokens to integers in bulk and cuts them into clauses at the zeros. No
-token carries its line: an error message finds the line of the offending
-token only when a check fails.
+tokens to integers in bulk and cuts them into clauses at the zeros, in
+one pass over the literals. No token carries its line: an error message
+finds the line of the offending token only when a check fails.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ def parse_formula(text: str) -> Formula:
     declared count are rejected rather than auto-extended.
 
     The clause tokens are converted to integers in one `map` and cut
-    into clauses at their zeros. Tokens carry no line numbers: when a
-    check fails, `_line_of` counts the tokens again up to the offending
-    one, so the message names the line a token-by-token reading names.
-    These checks are the ones `Formula.__post_init__` makes, so the
-    formula is built without running them again.
+    into clauses at their zeros in one pass. Tokens carry no line
+    numbers: when a check fails, `_line_of` counts the tokens again up to
+    the offending one, so the message names the line a token-by-token
+    reading names. These checks are the ones `Formula.__post_init__`
+    makes, so the formula is built without running them again.
     """
     tokens = _tokens(text)
     if not tokens:
@@ -86,14 +86,15 @@ def parse_formula(text: str) -> Formula:
         raise _clause_token_error(text, tokens, num_vars)
 
     clauses: list[tuple[int, ...]] = []
-    start = 0
-    while start < len(lits):
-        try:
-            end = lits.index(0, start)
-        except ValueError:
-            raise ParseError(f"line {_line_of(text, len(tokens) - 1)}: clause missing terminating 0") from None
-        clauses.append(tuple(lits[start:end]))
-        start = end + 1
+    clause: list[int] = []
+    for lit in lits:
+        if lit:
+            clause.append(lit)
+        else:
+            clauses.append(tuple(clause))
+            clause = []
+    if clause:
+        raise ParseError(f"line {_line_of(text, len(tokens) - 1)}: clause missing terminating 0")
     if len(clauses) != num_clauses:
         raise ParseError(
             f"line {_line_of(text, len(tokens) - 1)}: header declares {num_clauses} clauses, found {len(clauses)}"

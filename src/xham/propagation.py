@@ -31,12 +31,13 @@ ones; a variable repeats in a clause when its list already ends at that
 clause's position.
 
 The dual substitution of a literal whose variable has degree one, in a
-binary clause, is the cheapest step of all (`drop_binary`): the clause
-is the variable's only occurrence, and the rewrite would turn it into a
-complementary pair, which drops. So the clause drops with one write and
-no rewrite: the variable's degree goes to 0 and the other literal's
-falls by one. It queues nothing and changes no other clause. On a chain
-every dual elimination is of this kind.
+binary clause, is the cheapest step of all and needs no method here: the
+clause is the variable's only occurrence, and the rewrite would turn it
+into a complementary pair, which drops. So q's simplification drops the
+clause with one logged write and no rewrite, sets the variable's degree
+to 0 and lowers the other literal's by one, on the engine's fields
+itself (see `branching._simplify`). It queues nothing and changes no
+other clause. On a chain every dual elimination is of this kind.
 
 Only q searches an engine: a q child takes a `mark`, applies its steps,
 and goes back with `undo_to`. The solver and p propagate the root with
@@ -129,8 +130,8 @@ class Propagator:
     may repeat. degree counts the variable's literal occurrences in live
     clauses.
     A live clause off the queue holds at least two distinct unforced
-    variables; `force`, `substitute`, `remove_literal`, `drop_binary` and
-    a new engine queue exactly the clauses that break this (see the module
+    variables; `force`, `substitute`, `remove_literal` and a new engine
+    queue exactly the clauses that break this (see the module
     docstring), so an engine whose clauses all hold two distinct
     variables starts at its fixpoint. The build is one pass over the
     literals (see the module docstring).
@@ -142,9 +143,10 @@ class Propagator:
     unseen by the caller (each binary clause of a new engine, then each
     position whose clause shrank or was rewritten), `singles` variables
     whose degree fell to one (each degree-one variable of a new engine,
-    then each whose degree fell to one). The caller drains them. A
-    `propagate` with no queued clause and no vanished variable changes
-    nothing and returns `not unsat` at once.
+    then each whose degree fell to one). The caller drains them; a caller
+    that writes the fields itself, as q's drop step does, answers for
+    what it would log. A `propagate` with no queued clause and no
+    vanished variable changes nothing and returns `not unsat` at once.
 
     The trail runs from the first mark on: `mark` and `undo_to` take the
     engine back to an earlier fixpoint, over every step since that mark
@@ -170,9 +172,10 @@ class Propagator:
                 dirty.append(pos)
             repeats = False
             for lit in clause:
-                positions = find(abs(lit))
+                var = lit if lit > 0 else -lit
+                positions = find(var)
                 if positions is None:
-                    occ[abs(lit)] = [pos]
+                    occ[var] = [pos]
                 else:
                     if positions[-1] == pos:
                         repeats = True
@@ -256,7 +259,8 @@ class Propagator:
         The clause is logged in `changed` and queued only when it is left
         with fewer than two literals: the ones it keeps stay distinct and
         unforced. The variable leaves the formula without counting as
-        freed: the caller keeps track of it elsewhere.
+        freed: the caller keeps track of it elsewhere. q's drop step pools
+        the survivor's clause with these same writes inline.
         """
         clause = self.clauses[pos]
         self._writes.append((pos, clause))
@@ -265,31 +269,6 @@ class Propagator:
         self.changed.append(pos)
         if len(live) < 2:
             self._enqueue(pos)
-
-    def drop_binary(self, pos: int, removed: int) -> None:
-        """Dual-substitute away a degree-one literal of a binary clause without a rewrite.
-
-        Rewriting `removed` as the complement of the clause's other
-        literal, the survivor, would turn its one occurrence, this clause,
-        into a complementary pair, which drops. So the clause drops here
-        with one write: the removed variable leaves the formula without
-        counting as freed, as after `remove_literal`, and the survivor
-        loses one occurrence, lowered here with the `singles` and freed
-        bookkeeping a settle would do. No other clause changes, so nothing
-        is queued or logged in `changed`.
-        """
-        clause = self.clauses[pos]
-        self._writes.append((pos, clause))
-        self.clauses[pos] = None
-        degree = self.degree
-        degree[abs(removed)] = 0
-        survivor = abs(clause[1] if clause[0] == removed else clause[0])
-        left = degree[survivor] - 1
-        degree[survivor] = left
-        if left == 1:
-            self.singles.append(survivor)
-        elif not left:
-            self._vanished.append(survivor)
 
     def position_of(self, var: int) -> int:
         """Position of the one live clause holding a degree-one variable."""

@@ -1,10 +1,11 @@
+import heapq
 import itertools
 import math
 import random
 
 import pytest
 
-from xham import BOTTOM, CapExceeded, Formula, GeneralizedAssignment, HammingResult, random_formula, solver
+from xham import BOTTOM, CapExceeded, Formula, GeneralizedAssignment, HammingResult, branching, random_formula, solver
 from xham.formula import Assignment
 from xham.propagation import Propagator
 
@@ -673,3 +674,155 @@ def general_table(state: GeneralizedAssignment, var: int):
     mixed = max(mixed, stay + gain)
     low, high = (stay, active) if o else (active, stay)
     return tuple(by_slot[i] + unchosen + entry for i, entry in enumerate((low, mixed, mixed, high)))
+
+
+def record_by_table(record):
+    """`GeneralizedAssignment.record_sing` or `record_dual` with the removed
+    variable's table then set as a link set it before the records built it
+    in place: its cached table, or else the one `branching._table` builds,
+    reading NEG where its two slots agree when it is a flip pivot. The
+    reference for the in-place tables."""
+
+    def recording(state, parent_lit, child_lit):
+        child = abs(child_lit)
+        table = state.score.get(child)
+        record(state, parent_lit, child_lit)
+        if table is None:
+            table = branching._table(state, child)
+        state.score[child] = (branching.NEG, table[1], table[2], branching.NEG) if child in state.flips else table
+
+    return recording
+
+
+def drop_binary(engine: Propagator, pos: int, removed: int) -> None:
+    """The drop step `branching._simplify` writes out in its loop, as one
+    engine step: the binary clause at pos, the one occurrence of the
+    degree-one literal `removed`, drops with one logged write. The removed
+    variable leaves without counting as freed, and the survivor loses one
+    occurrence with the `singles` and freed bookkeeping of a settle."""
+    clause = engine.clauses[pos]
+    engine._writes.append((pos, clause))
+    engine.clauses[pos] = None
+    degree = engine.degree
+    degree[abs(removed)] = 0
+    survivor = abs(clause[1] if clause[0] == removed else clause[0])
+    left = degree[survivor] - 1
+    degree[survivor] = left
+    if left == 1:
+        engine.singles.append(survivor)
+    elif not left:
+        engine._vanished.append(survivor)
+
+
+def drop_by_substitute(engine, pos, removed):
+    """The dual substitution a drop stands in for: rewrite the removed
+    literal as the complement of its clause's other literal, which turns
+    the clause into a complementary pair that drops."""
+    first, second = engine.clauses[pos]
+    engine.substitute(removed, second if first == removed else first)
+
+
+def simplify_pushing_every_change(engine, state):
+    """`branching._simplify` that also pushes every position in `changed`
+    on `to_pool`, so it checks for pooling every clause a step shrank or
+    rewrote, a pooled clause included, and takes one pool or one
+    elimination per round: the reference for feeding `to_pool` from
+    `singles` alone and for pooling a drop's survivor on the spot."""
+    clauses, degree = engine.clauses, engine.degree
+    to_pool, binaries = [], []
+    while engine.propagate():
+        for pos in engine.changed:
+            heapq.heappush(to_pool, pos)
+            if clauses[pos] is not None and len(clauses[pos]) == 2:
+                heapq.heappush(binaries, pos)
+        for var in engine.singles:
+            if degree[var] == 1:
+                heapq.heappush(to_pool, engine.position_of(var))
+        engine.changed.clear()
+        engine.singles.clear()
+        if branching._pool_first(engine, state, to_pool):
+            continue
+        if not eliminate_first_binary(engine, state, binaries):
+            return True
+    return False
+
+
+def eliminate_first_binary(engine, state, binaries):
+    """Dual-substitute away the first binary clause on the heap, one step
+    per round of the reference, dropping it with `drop_binary` when the
+    removed side has degree one; False if there is none."""
+    clauses, degree = engine.clauses, engine.degree
+    while binaries:
+        pos = heapq.heappop(binaries)
+        clause = clauses[pos]
+        if clause is None or len(clause) != 2:
+            continue
+        first, second = clause
+        if degree[abs(second)] == 1 and degree[abs(first)] > 1:
+            removed, survivor = second, first
+        else:
+            removed, survivor = first, second
+        if degree[abs(removed)] == 1:
+            drop_binary(engine, pos, removed)
+        else:
+            engine.substitute(removed, survivor)
+        state.record_dual(survivor, removed)
+        return True
+    return False
+
+
+def simplify_substituting_drops(engine, state):
+    """`branching._simplify` with each drop done by `drop_by_substitute`,
+    the rewrite it stands in for, and the survivor's clause found and
+    pooled through the engine's own methods; otherwise the same loop."""
+    clauses, degree, singles, queue = engine.clauses, engine.degree, engine.singles, engine.queue
+    to_pool, binaries = [], []
+    while engine.propagate():
+        for var in singles:
+            if degree[var] == 1:
+                pos = engine.position_of(var)
+                if branching._pool_pair(clauses[pos], degree, state.sat):
+                    heapq.heappush(to_pool, pos)
+        singles.clear()
+        while to_pool and branching._pool_first(engine, state, to_pool):
+            if queue:
+                break
+        else:
+            for pos in engine.changed:
+                if len(clauses[pos] or ()) == 2:
+                    heapq.heappush(binaries, pos)
+            engine.changed.clear()
+            while binaries:
+                pos = heapq.heappop(binaries)
+                clause = clauses[pos]
+                if clause is None or len(clause) != 2:
+                    continue
+                first, second = clause
+                if degree[abs(second)] == 1 and degree[abs(first)] > 1:
+                    removed, survivor = second, first
+                else:
+                    removed, survivor = first, second
+                if degree[abs(removed)] != 1:
+                    engine.substitute(removed, survivor)
+                    state.record_dual(survivor, removed)
+                    break
+                drop_by_substitute(engine, pos, removed)
+                state.record_dual(survivor, removed)
+                var = abs(survivor)
+                left = degree[var]
+                if not left:
+                    break
+                singles.clear()  # the survivor alone, if anything
+                if left == 1:
+                    pos = engine.position_of(var)
+                    pair = branching._pool_pair(clauses[pos], degree, state.sat)
+                    if pair:
+                        state.record_sing(*pair)
+                        engine.remove_literal(pos, pair[1])
+                        if queue:
+                            break
+                        if len(clauses[pos]) == 2:
+                            heapq.heappush(binaries, pos)
+            else:
+                return True
+    return False

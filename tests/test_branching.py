@@ -1,5 +1,4 @@
 import collections
-import heapq
 import inspect
 import itertools
 import random
@@ -25,16 +24,21 @@ from xham import (
 )
 from xham.propagation import Propagator, components
 
+import conftest
 from conftest import (
     chain,
     clause_count,
     count_builds,
+    drop_by_substitute,
     engine_state,
     expand_state,
     formula,
     general_table,
     pool_pair_reference,
+    record_by_table,
     repeated_variable_corpus,
+    simplify_pushing_every_change,
+    simplify_substituting_drops,
     slot_options,
     universe,
     validate,
@@ -81,53 +85,6 @@ class TestSimplifyState:
         assert engine.unsat
 
 
-def simplify_pushing_every_change(engine, state):
-    """`_simplify` that also pushes every position in `changed` on
-    `to_pool`, so it checks for pooling every clause a step shrank or
-    rewrote, a pooled clause included: the reference for feeding
-    `to_pool` from `singles` alone."""
-    clauses, degree = engine.clauses, engine.degree
-    to_pool, binaries = [], []
-    while engine.propagate():
-        for pos in engine.changed:
-            heapq.heappush(to_pool, pos)
-            if clauses[pos] is not None and len(clauses[pos]) == 2:
-                heapq.heappush(binaries, pos)
-        for var in engine.singles:
-            if degree[var] == 1:
-                heapq.heappush(to_pool, engine.position_of(var))
-        engine.changed.clear()
-        engine.singles.clear()
-        if branching._pool_first(engine, state, to_pool):
-            continue
-        if not eliminate_first_binary(engine, state, binaries):
-            return True
-    return False
-
-
-def eliminate_first_binary(engine, state, binaries):
-    """Dual-substitute away the first binary clause on the heap, one step
-    per round of the reference; False if there is none."""
-    clauses, degree = engine.clauses, engine.degree
-    while binaries:
-        pos = heapq.heappop(binaries)
-        clause = clauses[pos]
-        if clause is None or len(clause) != 2:
-            continue
-        first, second = clause
-        if degree[abs(second)] == 1 and degree[abs(first)] > 1:
-            removed, survivor = second, first
-        else:
-            removed, survivor = first, second
-        if degree[abs(removed)] == 1:
-            engine.drop_binary(pos, removed)
-        else:
-            engine.substitute(removed, survivor)
-        state.record_dual(survivor, removed)
-        return True
-    return False
-
-
 def caterpillar(n: int, length: int, seed: int) -> Formula:
     """`chain(n, length, seed)` with a pendant binary clause on every spine
     variable, to a fresh variable, at a random place among the clauses.
@@ -160,8 +117,12 @@ def test_simplify_links_as_a_reference_that_pools_from_every_change(monkeypatch)
     pooling its survivor's clause on the spot, records the same pool and
     dual links, in the same order, as a reference that also pushes every
     changed position and takes one pool or one elimination per round, and
-    searches the same tree. Counts check that the pools on the spot run at
-    the root and at q's children, under a mark."""
+    searches the same tree. The reference builds every removed variable's
+    table with `_table` (`record_by_table`); after every simplification,
+    at the root and at each child, the state's tables and the engine's
+    clauses and degrees are the reference's. Counts check that the pools
+    on the spot, the `record_sing` calls made outside `_pool_first`, run
+    at the root and at q's children, under a mark."""
     monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)
     instances = [planted_formula(n, 3, 2, seed) for n in (12, 15, 18) for seed in range(3)]
     instances += [planted_formula(n, 4, 2, seed) for n in (12, 16) for seed in range(3)]
@@ -171,13 +132,18 @@ def test_simplify_links_as_a_reference_that_pools_from_every_change(monkeypatch)
     instances += [chain(n, k, seed) for k, n in ((4, 2002), (5, 2001)) for seed in range(2)]
     instances += [with_pendants(chain(n, k, seed), seed) for k, n in ((2, 40), (3, 41), (4, 40), (5, 41)) for seed in range(4)]
     instances += [with_pendants(planted_formula(n, k, 2, seed), seed) for n, k in ((15, 3), (18, 3), (16, 4)) for seed in range(4)]
-    links = []
-    sing, dual = GeneralizedAssignment.record_sing, GeneralizedAssignment.record_dual
-    monkeypatch.setattr(GeneralizedAssignment, "record_sing", lambda s, *a: links.append(("sing", a)) or sing(s, *a))
-    monkeypatch.setattr(GeneralizedAssignment, "record_dual", lambda s, *a: links.append(("dual", a)) or dual(s, *a))
-    # A pool that removes a literal outside `_pool_first` is one on the spot.
-    on_the_spot, pooling = {"root": 0, "child": 0}, []
-    pool_first, remove_literal = branching._pool_first, Propagator.remove_literal
+    links, after = [], []
+    on_the_spot, pooling, where = {"root": 0, "child": 0}, [], ["root"]
+    sing, dual, pool_first = GeneralizedAssignment.record_sing, GeneralizedAssignment.record_dual, branching._pool_first
+
+    def logging(kind, record, spot=False):
+        def logged(state, *args):
+            links.append((kind, args))
+            if spot and not pooling:
+                on_the_spot[where[0]] += 1
+            record(state, *args)
+
+        return logged
 
     def first(*args):
         pooling.append(True)
@@ -186,26 +152,34 @@ def test_simplify_links_as_a_reference_that_pools_from_every_change(monkeypatch)
         finally:
             pooling.pop()
 
-    def removing(engine, pos, lit):
-        if not pooling:
-            on_the_spot["root" if engine._writes is propagation._UNLOGGED else "child"] += 1
-        remove_literal(engine, pos, lit)
+    def recording(simplify):
+        def recorded(engine, state):
+            where[0] = "root" if engine._writes is propagation._UNLOGGED else "child"
+            ok = simplify(engine, state)
+            after.append((ok, dict(state.score), list(engine.clauses), dict(engine.degree)))
+            return ok
 
+        return recorded
+
+    monkeypatch.setattr(GeneralizedAssignment, "record_sing", logging("sing", sing, spot=True))
+    monkeypatch.setattr(GeneralizedAssignment, "record_dual", logging("dual", dual))
     monkeypatch.setattr(branching, "_pool_first", first)
-    monkeypatch.setattr(Propagator, "remove_literal", removing)
+    monkeypatch.setattr(branching, "_simplify", recording(branching._simplify))
 
     def run(f):
-        del links[:]
+        del links[:], after[:]
         counter = SearchStats()
         distance = max_hamming_q(f, counter).distance
-        return distance, counter.nodes, counter.leaves, list(links)
+        return distance, counter.nodes, counter.leaves, list(links), list(after)
 
     pooled = 0
     for f in instances:
         got = run(f)
         with monkeypatch.context() as reference:
-            reference.setattr(branching, "_simplify", simplify_pushing_every_change)
+            reference.setattr(branching, "_simplify", recording(simplify_pushing_every_change))
             reference.setattr(branching, "Propagator", logging_every_position)
+            reference.setattr(GeneralizedAssignment, "record_sing", logging("sing", record_by_table(sing)))
+            reference.setattr(GeneralizedAssignment, "record_dual", logging("dual", record_by_table(dual)))
             want = run(f)
         assert got == want, f
         pooled += sum(kind == "sing" for kind, _ in got[3])
@@ -249,14 +223,6 @@ def test_pool_pair_matches_the_list_reference_on_every_small_clause():
     assert seen["clauses"] == 37448 and min(seen.values()) > 5000, seen
 
 
-def drop_by_substitute(engine, pos, removed):
-    """The dual substitution `drop_binary` stands in for: rewrite the
-    removed literal as the complement of its clause's other literal, which
-    turns the clause into a complementary pair that drops."""
-    first, second = engine.clauses[pos]
-    engine.substitute(removed, second if first == removed else first)
-
-
 def simplified(simplify, engine, state):
     """Run a `_simplify` and return what it leaves on the engine and the state."""
     ok = simplify(engine, state)
@@ -289,27 +255,27 @@ DROP_CORPUS = (
 
 
 def test_drop_step_simplifies_as_the_substitution_it_replaces(monkeypatch):
-    """`_simplify` with `drop_binary` and with it patched back to the
-    rewrite leaves the same live clauses, degrees, forces, freed
-    variables, links and tables: on fresh engines, and under a mark at
-    every q child the branching search visits, whose engine `undo_to`
-    then gives back. q's answers, nodes and leaves are the same too."""
+    """`_simplify`, which drops a binary clause whose removed side has
+    degree one, and a copy of it that rewrites there instead
+    (`simplify_substituting_drops`) leave the same live clauses, degrees,
+    forces, freed variables, links and tables: on fresh engines, and under
+    a mark at every q child the branching search visits, whose engine
+    `undo_to` then gives back. q's answers, nodes and leaves are the same
+    too. Counts check that the drops run at the root and at the children."""
     real = branching._simplify
     drops = {"root": 0, "child": 0}
     where = "root"
-    drop = Propagator.drop_binary
 
     def counting(engine, pos, removed):
         drops[where] += 1
-        drop(engine, pos, removed)
+        drop_by_substitute(engine, pos, removed)
 
     def both_ways(engine, state):
-        outcomes = []
-        for patched in (False, True):
-            with monkeypatch.context() as patch:
-                patch.setattr(Propagator, "drop_binary", drop_by_substitute if patched else counting)
-                outcomes.append(simplified(real, engine(), state.copy()))
-        return outcomes
+        got = simplified(real, engine(), state.copy())
+        with monkeypatch.context() as patch:
+            patch.setattr(conftest, "drop_by_substitute", counting)
+            want = simplified(simplify_substituting_drops, engine(), state.copy())
+        return got, want
 
     for f in DROP_CORPUS:
         got, want = both_ways(lambda: Propagator(f), GeneralizedAssignment())
@@ -343,7 +309,7 @@ def test_drop_step_simplifies_as_the_substitution_it_replaces(monkeypatch):
 
     want = answers()
     with monkeypatch.context() as patch:
-        patch.setattr(Propagator, "drop_binary", drop_by_substitute)
+        patch.setattr(branching, "_simplify", simplify_substituting_drops)
         assert answers() == want
     monkeypatch.setattr(branching, "_simplify", checking)
     monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)

@@ -155,8 +155,9 @@ def spoil(tokens: list[str], rng: random.Random) -> None:
 def random_text(rng: random.Random) -> str:
     """An instance laid out at random: clauses spanning and sharing lines,
     clause tokens on the header line, the header itself split over lines,
-    comments, blank lines, tabs, LF or CRLF, and positive literals spelt
-    `+k`. About a third are spoiled."""
+    comments, blank lines, tabs, LF or CRLF, positive literals spelt
+    `+k`, and clause terminators spelt `-0`, `+0` or `00`, which `int`
+    reads as 0 too. About a third are spoiled."""
     n = rng.randint(1, 6)
     clauses = [
         [rng.choice([v, -v]) for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))]
@@ -164,7 +165,8 @@ def random_text(rng: random.Random) -> str:
     ]
     tokens = ["p", "xsat", str(n), str(len(clauses))]
     for clause in clauses:
-        tokens += [f"+{lit}" if lit > 0 and rng.random() < 0.2 else str(lit) for lit in clause] + ["0"]
+        tokens += [f"+{lit}" if lit > 0 and rng.random() < 0.2 else str(lit) for lit in clause]
+        tokens.append(rng.choice(["-0", "+0", "00"]) if rng.random() < 0.2 else "0")
     if rng.random() < 0.35:
         spoil(tokens, rng)
     lines, line = [], []
@@ -204,6 +206,7 @@ MALFORMED = [
     "p xsat 2 1\n1 -3 0\n",
     "p xsat 2 1\n1 2\n",
     "p xsat 2 1\n1 2 0\nc trailing\n-1",
+    "p xsat 2 2\n1 2 -0\n-1\n",
     "p xsat 2 2\n1 2 0\n",
     "p xsat 2 1\n1 0\n2 0\n",
     "p xsat 2 1\n",

@@ -655,51 +655,54 @@ def test_remove_literal_matches_a_reference_that_queues_the_clause(clauses, remo
 
 
 @pytest.mark.parametrize(
-    "clauses, removed, survivor, left, singles, freed",
+    "clauses, sat, removed, survivor, left, freed",
     [
-        (((1, 2), (2, 3, 4), (-2, 5, 6)), 1, 2, 2, [], []),  # the survivor keeps two occurrences
-        (((1, -2), (2, 3, 4), (5, 6, 7)), 1, 2, 1, [2], []),  # it falls to degree one
-        (((3, -1), (4, 5, 6)), -1, 3, 0, [], [3]),  # it vanishes, so it is freed
+        (((1, 2), (2, 3, 4), (-2, 3, 4)), {}, 1, 2, 2, []),  # the survivor keeps two occurrences
+        (((1, -2), (2, 3, 4), (-3, -4, 5), (-5, 3, 4)), {}, 1, -2, 1, []),  # it falls to degree one
+        # Both sides head pools, so the clause cannot pool; the survivor vanishes and is freed.
+        (((-1, 3), (4, 5, 6), (-4, -5, -6)), {1: False, 3: True}, -1, 3, 0, [3]),
     ],
 )
-def test_drop_binary_retires_a_degree_one_side_in_one_write(clauses, removed, survivor, left, singles, freed):
-    """The clause drops, the removed variable's degree goes to 0 without
+def test_drop_binary_retires_a_degree_one_side_in_one_write(clauses, sat, removed, survivor, left, freed):
+    """`_simplify` drops the binary clause at position 0, whose removed side
+    has degree one: the removed variable's degree goes to 0 without
     freeing it, the survivor loses one occurrence with the bookkeeping of
-    a settle, and the write log holds the one clause; `undo_to` gives the
-    engine at the mark back."""
+    a settle, the removed side hangs below the survivor, and the write log
+    holds the one clause; `undo_to` gives the engine at the mark back."""
     engine = Propagator(formula(*clauses))
     assert engine.propagate()
-    engine.changed.clear(), engine.singles.clear()
-    before = engine_state(engine)
-    mark = engine.mark()
-    engine.drop_binary(0, removed)
+    before, mark = engine_state(engine), engine.mark()
+    state = GeneralizedAssignment(sat=dict(sat))
+    assert branching._simplify(engine, state)
     assert engine.clauses == [None, *clauses[1:]]
-    assert engine.degree[abs(removed)] == 0 and engine.degree[survivor] == left
-    assert engine.singles == singles and not engine.changed and not engine.queue
+    assert engine.degree[abs(removed)] == 0 and engine.degree[abs(survivor)] == left
     assert engine._writes == [(0, clauses[0])] and engine._occs == []
-    assert engine.propagate() and engine.freed == freed and not engine.forced
+    assert engine.freed == freed and not engine.forced
+    assert not engine.singles and not engine.changed and not engine.queue
+    flip, anchor = (removed > 0) == (survivor > 0), abs(survivor) in sat
+    assert state.dual == {abs(survivor): [(abs(removed), flip, anchor)]}
     engine.undo_to(mark)
     assert engine_state(engine) == before
 
 
 def test_drop_binary_below_q_root_undoes_to_every_mark():
-    """Before the first mark the drop logs nothing, as the root's
+    """Before the first mark `_simplify`'s drop logs nothing, as the root's
     simplification does; under a q child's mark, after a force left a
-    binary clause with a degree-one side, it logs one write, and undoing
-    to the child's mark and then to the one above it gives each back."""
-    f = formula((1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8))
-    engine = Propagator(f)
-    engine.drop_binary(3, 8)
-    assert engine.clauses[3] is None and len(engine._writes) == 0
-    assert engine.propagate() and engine.freed == []
+    binary clause with a degree-one side, the child's simplification drops
+    it with one logged write, and undoing to the child's mark and then to
+    the one above it gives each back."""
+    f = formula((1, -6, -2, -4), (-4, -5, -6, -2), (1, -5, -2, -4), (3, 1, -5), (-3, 7))
+    engine, state = Propagator(f), GeneralizedAssignment()
+    assert branching._simplify(engine, state)
+    assert engine.clauses[4] is None and len(engine._writes) == 0
+    assert state.dual == {3: [(7, False, False)]} and engine.degree[3] == 1
     root, root_mark = engine_state(engine), engine.mark()
     engine.force(1, False)
-    assert engine.propagate() and engine.clauses[0] == (2, 3) and engine.degree[2] == 1
-    engine.changed.clear(), engine.singles.clear()
+    assert engine.propagate() and engine.clauses[3] == (3, -5) and engine.degree[5] == 3
     child, child_mark = engine_state(engine), engine.mark()
-    engine.drop_binary(0, 2)
-    assert engine._writes[child_mark[0] :] == [(0, (2, 3))]
-    assert engine.degree[2] == 0 and engine.degree[3] == 1 and engine.singles == [3]
+    assert branching._simplify(engine, state)
+    assert engine._writes[child_mark[0] :] == [(3, (3, -5))]
+    assert engine.degree[3] == 0 and engine.degree[5] == 2 and state.dual[5] == [(3, False, False)]
     engine.undo_to(child_mark)
     assert engine_state(engine) == child
     engine.undo_to(root_mark)
