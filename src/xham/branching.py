@@ -79,34 +79,37 @@ from .propagation import assign  # noqa: F401  q never calls it; xbench's tracer
 
 @dataclass
 class GeneralizedAssignment:
-    """Partial assignment plus the link forest for removed variables.
+    """The link forest for removed variables, over the search's engine.
 
-    values: slot values of settled variables (for a pool representative
-      the slot says "some pool literal is the satisfactor"). free: roots
-      whose clauses vanished with both slot values open. sing maps a
-      representative to (member, polarity) pairs: singleton peers pooled
-      into its clause slot, each remembered with the value that makes its
-      own literal the satisfactor. sat holds the same polarity for the
-      representative itself. dual maps a variable to
-      (child, flip, slot_anchor) triples: the child was rewritten away
-      against this variable and mirrors it (inverted when flip is set),
-      following the slot value when slot_anchor is set and the concrete
-      value otherwise. flips holds the pivots of flip steps: a pivot
-      removed by ("dual", p, lit) must read different slots in the two
-      models, since the true and false children hold the pairs in which
-      it stays, so its table's stay entries read NEG. score caches a
-      linked variable's subtree table (see `table`).
+    The roots of the forest live on q's one engine, not here: its forced
+    map holds the slot values of settled variables (for a pool
+    representative the slot says "some pool literal is the
+    satisfactor"), and its freed list the roots whose clauses vanished
+    with both slot values open; every other root is still live. The
+    engine's map and list, over the path from the root, together with
+    this state are the paper's generalized assignment.
+
+    sing maps a representative to (member, polarity) pairs: singleton
+    peers pooled into its clause slot, each remembered with the value
+    that makes its own literal the satisfactor. sat holds the same
+    polarity for the representative itself. dual maps a variable to
+    (child, flip, slot_anchor) triples: the child was rewritten away
+    against this variable and mirrors it (inverted when flip is set),
+    following the slot value when slot_anchor is set and the concrete
+    value otherwise. flips holds the pivots of flip steps: a pivot
+    removed by ("dual", p, lit) must read different slots in the two
+    models, since the true and false children hold the pairs in which
+    it stays, so its table's stay entries read NEG. score caches a
+    linked variable's subtree table (see `table`).
 
     Every removed variable sits in exactly one sing or dual set and the
-    links form a forest rooted at valued, free, or still-live variables.
+    links form a forest rooted at forced, freed, or still-live variables.
     Links are final once a variable leaves the formula, so `record_sing`
     and `record_dual` fill the table of the variable they remove, from
     its children's, and drop the cached table of the variable that gains
     the link; that one is built again on its next read.
     """
 
-    values: dict[int, bool] = field(default_factory=dict)
-    free: list[int] = field(default_factory=list)
     sing: dict[int, list[tuple[int, bool]]] = field(default_factory=dict)
     dual: dict[int, list[tuple[int, bool, bool]]] = field(default_factory=dict)
     sat: dict[int, bool] = field(default_factory=dict)
@@ -116,12 +119,7 @@ class GeneralizedAssignment:
     def copy(self) -> "GeneralizedAssignment":
         sing = {v: list(ms) for v, ms in self.sing.items()}
         dual = {v: list(cs) for v, cs in self.dual.items()}
-        return GeneralizedAssignment(
-            dict(self.values), list(self.free), sing, dual, dict(self.sat), dict(self.score), set(self.flips)
-        )
-
-    def root_vars(self) -> set[int]:
-        return set(self.values) | set(self.free)
+        return GeneralizedAssignment(sing, dual, dict(self.sat), dict(self.score), set(self.flips))
 
     def record_sing(self, rep_lit: int, victim_lit: int) -> None:
         """Pool a singleton peer into a representative's clause slot.
@@ -191,17 +189,6 @@ class GeneralizedAssignment:
                 return _UNLINKED
             table = self.score[var] = _table(self, var)
         return table
-
-    def absorb(self, forced, freed) -> None:
-        """Fold in (variable, value) pairs an engine forced and variables it freed."""
-        for var, value in forced:
-            if self.values.setdefault(var, value) != value:
-                raise ValueError(f"variable {var} forced to both values")
-        if freed:
-            known_free = set(self.free)
-            for var in freed:
-                if var not in known_free and var not in self.values:
-                    self.free.append(var)
 
 
 _UNLINKED = (0, 1, 1, 0)
@@ -311,33 +298,33 @@ def _table(state: GeneralizedAssignment, var: int) -> tuple[int, int, int, int]:
     )
 
 
-def gen_h(state: GeneralizedAssignment, roots=None) -> int:
-    """Exact maximum pairwise Hamming distance represented by a state.
+def gen_h(state: GeneralizedAssignment, forced, freed) -> int:
+    """Exact maximum pairwise Hamming distance over the trees of some roots.
 
-    Roots are independent, so the total is the sum of per-tree maxima; a
-    fixed root still contributes through satisfactor choices inside its
-    pool and their ripples along dual chains, and a free root may read
-    its slot differently in the two models. Both models are scored
-    jointly, which stays exact when a chain hangs off a pool participant
-    whose concrete value disagrees with its slot.
+    The roots are the (variable, value) pairs of `forced`, settled
+    variables, and the variables of `freed`, free ones, as the search's
+    engine holds them. Roots are independent, so the total is the sum of
+    per-tree maxima; a forced root still contributes through satisfactor
+    choices inside its pool and their ripples along dual chains, and a
+    free root may read its slot differently in the two models. Both
+    models are scored jointly, which stays exact when a chain hangs off a
+    pool participant whose concrete value disagrees with its slot.
 
     Links are final once a variable leaves the formula, so every child
     has its score table and a root reads its own table (`table`): a
-    valued root the entry (value, value), a free root its largest. A link
+    forced root the entry (value, value), a free root its largest. A link
     not recorded through `record_sing`/`record_dual` raises ValueError.
 
     The tables honour `flips`: the result is the maximum over the pairs
     in which every variable there reads different slots, and negative
     when no such pair exists.
     """
-    if roots is None:
-        roots = sorted(state.root_vars())
+    table = state.table
     total = 0
-    for var in roots:
-        table = state.table(var)
-        value = state.values.get(var)
-        # A free root may read its slot either way in the two models.
-        total += max(table) if value is None else table[3 * value]
+    for var, value in forced:
+        total += table(var)[3 * value]
+    for var in freed:
+        total += max(table(var))
     return total
 
 
@@ -345,12 +332,12 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     """Simplify in place on a propagation engine; False when a conflict shows.
 
     The engine may carry a q child's branch steps. The state records the
-    pools and dual links; the caller folds in what the engine forced and
-    freed. Each round propagates to a fixpoint, then pools in the first
-    clause, by position, that holds at least two singletons one of which
-    heads no pool yet, and again while a clause can pool; only when none
-    can does it eliminate the first binary clause by dual substitution, in
-    place on the engine. A pool queues its clause only when it leaves
+    pools and dual links; what the engine forced and freed stays on the
+    engine, where the caller reads it. Each round propagates to a
+    fixpoint, then pools in the first clause, by position, that holds at
+    least two singletons one of which heads no pool yet, and again while
+    a clause can pool; only when none can does it eliminate the first
+    binary clause by dual substitution, in place on the engine. A pool queues its clause only when it leaves
     fewer than two literals, and only then does the next pool wait for a
     round: after any other a round would find the engine idle and make
     the same choice. When the removed side has degree one, as on every
@@ -517,9 +504,11 @@ def max_hamming_q(
     """Exact max Hamming distance over x-models, by branch and bound.
 
     Returns the distance only (no witnesses). `counter` collects
-    recursion-tree statistics. `leaf_hook(state, trail)`, if given, is
-    invoked whenever the formula of a visited node runs empty, with the
-    accumulated state and the branch decisions that led there — an
+    recursion-tree statistics. `leaf_hook(state, forced, freed, trail)`,
+    if given, is invoked whenever the formula of a visited node runs
+    empty, with the accumulated state, copies of the engine's forced map
+    and freed list (the roots of the state's link forest, over the whole
+    path from the root) and the branch decisions that led there — an
     observation point for verification. Subtrees the bound prunes are
     not visited, so the hook sees only the leaves the search reaches; a
     connected part valued from its x-models (`_evaluate`) is not
@@ -590,21 +579,17 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
     counter.nodes += 1
     if not _simplify(engine, state):
         return BOTTOM
-    # The forced map keeps the order of its forces, as undo removes the latest.
-    forced, freed = dict(islice(engine.forced.items(), forced_at, None)), engine.freed[freed_at:]
-    state.absorb(forced.items(), freed)
-    retired = forced.keys() | freed  # the node's new roots
-
     base = 0
-    if retired:
+    if len(engine.forced) > forced_at or len(engine.freed) > freed_at:  # the node retired roots
         counter.leaves += 1
-        base = gen_h(state, roots=retired)
+        # The forced map keeps the order of its forces, as undo removes the latest.
+        base = gen_h(state, islice(engine.forced.items(), forced_at, None), engine.freed[freed_at:])
 
     clauses = engine.clauses
     live = [pos for pos in positions if clauses[pos] is not None]
     if not live:
         if leaf_hook is not None:
-            leaf_hook(state, trail)
+            leaf_hook(state, dict(engine.forced), list(engine.freed), trail)
         return base
 
     parts = components(engine, live)

@@ -77,9 +77,8 @@ class SearchStats:
     of branching adds neither. p counts subsets checked, the allowed
     subsets with no sign contradiction that it lists over the rows that
     probing leaves in each connected component, up to that component's
-    answer, summed over the components, and solver calls: the base check plus
-    one per listed subset that passes its clause check. Probes are not
-    solver calls."""
+    answer, summed over the components, and solver calls: the base check
+    plus one per listed subset. Probes are not solver calls."""
 
     nodes: int = 0
     leaves: int = 0

@@ -92,7 +92,7 @@ and a question marks, forces or undoes nothing on the engine, which is
 left as the base check found it. No formula is built, at the root or per
 subset, and the witnesses are the solver's models.
 
-The checks before a call. Most of these questions contradict themselves.
+The check before a call. Most of these questions contradict themselves.
 A variable outside X that is positive in one touched clause and negative
 in another is assumed both ways. So each listing state carries P and N,
 the bits of the positive and of the negative literals of the rows it
@@ -103,15 +103,10 @@ its assumptions make false and N & ~X those they make true, and the
 assumptions are read off these bits, variable by variable. The solver
 makes them all true, on the probe's values, before it propagates, and
 unit propagation reaches one fixpoint, or a conflict, in any order, so
-their order changes no answer and no model. A row with two
-literals made true, or with all of them made false, refutes X, and it is
-dropped without a call. The check runs over every row, but only an
-untouched one can fail it: a touched row's literals outside X are all
-made false, none true, since P & N & ~X is zero, and its two literals
-over X are not assumed, so it has neither two literals made true nor all
-made false. Either check spots only what the solver's first propagation
-refutes, so neither changes a verdict: the solver sees the same
-questions in the same order, less the ones it would refute at once.
+their order changes no answer and no model. Every listed X is asked. Its
+assumptions may still make some row two-true or all-false; the solver's
+first propagation refutes such a question at once, so the sign check is
+the only one before a call, and p makes one call per listed subset.
 """
 
 from __future__ import annotations
@@ -258,10 +253,9 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     unsettled the nonempty allowed subsets with no sign contradiction are
     listed, largest size first, each asked about as it comes (see the
     module docstring for their order, for the literals the solver assumes
-    with each, for the clause check that drops a subset without a call
-    and for the probe). In each component the first subset the solver
-    accepts, searching that component alone, is its answer; with none,
-    the component adds nothing. The distance is the sum of the answers'
+    with each and for the probe). In each component the first subset the
+    solver accepts, searching that component alone, is its answer; with
+    none, the component adds nothing. The distance is the sum of the answers'
     sizes plus one per variable that propagation freed.
 
     The first witness is the base model, the solver's model before any
@@ -274,8 +268,9 @@ def max_hamming_p(formula: Formula, stats: SearchStats | None = None) -> Hamming
     up to the component's answer, that one included (all of them when
     none answers), those with a sign contradiction left out;
     `stats.solver_calls` counts the base check, once however many
-    components it searches, plus one call per listed subset that passes
-    the clause check. Probes are not solver calls.
+    components it searches, plus one call per listed subset, so it is
+    `1 + stats.subsets_checked` on a formula with an x-model and 1 on
+    one without. Probes are not solver calls.
     """
     if stats is None:
         stats = SearchStats()
@@ -308,17 +303,16 @@ def _scan_component(part: Part, model, stats: SearchStats):
     `solver.probe` asserts the component's backbone literals it finds.
     One pass then builds a row per clause with no true literal: the mask
     of its unassigned literals (bit i - 1 for local variable i) and the
-    bits of the positive and of the negative ones; a clause with a true
-    literal has every other literal false and drops. The listing drops
-    sign contradictions and yields each subset X with its P and N; a row
-    that those make two-true or all-false drops it, and otherwise the
-    solver searches the component from a copy of the probe's value list
-    and trail, assuming the literals read off P & ~X (made false) and
-    N & ~X (made true).
+    bits of the negative ones; a clause with a true literal has every
+    other literal false and drops. The listing drops sign contradictions
+    and yields each subset X with its P and N, and the solver searches the
+    component for every one, one call each, from a copy of the probe's
+    value list and trail, assuming the literals read off P & ~X (made
+    false) and N & ~X (made true).
     """
     probed = probe(part, model)
     value = probed[0]
-    rows = []
+    masks, negatives = [], []
     for clause in part.clauses:
         positive = negative = 0
         for lit in clause:
@@ -331,18 +325,13 @@ def _scan_component(part: Part, model, stats: SearchStats):
             elif known:
                 break  # settled: its other literals are false
         else:
-            rows.append((positive | negative, positive, negative))
+            masks.append(positive | negative)
+            negatives.append(negative)
 
-    for bitset, positive, negative in allowed_subsets([row[0] for row in rows], [row[2] for row in rows]):
+    for bitset, positive, negative in allowed_subsets(masks, negatives):
         stats.subsets_checked += 1
-        false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
-        if any(
-            ((positive_bits & true) | (negative_bits & false)).bit_count() > 1  # two literals made true
-            or (positive_bits & false) | (negative_bits & true) == mask  # every literal made false
-            for mask, positive_bits, negative_bits in rows
-        ):
-            continue  # the solver's first propagation would refute it
         stats.solver_calls += 1
+        false, true = positive & ~bitset, negative & ~bitset  # the variables the assumptions make false, true
         assumptions = [-1 - place for place in _places(false)] + [1 + place for place in _places(true)]
         answer = search(part, assumptions, probed)
         if answer is not None:

@@ -531,14 +531,15 @@ def nth_root(value: float, degree: int) -> float:
     return value ** (1.0 / degree)
 
 
-def validate(state: GeneralizedAssignment, require_rooted: bool = False) -> None:
-    """Check a state's link forest; raise ValueError on ill-formed links.
+def validate(state: GeneralizedAssignment, forced, freed, require_rooted: bool = False) -> None:
+    """Check a state's link forest over its roots, the variables of the
+    forced map and the freed list; raise ValueError on ill-formed links.
 
     q never calls this: `gen_h` trusts the links `record_sing` and
     `record_dual` record, and the tests check the leaves it scores.
     """
     parent: dict[int, int] = {}
-    rooted = state.root_vars()
+    rooted = set(forced) | set(freed)
     for var, members in state.sing.items():
         if members and var not in state.sat:
             raise ValueError(f"pool head {var} lacks a slot polarity")
@@ -566,34 +567,36 @@ def validate(state: GeneralizedAssignment, require_rooted: bool = False) -> None
         reaches_root |= seen
 
 
-def universe(state: GeneralizedAssignment) -> set[int]:
-    """All variables a state speaks for."""
-    out = state.root_vars() | set(state.sing) | set(state.dual)
+def universe(state: GeneralizedAssignment, forced, freed) -> set[int]:
+    """All variables a state speaks for, with the roots of its forced map and freed list."""
+    out = set(forced) | set(freed) | set(state.sing) | set(state.dual)
     out.update(m for members in state.sing.values() for m, _ in members)
     out.update(c for children in state.dual.values() for c, _, _ in children)
     return out
 
 
-def expand_state(state: GeneralizedAssignment) -> list[Assignment]:
-    """Every concrete assignment a leaf state represents.
+def expand_state(state: GeneralizedAssignment, forced, freed) -> list[Assignment]:
+    """Every concrete assignment a leaf state represents over its roots:
+    the forced map's variables with their slot values and the freed
+    list's variables, as q's leaf hook hands them over.
 
-    Fixed values are taken verbatim; a satisfactor group contributes one
+    Forced values are taken verbatim; a satisfactor group contributes one
     assignment per choice of satisfying participant; dual links follow
-    their parent's concrete value; free roots take both values. Output is
+    their parent's concrete value; freed roots take both values. Output is
     sorted for determinism.
     """
-    validate(state, require_rooted=True)
+    validate(state, forced, freed, require_rooted=True)
     options: list[list[Assignment]] = []
-    for var in sorted(state.values):
-        options.append(_expand_tree(state, var, state.values[var]))
-    for var in sorted(state.free):
+    for var in sorted(forced):
+        options.append(_expand_tree(state, var, forced[var]))
+    for var in sorted(freed):
         both = _expand_tree(state, var, False) + _expand_tree(state, var, True)
         options.append(both)
 
     assignments: list[Assignment] = [{}]
     for candidates in options:
         assignments = [{**base, **extra} for base in assignments for extra in candidates]
-    keys = sorted(universe(state))
+    keys = sorted(universe(state, forced, freed))
     assignments.sort(key=lambda m: tuple(m[k] for k in keys))
     return assignments
 

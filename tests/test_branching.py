@@ -52,14 +52,13 @@ class TestSimplifyState:
     def test_all_singleton_clause_pools_and_forces(self):
         engine, state = Propagator(formula((1, 2, 3))), GeneralizedAssignment()
         assert branching._simplify(engine, state)
-        state.absorb(engine.forced.items(), engine.freed)
         assert all(clause is None for clause in engine.clauses)
         # peers pool under one slot (nested), the surviving unit is forced
         # true with its satisfactor polarity recorded
-        [(root, value)] = state.values.items()
-        assert value is True and state.sat[root] is True
-        assert universe(state) == {1, 2, 3}
-        got = {tuple(sorted(m.items())) for m in expand_state(state)}
+        [(root, value)] = engine.forced.items()
+        assert value is True and state.sat[root] is True and not engine.freed
+        assert universe(state, engine.forced, engine.freed) == {1, 2, 3}
+        got = {tuple(sorted(m.items())) for m in expand_state(state, engine.forced, engine.freed)}
         want = {
             ((1, True), (2, False), (3, False)),
             ((1, False), (2, True), (3, False)),
@@ -323,66 +322,64 @@ def leaf_state(**kw):
 
 class TestValidate:
     def test_pool_head_without_slot_polarity(self):
-        state = leaf_state(values={1: True}, sing={1: [(2, True)]})
+        state = leaf_state(sing={1: [(2, True)]})
         with pytest.raises(ValueError, match="pool head 1 lacks a slot polarity"):
-            validate(state)
+            validate(state, {1: True}, [])
 
     def test_variable_linked_from_two_sets(self):
-        state = leaf_state(values={1: True, 3: False}, dual={1: [(2, True, False)], 3: [(2, False, False)]})
+        state = leaf_state(dual={1: [(2, True, False)], 3: [(2, False, False)]})
         with pytest.raises(ValueError, match="variable 2 linked from two sets"):
-            validate(state)
+            validate(state, {1: True, 3: False}, [])
 
     def test_linked_variable_with_a_value(self):
-        state = leaf_state(values={1: True, 2: False}, dual={1: [(2, True, False)]})
+        state = leaf_state(dual={1: [(2, True, False)]})
         with pytest.raises(ValueError, match="linked variable 2 also carries a value"):
-            validate(state)
+            validate(state, {1: True, 2: False}, [])
 
     def test_link_cycle(self):
         state = leaf_state(dual={1: [(2, True, False)], 2: [(3, True, False)], 3: [(1, True, False)]})
         with pytest.raises(ValueError, match="link cycle through variable"):
-            validate(state)
+            validate(state, {}, [])
 
     def test_unrooted_tree_only_when_rooting_is_required(self):
         state = leaf_state(dual={1: [(2, True, False)]})
-        validate(state)
+        validate(state, {}, [])
         with pytest.raises(ValueError, match="link tree root 1 has no value and is not free"):
-            validate(state, require_rooted=True)
+            validate(state, {}, [], require_rooted=True)
 
     def test_long_chain_is_rooted(self):
         n = 5000
-        state = leaf_state(values={1: True}, dual={v: [(v + 1, True, False)] for v in range(1, n)})
-        validate(state, require_rooted=True)
+        state = leaf_state(dual={v: [(v + 1, True, False)] for v in range(1, n)})
+        validate(state, {1: True}, [], require_rooted=True)
         state.dual[n] = [(1, True, False)]
-        del state.values[1]
         with pytest.raises(ValueError, match="link cycle"):
-            validate(state)
+            validate(state, {}, [])
 
 
 class TestGenH:
     def test_satisfactor_pool(self):
         # A free head scores 2 only when both models read its slot active.
-        for root in ({"values": {1: True}}, {"free": [1]}):
-            state = leaf_state(**root)
+        for forced, freed in (({1: True}, []), ({}, [1])):
+            state = leaf_state()
             state.record_sing(1, 2)
             state.record_sing(1, 3)
             assert (state.sing, state.sat) == ({1: [(2, True), (3, True)]}, {1: True})
-            assert gen_h(state) == 2
+            assert gen_h(state, forced.items(), freed) == 2
 
     def test_all_fixed_no_links(self):
-        state = leaf_state(values={1: True, 2: False})
-        assert gen_h(state) == 0
+        assert gen_h(leaf_state(), {1: True, 2: False}.items(), []) == 0
 
     def test_free_root_with_dual_chain(self):
-        state = leaf_state(free=[2])
+        state = leaf_state()
         state.record_dual(2, 1)
         assert state.dual == {2: [(1, True, False)]}
-        assert gen_h(state) == 2
+        assert gen_h(state, (), [2]) == 2
 
     def test_hand_built_links_have_no_score(self):
         """gen_h scores links recorded through record_sing/record_dual only."""
-        state = leaf_state(free=[2], dual={2: [(1, True, False)]})
+        state = leaf_state(dual={2: [(1, True, False)]})
         with pytest.raises(ValueError, match="linked variable 1 has no score"):
-            gen_h(state)
+            gen_h(state, (), [2])
 
     def test_matches_brute_maximum_over_expansions(self, monkeypatch):
         """Binding contract: gen_h equals the pairwise max over expand_state,
@@ -401,22 +398,22 @@ class TestGenH:
         seen = {"plain": 0, "flips": 0, "none": 0}
         for f in instances:
             leaves = []
-            max_hamming_q(f, leaf_hook=lambda s, t: leaves.append(s.copy()))
-            for state in leaves[:4]:
+            max_hamming_q(f, leaf_hook=lambda s, forced, freed, t: leaves.append((s.copy(), forced, freed)))
+            for state, forced, freed in leaves[:4]:
                 try:
-                    expansions = expand_state(state)
+                    expansions = expand_state(state, forced, freed)
                 except ValueError:
                     continue
-                keys = sorted(universe(state))
+                keys = sorted(universe(state, forced, freed))
                 best = None if state.flips else 0
                 for a, b in itertools.combinations(expansions, 2):
                     if all(slot_reading(state, a, v) != slot_reading(state, b, v) for v in state.flips):
                         distance = sum(1 for v in keys if a[v] != b[v])
                         best = distance if best is None else max(best, distance)
                 if best is None:
-                    assert gen_h(state) < 0
+                    assert gen_h(state, forced.items(), freed) < 0
                 else:
-                    assert gen_h(state) == best
+                    assert gen_h(state, forced.items(), freed) == best
                 seen["none" if best is None else "flips" if state.flips else "plain"] += 1
         assert seen["plain"] > 50 and seen["flips"] > 20 and seen["none"] > 20, seen
 
@@ -559,7 +556,7 @@ class TestScoreTables:
         instances += [chain(n, k, seed) for n, k in ((21, 2), (21, 3), (22, 4)) for seed in range(4)]
         checked = {"pool": 0, "dual": 0, "plain": 0, "no pair": 0}
 
-        def check(state, trail):
+        def check(state, forced, freed, trail):
             for var, table in state.score.items():
                 reference = reference_table(state, var)
                 assert all(want is None and got < 0 or got == want for got, want in zip(table, reference)), var
@@ -622,7 +619,7 @@ class TestMaxHammingQ:
         monkeypatch.setattr(branching, "SMALL_PART_CAP", 0)  # the branching path alone
         f = planted_formula(8, 4, 2, 0)
         trails = []
-        max_hamming_q(f, leaf_hook=lambda s, t: trails.append(t))
+        max_hamming_q(f, leaf_hook=lambda s, forced, freed, t: trails.append(t))
         splits = [
             t[:2]
             for t in trails
@@ -834,9 +831,8 @@ class TestBound:
         engine, state = Propagator(f), GeneralizedAssignment()
         if not branching._simplify(engine, state):
             return None
-        state.absorb(engine.forced.items(), engine.freed)
         live = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
-        return gen_h(state) + sum(branching._bound(engine, part, state) for part in components(engine, live))
+        return gen_h(state, engine.forced.items(), engine.freed) + sum(branching._bound(engine, part, state) for part in components(engine, live))
 
     def test_root_bound_is_never_below_the_answer(self):
         shapes = [(15, 3, 2), (18, 3, 2), (16, 4, 2), (20, 4, 2), (15, 5, 2), (20, 5, 2), (16, 4, 3), (20, 4, 3)]
@@ -1167,16 +1163,16 @@ class TestInvariants:
         instances += repeated_variable_corpus(60, 9400)
         for f in instances:
             leaves = []
-            max_hamming_q(f, leaf_hook=lambda s, t: leaves.append(s.copy()))
-            for state in leaves:
-                validate(state)
+            max_hamming_q(f, leaf_hook=lambda s, forced, freed, t: leaves.append((s.copy(), forced, freed)))
+            for state, forced, freed in leaves:
+                validate(state, forced, freed)
 
     def test_simplification_only_instances_expand_to_all_models(self):
         """When no branching happens, the single leaf represents Var(F) exactly."""
         f = formula((1, 2, 3, 4))
         leaves = []
-        max_hamming_q(f, leaf_hook=lambda s, t: leaves.append((s.copy(), t)))
-        assert len(leaves) == 1 and leaves[0][1] == ()
-        got = {tuple(sorted(m.items())) for m in expand_state(leaves[0][0])}
+        max_hamming_q(f, leaf_hook=lambda s, forced, freed, t: leaves.append((s.copy(), forced, freed, t)))
+        assert len(leaves) == 1 and leaves[0][3] == ()
+        got = {tuple(sorted(m.items())) for m in expand_state(*leaves[0][:3])}
         want = {tuple(sorted(m.items())) for m in enumerate_xmodels(f)}
         assert got == want

@@ -191,10 +191,8 @@ class TestCountAllowedSubsets:
 class TestExpandState:
     def test_satisfactor_pool(self):
         # from (a b c): a carries the pool, exactly one of a, b, c true
-        state = GeneralizedAssignment(
-            values={1: True}, sing={1: [(2, True), (3, True)]}, sat={1: True}
-        )
-        out = expand_state(state)
+        state = GeneralizedAssignment(sing={1: [(2, True), (3, True)]}, sat={1: True})
+        out = expand_state(state, {1: True}, [])
         assert out == [
             {1: False, 2: False, 3: True},
             {1: False, 2: True, 3: False},
@@ -202,33 +200,28 @@ class TestExpandState:
         ]
 
     def test_all_fixed(self):
-        state = GeneralizedAssignment(values={1: True, 2: False})
-        assert expand_state(state) == [{1: True, 2: False}]
+        assert expand_state(GeneralizedAssignment(), {1: True, 2: False}, []) == [{1: True, 2: False}]
 
     def test_free_root_with_dual_chain(self):
         # from (a b): b free, a mirrors it inverted
-        state = GeneralizedAssignment(free=[2], dual={2: [(1, True, False)]})
-        assert expand_state(state) == [
+        state = GeneralizedAssignment(dual={2: [(1, True, False)]})
+        assert expand_state(state, {}, [2]) == [
             {1: False, 2: True},
             {1: True, 2: False},
         ]
 
     def test_double_link_rejected(self):
-        state = GeneralizedAssignment(
-            values={1: True, 2: True},
-            sing={1: [(3, True)], 2: [(3, True)]},
-            sat={1: True, 2: True},
-        )
+        state = GeneralizedAssignment(sing={1: [(3, True)], 2: [(3, True)]}, sat={1: True, 2: True})
         with pytest.raises(ValueError):
-            expand_state(state)
+            expand_state(state, {1: True, 2: True}, [])
 
     def test_pool_matches_source_formula_models(self):
         from xham import max_hamming_q
 
         f = formula((1, 2, 3))
         captured = []
-        max_hamming_q(f, leaf_hook=lambda s, t: captured.append(s.copy()))
+        max_hamming_q(f, leaf_hook=lambda s, forced, freed, t: captured.append((s.copy(), forced, freed)))
         assert captured
-        got = {tuple(sorted(m.items())) for m in expand_state(captured[0])}
+        got = {tuple(sorted(m.items())) for m in expand_state(*captured[0])}
         want = {tuple(sorted(m.items())) for m in enumerate_xmodels(f)}
         assert got == want

@@ -348,8 +348,7 @@ def settled_clauses_on_chain(monkeypatch, n, signed=True):
     chain = Formula(n, tuple((i, i + 1 if not signed or rng.random() < 0.5 else -(i + 1)) for i in range(1, n)))
     engine, state = Propagator(chain), GeneralizedAssignment()
     assert branching._simplify(engine, state)
-    state.absorb(engine.forced.items(), engine.freed)
-    assert all(clause is None for clause in engine.clauses) and len(universe(state)) == n
+    assert all(clause is None for clause in engine.clauses) and len(universe(state, engine.forced, engine.freed)) == n
     return count
 
 
@@ -487,7 +486,6 @@ def step_outcome(engine, positions, state, step):
         return "unsat"
     forced = {var: value for var, value in engine.forced.items() if var not in forced}
     freed = engine.freed[freed_at:]
-    state.absorb(forced.items(), freed)
     return [engine.clauses[pos] for pos in positions if engine.clauses[pos] is not None], forced, freed, state
 
 

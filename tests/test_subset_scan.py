@@ -253,12 +253,11 @@ class TestFlippedUnion:
         """Every question p asks after the base check assumes the literals
         the probe asserts and the complement of each literal of a touched
         row whose variable lies outside the subset, each once, and searches
-        only the subset's component; the subsets are the ones
-        `allowed_subsets` lists for each component's rows, in its order,
-        less those the clause check drops. A touched clause's outside
-        literals that the probe assigned are false in every model, so the
-        question still makes every outside literal of a touched clause
-        false."""
+        only the subset's component; the subsets are all the ones
+        `allowed_subsets` lists for each component's rows, in its order. A
+        touched clause's outside literals that the probe assigned are false
+        in every model, so the question still makes every outside literal
+        of a touched clause false."""
         scan_shaped = [random_formula(n, (n + 1) // 2, 3, 9900 + 10 * n + i) for n in range(18, 23) for i in range(3)]
         asked = 0
         for f in REPEATED + OVERLAPPING + scan_shaped:
@@ -266,19 +265,18 @@ class TestFlippedUnion:
             if walked is None:
                 continue  # f has no x-model
             asked += sum(row[-1] for *_, rows, _ in walked for row in rows)
-        assert asked == 111
+        assert asked == 113
 
     def test_contradiction_check_is_exact(self, monkeypatch):
         """Of each component's allowed subsets of its rows, from the
         largest size down to the size of the one the solver accepts, p
         lists those with no sign contradiction, each once and sizes never
         growing: every one larger than the answer, and at the answer's
-        size some of them. It asks exactly the listed ones whose
-        assumptions make no untouched row two-true or all-false. The first
+        size some of them. It asks every listed one. The first
         `propagate` after the probe's literals and the assumptions refutes
-        every subset either check drops; sign drops are counted over every
-        size down to the answer's."""
-        dropped = {"sign": 0, "clause": 0}
+        every subset the sign check drops; sign drops are counted over
+        every size down to the answer's."""
+        counts = {"sign": 0, "asked": 0}
         for f in OVERLAPPING + REPEATED + SCAN_SHAPED:
             walked = self.scan_walk(monkeypatch, f)
             if walked is None:
@@ -301,30 +299,18 @@ class TestFlippedUnion:
                 assert [bitset.bit_count() for bitset in listed] == sorted((b.bit_count() for b in listed), reverse=True)
                 assert set(listed) <= consistent
                 assert {bitset for bitset in consistent if bitset.bit_count() > smallest or not accepted} <= set(listed)
-                asked = {row[0]: row[2] for row in rows}
+                assert all(row[2] for row in rows)
+                counts["asked"] += len(rows)
                 for bitset, combo in zip(bitsets, allowed):
-                    assumptions = [*backbone, *(-lit for lit in outside_literals(reduced, set(combo)))]
-                    if bitset not in asked:
-                        if bitset in consistent:
-                            continue  # at the answer's size, not reached before the answer
-                        kind = "sign"
-                    else:
-                        truths = set(assumptions)
-                        untouched = [c for c in reduced if not any(abs(lit) in combo for lit in c)]
-                        refuted = any(
-                            sum(lit in truths for lit in c) > 1 or all(-lit in truths for lit in c) for c in untouched
-                        )
-                        assert asked[bitset] == (not refuted)
-                        if asked[bitset]:
-                            continue
-                        kind = "clause"
+                    if bitset in consistent:
+                        continue  # listed and asked, or at the answer's size, not reached before the answer
                     mark = engine.mark()
-                    for lit in assumptions:
+                    for lit in [*backbone, *(-lit for lit in outside_literals(reduced, set(combo)))]:
                         engine.force(abs(lit), lit > 0)
                     assert not engine.propagate()
                     engine.undo_to(mark)
-                    dropped[kind] += 1
-        assert dropped == {"sign": 187, "clause": 10}
+                    counts["sign"] += 1
+        assert counts == {"sign": 187, "asked": 134}
 
     def test_unit_form_matches_flipped_copies(self):
         """For every allowed subset X of the reduced formula, the formula
@@ -605,8 +591,8 @@ def test_oracle_count_matches_check_when_clauses_repeat_variables():
 # is its index in REPEATED. Every row's live clauses form one component.
 # subsets_checked counts, over the rows the probe leaves, the allowed
 # subsets the listing keeps, those with no sign contradiction, up to the
-# answer, and solver_calls the base check and the listed
-# subsets that pass the clause check. The last field only names the test: an id is
+# answer, and solver_calls the base check and one call per listed subset.
+# The last field only names the test: an id is
 # family-n-length-seed-distance and then the solver_calls and filtering-scan
 # counts the row was first recorded with, kept fixed so that re-recording a
 # count does not rename a test.
@@ -755,12 +741,10 @@ def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
     """Per component, p lists the rows that the probe leaves
     (`probe_reference` around the base model, then `reduced_rows`) in
     one listing. For every subset X the listing yields with its P and N,
-    in the component's local variables: the clause check over every row
-    drops X exactly when the check over the rows X does not touch drops
-    it, p asks the solver exactly about the X the check keeps, and the
-    question assumes the probe's literals and the complements of the
-    outside literals of the rows X touches (`outside_literals`), as a set
-    and each once."""
+    in the component's local variables, p asks the solver at once, with
+    no clause check before the call, and the question assumes the probe's
+    literals and the complements of the outside literals of the rows X
+    touches (`outside_literals`), as a set and each once."""
     # ("part", part, base model), ("listing", masks, negatives), ("listed", X, P, N)
     # and ("asked", assumptions), in p's order
     events = []
@@ -784,14 +768,7 @@ def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
     monkeypatch.setattr(subset_scan, "allowed_subsets", spy_listing)
     monkeypatch.setattr(subset_scan, "search", spy_search)
 
-    def refuted(rows, false, true):
-        """Some row has two literals made true or all of them made false."""
-        return any(
-            ((positive & true) | (negative & false)).bit_count() > 1 or (positive & false) | (negative & true) == mask
-            for mask, positive, negative in rows
-        )
-
-    counts = {"listed": 0, "dropped": 0}
+    counts = {"listed": 0, "asked": 0}
     for f in REPEATED + OVERLAPPING + SCAN_SHAPED + GUARDED:
         events.clear()
         max_hamming_p(f)
@@ -801,28 +778,22 @@ def test_clause_check_and_assumptions_read_off_the_sign_bits(monkeypatch):
                 assert following[0] == "listing"
                 backbone = probe_reference(event[1].clauses, event[2])
                 reduced = reduced_rows(event[1].clauses, backbone)
-                rows = []
-                for clause in reduced:
-                    positive = sum(1 << (lit - 1) for lit in clause if lit > 0)
-                    negative = sum(1 << (-lit - 1) for lit in clause if lit < 0)
-                    rows.append((positive | negative, positive, negative))
             elif event[0] == "listing":
-                assert (event[1], event[2]) == ([row[0] for row in rows], [row[2] for row in rows])
+                masks = [sum(1 << (abs(lit) - 1) for lit in clause) for clause in reduced]
+                negatives = [sum(1 << (-lit - 1) for lit in clause if lit < 0) for clause in reduced]
+                assert (event[1], event[2]) == (masks, negatives)
             elif event[0] == "listed":
-                _, bitset, positive, negative = event
-                false, true = positive & ~bitset, negative & ~bitset
-                dropped = refuted([row for row in rows if not row[0] & bitset], false, true)
-                assert refuted(rows, false, true) == dropped
-                assert (following[0] == "asked") == (not dropped)
-                if not dropped:
-                    subset = {i + 1 for i in range(bitset.bit_length()) if (bitset >> i) & 1}
-                    assumptions = following[1]
-                    assert len(set(assumptions)) == len(assumptions)
-                    want = backbone | {-lit for lit in outside_literals(reduced, subset)}
-                    assert set(assumptions) == want, (reduced, subset)
+                bitset = event[1]
+                assert following[0] == "asked"
+                subset = {i + 1 for i in range(bitset.bit_length()) if (bitset >> i) & 1}
+                assumptions = following[1]
+                assert len(set(assumptions)) == len(assumptions)
+                want = backbone | {-lit for lit in outside_literals(reduced, subset)}
+                assert set(assumptions) == want, (reduced, subset)
                 counts["listed"] += 1
-                counts["dropped"] += dropped
-    assert counts == {"listed": 956, "dropped": 526}
+            elif event[0] == "asked":
+                counts["asked"] += 1
+    assert counts == {"listed": 956, "asked": 956}
 
 
 def test_every_search_gives_the_engine_search_model(monkeypatch):
@@ -860,7 +831,7 @@ def test_every_search_gives_the_engine_search_model(monkeypatch):
             got = None if model is None else dict(zip(variables, model[1:]))
             assert got == (None if want is None else {v: want[v] for v in variables}), (f, part, assumptions)
             outcomes[kind][got is not None] += 1
-    assert outcomes == {"base": [36, 197], "question": [297, 169]}
+    assert outcomes == {"base": [36, 197], "question": [823, 169]}
 
 
 def test_questions_start_from_the_probe(monkeypatch):
@@ -899,7 +870,24 @@ def test_questions_start_from_the_probe(monkeypatch):
     monkeypatch.setattr(solver, "_propagate", spy_propagate)
     for f in SCAN_SHAPED + PLANTED + GUARDED:
         max_hamming_p(f)
-    assert counts == {"questions": 367, "on_asserted": 270, "assigned": 4280, "again": 0}
+    assert counts == {"questions": 893, "on_asserted": 630, "assigned": 8402, "again": 0}
+
+
+def test_one_solver_call_per_listed_subset():
+    """p asks the solver about every subset it lists, with no check before
+    the call: on a formula with an x-model it makes the base check and one
+    call per listed subset, and on one without, the base check alone."""
+    kinds = {"sat": 0, "unsat": 0, "subsets": 0}
+    for f in SCAN_SHAPED + PLANTED + GUARDED + [formula((1,), (-1,)), formula((1, 2), (1, 3), (2, 3))]:
+        stats = SearchStats()
+        if max_hamming_p(f, stats).distance is BOTTOM:
+            assert (stats.solver_calls, stats.subsets_checked) == (1, 0)
+            kinds["unsat"] += 1
+        else:
+            assert stats.solver_calls == 1 + stats.subsets_checked
+            kinds["sat"] += 1
+            kinds["subsets"] += stats.subsets_checked
+    assert kinds == {"sat": 79, "unsat": 15, "subsets": 893}
 
 
 def test_scan_never_calls_the_set_based_check():
