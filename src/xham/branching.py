@@ -68,17 +68,15 @@ a pool forms bind the slot instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, islice
 
-from .formula import BOTTOM, Formula, HammingResult, SearchStats
+from .formula import BOTTOM, Formula, HammingResult, Record, SearchStats
 from .propagation import Propagator, components
 from .propagation import assign  # noqa: F401  q never calls it; xbench's tracer wraps it here
 
 
-@dataclass
-class GeneralizedAssignment:
+class GeneralizedAssignment(Record):
     """The link forest for removed variables, over the search's engine.
 
     The roots of the forest live on q's one engine, not here: its forced
@@ -110,11 +108,21 @@ class GeneralizedAssignment:
     the link; that one is built again on its next read.
     """
 
-    sing: dict[int, list[tuple[int, bool]]] = field(default_factory=dict)
-    dual: dict[int, list[tuple[int, bool, bool]]] = field(default_factory=dict)
-    sat: dict[int, bool] = field(default_factory=dict)
-    score: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
-    flips: set[int] = field(default_factory=set)
+    _fields = ("sing", "dual", "sat", "score", "flips")
+
+    def __init__(
+        self,
+        sing: dict[int, list[tuple[int, bool]]] | None = None,
+        dual: dict[int, list[tuple[int, bool, bool]]] | None = None,
+        sat: dict[int, bool] | None = None,
+        score: dict[int, tuple[int, int, int, int]] | None = None,
+        flips: set[int] | None = None,
+    ):
+        self.sing = {} if sing is None else sing
+        self.dual = {} if dual is None else dual
+        self.sat = {} if sat is None else sat
+        self.score = {} if score is None else score
+        self.flips = set() if flips is None else flips
 
     def copy(self) -> "GeneralizedAssignment":
         sing = {v: list(ms) for v, ms in self.sing.items()}

@@ -19,7 +19,6 @@ two-level parse gives.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import sys
@@ -341,6 +340,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import csv  # only bench writes CSV; loading it at import would cost every call
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["id", "n", "m", "len", "algo", "result", "nodes", "leaves", "ms"])

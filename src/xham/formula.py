@@ -10,8 +10,6 @@ x-model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 Clause = tuple[int, ...]
 Assignment = dict[int, bool]
 
@@ -47,8 +45,43 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-@dataclass(frozen=True)
-class HammingResult:
+class Record:
+    """A plain record type: `==` between instances of one class compares
+    the fields listed in `_fields`, in order, and the repr names each field,
+    as `@dataclass` would generate. Like a mutable dataclass, a record is
+    unhashable. Importing `dataclasses` would import `inspect`, which a
+    fresh `import xham.cli` would pay for on every call."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(Record):
+    """A record whose fields are set once, in `__init__`, and then read-only;
+    it hashes its fields."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class HammingResult(_Frozen):
     """Answer of a max-Hamming computation.
 
     `distance` is BOTTOM for unsatisfiable input, otherwise the maximum
@@ -57,16 +90,18 @@ class HammingResult:
     distance.
     """
 
-    distance: "int | _Bottom"
-    witnesses: tuple[Assignment, Assignment] | None = None
+    _fields = ("distance", "witnesses")
+
+    def __init__(self, distance: "int | _Bottom", witnesses: tuple[Assignment, Assignment] | None = None):
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def unsat(self) -> bool:
         return self.distance is BOTTOM
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Record):
     """How much work a search did.
 
     q counts nodes and leaves, and leaves never exceeds nodes. A node is
@@ -80,18 +115,26 @@ class SearchStats:
     answer, summed over the components, and solver calls: the base check
     plus one per listed subset. Probes are not solver calls."""
 
-    nodes: int = 0
-    leaves: int = 0
-    subsets_checked: int = 0
-    solver_calls: int = 0
+    _fields = ("nodes", "leaves", "subsets_checked", "solver_calls")
+
+    def __init__(self, nodes: int = 0, leaves: int = 0, subsets_checked: int = 0, solver_calls: int = 0):
+        self.nodes = nodes
+        self.leaves = leaves
+        self.subsets_checked = subsets_checked
+        self.solver_calls = solver_calls
 
 
-@dataclass(frozen=True)
-class Formula:
-    """An XSAT instance: clause order and duplicate clauses are kept."""
+class Formula(_Frozen):
+    """An XSAT instance: clause order and duplicate clauses are kept.
 
-    num_vars: int
-    clauses: tuple[Clause, ...]
+    Construction runs `__post_init__`, the check of every literal."""
+
+    _fields = ("num_vars", "clauses")
+
+    def __init__(self, num_vars: int, clauses: tuple[Clause, ...]):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", clauses)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))

@@ -36,26 +36,22 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from .formula import Assignment, Formula
 from .propagation import Propagator, components
 
 
-class Part(NamedTuple):
-    """One connected component of a propagated engine's live clauses, in
-    local numbering.
+Part = namedtuple("Part", ["variables", "clauses", "holding"])
+Part.__doc__ = """One connected component of a propagated engine's live clauses, in
+local numbering.
 
-    Local variable i is variables[i - 1]; variables are ascending.
-    clauses holds the component's live clauses in position order, each
-    literal renumbered, and holding[lit] every clause that holds the
-    local literal lit; a negative literal indexes from the end of the
-    list.
-    """
-
-    variables: list[int]
-    clauses: list[tuple[int, ...]]
-    holding: list[list[tuple[int, ...]]]
+Local variable i is variables[i - 1]; variables are ascending. clauses
+holds the component's live clauses in position order, each literal
+renumbered, and holding[lit] every clause that holds the local literal
+lit; a negative literal indexes from the end of the list. A
+`collections.namedtuple`, since `typing.NamedTuple` would import `typing`.
+"""
 
 
 def _part_of(engine: Propagator, positions) -> Part:

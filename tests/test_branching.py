@@ -320,6 +320,51 @@ def leaf_state(**kw):
     return GeneralizedAssignment(**kw)
 
 
+class TestGeneralizedAssignmentRecord:
+    FIELDS = ("sing", "dual", "sat", "score", "flips")
+
+    def test_defaults_are_fresh_empty_containers(self):
+        a, b = GeneralizedAssignment(), GeneralizedAssignment()
+        assert (a.sing, a.dual, a.sat, a.score, a.flips) == ({}, {}, {}, {}, set())
+        assert isinstance(a.flips, set)
+        for name in self.FIELDS:
+            assert getattr(a, name) is not getattr(b, name), name
+        a.sing[1] = [(2, True)]
+        assert b.sing == {} and a != b
+
+    def test_positional_and_keyword_construction(self):
+        sing, dual, sat, score, flips = {1: [(2, True)]}, {3: [(4, True, False)]}, {1: True}, {2: (0, 1, 1, 0)}, {3}
+        state = GeneralizedAssignment(sing, dual, sat, score, flips)
+        assert state == GeneralizedAssignment(sing=sing, dual=dual, sat=sat, score=score, flips=flips)
+        assert state.sing is sing and state.flips is flips
+        assert GeneralizedAssignment(sing) == GeneralizedAssignment(sing=sing) != GeneralizedAssignment()
+        assert GeneralizedAssignment(flips={3}).flips == {3}
+
+    def test_copy_shares_no_mutable_container(self):
+        state = GeneralizedAssignment(
+            {1: [(2, True)]}, {3: [(4, True, False)], 1: [(5, False, True)]}, {1: True}, {2: (0, 1, 1, 0)}, {3}
+        )
+        twin = state.copy()
+        assert twin == state
+        for name in self.FIELDS:
+            assert getattr(twin, name) is not getattr(state, name), name
+        for name in ("sing", "dual"):
+            for var, links in getattr(state, name).items():
+                assert getattr(twin, name)[var] is not links, (name, var)
+        twin.sing[1].append((6, False))
+        twin.dual[3].append((7, True, True))
+        twin.flips.add(1)
+        assert state.sing == {1: [(2, True)]} and state.dual[3] == [(4, True, False)] and state.flips == {3}
+
+    def test_repr_and_no_hash(self):
+        assert repr(GeneralizedAssignment()) == "GeneralizedAssignment(sing={}, dual={}, sat={}, score={}, flips=set())"
+        assert repr(GeneralizedAssignment(sat={1: True})) == (
+            "GeneralizedAssignment(sing={}, dual={}, sat={1: True}, score={}, flips=set())"
+        )
+        with pytest.raises(TypeError):
+            hash(GeneralizedAssignment())
+
+
 class TestValidate:
     def test_pool_head_without_slot_polarity(self):
         state = leaf_state(sing={1: [(2, True)]})

@@ -426,6 +426,28 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_cli_loads_the_package_and_no_convenience_modules():
+    """A fresh `import xham.cli` newly loads none of `dataclasses`,
+    `inspect`, `typing` or `csv`, which every call would pay for, and does
+    load every module that `maxham` and `solve` run. Only what the import
+    newly loads counts: `site` may load `typing` first, as a `.pth` file
+    can."""
+    script = "; ".join(
+        [
+            "import sys",
+            "before = set(sys.modules)",
+            "import xham.cli",
+            "print(' '.join(sorted(set(sys.modules) - before)))",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "typing", "csv"}, sorted(loaded)
+    run_by_maxham_and_solve = {"branching", "propagation", "formula", "dimacs", "solver", "subset_scan"}
+    assert {f"xham.{name}" for name in run_by_maxham_and_solve} <= loaded, sorted(loaded)
+
+
 def test_brute_and_models_run_without_numpy(instance, tiny):
     """With numpy unimportable, `import xham` works, and brute and `models`
     give their answers, witness pair and exit codes."""

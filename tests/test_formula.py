@@ -9,6 +9,7 @@ from xham import (
     BOTTOM,
     Formula,
     HammingResult,
+    SearchStats,
     connected_components,
     hamming_distance,
     planted_formula,
@@ -52,6 +53,42 @@ class TestHammingResult:
         result = HammingResult(1, (a, b))
         assert hamming_distance(*result.witnesses) == result.distance
 
+    def test_record_contract(self):
+        """Positional and keyword construction, witnesses None by default,
+        field-wise == and hash, and the field-naming repr."""
+        result = HammingResult(3)
+        assert result.witnesses is None
+        assert result == HammingResult(distance=3, witnesses=None)
+        assert hash(result) == hash(HammingResult(3, None))
+        assert result != HammingResult(2) and result != (3, None)
+        assert repr(result) == "HammingResult(distance=3, witnesses=None)"
+        assert repr(HammingResult(BOTTOM)) == "HammingResult(distance=BOTTOM, witnesses=None)"
+
+    def test_fields_are_read_only(self):
+        result = HammingResult(1, ({1: True}, {1: False}))
+        with pytest.raises(AttributeError):
+            result.distance = 2
+        with pytest.raises(AttributeError):
+            result.witnesses = None
+        with pytest.raises(AttributeError):
+            del result.distance
+        assert result.distance == 1
+
+
+class TestSearchStats:
+    def test_record_contract(self):
+        """Every count starts at 0; positional and keyword construction,
+        field-wise ==, the field-naming repr, and no hash, since it counts."""
+        stats = SearchStats()
+        assert (stats.nodes, stats.leaves, stats.subsets_checked, stats.solver_calls) == (0, 0, 0, 0)
+        assert SearchStats(1, 2, 3, 4) == SearchStats(nodes=1, leaves=2, subsets_checked=3, solver_calls=4)
+        assert SearchStats(1) == SearchStats(nodes=1) != stats
+        stats.nodes += 5
+        assert stats == SearchStats(5)
+        assert repr(stats) == "SearchStats(nodes=5, leaves=0, subsets_checked=0, solver_calls=0)"
+        with pytest.raises(TypeError):
+            hash(stats)
+
 
 class TestFormula:
     def test_variables(self):
@@ -59,12 +96,36 @@ class TestFormula:
         assert f.variables() == [1, 2, 3]
 
     def test_rejects_zero_literal(self):
-        with pytest.raises(ValueError):
-            Formula(2, ((1, 0),))
+        for clauses in (((1, 0),), ((0,),)):
+            with pytest.raises(ValueError):
+                Formula(2, clauses)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Formula(2, ((1, 3),))
+        for num_vars, clauses in ((2, ((1, 3),)), (1, ((2,),)), (-1, ())):
+            with pytest.raises(ValueError):
+                Formula(num_vars, clauses)
+
+    def test_record_contract(self):
+        """Positional and keyword construction, clauses held as tuples,
+        field-wise == and hash, and the field-naming repr."""
+        f = Formula(3, ((1, 2, 3),))
+        assert f == Formula(num_vars=3, clauses=[[1, 2, 3]])
+        assert f.clauses == ((1, 2, 3),)
+        assert f != Formula(3, ((1, 2, -3),)) and f != Formula(4, ((1, 2, 3),))
+        assert f != (3, ((1, 2, 3),))
+        assert hash(f) == hash(Formula(3, [(1, 2, 3)]))
+        assert len({f, Formula(3, ((1, 2, 3),)), Formula(3, ())}) == 2
+        assert repr(f) == "Formula(num_vars=3, clauses=((1, 2, 3),))"
+
+    def test_fields_are_read_only(self):
+        f = Formula(3, ((1, 2, 3),))
+        with pytest.raises(AttributeError):
+            f.num_vars = 4
+        with pytest.raises(AttributeError):
+            f.clauses = ()
+        with pytest.raises(AttributeError):
+            del f.clauses
+        assert f == Formula(3, ((1, 2, 3),))
 
     def test_from_clauses_infers_num_vars(self):
         assert Formula.from_clauses([(1, -4)]).num_vars == 4
