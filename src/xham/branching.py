@@ -72,7 +72,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, islice
 
 from .formula import BOTTOM, Formula, HammingResult, Record, SearchStats
-from .propagation import Propagator, components
+from .propagation import _UNLOGGED, Propagator, components
 from .propagation import assign  # noqa: F401  q never calls it; xbench's tracer wraps it here
 
 
@@ -137,13 +137,20 @@ class GeneralizedAssignment(Record):
         expanding off the slot value this membership hands it. The victim
         leaves the formula, so its table is final and is filled here: its
         cached one, (0, 1, 1, 0) when it has no links, or `_table`'s. The
-        representative's cached table is dropped.
+        representative's cached table is dropped. Every root pool and every
+        pool a chain step takes comes through here, so the body allocates
+        nothing but the link and, for a new head, its one-entry list.
         """
-        rep, victim = abs(rep_lit), abs(victim_lit)
+        rep = rep_lit if rep_lit > 0 else -rep_lit
+        victim = victim_lit if victim_lit > 0 else -victim_lit
         pol = rep_lit > 0
         if self.sat.setdefault(rep, pol) != pol:
             raise ValueError(f"variable {rep} already pools a different clause slot")
-        self.sing.setdefault(rep, []).append((victim, victim_lit > 0))
+        members = self.sing.get(rep)
+        if members is None:
+            self.sing[rep] = [(victim, victim_lit > 0)]
+        else:
+            members.append((victim, victim_lit > 0))
         score = self.score
         score.pop(rep, None)
         table = score.get(victim)
@@ -155,26 +162,66 @@ class GeneralizedAssignment(Record):
         """Link a variable rewritten away below the survivor it mirrors.
 
         The removed variable leaves the formula, so its table is final and
-        is filled here, as `record_sing` fills a victim's; one with a lone
-        dual child and no pool member, every removed variable of a binary
-        chain but the first, hands up that child's table in `_table`'s
-        closed form, without a call. A pivot in `flips` reads NEG where its
-        two slots agree. The survivor's cached table is dropped.
+        is filled here, as `record_sing` fills a victim's. Every step of a
+        chain removes a variable with at most one pool member and at most
+        one dual child, and such a table takes `_table`'s closed form here,
+        without a call or a list: a lone dual child, every removed variable
+        of a binary chain but the first, hands up its table, reversed when
+        the link flips, plus (0, 1, 1, 0); a head of one member, every
+        removed variable of a longer chain, reads that member's unchosen
+        entry, gain and both-model gain against its child's table, which
+        the link files by slot or by value. Only a variable with more
+        links calls `_table`. A pivot in `flips` reads NEG where its two
+        slots agree. The survivor's cached table is dropped.
         """
-        survivor, removed = abs(survivor_lit), abs(removed_lit)
-        flip = (removed_lit > 0) == (survivor_lit > 0)
-        self.dual.setdefault(survivor, []).append((removed, flip, survivor in self.sat))
-        score = self.score
-        score.pop(survivor, None)
-        table = score.get(removed)
-        if table is None:
-            children = self.dual.get(removed)
-            if removed in self.sing or children and len(children) > 1:
+        survivor = survivor_lit if survivor_lit > 0 else -survivor_lit
+        removed = removed_lit if removed_lit > 0 else -removed_lit
+        dual, score = self.dual, self.score
+        link = (removed, (removed_lit > 0) == (survivor_lit > 0), survivor in self.sat)
+        links = dual.get(survivor)
+        if links is None:
+            dual[survivor] = [link]
+        else:
+            links.append(link)
+        if survivor in score:
+            del score[survivor]
+        if removed in score:
+            table = score[removed]
+        else:
+            members, children = self.sing.get(removed), dual.get(removed)
+            if members and len(members) > 1 or children and len(children) > 1:
                 table = _table(self, removed)
+            elif members:  # `_table`'s pool-head form with one member and at most one child
+                ((member, pol),) = members
+                t0, t1, t2, t3 = score[member]
+                if not pol:  # read the member's table from its own literal's side
+                    t0, t1, t3 = t3, t2, t0
+                gain, chosen = t1 - t0, t3 - t0
+                s0 = s1 = s2 = s3 = v0 = v1 = v3 = 0  # the by_slot and by_value sums
+                if children:
+                    ((child, flip, anchor),) = children
+                    u0, u1, u2, u3 = score[child]
+                    if flip:
+                        u0, u1, u2, u3 = u3, u2, u1, u0
+                    if anchor:
+                        s0, s1, s2, s3 = u0, u1, u2, u3
+                    else:
+                        v0, v1, v3 = u0, u1, u3
+                own = self.sat[removed]
+                stay, active, mixed = (v0, v3, v1 + 1) if own else (v3, v0, v1 + 1)
+                # max(d(o, o), d(o, x) + G, d(x, x) + B) and max(d(o, x), d(x, x) + G)
+                if mixed + gain > active:
+                    active = mixed + gain
+                if stay + chosen > active:
+                    active = stay + chosen
+                if stay + gain > mixed:
+                    mixed = stay + gain
+                low, high = (stay, active) if own else (active, stay)
+                table = (s0 + t0 + low, s1 + t0 + mixed, s2 + t0 + mixed, s3 + t0 + high)
             elif children:
-                ((child, turned, _),) = children
+                ((child, flip, _),) = children
                 t0, t1, t2, t3 = score[child]
-                table = (t3, t2 + 1, t1 + 1, t0) if turned else (t0, t1 + 1, t2 + 1, t3)
+                table = (t3, t2 + 1, t1 + 1, t0) if flip else (t0, t1 + 1, t2 + 1, t3)
             else:
                 table = _UNLINKED
         score[removed] = (NEG, table[1], table[2], NEG) if removed in self.flips else table
@@ -370,9 +417,16 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     holds an entry. A new engine logs its binary clauses and degree-one
     variables; below q's root the logs hold only what the node's steps
     touched since its mark, at a fixpoint where nothing pools and no
-    clause is binary. Popping the smallest position that passes the
-    check makes the same choice, in the same order, as a scan of the
-    whole formula would.
+    clause is binary. So in the first round on an engine before its
+    first mark, q's root, the log names every singleton of every clause
+    and no pool head exists yet (a caller that steps an engine between
+    two simplifications marks it first, as q does): a clause named by k
+    degree-one variables can pool exactly when k >= 2, and takes k - 1
+    entries, one per name after its first, with no clause read; a
+    degree-one variable with one occurrence entry needs no lookup
+    either. Popping the smallest position that passes the check makes
+    the same choice, in the same order, as a scan of the whole formula
+    would.
 
     A drop changes one degree, the survivor's, and queues nothing, and
     the pools before it ran `to_pool` dry, so no clause can pool. The
@@ -390,9 +444,14 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     same choices. Only a pool that leaves fewer than two literals, which
     queues its clause, and a survivor that leaves the formula, which the
     engine logs as freed, go back round. A chain of any clause length so
-    takes two rounds. The drop, the lookup of the survivor's clause and
-    the pool's removal are written out in the loop, so a step of a binary
-    chain makes two calls, `record_dual` and `_pool_pair`.
+    takes two rounds. The drop, the lookup of the survivor's clause,
+    tried first at its latest occurrence entry, and the pool's removal
+    are written out in the loop. A binary survivor clause whose other
+    side has degree two or more holds one singleton, so it is not asked
+    about; and `record_dual` builds a removed variable's table with at
+    most one pool member and one dual child in closed form. So a step of
+    a binary chain makes one call, `record_dual`, and a step of a
+    ternary chain three, `record_dual`, `_pool_pair` and `record_sing`.
     """
     clauses, degree, changed, singles, sat = engine.clauses, engine.degree, engine.changed, engine.singles, state.sat
     occ, writes, queue = engine.occ, engine._writes, engine.queue
@@ -400,12 +459,23 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     record_sing, record_dual = state.record_sing, state.record_dual
     to_pool: list[int] = []
     binaries: list[int] = []
+    fresh = writes is _UNLOGGED
     while propagate():
-        for var in singles:
-            if degree[var] == 1:
-                pos = position_of(var)
-                if _pool_pair(clauses[pos], degree, sat):
-                    heappush(to_pool, pos)
+        if fresh:  # the log holds every degree-one variable: a clause two of them name can pool
+            fresh, named = False, set()
+            for var in singles:
+                if degree[var] == 1:
+                    positions = occ[var]
+                    pos = positions[0] if len(positions) == 1 else position_of(var)
+                    if pos in named:
+                        heappush(to_pool, pos)
+                    named.add(pos)
+        else:
+            for var in singles:
+                if degree[var] == 1:
+                    pos = position_of(var)
+                    if _pool_pair(clauses[pos], degree, sat):
+                        heappush(to_pool, pos)
         singles.clear()
         while to_pool and _pool_first(engine, state, to_pool):
             if queue:
@@ -425,21 +495,22 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
                 if clause is None or len(clause) != 2:
                     continue
                 first, second = clause
+                gone = first if first > 0 else -first
+                var = second if second > 0 else -second
                 # Keep a non-singleton alive when there is one; the removed
                 # side hangs below the survivor either way.
-                if degree[abs(second)] == 1 and degree[abs(first)] > 1:
-                    removed, survivor = second, first
+                if degree[var] == 1 and degree[gone] > 1:
+                    removed, survivor, gone, var = second, first, var, gone
                 else:
                     removed, survivor = first, second
-                if degree[abs(removed)] != 1:
+                if degree[gone] != 1:
                     substitute(removed, survivor)
                     record_dual(survivor, removed)
                     break
                 # The drop: the clause is the removed side's one occurrence.
                 writes.append((pos, clause))
                 clauses[pos] = None
-                degree[abs(removed)] = 0
-                var = survivor if survivor > 0 else -survivor
+                degree[gone] = 0
                 left = degree[var] - 1
                 degree[var] = left
                 record_dual(survivor, removed)
@@ -447,16 +518,25 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
                     engine._vanished.append(var)
                     break
                 if left == 1:
-                    for pos in occ[var]:  # the survivor's one live clause
-                        clause = clauses[pos]
-                        if clause is not None and (var in clause or -var in clause):
-                            break
+                    positions = occ[var]
+                    pos = positions[-1]  # on a chain the survivor's one live clause is its latest
+                    clause = clauses[pos]
+                    if clause is None or var not in clause and -var not in clause:
+                        for pos in positions:
+                            clause = clauses[pos]
+                            if clause is not None and (var in clause or -var in clause):
+                                break
+                    if len(clause) == 2:
+                        first, second = clause
+                        if degree[first if first > 0 else -first] + degree[second if second > 0 else -second] > 2:
+                            continue  # a binary clause pools only when both are singletons
                     pair = _pool_pair(clause, degree, sat)
                     if pair:  # the one pool the survivor's clause can take
-                        record_sing(*pair)
-                        member = pair[1]
+                        head, member = pair
+                        record_sing(head, member)
                         writes.append((pos, clause))
-                        clause = clauses[pos] = tuple([lit for lit in clause if lit != member])
+                        at = clause.index(member)
+                        clause = clauses[pos] = clause[:at] + clause[at + 1 :]
                         degree[abs(member)] = 0
                         changed.append(pos)
                         if len(clause) < 2:

@@ -312,10 +312,10 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    joined = " ".join(args.spec)
-    for spec in joined.split(","):
-        if not spec.strip():
-            continue
+    specs = [spec for spec in " ".join(args.spec).split(",") if spec.strip()]
+    if not specs:
+        raise ValueError("empty branch spec")
+    for spec in specs:
         root = tau_root(parse_branch_spec(spec))
         print(f"{root:.6f}")
     return EXIT_OK

@@ -233,13 +233,16 @@ def probe(part: Part, model) -> tuple[list, list]:
     a literal's own probe would not fail at that point either. The pass
     is not repeated to a fixpoint; a backbone literal it misses only
     costs the caller time, as probing asserts nothing that is not true in
-    every x-model. A part of one clause is left unprobed: each of its
-    literals is true in one of its models, so it has no backbone.
+    every x-model. Two kinds of part have no backbone and are left
+    unprobed: a part of one clause, each of whose literals is true in one
+    of its models, and a part whose clauses are all binary, where flipping
+    every variable of an x-model gives another, since each clause's one
+    true literal turns false and its other true.
     """
     holding = part.holding
     value = [None] * len(holding)
     trail = []
-    if len(part.clauses) == 1:
+    if len(part.clauses) == 1 or all(len(clause) == 2 for clause in part.clauses):
         return value, trail
     skip = [False] * len(holding)
     for var in range(1, len(part.variables) + 1):

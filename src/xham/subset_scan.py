@@ -35,13 +35,15 @@ propagated to a conflict on clauses every model satisfies. A probe that
 does not conflict puts the literals it made true on a skip set, whose
 literals are not probed later in the pass: closure under propagation is
 monotone, so their probes could not fail at that point. A backbone
-variable the pass misses only costs time. The scan then reads each
-clause through the probe's values: a clause with a true literal has all
-its other literals false and drops, and every other clause becomes one
-row over its unassigned literals, so no listed subset holds an asserted
-variable. A component's rows are listed together: its x-models are its
-backbone values with one x-model of the rows, and each question still
-searches the whole component, starting from the probe's value list.
+variable the pass misses only costs time. A component of one clause, or
+of binary clauses alone, has no backbone and is not probed. The scan
+then reads each clause through the probe's values: a clause with a true
+literal has all its other literals false and drops, and every other
+clause becomes one row over its unassigned literals, so no listed
+subset holds an asserted variable. A component's rows are listed
+together: its x-models are its backbone values with one x-model of the
+rows, and each question still searches the whole component, starting
+from the probe's value list.
 Removing the backbone can leave rows that share no variable, and one
 listing then lists unions of their subsets; when each part answers with
 its largest subset, that union comes first and is the only question,

@@ -70,6 +70,34 @@ def chain(n, length, seed):
     return Formula(n, tuple(tuple(v if rng.random() < 0.5 else -v for v in c) for c in clauses))
 
 
+def chain_distance(f: Formula) -> int | None:
+    """Exact max Hamming distance of a chain such as `chain` builds, each
+    clause's first variable the one before it's last, by one pass over
+    the clauses; None when it has no x-model.
+
+    The pass keeps, per pair of values the two models give the variable
+    shared with the next clause, the best distance over the variables
+    seen so far, that one included. A clause extends a pair by every two
+    of its x-models (one literal true) that start with the pair's values,
+    adding the differences on its other variables."""
+    best = {(a, b): int(a != b) for a in (False, True) for b in (False, True)}
+    for clause in f.clauses:
+        rows = {False: [], True: []}
+        for values in itertools.product((False, True), repeat=len(clause)):
+            if sum(value == (lit > 0) for value, lit in zip(values, clause)) == 1:
+                rows[values[0]].append(values)
+        extended: dict[tuple[bool, bool], int] = {}
+        for (a, b), score in best.items():
+            for row_a in rows[a]:
+                for row_b in rows[b]:
+                    end = row_a[-1], row_b[-1]
+                    total = score + sum(x != y for x, y in zip(row_a[1:], row_b[1:]))
+                    if total > extended.get(end, -1):
+                        extended[end] = total
+        best = extended
+    return max(best.values()) if best else None
+
+
 def guarded_grid(f: Formula, guard: int, seed) -> Formula:
     """f plus seven clauses over a 3 x 4 grid of fresh variables, one per
     row and one per column, each also holding the literal guard; the grid

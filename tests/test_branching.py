@@ -27,6 +27,7 @@ from xham.propagation import Propagator, components
 import conftest
 from conftest import (
     chain,
+    chain_distance,
     clause_count,
     count_builds,
     drop_by_substitute,
@@ -201,6 +202,53 @@ def test_long_chains_simplify_in_a_few_rounds(monkeypatch):
             engine = Propagator(chain(n, length, seed))
             assert branching._simplify(engine, GeneralizedAssignment())
             assert engine.clauses.count(None) == len(engine.clauses) and len(calls) <= most, (n, length, seed, len(calls))
+
+
+def test_q_matches_a_chain_dp_on_long_chains_with_random_polarities():
+    """q's distance equals `chain_distance`, a pass over the values the two
+    models give each shared variable, on binary, ternary and length-4
+    chains of about 2,000 variables with random polarities, in one node
+    and one leaf. The pass itself agrees with brute on short chains."""
+    for k, n in ((2, 12), (3, 13), (4, 13)):
+        for seed in range(5):
+            f = chain(n, k, seed)
+            assert chain_distance(f) == max_hamming_brute(f).distance, f
+    for k, n in ((2, 2001), (3, 2001), (4, 2002)):
+        for seed in range(5):
+            f, counter = chain(n, k, seed), SearchStats()
+            assert max_hamming_q(f, counter).distance == chain_distance(f), (k, seed)
+            assert (counter.nodes, counter.leaves) == (1, 1), (k, seed)
+
+
+def test_chain_steps_make_no_futile_pool_check_or_table_build(monkeypatch):
+    """The root's simplification of a 2,001-variable chain with random
+    polarities calls `_pool_pair` only on a clause that can pool and
+    `_table` only for a removed variable with more than one link. A
+    binary chain pools once, in its last clause, whose two sides are
+    singletons then. A ternary chain pools its two end clauses in the
+    first round and each other clause when its drop's survivor falls to
+    degree one there: 1,001 calls for 1,000 clauses. Its one build is the
+    last clause's head, which heads a member of its own when it nests."""
+    calls = collections.Counter()
+
+    def counting(name):
+        real = getattr(branching, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("_pool_pair", "_table"):
+        monkeypatch.setattr(branching, name, counting(name))
+    for k, want in ((2, {"_pool_pair": 1}), (3, {"_pool_pair": 1001, "_table": 1})):
+        for seed in range(3):
+            calls.clear()
+            engine = Propagator(chain(2001, k, seed))
+            assert branching._simplify(engine, GeneralizedAssignment())
+            assert engine.clauses.count(None) == len(engine.clauses)
+            assert calls == want, (k, seed, calls)
 
 
 def test_pool_pair_matches_the_list_reference_on_every_small_clause():
@@ -584,6 +632,40 @@ class TestScoreTables:
             seen["member with a slot-anchored link"] += any(anchor for _, _, anchor in duals)
             seen["member with a value-anchored link"] += any(not anchor for _, _, anchor in duals)
         assert len(seen) == 8 and min(seen.values()) > 200, seen
+
+    def test_a_removed_head_of_one_member_takes_the_closed_form_without_a_build(self, monkeypatch):
+        """`record_dual` fills the table of a removed variable that heads one
+        pool member and at most one dual child, as each step of a ternary
+        chain removes one, without calling `_table`: the table equals the
+        general sums (`general_table`) and the best reading down the whole
+        subtree. Counts check members of both polarities, no child, flipped
+        and unflipped children, slot- and value-anchored links, flip pivots
+        below and a removed variable that is a flip pivot itself."""
+        builds, real = [], branching._table
+        monkeypatch.setattr(branching, "_table", lambda state, var: builds.append(var) or real(state, var))
+        rng = random.Random(3700)
+        seen = collections.Counter()
+        for i in range(4000):
+            state = one_variable_state(rng, [True] + [False] * (i % 2))
+            if rng.random() < 0.2:
+                state.flips.add(1)
+            want, reading = general_table(state, 1), reference_table(state, 1)
+            if 1 in state.flips:
+                want = (branching.NEG, want[1], want[2], branching.NEG)
+            del builds[:]
+            state.record_dual(1000 if rng.random() < 0.5 else -1000, 1 if rng.random() < 0.5 else -1)
+            got = state.score[1]
+            assert not builds and got == want, state
+            assert all(w is None and g < 0 or g == w for g, w in zip(got, reading)), (state, got, reading)
+            [(_, pol)] = state.sing[1]
+            seen["member of its own sign" if pol else "member of the other sign"] += 1
+            seen["removed flip pivot"] += 1 in state.flips
+            seen["flip pivot below"] += any(min(state.score[child]) < 0 for child in state.score if child != 1)
+            for _, flip, anchor in state.dual.get(1, ()):
+                seen["flipped child" if flip else "unflipped child"] += 1
+                seen["slot-anchored child" if anchor else "value-anchored child"] += 1
+            seen["no child"] += 1 not in state.dual
+        assert len(seen) == 9 and min(seen.values()) > 200, seen
 
     def test_cached_tables_match_a_full_reading_at_every_leaf(self, monkeypatch):
         """Tables built at link time or on a read, and dropped when their

@@ -119,6 +119,12 @@ class TestTau:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("specs", [(",",), ("",), (" , ", ",")])
+    def test_specs_that_are_all_empty_exit_1(self, capsys, specs):
+        code, out, err = run(capsys, "tau", *specs)
+        assert code == 1 and not out
+        assert "empty branch spec" in err
+
     def test_oversized_spec_exits_1_without_expanding(self, capsys):
         code, out, err = run(capsys, "tau", "2^1000000000")
         assert code == 1

@@ -27,6 +27,7 @@ from xham.solver import search, solve
 
 from conftest import (
     allowed_subset_check,
+    chain,
     clause_count,
     count_allowed_subsets_brute,
     count_builds,
@@ -946,6 +947,24 @@ def test_probe_asserts_only_literals_true_in_every_model():
             found["components"] += 1
             found["asserted"] += len(trail)
     assert found == {"components": 178, "asserted": 588}
+
+
+def test_a_component_of_binary_clauses_is_not_probed(monkeypatch):
+    """Flipping every variable of an x-model of a component whose clauses
+    are all binary gives another x-model, so the component has no
+    backbone, and `solver.probe` leaves it without a propagation: none
+    on a 2,001-variable binary chain with random polarities, where p
+    still lists 1 subset, every variable, and asks 2 questions."""
+    f = chain(2001, 2, 5)
+    model, [part] = solve(propagated(f))
+    local = [None, *map(model.__getitem__, part.variables)]
+    propagations, propagate = [], solver._propagate
+    monkeypatch.setattr(solver, "_propagate", lambda *args: propagations.append(args[2]) or propagate(*args))
+    value, trail = solver.probe(part, local)
+    assert propagations == [] and trail == [] and value.count(None) == len(value)
+    stats = SearchStats()
+    assert max_hamming_p(f, stats).distance == 2001
+    assert (stats.subsets_checked, stats.solver_calls) == (1, 2)
 
 
 def test_each_component_lists_its_probed_rows_once(monkeypatch):
