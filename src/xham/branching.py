@@ -43,14 +43,18 @@ below any `need`. A node whose `base` plus bound cannot exceed `need` is
 cut off; no bound is computed before `need` reaches `base`, so a search
 with no answer yet pays nothing.
 
-A connected part is first handed to `_evaluate`, which lists its
-x-models over the live variables' slot values and returns the best
-pair's sum of table entries. That is what branching the part down to
-empty formulas finds, since the tables of the live variables already
-score everything linked below them. `SMALL_PART_CAP` bounds the states
-of one listing, and only a part whose listing runs past it is branched.
-A node values its parts first, so their exact values, not bounds, count
-in `base` before it bounds and branches the rest.
+A node's live clauses split into connected parts in one walk,
+`_parts`, which also numbers the variables of each part of fewer than
+`SMALL_PART_CAP` clauses and gives each of its clauses two bitmasks.
+Each part is first handed to `_evaluate`, which lists its x-models from
+those masks, over the live variables' slot values, and returns the best
+pair's sum of table entries (`_best_pair`). That is what branching the
+part down to empty formulas finds, since the tables of the live
+variables already score everything linked below them. `SMALL_PART_CAP`
+bounds the states of one listing, and only a part whose listing runs
+past it is branched. A node values its parts first, so their exact
+values, not bounds, count in `base` before it bounds and branches the
+rest.
 
 A subtlety drives the state layout: once a variable represents a pooled
 clause slot, its formula occurrences stop meaning "this variable is
@@ -69,10 +73,10 @@ a pool forms bind the slot instead.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement, islice
+from itertools import islice
 
 from .formula import BOTTOM, Formula, HammingResult, Record, SearchStats
-from .propagation import _UNLOGGED, Propagator, components
+from .propagation import _UNLOGGED, Propagator
 from .propagation import assign  # noqa: F401  q never calls it; xbench's tracer wraps it here
 
 
@@ -446,7 +450,11 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     engine logs as freed, go back round. A chain of any clause length so
     takes two rounds. The drop, the lookup of the survivor's clause,
     tried first at its latest occurrence entry, and the pool's removal
-    are written out in the loop. A binary survivor clause whose other
+    are written out in the loop. A live variable's occurrence entry names
+    a dropped clause or one that holds the variable, since only a force,
+    a rewrite away or a pool takes a variable out of a live clause, and
+    each takes it out of the formula; so the survivor's clause is its
+    first entry whose clause is live. A binary survivor clause whose other
     side has degree two or more holds one singleton, so it is not asked
     about; and `record_dual` builds a removed variable's table with at
     most one pool member and one dual child in closed form. So a step of
@@ -521,10 +529,10 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
                     positions = occ[var]
                     pos = positions[-1]  # on a chain the survivor's one live clause is its latest
                     clause = clauses[pos]
-                    if clause is None or var not in clause and -var not in clause:
+                    if clause is None:  # the dropped clause came after it
                         for pos in positions:
                             clause = clauses[pos]
-                            if clause is not None and (var in clause or -var in clause):
+                            if clause is not None:
                                 break
                     if len(clause) == 2:
                         first, second = clause
@@ -639,10 +647,12 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
     node. `need` and the value returned follow the contract in the module
     docstring.
 
-    The live clauses split into connected components. Each part that
-    `_evaluate` values within its cap adds its exact value to `base`
-    first, and a part with no x-model makes the node BOTTOM. One loop
-    then branches on each other part's first longest clause in turn.
+    The live clauses split into connected parts, walked once by
+    `_parts`, which also gives every part under `SMALL_PART_CAP` clauses
+    its masks. Each part that `_evaluate` values from them within its cap
+    adds its exact value to `base` first, and a part with no x-model
+    makes the node BOTTOM. One loop then branches on each other part's
+    first longest clause in turn.
     When the node has a bound, each such part's bound is computed once,
     here, and a part is cut off when its bound cannot beat what is left
     of `need`. The branched parts of a split count one node each, as if
@@ -680,13 +690,13 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
             leaf_hook(state, dict(engine.forced), list(engine.freed), trail)
         return base
 
-    parts = components(engine, live)
+    parts = _parts(engine, live)
     split = len(parts) > 1
     to_branch = []
     for part in parts:
-        value = _evaluate(engine, part, state)
+        value = _evaluate(part, state)
         if value is None:
-            to_branch.append(part)
+            to_branch.append(part[0])
         elif value is BOTTOM:
             return BOTTOM
         else:
@@ -716,13 +726,79 @@ def _q(engine, positions, state, steps, counter, leaf_hook, trail, need):
     return total
 
 
-def _evaluate(engine, positions, state):
-    """The exact value of a connected part, from its x-models; None past the cap.
+def _parts(engine, positions):
+    """The connected parts of the live clauses at sorted `positions`, with their masks.
+
+    Clauses that share a variable connect. As in `propagation.components`,
+    the walk is breadth-first over the engine's occurrence lists and reads
+    each variable's list once, when it first meets the variable: that read
+    puts every clause holding the variable into its part. Parts come in
+    the order of their first position, each a triple (positions, bits,
+    rows) with its positions sorted.
+
+    While a part holds fewer than `SMALL_PART_CAP` clauses, the walk also
+    gives each variable it meets the next bit, in `bits`, and each clause
+    it reads its masks: `rows` holds, in position order, a (span,
+    negative) pair per clause, the bits of its variables and of its
+    negative literals. `_evaluate` lists from those. A part that reaches
+    the cap cannot be listed (see `_evaluate`), so the walk stops
+    numbering there and returns None for both: a part of thousands of
+    variables makes no integers thousands of bits wide.
+    """
+    clauses, occ, cap = engine.clauses, engine.occ, SMALL_PART_CAP
+    todo, parts = set(positions), []
+    for start in positions:
+        if start not in todo:
+            continue
+        todo.remove(start)
+        part, bits, masks = [start], {}, {}
+        walk = iter(part)  # the walk reaches what it appends
+        for pos in walk:
+            span = negative = 0
+            for lit in clauses[pos]:
+                var = lit if lit > 0 else -lit
+                bit = bits.get(var)
+                if bit is None:
+                    bit = bits[var] = 1 << len(bits)
+                    for other in occ[var]:
+                        if other in todo:
+                            todo.remove(other)
+                            part.append(other)
+                span |= bit
+                if lit < 0:
+                    negative |= bit
+            masks[pos] = span, negative
+            if len(part) >= cap:
+                break
+        else:
+            part.sort()
+            parts.append((part, bits, [masks[pos] for pos in part]))
+            continue
+        for pos in walk:  # past the cap: the walk alone, `bits` only marking the variables met
+            for lit in clauses[pos]:
+                var = lit if lit > 0 else -lit
+                if var not in bits:
+                    bits[var] = 0
+                    for other in occ[var]:
+                        if other in todo:
+                            todo.remove(other)
+                            part.append(other)
+        part.sort()
+        parts.append((part, None, None))
+    return parts
+
+
+def _evaluate(part, state):
+    """The exact value of a connected part from `_parts`, from its x-models; None past the cap.
 
     The part's x-models are listed over the live variables' slot values
     as bitmasks, one clause depth at a time: each clause in turn picks its
     satisfactor, its other literals go false, and a pick that contradicts
-    an earlier clause's is dropped. The next clause is the first, by
+    an earlier clause's is dropped. A clause's picks come from its masks
+    when the listing reaches it: one per variable bit of its span, setting
+    the bits of its negative literals, which are false, with the chosen
+    literal's bit flipped. Clauses at a fixpoint hold distinct variables,
+    so no pick contradicts itself. The next clause is the first, by
     position, of those with the fewest variables no earlier clause set,
     found in one pass over the clauses left that stops at a clause with
     none. The clause order depends on the clauses alone, so every state
@@ -735,75 +811,64 @@ def _evaluate(engine, positions, state):
     and the listing gives up, returning None, once the count passes
     `SMALL_PART_CAP` (models included). A model of d clauses takes d + 1
     states to reach, so a part of at least `SMALL_PART_CAP` clauses
-    cannot reach a model within the cap and returns None before any
-    set-up; such a part with no x-model is refuted by branching instead.
-    A part without an x-model is BOTTOM.
-
-    The value is the best pair of those models, A = B included, of the
-    sum over the variables of their table entries 2*a + b, the same
-    tables `gen_h` and `_bound` read, so flip pivots, pools and dual
-    links count with no rule of their own; a part where no pair honours
-    every flip reads negative. When no variable of the part is linked
-    (in `state.sing` or `state.dual`), every table reads (0, 1, 1, 0),
-    so the value is the largest popcount of a ^ b over pairs of distinct
-    models, or 0 for one model. Otherwise a table entry splits as
-    t00 + d*(a + b) + c*a*b, with d = t01 - t00 and
-    c = t11 - 2*t01 + t00 (tables are symmetric), so a pair scores t00
-    summed, plus each model's own d-sum, plus the c-sum over the
-    variables both models set. Variables are grouped by table, then by d
-    and by c, and a group sums with one popcount per model or pair. Those
-    pairs are scored in bulk, one list per group; there are at most
-    `SMALL_PART_CAP` models, so at most about cap**2 / 2 pairs.
+    cannot reach a model within the cap: `_parts` gives it no masks, and
+    it returns None before any listing; such a part with no x-model is
+    refuted by branching instead. A part without an x-model is BOTTOM.
+    The value is `_best_pair`'s over the models.
     """
-    if len(positions) >= SMALL_PART_CAP:
+    _, bits, rows = part
+    if bits is None:
         return None
-    clauses = engine.clauses
-    # Per clause, its variables' bits and, per satisfactor, the variables
-    # the pick sets true: those of the negative literals, which are false,
-    # with the chosen literal's variable flipped. Clauses at a fixpoint
-    # hold distinct variables, so no pick contradicts itself.
-    bits = {}
-    options = []
-    for pos in positions:
-        span = negative = 0
-        lit_bits = []
-        for lit in clauses[pos]:
-            var = abs(lit)
-            bit = bits.get(var)
-            if bit is None:
-                bit = bits[var] = 1 << len(bits)
-            lit_bits.append(bit)
-            span |= bit
-            if lit < 0:
-                negative |= bit
-        options.append((span, [negative ^ bit for bit in lit_bits]))
-    # Each next clause is the one with the fewest variables no earlier
-    # clause set, so picks clash as early as they can and fewer parts run
-    # past `SMALL_PART_CAP`. A clause with none ends the scan, as no
-    # clause can have fewer.
-    models, states, fixed = [0], 1, 0
-    while options:
+    rows = list(rows)
+    models, states, fixed, cap = [0], 1, 0, SMALL_PART_CAP
+    while rows:
         first, fewest, free = 0, len(bits) + 1, ~fixed
-        for i, (span, _) in enumerate(options):
+        for i, (span, _) in enumerate(rows):
             new = (span & free).bit_count()
             if new < fewest:
                 first, fewest = i, new
                 if not new:
                     break
-        span, picks = options.pop(first)
+        span, negative = rows.pop(first)
         seen = span & fixed
         agreeing = {}
-        for pick in picks:
+        rest = span
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            pick = negative ^ bit
             agreeing.setdefault(pick & seen, []).append(pick)
         models = [ones | pick for ones in models for pick in agreeing.get(ones & seen, ())]
         states += len(models)
-        if states > SMALL_PART_CAP:
+        if states > cap:
             return None
         if not models:
             return BOTTOM
         fixed |= span
+    return _best_pair(models, bits, state)
 
-    if state.sing.keys().isdisjoint(bits) and state.dual.keys().isdisjoint(bits):
+
+def _best_pair(models, bits, state):
+    """The best pair of the models, A = B included, scored by the variables' tables.
+
+    A pair scores the sum over the variables of their table entries
+    2*a + b, the same tables `gen_h` and `_bound` read, so flip pivots,
+    pools and dual links count with no rule of their own; a part where
+    no pair honours every flip reads negative. Only a linked variable (in
+    `state.sing` or `state.dual`) has its table read: every other one
+    reads (0, 1, 1, 0). When none is linked, the value is the largest
+    popcount of a ^ b over pairs of distinct models, or 0 for one model.
+    Otherwise a table entry splits as t00 + d*(a + b) + c*a*b, with
+    d = t01 - t00 and c = t11 - 2*t01 + t00 (tables are symmetric), so a
+    pair scores t00 summed, plus each model's own d-sum, plus the c-sum
+    over the variables both models set. Variables are grouped by d and
+    by c, each group sums with one popcount per model or pair, and an
+    unlinked variable joins d = 1 and c = -2. The pairs are scored one
+    first model at a time, against the models from it on, so the memory
+    is linear in the models: no list of pairs is built.
+    """
+    sing, dual, table = state.sing, state.dual, state.table
+    if sing.keys().isdisjoint(bits) and dual.keys().isdisjoint(bits):
         best = 0
         for i, a in enumerate(models):
             for b in models[i + 1 :]:
@@ -811,27 +876,33 @@ def _evaluate(engine, positions, state):
                 if apart > best:
                     best = apart
         return best
-    by_table = {}
+    unlinked = (1 << len(bits)) - 1
+    base, single, joint = 0, {}, {}
     for var, bit in bits.items():
-        t = state.table(var)
-        by_table[t] = by_table.get(t, 0) | bit
-    base = 0
-    single, joint = {}, {}
-    for t, mask in by_table.items():
-        base += t[0] * mask.bit_count()
-        d, c = t[1] - t[0], t[3] - 2 * t[1] + t[0]
-        if d:
-            single[d] = single.get(d, 0) | mask
-        if c:
-            joint[c] = joint.get(c, 0) | mask
+        if var in sing or var in dual:
+            unlinked ^= bit
+            t0, t1, _, t3 = table(var)
+            base += t0
+            d, c = t1 - t0, t3 - 2 * t1 + t0
+            if d:
+                single[d] = single.get(d, 0) | bit
+            if c:
+                joint[c] = joint.get(c, 0) | bit
+    if unlinked:
+        single[1] = single.get(1, 0) | unlinked
+        joint[-2] = joint.get(-2, 0) | unlinked
     own = [0] * len(models)
     for d, mask in single.items():
         own = [o + d * (m & mask).bit_count() for o, m in zip(own, models)]
-    scores = [a + b for a, b in combinations_with_replacement(own, 2)]
-    both = [a & b for a, b in combinations_with_replacement(models, 2)]
-    for c, mask in joint.items():
-        scores = [s + c * (ab & mask).bit_count() for s, ab in zip(scores, both)]
-    return base + max(scores)
+    joint = list(joint.items())
+    tops = []
+    for i, a in enumerate(models):
+        rest, scores = models[i:], own[i:]
+        for c, mask in joint:
+            shared = a & mask
+            scores = [s + c * (shared & b).bit_count() for s, b in zip(scores, rest)]
+        tops.append(own[i] + max(scores))
+    return base + max(tops)
 
 
 #: The most search states, x-models included, `_evaluate` visits in one

@@ -707,6 +707,39 @@ def general_table(state: GeneralizedAssignment, var: int):
     return tuple(by_slot[i] + unchosen + entry for i, entry in enumerate((low, mixed, mixed, high)))
 
 
+def list_best_pair(models, bits, state):
+    """`branching._best_pair` as it scored before it streamed: every
+    variable's table read and grouped by table, and every pair, A = B
+    included, scored in bulk, one list per group. Each list holds about
+    len(models)**2 / 2 entries. The reference for the streamed scorer."""
+    if state.sing.keys().isdisjoint(bits) and state.dual.keys().isdisjoint(bits):
+        best = 0
+        for i, a in enumerate(models):
+            for b in models[i + 1 :]:
+                best = max(best, (a ^ b).bit_count())
+        return best
+    by_table = {}
+    for var, bit in bits.items():
+        t = state.table(var)
+        by_table[t] = by_table.get(t, 0) | bit
+    base, single, joint = 0, {}, {}
+    for t, mask in by_table.items():
+        base += t[0] * mask.bit_count()
+        d, c = t[1] - t[0], t[3] - 2 * t[1] + t[0]
+        if d:
+            single[d] = single.get(d, 0) | mask
+        if c:
+            joint[c] = joint.get(c, 0) | mask
+    own = [0] * len(models)
+    for d, mask in single.items():
+        own = [o + d * (m & mask).bit_count() for o, m in zip(own, models)]
+    scores = [a + b for a, b in itertools.combinations_with_replacement(own, 2)]
+    both = [a & b for a, b in itertools.combinations_with_replacement(models, 2)]
+    for c, mask in joint.items():
+        scores = [s + c * (ab & mask).bit_count() for s, ab in zip(scores, both)]
+    return base + max(scores)
+
+
 def record_by_table(record):
     """`GeneralizedAssignment.record_sing` or `record_dual` with the removed
     variable's table then set as a link set it before the records built it

@@ -35,6 +35,7 @@ from conftest import (
     expand_state,
     formula,
     general_table,
+    list_best_pair,
     pool_pair_reference,
     record_by_table,
     repeated_variable_corpus,
@@ -83,6 +84,23 @@ class TestSimplifyState:
         engine = Propagator(formula((1,), (-1,)))
         assert not branching._simplify(engine, GeneralizedAssignment())
         assert engine.unsat
+
+    def test_a_drop_of_the_survivors_latest_entry_finds_its_clause_before_it(self):
+        """Dropping (1 4) leaves variable 1 in one clause, (1 2 3), the first
+        of its two occurrence entries: the latest names the dropped clause.
+        The survivor's lookup finds (1 2 3) further up its list; that clause
+        holds one singleton and cannot pool, so the root ends with 4 linked
+        below 1, as the reference that drops through `Propagator.substitute`
+        and finds the clause with `position_of` ends."""
+        f = formula((1, 2, 3), (1, 4), (2, 3, 5), (2, 3, 6))
+        engine, state = Propagator(f), GeneralizedAssignment()
+        assert engine.occ[1] == [0, 1]
+        assert branching._simplify(engine, state)
+        assert engine.clauses == [(1, 2, 3), None, (2, 3, 5), (2, 3, 6)] and engine.degree[1] == 1
+        assert state.dual == {1: [(4, True, False)]} and not state.sing
+        reference, linked = Propagator(f), GeneralizedAssignment()
+        assert simplify_substituting_drops(reference, linked)
+        assert engine_state(engine) == engine_state(reference) and state == linked
 
 
 def caterpillar(n: int, length: int, seed: int) -> Formula:
@@ -790,7 +808,7 @@ class TestMaxHammingQ:
         # cap, which the search bounds, next to parts it values: 6 such
         # bounded parts, in 6 nodes, at the default cap.
         instances.append(joined(planted_formula(36, 4, 2, 1), planted_formula(36, 4, 2, 11)))
-        real_q, real_bound, real_components, real_evaluate = branching._q, branching._bound, branching.components, branching._evaluate
+        real_q, real_bound, real_parts, real_evaluate = branching._q, branching._bound, branching._parts, branching._evaluate
         path, seen, bounds, split_parts, valued = [], set(), collections.Counter(), set(), set()
 
         def q(engine, positions, state, steps, counter, leaf_hook, trail, need):
@@ -807,21 +825,21 @@ class TestMaxHammingQ:
             bounds[path[-1], tuple(positions)] += 1
             return real_bound(engine, positions, state)
 
-        def components(engine, positions):
-            parts = real_components(engine, positions)
-            if len(parts) > 1:
-                split_parts.update((path[-1], tuple(part)) for part in parts)
-            return parts
+        def parts(engine, positions):
+            found = real_parts(engine, positions)
+            if len(found) > 1:
+                split_parts.update((path[-1], tuple(part[0])) for part in found)
+            return found
 
-        def evaluate(engine, positions, state):
-            value = real_evaluate(engine, positions, state)
+        def evaluate(part, state):
+            value = real_evaluate(part, state)
             if value is not None:
-                valued.add((path[-1], tuple(positions)))
+                valued.add((path[-1], tuple(part[0])))
             return value
 
         monkeypatch.setattr(branching, "_q", q)
         monkeypatch.setattr(branching, "_bound", bound)
-        monkeypatch.setattr(branching, "components", components)
+        monkeypatch.setattr(branching, "_parts", parts)
         monkeypatch.setattr(branching, "_evaluate", evaluate)
         for cap in (0, branching.SMALL_PART_CAP):
             monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
@@ -997,6 +1015,34 @@ class TestBound:
         assert any(a < b for (_, a), (_, b) in zip(pruned, plain))
 
 
+#: The walk and the evaluator themselves, whatever spy a test puts in their place.
+PARTS, EVALUATE = branching._parts, branching._evaluate
+
+
+def evaluate(engine, positions, state):
+    """`branching._evaluate` on the connected part at `positions`, with the
+    masks `branching._parts` gives it under the current `SMALL_PART_CAP`."""
+    (part,) = PARTS(engine, positions)
+    return EVALUATE(part, state)
+
+
+def spy_on_evaluate(monkeypatch, check):
+    """Replace `branching._evaluate` with a spy that returns
+    `check(engine, positions, state, value)`, value being `_evaluate`'s own;
+    the engine is the one the search's latest `_parts` call walked."""
+    engines = []
+
+    def parts(engine, positions):
+        engines[:] = [engine]
+        return PARTS(engine, positions)
+
+    def spy(part, state):
+        return check(engines[0], part[0], state, EVALUATE(part, state))
+
+    monkeypatch.setattr(branching, "_parts", parts)
+    monkeypatch.setattr(branching, "_evaluate", spy)
+
+
 class TestSmallParts:
     """A connected part whose x-model listing finishes within
     `SMALL_PART_CAP` states is valued from its x-models by `_evaluate`
@@ -1017,11 +1063,9 @@ class TestSmallParts:
         pair honours every flip, and the same value otherwise. Under lower
         caps the search branches above small parts, so parts under flip
         steps, with must-flip variables, are valued too."""
-        real = branching._evaluate
         seen = collections.Counter()
 
-        def evaluate(engine, positions, state):
-            value = real(engine, positions, state)
+        def check(engine, positions, state, value):
             if value is None:
                 return None
             with monkeypatch.context() as plain:
@@ -1041,7 +1085,7 @@ class TestSmallParts:
             seen["must flip"] += must_flip is not None
             return value
 
-        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        spy_on_evaluate(monkeypatch, check)
         for cap in (16, 64, branching.SMALL_PART_CAP):
             monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
             for f in self.instances():
@@ -1100,21 +1144,20 @@ class TestSmallParts:
         the per-depth listing gives up on exactly the parts that search
         gave up on, so node counts cannot move. A part of at least
         `SMALL_PART_CAP` clauses is given up at any count."""
-        real, limit = branching._evaluate, branching.SMALL_PART_CAP
+        limit = branching.SMALL_PART_CAP
         seen = collections.Counter()
 
-        def evaluate(engine, positions, state):
-            value = real(engine, positions, state)
+        def check(engine, positions, state, value):
             count = self.depth_first_states(engine, positions, limit)
             if count is None:
                 assert value is None
                 return value
             with monkeypatch.context() as capped:
                 capped.setattr(branching, "SMALL_PART_CAP", limit)
-                full = real(engine, positions, state)
+                full = evaluate(engine, positions, state)
                 for cap in (count - 1, count):
                     capped.setattr(branching, "SMALL_PART_CAP", cap)
-                    got = real(engine, positions, state)
+                    got = evaluate(engine, positions, state)
                     if len(positions) >= cap or count > cap:
                         assert got is None
                     else:
@@ -1126,7 +1169,7 @@ class TestSmallParts:
             seen["must flip"] += branching._pick_branch(engine, positions, state)[1] is not None
             return value
 
-        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        spy_on_evaluate(monkeypatch, check)
         for cap in (16, 64, branching.SMALL_PART_CAP):
             monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
             for f in self.instances():
@@ -1141,11 +1184,9 @@ class TestSmallParts:
         table path while that variable's table still reads (0, 1, 1, 0).
         Some of these parts sit at nodes whose state links other
         variables."""
-        real = branching._evaluate
         seen = collections.Counter()
 
-        def evaluate(engine, positions, state):
-            value = real(engine, positions, state)
+        def check(engine, positions, state, value):
             live = {abs(lit) for pos in positions for lit in engine.clauses[pos]}
             linked = live & (state.sing.keys() | state.dual.keys())
             if value is None or value is BOTTOM or linked:
@@ -1153,12 +1194,12 @@ class TestSmallParts:
             by_table = state.copy()
             by_table.dual[min(live)] = []
             assert by_table.table(min(live)) == (0, 1, 1, 0)
-            assert real(engine, positions, by_table) == value
+            assert evaluate(engine, positions, by_table) == value
             seen["link-free"] += 1
             seen["links elsewhere"] += bool(state.sing or state.dual)
             return value
 
-        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        spy_on_evaluate(monkeypatch, check)
         for cap in (16, 64, branching.SMALL_PART_CAP):
             monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
             for f in self.instances():
@@ -1179,33 +1220,33 @@ class TestSmallParts:
         table = state.table(1)
         assert table[3] > table[1] + 1
         want = branching._branch(engine, [0], state, (1, 2, 3), (), SearchStats(), None, (), -1)
-        assert branching._evaluate(engine, [0], state) == want == table[3]
+        assert evaluate(engine, [0], state) == want == table[3]
 
     def test_a_part_past_the_cap_is_branched_to_the_same_answer(self, monkeypatch):
         instances = self.instances()
         want = [max_hamming_q(f).distance for f in instances]
         monkeypatch.setattr(branching, "SMALL_PART_CAP", 4)
-        real = branching._evaluate
         gave_up = 0
 
-        def evaluate(engine, positions, state):
+        def check(engine, positions, state, value):
             nonlocal gave_up
-            value = real(engine, positions, state)
             gave_up += value is None
             return value
 
-        monkeypatch.setattr(branching, "_evaluate", evaluate)
+        spy_on_evaluate(monkeypatch, check)
         assert [max_hamming_q(f).distance for f in instances] == want
         assert gave_up > 20
 
     def test_a_part_of_cap_clauses_is_given_up_before_any_set_up(self, monkeypatch):
         """A model of d clauses takes d + 1 states to reach, so a part of at
         least `SMALL_PART_CAP` clauses returns None before it reads a clause
-        or a table. One clause under the cap the set-up runs."""
+        or a table. One clause under the cap the set-up runs: the walk
+        reads each of the part's clauses once."""
         engine, state = Propagator(planted_formula(1500, 3, 2, 0)), GeneralizedAssignment()
         assert branching._simplify(engine, state)
         live = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
-        part = max(components(engine, live), key=len)
+        walked = max(branching._parts(engine, live), key=lambda walked: len(walked[0]))
+        part = walked[0]
         assert len(part) >= branching.SMALL_PART_CAP
         calls = collections.Counter()
 
@@ -1222,11 +1263,93 @@ class TestSmallParts:
 
         monkeypatch.setattr(engine, "clauses", Clauses(engine.clauses))
         monkeypatch.setattr(state, "table", table)
-        assert branching._evaluate(engine, part, state) is None
+        assert branching._evaluate(walked, state) is None
         assert calls == {}
         monkeypatch.setattr(branching, "SMALL_PART_CAP", len(part) + 1)
-        branching._evaluate(engine, part, state)
+        evaluate(engine, part, state)
         assert calls["clause"] == len(part)
+
+    def test_the_streamed_pair_score_matches_the_list_scorer(self, monkeypatch):
+        """At every part the evaluator lists, under caps that make the search
+        branch above parts with pools, dual links and must-flip pivots,
+        `_best_pair` gives `conftest.list_best_pair`'s value, the bulk
+        scorer it replaced, on link-free and linked parts alike."""
+        real = branching._best_pair
+        seen = collections.Counter()
+
+        def best_pair(models, bits, state):
+            value = real(models, bits, state)
+            assert value == list_best_pair(models, bits, state)
+            linked = not (state.sing.keys().isdisjoint(bits) and state.dual.keys().isdisjoint(bits))
+            seen["linked" if linked else "link-free"] += 1
+            seen["several models"] += len(models) > 1
+            seen["no pair"] += value < 0
+            return value
+
+        monkeypatch.setattr(branching, "_best_pair", best_pair)
+        for cap in (16, 64, branching.SMALL_PART_CAP):
+            monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
+            for f in self.instances():
+                max_hamming_q(f)
+        assert seen["linked"] > 300 and seen["link-free"] > 150, seen
+        assert seen["several models"] > 400 and seen["no pair"] > 35, seen
+
+    def test_a_linked_part_of_2049_models_is_scored_in_memory_linear_in_the_models(self, monkeypatch):
+        """The star (1 2i 2i+1), i = 1..11, has 2,049 x-models: 1 true and
+        every other variable false, or 1 false and one of each pair true. A
+        dual link below variable 2 sends its pairs through the tables. The
+        streamed scorer holds one row of scores at a time, so the valuation
+        peaks under 5 MB; `conftest.list_best_pair` holds two lists of the
+        2,100,225 pairs, well over 100 MB. The best pair flips every pair's
+        satisfactor, 22 variables, of which 2 scores 2 with its link: 23."""
+        k = 11
+        engine = Propagator(Formula(2 * k + 1, tuple((1, 2 * i, 2 * i + 1) for i in range(1, k + 1))))
+        state = GeneralizedAssignment()
+        state.record_dual(2, 2 * k + 2)
+        monkeypatch.setattr(branching, "SMALL_PART_CAP", 1 << 16)
+        (part,) = branching._parts(engine, range(k))
+        real, scored = branching._best_pair, []
+
+        def best_pair(models, bits, state):
+            scored.append(len(models))
+            return real(models, bits, state)
+
+        monkeypatch.setattr(branching, "_best_pair", best_pair)
+        tracemalloc.start()
+        try:
+            value = branching._evaluate(part, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scored == [2049] and value == 23
+        assert peak < 5 * 2**20, peak
+
+    def test_a_part_past_the_cap_gets_no_masks_and_no_listing(self, monkeypatch):
+        """Planted (3,2) at n = 30,000 simplifies to one part of 20,000
+        clauses. The walk returns it with no masks: it stops numbering
+        variables once the part reaches `SMALL_PART_CAP` clauses, so its
+        peak stays under 16 MB, where numbering all 30,000 variables makes
+        integers up to 30,000 bits wide and peaks near 150 MB. `_evaluate`
+        then gives the part up before listing: no table read, no pair."""
+        engine, state = Propagator(planted_formula(30000, 3, 2, 0)), GeneralizedAssignment()
+        assert branching._simplify(engine, state)
+        live = [pos for pos, clause in enumerate(engine.clauses) if clause is not None]
+        tracemalloc.start()
+        try:
+            parts = branching._parts(engine, live)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        assert [(len(positions), bits is None, rows is None) for positions, bits, rows in parts] == [(20000, True, True)]
+        assert parts[0][0] == live
+
+        def unread(*args):
+            raise AssertionError("a part with no masks was listed")
+
+        monkeypatch.setattr(state, "table", unread)
+        monkeypatch.setattr(branching, "_best_pair", unread)
+        assert branching._evaluate(parts[0], state) is None
 
     def test_leaves_never_exceed_nodes(self):
         for f in self.instances():

@@ -174,8 +174,8 @@ def test_bound_never_adds_nodes_or_leaves():
 def test_search_tree_size_is_pinned_where_the_evaluator_gives_up(monkeypatch):
     real, calls = branching._evaluate, []
 
-    def evaluate(engine, positions, state):
-        value = real(engine, positions, state)
+    def evaluate(part, state):
+        value = real(part, state)
         calls.append(value is None)
         return value
 
