@@ -50,7 +50,10 @@ Each part is first handed to `_evaluate`, which lists its x-models from
 those masks, over the live variables' slot values, and returns the best
 pair's sum of table entries (`_best_pair`). That is what branching the
 part down to empty formulas finds, since the tables of the live
-variables already score everything linked below them. `SMALL_PART_CAP`
+variables already score everything linked below them. `_best_pair`
+groups the models by their bits on the part's linked variables, so a
+pair of groups reads those tables once and adds the largest popcount of
+the XOR of two of their models on the other bits. `SMALL_PART_CAP`
 bounds the states of one listing, and only a part whose listing runs
 past it is branched. A node values its parts first, so their exact
 values, not bounds, count in `base` before it bounds and branches the
@@ -856,53 +859,71 @@ def _best_pair(models, bits, state):
     pools and dual links count with no rule of their own; a part where
     no pair honours every flip reads negative. Only a linked variable (in
     `state.sing` or `state.dual`) has its table read: every other one
-    reads (0, 1, 1, 0). When none is linked, the value is the largest
-    popcount of a ^ b over pairs of distinct models, or 0 for one model.
-    Otherwise a table entry splits as t00 + d*(a + b) + c*a*b, with
-    d = t01 - t00 and c = t11 - 2*t01 + t00 (tables are symmetric), so a
-    pair scores t00 summed, plus each model's own d-sum, plus the c-sum
-    over the variables both models set. Variables are grouped by d and
-    by c, each group sums with one popcount per model or pair, and an
-    unlinked variable joins d = 1 and c = -2. The pairs are scored one
-    first model at a time, against the models from it on, so the memory
-    is linear in the models: no list of pairs is built.
+    reads (0, 1, 1, 0), one where the pair differs on it. When none is
+    linked, the value is `_farthest`'s over the models.
+
+    Otherwise the models fall into classes by their bits on the linked
+    variables. A pair of classes (P, Q), P = Q included, scores the
+    linked tables' entries read once at (P, Q), plus the largest
+    popcount of a ^ b on the unlinked bits over a in P and b in Q: the
+    link-free loop, across two classes or within one. Tables are
+    symmetric, so (Q, P) scores the same and is not read. The unlinked
+    bits add at most their count, so a class pair whose entries plus
+    that count cannot beat the best so far, such as one where a pivot
+    that must flip stays, is not scored further. The classes hold each
+    model once: the memory is linear in the models.
     """
-    sing, dual, table = state.sing, state.dual, state.table
+    sing, dual = state.sing, state.dual
     if sing.keys().isdisjoint(bits) and dual.keys().isdisjoint(bits):
-        best = 0
-        for i, a in enumerate(models):
-            for b in models[i + 1 :]:
-                apart = (a ^ b).bit_count()
-                if apart > best:
-                    best = apart
-        return best
-    unlinked = (1 << len(bits)) - 1
-    base, single, joint = 0, {}, {}
+        return _farthest(models)
+    table, linked, mask = state.table, [], 0
     for var, bit in bits.items():
         if var in sing or var in dual:
-            unlinked ^= bit
-            t0, t1, _, t3 = table(var)
-            base += t0
-            d, c = t1 - t0, t3 - 2 * t1 + t0
-            if d:
-                single[d] = single.get(d, 0) | bit
-            if c:
-                joint[c] = joint.get(c, 0) | bit
-    if unlinked:
-        single[1] = single.get(1, 0) | unlinked
-        joint[-2] = joint.get(-2, 0) | unlinked
-    own = [0] * len(models)
-    for d, mask in single.items():
-        own = [o + d * (m & mask).bit_count() for o, m in zip(own, models)]
-    joint = list(joint.items())
-    tops = []
+            linked.append((bit, table(var)))
+            mask |= bit
+    classes = {}
+    for model in models:
+        key = model & mask
+        rest = classes.get(key)
+        if rest is None:
+            classes[key] = [model ^ key]
+        else:
+            rest.append(model ^ key)
+    width = len(bits) - len(linked)
+    classes = list(classes.items())
+    best = None
+    for i, (p, first) in enumerate(classes):
+        rows = [(bit, t[2:]) if p & bit else (bit, t[:2]) for bit, t in linked]
+        for q, second in classes[i:]:
+            score = 0
+            for bit, row in rows:
+                score += row[1] if q & bit else row[0]
+            if best is not None and score + width <= best:
+                continue
+            if first is second:
+                score += _farthest(first)
+            else:
+                apart = 0
+                for a in first:
+                    for b in second:
+                        n = (a ^ b).bit_count()
+                        if n > apart:
+                            apart = n
+                score += apart
+            if best is None or score > best:
+                best = score
+    return best
+
+
+def _farthest(models):
+    """The largest popcount of a ^ b over pairs of distinct models; 0 for one model."""
+    best = 0
     for i, a in enumerate(models):
-        rest, scores = models[i:], own[i:]
-        for c, mask in joint:
-            shared = a & mask
-            scores = [s + c * (shared & b).bit_count() for s, b in zip(scores, rest)]
-        tops.append(own[i] + max(scores))
-    return base + max(tops)
+        for b in models[i + 1 :]:
+            apart = (a ^ b).bit_count()
+            if apart > best:
+                best = apart
+    return best
 
 
 #: The most search states, x-models included, `_evaluate` visits in one

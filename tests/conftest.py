@@ -708,10 +708,11 @@ def general_table(state: GeneralizedAssignment, var: int):
 
 
 def list_best_pair(models, bits, state):
-    """`branching._best_pair` as it scored before it streamed: every
-    variable's table read and grouped by table, and every pair, A = B
-    included, scored in bulk, one list per group. Each list holds about
-    len(models)**2 / 2 entries. The reference for the streamed scorer."""
+    """The best pair of the models, A = B included, scored in bulk: every
+    variable's table read and grouped by table, each entry split as
+    t00 + d*(a + b) + c*a*b, and every pair scored, one list per group.
+    Each list holds about len(models)**2 / 2 entries. The reference for
+    `branching._best_pair`, which scores pairs of classes of models."""
     if state.sing.keys().isdisjoint(bits) and state.dual.keys().isdisjoint(bits):
         best = 0
         for i, a in enumerate(models):

@@ -1269,38 +1269,75 @@ class TestSmallParts:
         evaluate(engine, part, state)
         assert calls["clause"] == len(part)
 
-    def test_the_streamed_pair_score_matches_the_list_scorer(self, monkeypatch):
+    def test_the_class_pair_score_matches_the_list_scorer(self, monkeypatch):
         """At every part the evaluator lists, under caps that make the search
         branch above parts with pools, dual links and must-flip pivots,
-        `_best_pair` gives `conftest.list_best_pair`'s value, the bulk
-        scorer it replaced, on link-free and linked parts alike."""
+        `_best_pair` gives `conftest.list_best_pair`'s value, every pair of
+        models scored in bulk, on link-free and linked parts alike. Planted
+        (3,2) and (4,2) at n = 48 add parts with many linked variables, and
+        uniform length-3 instances at n 24-40 add parts whose best pair lies
+        within one class: its models agree on every linked variable, and
+        every pair across two classes scores less. The calls also include
+        parts whose models fall into three or more classes by their linked
+        bits, and class pairs whose table entries read NEG, a pivot that
+        must flip staying in both."""
         real = branching._best_pair
         seen = collections.Counter()
 
         def best_pair(models, bits, state):
             value = real(models, bits, state)
             assert value == list_best_pair(models, bits, state)
-            linked = not (state.sing.keys().isdisjoint(bits) and state.dual.keys().isdisjoint(bits))
+            linked = [(bit, state.table(var)) for var, bit in bits.items() if var in state.sing or var in state.dual]
             seen["linked" if linked else "link-free"] += 1
             seen["several models"] += len(models) > 1
             seen["no pair"] += value < 0
+            mask = sum(bit for bit, _ in linked)
+            classes = {model & mask for model in models}
+            seen["three classes"] += len(classes) >= 3
+            pairs = itertools.combinations_with_replacement(classes, 2)
+            seen["NEG pair"] += any(
+                sum(t[2 * bool(p & bit) + bool(q & bit)] for bit, t in linked) < 0 for p, q in pairs
+            )
+            if len(classes) > 1:
+                tables = [(bit, state.table(var)) for var, bit in bits.items()]
+                across = max(
+                    sum(t[2 * bool(a & bit) + bool(b & bit)] for bit, t in tables)
+                    for a, b in itertools.combinations(models, 2)
+                    if a & mask != b & mask
+                )
+                seen["within one class"] += across < value
             return value
 
         monkeypatch.setattr(branching, "_best_pair", best_pair)
+        instances = self.instances() + [planted_formula(48, k, 2, seed) for k in (3, 4) for seed in range(3)]
+        instances += [random_formula(n, (n + 1) // 2, 3, seed) for n in range(24, 41, 4) for seed in range(40)]
         for cap in (16, 64, branching.SMALL_PART_CAP):
             monkeypatch.setattr(branching, "SMALL_PART_CAP", cap)
-            for f in self.instances():
+            for f in instances:
                 max_hamming_q(f)
         assert seen["linked"] > 300 and seen["link-free"] > 150, seen
         assert seen["several models"] > 400 and seen["no pair"] > 35, seen
+        assert seen["three classes"] > 200 and seen["NEG pair"] > 400 and seen["within one class"] > 3, seen
+
+    def test_a_class_pair_is_scored_when_only_every_unlinked_flip_beats_the_best(self):
+        """Variable 1 is linked, its empty link list keeping it on the table
+        path with table (0, 1, 1, 0), and 2 and 3 are not. Models 000 and
+        110 share class 0 and score 2; the class pair (0, 1) reads 1 and
+        can add at most the 2 unlinked bits, so it can still win, and 001
+        against 110 scores 3."""
+        state = GeneralizedAssignment()
+        state.dual[1] = []
+        models, bits = [0b000, 0b110, 0b001], {1: 0b001, 2: 0b010, 3: 0b100}
+        assert branching._best_pair(models, bits, state) == list_best_pair(models, bits, state) == 3
 
     def test_a_linked_part_of_2049_models_is_scored_in_memory_linear_in_the_models(self, monkeypatch):
         """The star (1 2i 2i+1), i = 1..11, has 2,049 x-models: 1 true and
         every other variable false, or 1 false and one of each pair true. A
         dual link below variable 2 sends its pairs through the tables. The
-        streamed scorer holds one row of scores at a time, so the valuation
-        peaks under 5 MB; `conftest.list_best_pair` holds two lists of the
-        2,100,225 pairs, well over 100 MB. The best pair flips every pair's
+        scorer holds the models once, in two classes by variable 2, and
+        scores their pairs without a list, so the valuation peaks under
+        5 MB; `conftest.list_best_pair` holds two lists of the 2,100,225
+        pairs, well over 100 MB. The best pair flips every pair's
         satisfactor, 22 variables, of which 2 scores 2 with its link: 23."""
         k = 11
         engine = Propagator(Formula(2 * k + 1, tuple((1, 2 * i, 2 * i + 1) for i in range(1, k + 1))))
