@@ -75,7 +75,7 @@ a pool forms bind the slot instead.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import islice
 
 from .formula import BOTTOM, Formula, HammingResult, Record, SearchStats
@@ -404,16 +404,29 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     round: after any other a round would find the engine idle and make
     the same choice. When the removed side has degree one, as on every
     step of a chain, the clause is its only occurrence, and the loop
-    drops it itself, on the engine's fields, with one logged write and no
-    rewrite: the removed side's degree goes to 0 and the survivor's falls
-    by one. Otherwise the substitution rewrites every clause holding the
-    removed side, drops that clause itself with every other clause it
-    turns into a complementary pair, such as a copy, and queues a rewrite
-    only when it repeats a variable. Two position heaps stand in for rescanning the
-    formula. `binaries` is fed from the engine's `changed` log and holds
-    every clause that may have become binary. `to_pool` is fed from its
-    `singles` log alone: a clause can only start to pool when one of its
-    variables falls to degree one, and each such variable pushes its
+    drops it itself, on the engine's fields, with no rewrite: the removed
+    side's degree goes to 0 and the survivor's falls by one. Under a mark
+    the drop logs one write; before the engine's first mark nothing
+    undoes the root, so it builds no trail entry. Otherwise the
+    substitution rewrites every clause holding the removed side, drops
+    that clause itself with every other clause it turns into a
+    complementary pair, such as a copy, and queues a rewrite only when it
+    repeats a variable.
+
+    Position queues stand in for rescanning the formula. A binary
+    clause comes from one of three: the run, the `changed` log sorted
+    when the last run is spent and stepped by index (a new engine logs
+    its binary clauses in position order, so at the root the sort is one
+    linear pass); `later`, a heap of the positions logged while a run is
+    still being stepped; and a survivor's clause that a pool on the spot
+    (below) leaves binary, which goes straight to the next step when it
+    comes before every pending entry and onto `later` otherwise. Each
+    step takes the smallest position of the three and skips a clause no
+    longer binary, so the order is that of one heap over every clause
+    that may have become binary: the first binary clause by position.
+    `to_pool` is a heap fed from the engine's `singles` log alone: a
+    clause can only start to pool when one of its variables falls to
+    degree one, and each such variable pushes its
     clause once if the clause can pool then (`_pool_pair`). So a clause
     has at least as many entries as fresh singletons (heading no pool),
     one fewer while it holds no pool head: a push is skipped only on a
@@ -440,10 +453,12 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     survivor's clause is then the only one that can start to: when the
     survivor falls to degree one in a clause `_pool_pair` takes, the
     loop pools that clause right there, with no entry, removing the
-    member with the writes of `Propagator.remove_literal`, and puts it on
-    `binaries` if it is left binary. That one pool is all the clause can
-    take: before the drop it held at most one singleton or no fresh one,
-    and a pool changes no degree but the member's, so it leaves one
+    member with the writes of `Propagator.remove_literal`, but for the
+    trail entry before the first mark and for the `changed` entry of a
+    clause left with fewer than three literals: the loop queues a binary
+    one itself and the engine's queue settles a shorter one. That one
+    pool is all the clause can take: before the drop it held at most
+    one singleton or no fresh one, and a pool changes no degree but the member's, so it leaves one
     singleton or, the survivor now heading it, none fresh. Then, as
     after a survivor that keeps degree two or more or whose clause
     cannot pool, the loop drops or substitutes the next binary clause at
@@ -463,14 +478,21 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
     most one pool member and one dual child in closed form. So a step of
     a binary chain makes one call, `record_dual`, and a step of a
     ternary chain three, `record_dual`, `_pool_pair` and `record_sing`.
+    Neither touches a heap: a binary chain's run is its clauses in
+    order, and each clause a ternary chain's drop pools is the first
+    binary one.
     """
     clauses, degree, changed, singles, sat = engine.clauses, engine.degree, engine.changed, engine.singles, state.sat
     occ, writes, queue = engine.occ, engine._writes, engine.queue
     propagate, position_of, substitute = engine.propagate, engine.position_of, engine.substitute
     record_sing, record_dual = state.record_sing, state.record_dual
     to_pool: list[int] = []
-    binaries: list[int] = []
-    fresh = writes is _UNLOGGED
+    run: list[int] = []  # the first-binary run, sorted, stepped by `at`
+    later: list[int] = []  # a heap of positions that turned binary after the run was taken
+    at = end = 0
+    straight = None
+    logged = writes is not _UNLOGGED
+    fresh = not logged
     while propagate():
         if fresh:  # the log holds every degree-one variable: a clause two of them name can pool
             fresh, named = False, set()
@@ -492,16 +514,24 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
             if queue:
                 break  # the pool left fewer than two literals: settle them first
         else:
-            if binaries:
+            if at < end:
                 for pos in changed:
                     if len(clauses[pos] or ()) == 2:
-                        heappush(binaries, pos)
-            else:
-                binaries = [pos for pos in changed if len(clauses[pos] or ()) == 2]
-                heapify(binaries)
+                        heappush(later, pos)
+            else:  # the run is spent: the log is the next one
+                run, at = sorted(changed), 0
+                end = len(run)
             changed.clear()
-            while binaries:  # dual-substitute away the first binary clause
-                pos = heappop(binaries)
+            while True:  # dual-substitute away the first binary clause
+                if straight is not None:
+                    pos, straight = straight, None
+                elif later and (at == end or later[0] < run[at]):
+                    pos = heappop(later)
+                elif at < end:
+                    pos = run[at]
+                    at += 1
+                else:
+                    return True
                 clause = clauses[pos]
                 if clause is None or len(clause) != 2:
                     continue
@@ -519,7 +549,8 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
                     record_dual(survivor, removed)
                     break
                 # The drop: the clause is the removed side's one occurrence.
-                writes.append((pos, clause))
+                if logged:
+                    writes.append((pos, clause))
                 clauses[pos] = None
                 degree[gone] = 0
                 left = degree[var] - 1
@@ -545,18 +576,20 @@ def _simplify(engine: Propagator, state: GeneralizedAssignment) -> bool:
                     if pair:  # the one pool the survivor's clause can take
                         head, member = pair
                         record_sing(head, member)
-                        writes.append((pos, clause))
-                        at = clause.index(member)
-                        clause = clauses[pos] = clause[:at] + clause[at + 1 :]
+                        if logged:
+                            writes.append((pos, clause))
+                        cut = clause.index(member)
+                        clause = clauses[pos] = clause[:cut] + clause[cut + 1 :]
                         degree[abs(member)] = 0
-                        changed.append(pos)
                         if len(clause) < 2:
                             engine._enqueue(pos)
                             break  # settle it first
-                        if len(clause) == 2:
-                            heappush(binaries, pos)
-            else:
-                return True
+                        if len(clause) > 2:
+                            changed.append(pos)
+                        elif (at < end and run[at] < pos) or (later and later[0] < pos):
+                            heappush(later, pos)
+                        else:
+                            straight = pos  # the first binary clause: it goes next
     return False
 
 

@@ -34,16 +34,19 @@ The dual substitution of a literal whose variable has degree one, in a
 binary clause, is the cheapest step of all and needs no method here: the
 clause is the variable's only occurrence, and the rewrite would turn it
 into a complementary pair, which drops. So q's simplification drops the
-clause with one logged write and no rewrite, sets the variable's degree
-to 0 and lowers the other literal's by one, on the engine's fields
-itself (see `branching._simplify`). It queues nothing and changes no
+clause with no rewrite (and one logged write under a mark), sets the
+variable's degree to 0 and lowers the other literal's by one, on the
+engine's fields itself (see `branching._simplify`). It queues nothing and changes no
 other clause. On a chain every dual elimination is of this kind.
 
 Only q searches an engine: a q child takes a `mark`, applies its steps,
 and goes back with `undo_to`. The solver and p propagate the root with
 it and search on value lists of their own (see `solver`). Every engine
 keeps its trail from its first mark, so the root's own propagation and
-simplification, which nothing undoes, log nothing. The trail is two logs
+simplification, which nothing undoes, log nothing: before that mark the
+logs are one sink that keeps nothing, and the writes q's simplification
+makes on the engine's fields itself, its drops and pools, build no
+entry at all. The trail is two logs
 in the order of the steps: every clause write with the clause it
 replaced, and the length every occurrence list had before a rewrite
 appended to it. Occurrence lists only grow: a force or a removed literal

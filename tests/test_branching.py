@@ -269,6 +269,95 @@ def test_chain_steps_make_no_futile_pool_check_or_table_build(monkeypatch):
             assert calls == want, (k, seed, calls)
 
 
+def test_root_chain_steps_use_no_heap_and_build_no_trail_before_the_first_mark(monkeypatch):
+    """The root's simplification of a 2,001-variable binary or ternary
+    chain with random polarities, on a fresh engine, steps through its
+    sorted first-binary run: at most two `heappush` and two `heappop`
+    calls in all, those of the ternary chain's two end clauses on
+    `to_pool`, where a heap of every binary position took about 2,000 of
+    each. Its drops and on-the-spot pools build no trail entry: every
+    append to the unlogged sink comes from an engine method, a settle in
+    `propagate` or an end clause's `remove_literal`. Under a mark the same
+    simplification logs one write per drop and per on-the-spot pool, and
+    `undo_to` gives back the fresh engine."""
+    heap, writes, links = collections.Counter(), collections.Counter(), collections.Counter()
+
+    def counting(counter, name, real):
+        def counted(*args):
+            counter[name, sys._getframe(1).f_code.co_name] += 1
+            return real(*args)
+
+        return counted
+
+    class Writes(list):
+        """A trail log that counts its appends by the function making them."""
+
+        def append(self, entry):
+            writes[sys._getframe(1).f_code.co_name] += 1
+            super().append(entry)
+
+    sink = Writes()
+    monkeypatch.setattr(propagation, "_UNLOGGED", sink)
+    monkeypatch.setattr(branching, "_UNLOGGED", sink)
+    for name in ("heappush", "heappop"):
+        monkeypatch.setattr(branching, name, counting(heap, name, getattr(branching, name)))
+    for name in ("record_sing", "record_dual"):
+        monkeypatch.setattr(GeneralizedAssignment, name, counting(links, name, getattr(GeneralizedAssignment, name)))
+    for k in (2, 3):
+        f = chain(2001, k, 37)
+        heap.clear()
+        writes.clear()
+        assert branching._simplify(Propagator(f), GeneralizedAssignment())
+        assert max(heap.values(), default=0) <= 2 and sum(heap.values()) <= 4, (k, heap)
+        assert "_simplify" not in writes and sum(writes.values()) <= 3, (k, writes)
+
+        engine = Propagator(f)
+        fresh = engine_state(engine)
+        mark = engine.mark()
+        engine._writes = Writes()
+        writes.clear()
+        links.clear()
+        assert branching._simplify(engine, GeneralizedAssignment())
+        on_the_spot = links["record_sing", "_simplify"]
+        assert writes["_simplify"] == links["record_dual", "_simplify"] + on_the_spot > 1900, (k, writes, links)
+        assert (on_the_spot > 900) == (k == 3), (k, links)
+        engine.undo_to(mark)
+        assert engine_state(engine) == fresh
+
+
+def test_the_first_binary_clause_goes_first_whichever_queue_holds_it(monkeypatch):
+    """`_simplify` takes binary clauses from a sorted run taken from the
+    `changed` log, from a heap of clauses that turn binary later, and
+    straight from an on-the-spot pool; between them it must eliminate the
+    first binary clause by position, as the reference's one heap does.
+    In (-1 -2), (1 -2 3 -4), (-5 3) the run holds positions 0 and 2; the
+    substitution at 0 makes 2 true, which leaves (3 -4) binary at
+    position 1, below the run's next entry, so it goes first. In (1 2),
+    (3 4), (5 1 4) the drop at 0 pools (5 4) at position 2 while (3 4) is
+    pending, so the pooled clause waits. Both link, and leave the engine,
+    as `simplify_substituting_drops` does."""
+    links = []
+
+    def logging(kind, record):
+        def logged(state, *args):
+            links.append((kind, args))
+            record(state, *args)
+
+        return logged
+
+    monkeypatch.setattr(GeneralizedAssignment, "record_sing", logging("sing", GeneralizedAssignment.record_sing))
+    monkeypatch.setattr(GeneralizedAssignment, "record_dual", logging("dual", GeneralizedAssignment.record_dual))
+    for f, want_links in (
+        (formula((-1, -2), (1, -2, 3, -4), (-5, 3)), [("dual", (-2, -1)), ("dual", (3, -4)), ("sing", (-5, 3))]),
+        (formula((1, 2), (3, 4), (5, 1, 4)), [("dual", (1, 2)), ("sing", (5, 1)), ("dual", (4, 3)), ("sing", (4, 5))]),
+    ):
+        del links[:]
+        got = simplified(branching._simplify, Propagator(f), GeneralizedAssignment()), list(links)
+        del links[:]
+        want = simplified(simplify_substituting_drops, Propagator(f), GeneralizedAssignment()), list(links)
+        assert got == want and got[1] == want_links, f
+
+
 def test_pool_pair_matches_the_list_reference_on_every_small_clause():
     """`_pool_pair`'s one scan returns what the list of the clause's
     singletons gives, on every clause of one to five literals over every
